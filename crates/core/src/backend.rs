@@ -10,7 +10,7 @@
 //! timeline. This realizes the paper's "accuracy is guaranteed" property
 //! and is verified by the cross-method equivalence tests.
 
-use hetsolve_fem::{CompactEbe, CompactElements, FemProblem};
+use hetsolve_fem::{CompactEbe, CompactElements, FemProblem, ScatterPlan};
 use hetsolve_mesh::{color_elements, Coloring};
 use hetsolve_sparse::{assemble_global, Bcrs3, BlockJacobi, KernelCounts, LinearOperator};
 
@@ -18,6 +18,10 @@ use hetsolve_sparse::{assemble_global, Bcrs3, BlockJacobi, KernelCounts, LinearO
 pub struct Backend {
     pub problem: FemProblem,
     pub coloring: Coloring,
+    /// Proof that `coloring` (and the face coloring it carries) is
+    /// race-free over the mesh: validated once here, so `ebe_a`/`ebe_m`/
+    /// `ebe_c` build operators without re-validating.
+    plan: ScatterPlan,
     pub compact: CompactElements,
     /// Dirichlet mask as a bool slice.
     pub fixed: Vec<bool>,
@@ -71,14 +75,24 @@ impl Backend {
         } else {
             (None, None)
         };
+        let plan = ScatterPlan::validate(
+            problem.n_nodes(),
+            &problem.model.mesh.elems,
+            &problem.dashpots.faces,
+            &coloring,
+        );
         // preconditioner blocks from the matrix-free diagonal (identical to
         // the assembled diagonal; see fem::ebe_compact tests)
-        let op = Self::compact_op_parts(
-            &problem,
+        let op = CompactEbe::with_plan(
+            problem.n_nodes(),
+            &problem.model.mesh.elems,
             &compact,
-            &coloring,
-            &fixed,
+            &problem.dashpots.faces,
+            &problem.dashpots.cb,
             (a.c_m, a.c_k, a.c_b),
+            &fixed,
+            &coloring,
+            &plan,
             parallel,
             1,
         );
@@ -86,6 +100,7 @@ impl Backend {
         Backend {
             problem,
             coloring,
+            plan,
             compact,
             fixed,
             crs_a,
@@ -95,25 +110,25 @@ impl Backend {
         }
     }
 
-    fn compact_op_parts<'a>(
-        problem: &'a FemProblem,
-        compact: &'a CompactElements,
-        coloring: &'a Coloring,
-        fixed: &'a [bool],
+    /// A matrix-free operator over this backend's mesh, under the plan
+    /// validated in [`Self::new`].
+    fn compact_op<'a>(
+        &'a self,
         coeffs: (f64, f64, f64),
-        parallel: bool,
+        fixed: &'a [bool],
         r: usize,
     ) -> CompactEbe<'a> {
-        CompactEbe::new(
-            problem.n_nodes(),
-            &problem.model.mesh.elems,
-            compact,
-            &problem.dashpots.faces,
-            &problem.dashpots.cb,
+        CompactEbe::with_plan(
+            self.problem.n_nodes(),
+            &self.problem.model.mesh.elems,
+            &self.compact,
+            &self.problem.dashpots.faces,
+            &self.problem.dashpots.cb,
             coeffs,
             fixed,
-            coloring,
-            parallel,
+            &self.coloring,
+            &self.plan,
+            self.parallel,
             r,
         )
     }
@@ -121,43 +136,19 @@ impl Backend {
     /// Matrix-free system operator `A` with `r` fused RHS.
     pub fn ebe_a(&self, r: usize) -> CompactEbe<'_> {
         let a = self.problem.a_coeffs();
-        Self::compact_op_parts(
-            &self.problem,
-            &self.compact,
-            &self.coloring,
-            &self.fixed,
-            (a.c_m, a.c_k, a.c_b),
-            self.parallel,
-            r,
-        )
+        self.compact_op((a.c_m, a.c_k, a.c_b), &self.fixed, r)
     }
 
     /// Matrix-free mass operator `M` (no Dirichlet identity: used inside
     /// the RHS where fixed rows are projected to zero afterwards).
     pub fn ebe_m(&self) -> CompactEbe<'_> {
-        Self::compact_op_parts(
-            &self.problem,
-            &self.compact,
-            &self.coloring,
-            &[],
-            (1.0, 0.0, 0.0),
-            self.parallel,
-            1,
-        )
+        self.compact_op((1.0, 0.0, 0.0), &[], 1)
     }
 
     /// Matrix-free damping operator `C = α M + β K + C_b`.
     pub fn ebe_c(&self) -> CompactEbe<'_> {
         let c = self.problem.c_coeffs();
-        Self::compact_op_parts(
-            &self.problem,
-            &self.compact,
-            &self.coloring,
-            &[],
-            (c.c_m, c.c_k, c.c_b),
-            self.parallel,
-            1,
-        )
+        self.compact_op((c.c_m, c.c_k, c.c_b), &[], 1)
     }
 
     /// Were the assembled (CRS) matrices built? The run drivers check

@@ -20,32 +20,39 @@
 //! (32 B) + 40 B of node ids ≈ 168 B — versus 7.4 KB for cached packed
 //! matrices, a ~44× traffic reduction that turns the kernel compute-bound.
 
+use std::borrow::Cow;
+
+use hetsolve_mesh::mesh::TET_EDGES;
 use hetsolve_mesh::{validate_groups, Coloring, Material, TetMesh10};
 use hetsolve_sparse::dirichlet::FixedMask;
 use hetsolve_sparse::ebe::color_faces;
 use hetsolve_sparse::op::{KernelCounts, LinearOperator, MultiOperator};
 use hetsolve_sparse::parcheck::ColorScatter;
-use hetsolve_sparse::sym::sym2_matvec_add_multi;
+use hetsolve_sparse::sym::{packed_idx, packed_len};
 use rayon::prelude::*;
 
-use crate::quad::{tet_rule_deg2, tet_rule_deg5};
+use crate::quad::{tet_rule_deg2, tet_rule_deg5, TetQp};
 use crate::shape::{tet10_shape, tet_bary_gradients};
 
 /// f64 slots per element in the geometry table: 12 (∇L) + 1 (V) + 3 (ρ,λ,μ).
 pub const GEO_STRIDE: usize = 16;
+
+/// Packed entries of one 18×18 symmetric face dashpot matrix.
+const FACE_PACKED: usize = packed_len(18);
 
 /// Universal reference tables shared by all elements (computed once).
 #[derive(Debug, Clone)]
 pub struct RefTables {
     /// `Σ_qp w N_i N_j` over the degree-5 rule, row-major 10×10.
     pub mhat: [f64; 100],
-    /// Stiffness rule: per quadrature point, `dN_i/dL_a` (10×4) and weight.
-    pub grad_table: Vec<([f64; 40], f64)>,
+    /// Stiffness rule (degree 2). `dN_i/dL_a` at a point is universal:
+    /// `4L_a − 1` for vertex `a`, `4L_b` / `4L_a` for the mid-node of edge
+    /// `(a, b)`, zero otherwise (see [`dn_dl`]).
+    pub stiff_rule: Vec<TetQp>,
 }
 
 /// dN_i/dL_a at barycentric point `l` (Tet10), row-major 10×4.
 fn dn_dl(l: [f64; 4]) -> [f64; 40] {
-    use hetsolve_mesh::mesh::TET_EDGES;
     let mut g = [0.0; 40];
     for i in 0..4 {
         g[4 * i + i] = 4.0 * l[i] - 1.0;
@@ -68,11 +75,10 @@ impl RefTables {
                 }
             }
         }
-        let grad_table = tet_rule_deg2()
-            .iter()
-            .map(|qp| (dn_dl(qp.l), qp.w))
-            .collect();
-        RefTables { mhat, grad_table }
+        RefTables {
+            mhat,
+            stiff_rule: tet_rule_deg2(),
+        }
     }
 }
 
@@ -122,24 +128,99 @@ impl CompactElements {
     }
 }
 
+/// Address and length of a slice: which buffer a [`ScatterPlan`] was
+/// validated against.
+fn slice_id<T>(s: &[T]) -> (usize, usize) {
+    (s.as_ptr() as usize, s.len())
+}
+
+/// Proof that the colored scatter of one mesh is race-free and in bounds,
+/// so that operators over it need not re-derive it: the element coloring
+/// passed [`validate_groups`], and the dashpot faces were colored and that
+/// coloring passed it too. Only [`ScatterPlan::validate`] builds one (the
+/// fields are private), and an operator accepts it only for the very
+/// buffers it was validated against ([`CompactEbe::with_plan`]) — owners
+/// that build many operators over one mesh (`Backend`) validate once.
+#[derive(Debug, Clone)]
+pub struct ScatterPlan {
+    n_nodes: usize,
+    elems: (usize, usize),
+    faces: (usize, usize),
+    groups: (usize, usize),
+    face_groups: Vec<Vec<u32>>,
+}
+
+impl ScatterPlan {
+    /// Validate `coloring` over `elems`, color `faces` and validate that
+    /// coloring. Panics with the offending pair on a coloring that would
+    /// race (see `hetsolve_sparse::parcheck`).
+    pub fn validate(
+        n_nodes: usize,
+        elems: &[[u32; 10]],
+        faces: &[[u32; 6]],
+        coloring: &Coloring,
+    ) -> Self {
+        assert_eq!(coloring.color.len(), elems.len());
+        if let Err(c) = validate_groups(n_nodes, elems, &coloring.groups) {
+            panic!("ScatterPlan::validate: element {c}");
+        }
+        let face_groups = color_faces(n_nodes, faces);
+        if let Err(c) = validate_groups(n_nodes, faces, &face_groups) {
+            panic!("ScatterPlan::validate: face {c}");
+        }
+        ScatterPlan {
+            n_nodes,
+            elems: slice_id(elems),
+            faces: slice_id(faces),
+            groups: slice_id(&coloring.groups),
+            face_groups,
+        }
+    }
+
+    /// Panic unless this plan was validated against exactly these buffers.
+    /// (Editing a validated buffer in place afterwards is not detected;
+    /// owners keep plan and buffers together and immutable.)
+    fn assert_covers(
+        &self,
+        n_nodes: usize,
+        elems: &[[u32; 10]],
+        faces: &[[u32; 6]],
+        coloring: &Coloring,
+    ) {
+        assert!(
+            self.n_nodes == n_nodes
+                && self.elems == slice_id(elems)
+                && self.faces == slice_id(faces)
+                && self.groups == slice_id(&coloring.groups),
+            "ScatterPlan was validated against a different mesh or coloring"
+        );
+    }
+}
+
 /// The compact matrix-free operator `c_m M + c_k K + c_b C_b` over a Tet10
 /// mesh with optional boundary dashpots and Dirichlet mask.
+///
+/// The connectivity, coloring and fused width are private: the unsafe
+/// scatter relies on the validation they passed at construction.
 pub struct CompactEbe<'a> {
-    pub elems: &'a [[u32; 10]],
+    elems: &'a [[u32; 10]],
     pub data: &'a CompactElements,
-    pub faces: &'a [[u32; 6]],
+    faces: &'a [[u32; 6]],
     /// Flat packed face dashpot matrices (stride 171).
     pub cb: &'a [f64],
     pub c_m: f64,
     pub c_k: f64,
     pub c_b: f64,
     pub fixed: &'a [bool],
-    pub n_nodes: usize,
-    pub coloring: &'a Coloring,
-    pub face_groups: Vec<Vec<u32>>,
+    n_nodes: usize,
+    coloring: &'a Coloring,
+    face_groups: Cow<'a, [Vec<u32>]>,
+    /// Kept for the threaded pool of ROADMAP 2(a); the kernel walks each
+    /// color group in one serial loop, which is what the serial `rayon`
+    /// shim made of `par_iter` anyway.
     pub parallel: bool,
     /// Fused right-hand sides (1, 2, 4, or 8).
-    pub r: usize,
+    r: usize,
     /// Write `y[fixed] = x[fixed]` after the apply (the Dirichlet identity
     /// block). Partitioned (multi-node) operators disable this so the
     /// identity is not double-counted when shared-node sums are taken; the
@@ -148,6 +229,9 @@ pub struct CompactEbe<'a> {
 }
 
 impl<'a> CompactEbe<'a> {
+    /// Build the operator, validating the coloring (and coloring the
+    /// faces) on the spot. Owners that build many operators over one mesh
+    /// validate once and use [`Self::with_plan`].
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         n_nodes: usize,
@@ -161,21 +245,73 @@ impl<'a> CompactEbe<'a> {
         parallel: bool,
         r: usize,
     ) -> Self {
+        let plan = ScatterPlan::validate(n_nodes, elems, faces, coloring);
+        Self::build(
+            n_nodes,
+            elems,
+            data,
+            faces,
+            cb,
+            coeffs,
+            fixed,
+            coloring,
+            Cow::Owned(plan.face_groups),
+            parallel,
+            r,
+        )
+    }
+
+    /// [`Self::new`] without re-validating: `plan` is the proof that these
+    /// very buffers were validated (anything else panics).
+    #[allow(clippy::too_many_arguments)]
+    pub fn with_plan(
+        n_nodes: usize,
+        elems: &'a [[u32; 10]],
+        data: &'a CompactElements,
+        faces: &'a [[u32; 6]],
+        cb: &'a [f64],
+        coeffs: (f64, f64, f64),
+        fixed: &'a [bool],
+        coloring: &'a Coloring,
+        plan: &'a ScatterPlan,
+        parallel: bool,
+        r: usize,
+    ) -> Self {
+        plan.assert_covers(n_nodes, elems, faces, coloring);
+        Self::build(
+            n_nodes,
+            elems,
+            data,
+            faces,
+            cb,
+            coeffs,
+            fixed,
+            coloring,
+            Cow::Borrowed(&plan.face_groups),
+            parallel,
+            r,
+        )
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn build(
+        n_nodes: usize,
+        elems: &'a [[u32; 10]],
+        data: &'a CompactElements,
+        faces: &'a [[u32; 6]],
+        cb: &'a [f64],
+        coeffs: (f64, f64, f64),
+        fixed: &'a [bool],
+        coloring: &'a Coloring,
+        face_groups: Cow<'a, [Vec<u32>]>,
+        parallel: bool,
+        r: usize,
+    ) -> Self {
         assert!(
             matches!(r, 1 | 2 | 4 | 8),
             "fused RHS count must be 1, 2, 4 or 8 (got {r})"
         );
         assert_eq!(elems.len(), data.n_elems);
-        assert_eq!(coloring.color.len(), elems.len());
-        // Race-freedom precondition of the colored scatter (see
-        // `hetsolve_sparse::parcheck`).
-        if let Err(c) = validate_groups(n_nodes, elems, &coloring.groups) {
-            panic!("CompactEbe::new: element {c}");
-        }
-        let face_groups = color_faces(n_nodes, faces);
-        if let Err(c) = validate_groups(n_nodes, faces, &face_groups) {
-            panic!("CompactEbe::new: face {c}");
-        }
         CompactEbe {
             elems,
             data,
@@ -200,190 +336,17 @@ impl<'a> CompactEbe<'a> {
         self
     }
 
-    #[inline]
-    fn masked(&self, dof: usize, v: f64) -> f64 {
-        FixedMask::new(self.fixed).masked(dof, v)
-    }
-
-    /// Compute `y_local += (c_m M_e + c_k K_e) x_local` for element `e`,
-    /// entirely from the compact geometry record. `R` = fused RHS,
-    /// interleaved locals (`x[(3k+a)*R + c]`).
-    fn element_apply<const R: usize>(&self, e: usize, x: &[f64], y: &mut [f64]) {
-        let g = &self.data.geo[e * GEO_STRIDE..(e + 1) * GEO_STRIDE];
-        let dl = [
-            [g[0], g[1], g[2]],
-            [g[3], g[4], g[5]],
-            [g[6], g[7], g[8]],
-            [g[9], g[10], g[11]],
-        ];
-        let (vol, rho, lam, mu) = (g[12], g[13], g[14], g[15]);
-        let t = &self.data.tables;
-
-        // --- mass: y += c_m * rho * vol * (Mhat ⊗ I3) x
-        let mscale = self.c_m * rho * vol;
-        if mscale != 0.0 {
-            for i in 0..10 {
-                let mut acc = [[0.0f64; R]; 3];
-                for j in 0..10 {
-                    let mij = t.mhat[10 * i + j];
-                    for a in 0..3 {
-                        for c in 0..R {
-                            acc[a][c] += mij * x[(3 * j + a) * R + c];
-                        }
-                    }
-                }
-                for a in 0..3 {
-                    for c in 0..R {
-                        y[(3 * i + a) * R + c] += mscale * acc[a][c];
-                    }
-                }
-            }
-        }
-
-        // --- stiffness: strain/stress loop over the degree-2 rule
-        let kscale = self.c_k * vol;
-        if kscale != 0.0 {
-            for (gt, w) in &t.grad_table {
-                // physical gradients g_i = sum_a gt[i][a] * dl[a]
-                let mut gr = [[0.0f64; 3]; 10];
-                for i in 0..10 {
-                    for a in 0..4 {
-                        let c = gt[4 * i + a];
-                        if c != 0.0 {
-                            gr[i][0] += c * dl[a][0];
-                            gr[i][1] += c * dl[a][1];
-                            gr[i][2] += c * dl[a][2];
-                        }
-                    }
-                }
-                let wv = kscale * w;
-                for c in 0..R {
-                    // displacement gradient H = sum_i x_i ⊗ g_i (3x3)
-                    let mut h = [0.0f64; 9];
-                    for i in 0..10 {
-                        let (u0, u1, u2) = (
-                            x[(3 * i) * R + c],
-                            x[(3 * i + 1) * R + c],
-                            x[(3 * i + 2) * R + c],
-                        );
-                        let gi = &gr[i];
-                        h[0] += u0 * gi[0];
-                        h[1] += u0 * gi[1];
-                        h[2] += u0 * gi[2];
-                        h[3] += u1 * gi[0];
-                        h[4] += u1 * gi[1];
-                        h[5] += u1 * gi[2];
-                        h[6] += u2 * gi[0];
-                        h[7] += u2 * gi[1];
-                        h[8] += u2 * gi[2];
-                    }
-                    // stress sigma = lam tr(eps) I + 2 mu eps, eps = sym(H)
-                    let tr = h[0] + h[4] + h[8];
-                    let lt = lam * tr;
-                    let s00 = lt + 2.0 * mu * h[0];
-                    let s11 = lt + 2.0 * mu * h[4];
-                    let s22 = lt + 2.0 * mu * h[8];
-                    let s01 = mu * (h[1] + h[3]);
-                    let s02 = mu * (h[2] + h[6]);
-                    let s12 = mu * (h[5] + h[7]);
-                    // nodal forces f_i = w V sigma g_i
-                    for i in 0..10 {
-                        let gi = &gr[i];
-                        y[(3 * i) * R + c] += wv * (s00 * gi[0] + s01 * gi[1] + s02 * gi[2]);
-                        y[(3 * i + 1) * R + c] += wv * (s01 * gi[0] + s11 * gi[1] + s12 * gi[2]);
-                        y[(3 * i + 2) * R + c] += wv * (s02 * gi[0] + s12 * gi[1] + s22 * gi[2]);
-                    }
-                }
-            }
-        }
-    }
-
+    /// `y = A x` for `R` fused right-hand sides: zero `y`, run the colored
+    /// element and face passes through the widest kernel instance this CPU
+    /// runs, then the Dirichlet identity.
     fn apply_r<const R: usize>(&self, x: &[f64], y: &mut [f64]) {
+        // The scatter writes `y` unchecked: its length is part of the
+        // safety argument, so it is checked in every build.
+        assert_eq!(x.len(), 3 * self.n_nodes * R, "input multi-vector length");
+        assert_eq!(y.len(), 3 * self.n_nodes * R, "output multi-vector length");
         y.fill(0.0);
         let mut scatter = ColorScatter::new(y);
-        for group in &self.coloring.groups {
-            scatter.begin_color();
-            let scatter = &scatter;
-            let run = move |&e: &u32| {
-                let eid = e;
-                let e = e as usize;
-                let el = &self.elems[e];
-                let mut xl = [0.0f64; 240];
-                let mut yl = [0.0f64; 240];
-                let xl = &mut xl[..30 * R];
-                let yl = &mut yl[..30 * R];
-                for (k, &n) in el.iter().enumerate() {
-                    for a in 0..3 {
-                        let dof = 3 * n as usize + a;
-                        for c in 0..R {
-                            xl[(3 * k + a) * R + c] = self.masked(dof, x[dof * R + c]);
-                        }
-                    }
-                }
-                self.element_apply::<R>(e, xl, yl);
-                // SAFETY: same-color elements touch disjoint nodes
-                // (validated at construction), so per-pass writes are
-                // disjoint.
-                unsafe {
-                    for (k, &n) in el.iter().enumerate() {
-                        for a in 0..3 {
-                            let dof = 3 * n as usize + a;
-                            for c in 0..R {
-                                scatter.add(eid, dof * R + c, yl[(3 * k + a) * R + c]);
-                            }
-                        }
-                    }
-                }
-            };
-            if self.parallel {
-                group.par_iter().for_each(run);
-            } else {
-                group.iter().for_each(run);
-            }
-        }
-        // boundary dashpots (cached packed matrices)
-        if self.c_b != 0.0 {
-            for group in &self.face_groups {
-                scatter.begin_color();
-                let scatter = &scatter;
-                let run = move |&f: &u32| {
-                    let fid = f;
-                    let f = f as usize;
-                    let fc = &self.faces[f];
-                    let mut xl = [0.0f64; 144];
-                    let mut yl = [0.0f64; 144];
-                    let xl = &mut xl[..18 * R];
-                    let yl = &mut yl[..18 * R];
-                    for (k, &n) in fc.iter().enumerate() {
-                        for a in 0..3 {
-                            let dof = 3 * n as usize + a;
-                            for c in 0..R {
-                                xl[(3 * k + a) * R + c] = self.masked(dof, x[dof * R + c]);
-                            }
-                        }
-                    }
-                    let cb = &self.cb[f * 171..(f + 1) * 171];
-                    sym2_matvec_add_multi::<R>(self.c_b, cb, 0.0, cb, xl, yl, 18);
-                    // SAFETY: face coloring guarantees disjoint per-pass
-                    // writes (validated at construction).
-                    unsafe {
-                        for (k, &n) in fc.iter().enumerate() {
-                            for a in 0..3 {
-                                let dof = 3 * n as usize + a;
-                                for c in 0..R {
-                                    scatter.add(fid, dof * R + c, yl[(3 * k + a) * R + c]);
-                                }
-                            }
-                        }
-                    }
-                };
-                if self.parallel {
-                    group.par_iter().for_each(run);
-                } else {
-                    group.iter().for_each(run);
-                }
-            }
-        }
+        colored_passes_widest::<R>(self, x, &mut scatter);
         drop(scatter);
         // Dirichlet: identity on fixed DOFs
         if self.identity_on_fixed {
@@ -405,6 +368,8 @@ impl<'a> CompactEbe<'a> {
     /// reference tables per element, plus face and Dirichlet contributions.
     pub fn diagonal_blocks(&self) -> Vec<[f64; 9]> {
         let t = &self.data.tables;
+        let grad_table: Vec<([f64; 40], f64)> =
+            t.stiff_rule.iter().map(|qp| (dn_dl(qp.l), qp.w)).collect();
         let mut out = vec![[0.0f64; 9]; self.n_nodes];
         for (e, el) in self.elems.iter().enumerate() {
             let g = &self.data.geo[e * GEO_STRIDE..(e + 1) * GEO_STRIDE];
@@ -423,7 +388,7 @@ impl<'a> CompactEbe<'a> {
                 blk[4] += md;
                 blk[8] += md;
                 // stiffness diagonal block via the quadrature loop
-                for (gt, w) in &t.grad_table {
+                for (gt, w) in &grad_table {
                     let mut gi = [0.0f64; 3];
                     for a in 0..4 {
                         let c = gt[4 * k + a];
@@ -443,14 +408,13 @@ impl<'a> CompactEbe<'a> {
                 }
             }
         }
-        let pidx = hetsolve_sparse::sym::packed_idx;
         for (f, fc) in self.faces.iter().enumerate() {
-            let cb = &self.cb[f * 171..(f + 1) * 171];
+            let cb = &self.cb[f * FACE_PACKED..(f + 1) * FACE_PACKED];
             for (k, &n) in fc.iter().enumerate() {
                 let blk = &mut out[n as usize];
                 for a in 0..3 {
                     for b in 0..3 {
-                        blk[3 * a + b] += self.c_b * cb[pidx(3 * k + a, 3 * k + b)];
+                        blk[3 * a + b] += self.c_b * cb[packed_idx(3 * k + a, 3 * k + b)];
                     }
                 }
             }
@@ -470,6 +434,280 @@ impl<'a> CompactEbe<'a> {
         }
         out
     }
+}
+
+// ---------------------------------------------------------------------------
+// The host kernel. Every flop works on `[f64; R]` lane arrays (one lane per
+// fused right-hand side) with the lane loop innermost, every multiply-add is
+// `f64::mul_add`, and all of it is `#[inline(always)]` into the two
+// instances at the bottom: a closure or a non-inlined helper would be a
+// symbol of its own and would not inherit the instance's target features.
+// `mul_add` rounds once whether it is a `vfmadd` or libm's `fma`, so both
+// instances return the same bits.
+// ---------------------------------------------------------------------------
+
+/// `acc += a · x`, lane by lane.
+#[inline(always)]
+fn lanes_fma<const R: usize>(a: f64, x: &[f64; R], acc: &mut [f64; R]) {
+    for c in 0..R {
+        acc[c] = a.mul_add(x[c], acc[c]);
+    }
+}
+
+/// Copy the lane arrays of a node list's DOFs out of `x`, fixed DOFs as
+/// zero (the operator is `P A P`; one mask test per DOF serves all lanes).
+#[inline(always)]
+fn gather_lanes<const R: usize, const K: usize, const D: usize>(
+    nodes: &[u32; K],
+    x: &[[f64; R]],
+    fixed: FixedMask<'_>,
+) -> [[f64; R]; D] {
+    let mut u = [[0.0f64; R]; D];
+    for (k, &n) in nodes.iter().enumerate() {
+        for a in 0..3 {
+            let dof = 3 * n as usize + a;
+            if !fixed.is_fixed(dof) {
+                u[3 * k + a] = x[dof];
+            }
+        }
+    }
+    u
+}
+
+/// `y += (c_m M_e + c_k K_e) u` for one element, entirely from its compact
+/// geometry record `g`; `u`, `y` are the element's 30 local DOFs.
+///
+/// Stiffness, per quadrature point (`∇L_a` the element's four barycentric
+/// gradients, `u_ab` the mid-node of edge `(a, b)`):
+/// `W_a = (4L_a−1) u_a + Σ_b 4L_b u_ab`, `H = Σ_a W_a ⊗ ∇L_a`,
+/// `σ = w c_k V (λ tr ε I + 2μ ε)` with `ε = sym H`, `T_a = σ ∇L_a`,
+/// `f_a += (4L_a−1) T_a`, `f_ab += 4L_b T_a + 4L_a T_b`. The ten physical
+/// shape gradients `Σ_a dN_i/dL_a ∇L_a` are never formed: every
+/// coefficient is a universal scalar or one of the element's 12 gradient
+/// components, and every operand a lane array.
+#[inline(always)]
+fn element_lanes<const R: usize>(
+    g: &[f64],
+    t: &RefTables,
+    c_m: f64,
+    c_k: f64,
+    u: &[[f64; R]; 30],
+    y: &mut [[f64; R]; 30],
+) {
+    let dl = [
+        [g[0], g[1], g[2]],
+        [g[3], g[4], g[5]],
+        [g[6], g[7], g[8]],
+        [g[9], g[10], g[11]],
+    ];
+    let (vol, rho, lam, mu) = (g[12], g[13], g[14], g[15]);
+
+    // --- mass: y += c_m rho V (Mhat ⊗ I3) u
+    let mscale = c_m * rho * vol;
+    if mscale != 0.0 {
+        for i in 0..10 {
+            let mut acc = [[0.0f64; R]; 3];
+            for j in 0..10 {
+                let mij = t.mhat[10 * i + j];
+                for a in 0..3 {
+                    lanes_fma(mij, &u[3 * j + a], &mut acc[a]);
+                }
+            }
+            for a in 0..3 {
+                lanes_fma(mscale, &acc[a], &mut y[3 * i + a]);
+            }
+        }
+    }
+
+    // --- stiffness
+    let kscale = c_k * vol;
+    if kscale != 0.0 {
+        for qp in &t.stiff_rule {
+            let wv = kscale * qp.w;
+            let (lam_w, mu_w, mu2_w) = (wv * lam, wv * mu, 2.0 * (wv * mu));
+            let mut cv = [0.0f64; 4]; // dN_a/dL_a = 4L_a − 1 (vertex a)
+            let mut ce = [0.0f64; 4]; // 4L_a
+            for a in 0..4 {
+                cv[a] = 4.0 * qp.l[a] - 1.0;
+                ce[a] = 4.0 * qp.l[a];
+            }
+            // W_a = Σ_i dN_i/dL_a u_i
+            let mut w = [[[0.0f64; R]; 3]; 4];
+            for a in 0..4 {
+                for d in 0..3 {
+                    for c in 0..R {
+                        w[a][d][c] = cv[a] * u[3 * a + d][c];
+                    }
+                }
+            }
+            for (k, &(a, b)) in TET_EDGES.iter().enumerate() {
+                for d in 0..3 {
+                    let um = &u[3 * (4 + k) + d];
+                    lanes_fma(ce[b], um, &mut w[a][d]);
+                    lanes_fma(ce[a], um, &mut w[b][d]);
+                }
+            }
+            // H[i][j] = Σ_a W_a[i] ∇L_a[j]
+            let mut h = [[[0.0f64; R]; 3]; 3];
+            for i in 0..3 {
+                for j in 0..3 {
+                    for c in 0..R {
+                        h[i][j][c] = dl[0][j] * w[0][i][c];
+                    }
+                    for a in 1..4 {
+                        lanes_fma(dl[a][j], &w[a][i], &mut h[i][j]);
+                    }
+                }
+            }
+            // σ (scaled by w c_k V), symmetric: s[i][j] for j ≥ i
+            let mut s = [[[0.0f64; R]; 3]; 3];
+            for c in 0..R {
+                let lt = lam_w * (h[0][0][c] + h[1][1][c] + h[2][2][c]);
+                s[0][0][c] = mu2_w.mul_add(h[0][0][c], lt);
+                s[1][1][c] = mu2_w.mul_add(h[1][1][c], lt);
+                s[2][2][c] = mu2_w.mul_add(h[2][2][c], lt);
+                s[0][1][c] = mu_w * (h[0][1][c] + h[1][0][c]);
+                s[0][2][c] = mu_w * (h[0][2][c] + h[2][0][c]);
+                s[1][2][c] = mu_w * (h[1][2][c] + h[2][1][c]);
+            }
+            s[1][0] = s[0][1];
+            s[2][0] = s[0][2];
+            s[2][1] = s[1][2];
+            // T_a = σ ∇L_a
+            let mut ta = [[[0.0f64; R]; 3]; 4];
+            for a in 0..4 {
+                for i in 0..3 {
+                    for c in 0..R {
+                        ta[a][i][c] = dl[a][0] * s[i][0][c];
+                    }
+                    lanes_fma(dl[a][1], &s[i][1], &mut ta[a][i]);
+                    lanes_fma(dl[a][2], &s[i][2], &mut ta[a][i]);
+                }
+            }
+            // f_i += Σ_a dN_i/dL_a T_a
+            for a in 0..4 {
+                for i in 0..3 {
+                    lanes_fma(cv[a], &ta[a][i], &mut y[3 * a + i]);
+                }
+            }
+            for (k, &(a, b)) in TET_EDGES.iter().enumerate() {
+                for i in 0..3 {
+                    let ym = &mut y[3 * (4 + k) + i];
+                    lanes_fma(ce[b], &ta[a][i], ym);
+                    lanes_fma(ce[a], &ta[b][i], ym);
+                }
+            }
+        }
+    }
+}
+
+/// `y += c_b C_f u` for one face: the packed symmetric 18×18 product, each
+/// stored entry applied to its row and its column.
+#[inline(always)]
+fn face_lanes<const R: usize>(c_b: f64, cb: &[f64], u: &[[f64; R]; 18], y: &mut [[f64; R]; 18]) {
+    let mut idx = 0;
+    for i in 0..18 {
+        let mut acc = [0.0f64; R];
+        for j in 0..i {
+            let m = c_b * cb[idx];
+            idx += 1;
+            lanes_fma(m, &u[j], &mut acc);
+            lanes_fma(m, &u[i], &mut y[j]);
+        }
+        lanes_fma(c_b * cb[idx], &u[i], &mut acc);
+        idx += 1;
+        for c in 0..R {
+            y[i][c] += acc[c];
+        }
+    }
+}
+
+/// All colored passes of one apply: elements color by color, then (when
+/// `c_b ≠ 0`) the dashpot faces color by color, accumulating into
+/// `scatter`. `x` holds `3·n_nodes·R` values (checked by the caller).
+#[inline(always)]
+fn colored_passes<const R: usize>(op: &CompactEbe<'_>, x: &[f64], scatter: &mut ColorScatter<'_>) {
+    let (x, _) = x.as_chunks::<R>();
+    let fixed = FixedMask::new(op.fixed);
+    let tables = &op.data.tables;
+    for group in &op.coloring.groups {
+        scatter.begin_color();
+        for &e in group {
+            let el = &op.elems[e as usize];
+            let g = &op.data.geo[e as usize * GEO_STRIDE..(e as usize + 1) * GEO_STRIDE];
+            let u: [[f64; R]; 30] = gather_lanes(el, x, fixed);
+            let mut y = [[0.0f64; R]; 30];
+            element_lanes(g, tables, op.c_m, op.c_k, &u, &mut y);
+            for (k, &n) in el.iter().enumerate() {
+                for a in 0..3 {
+                    // SAFETY: `ScatterPlan::validate` checked that the
+                    // elements of one color group share no node and that
+                    // every node id is below `n_nodes`, and `apply_r` that
+                    // the output holds `3·n_nodes·R` slots: this DOF's `R`
+                    // slots are in bounds and no other element of this
+                    // pass writes them.
+                    unsafe { scatter.add_lanes(e, 3 * n as usize + a, &y[3 * k + a]) };
+                }
+            }
+        }
+    }
+    if op.c_b != 0.0 {
+        for group in op.face_groups.iter() {
+            scatter.begin_color();
+            for &f in group {
+                let fc = &op.faces[f as usize];
+                let cb = &op.cb[f as usize * FACE_PACKED..(f as usize + 1) * FACE_PACKED];
+                let u: [[f64; R]; 18] = gather_lanes(fc, x, fixed);
+                let mut y = [[0.0f64; R]; 18];
+                face_lanes(op.c_b, cb, &u, &mut y);
+                for (k, &n) in fc.iter().enumerate() {
+                    for a in 0..3 {
+                        // SAFETY: as for the elements — the face coloring
+                        // passed the same validation over `faces`.
+                        unsafe { scatter.add_lanes(f, 3 * n as usize + a, &y[3 * k + a]) };
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`colored_passes`] through the widest instance this CPU runs.
+fn colored_passes_widest<const R: usize>(
+    op: &CompactEbe<'_>,
+    x: &[f64],
+    scatter: &mut ColorScatter<'_>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: the CPU was just seen to support both features the
+        // instance is compiled for.
+        return unsafe { colored_passes_avx2_fma::<R>(op, x, scatter) };
+    }
+    colored_passes_portable::<R>(op, x, scatter)
+}
+
+/// The kernel compiled for AVX2 + FMA: four lanes per register and
+/// `mul_add` as one `vfmadd`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn colored_passes_avx2_fma<const R: usize>(
+    op: &CompactEbe<'_>,
+    x: &[f64],
+    scatter: &mut ColorScatter<'_>,
+) {
+    colored_passes::<R>(op, x, scatter)
+}
+
+/// The kernel at the build's baseline features. Where those lack a fused
+/// multiply-add (x86-64 before AVX2/FMA) `mul_add` is libm's `fma`: slow,
+/// and the same bits.
+fn colored_passes_portable<const R: usize>(
+    op: &CompactEbe<'_>,
+    x: &[f64],
+    scatter: &mut ColorScatter<'_>,
+) {
+    colored_passes::<R>(op, x, scatter)
 }
 
 /// Analytic cost of one compact-EBE apply with `r` fused RHS over
@@ -545,53 +783,97 @@ mod tests {
         (0..mask.n_dofs()).map(|d| mask.is_fixed(d)).collect()
     }
 
-    #[test]
-    fn compact_matches_cached_matrices() {
-        let p = problem();
-        let coloring = color_elements(&p.model.mesh);
-        let compact = CompactElements::compute(&p.model.mesh, &p.materials);
-        let fixed = as_slice(&p.mask);
-        let a = p.a_coeffs();
-        let op_c = CompactEbe::new(
-            p.n_nodes(),
-            &p.model.mesh.elems,
-            &compact,
-            &p.dashpots.faces,
-            &p.dashpots.cb,
-            (a.c_m, a.c_k, a.c_b),
-            &fixed,
-            &coloring,
-            false,
-            1,
-        );
-        let data = EbeData {
-            n_nodes: p.n_nodes(),
-            elems: &p.model.mesh.elems,
-            me: &p.elements.me,
-            ke: &p.elements.ke,
-            faces: &p.dashpots.faces,
-            cb: &p.dashpots.cb,
-            c_m: a.c_m,
-            c_k: a.c_k,
-            c_b: a.c_b,
-            fixed: &fixed,
-        };
-        let op_m = EbeOperator::new(data, &coloring, false);
-        let n = p.n_dofs();
-        let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin()).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        op_c.apply(&x, &mut y1);
-        op_m.apply(&x, &mut y2);
-        let scale = y2.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
-        for i in 0..n {
-            assert!(
-                (y1[i] - y2[i]).abs() < 1e-9 * scale,
-                "dof {i}: {} vs {}",
-                y1[i],
-                y2[i]
-            );
+    /// Everything one test needs to build operators over the 3×3×2 mesh.
+    struct Fixture {
+        p: FemProblem,
+        coloring: Coloring,
+        compact: CompactElements,
+        fixed: Vec<bool>,
+    }
+
+    impl Fixture {
+        fn new() -> Self {
+            let p = problem();
+            let coloring = color_elements(&p.model.mesh);
+            let compact = CompactElements::compute(&p.model.mesh, &p.materials);
+            let fixed = as_slice(&p.mask);
+            Fixture {
+                p,
+                coloring,
+                compact,
+                fixed,
+            }
         }
+
+        fn op<'a>(
+            &'a self,
+            compact: &'a CompactElements,
+            coeffs: (f64, f64, f64),
+            fixed: &'a [bool],
+            r: usize,
+        ) -> CompactEbe<'a> {
+            CompactEbe::new(
+                self.p.n_nodes(),
+                &self.p.model.mesh.elems,
+                compact,
+                &self.p.dashpots.faces,
+                &self.p.dashpots.cb,
+                coeffs,
+                fixed,
+                &self.coloring,
+                false,
+                r,
+            )
+        }
+
+        /// The full system operator `A` with the Dirichlet mask.
+        fn op_a(&self, r: usize) -> CompactEbe<'_> {
+            let a = self.p.a_coeffs();
+            self.op(&self.compact, (a.c_m, a.c_k, a.c_b), &self.fixed, r)
+        }
+
+        /// Unmasked stiffness `K` alone.
+        fn op_k<'a>(&'a self, compact: &'a CompactElements) -> CompactEbe<'a> {
+            self.op(compact, (0.0, 1.0, 0.0), &[], 1)
+        }
+
+        /// The same operator `A` as cached element matrices.
+        fn cached<'a>(&'a self, fixed: &'a [bool]) -> EbeData<'a> {
+            let (p, a) = (&self.p, self.p.a_coeffs());
+            EbeData {
+                n_nodes: p.n_nodes(),
+                elems: &p.model.mesh.elems,
+                me: &p.elements.me,
+                ke: &p.elements.ke,
+                faces: &p.dashpots.faces,
+                cb: &p.dashpots.cb,
+                c_m: a.c_m,
+                c_k: a.c_k,
+                c_b: a.c_b,
+                fixed,
+            }
+        }
+
+        /// Nodal field `u(X)` as a DOF vector.
+        fn field(&self, u: impl Fn([f64; 3]) -> [f64; 3]) -> Vec<f64> {
+            self.p
+                .model
+                .mesh
+                .coords
+                .iter()
+                .flat_map(|&x| u(x))
+                .collect()
+        }
+    }
+
+    fn max_abs(v: &[f64]) -> f64 {
+        v.iter().fold(0.0f64, |m, x| m.max(x.abs()))
+    }
+
+    fn multi_wave(n: usize, r: usize) -> Vec<f64> {
+        (0..n * r)
+            .map(|k| (0.37 * (k / r) as f64 + 0.9 * (k % r) as f64).sin())
+            .collect()
     }
 
     #[test]
@@ -628,50 +910,18 @@ mod tests {
 
     #[test]
     fn multi_rhs_matches_single() {
-        let p = problem();
-        let coloring = color_elements(&p.model.mesh);
-        let compact = CompactElements::compute(&p.model.mesh, &p.materials);
-        let fixed = as_slice(&p.mask);
-        let a = p.a_coeffs();
-        let n = p.n_dofs();
-        let single = CompactEbe::new(
-            p.n_nodes(),
-            &p.model.mesh.elems,
-            &compact,
-            &p.dashpots.faces,
-            &p.dashpots.cb,
-            (a.c_m, a.c_k, a.c_b),
-            &fixed,
-            &coloring,
-            false,
-            1,
-        );
-        for r in [2usize, 4] {
-            let multi = CompactEbe::new(
-                p.n_nodes(),
-                &p.model.mesh.elems,
-                &compact,
-                &p.dashpots.faces,
-                &p.dashpots.cb,
-                (a.c_m, a.c_k, a.c_b),
-                &fixed,
-                &coloring,
-                true,
-                r,
-            );
-            let mut x = vec![0.0; n * r];
-            for c in 0..r {
-                for i in 0..n {
-                    x[i * r + c] = ((i * (c + 3)) as f64 * 0.23).sin();
-                }
-            }
+        let fx = Fixture::new();
+        let n = fx.p.n_dofs();
+        let single = fx.op_a(1);
+        for r in [2usize, 4, 8] {
+            let x = multi_wave(n, r);
             let mut y = vec![0.0; n * r];
-            multi.apply_multi(&x, &mut y);
+            fx.op_a(r).apply_multi(&x, &mut y);
             for c in 0..r {
                 let xc: Vec<f64> = (0..n).map(|i| x[i * r + c]).collect();
                 let mut yc = vec![0.0; n];
                 single.apply(&xc, &mut yc);
-                let scale = yc.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
+                let scale = max_abs(&yc);
                 for i in 0..n {
                     assert!(
                         (y[i * r + c] - yc[i]).abs() < 1e-9 * scale,
@@ -684,43 +934,14 @@ mod tests {
 
     #[test]
     fn diagonal_blocks_match_cached_ebe() {
-        let p = problem();
-        let coloring = color_elements(&p.model.mesh);
-        let compact = CompactElements::compute(&p.model.mesh, &p.materials);
-        let fixed = as_slice(&p.mask);
-        let a = p.a_coeffs();
-        let op_c = CompactEbe::new(
-            p.n_nodes(),
-            &p.model.mesh.elems,
-            &compact,
-            &p.dashpots.faces,
-            &p.dashpots.cb,
-            (a.c_m, a.c_k, a.c_b),
-            &fixed,
-            &coloring,
-            false,
-            1,
-        );
-        let data = EbeData {
-            n_nodes: p.n_nodes(),
-            elems: &p.model.mesh.elems,
-            me: &p.elements.me,
-            ke: &p.elements.ke,
-            faces: &p.dashpots.faces,
-            cb: &p.dashpots.cb,
-            c_m: a.c_m,
-            c_k: a.c_k,
-            c_b: a.c_b,
-            fixed: &fixed,
-        };
-        let op_m = EbeOperator::new(data, &coloring, false);
-        let d1 = op_c.diagonal_blocks();
-        let d2 = op_m.diagonal_blocks();
+        let fx = Fixture::new();
+        let d1 = fx.op_a(1).diagonal_blocks();
+        let d2 = EbeOperator::new(fx.cached(&fx.fixed), &fx.coloring, false).diagonal_blocks();
         let scale = d2
             .iter()
             .flat_map(|b| b.iter())
             .fold(0.0f64, |m, v| m.max(v.abs()));
-        for n in 0..p.n_nodes() {
+        for n in 0..fx.p.n_nodes() {
             for k in 0..9 {
                 assert!(
                     (d1[n][k] - d2[n][k]).abs() < 1e-9 * scale,
@@ -730,6 +951,256 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Rigid-body motions carry no strain: translations and infinitesimal
+    /// rotations `ω × X` lie in the null space of `K`.
+    #[test]
+    fn rigid_motions_are_in_the_null_space_of_k() {
+        let fx = Fixture::new();
+        let k = fx.op_k(&fx.compact);
+        let n = fx.p.n_dofs();
+        // what K does to a displacement of the same size that does strain
+        let sheared = fx.field(|x| [x[1], 0.0, 0.0]);
+        let mut y = vec![0.0; n];
+        k.apply(&sheared, &mut y);
+        let scale = max_abs(&y);
+        assert!(scale > 0.0);
+        let motions: [&dyn Fn([f64; 3]) -> [f64; 3]; 6] = [
+            &|_| [950.0, 0.0, 0.0],
+            &|_| [0.0, 950.0, 0.0],
+            &|_| [0.0, 0.0, 950.0],
+            &|x| [0.0, -x[2], x[1]],
+            &|x| [x[2], 0.0, -x[0]],
+            &|x| [-x[1], x[0], 0.0],
+        ];
+        for (m, motion) in motions.iter().enumerate() {
+            k.apply(&fx.field(motion), &mut y);
+            assert!(
+                max_abs(&y) < 1e-11 * scale,
+                "rigid motion {m}: |K u| = {:e} against {scale:e}",
+                max_abs(&y)
+            );
+        }
+    }
+
+    /// A linear displacement field in a homogeneous body has constant
+    /// stress, so the internal forces cancel at every interior node.
+    #[test]
+    fn linear_field_gives_zero_force_on_interior_nodes() {
+        let fx = Fixture::new();
+        let homogeneous = vec![fx.p.materials[0]; fx.p.materials.len()];
+        let compact = CompactElements::compute(&fx.p.model.mesh, &homogeneous);
+        let k = fx.op_k(&compact);
+        let u = fx.field(|x| {
+            [
+                1e-3 * x[0] + 2e-3 * x[1] - 1e-3 * x[2],
+                -3e-3 * x[0] + 1e-3 * x[1] + 2e-3 * x[2],
+                2e-3 * x[0] - 1e-3 * x[1] + 3e-3 * x[2],
+            ]
+        });
+        let mut y = vec![0.0; fx.p.n_dofs()];
+        k.apply(&u, &mut y);
+        let scale = max_abs(&y); // the boundary tractions
+        assert!(scale > 0.0);
+        let coords = &fx.p.model.mesh.coords;
+        let (mut lo, mut hi) = ([f64::MAX; 3], [f64::MIN; 3]);
+        for x in coords {
+            for d in 0..3 {
+                lo[d] = lo[d].min(x[d]);
+                hi[d] = hi[d].max(x[d]);
+            }
+        }
+        let mut interior = 0;
+        for (n, x) in coords.iter().enumerate() {
+            if (0..3).all(|d| x[d] > lo[d] + 1e-6 && x[d] < hi[d] - 1e-6) {
+                interior += 1;
+                for d in 0..3 {
+                    assert!(
+                        y[3 * n + d].abs() < 1e-11 * scale,
+                        "interior node {n} dir {d}: {:e} against {scale:e}",
+                        y[3 * n + d]
+                    );
+                }
+            }
+        }
+        assert!(interior > 0, "the mesh has no interior node");
+    }
+
+    /// The consistent mass matrix carries the body's mass:
+    /// `1ᵀ M 1 = Σ_e ρ_e V_e` in each direction, nothing across directions.
+    #[test]
+    fn mass_matrix_sums_to_the_total_mass() {
+        let fx = Fixture::new();
+        let m = fx.op(&fx.compact, (1.0, 0.0, 0.0), &[], 1);
+        let total: f64 = fx
+            .compact
+            .geo
+            .chunks_exact(GEO_STRIDE)
+            .map(|g| g[13] * g[12])
+            .sum();
+        let n = fx.p.n_dofs();
+        let mut y = vec![0.0; n];
+        for d in 0..3 {
+            let ones: Vec<f64> = (0..n).map(|i| if i % 3 == d { 1.0 } else { 0.0 }).collect();
+            m.apply(&ones, &mut y);
+            for e in 0..3 {
+                let sum: f64 = y.iter().skip(e).step_by(3).sum();
+                let expect = if e == d { total } else { 0.0 };
+                assert!(
+                    (sum - expect).abs() < 1e-12 * total,
+                    "direction {d} onto {e}: {sum} vs {expect}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn operator_is_symmetric() {
+        let fx = Fixture::new();
+        let a = fx.op_a(1);
+        let n = fx.p.n_dofs();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.73).cos()).collect();
+        let (mut ax, mut ay) = (vec![0.0; n], vec![0.0; n]);
+        a.apply(&x, &mut ax);
+        a.apply(&y, &mut ay);
+        let dot = |u: &[f64], v: &[f64]| u.iter().zip(v).map(|(a, b)| a * b).sum::<f64>();
+        let (xay, yax) = (dot(&x, &ay), dot(&y, &ax));
+        let scale = max_abs(&ax) * n as f64;
+        assert!((xay - yax).abs() < 1e-13 * scale, "{xay} vs {yax}");
+    }
+
+    /// The compact kernel against the cached-matrix operator (which
+    /// integrates `∇N·∇N` element matrices we do not factor) at every fused
+    /// width, with the Dirichlet identity and without it.
+    #[test]
+    fn compact_matches_cached_matrices() {
+        use hetsolve_sparse::ebe::EbeMultiOperator;
+        let fx = Fixture::new();
+        let n = fx.p.n_dofs();
+        for r in [1usize, 2, 4, 8] {
+            let x = multi_wave(n, r);
+            let (mut y, mut y_ref) = (vec![0.0; n * r], vec![0.0; n * r]);
+
+            fx.op_a(r).apply_multi(&x, &mut y);
+            EbeMultiOperator::new(fx.cached(&fx.fixed), &fx.coloring, false, r)
+                .apply_multi(&x, &mut y_ref);
+            let scale = max_abs(&y_ref);
+            for i in 0..n * r {
+                assert!((y[i] - y_ref[i]).abs() < 1e-9 * scale, "r={r} slot {i}");
+            }
+
+            // without the identity the fixed rows hold (A P x)[fixed]: the
+            // unmasked cached operator applied to the masked input
+            fx.op_a(r).without_fixed_identity().apply_multi(&x, &mut y);
+            let mut px = x.clone();
+            for (dof, _) in fx.fixed.iter().enumerate().filter(|(_, &f)| f) {
+                px[dof * r..(dof + 1) * r].fill(0.0);
+            }
+            EbeMultiOperator::new(fx.cached(&[]), &fx.coloring, false, r)
+                .apply_multi(&px, &mut y_ref);
+            for i in 0..n * r {
+                assert!(
+                    (y[i] - y_ref[i]).abs() < 1e-9 * scale,
+                    "r={r} slot {i} (no identity)"
+                );
+            }
+        }
+    }
+
+    /// `mul_add` rounds once on every path, so the AVX2+FMA instance and the
+    /// portable one agree to the bit (what keeps checkpoints portable).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn dispatched_instance_matches_portable_bitwise() {
+        if !(std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma"))
+        {
+            eprintln!("skipped: this CPU lacks AVX2 or FMA");
+            return;
+        }
+        fn check<const R: usize>(fx: &Fixture) {
+            // no identity rows: the output is exactly what the passes scatter
+            let op = fx.op_a(R).without_fixed_identity();
+            let n = fx.p.n_dofs();
+            let x = multi_wave(n, R);
+            let mut y = vec![0.0; n * R];
+            op.apply_multi(&x, &mut y);
+            let mut y_portable = vec![0.0; n * R];
+            let mut scatter = ColorScatter::new(&mut y_portable);
+            colored_passes_portable::<R>(&op, &x, &mut scatter);
+            drop(scatter);
+            assert!(y.iter().any(|&v| v != 0.0));
+            for i in 0..n * R {
+                assert_eq!(y[i].to_bits(), y_portable[i].to_bits(), "R={R} slot {i}");
+            }
+        }
+        let fx = Fixture::new();
+        check::<1>(&fx);
+        check::<2>(&fx);
+        check::<4>(&fx);
+        check::<8>(&fx);
+    }
+
+    /// A plan stands for the buffers it was validated against, no others.
+    #[test]
+    #[should_panic(expected = "validated against a different mesh or coloring")]
+    fn plan_is_rejected_for_other_buffers() {
+        let fx = Fixture::new();
+        let p = &fx.p;
+        let plan = ScatterPlan::validate(
+            p.n_nodes(),
+            &p.model.mesh.elems,
+            &p.dashpots.faces,
+            &fx.coloring,
+        );
+        let other = fx.coloring.clone();
+        let _ = CompactEbe::with_plan(
+            p.n_nodes(),
+            &p.model.mesh.elems,
+            &fx.compact,
+            &p.dashpots.faces,
+            &p.dashpots.cb,
+            (1.0, 1.0, 0.0),
+            &[],
+            &other,
+            &plan,
+            false,
+            1,
+        );
+    }
+
+    #[test]
+    fn planned_operator_equals_validating_one() {
+        let fx = Fixture::new();
+        let p = &fx.p;
+        let a = p.a_coeffs();
+        let plan = ScatterPlan::validate(
+            p.n_nodes(),
+            &p.model.mesh.elems,
+            &p.dashpots.faces,
+            &fx.coloring,
+        );
+        let planned = CompactEbe::with_plan(
+            p.n_nodes(),
+            &p.model.mesh.elems,
+            &fx.compact,
+            &p.dashpots.faces,
+            &p.dashpots.cb,
+            (a.c_m, a.c_k, a.c_b),
+            &fx.fixed,
+            &fx.coloring,
+            &plan,
+            false,
+            4,
+        );
+        let n = p.n_dofs();
+        let x = multi_wave(n, 4);
+        let (mut y1, mut y2) = (vec![0.0; 4 * n], vec![0.0; 4 * n]);
+        planned.apply_multi(&x, &mut y1);
+        fx.op_a(4).apply_multi(&x, &mut y2);
+        assert_eq!(y1, y2);
     }
 
     /// The constructor's coloring validator fires before any scatter: a

@@ -35,7 +35,7 @@ pub mod shape;
 pub use hetsolve_sparse::sym;
 
 pub use constraint::DofMask;
-pub use ebe_compact::{compact_ebe_counts, CompactEbe, CompactElements};
+pub use ebe_compact::{compact_ebe_counts, CompactEbe, CompactElements, ScatterPlan};
 pub use element::{ElementMatrices, NDOF, PACKED};
 pub use faces::{FaceDashpots, FACE_NDOF, FACE_PACKED};
 pub use loads::{RandomLoad, RandomLoadSpec};

@@ -26,11 +26,17 @@ impl<'a> FixedMask<'a> {
         self.mask.is_empty()
     }
 
+    /// Is `dof` constrained?
+    #[inline]
+    pub fn is_fixed(&self, dof: usize) -> bool {
+        !self.mask.is_empty() && self.mask[dof]
+    }
+
     /// Input gating: fixed DOFs read as zero so element contributions apply
     /// `P A P`.
     #[inline]
     pub fn masked(&self, dof: usize, v: f64) -> f64 {
-        if !self.mask.is_empty() && self.mask[dof] {
+        if self.is_fixed(dof) {
             0.0
         } else {
             v

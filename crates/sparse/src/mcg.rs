@@ -11,7 +11,7 @@
 use hetsolve_obs::{NoopObserver, SolveObserver, Termination};
 
 use crate::op::{KernelCounts, MultiOperator, Preconditioner};
-use crate::vecops::{axpy_multi, dot_multi, xpby_multi};
+use crate::vecops::{cg_update_multi, dot_multi, xpby_multi};
 
 use crate::cg::{CgConfig, DEFAULT_SENTINEL_DRIFT};
 
@@ -223,9 +223,8 @@ pub fn mcg_masked_observed<A: MultiOperator, P: Preconditioner, O: SolveObserver
     };
 
     while active.iter().any(|&a| a) && fused_iterations < cfg.max_iter {
-        prec.apply_multi(&r_vec, &mut z, r);
+        prec.apply_multi_dot(&r_vec, &mut z, r, &mut rho);
         counts = counts.merged(prec.counts().scaled(r as f64));
-        dot_multi(&z, &r_vec, r, &mut rho);
         for c in 0..r {
             if !active[c] {
                 continue;
@@ -257,7 +256,6 @@ pub fn mcg_masked_observed<A: MultiOperator, P: Preconditioner, O: SolveObserver
         a.apply_multi(&p, &mut q);
         counts = counts.merged(a.counts()).merged(vec_counts);
         dot_multi(&p, &q, r, &mut pq);
-        let mut neg_alpha = vec![0.0; r];
         for c in 0..r {
             if active[c] {
                 if !pq[c].is_finite() {
@@ -276,14 +274,11 @@ pub fn mcg_masked_observed<A: MultiOperator, P: Preconditioner, O: SolveObserver
             } else {
                 alpha[c] = 0.0;
             }
-            neg_alpha[c] = -alpha[c];
         }
-        axpy_multi(&alpha, &p, x, r, &active);
-        axpy_multi(&neg_alpha, &q, &mut r_vec, r, &active);
+        cg_update_multi(&alpha, &p, &q, x, &mut r_vec, r, &active, &mut rr);
         rho_prev.copy_from_slice(&rho);
         fused_iterations += 1;
 
-        dot_multi(&r_vec, &r_vec, r, &mut rr);
         for c in 0..r {
             if active[c] {
                 case_iterations[c] = fused_iterations;
@@ -657,6 +652,45 @@ mod tests {
             assert!(s.converged);
             for i in 0..n {
                 assert!((x[i * r + c] - xc[i]).abs() < 1e-6);
+            }
+        }
+    }
+
+    /// A lane whose guess is NaN is frozen before the first iteration: its
+    /// column of `x` keeps every bit, and the other lanes solve exactly as
+    /// if it were vacant.
+    #[test]
+    fn nan_lane_stays_untouched_and_does_not_leak() {
+        let m = spd_matrix(18);
+        let n = m.n();
+        let r = 4;
+        let multi = LoopMulti { a: &m, r };
+        let prec = BlockJacobi::from_blocks(&m.diagonal_blocks(), false);
+        let mut f = vec![0.0; n * r];
+        for c in 0..r {
+            for i in 0..n {
+                f[i * r + c] = ((i * (c + 2)) as f64 * 0.31).sin();
+            }
+        }
+        let cfg = CgConfig::default();
+        let poison = f64::from_bits(0x7ff8_0000_0000_0bad);
+        let mut x = vec![0.0; n * r];
+        for i in 0..n {
+            x[i * r + 1] = poison;
+        }
+        let stats = mcg(&multi, &prec, &f, &mut x, &cfg);
+        assert_eq!(stats.case_termination[1], Termination::NanResidual);
+        assert_eq!(stats.case_iterations[1], 0);
+
+        let mut x_ref = vec![0.0; n * r];
+        let occupied = [true, false, true, true];
+        let s_ref = mcg_masked(&multi, &prec, &f, &mut x_ref, &cfg, &occupied);
+        assert!(s_ref.converged);
+        assert_eq!(stats.fused_iterations, s_ref.fused_iterations);
+        for i in 0..n {
+            assert_eq!(x[i * r + 1].to_bits(), poison.to_bits());
+            for c in [0usize, 2, 3] {
+                assert_eq!(x[i * r + c].to_bits(), x_ref[i * r + c].to_bits());
             }
         }
     }

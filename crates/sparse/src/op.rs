@@ -109,6 +109,15 @@ pub trait Preconditioner: Sync {
             }
         }
     }
+
+    /// [`Self::apply_multi`] fused with the per-case products
+    /// `rho[c] = z_c · r_c` the CG iteration takes next (same bits as
+    /// `apply_multi` then `dot_multi`); implementations override it to
+    /// make both in one pass over the vectors.
+    fn apply_multi_dot(&self, r_vec: &[f64], z: &mut [f64], r: usize, rho: &mut [f64]) {
+        self.apply_multi(r_vec, z, r);
+        crate::vecops::dot_multi(z, r_vec, r, rho);
+    }
 }
 
 #[cfg(test)]

@@ -32,9 +32,11 @@
 //! `ColorScatter` wraps the raw output pointer of an exclusively borrowed
 //! `&mut [f64]`, so for its whole lifetime no other safe code can observe
 //! the buffer. Shared (`&self`) mutation through the pointer is restricted
-//! to [`ColorScatter::add`], an `unsafe fn` whose contract is:
+//! to [`ColorScatter::add`] and its lane-array form
+//! [`ColorScatter::add_lanes`] (one call for the `R` fused-RHS slots of a
+//! DOF), `unsafe fn`s whose contract is:
 //!
-//! 1. `slot < len` (debug-asserted), and
+//! 1. every written slot is `< len` (debug-asserted), and
 //! 2. within one color pass (between two [`ColorScatter::begin_color`]
 //!    calls), at most one owner writes any given slot.
 //!
@@ -134,7 +136,6 @@ impl<'a> ColorScatter<'a> {
     /// panic on violation; release builds compile to the bare accumulate.
     #[inline]
     pub unsafe fn add(&self, owner: u32, slot: usize, v: f64) {
-        #[cfg(any(debug_assertions, feature = "racecheck"))]
         self.claim(owner, slot);
         debug_assert!(
             slot < self.len,
@@ -148,6 +149,45 @@ impl<'a> ColorScatter<'a> {
             *self.ptr.add(slot) += v;
         }
     }
+
+    /// Accumulate the lane array `v` into the `R` consecutive slots
+    /// `dof * R .. (dof + 1) * R` on behalf of `owner` — the `R` fused
+    /// right-hand sides of one DOF of an interleaved multi-vector, as one
+    /// read-modify-write. Equivalent to `R` calls of [`Self::add`].
+    ///
+    /// # Safety
+    ///
+    /// Exactly [`Self::add`]'s contract for each of the `R` slots:
+    /// `(dof + 1) * R <= len`, and within the current color pass no
+    /// *different* owner may write any of them. Debug/racecheck builds
+    /// claim and verify every slot and panic on violation; release builds
+    /// compile to the bare lane accumulate.
+    #[inline(always)]
+    pub unsafe fn add_lanes<const R: usize>(&self, owner: u32, dof: usize, v: &[f64; R]) {
+        for c in 0..R {
+            self.claim(owner, dof * R + c);
+        }
+        debug_assert!(
+            (dof + 1) * R <= self.len,
+            "scatter DOF {dof} x {R} lanes out of bounds ({})",
+            self.len
+        );
+        // SAFETY: the `R` slots are in bounds per the contract (checked
+        // above in debug); concurrent calls never target the same slots per
+        // the color-pass contract, so the read-modify-write cannot race.
+        unsafe {
+            let p = self.ptr.add(dof * R);
+            for c in 0..R {
+                *p.add(c) += v[c];
+            }
+        }
+    }
+
+    /// Release builds without `racecheck`: no claim table, nothing to
+    /// record — [`Self::add`] is the bare accumulate.
+    #[cfg(not(any(debug_assertions, feature = "racecheck")))]
+    #[inline(always)]
+    fn claim(&self, _owner: u32, _slot: usize) {}
 
     /// Record `owner`'s write to `slot` and panic if another owner already
     /// wrote it within the current color pass — the data race the coloring
@@ -232,6 +272,60 @@ mod tests {
         unsafe {
             scatter.add(0, 1, 1.0);
             scatter.add(1, 1, 1.0);
+        }
+    }
+
+    /// `add_lanes` is `R` `add`s: every lane lands in its own slot, and a
+    /// later pass may rewrite the same DOF.
+    #[test]
+    fn add_lanes_accumulates_each_lane() {
+        let mut y = vec![1.0f64; 12];
+        let mut scatter = ColorScatter::new(&mut y);
+        scatter.begin_color();
+        // SAFETY: owners 0/1 write disjoint DOFs (0 and 2) within this pass.
+        unsafe {
+            scatter.add_lanes::<4>(0, 0, &[1.0, 2.0, 3.0, 4.0]);
+            scatter.add_lanes::<4>(1, 2, &[5.0, 6.0, 7.0, 8.0]);
+        }
+        scatter.begin_color();
+        // SAFETY: single owner this pass; DOF 0 rewrite is a new pass.
+        unsafe {
+            scatter.add_lanes::<4>(9, 0, &[10.0; 4]);
+        }
+        assert_eq!(y[..4], [12.0, 13.0, 14.0, 15.0]);
+        assert_eq!(y[4..8], [1.0; 4]);
+        assert_eq!(y[8..], [6.0, 7.0, 8.0, 9.0]);
+    }
+
+    /// `add_lanes` claims every slot it writes: an `add` by another owner
+    /// into any one of them in the same pass is the race.
+    #[test]
+    #[cfg_attr(not(any(debug_assertions, feature = "racecheck")), ignore)]
+    #[should_panic(expected = "parcheck: race on output slot 7")]
+    fn add_lanes_same_pass_overlap_panics() {
+        let mut y = vec![0.0f64; 8];
+        let mut scatter = ColorScatter::new(&mut y);
+        scatter.begin_color();
+        // SAFETY: serial execution — the "race" is owner 1 claiming the
+        // last lane of the DOF owner 0 wrote, which the claim table must
+        // reject.
+        unsafe {
+            scatter.add_lanes::<4>(0, 1, &[1.0; 4]);
+            scatter.add(1, 7, 1.0);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(not(any(debug_assertions, feature = "racecheck")), ignore)]
+    #[should_panic(expected = "out of bounds")]
+    fn add_lanes_out_of_bounds_panics() {
+        let mut y = vec![0.0f64; 6];
+        let mut scatter = ColorScatter::new(&mut y);
+        scatter.begin_color();
+        // SAFETY: serial; DOF 1 x 4 lanes ends at slot 8 > 6, which the
+        // claim check must reject before the write.
+        unsafe {
+            scatter.add_lanes::<4>(0, 1, &[1.0; 4]);
         }
     }
 

@@ -2,11 +2,53 @@
 //! (interleaved) layouts. Rayon-parallel above a size threshold; the
 //! threshold keeps small test problems on one thread where parallel
 //! dispatch would dominate.
+//!
+//! The multi-RHS passes of the MCG iteration ([`dot_multi`],
+//! [`xpby_multi`], [`cg_update_multi`]) run on `[f64; R]` lane arrays for
+//! the fused widths the EBE kernels support (1, 2, 4, 8) and fall back to
+//! the any-`r` loops otherwise. Both forms give the same bits: no
+//! multiply-add is contracted, frozen cases are skipped by a lane select,
+//! and every reduction sums in the order [`LaneDot`] documents.
 
 use rayon::prelude::*;
 
 /// Below this length, run sequentially.
 const PAR_THRESHOLD: usize = 1 << 14;
+
+/// Rows per partial sum of a multi-RHS reduction above [`PAR_THRESHOLD`].
+const PARTIAL_ROWS: usize = 4096;
+
+/// Evaluate `$body` with the constant `$R` bound to the fused width `$r`
+/// when that is one the lane kernels are built for, else `$other`.
+macro_rules! with_lanes {
+    ($r:expr, $R:ident => $body:expr, _ => $other:expr $(,)?) => {
+        match $r {
+            1 => {
+                const $R: usize = 1;
+                $body
+            }
+            2 => {
+                const $R: usize = 2;
+                $body
+            }
+            4 => {
+                const $R: usize = 4;
+                $body
+            }
+            8 => {
+                const $R: usize = 8;
+                $body
+            }
+            _ => $other,
+        }
+    };
+}
+pub(crate) use with_lanes;
+
+/// The per-case values of a fused solve as a lane array.
+pub(crate) fn lane_array<T, const R: usize>(per_case: &[T]) -> &[T; R] {
+    per_case.try_into().expect("one value per fused case")
+}
 
 /// Dot product `x·y`.
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
@@ -67,12 +109,81 @@ pub fn xpby(x: &[f64], beta: f64, y: &mut [f64]) {
     }
 }
 
+/// Per-lane dot-product accumulator fed one row at a time, summing in the
+/// one order every multi-RHS reduction of this crate uses, so that fused
+/// and unfused passes agree to the bit and results do not depend on how a
+/// pass is scheduled: a vector of fewer than [`PAR_THRESHOLD`] values is
+/// one running sum per case; a longer one is a partial sum per
+/// [`PARTIAL_ROWS`] rows, the partials added in row order.
+pub(crate) struct LaneDot<const R: usize> {
+    total: [f64; R],
+    partial: [f64; R],
+    /// Rows the current partial still takes.
+    left: usize,
+    rows: usize,
+}
+
+impl<const R: usize> LaneDot<R> {
+    /// Accumulator for multi-vectors of `len` values (`len / R` rows).
+    pub(crate) fn new(len: usize) -> Self {
+        let rows = if len < PAR_THRESHOLD {
+            usize::MAX
+        } else {
+            PARTIAL_ROWS
+        };
+        LaneDot {
+            total: [0.0; R],
+            partial: [0.0; R],
+            left: rows,
+            rows,
+        }
+    }
+
+    /// `partial[c] += x[c] * y[c]` for the next row.
+    #[inline(always)]
+    pub(crate) fn add(&mut self, x: &[f64; R], y: &[f64; R]) {
+        if self.left == 0 {
+            self.close_partial();
+        }
+        self.left -= 1;
+        for c in 0..R {
+            self.partial[c] += x[c] * y[c];
+        }
+    }
+
+    fn close_partial(&mut self) {
+        for c in 0..R {
+            self.total[c] += self.partial[c];
+        }
+        self.partial = [0.0; R];
+        self.left = self.rows;
+    }
+
+    pub(crate) fn finish(mut self) -> [f64; R] {
+        self.close_partial();
+        self.total
+    }
+}
+
 /// Per-case dot products of interleaved multi-vectors:
-/// `out[c] = Σ_i x[i*r+c] * y[i*r+c]`.
+/// `out[c] = Σ_i x[i*r+c] * y[i*r+c]`, summed in [`LaneDot`]'s order.
 pub fn dot_multi(x: &[f64], y: &[f64], r: usize, out: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     debug_assert_eq!(x.len() % r, 0);
     debug_assert_eq!(out.len(), r);
+    with_lanes!(r, R => out.copy_from_slice(&dot_lanes::<R>(x, y)), _ => dot_any(x, y, r, out));
+}
+
+fn dot_lanes<const R: usize>(x: &[f64], y: &[f64]) -> [f64; R] {
+    let mut dot = LaneDot::<R>::new(x.len());
+    for (xr, yr) in x.as_chunks::<R>().0.iter().zip(y.as_chunks::<R>().0) {
+        dot.add(xr, yr);
+    }
+    dot.finish()
+}
+
+/// [`dot_multi`] for any `r`.
+fn dot_any(x: &[f64], y: &[f64], r: usize, out: &mut [f64]) {
     out.fill(0.0);
     if x.len() < PAR_THRESHOLD {
         for (xc, yc) in x.chunks_exact(r).zip(y.chunks_exact(r)) {
@@ -82,8 +193,8 @@ pub fn dot_multi(x: &[f64], y: &[f64], r: usize, out: &mut [f64]) {
         }
     } else {
         let partials: Vec<Vec<f64>> = x
-            .par_chunks(4096 * r)
-            .zip(y.par_chunks(4096 * r))
+            .par_chunks(PARTIAL_ROWS * r)
+            .zip(y.par_chunks(PARTIAL_ROWS * r))
             .map(|(xc, yc)| {
                 let mut acc = vec![0.0; r];
                 for (xr, yr) in xc.chunks_exact(r).zip(yc.chunks_exact(r)) {
@@ -121,8 +232,8 @@ pub fn axpy_multi(alpha: &[f64], x: &[f64], y: &mut [f64], r: usize, active: &[b
     if x.len() < PAR_THRESHOLD {
         body(y, x);
     } else {
-        y.par_chunks_mut(4096 * r)
-            .zip(x.par_chunks(4096 * r))
+        y.par_chunks_mut(PARTIAL_ROWS * r)
+            .zip(x.par_chunks(PARTIAL_ROWS * r))
             .for_each(|(yc, xc)| body(yc, xc));
     }
 }
@@ -131,6 +242,31 @@ pub fn axpy_multi(alpha: &[f64], x: &[f64], y: &mut [f64], r: usize, active: &[b
 /// multi-vectors, skipping inactive cases.
 pub fn xpby_multi(x: &[f64], beta: &[f64], y: &mut [f64], r: usize, active: &[bool]) {
     debug_assert_eq!(x.len(), y.len());
+    with_lanes!(
+        r,
+        R => xpby_lanes::<R>(x, lane_array(beta), y, lane_array(active)),
+        _ => xpby_any(x, beta, y, r, active),
+    );
+}
+
+fn xpby_lanes<const R: usize>(x: &[f64], beta: &[f64; R], y: &mut [f64], active: &[bool; R]) {
+    let (x, _) = x.as_chunks::<R>();
+    let (y, _) = y.as_chunks_mut::<R>();
+    for (yr, xr) in y.iter_mut().zip(x) {
+        for c in 0..R {
+            // a select, never a multiply by zero: a frozen lane keeps its
+            // bits even when it holds NaN
+            yr[c] = if active[c] {
+                xr[c] + beta[c] * yr[c]
+            } else {
+                yr[c]
+            };
+        }
+    }
+}
+
+/// [`xpby_multi`] for any `r`.
+fn xpby_any(x: &[f64], beta: &[f64], y: &mut [f64], r: usize, active: &[bool]) {
     let body = |yc: &mut [f64], xc: &[f64]| {
         for (yr, xr) in yc.chunks_exact_mut(r).zip(xc.chunks_exact(r)) {
             for c in 0..r {
@@ -143,10 +279,67 @@ pub fn xpby_multi(x: &[f64], beta: &[f64], y: &mut [f64], r: usize, active: &[bo
     if x.len() < PAR_THRESHOLD {
         body(y, x);
     } else {
-        y.par_chunks_mut(4096 * r)
-            .zip(x.par_chunks(4096 * r))
+        y.par_chunks_mut(PARTIAL_ROWS * r)
+            .zip(x.par_chunks(PARTIAL_ROWS * r))
             .for_each(|(yc, xc)| body(yc, xc));
     }
+}
+
+/// The solution/residual update of one MCG iteration in one pass over the
+/// four multi-vectors: `x += αp` and `rv −= αq` on the active cases, and
+/// `rr[c] = rv_c · rv_c` of the updated residual for every case. Bitwise
+/// the sequence `axpy_multi(α, p, x)`, `axpy_multi(−α, q, rv)`,
+/// `dot_multi(rv, rv, rr)`.
+#[allow(clippy::too_many_arguments)]
+pub fn cg_update_multi(
+    alpha: &[f64],
+    p: &[f64],
+    q: &[f64],
+    x: &mut [f64],
+    rv: &mut [f64],
+    r: usize,
+    active: &[bool],
+    rr: &mut [f64],
+) {
+    debug_assert!(p.len() == q.len() && p.len() == x.len() && p.len() == rv.len());
+    with_lanes!(
+        r,
+        R => {
+            let rr_lanes = cg_update_lanes::<R>(lane_array(alpha), p, q, x, rv, lane_array(active));
+            rr.copy_from_slice(&rr_lanes);
+        },
+        _ => {
+            let neg_alpha: Vec<f64> = alpha.iter().map(|a| -a).collect();
+            axpy_multi(alpha, p, x, r, active);
+            axpy_multi(&neg_alpha, q, rv, r, active);
+            dot_any(rv, rv, r, rr);
+        },
+    );
+}
+
+fn cg_update_lanes<const R: usize>(
+    alpha: &[f64; R],
+    p: &[f64],
+    q: &[f64],
+    x: &mut [f64],
+    rv: &mut [f64],
+    active: &[bool; R],
+) -> [f64; R] {
+    let mut dot = LaneDot::<R>::new(rv.len());
+    let (p, _) = p.as_chunks::<R>();
+    let (q, _) = q.as_chunks::<R>();
+    let (x, _) = x.as_chunks_mut::<R>();
+    let (rv, _) = rv.as_chunks_mut::<R>();
+    for ((xr, res), (pr, qr)) in x.iter_mut().zip(rv).zip(p.iter().zip(q)) {
+        for c in 0..R {
+            // selects: a frozen lane keeps its bits (see `xpby_lanes`)
+            let (xn, rn) = (xr[c] + alpha[c] * pr[c], res[c] + -alpha[c] * qr[c]);
+            xr[c] = if active[c] { xn } else { xr[c] };
+            res[c] = if active[c] { rn } else { res[c] };
+        }
+        dot.add(res, res);
+    }
+    dot.finish()
 }
 
 /// Gather case `c` of an interleaved multi-vector into a contiguous vector.
@@ -228,6 +421,109 @@ mod tests {
         let mut y = vec![5.0, 50.0, 6.0, 60.0];
         xpby_multi(&x, &[2.0, 2.0], &mut y, r, &[false, true]);
         assert_eq!(y, vec![5.0, 110.0, 6.0, 140.0]);
+    }
+
+    /// Row counts on both sides of `PAR_THRESHOLD` for every width, none a
+    /// multiple of the partial length.
+    const ROWS: [usize; 3] = [37, PARTIAL_ROWS + 5, 2 * PAR_THRESHOLD + 11];
+
+    fn waves(len: usize, freq: f64) -> Vec<f64> {
+        (0..len).map(|i| (i as f64 * freq).sin() + 0.25).collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Each lane pass is bitwise the any-`r` sequence it replaces, below and
+    /// above the partial-sum threshold.
+    #[test]
+    fn lane_passes_match_the_any_width_loops_bitwise() {
+        for r in [1usize, 2, 4, 8] {
+            for rows in ROWS {
+                let len = rows * r;
+                let (p, q) = (waves(len, 0.37), waves(len, 0.11));
+                let (x0, r0) = (waves(len, 0.53), waves(len, 0.29));
+                let alpha: Vec<f64> = (0..r).map(|c| 0.3 + 0.1 * c as f64).collect();
+                let active: Vec<bool> = (0..r).map(|c| c % 3 != 1).collect();
+
+                let (mut d, mut d_ref) = (vec![0.0; r], vec![0.0; r]);
+                dot_multi(&p, &q, r, &mut d);
+                dot_any(&p, &q, r, &mut d_ref);
+                assert_eq!(bits(&d), bits(&d_ref), "dot r={r} rows={rows}");
+
+                let (mut y, mut y_ref) = (x0.clone(), x0.clone());
+                xpby_multi(&p, &alpha, &mut y, r, &active);
+                xpby_any(&p, &alpha, &mut y_ref, r, &active);
+                assert_eq!(bits(&y), bits(&y_ref), "xpby r={r} rows={rows}");
+
+                let (mut x, mut rv, mut rr) = (x0.clone(), r0.clone(), vec![0.0; r]);
+                cg_update_multi(&alpha, &p, &q, &mut x, &mut rv, r, &active, &mut rr);
+                let (mut x_ref, mut rv_ref, mut rr_ref) = (x0.clone(), r0.clone(), vec![0.0; r]);
+                let neg_alpha: Vec<f64> = alpha.iter().map(|a| -a).collect();
+                axpy_multi(&alpha, &p, &mut x_ref, r, &active);
+                axpy_multi(&neg_alpha, &q, &mut rv_ref, r, &active);
+                dot_any(&rv_ref, &rv_ref, r, &mut rr_ref);
+                assert_eq!(bits(&x), bits(&x_ref), "update x r={r} rows={rows}");
+                assert_eq!(bits(&rv), bits(&rv_ref), "update r r={r} rows={rows}");
+                assert_eq!(bits(&rr), bits(&rr_ref), "update rr r={r} rows={rows}");
+            }
+        }
+    }
+
+    /// A frozen lane full of NaN keeps every bit through the update passes
+    /// and leaves the other lanes' sums alone.
+    #[test]
+    fn frozen_nan_lane_is_untouched_and_isolated() {
+        let (r, rows, frozen) = (4usize, ROWS[1], 2usize);
+        let len = rows * r;
+        let poison = f64::from_bits(0x7ff8_0000_dead_beef);
+        let poisoned = |freq: f64| {
+            let mut v = waves(len, freq);
+            v.iter_mut()
+                .skip(frozen)
+                .step_by(r)
+                .for_each(|x| *x = poison);
+            v
+        };
+        let alpha = [0.4, 0.5, f64::NAN, 0.7];
+        let active = [true, true, false, true];
+
+        let (p, q) = (poisoned(0.37), poisoned(0.11));
+        let (mut x, mut rv, mut rr) = (poisoned(0.53), poisoned(0.29), vec![0.0; r]);
+        cg_update_multi(&alpha, &p, &q, &mut x, &mut rv, r, &active, &mut rr);
+        let mut y = poisoned(0.53);
+        xpby_multi(&p, &alpha, &mut y, r, &active);
+        for v in [&x, &rv, &y] {
+            assert!(v
+                .iter()
+                .skip(frozen)
+                .step_by(r)
+                .all(|x| x.to_bits() == poison.to_bits()));
+        }
+
+        // the same pass with a finite frozen lane: every other lane agrees
+        let (p, q) = (waves(len, 0.37), waves(len, 0.11));
+        let (mut x_ref, mut rv_ref, mut rr_ref) =
+            (waves(len, 0.53), waves(len, 0.29), vec![0.0; r]);
+        cg_update_multi(
+            &alpha,
+            &p,
+            &q,
+            &mut x_ref,
+            &mut rv_ref,
+            r,
+            &active,
+            &mut rr_ref,
+        );
+        assert!(rr[frozen].is_nan());
+        for c in (0..r).filter(|&c| c != frozen) {
+            assert_eq!(rr[c].to_bits(), rr_ref[c].to_bits(), "rr lane {c}");
+            for i in 0..rows {
+                assert_eq!(x[i * r + c].to_bits(), x_ref[i * r + c].to_bits());
+                assert_eq!(rv[i * r + c].to_bits(), rv_ref[i * r + c].to_bits());
+            }
+        }
     }
 
     #[test]
