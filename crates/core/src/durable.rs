@@ -207,7 +207,7 @@ pub fn run_durable_clocked<F: FaultInjector, C: WallClock + ?Sized>(
         }
     }
 
-    let result = st.into_result(backend, &run_cfg);
+    let result = st.into_result(&run_cfg);
     tracer.finish_run(&result, run_cfg.measure_from);
     Ok(DurableOutcome {
         result,

@@ -20,14 +20,14 @@ use hetsolve_fem::{CompactEbe, RandomLoadSpec};
 use hetsolve_machine::{EnergyReport, LaneKind, ModuleClock, NodeSpec};
 use hetsolve_obs::Json;
 use hetsolve_predictor::AdaptiveWindow;
-use hetsolve_sparse::{CgConfig, KernelCounts};
+use hetsolve_sparse::{CgConfig, KernelCounts, Width1};
 
 use crate::backend::{Backend, RhsScratch};
 use crate::integrity::{
     basis_sentinel, boundary_guard, operator_crc, operator_guard, rhs_guard, scrub_state,
     CorruptTarget, CorruptionReport, IntegrityConfig, OperatorPayload,
 };
-use crate::recovery::{solve_set_with_ladder, solve_with_ladder, RecoveryEvent, RunError};
+use crate::recovery::{solve_set_with_ladder, RecoveryEvent, RunError};
 use crate::slot::CaseSlot;
 use crate::trace::StepTracer;
 
@@ -374,10 +374,11 @@ fn run_crs_single<F: FaultInjector>(
     let mut records = Vec::with_capacity(cfg.n_steps);
     let mut recoveries = Vec::new();
     let mut corruptions = Vec::new();
-    let a = backend.crs_a();
+    let crs = backend.crs_a();
+    let a = Width1(crs);
     let rhs_counts = backend.rhs_counts_crs();
     let detect = cfg.integrity.detect;
-    let op_crc = operator_crc(OperatorPayload::Crs(a));
+    let op_crc = operator_crc(OperatorPayload::Crs(crs));
 
     for step in 0..cfg.n_steps {
         boundary_guard(&mut case, faults, step, 0, detect, &mut corruptions);
@@ -390,7 +391,7 @@ fn run_crs_single<F: FaultInjector>(
             ));
         }
         operator_guard(
-            OperatorPayload::Crs(a),
+            OperatorPayload::Crs(crs),
             op_crc,
             faults,
             step,
@@ -402,16 +403,8 @@ fn run_crs_single<F: FaultInjector>(
             case: None,
             target: t.label(),
         })?;
-        case.load.force_into(step, &mut case.f);
-        backend.problem.mask.project(&mut case.f);
-        backend.newmark_rhs(
-            &case.f,
-            &case.time.u,
-            &case.time.v,
-            &case.time.a,
-            &mut case.rhs,
-            &mut scratch,
-        );
+        // Adams-Bashforth only: window 0 leaves the guess at the AB one
+        let (ab_guess, _) = case.prepare_step(backend, &mut scratch, 0);
         rhs_guard(
             backend,
             &mut case,
@@ -422,9 +415,7 @@ fn run_crs_single<F: FaultInjector>(
             detect,
             &mut corruptions,
         );
-        case.predict(backend, backend.problem.newmark.dt, false, 0);
-        let ab_guess = case.guess.clone();
-        let mut x = ab_guess.clone();
+        let mut x = case.guess.clone();
         let mut guess_faulted = false;
         if let Some(vf) = faults.guess_fault(step, 0) {
             vf.apply(&mut x);
@@ -438,32 +429,35 @@ fn run_crs_single<F: FaultInjector>(
             None => cg_cfg,
         };
         let before = recoveries.len();
-        // ladder: the first attempt starts from the (possibly corrupted)
-        // AB guess; only a corrupted guess makes the AB rung distinct.
-        let stats = solve_with_ladder(
-            a,
+        // ladder on a lane of one: the first attempt starts from the
+        // (possibly corrupted) AB guess; only a corrupted guess makes the
+        // AB rung distinct.
+        let stats = solve_set_with_ladder(
+            &a,
             &backend.precond,
             &case.rhs,
             &mut x,
-            &ab_guess,
+            std::slice::from_ref(&ab_guess),
             &cg_cfg,
             &first_cfg,
             step,
             0,
+            None,
             guess_faulted,
             &mut recoveries,
         )?;
+        let iterations = stats.case_iterations[0];
         // charge the device: RHS + predictor (3 vector passes) + solve
         let total = rhs_counts
             .merged(vector_counts(n, 4.0))
             .merged(stats.counts);
-        let span_args = [("iterations", Json::from(stats.iterations))];
+        let span_args = [("iterations", Json::from(iterations))];
         let mut t = if on_gpu {
             tracer.charge_gpu(&mut clock, 0, "rhs + CG solve", &total, &span_args)
         } else {
             tracer.charge_cpu(&mut clock, 0, "rhs + CG solve", &total, &span_args)
         };
-        tracer.iterations_counter(clock.elapsed(), stats.iterations as f64);
+        tracer.iterations_counter(clock.elapsed(), iterations as f64);
         for ev in &recoveries[before..] {
             tracer.recovery_event(clock.elapsed(), ev);
         }
@@ -489,9 +483,9 @@ fn run_crs_single<F: FaultInjector>(
             solver_time_per_case: t,
             predictor_time_per_case: 0.0,
             transfer_time: 0.0,
-            iterations: stats.iterations as f64,
+            iterations: iterations as f64,
             s_used: 0,
-            initial_rel_res: stats.initial_rel_res,
+            initial_rel_res: stats.initial_rel_res[0],
         });
     }
 
@@ -533,14 +527,15 @@ fn run_crs_pipelined<F: FaultInjector>(
     let mut records = Vec::with_capacity(cfg.n_steps);
     let mut recoveries = Vec::new();
     let mut corruptions = Vec::new();
-    let a = backend.crs_a();
+    let crs = backend.crs_a();
+    let a = Width1(crs);
     let rhs_counts = backend.rhs_counts_crs();
     let detect = cfg.integrity.detect;
-    let op_crc = operator_crc(OperatorPayload::Crs(a));
+    let op_crc = operator_crc(OperatorPayload::Crs(crs));
 
     for step in 0..cfg.n_steps {
         operator_guard(
-            OperatorPayload::Crs(a),
+            OperatorPayload::Crs(crs),
             op_crc,
             faults,
             step,
@@ -581,16 +576,9 @@ fn run_crs_pipelined<F: FaultInjector>(
                     cfg.integrity.basis_defect_tol,
                 ));
             }
-            case.load.force_into(step, &mut case.f);
-            backend.problem.mask.project(&mut case.f);
-            backend.newmark_rhs(
-                &case.f,
-                &case.time.u,
-                &case.time.v,
-                &case.time.a,
-                &mut case.rhs,
-                &mut scratch,
-            );
+            let s = s_shared.unwrap_or_else(|| cfg.s_max.max(1).min(case.dd.available_s()));
+            let (ab_guess, su) = case.prepare_step(backend, &mut scratch, s);
+            s_used = su;
             rhs_guard(
                 backend,
                 case,
@@ -601,12 +589,6 @@ fn run_crs_pipelined<F: FaultInjector>(
                 detect,
                 &mut corruptions,
             );
-            // Adams guess first (kept for the correction snapshot)...
-            case.predict(backend, backend.problem.newmark.dt, false, 0);
-            let ab_guess = case.guess.clone();
-            // ...then the full data-driven guess
-            let s = s_shared.unwrap_or_else(|| cfg.s_max.max(1).min(case.dd.available_s()));
-            s_used = case.predict(backend, backend.problem.newmark.dt, true, s);
             let mut x = case.guess.clone();
             let mut guess_faulted = false;
             if let Some(vf) = faults.guess_fault(step, set) {
@@ -621,23 +603,26 @@ fn run_crs_pipelined<F: FaultInjector>(
                 None => cg_cfg,
             };
             let before = recoveries.len();
-            // the AB rung is distinct whenever the first attempt started
-            // from a data-driven guess (s_used > 0) or a corrupted one
-            let stats = solve_with_ladder(
-                a,
+            // ladder on a lane of one: the AB rung is distinct whenever the
+            // first attempt started from a data-driven guess (s_used > 0)
+            // or a corrupted one
+            let stats = solve_set_with_ladder(
+                &a,
                 &backend.precond,
                 &case.rhs,
                 &mut x,
-                &ab_guess,
+                std::slice::from_ref(&ab_guess),
                 &cg_cfg,
                 &first_cfg,
                 step,
                 set,
+                None,
                 s_used > 0 || guess_faulted,
                 &mut recoveries,
             )?;
-            iter_sum += stats.iterations as f64;
-            res_sum += stats.initial_rel_res;
+            let iterations = stats.case_iterations[0];
+            iter_sum += iterations as f64;
+            res_sum += stats.initial_rel_res[0];
             // GPU lane: RHS + solve; CPU lane: predictor
             let gpu = rhs_counts.merged(stats.counts);
             solver_t += tracer.charge_gpu(
@@ -645,7 +630,7 @@ fn run_crs_pipelined<F: FaultInjector>(
                 set,
                 "rhs + CG solve",
                 &gpu,
-                &[("iterations", Json::from(stats.iterations))],
+                &[("iterations", Json::from(iterations))],
             );
             pred_t += tracer.charge_cpu(
                 &mut clock,
@@ -708,15 +693,7 @@ fn run_crs_pipelined<F: FaultInjector>(
         });
     }
 
-    Ok(finish(
-        backend,
-        cfg,
-        cases,
-        records,
-        clock,
-        recoveries,
-        corruptions,
-    ))
+    Ok(finish(cfg, cases, records, clock, recoveries, corruptions))
 }
 
 /// Algorithm 3 (the proposal): 2 sets × r cases, matrix-free multi-RHS CG
@@ -733,7 +710,7 @@ fn run_ebe_mcg<F: FaultInjector>(
     while st.step < cfg.n_steps {
         st.step_once(backend, cfg, tracer, faults, &ctx)?;
     }
-    Ok(st.into_result(backend, cfg))
+    Ok(st.into_result(cfg))
 }
 
 /// Immutable per-run context of the EBE-MCG driver: the matrix-free
@@ -917,7 +894,7 @@ impl EbeRunState {
                 &first_cfg,
                 step,
                 set,
-                set * r,
+                Some(set * r),
                 true,
                 &mut self.recoveries,
             )?;
@@ -1003,9 +980,8 @@ impl EbeRunState {
         Ok(())
     }
 
-    pub(crate) fn into_result(self, backend: &Backend, cfg: &RunConfig) -> RunResult {
+    pub(crate) fn into_result(self, cfg: &RunConfig) -> RunResult {
         finish(
-            backend,
             cfg,
             self.cases,
             self.records,
@@ -1016,9 +992,7 @@ impl EbeRunState {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn finish(
-    backend: &Backend,
     cfg: &RunConfig,
     cases: Vec<CaseSlot>,
     records: Vec<StepRecord>,
@@ -1026,7 +1000,6 @@ fn finish(
     recoveries: Vec<RecoveryEvent>,
     corruptions: Vec<CorruptionReport>,
 ) -> RunResult {
-    let _ = backend;
     let n_cases = cases.len();
     let mut waveforms = Vec::new();
     let mut final_u = Vec::new();

@@ -18,15 +18,13 @@ use hetsolve_fem::{
 use hetsolve_machine::{ModuleClock, NodeSpec};
 use hetsolve_obs::Json;
 use hetsolve_predictor::AdamsState;
-use hetsolve_sparse::{
-    pcg, pcg_observed, BlockJacobi, CgConfig, LinearOperator, ResidualLog, SolveError, Termination,
-};
+use hetsolve_sparse::{BlockJacobi, LinearOperator};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::backend::{Backend, RhsScratch};
 use crate::methods::{driver_cg_config, RunConfig};
-use crate::recovery::{GuessSource, RecoveryEvent, RunError, ZERO_GUESS_ITER_FACTOR};
+use crate::recovery::{solve_set_with_ladder, RecoveryEvent, RunError};
 use crate::trace::StepTracer;
 
 /// Per-step record of a nonlinear run.
@@ -79,9 +77,9 @@ pub fn run_nonlinear(
     )
 }
 
-/// [`run_nonlinear`] with observability: every secant pass's CG solve runs
-/// under a [`ResidualLog`] observer (residual decay, termination cause) and
-/// the per-pass convergence evidence lands in the tracer's metrics sink
+/// [`run_nonlinear`] with observability: every secant pass's convergence
+/// evidence (iterations, termination cause, initial and final residual of
+/// its solve, recovery rungs included) lands in the tracer's metrics sink
 /// under the `nonlinear_convergence` section; operator refreshes become
 /// labeled GPU spans.
 pub fn run_nonlinear_traced(
@@ -196,61 +194,34 @@ pub fn run_nonlinear_traced(
             }
             let precond = BlockJacobi::from_blocks(&op.diagonal_blocks(), backend.parallel);
             x.copy_from_slice(&guess);
-            let stats = if tracer.is_enabled() {
-                let mut rlog = ResidualLog::new();
-                let stats = pcg_observed(&op, &precond, &rhs, &mut x, &cg_cfg, &mut rlog);
+            // ladder on a lane of one. The secant guess is the AB guess, so
+            // the only retry rung is the zero restart with a raised
+            // iteration cap (a hard modulus update can leave the guess far
+            // outside the new operator's convergence basin).
+            let stats = solve_set_with_ladder(
+                &op,
+                &precond,
+                &rhs,
+                &mut x,
+                std::slice::from_ref(&guess),
+                &cg_cfg,
+                &cg_cfg,
+                step,
+                0,
+                None,
+                false,
+                &mut recoveries,
+            )?;
+            cg_total += stats.case_iterations[0];
+            if tracer.is_enabled() {
                 convergence_rows.push(Json::obj([
                     ("step", Json::from(step)),
                     ("secant_pass", Json::from(secant_iterations)),
-                    ("iterations", Json::from(rlog.iterations)),
-                    (
-                        "termination",
-                        Json::from(rlog.termination.unwrap_or(Termination::Converged).label()),
-                    ),
-                    (
-                        "initial_rel_res",
-                        Json::Num(rlog.history.first().map_or(f64::NAN, |h| h[0])),
-                    ),
-                    (
-                        "final_rel_res",
-                        Json::Num(rlog.history.last().map_or(f64::NAN, |h| h[0])),
-                    ),
+                    ("iterations", Json::from(stats.case_iterations[0])),
+                    ("termination", Json::from(stats.case_termination[0].label())),
+                    ("initial_rel_res", Json::Num(stats.initial_rel_res[0])),
+                    ("final_rel_res", Json::Num(stats.final_rel_res[0])),
                 ]));
-                stats
-            } else {
-                pcg(&op, &precond, &rhs, &mut x, &cg_cfg)
-            };
-            cg_total += stats.iterations;
-            if !stats.converged {
-                // recovery: restart from zero with a raised iteration cap
-                // (a hard modulus update can leave the secant guess far
-                // outside the new operator's convergence basin)
-                x.fill(0.0);
-                let retry_cfg = CgConfig {
-                    max_iter: cg_cfg.max_iter.saturating_mul(ZERO_GUESS_ITER_FACTOR),
-                    ..cg_cfg
-                };
-                let retry = pcg(&op, &precond, &rhs, &mut x, &retry_cfg);
-                cg_total += retry.iterations;
-                if !retry.converged {
-                    return Err(SolveError {
-                        step,
-                        case: None,
-                        termination: retry.termination,
-                        rel_res: retry.final_rel_res,
-                        iterations: stats.iterations + retry.iterations,
-                        attempts: 2,
-                    }
-                    .into());
-                }
-                recoveries.push(RecoveryEvent {
-                    step,
-                    case: None,
-                    set: 0,
-                    failed: stats.termination,
-                    recovered_with: GuessSource::Zero,
-                    attempts: 2,
-                });
             }
             secant_iterations += 1;
             drop(precond);
@@ -394,7 +365,7 @@ mod tests {
         let mut tracer = StepTracer::new();
         let traced =
             run_nonlinear_traced(&backend, &cfg, &model, 1e-3, 3, &mut tracer).expect("nonlinear");
-        // the ResidualLog observer must not perturb the numerics
+        // tracing must not perturb the numerics
         assert_eq!(plain.final_u, traced.final_u);
         assert_eq!(
             plain.records.iter().map(|r| r.cg_iterations).sum::<usize>(),

@@ -183,7 +183,7 @@ impl SetState {
             &ph.first_cfg,
             step,
             set,
-            set * r,
+            Some(set * r),
             true,
             &mut recoveries,
         )?;

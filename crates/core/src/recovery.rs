@@ -20,13 +20,10 @@
 use std::fmt;
 
 use hetsolve_obs::Termination;
-use hetsolve_sparse::{
-    mcg_masked, pcg, CgConfig, CgStats, LinearOperator, McgStats, MultiOperator, Preconditioner,
-    SolveError,
-};
+use hetsolve_sparse::{mcg_masked, CgConfig, McgStats, MultiOperator, Preconditioner, SolveError};
 
 /// Factor by which the zero-guess rung raises the iteration cap.
-pub(crate) const ZERO_GUESS_ITER_FACTOR: usize = 4;
+const ZERO_GUESS_ITER_FACTOR: usize = 4;
 
 /// Which initial guess a solve (re)started from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,97 +182,6 @@ impl From<SolveError> for RunError {
     }
 }
 
-/// Single-RHS recovery ladder around [`pcg`].
-///
-/// `x` enters holding the first-attempt guess and leaves holding the
-/// solution of whichever rung converged. `first_cfg` is the configuration
-/// of the first attempt only (it may carry an injected iteration cap);
-/// retries always use the clean `cfg`. `retry_ab` selects whether the
-/// Adams-Bashforth rung is distinct from the first attempt (false when the
-/// first attempt already started from `ab_guess`). Iterations and kernel
-/// counts of all attempts are merged into the returned stats; the recorded
-/// initial residual stays the first attempt's (the guess-quality metric).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_with_ladder<A: LinearOperator, P: Preconditioner>(
-    a: &A,
-    prec: &P,
-    rhs: &[f64],
-    x: &mut [f64],
-    ab_guess: &[f64],
-    cfg: &CgConfig,
-    first_cfg: &CgConfig,
-    step: usize,
-    set: usize,
-    retry_ab: bool,
-    recoveries: &mut Vec<RecoveryEvent>,
-) -> Result<CgStats, SolveError> {
-    let mut stats = pcg(a, prec, rhs, x, first_cfg);
-    if stats.converged {
-        return Ok(stats);
-    }
-    let failed = stats.termination;
-    let initial_rel_res = stats.initial_rel_res;
-    let mut attempts = 1;
-
-    if retry_ab {
-        x.copy_from_slice(ab_guess);
-        let retry = pcg(a, prec, rhs, x, cfg);
-        attempts += 1;
-        stats = merge_cg(stats, retry);
-        if stats.converged {
-            recoveries.push(RecoveryEvent {
-                step,
-                case: None,
-                set,
-                failed,
-                recovered_with: GuessSource::AdamsBashforth,
-                attempts,
-            });
-            stats.initial_rel_res = initial_rel_res;
-            return Ok(stats);
-        }
-    }
-
-    x.fill(0.0);
-    let cold_cfg = CgConfig {
-        max_iter: cfg.max_iter.saturating_mul(ZERO_GUESS_ITER_FACTOR),
-        ..*cfg
-    };
-    let cold = pcg(a, prec, rhs, x, &cold_cfg);
-    attempts += 1;
-    stats = merge_cg(stats, cold);
-    stats.initial_rel_res = initial_rel_res;
-    if stats.converged {
-        recoveries.push(RecoveryEvent {
-            step,
-            case: None,
-            set,
-            failed,
-            recovered_with: GuessSource::Zero,
-            attempts,
-        });
-        return Ok(stats);
-    }
-    Err(SolveError {
-        step,
-        case: None,
-        termination: stats.termination,
-        rel_res: stats.final_rel_res,
-        iterations: stats.iterations,
-        attempts,
-    })
-}
-
-/// Fold a retry into the running stats: iterations and work accumulate,
-/// convergence state and history come from the latest attempt.
-fn merge_cg(prev: CgStats, latest: CgStats) -> CgStats {
-    CgStats {
-        iterations: prev.iterations + latest.iterations,
-        counts: prev.counts.merged(latest.counts),
-        ..latest
-    }
-}
-
 /// Result of [`solve_set_resumable`]: the merged solver stats plus the
 /// ladder attempts made. Per-lane outcomes are in
 /// [`McgStats::case_termination`] — the caller decides what a residual
@@ -288,17 +194,25 @@ pub struct SetSolveOutcome {
     pub attempts: usize,
 }
 
-/// Multi-RHS recovery ladder around [`mcg_masked`], resumable per lane.
+/// The recovery ladder around [`mcg_masked`], resumable per lane. There is
+/// one ladder: a single-RHS driver runs it on a lane of width 1.
 ///
 /// Only the failing lanes are restarted: their slots in the interleaved
 /// `x` are overwritten with the downgraded guess and the whole set is
 /// re-solved — already-converged lanes re-enter with a sub-tolerance
 /// residual, are inactive from iteration zero, and keep their solution
-/// bitwise (the MCG freeze contract). `ab_guesses[k]` is the
+/// bitwise (the MCG freeze contract). `first_cfg` is the configuration of
+/// the first attempt only (it may carry an injected iteration cap); retries
+/// always use the clean `cfg`. `retry_ab` selects whether the
+/// Adams-Bashforth rung is distinct from the first attempt (false when the
+/// first attempt already started from `ab_guesses`). `ab_guesses[k]` is the
 /// Adams-Bashforth guess of lane `k` (ignored for vacant lanes, which may
 /// hold an empty vec); `occupied[k] == false` marks a vacant lane that is
 /// skipped entirely (see [`mcg_masked`]); `lane_cases[k]` is lane `k`'s
-/// global case/request id for the recovery log.
+/// global case/request id for the recovery log (`None` for a single-RHS
+/// driver). Iterations and kernel counts of all attempts are merged into
+/// the returned stats; the recorded initial residuals stay the first
+/// attempt's (the guess-quality metric).
 ///
 /// Unlike the driver-facing wrapper this never errors: lanes that exhaust
 /// the ladder simply keep their failure in `case_termination`, so a caller
@@ -388,9 +302,10 @@ pub fn solve_set_resumable<A: MultiOperator, P: Preconditioner>(
     SetSolveOutcome { stats, attempts }
 }
 
-/// Driver-facing multi-RHS ladder: fully-occupied lane, and a lane that
-/// exhausts the ladder aborts the run with a typed [`SolveError`] naming
-/// the first failing case.
+/// Driver-facing ladder: fully-occupied lane, and a lane that exhausts the
+/// ladder aborts the run with a typed [`SolveError`] naming the first
+/// failing case. Lane `k` is global case `case_base + k`; a single-RHS
+/// driver passes `None`, and its events and errors carry no case id.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_set_with_ladder<A: MultiOperator, P: Preconditioner>(
     a: &A,
@@ -402,13 +317,13 @@ pub(crate) fn solve_set_with_ladder<A: MultiOperator, P: Preconditioner>(
     first_cfg: &CgConfig,
     step: usize,
     set: usize,
-    case_base: usize,
+    case_base: Option<usize>,
     retry_ab: bool,
     recoveries: &mut Vec<RecoveryEvent>,
 ) -> Result<McgStats, SolveError> {
     let r = a.r();
     let occupied = vec![true; r];
-    let lane_cases: Vec<Option<usize>> = (0..r).map(|k| Some(case_base + k)).collect();
+    let lane_cases: Vec<Option<usize>> = (0..r).map(|k| case_base.map(|b| b + k)).collect();
     let SetSolveOutcome { stats, attempts } = solve_set_resumable(
         a,
         prec,
@@ -430,11 +345,11 @@ pub(crate) fn solve_set_with_ladder<A: MultiOperator, P: Preconditioner>(
     let worst = (0..r)
         .find(|&k| stats.case_termination[k].is_failure())
         // PANIC-OK: `!stats.converged` (checked above) means at least one
-        // lane's termination is a failure by `mcg_multi`'s contract.
+        // lane's termination is a failure by `mcg_masked`'s contract.
         .expect("non-converged MCG must have a failing lane");
     Err(SolveError {
         step,
-        case: Some(case_base + worst),
+        case: case_base.map(|b| b + worst),
         termination: stats.case_termination[worst],
         rel_res: stats.final_rel_res[worst],
         iterations: stats.case_iterations[worst],

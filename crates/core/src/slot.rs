@@ -7,8 +7,9 @@
 //! fixed array of slots for a whole run; the serving layer
 //! (`hetsolve-serve`) instead creates and retires slots independently, so a
 //! fused lane can backfill a freed slot at a time-step boundary while its
-//! companions keep iterating. Both paths call the exact same `prepare_step`
-//! / `advance` sequence, which is what makes a served case's trajectory
+//! companions keep iterating. Every path — the three ensemble step loops
+//! and the server — calls the exact same `prepare_step` / `advance`
+//! sequence, which is what makes a served case's trajectory
 //! bitwise-identical to its solo ensemble solve.
 
 use hetsolve_fault::VectorFault;
@@ -78,13 +79,7 @@ impl CaseSlot {
     /// Build the initial guess: Adams-Bashforth extrapolation plus (when
     /// enabled and warmed up) the data-driven correction with window `s`.
     /// Returns the window actually used.
-    pub(crate) fn predict(
-        &mut self,
-        backend: &Backend,
-        dt: f64,
-        data_driven: bool,
-        s: usize,
-    ) -> usize {
+    fn predict(&mut self, backend: &Backend, dt: f64, data_driven: bool, s: usize) -> usize {
         self.adams.predict(&self.time.u, dt, &mut self.guess);
         let mut s_used = 0;
         if data_driven && s >= 1 {

@@ -5,8 +5,6 @@
 //! come from [`crate::ebe::EbeOperator::diagonal_blocks`] without assembling
 //! the matrix.
 
-use rayon::prelude::*;
-
 use crate::dense::{inv3, mat3_vec};
 use crate::op::{KernelCounts, Preconditioner};
 use crate::vecops::{dot_multi, with_lanes, LaneDot};
@@ -15,6 +13,8 @@ use crate::vecops::{dot_multi, with_lanes, LaneDot};
 #[derive(Debug, Clone)]
 pub struct BlockJacobi {
     pub inv: Vec<[f64; 9]>,
+    /// Not read today: the apply is one serial streaming pass at every
+    /// width (it is what the threaded pool of ROADMAP 2(a) will split).
     pub parallel: bool,
 }
 
@@ -87,20 +87,7 @@ impl Preconditioner for BlockJacobi {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         debug_assert_eq!(r.len(), self.n());
         debug_assert_eq!(z.len(), self.n());
-        if self.parallel && self.inv.len() > 2048 {
-            z.par_chunks_exact_mut(3)
-                .zip(r.par_chunks_exact(3))
-                .zip(&self.inv)
-                .for_each(|((zc, rc), inv)| {
-                    let out = mat3_vec(inv, &[rc[0], rc[1], rc[2]]);
-                    zc.copy_from_slice(&out);
-                });
-        } else {
-            for (i, inv) in self.inv.iter().enumerate() {
-                let out = mat3_vec(inv, &[r[3 * i], r[3 * i + 1], r[3 * i + 2]]);
-                z[3 * i..3 * i + 3].copy_from_slice(&out);
-            }
-        }
+        self.apply_lanes::<1>(r, z, |_, _| ());
     }
 
     fn counts(&self) -> KernelCounts {

@@ -1,4 +1,6 @@
-//! Preconditioned conjugate gradient — the paper's Algorithm 1.
+//! Preconditioned conjugate gradient — the paper's Algorithm 1 — as the
+//! fused-width-1 instance of the one CG iteration in [`crate::mcg`], plus
+//! the solver configuration both entry points share.
 //!
 //! Convergence criterion: `‖r‖₂ / ‖f‖₂ < ε` (relative to the right-hand
 //! side, as in the paper; `ε = 10⁻⁸` in the experiments). The residual
@@ -7,8 +9,8 @@
 
 use hetsolve_obs::{NoopObserver, SolveObserver, Termination};
 
-use crate::op::{KernelCounts, LinearOperator, Preconditioner};
-use crate::vecops::{axpy, dot, norm2, xpby};
+use crate::mcg::mcg_masked_observed;
+use crate::op::{KernelCounts, LinearOperator, Preconditioner, Width1};
 
 /// Solver configuration.
 #[derive(Debug, Clone, Copy)]
@@ -112,6 +114,11 @@ pub fn pcg<A: LinearOperator, P: Preconditioner>(
 /// relative residual, every iterate's residual, and the termination cause.
 /// Observers are read-only, so the computed solution and iteration count
 /// are identical to the unobserved call.
+///
+/// Algorithm 1 is the MCG iteration at fused width 1, so this *is*
+/// [`mcg_masked_observed`] on the [`Width1`] view of `a` — one loop, one set
+/// of breakdown guards, one sentinel. `tests/solver_unification.rs` pins
+/// the bits a single-RHS solve must reproduce.
 pub fn pcg_observed<A: LinearOperator, P: Preconditioner, O: SolveObserver>(
     a: &A,
     prec: &P,
@@ -120,225 +127,47 @@ pub fn pcg_observed<A: LinearOperator, P: Preconditioner, O: SolveObserver>(
     cfg: &CgConfig,
     obs: &mut O,
 ) -> CgStats {
-    let n = a.n();
-    assert_eq!(f.len(), n);
-    assert_eq!(x.len(), n);
-    let f_norm = norm2(f);
-    // vector-op cost per iteration: 2 dots + 3 axpy-like passes over n
-    let vec_counts = KernelCounts {
-        flops: 10.0 * n as f64,
-        bytes_stream: 5.0 * 16.0 * n as f64,
-        bytes_rand: 0.0,
-        rand_transactions: 0.0,
-        rhs_fused: 1,
+    let mut tap = HistoryTap {
+        obs,
+        history: Vec::new(),
     };
-    let mut counts = KernelCounts::default();
-
-    // r = f - A x
-    let mut r = vec![0.0; n];
-    a.apply(x, &mut r);
-    counts = counts.merged(a.counts());
-    for i in 0..n {
-        r[i] = f[i] - r[i];
-    }
-
-    if f_norm == 0.0 {
-        // A is SPD => x = 0 is the exact solution of A x = 0.
-        x.fill(0.0);
-        obs.solve_begin(n, 1, &[0.0]);
-        obs.solve_end(0, Termination::Converged);
-        return CgStats {
-            iterations: 0,
-            initial_rel_res: 0.0,
-            final_rel_res: 0.0,
-            converged: true,
-            termination: Termination::Converged,
-            history: vec![0.0],
-            counts,
-        };
-    }
-
-    let mut rel = norm2(&r) / f_norm;
-    let initial_rel_res = rel;
-    let mut history = vec![rel];
-    obs.solve_begin(n, 1, &[rel]);
-
-    if cfg.guess_divergence > 0.0 && rel.is_finite() && rel > cfg.guess_divergence {
-        // the guess is beyond f64 rescue: fail typed before wasting
-        // iterations on a "convergence" that cannot be trusted
-        obs.solve_end(0, Termination::DivergentGuess);
-        return CgStats {
-            iterations: 0,
-            initial_rel_res,
-            final_rel_res: rel,
-            converged: false,
-            termination: Termination::DivergentGuess,
-            history,
-            counts,
-        };
-    }
-
-    let mut z = vec![0.0; n];
-    let mut p = vec![0.0; n];
-    let mut q = vec![0.0; n];
-    let mut rho_prev = 0.0;
-    let mut iterations = 0;
-    // Abnormal break cause; None while the iteration is healthy. All the
-    // guards below only read values the healthy path computes anyway, so a
-    // converging solve is bitwise-identical with or without them.
-    let mut abnormal: Option<Termination> = None;
-    // Stagnation tracking: strict best-so-far with an improvement deadline.
-    let mut best_rel = rel;
-    let mut since_improve = 0usize;
-    // Invariant-sentinel scratch, allocated lazily so the sentinel-off path
-    // performs zero extra work. `norm_ref` is set at the first sentinel
-    // tick (0.0 = not yet captured).
-    let mut true_r: Vec<f64> = Vec::new();
-    let mut norm_ref = 0.0f64;
-
-    // NaN initial residual (poisoned guess or RHS) fails the `rel >= tol`
-    // comparison, skips the loop, and classifies as NanResidual below.
-    while rel >= cfg.tol && iterations < cfg.max_iter {
-        prec.apply(&r, &mut z);
-        counts = counts.merged(prec.counts());
-        let rho = dot(&z, &r);
-        if !rho.is_finite() {
-            abnormal = Some(Termination::NanResidual);
-            break;
-        }
-        if rho <= 0.0 {
-            // zᵀr must stay positive for an SPD preconditioner: the
-            // preconditioned inner product has broken down.
-            abnormal = Some(Termination::RhoBreakdown);
-            break;
-        }
-        if iterations == 0 {
-            p.copy_from_slice(&z);
-        } else {
-            let beta = rho / rho_prev;
-            xpby(&z, beta, &mut p);
-        }
-        a.apply(&p, &mut q);
-        counts = counts.merged(a.counts()).merged(vec_counts);
-        let pq = dot(&p, &q);
-        if !pq.is_finite() {
-            abnormal = Some(Termination::NanResidual);
-            break;
-        }
-        if pq <= 0.0 {
-            // loss of positive definiteness (numerical breakdown): stop.
-            abnormal = Some(Termination::Breakdown);
-            break;
-        }
-        let alpha = rho / pq;
-        axpy(alpha, &p, x);
-        axpy(-alpha, &q, &mut r);
-        rho_prev = rho;
-        iterations += 1;
-        rel = norm2(&r) / f_norm;
-        history.push(rel);
-        obs.iteration(iterations, &[rel]);
-        if !rel.is_finite() {
-            abnormal = Some(Termination::NanResidual);
-            break;
-        }
-        if cfg.sentinel_every > 0 && iterations % cfg.sentinel_every == 0 && rel >= cfg.tol {
-            // ABFT invariant sentinel: recompute the true residual into
-            // private scratch and compare with the recursive one. Reads
-            // x/f only, writes nothing the iteration uses, and its applies
-            // are deliberately NOT merged into `counts` — the modeled
-            // timeline must not shift when detection is enabled.
-            if true_r.is_empty() {
-                true_r = vec![0.0; n];
-            }
-            a.apply(x, &mut true_r);
-            let mut sq = 0.0;
-            for i in 0..n {
-                let d = f[i] - true_r[i];
-                sq += d * d;
-            }
-            let rel_true = sq.sqrt() / f_norm;
-            let drift = if cfg.sentinel_drift > 0.0 {
-                cfg.sentinel_drift
-            } else {
-                DEFAULT_SENTINEL_DRIFT
-            };
-            if !rel_true.is_finite() || rel_true > drift * rel.max(cfg.tol) {
-                abnormal = Some(Termination::ResidualDrift);
-                break;
-            }
-            if cfg.norm_bound > 0.0 {
-                let nx = norm2(x);
-                if norm_ref == 0.0 {
-                    norm_ref = nx.max(1.0);
-                }
-                if !nx.is_finite() || nx > cfg.norm_bound * norm_ref {
-                    abnormal = Some(Termination::NormExploded);
-                    break;
-                }
-            }
-        }
-        if cfg.stagnation_window > 0 {
-            if rel < best_rel {
-                best_rel = rel;
-                since_improve = 0;
-            } else {
-                since_improve += 1;
-                if since_improve >= cfg.stagnation_window {
-                    abnormal = Some(Termination::Stagnation);
-                    break;
-                }
-            }
-        }
-    }
-
-    if cfg.sentinel_every > 0 && abnormal.is_none() && rel < cfg.tol && iterations > 0 {
-        // Exit audit: never report Converged on a corrupted iterate. A flip
-        // that shrinks the recursive residual below tol is the one corruption
-        // the periodic tick can miss, so convergence itself is verified once
-        // against the true residual (read-only, uncounted, like the tick).
-        if true_r.is_empty() {
-            true_r = vec![0.0; n];
-        }
-        a.apply(x, &mut true_r);
-        let mut sq = 0.0;
-        for i in 0..n {
-            let d = f[i] - true_r[i];
-            sq += d * d;
-        }
-        let rel_true = sq.sqrt() / f_norm;
-        let drift = if cfg.sentinel_drift > 0.0 {
-            cfg.sentinel_drift
-        } else {
-            DEFAULT_SENTINEL_DRIFT
-        };
-        if !rel_true.is_finite() || rel_true > drift * cfg.tol {
-            abnormal = Some(Termination::ResidualDrift);
-        }
-    }
-
-    // The abnormal cause wins over the residual test: every mid-loop break
-    // happens with `rel >= tol` (or non-finite), and the exit audit above
-    // sets it precisely because `rel < tol` cannot be trusted.
-    let termination = if let Some(t) = abnormal {
-        t
-    } else if rel < cfg.tol {
-        Termination::Converged
-    } else if !rel.is_finite() {
-        Termination::NanResidual
-    } else {
-        Termination::MaxIter
-    };
-    obs.solve_end(iterations, termination);
-
+    let stats = mcg_masked_observed(&Width1(a), prec, f, x, cfg, &[true], &mut tap);
+    let iterations = stats.case_iterations[0];
+    let mut history = tap.history;
+    // a lane that a breakdown guard freezes mid-iteration still sees that
+    // fused iteration end; it is not an iterate of this solve
+    history.truncate(iterations + 1);
     CgStats {
         iterations,
-        initial_rel_res,
-        final_rel_res: rel,
-        converged: termination == Termination::Converged,
-        termination,
+        initial_rel_res: stats.initial_rel_res[0],
+        final_rel_res: stats.final_rel_res[0],
+        converged: stats.converged,
+        termination: stats.termination,
         history,
-        counts,
+        counts: stats.counts,
+    }
+}
+
+/// Forwards every hook to the caller's observer and keeps the one case's
+/// residual trace for [`CgStats::history`].
+struct HistoryTap<'o, O> {
+    obs: &'o mut O,
+    history: Vec<f64>,
+}
+
+impl<O: SolveObserver> SolveObserver for HistoryTap<'_, O> {
+    fn solve_begin(&mut self, n: usize, cases: usize, rel_res: &[f64]) {
+        self.history.push(rel_res[0]);
+        self.obs.solve_begin(n, cases, rel_res);
+    }
+
+    fn iteration(&mut self, iter: usize, rel_res: &[f64]) {
+        self.history.push(rel_res[0]);
+        self.obs.iteration(iter, rel_res);
+    }
+
+    fn solve_end(&mut self, iterations: usize, termination: Termination) {
+        self.obs.solve_end(iterations, termination);
     }
 }
 
@@ -595,7 +424,8 @@ mod tests {
         if blind.converged {
             let mut ax = vec![0.0; n];
             m.apply(&x2, &mut ax);
-            let true_rel = (0..n).map(|i| (f[i] - ax[i]).powi(2)).sum::<f64>().sqrt() / norm2(&f);
+            let f_norm = f.iter().map(|v| v * v).sum::<f64>().sqrt();
+            let true_rel = (0..n).map(|i| (f[i] - ax[i]).powi(2)).sum::<f64>().sqrt() / f_norm;
             assert!(
                 true_rel > 1e-4,
                 "glitch should have produced a wrong answer, got {true_rel}"

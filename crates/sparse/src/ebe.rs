@@ -249,75 +249,120 @@ impl<'a> EbeOperator<'a> {
         d.fix_output(x, y);
     }
 
-    fn apply_colored(&self, x: &[f64], y: &mut [f64]) {
+    fn apply_group<const R: usize>(&self, elems: &[u32], x: &[f64], scatter: &ColorScatter) {
         let d = &self.data;
+        let body = move |&e: &u32| {
+            let eid = e;
+            let e = e as usize;
+            let el = &d.elems[e];
+            let mut xg = [0.0f64; 240]; // 30 * R_max
+            let mut yl = [0.0f64; 240];
+            let xg = &mut xg[..30 * R];
+            let yl = &mut yl[..30 * R];
+            for (k, &n) in el.iter().enumerate() {
+                for a in 0..3 {
+                    let dof = 3 * n as usize + a;
+                    for c in 0..R {
+                        xg[(3 * k + a) * R + c] = d.masked(dof, x[dof * R + c]);
+                    }
+                }
+            }
+            yl.fill(0.0);
+            sym2_matvec_add_multi::<R>(
+                d.c_m,
+                &d.me[e * TP..(e + 1) * TP],
+                d.c_k,
+                &d.ke[e * TP..(e + 1) * TP],
+                xg,
+                yl,
+                30,
+            );
+            // SAFETY: same-color elements share no nodes (validated at
+            // construction), so per-pass writes are disjoint.
+            unsafe {
+                for (k, &n) in el.iter().enumerate() {
+                    for a in 0..3 {
+                        let dof = 3 * n as usize + a;
+                        for c in 0..R {
+                            scatter.add(eid, dof * R + c, yl[(3 * k + a) * R + c]);
+                        }
+                    }
+                }
+            }
+        };
+        if self.parallel {
+            elems.par_iter().for_each(body);
+        } else {
+            elems.iter().for_each(body);
+        }
+    }
+
+    fn apply_face_group<const R: usize>(&self, faces: &[u32], x: &[f64], scatter: &ColorScatter) {
+        let d = &self.data;
+        let body = move |&f: &u32| {
+            let fid = f;
+            let f = f as usize;
+            let fc = &d.faces[f];
+            let mut xg = [0.0f64; 144]; // 18 * R_max
+            let mut yl = [0.0f64; 144];
+            let xg = &mut xg[..18 * R];
+            let yl = &mut yl[..18 * R];
+            for (k, &n) in fc.iter().enumerate() {
+                for a in 0..3 {
+                    let dof = 3 * n as usize + a;
+                    for c in 0..R {
+                        xg[(3 * k + a) * R + c] = d.masked(dof, x[dof * R + c]);
+                    }
+                }
+            }
+            yl.fill(0.0);
+            // single-matrix fused kernel: use sym2 with zero second matrix
+            sym2_matvec_add_multi::<R>(
+                d.c_b,
+                &d.cb[f * FP..(f + 1) * FP],
+                0.0,
+                &d.cb[f * FP..(f + 1) * FP],
+                xg,
+                yl,
+                18,
+            );
+            // SAFETY: same-color faces share no nodes (validated at
+            // construction), so per-pass writes are disjoint.
+            unsafe {
+                for (k, &n) in fc.iter().enumerate() {
+                    for a in 0..3 {
+                        let dof = 3 * n as usize + a;
+                        for c in 0..R {
+                            scatter.add(fid, dof * R + c, yl[(3 * k + a) * R + c]);
+                        }
+                    }
+                }
+            }
+        };
+        if self.parallel {
+            faces.par_iter().for_each(body);
+        } else {
+            faces.iter().for_each(body);
+        }
+    }
+
+    /// Color-parallel apply on `R` interleaved right-hand sides — the one
+    /// colored kernel: [`LinearOperator::apply`] is its `R = 1` instance.
+    fn apply_r<const R: usize>(&self, x: &[f64], y: &mut [f64]) {
         y.fill(0.0);
         let mut scatter = ColorScatter::new(y);
         for group in &self.coloring.groups {
             scatter.begin_color();
-            let scatter = &scatter;
-            group.par_iter().for_each(|&e| {
-                let eid = e;
-                let e = e as usize;
-                let el = &d.elems[e];
-                let mut xg = [0.0f64; 30];
-                let mut yl = [0.0f64; 30];
-                for (k, &n) in el.iter().enumerate() {
-                    for a in 0..3 {
-                        xg[3 * k + a] = d.masked(3 * n as usize + a, x[3 * n as usize + a]);
-                    }
-                }
-                sym2_matvec_add(
-                    d.c_m,
-                    &d.me[e * TP..(e + 1) * TP],
-                    d.c_k,
-                    &d.ke[e * TP..(e + 1) * TP],
-                    &xg,
-                    &mut yl,
-                    30,
-                );
-                // SAFETY: elements in `group` share no nodes (coloring
-                // invariant, validated in `new`), so these writes are
-                // disjoint within the color pass.
-                unsafe {
-                    for (k, &n) in el.iter().enumerate() {
-                        for a in 0..3 {
-                            scatter.add(eid, 3 * n as usize + a, yl[3 * k + a]);
-                        }
-                    }
-                }
-            });
+            self.apply_group::<R>(group, x, &scatter);
         }
-        if d.c_b != 0.0 {
+        if self.data.c_b != 0.0 {
             for group in &self.face_groups {
                 scatter.begin_color();
-                let scatter = &scatter;
-                group.par_iter().for_each(|&f| {
-                    let fid = f;
-                    let f = f as usize;
-                    let fc = &d.faces[f];
-                    let mut xf = [0.0f64; 18];
-                    let mut yf = [0.0f64; 18];
-                    for (k, &n) in fc.iter().enumerate() {
-                        for a in 0..3 {
-                            xf[3 * k + a] = d.masked(3 * n as usize + a, x[3 * n as usize + a]);
-                        }
-                    }
-                    sym_matvec_add(&d.cb[f * FP..(f + 1) * FP], &xf, &mut yf, 18);
-                    // SAFETY: same disjointness argument via the face
-                    // coloring (validated in `new`).
-                    unsafe {
-                        for (k, &n) in fc.iter().enumerate() {
-                            for a in 0..3 {
-                                scatter.add(fid, 3 * n as usize + a, d.c_b * yf[3 * k + a]);
-                            }
-                        }
-                    }
-                });
+                self.apply_face_group::<R>(group, x, &scatter);
             }
         }
         drop(scatter);
-        d.fix_output(x, y);
+        self.data.fix_output_multi(x, y, R);
     }
 }
 
@@ -330,7 +375,7 @@ impl LinearOperator for EbeOperator<'_> {
         debug_assert_eq!(x.len(), self.n());
         debug_assert_eq!(y.len(), self.n());
         if self.parallel {
-            self.apply_colored(x, y);
+            self.apply_r::<1>(x, y);
         } else {
             self.apply_seq(x, y);
         }
@@ -388,120 +433,6 @@ impl<'a> EbeMultiOperator<'a> {
             r,
         }
     }
-
-    fn apply_group<const R: usize>(&self, elems: &[u32], x: &[f64], scatter: &ColorScatter) {
-        let d = &self.inner.data;
-        let body = move |&e: &u32| {
-            let eid = e;
-            let e = e as usize;
-            let el = &d.elems[e];
-            let mut xg = [0.0f64; 240]; // 30 * R_max
-            let mut yl = [0.0f64; 240];
-            let xg = &mut xg[..30 * R];
-            let yl = &mut yl[..30 * R];
-            for (k, &n) in el.iter().enumerate() {
-                for a in 0..3 {
-                    let dof = 3 * n as usize + a;
-                    for c in 0..R {
-                        xg[(3 * k + a) * R + c] = d.masked(dof, x[dof * R + c]);
-                    }
-                }
-            }
-            yl.fill(0.0);
-            sym2_matvec_add_multi::<R>(
-                d.c_m,
-                &d.me[e * TP..(e + 1) * TP],
-                d.c_k,
-                &d.ke[e * TP..(e + 1) * TP],
-                xg,
-                yl,
-                30,
-            );
-            // SAFETY: same-color elements share no nodes (validated at
-            // construction), so per-pass writes are disjoint.
-            unsafe {
-                for (k, &n) in el.iter().enumerate() {
-                    for a in 0..3 {
-                        let dof = 3 * n as usize + a;
-                        for c in 0..R {
-                            scatter.add(eid, dof * R + c, yl[(3 * k + a) * R + c]);
-                        }
-                    }
-                }
-            }
-        };
-        if self.inner.parallel {
-            elems.par_iter().for_each(body);
-        } else {
-            elems.iter().for_each(body);
-        }
-    }
-
-    fn apply_face_group<const R: usize>(&self, faces: &[u32], x: &[f64], scatter: &ColorScatter) {
-        let d = &self.inner.data;
-        let body = move |&f: &u32| {
-            let fid = f;
-            let f = f as usize;
-            let fc = &d.faces[f];
-            let mut xg = [0.0f64; 144]; // 18 * R_max
-            let mut yl = [0.0f64; 144];
-            let xg = &mut xg[..18 * R];
-            let yl = &mut yl[..18 * R];
-            for (k, &n) in fc.iter().enumerate() {
-                for a in 0..3 {
-                    let dof = 3 * n as usize + a;
-                    for c in 0..R {
-                        xg[(3 * k + a) * R + c] = d.masked(dof, x[dof * R + c]);
-                    }
-                }
-            }
-            yl.fill(0.0);
-            // single-matrix fused kernel: use sym2 with zero second matrix
-            sym2_matvec_add_multi::<R>(
-                d.c_b,
-                &d.cb[f * FP..(f + 1) * FP],
-                0.0,
-                &d.cb[f * FP..(f + 1) * FP],
-                xg,
-                yl,
-                18,
-            );
-            // SAFETY: same-color faces share no nodes (validated at
-            // construction), so per-pass writes are disjoint.
-            unsafe {
-                for (k, &n) in fc.iter().enumerate() {
-                    for a in 0..3 {
-                        let dof = 3 * n as usize + a;
-                        for c in 0..R {
-                            scatter.add(fid, dof * R + c, yl[(3 * k + a) * R + c]);
-                        }
-                    }
-                }
-            }
-        };
-        if self.inner.parallel {
-            faces.par_iter().for_each(body);
-        } else {
-            faces.iter().for_each(body);
-        }
-    }
-
-    fn apply_r<const R: usize>(&self, x: &[f64], y: &mut [f64]) {
-        y.fill(0.0);
-        let mut scatter = ColorScatter::new(y);
-        for group in &self.inner.coloring.groups {
-            scatter.begin_color();
-            self.apply_group::<R>(group, x, &scatter);
-        }
-        if self.inner.data.c_b != 0.0 {
-            for group in &self.inner.face_groups {
-                scatter.begin_color();
-                self.apply_face_group::<R>(group, x, &scatter);
-            }
-        }
-        drop(scatter);
-        self.inner.data.fix_output_multi(x, y, R);
-    }
 }
 
 impl MultiOperator for EbeMultiOperator<'_> {
@@ -517,10 +448,10 @@ impl MultiOperator for EbeMultiOperator<'_> {
         debug_assert_eq!(x.len(), self.n() * self.r);
         debug_assert_eq!(y.len(), self.n() * self.r);
         match self.r {
-            1 => self.apply_r::<1>(x, y),
-            2 => self.apply_r::<2>(x, y),
-            4 => self.apply_r::<4>(x, y),
-            8 => self.apply_r::<8>(x, y),
+            1 => self.inner.apply_r::<1>(x, y),
+            2 => self.inner.apply_r::<2>(x, y),
+            4 => self.inner.apply_r::<4>(x, y),
+            8 => self.inner.apply_r::<8>(x, y),
             _ => unreachable!("validated in constructor"),
         }
     }

@@ -7,8 +7,9 @@
 //! * [`bcrs`] — 3×3 block CRS (the paper's baseline storage format),
 //! * [`ebe`] — the matrix-free Element-by-Element operator with 1–8 fused
 //!   right-hand sides (the paper's Eq. (2)/(8)/(9)), color-parallel scatter,
-//! * [`cg`] / [`mcg`] — single- and multi-RHS preconditioned conjugate
-//!   gradient (Algorithm 1 and the MCG of EBE-MCG@CPU-GPU),
+//! * [`mcg`] / [`cg`] — the preconditioned conjugate gradient over `r`
+//!   fused right-hand sides (the MCG of EBE-MCG@CPU-GPU) and its `r = 1`
+//!   entry point `pcg` (Algorithm 1),
 //! * [`blockjacobi`] — the 3×3 block-Jacobi preconditioner,
 //! * [`assembly`] — packed element matrices → global BCRS with Dirichlet
 //!   elimination,
@@ -45,5 +46,5 @@ pub use ebe32::{EbeOperator32, EbeStore32};
 pub use error::SolveError;
 pub use hetsolve_obs::{NoopObserver, ResidualLog, SolveObserver, Termination};
 pub use mcg::{mcg, mcg_masked, mcg_masked_observed, mcg_observed, McgStats};
-pub use op::{KernelCounts, LinearOperator, MultiOperator, Preconditioner};
+pub use op::{KernelCounts, LinearOperator, MultiOperator, Preconditioner, Width1};
 pub use parcheck::ColorScatter;

@@ -1,6 +1,8 @@
 //! Multi-RHS preconditioned CG ("MCG"): solves `A x_c = f_c` for `r` cases
 //! concurrently through one fused EBE operator — the solver at the heart of
-//! the paper's EBE-MCG@CPU-GPU method.
+//! the paper's EBE-MCG@CPU-GPU method. This is the only CG iteration of the
+//! workspace: the single-RHS Algorithm 1 ([`crate::cg::pcg`]) is this loop
+//! at `r = 1`.
 //!
 //! All cases iterate in lockstep so each operator application serves every
 //! case (the EBE multi-RHS kernel amortizes random accesses `r`-fold).
@@ -146,7 +148,7 @@ pub fn mcg_masked_observed<A: MultiOperator, P: Preconditioner, O: SolveObserver
             rel[c] = 0.0;
             active[c] = false;
         } else if f_norm[c] == 0.0 {
-            // zero RHS: solution is zero (see single-RHS CG)
+            // zero RHS: A is SPD, so x = 0 is the exact solution
             for i in 0..n {
                 x[i * r + c] = 0.0;
             }
@@ -160,9 +162,9 @@ pub fn mcg_masked_observed<A: MultiOperator, P: Preconditioner, O: SolveObserver
                 abnormal[c] = Some(Termination::NanResidual);
                 active[c] = false;
             } else if cfg.guess_divergence > 0.0 && rel[c] > cfg.guess_divergence {
-                // this lane's guess is beyond f64 rescue (see `pcg`):
-                // freeze it typed instead of letting the recursive residual
-                // fake a convergence
+                // this lane's guess is beyond f64 rescue (see
+                // `CgConfig::guess_divergence`): freeze it typed instead of
+                // letting the recursive residual fake a convergence
                 abnormal[c] = Some(Termination::DivergentGuess);
                 active[c] = false;
             } else {
@@ -187,8 +189,8 @@ pub fn mcg_masked_observed<A: MultiOperator, P: Preconditioner, O: SolveObserver
     let mut best_rel = rel.clone();
     let mut since_improve = vec![0usize; r];
     // Invariant-sentinel scratch, allocated lazily so the sentinel-off path
-    // performs zero extra work (see `pcg`). `norm_ref[c] == 0.0` means the
-    // reference norm for case `c` has not been captured yet.
+    // performs zero extra work. `norm_ref[c] == 0.0` means the reference
+    // norm for case `c` has not been captured yet.
     let mut true_r: Vec<f64> = Vec::new();
     let mut rel_true = vec![0.0; if cfg.sentinel_every > 0 { r } else { 0 }];
     let mut norm_ref: Vec<f64> = vec![0.0; if cfg.norm_bound > 0.0 { r } else { 0 }];
@@ -306,8 +308,10 @@ pub fn mcg_masked_observed<A: MultiOperator, P: Preconditioner, O: SolveObserver
             && fused_iterations.is_multiple_of(cfg.sentinel_every)
             && active.iter().any(|&a| a)
         {
-            // ABFT invariant sentinel (see `pcg`): per-case true-residual
-            // drift and bounded-norm guards over the still-active lanes.
+            // ABFT invariant sentinel (`CgConfig::sentinel_every`): per-case
+            // true-residual drift and bounded-norm guards over the
+            // still-active lanes. A lane that stagnation just froze is no
+            // longer audited: stagnation is judged before the tick.
             audit(x, &active, &mut true_r, &mut rel_true);
             for c in 0..r {
                 if !active[c] {
@@ -336,9 +340,11 @@ pub fn mcg_masked_observed<A: MultiOperator, P: Preconditioner, O: SolveObserver
     }
 
     if cfg.sentinel_every > 0 && fused_iterations > 0 {
-        // Exit audit (see `pcg`): lanes that claim convergence are verified
-        // once against the true residual so a flip that fakes a small
-        // recursive residual cannot produce a silent wrong answer.
+        // Exit audit: never report Converged on a corrupted iterate. A flip
+        // that shrinks the recursive residual below tol is the one
+        // corruption the periodic tick can miss, so lanes that claim
+        // convergence are verified once against the true residual
+        // (read-only, uncounted, like the tick).
         let check: Vec<bool> = (0..r)
             .map(|c| {
                 occupied[c]
@@ -508,6 +514,78 @@ mod tests {
                     x[i * r + c],
                     xc[i]
                 );
+            }
+        }
+    }
+
+    /// Textbook preconditioned CG (Saad, *Iterative Methods for Sparse
+    /// Linear Systems*, Alg. 9.1) from a zero guess — an oracle that shares
+    /// no line with the iteration under test.
+    fn textbook_pcg<A: LinearOperator, P: Preconditioner>(
+        a: &A,
+        prec: &P,
+        f: &[f64],
+        tol: f64,
+    ) -> Vec<f64> {
+        let n = f.len();
+        let dot = |u: &[f64], v: &[f64]| -> f64 { u.iter().zip(v).map(|(a, b)| a * b).sum() };
+        let (mut x, mut r) = (vec![0.0; n], f.to_vec());
+        let (mut z, mut q) = (vec![0.0; n], vec![0.0; n]);
+        prec.apply(&r, &mut z);
+        let mut p = z.clone();
+        let mut rz = dot(&r, &z);
+        while dot(&r, &r).sqrt() >= tol * dot(f, f).sqrt() {
+            a.apply(&p, &mut q);
+            let alpha = rz / dot(&p, &q);
+            for i in 0..n {
+                x[i] += alpha * p[i];
+                r[i] -= alpha * q[i];
+            }
+            prec.apply(&r, &mut z);
+            let rz_next = dot(&r, &z);
+            for i in 0..n {
+                p[i] = z[i] + (rz_next / rz) * p[i];
+            }
+            rz = rz_next;
+        }
+        x
+    }
+
+    #[test]
+    fn pcg_and_mcg_agree_with_textbook_pcg() {
+        let m = spd_matrix(25);
+        let n = m.n();
+        let prec = BlockJacobi::from_blocks(&m.diagonal_blocks(), false);
+        let cfg = CgConfig {
+            tol: 1e-13,
+            max_iter: 500,
+            ..CgConfig::default()
+        };
+        let rhs = |c: usize| -> Vec<f64> {
+            (0..n)
+                .map(|i| ((i * (c + 1)) as f64 * 0.17).sin())
+                .collect()
+        };
+        let oracle: Vec<Vec<f64>> = (0..4)
+            .map(|c| textbook_pcg(&m, &prec, &rhs(c), cfg.tol))
+            .collect();
+
+        let close = |got: f64, want: f64| (got - want).abs() < 1e-10;
+
+        let mut x1 = vec![0.0; n];
+        assert!(pcg(&m, &prec, &rhs(0), &mut x1, &cfg).converged);
+        assert!((0..n).all(|i| close(x1[i], oracle[0][i])), "pcg");
+        for r in [1usize, 4] {
+            let mut f = vec![0.0; n * r];
+            for c in 0..r {
+                crate::vecops::insert_case(&mut f, r, c, &rhs(c));
+            }
+            let mut x = vec![0.0; n * r];
+            assert!(mcg(&LoopMulti { a: &m, r }, &prec, &f, &mut x, &cfg).converged);
+            for c in 0..r {
+                for i in 0..n {
+                    assert!(close(x[i * r + c], oracle[c][i]), "r={r} case {c} dof {i}");
+                }
             }
         }
     }

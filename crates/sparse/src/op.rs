@@ -87,6 +87,31 @@ pub trait MultiOperator: Sync {
     fn counts(&self) -> KernelCounts;
 }
 
+/// A single-RHS operator seen as a multi-RHS operator of fused width 1: an
+/// interleaved multi-vector of one case is the vector itself, so `apply`
+/// already is `apply_multi`. This is how the one CG iteration
+/// ([`crate::mcg`]) serves operators that have no fused kernel (the
+/// assembled [`crate::bcrs::Bcrs3`]).
+pub struct Width1<'a, A>(pub &'a A);
+
+impl<A: LinearOperator> MultiOperator for Width1<'_, A> {
+    fn n(&self) -> usize {
+        self.0.n()
+    }
+
+    fn r(&self) -> usize {
+        1
+    }
+
+    fn apply_multi(&self, x: &[f64], y: &mut [f64]) {
+        self.0.apply(x, y);
+    }
+
+    fn counts(&self) -> KernelCounts {
+        self.0.counts()
+    }
+}
+
 /// A preconditioner `z = B⁻¹ r`.
 pub trait Preconditioner: Sync {
     fn n(&self) -> usize;
@@ -94,8 +119,13 @@ pub trait Preconditioner: Sync {
     fn counts(&self) -> KernelCounts;
 
     /// Interleaved multi-RHS application; default loops case-by-case via
-    /// scratch vectors (implementations override with fused kernels).
+    /// scratch vectors (implementations override with fused kernels). One
+    /// case is [`Self::apply`] itself — the single-RHS solve runs this once
+    /// per iteration.
     fn apply_multi(&self, r_vec: &[f64], z: &mut [f64], r: usize) {
+        if r == 1 {
+            return self.apply(r_vec, z);
+        }
         let n = self.n();
         let mut rs = vec![0.0; n];
         let mut zs = vec![0.0; n];
@@ -149,6 +179,33 @@ mod tests {
         assert_eq!(s.flops, 20.0);
         assert_eq!(s.bytes_rand, 40.0);
         assert_eq!(s.rand_transactions, 14.0);
+    }
+
+    /// The default multi-RHS application is `apply` per case, and at one
+    /// case it is `apply` itself (no gather/scatter through scratch).
+    #[test]
+    fn default_apply_multi_is_apply_per_case() {
+        struct Scale;
+        impl Preconditioner for Scale {
+            fn n(&self) -> usize {
+                3
+            }
+            fn apply(&self, r: &[f64], z: &mut [f64]) {
+                for i in 0..3 {
+                    z[i] = (i + 2) as f64 * r[i];
+                }
+            }
+            fn counts(&self) -> KernelCounts {
+                KernelCounts::default()
+            }
+        }
+        let mut z = [0.0; 3];
+        Scale.apply_multi(&[1.0, 1.0, 1.0], &mut z, 1);
+        assert_eq!(z, [2.0, 3.0, 4.0]);
+        let (mut z2, mut rho) = ([0.0; 6], [0.0; 2]);
+        Scale.apply_multi_dot(&[1.0, -1.0, 1.0, -1.0, 1.0, -1.0], &mut z2, 2, &mut rho);
+        assert_eq!(z2, [2.0, -2.0, 3.0, -3.0, 4.0, -4.0]);
+        assert_eq!(rho, [9.0, 9.0]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Vector primitives used by the CG solvers, in single- and multi-RHS
-//! (interleaved) layouts. Rayon-parallel above a size threshold; the
-//! threshold keeps small test problems on one thread where parallel
-//! dispatch would dominate.
+//! Vector primitives of the CG iteration on interleaved multi-RHS vectors
+//! (a single right-hand side is the width-1 case), plus a plain [`dot`].
+//! Rayon-parallel above a size threshold; the threshold keeps small test
+//! problems on one thread where parallel dispatch would dominate.
 //!
 //! The multi-RHS passes of the MCG iteration ([`dot_multi`],
 //! [`xpby_multi`], [`cg_update_multi`]) run on `[f64; R]` lane arrays for
@@ -60,52 +60,6 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
             .zip(y.par_chunks(4096))
             .map(|(xc, yc)| xc.iter().zip(yc).map(|(a, b)| a * b).sum::<f64>())
             .sum()
-    }
-}
-
-/// Squared Euclidean norm.
-pub fn norm2_sq(x: &[f64]) -> f64 {
-    dot(x, x)
-}
-
-/// Euclidean norm.
-pub fn norm2(x: &[f64]) -> f64 {
-    norm2_sq(x).sqrt()
-}
-
-/// `y += alpha * x`.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    if x.len() < PAR_THRESHOLD {
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi += alpha * xi;
-        }
-    } else {
-        y.par_chunks_mut(4096)
-            .zip(x.par_chunks(4096))
-            .for_each(|(yc, xc)| {
-                for (yi, xi) in yc.iter_mut().zip(xc) {
-                    *yi += alpha * xi;
-                }
-            });
-    }
-}
-
-/// `y = x + beta * y` (the CG direction update `p = z + beta p`).
-pub fn xpby(x: &[f64], beta: f64, y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    if x.len() < PAR_THRESHOLD {
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi = xi + beta * *yi;
-        }
-    } else {
-        y.par_chunks_mut(4096)
-            .zip(x.par_chunks(4096))
-            .for_each(|(yc, xc)| {
-                for (yi, xi) in yc.iter_mut().zip(xc) {
-                    *yi = xi + beta * *yi;
-                }
-            });
     }
 }
 
@@ -370,22 +324,6 @@ mod tests {
         let seq: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
         assert!((dot(&x, &y) - seq).abs() < 1e-9 * seq.abs().max(1.0));
         assert!((dot(&x[..10], &y[..10]) - 21.0).abs() < 1e-12); // 0+1+4+0+4+10+0+0+2+0
-    }
-
-    #[test]
-    fn axpy_and_xpby() {
-        let x = vec![1.0, 2.0, 3.0];
-        let mut y = vec![10.0, 20.0, 30.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, vec![12.0, 24.0, 36.0]);
-        xpby(&x, 0.5, &mut y);
-        assert_eq!(y, vec![7.0, 14.0, 21.0]);
-    }
-
-    #[test]
-    fn norms() {
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-        assert_eq!(norm2_sq(&[3.0, 4.0]), 25.0);
     }
 
     #[test]

@@ -312,3 +312,141 @@ fn healthy_solve_still_converges_with_guards_active() {
         assert!((x[i] - f[i] / 3.0).abs() < 1e-9);
     }
 }
+
+/// Identity preconditioner that counts its applications.
+struct CountingIdentity(usize, std::sync::atomic::AtomicUsize);
+
+impl Preconditioner for CountingIdentity {
+    fn n(&self) -> usize {
+        self.0
+    }
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.1.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        z.copy_from_slice(r);
+    }
+    fn counts(&self) -> KernelCounts {
+        KernelCounts {
+            flops: 1.0,
+            ..KernelCounts::default()
+        }
+    }
+}
+
+/// An overflowing guess makes the initial residual `+Inf`, not NaN. Every
+/// non-finite initial residual is treated alike, for one case as for a lane
+/// of many: the solve freezes typed at 0 iterations with `x` untouched,
+/// before the preconditioner is applied or charged.
+#[test]
+fn infinite_initial_residual_freezes_before_the_preconditioner_runs() {
+    let n = 6;
+    let a = Diag(vec![2.0; n]);
+    let f = vec![1.0; n];
+    let prec = CountingIdentity(n, std::sync::atomic::AtomicUsize::new(0));
+    let mut x = vec![1e308; n]; // 2 * 1e308 overflows
+    let stats = pcg(&a, &prec, &f, &mut x, &cfg(1e-8, 200, 0));
+    assert_eq!(stats.initial_rel_res, f64::INFINITY);
+    assert_eq!(stats.termination, Termination::NanResidual);
+    assert_eq!(stats.iterations, 0);
+    assert_eq!(stats.history.len(), 1);
+    assert!(x.iter().all(|&v| v == 1e308), "guess must stay untouched");
+    assert_eq!(prec.1.load(std::sync::atomic::Ordering::SeqCst), 0);
+    assert_eq!(stats.counts.flops, 0.0, "no preconditioner work charged");
+    // the driver configuration's divergent-guess gate does not reclassify it
+    let mut c = cfg(1e-8, 200, 0);
+    c.guess_divergence = 1e8;
+    let stats = pcg(&a, &prec, &f, &mut x, &c);
+    assert_eq!(stats.termination, Termination::NanResidual);
+}
+
+/// When the stagnation deadline and a sentinel tick fall on the same
+/// iteration, stagnation is judged first and the frozen solve is not
+/// audited. The sentinel here is certain to trip at any tick it gets: its
+/// drift bound is the smallest positive number.
+#[test]
+fn stagnation_is_judged_before_the_sentinel_tick_of_the_same_iteration() {
+    let n = 12;
+    let a = Rot(n); // the residual grows every iteration
+    let f: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.7).sin() + 1.5).collect();
+    let solve = |window: usize, sentinel_every: usize| {
+        let c = CgConfig {
+            sentinel_every,
+            sentinel_drift: f64::MIN_POSITIVE,
+            ..cfg(1e-12, 1_000, window)
+        };
+        let mut x = vec![0.0; n];
+        pcg(&a, &Identity(n), &f, &mut x, &c)
+    };
+    // the tick alone trips at iteration 5 ...
+    let tick = solve(0, 5);
+    assert_eq!(tick.termination, Termination::ResidualDrift);
+    assert_eq!(tick.iterations, 5);
+    // ... the deadline alone expires at iteration 5 ...
+    let deadline = solve(5, 0);
+    assert_eq!(deadline.termination, Termination::Stagnation);
+    assert_eq!(deadline.iterations, 5);
+    // ... and together the verdict is stagnation
+    let both = solve(5, 5);
+    assert_eq!(both.termination, Termination::Stagnation);
+    assert_eq!(both.iterations, 5);
+    // an earlier tick still wins
+    assert_eq!(solve(5, 4).termination, Termination::ResidualDrift);
+}
+
+/// `z = −r`: not positive definite, so `z·r < 0` on the first iteration.
+struct NegatedIdentity(usize);
+
+impl Preconditioner for NegatedIdentity {
+    fn n(&self) -> usize {
+        self.0
+    }
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        for (zi, ri) in z.iter_mut().zip(r) {
+            *zi = -ri;
+        }
+    }
+    fn counts(&self) -> KernelCounts {
+        KernelCounts::default()
+    }
+}
+
+/// A breakdown guard that freezes the lane mid-iteration lets the fused
+/// iteration finish, as it must when other lanes are still running, and a
+/// single-RHS solve is a lane of one: the operator application after the
+/// `z·r` guard is charged and observers see the fused iteration end. The
+/// frozen lane did not advance, so `CgStats::iterations` and `history` do
+/// not count it and `x` keeps the guess.
+#[test]
+fn a_breakdown_guard_lets_the_fused_iteration_finish() {
+    struct UnitCost(Diag);
+    impl LinearOperator for UnitCost {
+        fn n(&self) -> usize {
+            LinearOperator::n(&self.0)
+        }
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            self.0.apply(x, y);
+        }
+        fn counts(&self) -> KernelCounts {
+            KernelCounts {
+                rand_transactions: 1.0,
+                ..KernelCounts::default()
+            }
+        }
+    }
+    let n = 6;
+    let a = UnitCost(Diag(vec![2.0; n]));
+    let f = vec![1.0; n];
+    let mut x = vec![0.25; n];
+    let mut log = hetsolve_sparse::ResidualLog::new();
+    let c = cfg(1e-10, 200, 0);
+    let stats = hetsolve_sparse::pcg_observed(&a, &NegatedIdentity(n), &f, &mut x, &c, &mut log);
+    assert_eq!(stats.termination, Termination::RhoBreakdown);
+    assert_eq!(stats.iterations, 0);
+    assert_eq!(stats.history.len(), 1);
+    assert_eq!(stats.final_rel_res, stats.initial_rel_res);
+    assert!(x.iter().all(|&v| v == 0.25));
+    // initial residual + the application that finished the fused iteration
+    assert_eq!(stats.counts.rand_transactions, 2.0);
+    assert_eq!(log.iterations, 1);
+    assert_eq!(log.history.len(), 2);
+    assert_eq!(log.history[1], log.history[0]);
+}
