@@ -38,12 +38,6 @@ fn main() {
     if should_run("fusing") {
         ablate_fusing();
     }
-    if should_run("precision") {
-        ablate_precision();
-    }
-    if should_run("preconditioner") {
-        ablate_preconditioner();
-    }
 }
 
 /// Cached element matrices stream 7.4 kB/element; the compact kernel
@@ -200,116 +194,6 @@ fn ablate_partitioner() {
             edge_cut(mesh, &greedy)
         );
     }
-}
-
-/// Block-Jacobi (GPU-friendly, the paper's choice) vs block-SSOR (better
-/// convergence, sequential sweeps) — the "more sophisticated solvers"
-/// future-work direction the paper names.
-fn ablate_preconditioner() {
-    println!("\n===== ablation: block-Jacobi vs block-SSOR preconditioner =====\n");
-    let backend = bench_backend(6, 6, 4);
-    let n = backend.n_dofs();
-    let mut f: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.29).sin()).collect();
-    backend.problem.mask.project(&mut f);
-    let cfg = hetsolve_sparse::CgConfig {
-        tol: 1e-8,
-        max_iter: 10_000,
-        ..Default::default()
-    };
-    let a = backend.crs_a();
-    let mut x1 = vec![0.0; n];
-    let s_bj = hetsolve_sparse::pcg(a, &backend.precond, &f, &mut x1, &cfg);
-    let ssor = hetsolve_sparse::BlockSsor::new(a);
-    let mut x2 = vec![0.0; n];
-    let s_ssor = hetsolve_sparse::pcg(a, &ssor, &f, &mut x2, &cfg);
-    println!(
-        "block-Jacobi: {} iterations; block-SSOR: {} iterations ({:.2}x fewer)",
-        s_bj.iterations,
-        s_ssor.iterations,
-        s_bj.iterations as f64 / s_ssor.iterations as f64
-    );
-    use hetsolve_sparse::Preconditioner;
-    println!(
-        "but per-iteration preconditioner work: BJ {:.1} Mflop vs SSOR {:.1} Mflop (and SSOR's sweeps are sequential)",
-        backend.precond.counts().flops / 1e6,
-        ssor.counts().flops / 1e6
-    );
-    println!("(the paper's GPU baseline keeps block-Jacobi: it parallelizes trivially)");
-}
-
-/// Mixed-precision (f32) matrix storage for the cached EBE variant:
-/// halves memory + matrix traffic; CG still converges to the f64 tolerance
-/// since the operator perturbation is O(1e-7).
-fn ablate_precision() {
-    println!("\n===== ablation: f64 vs f32 cached-matrix storage =====\n");
-    let backend = bench_backend(6, 6, 4);
-    let a = backend.problem.a_coeffs();
-    let store = hetsolve_sparse::EbeStore32::from_f64(
-        &backend.problem.elements.me,
-        &backend.problem.elements.ke,
-        &backend.problem.dashpots.cb,
-    );
-    let op32 = hetsolve_sparse::EbeOperator32::new(
-        backend.problem.n_nodes(),
-        &backend.problem.model.mesh.elems,
-        &store,
-        &backend.problem.dashpots.faces,
-        (a.c_m, a.c_k, a.c_b),
-        &backend.fixed,
-        &backend.coloring,
-        true,
-        1,
-    );
-    let f64_bytes = backend.problem.elements.bytes() + backend.problem.dashpots.cb.len() * 8;
-    println!(
-        "memory: f64 cached {:.1} MB vs f32 cached {:.1} MB",
-        f64_bytes as f64 / 1e6,
-        store.bytes() as f64 / 1e6
-    );
-    let ctx = ExecCtx::default();
-    use hetsolve_sparse::MultiOperator;
-    let t64 = kernel_time(
-        &h100(),
-        &hetsolve_sparse::ebe_counts(
-            backend.problem.model.mesh.n_elems(),
-            backend.problem.dashpots.n_faces(),
-            backend.n_dofs(),
-            1,
-        ),
-        &ctx,
-    );
-    let t32 = kernel_time(&h100(), &op32.counts(), &ctx);
-    println!(
-        "modeled H100 apply: f64 {:.4} ms vs f32 {:.4} ms",
-        t64 * 1e3,
-        t32 * 1e3
-    );
-    // convergence check: solve one system with both operators
-    let n = backend.n_dofs();
-    let mut f: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.2).sin()).collect();
-    backend.problem.mask.project(&mut f);
-    let cfg = hetsolve_sparse::CgConfig {
-        tol: 1e-8,
-        max_iter: 10_000,
-        ..Default::default()
-    };
-    let mut x64 = vec![0.0; n];
-    let s64 = hetsolve_sparse::pcg(&backend.ebe_a(1), &backend.precond, &f, &mut x64, &cfg);
-    let mut x32 = vec![0.0; n];
-    let s32 = hetsolve_sparse::mcg(&op32, &backend.precond, &f, &mut x32, &cfg);
-    let max_diff = x64
-        .iter()
-        .zip(&x32)
-        .map(|(p, q)| (p - q).abs())
-        .fold(0.0f64, f64::max);
-    let scale = x64.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
-    println!(
-        "CG iterations: f64 {} vs f32 {}; solution rel. difference {:.2e}",
-        s64.iterations,
-        s32.fused_iterations,
-        max_diff / scale.max(1e-300)
-    );
-    println!("(both refine to eps=1e-8 of their operator; the f32 operator differs by O(1e-7))");
 }
 
 fn ablate_fusing() {

@@ -1,13 +1,16 @@
-//! Crash-consistent snapshots of an EBE-MCG run.
+//! Crash-consistent snapshots of a run of any method.
 //!
-//! [`RunCheckpoint`] captures the full mutable state of
-//! [`crate::methods::EbeRunState`] at a step boundary — per-case Newmark
-//! vectors, both predictor histories, the adaptive-window controller, the
-//! modeled clock, and every record/recovery accumulated so far — in the
-//! sectioned, checksummed `hetsolve-ckpt` format. Restoring rebuilds an
-//! `EbeRunState` that continues *bitwise-identically* to the uninterrupted
-//! run: the random load regenerates from the stored per-case seed, and the
-//! step scratch is recomputed by the first `prepare_step` after resume.
+//! [`RunCheckpoint`] captures the full mutable state of the one step
+//! driver's `RunState` (`crate::methods`) at a step boundary — per-case
+//! Newmark vectors, both predictor histories, the adaptive-window
+//! controller, the modeled clock, and every record/recovery accumulated so
+//! far — in the sectioned, checksummed `hetsolve-ckpt` format. The format
+//! does not know the method: `SLOT` stores however many slots the method's
+//! layout has (1, 2 or 2r) and the fingerprint mixes the method label.
+//! Restoring rebuilds a `RunState` that continues *bitwise-identically* to
+//! the uninterrupted run: the random load regenerates from the stored
+//! per-case seed, and the step scratch is recomputed by the first
+//! `prepare_step` after resume.
 //!
 //! A [`ConfigFingerprint`] of `(backend, cfg)` is stored in the header
 //! section; a checkpoint restored against a different problem or run
@@ -20,7 +23,7 @@ use hetsolve_obs::Termination;
 
 use crate::backend::Backend;
 use crate::integrity::{CorruptTarget, CorruptionAction, CorruptionReport};
-use crate::methods::{EbeRunState, RunConfig, StepRecord, WindowPolicy};
+use crate::methods::{RunConfig, RunState, StepRecord, WindowPolicy};
 use crate::recovery::{GuessSource, RecoveryEvent};
 use crate::slot::CaseSlot;
 
@@ -217,7 +220,7 @@ pub fn decode_clock_state(dec: &mut Dec<'_>) -> Result<ClockState, CkptError> {
     })
 }
 
-/// One crash-consistent snapshot of an EBE-MCG run at a step boundary.
+/// One crash-consistent snapshot of a run (any method) at a step boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunCheckpoint {
     pub fingerprint: ConfigFingerprint,
@@ -234,7 +237,7 @@ pub struct RunCheckpoint {
 
 impl RunCheckpoint {
     /// Snapshot `st` as it stands at a step boundary.
-    pub(crate) fn capture(st: &EbeRunState, fingerprint: ConfigFingerprint) -> Self {
+    pub(crate) fn capture(st: &RunState, fingerprint: ConfigFingerprint) -> Self {
         let (adaptive_s, adaptive_unit_cost) = st.adaptive.state();
         RunCheckpoint {
             fingerprint,
@@ -373,8 +376,8 @@ impl RunCheckpoint {
 
     /// Rebuild the run state this snapshot was captured from. The returned
     /// state continues bitwise-identically to the uninterrupted run.
-    pub(crate) fn into_state(self, backend: &Backend, cfg: &RunConfig) -> EbeRunState {
-        let mut st = EbeRunState::new(backend, cfg);
+    pub(crate) fn into_state(self, backend: &Backend, cfg: &RunConfig) -> RunState {
+        let mut st = RunState::new(backend, cfg);
         st.cases = self
             .slots
             .iter()
@@ -427,8 +430,8 @@ mod tests {
     fn snapshot_round_trips_bitwise() {
         let (backend, cfg) = small();
         let fp = ConfigFingerprint::of(&backend, &cfg);
-        let mut st = EbeRunState::new(&backend, &cfg);
-        let ctx = crate::methods::EbeRunCtx::new(&backend, &cfg);
+        let mut st = RunState::new(&backend, &cfg);
+        let ctx = crate::methods::RunCtx::new(&backend, &cfg).unwrap();
         let mut tracer = crate::trace::StepTracer::disabled();
         let mut faults = hetsolve_fault::NoopFaults;
         st.step_once(&backend, &cfg, &mut tracer, &mut faults, &ctx)
@@ -451,7 +454,7 @@ mod tests {
     fn wrong_fingerprint_is_typed_corruption() {
         let (backend, cfg) = small();
         let fp = ConfigFingerprint::of(&backend, &cfg);
-        let st = EbeRunState::new(&backend, &cfg);
+        let st = RunState::new(&backend, &cfg);
         let bytes = RunCheckpoint::capture(&st, fp).to_bytes();
         let err = RunCheckpoint::from_bytes(&bytes, ConfigFingerprint(fp.0 ^ 1)).unwrap_err();
         assert!(matches!(err, CkptError::Corrupt(_)), "{err}");

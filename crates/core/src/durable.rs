@@ -1,7 +1,7 @@
-//! Crash-consistent EBE-MCG driver: periodic checkpoints + resume.
+//! Crash-consistent driver for any method: periodic checkpoints + resume.
 //!
 //! [`run_durable`] is the uninterrupted [`crate::methods::run`] driver with
-//! durability wrapped around the same `EbeRunState::step_once` loop: on
+//! durability wrapped around the same `RunState::step_once` loop: on
 //! entry it restores the newest *valid* checkpoint from a
 //! [`CheckpointStore`] (falling back past torn or corrupt files with a
 //! typed [`RestoreReport`]), then advances step by step, snapshotting
@@ -22,7 +22,7 @@ use hetsolve_machine::{SystemClock, WallClock};
 
 use crate::backend::Backend;
 use crate::checkpoint::{ConfigFingerprint, RunCheckpoint};
-use crate::methods::{EbeRunCtx, EbeRunState, MethodKind, RunConfig, RunResult};
+use crate::methods::{RunConfig, RunCtx, RunResult, RunState};
 use crate::recovery::RunError;
 use crate::trace::StepTracer;
 
@@ -62,14 +62,15 @@ pub struct DurableOutcome {
     pub restore_s: f64,
 }
 
-/// Run the EBE-MCG method crash-consistently: restore from `store` if a
-/// valid checkpoint exists, then advance, snapshotting per `policy`.
+/// Run `cfg.method` crash-consistently: restore from `store` if a valid
+/// checkpoint exists, then advance, snapshotting per `policy`.
 ///
-/// The method is forced to [`MethodKind::EbeMcgCpuGpu`] (the only driver
-/// with a resumable state machine); everything else in `cfg` is honored
-/// and folded into the stored [`ConfigFingerprint`], so a checkpoint
-/// written under a different configuration is rejected typed rather than
-/// resumed silently.
+/// Every method advances through the one resumable step driver, so any
+/// of the four can be checkpointed. `cfg` (method included) is folded
+/// into the stored [`ConfigFingerprint`], so a checkpoint written under a
+/// different configuration is rejected typed rather than resumed
+/// silently. A CRS method on a backend built without assembled matrices
+/// is a typed [`RunError::Config`], as in [`crate::methods::run_faulted`].
 pub fn run_durable<F: FaultInjector>(
     backend: &Backend,
     cfg: &RunConfig,
@@ -103,9 +104,8 @@ pub fn run_durable_clocked<F: FaultInjector, C: WallClock + ?Sized>(
     policy: CheckpointPolicy,
     wall: &C,
 ) -> Result<DurableOutcome, RunError> {
-    let mut run_cfg = cfg.clone();
-    run_cfg.method = MethodKind::EbeMcgCpuGpu;
-    let fp = ConfigFingerprint::of(backend, &run_cfg);
+    let ctx = RunCtx::new(backend, cfg)?;
+    let fp = ConfigFingerprint::of(backend, cfg);
 
     let t0 = wall.now();
     let (found, restore) =
@@ -114,9 +114,9 @@ pub fn run_durable_clocked<F: FaultInjector, C: WallClock + ?Sized>(
     let (mut st, resumed_from) = match found {
         Some((_seq, snap)) => {
             let step = snap.step;
-            (snap.into_state(backend, &run_cfg), Some(step))
+            (snap.into_state(backend, cfg), Some(step))
         }
-        None => (EbeRunState::new(backend, &run_cfg), None),
+        None => (RunState::new(backend, cfg), None),
     };
     if let Some(step) = resumed_from {
         let skipped = restore.skipped.len();
@@ -131,9 +131,8 @@ pub fn run_durable_clocked<F: FaultInjector, C: WallClock + ?Sized>(
         }
     }
 
-    tracer.begin_run(run_cfg.method.label(), &run_cfg, 2);
+    tracer.begin_run(cfg.method.label(), cfg, ctx.sets());
     tracer.attach_clock(&mut st.clock);
-    let ctx = EbeRunCtx::new(backend, &run_cfg);
     let mut checkpoints_written = 0;
     let mut checkpoint_bytes = 0;
     let mut write_s = 0.0;
@@ -152,11 +151,11 @@ pub fn run_durable_clocked<F: FaultInjector, C: WallClock + ?Sized>(
             let _ = tracer.dump_flight("crash");
             return Err(RunError::Crashed { step: st.step });
         }
-        if st.step >= run_cfg.n_steps {
+        if st.step >= cfg.n_steps {
             break;
         }
         let corruptions_before = st.corruptions.len();
-        if let Err(e) = st.step_once(backend, &run_cfg, tracer, faults, &ctx) {
+        if let Err(e) = st.step_once(backend, cfg, tracer, faults, &ctx) {
             tracer.flight_event(
                 st.clock.elapsed(),
                 "run_error",
@@ -180,7 +179,7 @@ pub fn run_durable_clocked<F: FaultInjector, C: WallClock + ?Sized>(
                 reg.inc("core_sdc_recovered_total", 1.0);
             }
         }
-        if policy.every > 0 && st.step % policy.every == 0 && st.step < run_cfg.n_steps {
+        if policy.every > 0 && st.step % policy.every == 0 && st.step < cfg.n_steps {
             let bytes = RunCheckpoint::capture(&st, fp).to_bytes();
             let seq = st.step as u64;
             let tw = wall.now();
@@ -207,8 +206,8 @@ pub fn run_durable_clocked<F: FaultInjector, C: WallClock + ?Sized>(
         }
     }
 
-    let result = st.into_result(&run_cfg);
-    tracer.finish_run(&result, run_cfg.measure_from);
+    let result = st.into_result(cfg);
+    tracer.finish_run(&result, cfg.measure_from);
     Ok(DurableOutcome {
         result,
         resumed_from,
@@ -223,6 +222,7 @@ pub fn run_durable_clocked<F: FaultInjector, C: WallClock + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::methods::MethodKind;
     use hetsolve_fem::FemProblem;
     use hetsolve_machine::single_gh200;
     use hetsolve_mesh::{GroundModelSpec, InterfaceShape};

@@ -163,11 +163,16 @@ impl EnsembleResult {
     }
 }
 
-/// Run the ensemble on an existing backend (already-built problem).
-pub fn run_ensemble(
+/// The batch loop both ensemble drivers share: `ceil(n_cases / width)`
+/// fused runs, batch `k` seeded `cfg.seed + k·width` and handed to
+/// `run_batch`, whose waveforms (found by `waveforms_of`) are collected up
+/// to `n_cases`.
+fn run_batches<T>(
     backend: &Backend,
     cfg: &EnsembleConfig,
-) -> Result<(EnsembleResult, Vec<RunResult>), RunError> {
+    mut run_batch: impl FnMut(usize, &RunConfig) -> Result<T, RunError>,
+    waveforms_of: impl Fn(&T) -> &[Vec<Vec<f64>>],
+) -> Result<(EnsembleResult, Vec<T>), RunError> {
     let cases_per_run = cfg.run.method.n_cases(cfg.run.r).max(1);
     let n_runs = cfg.n_cases.div_ceil(cases_per_run);
     let mut waveforms = Vec::with_capacity(cfg.n_cases);
@@ -177,13 +182,10 @@ pub fn run_ensemble(
         rc.n_steps = cfg.n_steps;
         rc.record_surface = true;
         rc.seed = cfg.seed + (batch * cases_per_run) as u64;
-        let result = run(backend, &rc)?;
-        for w in &result.waveforms {
-            if waveforms.len() < cfg.n_cases {
-                waveforms.push(w.clone());
-            }
-        }
-        runs.push(result);
+        let out = run_batch(batch, &rc)?;
+        let room = cfg.n_cases - waveforms.len();
+        waveforms.extend(waveforms_of(&out).iter().take(room).cloned());
+        runs.push(out);
     }
     let coords = backend
         .problem
@@ -202,63 +204,45 @@ pub fn run_ensemble(
     ))
 }
 
+/// Run the ensemble on an existing backend (already-built problem).
+pub fn run_ensemble(
+    backend: &Backend,
+    cfg: &EnsembleConfig,
+) -> Result<(EnsembleResult, Vec<RunResult>), RunError> {
+    run_batches(backend, cfg, |_, rc| run(backend, rc), |r| &r.waveforms)
+}
+
 /// Like [`run_ensemble`], but every fused batch runs under the durable
-/// driver ([`run_durable`]), checkpointing into `<dir>/batch<k>/`. A
-/// killed ensemble re-invoked with the same `dir` skips nothing it has
-/// not computed: each batch resumes bitwise-identically from its own
-/// newest valid checkpoint, so only the interrupted batch's tail and the
-/// batches never started are re-executed.
+/// driver ([`run_durable`], same method), checkpointing into
+/// `<dir>/batch<k>/`. A killed ensemble re-invoked with the same `dir`
+/// skips nothing it has not computed: each batch resumes
+/// bitwise-identically from its own newest valid checkpoint, so only the
+/// interrupted batch's tail and the batches never started are re-executed.
 pub fn run_ensemble_durable(
     backend: &Backend,
     cfg: &EnsembleConfig,
     dir: &Path,
     policy: CheckpointPolicy,
 ) -> Result<(EnsembleResult, Vec<DurableOutcome>), RunError> {
-    let cases_per_run = cfg.run.method.n_cases(cfg.run.r).max(1);
-    let n_runs = cfg.n_cases.div_ceil(cases_per_run);
-    let mut waveforms = Vec::with_capacity(cfg.n_cases);
-    let mut outcomes = Vec::with_capacity(n_runs);
-    for batch in 0..n_runs {
-        let mut rc = cfg.run.clone();
-        rc.n_steps = cfg.n_steps;
-        rc.record_surface = true;
-        rc.seed = cfg.seed + (batch * cases_per_run) as u64;
-        let store =
-            CheckpointStore::new(dir.join(format!("batch{batch}")), policy.keep).map_err(|e| {
-                RunError::Checkpoint {
+    run_batches(
+        backend,
+        cfg,
+        |batch, rc| {
+            let store = CheckpointStore::new(dir.join(format!("batch{batch}")), policy.keep)
+                .map_err(|e| RunError::Checkpoint {
                     message: format!("open store for batch {batch}: {e}"),
-                }
-            })?;
-        let out = run_durable(
-            backend,
-            &rc,
-            &mut StepTracer::new(),
-            &mut NoopFaults,
-            &store,
-            policy,
-        )?;
-        for w in &out.result.waveforms {
-            if waveforms.len() < cfg.n_cases {
-                waveforms.push(w.clone());
-            }
-        }
-        outcomes.push(out);
-    }
-    let coords = backend
-        .problem
-        .surface_nodes
-        .iter()
-        .map(|&n| backend.problem.model.mesh.coords[n as usize])
-        .collect();
-    Ok((
-        EnsembleResult {
-            surface_nodes: backend.problem.surface_nodes.clone(),
-            coords,
-            waveforms,
-            dt: backend.problem.newmark.dt,
+                })?;
+            run_durable(
+                backend,
+                rc,
+                &mut StepTracer::new(),
+                &mut NoopFaults,
+                &store,
+                policy,
+            )
         },
-        outcomes,
-    ))
+        |out| &out.result.waveforms,
+    )
 }
 
 /// Convenience: build a problem from a spec and run the ensemble.

@@ -9,14 +9,16 @@
 //! * [`backend`] — owns the FE problem; builds assembled-CRS and
 //!   matrix-free EBE operators plus the exact Newmark right-hand side,
 //! * [`methods`] — `CRS-CG@CPU`, `CRS-CG@GPU`, `CRS-CG@CPU-GPU`,
-//!   `EBE-MCG@CPU-GPU` drivers (Algorithms 2–4) with per-step records,
+//!   `EBE-MCG@CPU-GPU` (Algorithms 2–4) as four layouts of one resumable
+//!   step driver, with per-step records,
 //! * [`ensemble`] — many-case simulation + FDD dominant-frequency maps
 //!   (Fig. 1 application),
 //! * [`multinode`] — partitioned/distributed operators consistent with the
 //!   sequential ones (Fig. 2, Fig. 5),
 //! * [`checkpoint`] / [`durable`] — crash-consistent snapshots of the
-//!   EBE-MCG run state and the checkpoint-every-N / resume-from-latest
-//!   driver built on them (bitwise-identical replay after a crash),
+//!   step driver's run state (any method) and the checkpoint-every-N /
+//!   resume-from-latest driver built on them (bitwise-identical replay
+//!   after a crash),
 //! * [`recovery`] — the typed error ladder: retry failed solves with
 //!   progressively safer guesses, recording each [`recovery::RecoveryEvent`],
 //! * [`report`] — table/series formatting for the benchmark harnesses,

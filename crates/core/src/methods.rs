@@ -14,13 +14,43 @@
 //! timeline and energy come from the `hetsolve-machine` model, mirroring
 //! the overlap/synchronization/transfer structure of the paper's
 //! algorithms. Per-step records regenerate Tables 3–4 and Fig. 4.
+//!
+//! # One step driver
+//!
+//! Algorithms 2, 3 and 4 are one time-step loop at three layouts —
+//! 1 set × 1 case, 2 sets × 1 case, 2 sets × r cases — over an operator
+//! that is either the assembled matrix (`Width1(crs_a)`) or the
+//! matrix-free multi-vector product (`CompactEbe` at `r`). The loop exists
+//! once, as the resumable `RunState::step_once`; [`run`] and
+//! [`crate::durable::run_durable`] both advance every method through it,
+//! which is why any method can be checkpointed and resumed bitwise. A
+//! method is a `Layout`:
+//!
+//! | method | sets | lanes | operator view | solve lane | clock | schedule |
+//! |---|---|---|---|---|---|---|
+//! | `CRS-CG@CPU` | 1 | 1 | `Width1(crs_a)` | CPU (all cores) | serial | `Serial` |
+//! | `CRS-CG@GPU` | 1 | 1 | `Width1(crs_a)` | GPU | serial | `Serial` |
+//! | `CRS-CG@CPU-GPU` | 2 | 1 | `Width1(crs_a)` | GPU | overlapped | `ExchangePerStep` |
+//! | `EBE-MCG@CPU-GPU` | 2 | r | `CompactEbe` at r | GPU | overlapped | `ExchangePerSet` |
+//!
+//! What is *not* unified, because the algorithms differ there and the
+//! committed benchmark rows pin each bit (`tests/driver_unification.rs`):
+//! the `Schedule` (what is charged where, when the lanes sync, what is
+//! exchanged, and the `StepRecord` time formulas that follow from it); the
+//! shared adaptive window, which only the CRS pipeline clamps to case 0's
+//! history; and the ladder's `retry_ab` / `case_base`, which follow the
+//! operator view (a fused lane always has a distinct Adams-Bashforth rung
+//! and names its cases; a lane of one does neither). The two lanes of
+//! [`ModuleClock`] are independent accumulators, so within a set the order
+//! of the CPU and GPU charges is free.
 
-use hetsolve_fault::{FaultInjector, FaultLane, NoopFaults};
+use hetsolve_fault::{ExchangeFault, FaultInjector, FaultLane, NoopFaults};
 use hetsolve_fem::{CompactEbe, RandomLoadSpec};
 use hetsolve_machine::{EnergyReport, LaneKind, ModuleClock, NodeSpec};
 use hetsolve_obs::Json;
 use hetsolve_predictor::AdaptiveWindow;
-use hetsolve_sparse::{CgConfig, KernelCounts, Width1};
+use hetsolve_sparse::vecops::{extract_case, insert_case};
+use hetsolve_sparse::{Bcrs3, CgConfig, KernelCounts, MultiOperator, Width1};
 
 use crate::backend::{Backend, RhsScratch};
 use crate::integrity::{
@@ -82,24 +112,6 @@ fn check_basis_at(integ: &IntegrityConfig, step: usize) -> bool {
         && integ.basis_check_every > 0
         && step > 0
         && step.is_multiple_of(integ.basis_check_every)
-}
-
-/// Map a fault-plan lane onto the machine model's lane kind.
-fn lane_kind(lane: FaultLane) -> LaneKind {
-    match lane {
-        FaultLane::Cpu => LaneKind::Cpu,
-        FaultLane::Gpu => LaneKind::Gpu,
-    }
-}
-
-/// Modeled bytes an exchange moves after an injected exchange fault:
-/// `Drop` moves nothing, `Delay` occupies the link `factor`× longer.
-fn exchange_bytes<F: FaultInjector>(faults: &mut F, step: usize, set: usize, bytes: f64) -> f64 {
-    match faults.exchange_fault(step, set) {
-        Some(hetsolve_fault::ExchangeFault::Drop) => 0.0,
-        Some(hetsolve_fault::ExchangeFault::Delay { factor }) => bytes * factor,
-        None => bytes,
-    }
 }
 
 /// Which of the paper's methods to run.
@@ -248,45 +260,31 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    fn measured(&self, from: usize) -> impl Iterator<Item = &StepRecord> {
-        self.records.iter().filter(move |r| r.step >= from)
+    /// Mean of one record field over the measurement window.
+    fn mean_of(&self, from: usize, field: impl Fn(&StepRecord) -> f64) -> f64 {
+        let (mut s, mut n) = (0.0, 0);
+        for r in self.records.iter().filter(|r| r.step >= from) {
+            s += field(r);
+            n += 1;
+        }
+        s / n.max(1) as f64
     }
 
     /// Mean step time per case over the measurement window.
     pub fn mean_step_time(&self, from: usize) -> f64 {
-        let (mut s, mut n) = (0.0, 0);
-        for r in self.measured(from) {
-            s += r.step_time_per_case;
-            n += 1;
-        }
-        s / n.max(1) as f64
+        self.mean_of(from, |r| r.step_time_per_case)
     }
 
     pub fn mean_solver_time(&self, from: usize) -> f64 {
-        let (mut s, mut n) = (0.0, 0);
-        for r in self.measured(from) {
-            s += r.solver_time_per_case;
-            n += 1;
-        }
-        s / n.max(1) as f64
+        self.mean_of(from, |r| r.solver_time_per_case)
     }
 
     pub fn mean_predictor_time(&self, from: usize) -> f64 {
-        let (mut s, mut n) = (0.0, 0);
-        for r in self.measured(from) {
-            s += r.predictor_time_per_case;
-            n += 1;
-        }
-        s / n.max(1) as f64
+        self.mean_of(from, |r| r.predictor_time_per_case)
     }
 
     pub fn mean_iterations(&self, from: usize) -> f64 {
-        let (mut s, mut n) = (0.0, 0);
-        for r in self.measured(from) {
-            s += r.iterations;
-            n += 1;
-        }
-        s / n.max(1) as f64
+        self.mean_of(from, |r| r.iterations)
     }
 
     /// Energy per step per case over the whole run (J).
@@ -328,230 +326,260 @@ pub fn run_faulted<F: FaultInjector>(
     tracer: &mut StepTracer,
     faults: &mut F,
 ) -> Result<RunResult, RunError> {
-    if cfg.method != MethodKind::EbeMcgCpuGpu && !backend.has_crs() {
-        return Err(RunError::Config {
-            message: format!(
-                "method {} needs assembled matrices, but the backend was built \
-                 with `with_crs = false`",
-                cfg.method.label()
-            ),
-        });
+    let ctx = RunCtx::new(backend, cfg)?;
+    let mut st = RunState::new(backend, cfg);
+    tracer.begin_run(cfg.method.label(), cfg, ctx.sets());
+    tracer.attach_clock(&mut st.clock);
+    while st.step < cfg.n_steps {
+        st.step_once(backend, cfg, tracer, faults, &ctx)?;
     }
-    let n_sets = match cfg.method {
-        MethodKind::CrsCgCpu | MethodKind::CrsCgGpu => 1,
-        MethodKind::CrsCgCpuGpu | MethodKind::EbeMcgCpuGpu => 2,
-    };
-    tracer.begin_run(cfg.method.label(), cfg, n_sets);
-    let result = match cfg.method {
-        MethodKind::CrsCgCpu | MethodKind::CrsCgGpu => run_crs_single(backend, cfg, tracer, faults),
-        MethodKind::CrsCgCpuGpu => run_crs_pipelined(backend, cfg, tracer, faults),
-        MethodKind::EbeMcgCpuGpu => run_ebe_mcg(backend, cfg, tracer, faults),
-    }?;
+    let result = st.into_result(cfg);
     tracer.finish_run(&result, cfg.measure_from);
     Ok(result)
 }
 
-/// Algorithm 2: single case, single device, Adams-Bashforth predictor.
-fn run_crs_single<F: FaultInjector>(
-    backend: &Backend,
-    cfg: &RunConfig,
-    tracer: &mut StepTracer,
-    faults: &mut F,
-) -> Result<RunResult, RunError> {
-    let on_gpu = cfg.method == MethodKind::CrsCgGpu;
-    let n = backend.n_dofs();
-    let obs = backend.problem.surface_dofs_z();
-    let mut case = CaseSlot::new(
-        backend,
-        cfg,
-        0,
-        if cfg.record_surface { obs.len() } else { 0 },
-    );
-    let mut clock = ModuleClock::new(cfg.node.module, backend.problem_threads(cfg), false);
-    tracer.attach_clock(&mut clock);
-    let mut scratch = RhsScratch::new(n);
-    let cg_cfg = driver_cg_config(cfg.tol);
-    let mut records = Vec::with_capacity(cfg.n_steps);
-    let mut recoveries = Vec::new();
-    let mut corruptions = Vec::new();
-    let crs = backend.crs_a();
-    let a = Width1(crs);
-    let rhs_counts = backend.rhs_counts_crs();
-    let detect = cfg.integrity.detect;
-    let op_crc = operator_crc(OperatorPayload::Crs(crs));
-
-    for step in 0..cfg.n_steps {
-        boundary_guard(&mut case, faults, step, 0, detect, &mut corruptions);
-        if check_basis_at(&cfg.integrity, step) {
-            corruptions.extend(basis_sentinel(
-                &mut case,
-                step,
-                0,
-                cfg.integrity.basis_defect_tol,
-            ));
-        }
-        operator_guard(
-            OperatorPayload::Crs(crs),
-            op_crc,
-            faults,
-            step,
-            detect,
-            &mut corruptions,
-        )
-        .map_err(|t| RunError::Corruption {
-            step,
-            case: None,
-            target: t.label(),
-        })?;
-        // Adams-Bashforth only: window 0 leaves the guess at the AB one
-        let (ab_guess, _) = case.prepare_step(backend, &mut scratch, 0);
-        rhs_guard(
-            backend,
-            &mut case,
-            &mut scratch,
-            faults,
-            step,
-            0,
-            detect,
-            &mut corruptions,
-        );
-        let mut x = case.guess.clone();
-        let mut guess_faulted = false;
-        if let Some(vf) = faults.guess_fault(step, 0) {
-            vf.apply(&mut x);
-            guess_faulted = true;
-        }
-        let first_cfg = match faults.solver_fault(step, 0) {
-            Some(sf) => CgConfig {
-                max_iter: sf.max_iter.min(cg_cfg.max_iter),
-                ..cg_cfg
-            },
-            None => cg_cfg,
-        };
-        let before = recoveries.len();
-        // ladder on a lane of one: the first attempt starts from the
-        // (possibly corrupted) AB guess; only a corrupted guess makes the
-        // AB rung distinct.
-        let stats = solve_set_with_ladder(
-            &a,
-            &backend.precond,
-            &case.rhs,
-            &mut x,
-            std::slice::from_ref(&ab_guess),
-            &cg_cfg,
-            &first_cfg,
-            step,
-            0,
-            None,
-            guess_faulted,
-            &mut recoveries,
-        )?;
-        let iterations = stats.case_iterations[0];
-        // charge the device: RHS + predictor (3 vector passes) + solve
-        let total = rhs_counts
-            .merged(vector_counts(n, 4.0))
-            .merged(stats.counts);
-        let span_args = [("iterations", Json::from(iterations))];
-        let mut t = if on_gpu {
-            tracer.charge_gpu(&mut clock, 0, "rhs + CG solve", &total, &span_args)
-        } else {
-            tracer.charge_cpu(&mut clock, 0, "rhs + CG solve", &total, &span_args)
-        };
-        tracer.iterations_counter(clock.elapsed(), iterations as f64);
-        for ev in &recoveries[before..] {
-            tracer.recovery_event(clock.elapsed(), ev);
-        }
-        if let Some(lf) = faults.lane_fault(step, 0) {
-            t += tracer.charge_stall(&mut clock, 0, lane_kind(lf.lane), lf.seconds);
-        }
-        case.advance(backend, &x, &ab_guess, faults.snapshot_fault(step, 0));
-        if detect {
-            if let Some(field) = scrub_state(&case) {
-                return Err(RunError::Corruption {
-                    step,
-                    case: Some(0),
-                    target: CorruptTarget::State(field).label(),
-                });
-            }
-        }
-        if cfg.record_surface {
-            case.record_waveform(&obs);
-        }
-        records.push(StepRecord {
-            step,
-            step_time_per_case: t,
-            solver_time_per_case: t,
-            predictor_time_per_case: 0.0,
-            transfer_time: 0.0,
-            iterations: iterations as f64,
-            s_used: 0,
-            initial_rel_res: stats.initial_rel_res[0],
-        });
-    }
-
-    Ok(RunResult {
-        method: cfg.method,
-        n_cases: 1,
-        records,
-        energy: clock.report(),
-        waveforms: if cfg.record_surface {
-            vec![case.waveform]
-        } else {
-            Vec::new()
-        },
-        final_u: vec![case.time.u],
-        recoveries,
-        corruptions,
-    })
+/// The charge / sync / exchange schedule of one step: the part of
+/// Algorithms 2–4 that is per method rather than per layout, and that the
+/// `StepRecord` time formulas follow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Schedule {
+    /// Algorithm 2: one device does RHS, Adams-Bashforth and solve as one
+    /// merged charge; the lanes never sync and nothing is exchanged.
+    Serial,
+    /// Algorithm 4: predictor ‖ solve per case, then one sync and one
+    /// solution-down/guess-up exchange (`2n·8` bytes) per step.
+    ExchangePerStep,
+    /// Algorithm 3: predictors ‖ fused solve, with a sync and a `2nr·8`
+    /// byte exchange after each set.
+    ExchangePerSet,
 }
 
-/// Algorithm 4: 2 cases; data-driven predictor on CPU overlaps the CRS
-/// solve of the other case on GPU.
-fn run_crs_pipelined<F: FaultInjector>(
-    backend: &Backend,
-    cfg: &RunConfig,
-    tracer: &mut StepTracer,
-    faults: &mut F,
-) -> Result<RunResult, RunError> {
-    let n = backend.n_dofs();
-    let obs = backend.problem.surface_dofs_z();
-    let n_obs = if cfg.record_surface { obs.len() } else { 0 };
-    let mut cases: Vec<CaseSlot> = (0..2)
-        .map(|c| CaseSlot::new(backend, cfg, c, n_obs))
-        .collect();
-    let mut clock = ModuleClock::new(cfg.node.module, cfg.cpu_threads, true);
-    tracer.attach_clock(&mut clock);
-    let mut adaptive = AdaptiveWindow::new(1, cfg.s_max.max(1));
-    let mut scratch = RhsScratch::new(n);
-    let cg_cfg = driver_cg_config(cfg.tol);
-    let mut records = Vec::with_capacity(cfg.n_steps);
-    let mut recoveries = Vec::new();
-    let mut corruptions = Vec::new();
-    let crs = backend.crs_a();
-    let a = Width1(crs);
-    let rhs_counts = backend.rhs_counts_crs();
-    let detect = cfg.integrity.detect;
-    let op_crc = operator_crc(OperatorPayload::Crs(crs));
+/// How one method lays its cases out over the one step loop: what
+/// Algorithms 2, 3 and 4 set differently, as data.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    /// Process sets advanced per step.
+    sets: usize,
+    /// Cases fused into each set's solve (the operator view's width).
+    lanes: usize,
+    /// Modeled lane the RHS build and the solve are charged to.
+    solve_lane: LaneKind,
+    /// CPU threads of the modeled clock: all cores when the CPU solves,
+    /// the predictor's share otherwise.
+    cpu_threads: usize,
+    schedule: Schedule,
+}
 
-    for step in 0..cfg.n_steps {
-        operator_guard(
-            OperatorPayload::Crs(crs),
-            op_crc,
-            faults,
-            step,
-            detect,
-            &mut corruptions,
-        )
-        .map_err(|t| RunError::Corruption {
-            step,
-            case: None,
-            target: t.label(),
-        })?;
+impl Layout {
+    fn of(cfg: &RunConfig) -> Self {
+        use {LaneKind::*, Schedule::*};
+        let (sets, lanes, solve_lane, schedule) = match cfg.method {
+            MethodKind::CrsCgCpu => (1, 1, Cpu, Serial),
+            MethodKind::CrsCgGpu => (1, 1, Gpu, Serial),
+            MethodKind::CrsCgCpuGpu => (2, 1, Gpu, ExchangePerStep),
+            MethodKind::EbeMcgCpuGpu => (2, cfg.r, Gpu, ExchangePerSet),
+        };
+        let cpu_threads = match solve_lane {
+            Cpu => cfg.node.module.cpu.n_cores,
+            _ => cfg.cpu_threads,
+        };
+        Layout {
+            sets,
+            lanes,
+            solve_lane,
+            cpu_threads,
+            schedule,
+        }
+    }
+}
+
+/// The system operator as the one (multi-RHS) solver sees it.
+enum OpView<'a> {
+    /// The assembled matrix at fused width 1 (Algorithms 2 and 4).
+    Crs(Width1<'a, Bcrs3>),
+    /// The matrix-free compact EBE kernel at width `r` (Algorithm 3).
+    Ebe(CompactEbe<'a>),
+}
+
+impl MultiOperator for OpView<'_> {
+    fn n(&self) -> usize {
+        match self {
+            OpView::Crs(a) => a.n(),
+            OpView::Ebe(a) => a.n(),
+        }
+    }
+
+    fn r(&self) -> usize {
+        match self {
+            OpView::Crs(a) => a.r(),
+            OpView::Ebe(a) => a.r(),
+        }
+    }
+
+    fn apply_multi(&self, x: &[f64], y: &mut [f64]) {
+        match self {
+            OpView::Crs(a) => a.apply_multi(x, y),
+            OpView::Ebe(a) => a.apply_multi(x, y),
+        }
+    }
+
+    fn counts(&self) -> KernelCounts {
+        match self {
+            OpView::Crs(a) => a.counts(),
+            OpView::Ebe(a) => a.counts(),
+        }
+    }
+}
+
+/// Immutable per-run context of the step driver: the method's layout, the
+/// operator view and kernel costs borrowed from the backend, the CG
+/// settings, and the observation DOFs. Rebuilt identically from
+/// `(backend, cfg)` on every (re)start, so none of it belongs in a
+/// checkpoint.
+pub(crate) struct RunCtx<'a> {
+    layout: Layout,
+    op: OpView<'a>,
+    /// What the per-step ABFT audit checksums, and its construction-time
+    /// reference value.
+    payload: OperatorPayload<'a>,
+    op_crc: u32,
+    rhs_counts: KernelCounts,
+    cg_cfg: CgConfig,
+    obs: Vec<usize>,
+}
+
+impl<'a> RunCtx<'a> {
+    /// Typed [`RunError::Config`] when the method needs assembled matrices
+    /// the backend was built without.
+    pub(crate) fn new(backend: &'a Backend, cfg: &RunConfig) -> Result<Self, RunError> {
+        let layout = Layout::of(cfg);
+        let (op, payload, rhs_counts) = if cfg.method == MethodKind::EbeMcgCpuGpu {
+            (
+                OpView::Ebe(backend.ebe_a(cfg.r)),
+                OperatorPayload::Ebe(&backend.compact),
+                backend.rhs_counts_ebe(cfg.r),
+            )
+        } else if backend.has_crs() {
+            let crs = backend.crs_a();
+            (
+                OpView::Crs(Width1(crs)),
+                OperatorPayload::Crs(crs),
+                backend.rhs_counts_crs(),
+            )
+        } else {
+            return Err(RunError::Config {
+                message: format!(
+                    "method {} needs assembled matrices, but the backend was built \
+                     with `with_crs = false`",
+                    cfg.method.label()
+                ),
+            });
+        };
+        Ok(RunCtx {
+            layout,
+            op,
+            payload,
+            op_crc: operator_crc(payload),
+            rhs_counts,
+            cg_cfg: driver_cg_config(cfg.tol),
+            obs: backend.problem.surface_dofs_z(),
+        })
+    }
+
+    /// Process sets the method advances per step (trace rows).
+    pub(crate) fn sets(&self) -> usize {
+        self.layout.sets
+    }
+}
+
+/// Mutable state of a run at a step boundary — exactly what a
+/// crash-consistent checkpoint must persist. The `scratch`/`f_multi`/
+/// `x_multi` buffers are excluded on purpose: every step fully rewrites
+/// them before reading, so a resumed run is bitwise-identical without
+/// them. Both the uninterrupted driver ([`run_faulted`]) and the durable
+/// driver ([`crate::durable::run_durable`]) advance every method through
+/// the same [`RunState::step_once`], which is what makes the
+/// replay-determinism claim structural rather than coincidental.
+pub(crate) struct RunState {
+    pub(crate) cases: Vec<CaseSlot>,
+    pub(crate) clock: ModuleClock,
+    pub(crate) adaptive: AdaptiveWindow,
+    pub(crate) records: Vec<StepRecord>,
+    pub(crate) recoveries: Vec<RecoveryEvent>,
+    pub(crate) corruptions: Vec<CorruptionReport>,
+    /// Next step boundary to execute (`records.len()` on a healthy run).
+    pub(crate) step: usize,
+    scratch: RhsScratch,
+    f_multi: Vec<f64>,
+    x_multi: Vec<f64>,
+}
+
+impl RunState {
+    pub(crate) fn new(backend: &Backend, cfg: &RunConfig) -> Self {
+        let n = backend.n_dofs();
+        let layout = Layout::of(cfg);
+        let n_obs = if cfg.record_surface {
+            backend.problem.surface_dofs_z().len()
+        } else {
+            0
+        };
+        RunState {
+            cases: (0..layout.sets * layout.lanes)
+                .map(|c| CaseSlot::new(backend, cfg, c, n_obs))
+                .collect(),
+            clock: ModuleClock::new(
+                cfg.node.module,
+                layout.cpu_threads,
+                layout.schedule != Schedule::Serial,
+            ),
+            adaptive: AdaptiveWindow::new(1, cfg.s_max.max(1)),
+            records: Vec::with_capacity(cfg.n_steps),
+            recoveries: Vec::new(),
+            corruptions: Vec::new(),
+            step: 0,
+            scratch: RhsScratch::new(n),
+            f_multi: vec![0.0; n * layout.lanes],
+            x_multi: vec![0.0; n * layout.lanes],
+        }
+    }
+
+    /// Execute one step boundary of any method: per set, the predictors
+    /// (CPU lane), the fused solve (the layout's solve lane) and the
+    /// advance; then sync, exchange and window adaptation as the method's
+    /// [`Schedule`] says.
+    pub(crate) fn step_once<F: FaultInjector>(
+        &mut self,
+        backend: &Backend,
+        cfg: &RunConfig,
+        tracer: &mut StepTracer,
+        faults: &mut F,
+        ctx: &RunCtx<'_>,
+    ) -> Result<(), RunError> {
+        let n = backend.n_dofs();
+        let Layout {
+            sets,
+            lanes,
+            solve_lane,
+            schedule,
+            ..
+        } = ctx.layout;
+        let n_cases = (sets * lanes) as f64;
+        let step = self.step;
+        let detect = cfg.integrity.detect;
+        let matrix_free = matches!(ctx.op, OpView::Ebe(_));
         // Adaptive shares one window across cases; FullWindow is
-        // case-local (clamped to each case's own history below).
-        let s_shared = match cfg.window {
-            WindowPolicy::Adaptive => Some(adaptive.current().min(cases[0].dd.available_s())),
-            WindowPolicy::FullWindow => None,
+        // case-local (clamped to each case's own history below). The
+        // Adams-Bashforth-only methods run every case at window 0. The
+        // CRS pipeline clamps the shared window to case 0's history; the
+        // EBE one leaves that to the predictor, which declines (window 0)
+        // while the history is shorter — the two differ in early steps.
+        let s_shared = match (schedule, cfg.window) {
+            (Schedule::Serial, _) => Some(0),
+            (_, WindowPolicy::FullWindow) => None,
+            (Schedule::ExchangePerStep, WindowPolicy::Adaptive) => {
+                Some(self.adaptive.current().min(self.cases[0].available_s()))
+            }
+            (Schedule::ExchangePerSet, WindowPolicy::Adaptive) => Some(self.adaptive.current()),
         };
         let mut iter_sum = 0.0;
         let mut res_sum = 0.0;
@@ -566,259 +594,10 @@ fn run_crs_pipelined<F: FaultInjector>(
         let mut stall_solver = 0.0;
         let mut stall_pred = 0.0;
         let mut history_poisoned = false;
-        for (set, case) in cases.iter_mut().enumerate() {
-            boundary_guard(case, faults, step, set, detect, &mut corruptions);
-            if check_basis_at(&cfg.integrity, step) {
-                corruptions.extend(basis_sentinel(
-                    case,
-                    step,
-                    set,
-                    cfg.integrity.basis_defect_tol,
-                ));
-            }
-            let s = s_shared.unwrap_or_else(|| cfg.s_max.max(1).min(case.dd.available_s()));
-            let (ab_guess, su) = case.prepare_step(backend, &mut scratch, s);
-            s_used = su;
-            rhs_guard(
-                backend,
-                case,
-                &mut scratch,
-                faults,
-                step,
-                set,
-                detect,
-                &mut corruptions,
-            );
-            let mut x = case.guess.clone();
-            let mut guess_faulted = false;
-            if let Some(vf) = faults.guess_fault(step, set) {
-                vf.apply(&mut x);
-                guess_faulted = true;
-            }
-            let first_cfg = match faults.solver_fault(step, set) {
-                Some(sf) => CgConfig {
-                    max_iter: sf.max_iter.min(cg_cfg.max_iter),
-                    ..cg_cfg
-                },
-                None => cg_cfg,
-            };
-            let before = recoveries.len();
-            // ladder on a lane of one: the AB rung is distinct whenever the
-            // first attempt started from a data-driven guess (s_used > 0)
-            // or a corrupted one
-            let stats = solve_set_with_ladder(
-                &a,
-                &backend.precond,
-                &case.rhs,
-                &mut x,
-                std::slice::from_ref(&ab_guess),
-                &cg_cfg,
-                &first_cfg,
-                step,
-                set,
-                None,
-                s_used > 0 || guess_faulted,
-                &mut recoveries,
-            )?;
-            let iterations = stats.case_iterations[0];
-            iter_sum += iterations as f64;
-            res_sum += stats.initial_rel_res[0];
-            // GPU lane: RHS + solve; CPU lane: predictor
-            let gpu = rhs_counts.merged(stats.counts);
-            solver_t += tracer.charge_gpu(
-                &mut clock,
-                set,
-                "rhs + CG solve",
-                &gpu,
-                &[("iterations", Json::from(iterations))],
-            );
-            pred_t += tracer.charge_cpu(
-                &mut clock,
-                set,
-                "predictor",
-                &case.dd.cost(s_used.max(1)),
-                &[("s", Json::from(s_used))],
-            );
-            for ev in &recoveries[before..] {
-                tracer.recovery_event(clock.elapsed(), ev);
-            }
-            if let Some(lf) = faults.lane_fault(step, set) {
-                let stall = tracer.charge_stall(&mut clock, set, lane_kind(lf.lane), lf.seconds);
-                match lf.lane {
-                    FaultLane::Cpu => stall_pred += stall,
-                    FaultLane::Gpu => stall_solver += stall,
-                }
-            }
-            if !case.advance(backend, &x, &ab_guess, faults.snapshot_fault(step, set)) {
-                history_poisoned = true;
-            }
-            if detect {
-                if let Some(field) = scrub_state(case) {
-                    return Err(RunError::Corruption {
-                        step,
-                        case: Some(set),
-                        target: CorruptTarget::State(field).label(),
-                    });
-                }
-            }
-            if cfg.record_surface {
-                case.record_waveform(&obs);
-            }
-        }
-        if history_poisoned {
-            adaptive.reset_window();
-        }
-        clock.sync();
-        // exchange: one solution down, one guess up, per process pair
-        let bytes = exchange_bytes(faults, step, 0, 2.0 * n as f64 * 8.0);
-        let xfer = if bytes > 0.0 {
-            tracer.charge_transfer(&mut clock, 0, "exchange", bytes)
-        } else {
-            0.0 // dropped exchange: nothing crosses the link
-        };
-        if cfg.window == WindowPolicy::Adaptive {
-            let decision = adaptive.observe_logged(s_used.max(1), pred_t / 2.0, solver_t / 2.0);
-            tracer.window_decision(step, clock.elapsed(), &decision);
-        }
-        tracer.iterations_counter(clock.elapsed(), iter_sum / 2.0);
-        records.push(StepRecord {
-            step,
-            step_time_per_case: (solver_t + stall_solver).max(pred_t + stall_pred) / 2.0 + xfer,
-            solver_time_per_case: (solver_t + stall_solver) / 2.0,
-            predictor_time_per_case: (pred_t + stall_pred) / 2.0,
-            transfer_time: xfer,
-            iterations: iter_sum / 2.0,
-            s_used,
-            initial_rel_res: res_sum / 2.0,
-        });
-    }
-
-    Ok(finish(cfg, cases, records, clock, recoveries, corruptions))
-}
-
-/// Algorithm 3 (the proposal): 2 sets × r cases, matrix-free multi-RHS CG
-/// on the GPU overlapped with the predictors of the other set on the CPU.
-fn run_ebe_mcg<F: FaultInjector>(
-    backend: &Backend,
-    cfg: &RunConfig,
-    tracer: &mut StepTracer,
-    faults: &mut F,
-) -> Result<RunResult, RunError> {
-    let ctx = EbeRunCtx::new(backend, cfg);
-    let mut st = EbeRunState::new(backend, cfg);
-    tracer.attach_clock(&mut st.clock);
-    while st.step < cfg.n_steps {
-        st.step_once(backend, cfg, tracer, faults, &ctx)?;
-    }
-    Ok(st.into_result(cfg))
-}
-
-/// Immutable per-run context of the EBE-MCG driver: the matrix-free
-/// operator and kernel costs borrowed from the backend, the CG settings,
-/// and the observation DOFs. Rebuilt identically from `(backend, cfg)` on
-/// every (re)start, so none of it belongs in a checkpoint.
-pub(crate) struct EbeRunCtx<'a> {
-    op: CompactEbe<'a>,
-    rhs_counts: KernelCounts,
-    cg_cfg: CgConfig,
-    obs: Vec<usize>,
-    /// Construction-time ABFT checksum of the EBE operator payload,
-    /// re-verified at every step boundary.
-    op_crc: u32,
-}
-
-impl<'a> EbeRunCtx<'a> {
-    pub(crate) fn new(backend: &'a Backend, cfg: &RunConfig) -> Self {
-        EbeRunCtx {
-            op: backend.ebe_a(cfg.r),
-            rhs_counts: backend.rhs_counts_ebe(cfg.r),
-            cg_cfg: driver_cg_config(cfg.tol),
-            obs: backend.problem.surface_dofs_z(),
-            op_crc: operator_crc(OperatorPayload::Ebe(&backend.compact)),
-        }
-    }
-}
-
-/// Mutable state of an EBE-MCG run at a step boundary — exactly what a
-/// crash-consistent checkpoint must persist. The `scratch`/`f_multi`/
-/// `x_multi` buffers are excluded on purpose: every step fully rewrites
-/// them before reading, so a resumed run is bitwise-identical without
-/// them. Both the uninterrupted driver ([`run_ebe_mcg`]) and the durable
-/// driver ([`crate::durable::run_durable`]) advance through the same
-/// [`EbeRunState::step_once`], which is what makes the replay-determinism
-/// claim structural rather than coincidental.
-pub(crate) struct EbeRunState {
-    pub(crate) cases: Vec<CaseSlot>,
-    pub(crate) clock: ModuleClock,
-    pub(crate) adaptive: AdaptiveWindow,
-    pub(crate) records: Vec<StepRecord>,
-    pub(crate) recoveries: Vec<RecoveryEvent>,
-    pub(crate) corruptions: Vec<CorruptionReport>,
-    /// Next step boundary to execute (`records.len()` on a healthy run).
-    pub(crate) step: usize,
-    scratch: RhsScratch,
-    f_multi: Vec<f64>,
-    x_multi: Vec<f64>,
-}
-
-impl EbeRunState {
-    pub(crate) fn new(backend: &Backend, cfg: &RunConfig) -> Self {
-        let n = backend.n_dofs();
-        let r = cfg.r;
-        let n_cases = 2 * r;
-        let n_obs = if cfg.record_surface {
-            backend.problem.surface_dofs_z().len()
-        } else {
-            0
-        };
-        EbeRunState {
-            cases: (0..n_cases)
-                .map(|c| CaseSlot::new(backend, cfg, c, n_obs))
-                .collect(),
-            clock: ModuleClock::new(cfg.node.module, cfg.cpu_threads, true),
-            adaptive: AdaptiveWindow::new(1, cfg.s_max.max(1)),
-            records: Vec::with_capacity(cfg.n_steps),
-            recoveries: Vec::new(),
-            corruptions: Vec::new(),
-            step: 0,
-            scratch: RhsScratch::new(n),
-            f_multi: vec![0.0; n * r],
-            x_multi: vec![0.0; n * r],
-        }
-    }
-
-    /// Execute one step boundary: predictors on the CPU lane, the fused
-    /// multi-RHS solve on the GPU lane, advance, sync, exchange, adapt.
-    pub(crate) fn step_once<F: FaultInjector>(
-        &mut self,
-        backend: &Backend,
-        cfg: &RunConfig,
-        tracer: &mut StepTracer,
-        faults: &mut F,
-        ctx: &EbeRunCtx<'_>,
-    ) -> Result<(), RunError> {
-        let n = backend.n_dofs();
-        let r = cfg.r;
-        let n_cases = 2 * r;
-        let step = self.step;
-        let s_shared = match cfg.window {
-            WindowPolicy::Adaptive => Some(self.adaptive.current()),
-            WindowPolicy::FullWindow => None,
-        };
-        let mut iter_sum = 0.0;
-        let mut res_sum = 0.0;
-        let mut s_used = 0;
-        let mut solver_t = 0.0;
-        let mut pred_t = 0.0;
-        // stalls stay out of the adaptive controller's inputs (see the
-        // pipelined driver): report the jitter, don't steer on it
-        let mut stall_solver = 0.0;
-        let mut stall_pred = 0.0;
-        let mut history_poisoned = false;
-        let detect = cfg.integrity.detect;
+        let mut xfer = 0.0;
 
         operator_guard(
-            OperatorPayload::Ebe(&backend.compact),
+            ctx.payload,
             ctx.op_crc,
             faults,
             step,
@@ -831,10 +610,11 @@ impl EbeRunState {
             target: t.label(),
         })?;
 
-        for set in 0..2 {
-            let set_cases = set * r..(set + 1) * r;
+        for set in 0..sets {
+            let set_cases = set * lanes..(set + 1) * lanes;
             // predictors (CPU lane)
-            let mut ab_guesses: Vec<Vec<f64>> = Vec::with_capacity(r);
+            let mut ab_guesses: Vec<Vec<f64>> = Vec::with_capacity(lanes);
+            let mut guess_faulted = false;
             for c in set_cases.clone() {
                 let case = &mut self.cases[c];
                 boundary_guard(case, faults, step, c, detect, &mut self.corruptions);
@@ -862,19 +642,22 @@ impl EbeRunState {
                 s_used = su;
                 if let Some(vf) = faults.guess_fault(step, c) {
                     vf.apply(&mut case.guess);
+                    guess_faulted = true;
                 }
-                pred_t += tracer.charge_cpu(
-                    &mut self.clock,
-                    set,
-                    "predictor",
-                    &case.dd.cost(s_used.max(1)),
-                    &[("case", Json::from(c)), ("s", Json::from(s_used))],
-                );
+                if schedule != Schedule::Serial {
+                    pred_t += tracer.charge_cpu(
+                        &mut self.clock,
+                        set,
+                        "predictor",
+                        &case.dd.cost(s_used.max(1)),
+                        &[("case", Json::from(c)), ("s", Json::from(s_used))],
+                    );
+                }
             }
-            // fused solve (GPU lane)
+            // fused solve (the layout's solve lane)
             for (k, c) in set_cases.clone().enumerate() {
-                hetsolve_sparse::vecops::insert_case(&mut self.f_multi, r, k, &self.cases[c].rhs);
-                hetsolve_sparse::vecops::insert_case(&mut self.x_multi, r, k, &self.cases[c].guess);
+                insert_case(&mut self.f_multi, lanes, k, &self.cases[c].rhs);
+                insert_case(&mut self.x_multi, lanes, k, &self.cases[c].guess);
             }
             let first_cfg = match faults.solver_fault(step, set) {
                 Some(sf) => CgConfig {
@@ -884,6 +667,11 @@ impl EbeRunState {
                 None => ctx.cg_cfg,
             };
             let before = self.recoveries.len();
+            // The Adams-Bashforth rung is always distinct on a fused lane;
+            // on a lane of one only when the first attempt started from a
+            // data-driven or a corrupted guess. Fused lanes name their
+            // cases in events and errors; a lane of one is laneless
+            // (`case: None`).
             let stats = solve_set_with_ladder(
                 &ctx.op,
                 &backend.precond,
@@ -894,34 +682,44 @@ impl EbeRunState {
                 &first_cfg,
                 step,
                 set,
-                Some(set * r),
-                true,
+                matrix_free.then_some(set * lanes),
+                matrix_free || s_used > 0 || guess_faulted,
                 &mut self.recoveries,
             )?;
-            solver_t += tracer.charge_gpu(
-                &mut self.clock,
-                set,
-                "rhs + MCG solve",
-                &ctx.rhs_counts.merged(stats.counts),
-                &[
-                    ("r", Json::from(r)),
-                    ("fused_iterations", Json::from(stats.fused_iterations)),
-                ],
-            );
+            // the serial schedule charges RHS + Adams-Bashforth (4 vector
+            // passes) + solve as one kernel; the pipelined ones charged
+            // their predictors above
+            let mut work = ctx.rhs_counts;
+            if schedule == Schedule::Serial {
+                work = work.merged(vector_counts(n, 4.0));
+            }
+            let work = work.merged(stats.counts);
+            let name = if matrix_free {
+                "rhs + MCG solve"
+            } else {
+                "rhs + CG solve"
+            };
+            let args = [
+                ("r", Json::from(lanes)),
+                ("fused_iterations", Json::from(stats.fused_iterations)),
+            ];
+            solver_t += match solve_lane {
+                LaneKind::Cpu => tracer.charge_cpu(&mut self.clock, set, name, &work, &args),
+                _ => tracer.charge_gpu(&mut self.clock, set, name, &work, &args),
+            };
             for ev in &self.recoveries[before..] {
                 tracer.recovery_event(self.clock.elapsed(), ev);
             }
             if let Some(lf) = faults.lane_fault(step, set) {
-                let stall =
-                    tracer.charge_stall(&mut self.clock, set, lane_kind(lf.lane), lf.seconds);
-                match lf.lane {
-                    FaultLane::Cpu => stall_pred += stall,
-                    FaultLane::Gpu => stall_solver += stall,
-                }
+                let (lane, stalled) = match lf.lane {
+                    FaultLane::Cpu => (LaneKind::Cpu, &mut stall_pred),
+                    FaultLane::Gpu => (LaneKind::Gpu, &mut stall_solver),
+                };
+                *stalled += tracer.charge_stall(&mut self.clock, set, lane, lf.seconds);
             }
+            let mut x = vec![0.0; n];
             for (k, c) in set_cases.clone().enumerate() {
-                let mut x = vec![0.0; n];
-                hetsolve_sparse::vecops::extract_case(&self.x_multi, r, k, &mut x);
+                extract_case(&self.x_multi, lanes, k, &mut x);
                 iter_sum += stats.case_iterations[k] as f64;
                 res_sum += stats.initial_rel_res[k];
                 if !self.cases[c].advance(
@@ -945,35 +743,53 @@ impl EbeRunState {
                     self.cases[c].record_waveform(&ctx.obs);
                 }
             }
-            // sync + exchange predictions/solutions between the processes
-            self.clock.sync();
-            let bytes = exchange_bytes(faults, step, set, 2.0 * (n * r) as f64 * 8.0);
-            if bytes > 0.0 {
-                let _ = tracer.charge_transfer(&mut self.clock, set, "exchange", bytes);
+            if schedule == Schedule::ExchangePerSet {
+                // predictions/solutions between the processes; the record
+                // carries the analytic link time instead (below)
+                let bytes = 2.0 * (n * lanes) as f64 * 8.0;
+                sync_and_exchange(&mut self.clock, tracer, faults, step, set, bytes);
             }
         }
         if history_poisoned {
             self.adaptive.reset_window();
         }
-        self.clock.sync();
-        let xfer = 0.0; // transfers already charged inside the set loop
-        if cfg.window == WindowPolicy::Adaptive {
+        if schedule == Schedule::ExchangePerStep {
+            // one solution down, one guess up, per process pair
+            let bytes = 2.0 * n as f64 * 8.0;
+            xfer = sync_and_exchange(&mut self.clock, tracer, faults, step, 0, bytes);
+        }
+        if schedule != Schedule::Serial && cfg.window == WindowPolicy::Adaptive {
             let decision =
                 self.adaptive
                     .observe_logged(s_used.max(1), pred_t / 2.0, solver_t / 2.0);
             tracer.window_decision(step, self.clock.elapsed(), &decision);
         }
-        tracer.iterations_counter(self.clock.elapsed(), iter_sum / n_cases as f64);
+        tracer.iterations_counter(self.clock.elapsed(), iter_sum / n_cases);
+        let (solver, pred) = (solver_t + stall_solver, pred_t + stall_pred);
+        let (step_time, solver_time, predictor_time) = match schedule {
+            // one device: every stall, on either lane, delays the step
+            Schedule::Serial => (solver + stall_pred, solver + stall_pred, 0.0),
+            Schedule::ExchangePerStep => (
+                solver.max(pred) / n_cases + xfer,
+                solver / n_cases,
+                pred / n_cases,
+            ),
+            Schedule::ExchangePerSet => (
+                solver.max(pred) / n_cases
+                    + 2.0 * (2.0 * (n * lanes) as f64 * 8.0 / cfg.node.module.link.bw) / n_cases,
+                solver / n_cases,
+                pred / n_cases,
+            ),
+        };
         self.records.push(StepRecord {
             step,
-            step_time_per_case: (solver_t + stall_solver).max(pred_t + stall_pred) / n_cases as f64
-                + 2.0 * (2.0 * (n * r) as f64 * 8.0 / cfg.node.module.link.bw) / n_cases as f64,
-            solver_time_per_case: (solver_t + stall_solver) / n_cases as f64,
-            predictor_time_per_case: (pred_t + stall_pred) / n_cases as f64,
+            step_time_per_case: step_time,
+            solver_time_per_case: solver_time,
+            predictor_time_per_case: predictor_time,
             transfer_time: xfer,
-            iterations: iter_sum / n_cases as f64,
+            iterations: iter_sum / n_cases,
             s_used,
-            initial_rel_res: res_sum / n_cases as f64,
+            initial_rel_res: res_sum / n_cases,
         });
         self.step += 1;
         tracer.step_completed(self.clock.elapsed());
@@ -981,43 +797,49 @@ impl EbeRunState {
     }
 
     pub(crate) fn into_result(self, cfg: &RunConfig) -> RunResult {
-        finish(
-            cfg,
-            self.cases,
-            self.records,
-            self.clock,
-            self.recoveries,
-            self.corruptions,
-        )
+        let n_cases = self.cases.len();
+        let mut waveforms = Vec::new();
+        let mut final_u = Vec::new();
+        for case in self.cases {
+            if cfg.record_surface {
+                waveforms.push(case.waveform);
+            }
+            final_u.push(case.time.u);
+        }
+        RunResult {
+            method: cfg.method,
+            n_cases,
+            records: self.records,
+            energy: self.clock.report(),
+            waveforms,
+            final_u,
+            recoveries: self.recoveries,
+            corruptions: self.corruptions,
+        }
     }
 }
 
-fn finish(
-    cfg: &RunConfig,
-    cases: Vec<CaseSlot>,
-    records: Vec<StepRecord>,
-    clock: ModuleClock,
-    recoveries: Vec<RecoveryEvent>,
-    corruptions: Vec<CorruptionReport>,
-) -> RunResult {
-    let n_cases = cases.len();
-    let mut waveforms = Vec::new();
-    let mut final_u = Vec::new();
-    for case in cases {
-        if cfg.record_surface {
-            waveforms.push(case.waveform);
-        }
-        final_u.push(case.time.u);
-    }
-    RunResult {
-        method: cfg.method,
-        n_cases,
-        records,
-        energy: clock.report(),
-        waveforms,
-        final_u,
-        recoveries,
-        corruptions,
+/// Barrier, then the CPU↔GPU exchange of `bytes` keyed `(step, set)` for
+/// the fault plan. Returns the modeled transfer time (0 when an injected
+/// fault dropped the exchange: nothing crosses the link).
+fn sync_and_exchange<F: FaultInjector>(
+    clock: &mut ModuleClock,
+    tracer: &mut StepTracer,
+    faults: &mut F,
+    step: usize,
+    set: usize,
+    bytes: f64,
+) -> f64 {
+    clock.sync();
+    let bytes = match faults.exchange_fault(step, set) {
+        Some(ExchangeFault::Drop) => 0.0,
+        Some(ExchangeFault::Delay { factor }) => bytes * factor,
+        None => bytes,
+    };
+    if bytes > 0.0 {
+        tracer.charge_transfer(clock, set, "exchange", bytes)
+    } else {
+        0.0
     }
 }
 
@@ -1029,17 +851,6 @@ fn vector_counts(n: usize, passes: f64) -> KernelCounts {
         bytes_rand: 0.0,
         rand_transactions: 0.0,
         rhs_fused: 1,
-    }
-}
-
-impl Backend {
-    /// Threads used by non-pipelined methods: all CPU cores for @CPU,
-    /// a service thread's worth for @GPU.
-    fn problem_threads(&self, cfg: &RunConfig) -> usize {
-        match cfg.method {
-            MethodKind::CrsCgCpu => cfg.node.module.cpu.n_cores,
-            _ => cfg.cpu_threads,
-        }
     }
 }
 

@@ -14,21 +14,21 @@
 //!
 //! Numerics are identical to [`crate::methods::run`] with
 //! `EBE-MCG@CPU-GPU` (verified by tests); only the execution medium
-//! differs.
+//! differs. The per-case state is the same [`CaseSlot`] every other driver
+//! steps (`prepare_step` on the predictor thread, `advance` on the solver
+//! thread); what is this module's own is the two-thread phase schedule and
+//! the [`RealtimeReport`].
 
 use hetsolve_fault::{FaultInjector, NoopFaults, VectorFault};
-use hetsolve_fem::{RandomLoad, TimeState};
 use hetsolve_machine::{SystemClock, WallClock};
-use hetsolve_predictor::{AdamsState, DataDrivenPredictor};
 use hetsolve_sparse::vecops::{extract_case, insert_case};
 use hetsolve_sparse::{CgConfig, SolveError};
 use parking_lot::Mutex;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 use crate::backend::{Backend, RhsScratch};
 use crate::methods::{driver_cg_config, RunConfig};
 use crate::recovery::{solve_set_with_ladder, RecoveryEvent, RunError};
+use crate::slot::CaseSlot;
 use crate::trace::{StepTracer, TID_CPU, TID_GPU};
 
 /// Wall-clock accounting of the real pipelined run.
@@ -85,131 +85,67 @@ impl PhaseFaults {
     }
 }
 
-/// One pipelined set: its cases' state.
-struct SetState {
-    time: Vec<TimeState>,
-    loads: Vec<RandomLoad>,
-    adams: Vec<AdamsState>,
-    dd: Vec<DataDrivenPredictor>,
-    /// Prepared initial guesses for the *next* solve of this set.
-    guesses: Vec<Vec<f64>>,
-    ab_guesses: Vec<Vec<f64>>,
-    rhs: Vec<Vec<f64>>,
+/// One pipelined set: its case slots, and the Adams-Bashforth guesses its
+/// predictor phase hands to its solver phase.
+type PipeSet = (Vec<CaseSlot>, Vec<Vec<f64>>);
+
+/// Predictor phase of one set: [`CaseSlot::prepare_step`] every case with
+/// window `s` (RHS + initial guess for the slot's own next step), keeping
+/// the Adams-Bashforth guesses for the solve phase.
+fn predict_set(backend: &Backend, (cases, ab_guesses): &mut PipeSet, s: usize) {
+    let mut scratch = RhsScratch::new(backend.n_dofs());
+    ab_guesses.clear();
+    for case in cases {
+        ab_guesses.push(case.prepare_step(backend, &mut scratch, s).0);
+    }
 }
 
-impl SetState {
-    fn new(backend: &Backend, cfg: &RunConfig, case_base: usize) -> Self {
-        let n = backend.n_dofs();
-        let r = cfg.r;
-        let mut loads = Vec::with_capacity(r);
-        for c in 0..r {
-            let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed + (case_base + c) as u64);
-            loads.push(RandomLoad::generate(
-                &cfg.load,
-                &backend.problem.surface_nodes,
-                cfg.n_steps,
-                &mut rng,
-            ));
+/// Solver phase of one set: fused MCG solve (with recovery ladder) +
+/// [`CaseSlot::advance`]. Returns the set's recovery events.
+fn solve_set(
+    backend: &Backend,
+    cfg: &RunConfig,
+    (cases, ab_guesses): &mut PipeSet,
+    step: usize,
+    set: usize,
+    ph: &PhaseFaults,
+) -> Result<Vec<RecoveryEvent>, SolveError> {
+    let n = backend.n_dofs();
+    let r = cfg.r;
+    let op = backend.ebe_a(r);
+    let mut f_multi = vec![0.0; n * r];
+    let mut x_multi = vec![0.0; n * r];
+    for (c, case) in cases.iter_mut().enumerate() {
+        if let Some(vf) = ph.guess[c] {
+            vf.apply(&mut case.guess);
         }
-        SetState {
-            time: (0..r).map(|_| TimeState::zeros(n)).collect(),
-            loads,
-            adams: (0..r).map(|_| AdamsState::new()).collect(),
-            dd: (0..r)
-                .map(|_| DataDrivenPredictor::new(n, cfg.region_dofs.max(3), cfg.s_max.max(1)))
-                .collect(),
-            guesses: vec![vec![0.0; n]; r],
-            ab_guesses: vec![vec![0.0; n]; r],
-            rhs: vec![vec![0.0; n]; r],
-        }
+        insert_case(&mut f_multi, r, c, &case.rhs);
+        insert_case(&mut x_multi, r, c, &case.guess);
     }
-
-    /// Predictor phase for step `it`: build RHS + initial guesses.
-    fn predict(&mut self, backend: &Backend, it: usize, s: usize) {
-        let n = backend.n_dofs();
-        let dt = backend.problem.newmark.dt;
-        let mut scratch = RhsScratch::new(n);
-        let mut f = vec![0.0; n];
-        for c in 0..self.time.len() {
-            self.loads[c].force_into(it, &mut f);
-            backend.problem.mask.project(&mut f);
-            let t = &self.time[c];
-            backend.newmark_rhs(&f, &t.u, &t.v, &t.a, &mut self.rhs[c], &mut scratch);
-            self.adams[c].predict(&t.u, dt, &mut self.ab_guesses[c]);
-            backend.problem.mask.project(&mut self.ab_guesses[c]);
-            self.guesses[c].copy_from_slice(&self.ab_guesses[c]);
-            let mut corr = vec![0.0; n];
-            if s >= 1 && self.dd[c].predict(s, &mut corr) {
-                for (g, co) in self.guesses[c].iter_mut().zip(&corr) {
-                    *g += co;
-                }
-                backend.problem.mask.project(&mut self.guesses[c]);
-            }
-        }
+    let cg_cfg = driver_cg_config(cfg.tol);
+    let mut recoveries = Vec::new();
+    solve_set_with_ladder(
+        &op,
+        &backend.precond,
+        &f_multi,
+        &mut x_multi,
+        ab_guesses,
+        &cg_cfg,
+        &ph.first_cfg,
+        step,
+        set,
+        Some(set * r),
+        true,
+        &mut recoveries,
+    )?;
+    let mut x = vec![0.0; n];
+    for (c, case) in cases.iter_mut().enumerate() {
+        extract_case(&x_multi, r, c, &mut x);
+        // the window follows available history, so a poisoned (rebuilt)
+        // history needs no controller reset here
+        let _ = case.advance(backend, &x, &ab_guesses[c], ph.snapshot[c]);
     }
-
-    /// Solver phase for step `it`: fused MCG solve (with recovery ladder) +
-    /// state advance. Returns total CG iterations over the set plus any
-    /// recovery events.
-    fn solve(
-        &mut self,
-        backend: &Backend,
-        cfg: &RunConfig,
-        step: usize,
-        set: usize,
-        ph: &PhaseFaults,
-    ) -> Result<(usize, Vec<RecoveryEvent>), SolveError> {
-        let n = backend.n_dofs();
-        let r = cfg.r;
-        let op = backend.ebe_a(r);
-        let mut f_multi = vec![0.0; n * r];
-        let mut x_multi = vec![0.0; n * r];
-        for c in 0..r {
-            if let Some(vf) = ph.guess[c] {
-                vf.apply(&mut self.guesses[c]);
-            }
-            insert_case(&mut f_multi, r, c, &self.rhs[c]);
-            insert_case(&mut x_multi, r, c, &self.guesses[c]);
-        }
-        let cg_cfg = driver_cg_config(cfg.tol);
-        let mut recoveries = Vec::new();
-        let stats = solve_set_with_ladder(
-            &op,
-            &backend.precond,
-            &f_multi,
-            &mut x_multi,
-            &self.ab_guesses,
-            &cg_cfg,
-            &ph.first_cfg,
-            step,
-            set,
-            Some(set * r),
-            true,
-            &mut recoveries,
-        )?;
-        let mut x = vec![0.0; n];
-        for c in 0..r {
-            extract_case(&x_multi, r, c, &mut x);
-            let mut delta: Vec<f64> = x
-                .iter()
-                .zip(&self.ab_guesses[c])
-                .map(|(u, g)| u - g)
-                .collect();
-            if let Some(vf) = ph.snapshot[c] {
-                vf.apply(&mut delta);
-            }
-            let _ = self.dd[c].record(&delta);
-            let t = &mut self.time[c];
-            let u_old = std::mem::replace(&mut t.u, x.clone());
-            backend
-                .problem
-                .newmark
-                .advance(&t.u, &u_old, &mut t.v, &mut t.a);
-            self.adams[c].push(&t.v);
-            t.step += 1;
-        }
-        Ok((stats.case_iterations.iter().sum(), recoveries))
-    }
+    Ok(recoveries)
 }
 
 /// Run EBE-MCG with two real device threads. Returns the per-case final
@@ -265,8 +201,13 @@ pub fn run_realtime_clocked<F: FaultInjector, C: WallClock + Sync>(
 ) -> Result<(Vec<Vec<f64>>, RealtimeReport), RunError> {
     assert!(cfg.r >= 1);
     tracer.begin_run("EBE-MCG@CPU-GPU (realtime)", cfg, 2);
-    let mut set_a = SetState::new(backend, cfg, 0);
-    let mut set_b = SetState::new(backend, cfg, cfg.r);
+    // two sets of r case slots — the same per-case state, `prepare_step`
+    // and `advance` as the modeled driver
+    let new_set = |base: usize| -> PipeSet {
+        let cases = (base..base + cfg.r).map(|c| CaseSlot::new(backend, cfg, c, 0));
+        (cases.collect(), Vec::new())
+    };
+    let (mut set_a, mut set_b) = (new_set(0), new_set(cfg.r));
     let busy = Mutex::new((0.0f64, 0.0f64)); // (solver, predictor)
     let trace_on = tracer.is_enabled();
     let spans: Mutex<Vec<WallSpan>> = Mutex::new(Vec::new());
@@ -276,91 +217,66 @@ pub fn run_realtime_clocked<F: FaultInjector, C: WallClock + Sync>(
     // run-relative timestamp of "now" on the injected clock
     let since_start = || wall.now() - t_start;
 
-    // window grows with available history, as in the modeled driver
-    let s_for = |dd: &DataDrivenPredictor, cap: usize| dd.available_s().min(cap);
-
     // pre-step: prepare both sets' step-0 inputs (no history yet)
-    set_a.predict(backend, 0, 0);
-    set_b.predict(backend, 0, 0);
+    predict_set(backend, &mut set_a, 0);
+    predict_set(backend, &mut set_b, 0);
 
-    for it in 0..cfg.n_steps {
-        // phase 1: solve B || predict A for this step (A's rhs already
-        // prepared; recompute with latest state to stay causally correct:
-        // A's state was advanced in the previous phase 2)
-        let s_a = s_for(&set_a.dd[0], cfg.s_max);
-        let ph_b = PhaseFaults::resolve(faults, it, 1, cfg.r, cfg.r, &cg_cfg);
-        let solved = crossbeam::thread::scope(|scope| {
-            let (busy, spans) = (&busy, &spans);
-            let b = scope.spawn(|_| {
+    // One pipeline phase: the solver thread runs `solving`'s fused solve of
+    // step `it` while this thread prepares `predicting`'s next step.
+    let phase = |it: usize,
+                 set: usize,
+                 solving: &mut PipeSet,
+                 predicting: Option<&mut PipeSet>,
+                 ph: &PhaseFaults|
+     -> Result<Vec<RecoveryEvent>, RunError> {
+        crossbeam::thread::scope(|scope| {
+            let solver = scope.spawn(|_| {
                 let start = since_start();
-                let out = set_b.solve(backend, cfg, it, 1, &ph_b);
+                let out = solve_set(backend, cfg, solving, it, set, ph);
                 let dur = since_start() - start;
                 busy.lock().0 += dur;
                 if trace_on {
-                    spans.lock().push((1, TID_GPU, "solve (wall)", start, dur));
+                    spans
+                        .lock()
+                        .push((set, TID_GPU, "solve (wall)", start, dur));
                 }
                 out
             });
-            let start = since_start();
-            set_a.predict(backend, it, s_a);
-            let dur = since_start() - start;
-            busy.lock().1 += dur;
-            if trace_on {
-                spans
-                    .lock()
-                    .push((0, TID_CPU, "predict (wall)", start, dur));
-            }
-            match b.join() {
-                Ok(r) => r.map_err(RunError::from),
-                Err(_) => Err(RunError::WorkerPanic {
-                    phase: "realtime solve (set B)",
-                }),
-            }
-        })
-        // PANIC-OK: the scope closure joins both children, so crossbeam's
-        // scope-level error (an unjoined child panic) is unreachable.
-        .expect("thread scope failed");
-        let (_, evs) = solved?;
-        recoveries.extend(evs);
-
-        // phase 2: solve A || predict B for the next step
-        let s_b = s_for(&set_b.dd[0], cfg.s_max);
-        let ph_a = PhaseFaults::resolve(faults, it, 0, 0, cfg.r, &cg_cfg);
-        let solved = crossbeam::thread::scope(|scope| {
-            let (busy, spans) = (&busy, &spans);
-            let a = scope.spawn(|_| {
+            if let Some(predicting) = predicting {
+                // window grows with available history, as in the modeled driver
+                let s = predicting.0[0].available_s().min(cfg.s_max);
                 let start = since_start();
-                let out = set_a.solve(backend, cfg, it, 0, &ph_a);
-                let dur = since_start() - start;
-                busy.lock().0 += dur;
-                if trace_on {
-                    spans.lock().push((0, TID_GPU, "solve (wall)", start, dur));
-                }
-                out
-            });
-            if it + 1 < cfg.n_steps {
-                let start = since_start();
-                set_b.predict(backend, it + 1, s_b);
+                predict_set(backend, predicting, s);
                 let dur = since_start() - start;
                 busy.lock().1 += dur;
                 if trace_on {
                     spans
                         .lock()
-                        .push((1, TID_CPU, "predict (wall)", start, dur));
+                        .push((1 - set, TID_CPU, "predict (wall)", start, dur));
                 }
             }
-            match a.join() {
+            match solver.join() {
                 Ok(r) => r.map_err(RunError::from),
                 Err(_) => Err(RunError::WorkerPanic {
-                    phase: "realtime solve (set A)",
+                    phase: ["realtime solve (set A)", "realtime solve (set B)"][set],
                 }),
             }
         })
         // PANIC-OK: the scope closure joins both children, so crossbeam's
         // scope-level error (an unjoined child panic) is unreachable.
-        .expect("thread scope failed");
-        let (_, evs) = solved?;
-        recoveries.extend(evs);
+        .expect("thread scope failed")
+    };
+
+    for it in 0..cfg.n_steps {
+        // phase 1: solve B || predict A for this step (A's rhs already
+        // prepared; recompute with latest state to stay causally correct:
+        // A's state was advanced in the previous phase 2)
+        let ph_b = PhaseFaults::resolve(faults, it, 1, cfg.r, cfg.r, &cg_cfg);
+        recoveries.extend(phase(it, 1, &mut set_b, Some(&mut set_a), &ph_b)?);
+        // phase 2: solve A || predict B for the next step
+        let ph_a = PhaseFaults::resolve(faults, it, 0, 0, cfg.r, &cg_cfg);
+        let next_b = (it + 1 < cfg.n_steps).then_some(&mut set_b);
+        recoveries.extend(phase(it, 0, &mut set_a, next_b, &ph_a)?);
     }
 
     for (pid, tid, name, start_s, dur_s) in spans.into_inner() {
@@ -383,10 +299,12 @@ pub fn run_realtime_clocked<F: FaultInjector, C: WallClock + Sync>(
         steps: cfg.n_steps,
         recoveries: recoveries.len(),
     };
-    let mut final_u: Vec<Vec<f64>> = Vec::with_capacity(2 * cfg.r);
-    for t in set_a.time.into_iter().chain(set_b.time) {
-        final_u.push(t.u);
-    }
+    let final_u = set_a
+        .0
+        .into_iter()
+        .chain(set_b.0)
+        .map(|case| case.time.u)
+        .collect();
     Ok((final_u, report))
 }
 

@@ -3,14 +3,15 @@
 //! [`CaseSlot`] carries everything one simulation case needs between time
 //! steps: the Newmark time state, its random load history, the
 //! Adams-Bashforth extrapolator and the data-driven correction predictor,
-//! plus per-step scratch. The ensemble drivers in [`crate::methods`] own a
-//! fixed array of slots for a whole run; the serving layer
-//! (`hetsolve-serve`) instead creates and retires slots independently, so a
-//! fused lane can backfill a freed slot at a time-step boundary while its
-//! companions keep iterating. Every path — the three ensemble step loops
-//! and the server — calls the exact same `prepare_step` / `advance`
-//! sequence, which is what makes a served case's trajectory
-//! bitwise-identical to its solo ensemble solve.
+//! plus per-step scratch. The step driver in [`crate::methods`] owns a
+//! fixed array of slots for a whole run (1, 2 or 2r by method); the
+//! serving layer (`hetsolve-serve`) instead creates and retires slots
+//! independently, so a fused lane can backfill a freed slot at a time-step
+//! boundary while its companions keep iterating. Every path — the one
+//! step driver for all four methods, the real-thread pipeline
+//! ([`crate::realtime`]) and the server — calls the exact same
+//! `prepare_step` / `advance` sequence, which is what makes a served
+//! case's trajectory bitwise-identical to its solo ensemble solve.
 
 use hetsolve_fault::VectorFault;
 use hetsolve_fem::{RandomLoad, TimeState};

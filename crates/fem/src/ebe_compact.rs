@@ -1076,7 +1076,6 @@ mod tests {
     /// width, with the Dirichlet identity and without it.
     #[test]
     fn compact_matches_cached_matrices() {
-        use hetsolve_sparse::ebe::EbeMultiOperator;
         let fx = Fixture::new();
         let n = fx.p.n_dofs();
         for r in [1usize, 2, 4, 8] {
@@ -1084,7 +1083,8 @@ mod tests {
             let (mut y, mut y_ref) = (vec![0.0; n * r], vec![0.0; n * r]);
 
             fx.op_a(r).apply_multi(&x, &mut y);
-            EbeMultiOperator::new(fx.cached(&fx.fixed), &fx.coloring, false, r)
+            EbeOperator::new(fx.cached(&fx.fixed), &fx.coloring, false)
+                .fused(r)
                 .apply_multi(&x, &mut y_ref);
             let scale = max_abs(&y_ref);
             for i in 0..n * r {
@@ -1098,7 +1098,8 @@ mod tests {
             for (dof, _) in fx.fixed.iter().enumerate().filter(|(_, &f)| f) {
                 px[dof * r..(dof + 1) * r].fill(0.0);
             }
-            EbeMultiOperator::new(fx.cached(&[]), &fx.coloring, false, r)
+            EbeOperator::new(fx.cached(&[]), &fx.coloring, false)
+                .fused(r)
                 .apply_multi(&px, &mut y_ref);
             for i in 0..n * r {
                 assert!(

@@ -6,7 +6,7 @@
 //! and after the scatter the output rows of fixed DOFs are overwritten with
 //! the input value (identity on the fixed subspace), matching the assembled
 //! Dirichlet treatment. This module is the single home of that logic; the
-//! f64, f32, and compact kernels all delegate here instead of carrying
+//! cached and compact kernels both delegate here instead of carrying
 //! their own `fix_output`/`fix_output_multi` copies.
 
 /// A borrowed per-DOF Dirichlet mask. An empty mask means unconstrained

@@ -76,7 +76,11 @@ impl<'a> EbeData<'a> {
     }
 }
 
-/// The single-RHS EBE operator.
+/// The cached-matrix EBE operator on `r` interleaved right-hand sides
+/// (`EBE-R`; every random access is amortized over the `r` cases). At
+/// `r = 1` it is also a [`LinearOperator`]. This is the stored-matrix
+/// reference the compact matrix-free kernel (`hetsolve-fem`) is checked
+/// against.
 pub struct EbeOperator<'a> {
     pub data: EbeData<'a>,
     /// Element coloring (same mesh as `data.elems`).
@@ -85,6 +89,8 @@ pub struct EbeOperator<'a> {
     pub face_groups: Vec<Vec<u32>>,
     /// Use rayon within each color.
     pub parallel: bool,
+    /// Fused right-hand sides: 1, 2, 4 or 8.
+    pub r: usize,
 }
 
 /// Greedy coloring of faces by shared nodes (same invariant as element
@@ -127,6 +133,7 @@ pub fn color_faces(n_nodes: usize, faces: &[[u32; 6]]) -> Vec<Vec<u32>> {
 }
 
 impl<'a> EbeOperator<'a> {
+    /// The single-RHS operator; widen it with [`EbeOperator::fused`].
     pub fn new(data: EbeData<'a>, coloring: &'a Coloring, parallel: bool) -> Self {
         assert_eq!(
             coloring.color.len(),
@@ -147,7 +154,23 @@ impl<'a> EbeOperator<'a> {
             coloring,
             face_groups,
             parallel,
+            r: 1,
         }
+    }
+
+    /// The same operator on `r` fused right-hand sides.
+    pub fn fused(mut self, r: usize) -> Self {
+        assert!(
+            matches!(r, 1 | 2 | 4 | 8),
+            "fused RHS count must be 1, 2, 4 or 8 (got {r})"
+        );
+        self.r = r;
+        self
+    }
+
+    /// Dimension (number of DOFs) — what both operator traits report.
+    pub fn n(&self) -> usize {
+        self.data.n()
     }
 
     /// Diagonal 3×3 blocks of the represented operator (for block-Jacobi),
@@ -372,6 +395,7 @@ impl LinearOperator for EbeOperator<'_> {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
+        debug_assert_eq!(self.r, 1, "single-RHS apply on a fused operator");
         debug_assert_eq!(x.len(), self.n());
         debug_assert_eq!(y.len(), self.n());
         if self.parallel {
@@ -415,29 +439,9 @@ pub fn ebe_counts(n_elems: usize, n_faces: usize, n_dofs: usize, r: usize) -> Ke
     }
 }
 
-/// The multi-RHS EBE operator (`EBE-R`): applies the same operator to `R`
-/// interleaved right-hand sides, amortizing every random access.
-pub struct EbeMultiOperator<'a> {
-    pub inner: EbeOperator<'a>,
-    pub r: usize,
-}
-
-impl<'a> EbeMultiOperator<'a> {
-    pub fn new(data: EbeData<'a>, coloring: &'a Coloring, parallel: bool, r: usize) -> Self {
-        assert!(
-            matches!(r, 1 | 2 | 4 | 8),
-            "fused RHS count must be 1, 2, 4 or 8 (got {r})"
-        );
-        EbeMultiOperator {
-            inner: EbeOperator::new(data, coloring, parallel),
-            r,
-        }
-    }
-}
-
-impl MultiOperator for EbeMultiOperator<'_> {
+impl MultiOperator for EbeOperator<'_> {
     fn n(&self) -> usize {
-        self.inner.n()
+        self.data.n()
     }
 
     fn r(&self) -> usize {
@@ -448,19 +452,19 @@ impl MultiOperator for EbeMultiOperator<'_> {
         debug_assert_eq!(x.len(), self.n() * self.r);
         debug_assert_eq!(y.len(), self.n() * self.r);
         match self.r {
-            1 => self.inner.apply_r::<1>(x, y),
-            2 => self.inner.apply_r::<2>(x, y),
-            4 => self.inner.apply_r::<4>(x, y),
-            8 => self.inner.apply_r::<8>(x, y),
-            _ => unreachable!("validated in constructor"),
+            1 => self.apply_r::<1>(x, y),
+            2 => self.apply_r::<2>(x, y),
+            4 => self.apply_r::<4>(x, y),
+            8 => self.apply_r::<8>(x, y),
+            r => unreachable!("fused RHS count {r} (validated in `fused`)"),
         }
     }
 
     fn counts(&self) -> KernelCounts {
         ebe_counts(
-            self.inner.data.elems.len(),
-            self.inner.data.faces.len(),
-            self.inner.n(),
+            self.data.elems.len(),
+            self.data.faces.len(),
+            self.data.n(),
             self.r,
         )
     }
@@ -636,7 +640,7 @@ mod tests {
         let single = EbeOperator::new(d.clone(), &fx.coloring, false);
         let n = single.n();
         for r in [1usize, 2, 4, 8] {
-            let multi = EbeMultiOperator::new(d.clone(), &fx.coloring, true, r);
+            let multi = EbeOperator::new(d.clone(), &fx.coloring, true).fused(r);
             let mut x = vec![0.0; n * r];
             for c in 0..r {
                 for i in 0..n {
@@ -725,6 +729,6 @@ mod tests {
     fn rejects_bad_r() {
         let fx = fixture(false);
         let d = data(&fx, false);
-        EbeMultiOperator::new(d, &fx.coloring, false, 3);
+        let _ = EbeOperator::new(d, &fx.coloring, false).fused(3);
     }
 }

@@ -22,12 +22,10 @@
 pub mod assembly;
 pub mod bcrs;
 pub mod blockjacobi;
-pub mod blockssor;
 pub mod cg;
 pub mod dense;
 pub mod dirichlet;
 pub mod ebe;
-pub mod ebe32;
 pub mod error;
 pub mod mcg;
 pub mod op;
@@ -38,11 +36,9 @@ pub mod vecops;
 pub use assembly::{apply_dirichlet, assemble_global};
 pub use bcrs::{Bcrs3, BcrsBuilder};
 pub use blockjacobi::BlockJacobi;
-pub use blockssor::BlockSsor;
 pub use cg::{pcg, pcg_observed, CgConfig, CgStats};
 pub use dirichlet::FixedMask;
-pub use ebe::{color_faces, ebe_counts, EbeData, EbeMultiOperator, EbeOperator};
-pub use ebe32::{EbeOperator32, EbeStore32};
+pub use ebe::{color_faces, ebe_counts, EbeData, EbeOperator};
 pub use error::SolveError;
 pub use hetsolve_obs::{NoopObserver, ResidualLog, SolveObserver, Termination};
 pub use mcg::{mcg, mcg_masked, mcg_masked_observed, mcg_observed, McgStats};

@@ -2,8 +2,8 @@
 //!
 //! # The one unsafe contract in this workspace
 //!
-//! Every matrix-free EBE kernel (f64 cached, f32 cached, compact
-//! matrix-free) accumulates per-element results into the shared output
+//! Every EBE kernel (cached-matrix, compact matrix-free) accumulates
+//! per-element results into the shared output
 //! vector from many threads at once. No atomics are used; instead, the
 //! mesh is colored so that **no two elements (or faces) of the same color
 //! share a node**, which makes every same-color write set disjoint. That

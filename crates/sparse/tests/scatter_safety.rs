@@ -12,7 +12,7 @@
 //!   write — the dynamic half of the safety story.
 
 use hetsolve_mesh::{box_tet10, color_elements, BoxGrid, Coloring};
-use hetsolve_sparse::ebe::{EbeData, EbeMultiOperator, EbeOperator};
+use hetsolve_sparse::ebe::{EbeData, EbeOperator};
 use hetsolve_sparse::op::{LinearOperator, MultiOperator};
 use proptest::prelude::*;
 
@@ -134,7 +134,7 @@ proptest! {
         let r = [2usize, 4, 8][r_pick];
         let fx = fixture(2, 2, 2, seed, true);
         let single = EbeOperator::new(data(&fx), &fx.coloring, false);
-        let multi = EbeMultiOperator::new(data(&fx), &fx.coloring, true, r);
+        let multi = EbeOperator::new(data(&fx), &fx.coloring, true).fused(r);
         let n = single.n();
         let mut x = vec![0.0; n * r];
         for c in 0..r {
@@ -199,6 +199,7 @@ fn racecheck_catches_corrupted_coloring_past_constructor() {
         coloring: &bad,
         face_groups: Vec::new(),
         parallel: true,
+        r: 1,
     };
     let n = 3 * fx.n_nodes;
     let x: Vec<f64> = (0..n).map(|i| i as f64).collect();

@@ -1,12 +1,15 @@
-//! The crash-consistency acceptance suite (DESIGN.md §12): a run killed
-//! at *any* step boundary and resumed from its latest checkpoint must
+//! The crash-consistency acceptance suite (DESIGN.md §12): a run of any
+//! method killed at *any* step boundary and resumed from its latest
+//! checkpoint must
 //! produce a bitwise-identical `RunResult`; a torn latest checkpoint must
 //! fall back to the previous good one with a typed, non-panicking report;
 //! and the serve-layer snapshot must restore a server whose counters and
 //! results continue exactly where the saved run left off.
 
 use hetsolve::ckpt::{CheckpointStore, CkptError, SectionWriter, MAGIC};
-use hetsolve::core::{run, run_durable, CheckpointPolicy, RunError, StepTracer};
+use hetsolve::core::{
+    run, run_durable, run_ensemble_durable, CheckpointPolicy, RunError, StepTracer,
+};
 use hetsolve::fault::FaultLane;
 use hetsolve::fem::FemProblem;
 use hetsolve::machine::ManualClock;
@@ -22,8 +25,21 @@ fn backend() -> Backend {
     Backend::new(FemProblem::paper_like(&spec), true, false)
 }
 
+/// Every method goes through the one resumable step driver, so every
+/// durability property below is asserted for all four.
+const METHODS: [MethodKind; 4] = [
+    MethodKind::CrsCgCpu,
+    MethodKind::CrsCgGpu,
+    MethodKind::CrsCgCpuGpu,
+    MethodKind::EbeMcgCpuGpu,
+];
+
 fn config(steps: usize) -> RunConfig {
-    let mut cfg = RunConfig::new(MethodKind::EbeMcgCpuGpu, single_gh200(), steps);
+    config_for(MethodKind::EbeMcgCpuGpu, steps)
+}
+
+fn config_for(method: MethodKind, steps: usize) -> RunConfig {
+    let mut cfg = RunConfig::new(method, single_gh200(), steps);
     cfg.r = 2;
     cfg.s_max = 4;
     cfg.region_dofs = 64;
@@ -62,74 +78,76 @@ fn assert_bitwise_eq(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
 #[test]
 fn kill_at_any_step_boundary_resumes_bitwise_identical() {
     let b = backend();
-    let cfg = config(6);
-    let plain = run(&b, &cfg).expect("uninterrupted baseline");
-    let policy = CheckpointPolicy { every: 2, keep: 3 };
+    for method in METHODS {
+        let cfg = config_for(method, 6);
+        let plain = run(&b, &cfg).expect("uninterrupted baseline");
+        let policy = CheckpointPolicy { every: 2, keep: 3 };
 
-    for boundary in 0..cfg.n_steps {
-        let store = tmp_store(&format!("kill-{boundary}"));
-        let mut plan = FaultPlan::new(7).crash_at(boundary);
-        let err = run_durable(
-            &b,
-            &cfg,
-            &mut StepTracer::disabled(),
-            &mut plan,
-            &store,
-            policy,
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            RunError::Crashed { step: boundary },
-            "crash is a typed error, not a panic"
-        );
-        assert!(plan.all_fired(), "boundary {boundary}: crash never fired");
-
-        // resume with the same (now spent) plan: restores the newest
-        // checkpoint at or before the kill point and runs to completion
-        let out = run_durable(
-            &b,
-            &cfg,
-            &mut StepTracer::disabled(),
-            &mut plan,
-            &store,
-            policy,
-        )
-        .unwrap_or_else(|e| panic!("boundary {boundary}: resume failed: {e}"));
-        assert!(out.restore.clean(), "boundary {boundary}: {}", out.restore);
-        assert_eq!(
-            out.resumed_from,
-            if boundary < policy.every {
-                None
-            } else {
-                Some(boundary - boundary % policy.every)
-            },
-            "boundary {boundary}: wrong resume point"
-        );
-        assert_bitwise_eq(
-            &out.result.final_u,
-            &plain.final_u,
-            &format!("boundary {boundary}: final_u"),
-        );
-        for (case, (wa, wb)) in out
-            .result
-            .waveforms
-            .iter()
-            .zip(&plain.waveforms)
-            .enumerate()
-        {
-            assert_bitwise_eq(
-                wa,
-                wb,
-                &format!("boundary {boundary}: waveform case {case}"),
+        for boundary in 0..cfg.n_steps {
+            let store = tmp_store(&format!("kill-{}-{boundary}", method.label()));
+            let mut plan = FaultPlan::new(7).crash_at(boundary);
+            let err = run_durable(
+                &b,
+                &cfg,
+                &mut StepTracer::disabled(),
+                &mut plan,
+                &store,
+                policy,
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                RunError::Crashed { step: boundary },
+                "crash is a typed error, not a panic"
             );
+            assert!(plan.all_fired(), "boundary {boundary}: crash never fired");
+
+            // resume with the same (now spent) plan: restores the newest
+            // checkpoint at or before the kill point and runs to completion
+            let out = run_durable(
+                &b,
+                &cfg,
+                &mut StepTracer::disabled(),
+                &mut plan,
+                &store,
+                policy,
+            )
+            .unwrap_or_else(|e| panic!("boundary {boundary}: resume failed: {e}"));
+            assert!(out.restore.clean(), "boundary {boundary}: {}", out.restore);
+            assert_eq!(
+                out.resumed_from,
+                if boundary < policy.every {
+                    None
+                } else {
+                    Some(boundary - boundary % policy.every)
+                },
+                "boundary {boundary}: wrong resume point"
+            );
+            assert_bitwise_eq(
+                &out.result.final_u,
+                &plain.final_u,
+                &format!("{method:?} boundary {boundary}: final_u"),
+            );
+            for (case, (wa, wb)) in out
+                .result
+                .waveforms
+                .iter()
+                .zip(&plain.waveforms)
+                .enumerate()
+            {
+                assert_bitwise_eq(
+                    wa,
+                    wb,
+                    &format!("boundary {boundary}: waveform case {case}"),
+                );
+            }
+            assert_eq!(
+                out.result.records, plain.records,
+                "boundary {boundary}: step records diverged"
+            );
+            assert_eq!(out.result.recoveries, plain.recoveries);
+            std::fs::remove_dir_all(store.dir()).unwrap();
         }
-        assert_eq!(
-            out.result.records, plain.records,
-            "boundary {boundary}: step records diverged"
-        );
-        assert_eq!(out.result.recoveries, plain.recoveries);
-        std::fs::remove_dir_all(store.dir()).unwrap();
     }
 }
 
@@ -139,41 +157,81 @@ fn kill_at_any_step_boundary_resumes_bitwise_identical() {
 #[test]
 fn torn_latest_checkpoint_falls_back_typed_and_stays_bitwise() {
     let b = backend();
-    let cfg = config(6);
-    let plain = run(&b, &cfg).expect("baseline");
-    let store = tmp_store("torn");
+    for method in METHODS {
+        let cfg = config_for(method, 6);
+        let plain = run(&b, &cfg).expect("baseline");
+        let store = tmp_store(&format!("torn-{}", method.label()));
+        let policy = CheckpointPolicy { every: 2, keep: 3 };
+
+        // crash at step 5 after tearing the seq-4 checkpoint mid-write
+        let mut plan = FaultPlan::new(11).tear_checkpoint(4, 0.5).crash_at(5);
+        let err = run_durable(
+            &b,
+            &cfg,
+            &mut StepTracer::disabled(),
+            &mut plan,
+            &store,
+            policy,
+        )
+        .unwrap_err();
+        assert_eq!(err, RunError::Crashed { step: 5 });
+        assert!(plan.all_fired());
+
+        let out = run_durable(
+            &b,
+            &cfg,
+            &mut StepTracer::disabled(),
+            &mut plan,
+            &store,
+            policy,
+        )
+        .expect("resume past the torn file");
+        assert_eq!(out.resumed_from, Some(2), "fell back to the seq-2 snapshot");
+        assert!(!out.restore.clean(), "the skip must be reported");
+        assert_eq!(out.restore.skipped.len(), 1);
+        assert_eq!(out.restore.skipped[0].seq, 4);
+        assert_eq!(out.restore.skipped[0].error, CkptError::Truncated);
+        assert_bitwise_eq(
+            &out.result.final_u,
+            &plain.final_u,
+            &format!("{method:?} torn fallback"),
+        );
+        std::fs::remove_dir_all(store.dir()).unwrap();
+    }
+}
+
+/// `run_ensemble_durable` honours the configured method: with a CRS
+/// method it runs the same batches as `run_ensemble` (one case each, not
+/// EBE-MCG's fused 2r) and returns bitwise-equal waveforms — and a
+/// re-invocation on the same directory after the batches finished changes
+/// nothing.
+#[test]
+fn durable_ensemble_runs_the_configured_method_bitwise() {
+    let b = backend();
+    let mut cfg = EnsembleConfig::new(single_gh200(), 3, 6).expect("valid config");
+    cfg.run = config_for(MethodKind::CrsCgCpu, 6);
+    let (plain, plain_runs) = run_ensemble(&b, &cfg).expect("ensemble");
+    assert_eq!(plain_runs.len(), 3, "CRS-CG@CPU advances one case per run");
+
+    let dir = std::env::temp_dir().join("hs-chaos-ensemble-crs");
+    let _ = std::fs::remove_dir_all(&dir);
     let policy = CheckpointPolicy { every: 2, keep: 3 };
-
-    // crash at step 5 after tearing the seq-4 checkpoint mid-write
-    let mut plan = FaultPlan::new(11).tear_checkpoint(4, 0.5).crash_at(5);
-    let err = run_durable(
-        &b,
-        &cfg,
-        &mut StepTracer::disabled(),
-        &mut plan,
-        &store,
-        policy,
-    )
-    .unwrap_err();
-    assert_eq!(err, RunError::Crashed { step: 5 });
-    assert!(plan.all_fired());
-
-    let out = run_durable(
-        &b,
-        &cfg,
-        &mut StepTracer::disabled(),
-        &mut plan,
-        &store,
-        policy,
-    )
-    .expect("resume past the torn file");
-    assert_eq!(out.resumed_from, Some(2), "fell back to the seq-2 snapshot");
-    assert!(!out.restore.clean(), "the skip must be reported");
-    assert_eq!(out.restore.skipped.len(), 1);
-    assert_eq!(out.restore.skipped[0].seq, 4);
-    assert_eq!(out.restore.skipped[0].error, CkptError::Truncated);
-    assert_bitwise_eq(&out.result.final_u, &plain.final_u, "torn fallback");
-    std::fs::remove_dir_all(store.dir()).unwrap();
+    let (durable, outcomes) = run_ensemble_durable(&b, &cfg, &dir, policy).expect("durable");
+    assert_eq!(
+        outcomes.len(),
+        plain_runs.len(),
+        "same batches, same method"
+    );
+    for (out, plain_run) in outcomes.iter().zip(&plain_runs) {
+        assert_eq!(out.result.method, MethodKind::CrsCgCpu);
+        assert_eq!(out.result.records, plain_run.records);
+        assert_eq!(out.checkpoints_written, 2, "steps 2 and 4 of 6");
+    }
+    assert_eq!(durable.waveforms.len(), 3);
+    for (case, (wd, wp)) in durable.waveforms.iter().zip(&plain.waveforms).enumerate() {
+        assert_bitwise_eq(wd, wp, &format!("ensemble case {case}"));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A checkpoint written under a different configuration is rejected typed

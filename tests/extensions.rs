@@ -1,11 +1,10 @@
 //! Integration tests of the extension features (nonlinear analysis,
-//! real-thread pipelining, mixed precision) at the facade level.
+//! real-thread pipelining) at the facade level.
 
 use hetsolve::core::{run, run_nonlinear, run_realtime, Backend, MethodKind, RunConfig};
 use hetsolve::fem::{FemProblem, HyperbolicModel, RandomLoadSpec};
 use hetsolve::machine::single_gh200;
 use hetsolve::mesh::{GroundModelSpec, InterfaceShape};
-use hetsolve::sparse::{mcg, CgConfig, EbeOperator32, EbeStore32, MultiOperator};
 
 fn backend() -> Backend {
     let spec = GroundModelSpec::paper_like(3, 3, 2, InterfaceShape::Stratified);
@@ -57,60 +56,4 @@ fn realtime_pipeline_overlap_report_is_sane() {
     assert!(rep.solver_busy <= rep.wall * 1.05);
     // overlap factor lives in (0, 2]
     assert!(rep.overlap_factor > 0.0 && rep.overlap_factor <= 2.0 + 1e-9);
-}
-
-#[test]
-fn mixed_precision_solver_reaches_f64_tolerance() {
-    let b = backend();
-    let a = b.problem.a_coeffs();
-    let store = EbeStore32::from_f64(
-        &b.problem.elements.me,
-        &b.problem.elements.ke,
-        &b.problem.dashpots.cb,
-    );
-    let op32 = EbeOperator32::new(
-        b.problem.n_nodes(),
-        &b.problem.model.mesh.elems,
-        &store,
-        &b.problem.dashpots.faces,
-        (a.c_m, a.c_k, a.c_b),
-        &b.fixed,
-        &b.coloring,
-        true,
-        2,
-    );
-    let n = b.n_dofs();
-    let r = op32.r();
-    let mut f = vec![0.0; n * r];
-    for c in 0..r {
-        for i in 0..n {
-            f[i * r + c] = ((i * (c + 2)) as f64 * 0.23).sin();
-        }
-    }
-    // project fixed dofs
-    for (i, &fx) in b.fixed.iter().enumerate() {
-        if fx {
-            for c in 0..r {
-                f[i * r + c] = 0.0;
-            }
-        }
-    }
-    let mut x = vec![0.0; n * r];
-    let stats = mcg(
-        &op32,
-        &b.precond,
-        &f,
-        &mut x,
-        &CgConfig {
-            tol: 1e-8,
-            max_iter: 10_000,
-            ..Default::default()
-        },
-    );
-    assert!(
-        stats.converged,
-        "f32 operator failed to converge: {:?}",
-        stats.final_rel_res
-    );
-    assert!(stats.final_rel_res.iter().all(|&e| e < 1e-8));
 }

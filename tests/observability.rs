@@ -237,6 +237,21 @@ fn registry_attached_run_is_bitwise_neutral_and_populated() {
     }
     let quiet_reg = quiet.take_registry().expect("registry attached");
     assert_eq!(quiet_reg.counter("core_steps_total"), 20.0);
+
+    // one step driver: the step counter fires once per step for every
+    // method, not only the one that used to own a `step_once`
+    for method in [
+        MethodKind::CrsCgCpu,
+        MethodKind::CrsCgGpu,
+        MethodKind::CrsCgCpuGpu,
+        MethodKind::EbeMcgCpuGpu,
+    ] {
+        let mut t = StepTracer::disabled();
+        t.attach_registry(MetricsRegistry::new());
+        run_traced(&b, &config(method, 7), &mut t).expect("run");
+        let steps = t.registry().expect("attached").counter("core_steps_total");
+        assert_eq!(steps, 7.0, "{method:?}");
+    }
 }
 
 /// Causal tracing across failure: the flow id of a request is derived

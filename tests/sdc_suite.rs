@@ -140,6 +140,35 @@ fn crs_driver_recovers_from_flips() {
     }
 }
 
+/// One step driver, one guard order: the operator audit runs before the
+/// per-case boundary guards for every method (the single-case loop used to
+/// run them the other way round), so two flips landing at one step
+/// boundary are reported operator-first whichever method is running.
+#[test]
+fn guards_run_in_one_order_for_every_method() {
+    let b = backend();
+    for method in [
+        MethodKind::CrsCgCpu,
+        MethodKind::CrsCgGpu,
+        MethodKind::CrsCgCpuGpu,
+        MethodKind::EbeMcgCpuGpu,
+    ] {
+        let mut plan = FaultPlan::new(31)
+            .flip_state(3, 0, StateField::U)
+            .flip_operator(3);
+        let r = run_faulted(
+            &b,
+            &config(method, 6),
+            &mut StepTracer::disabled(),
+            &mut plan,
+        )
+        .unwrap_or_else(|e| panic!("{method:?}: must recover: {e}"));
+        let order: Vec<(usize, Option<usize>)> =
+            r.corruptions.iter().map(|c| (c.step, c.case)).collect();
+        assert_eq!(order, [(3, None), (3, Some(0))], "{method:?}");
+    }
+}
+
 /// Negative control: with detection disabled the same flip lands silently
 /// — the run finishes with *different* bits (or dies), which is exactly
 /// the silent-wrong-answer failure mode the integrity layer exists to
