@@ -1,6 +1,6 @@
 //! The binary snapshot format: header, checksummed sections, and the
-//! little-endian field codecs ([`Enc`]/[`Dec`]) the rest of the workspace
-//! encodes its state with.
+//! payload buffers ([`Enc`]/[`Dec`]) the [`Wire`] impls of the rest of the
+//! workspace write into and read from.
 //!
 //! Layout of a checkpoint file (all integers little-endian):
 //!
@@ -20,6 +20,8 @@ use std::fmt;
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
+
+use crate::wire::Wire;
 
 /// File magic. The `\r\n` tail catches text-mode mangling, like PNG's.
 pub const MAGIC: [u8; 8] = *b"HSCKPT\r\n";
@@ -242,9 +244,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Field codecs.
+// Payload buffers. What goes into them is the [`Wire`] trait's business.
 
-/// Little-endian field encoder for section payloads.
+/// Append-only buffer a section payload is encoded into.
 #[derive(Debug, Default)]
 pub struct Enc {
     buf: Vec<u8>,
@@ -259,80 +261,16 @@ impl Enc {
         self.buf
     }
 
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    /// `f64` as its IEEE-754 bit pattern — the bitwise-restore contract.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(v as u8);
-    }
-
-    pub fn put_opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.put_u8(1);
-                self.put_f64(x);
-            }
-            None => self.put_u8(0),
-        }
-    }
-
-    pub fn put_opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.put_u8(1);
-                self.put_u64(x);
-            }
-            None => self.put_u8(0),
-        }
-    }
-
-    pub fn put_f64s(&mut self, v: &[f64]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_f64(x);
-        }
-    }
-
-    /// Length-prefixed list of length-prefixed `f64` vectors.
-    pub fn put_f64_vecs(&mut self, v: &[Vec<f64>]) {
-        self.put_usize(v.len());
-        for x in v {
-            self.put_f64s(x);
-        }
-    }
-
-    /// Length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Length-prefixed raw byte blob (nested checkpoint images).
-    pub fn put_bytes(&mut self, b: &[u8]) {
-        self.put_usize(b.len());
-        self.buf.extend_from_slice(b);
+    // `#[inline]` on this and the three `Dec` methods below: the `Wire`
+    // impls of `Vec<T>` are instantiated in downstream crates, and without
+    // it every `f64` of a state vector costs a call back into this crate.
+    #[inline]
+    pub(crate) fn raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 }
 
-/// Little-endian field decoder over a section payload.
+/// Cursor over a section payload being decoded.
 #[derive(Debug)]
 pub struct Dec<'a> {
     buf: &'a [u8],
@@ -344,11 +282,13 @@ impl<'a> Dec<'a> {
         Dec { buf, pos: 0 }
     }
 
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
+    #[inline]
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
         if self.remaining() < n {
             return Err(CkptError::Truncated);
         }
@@ -357,93 +297,11 @@ impl<'a> Dec<'a> {
         Ok(s)
     }
 
-    pub fn u8(&mut self) -> Result<u8, CkptError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn u32(&mut self) -> Result<u32, CkptError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub fn u64(&mut self) -> Result<u64, CkptError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn usize_(&mut self) -> Result<usize, CkptError> {
-        usize::try_from(self.u64()?)
-            .map_err(|_| CkptError::Corrupt("length overflows usize".into()))
-    }
-
-    pub fn f64(&mut self) -> Result<f64, CkptError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub fn bool_(&mut self) -> Result<bool, CkptError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(CkptError::Corrupt(format!("bad bool byte {b}"))),
-        }
-    }
-
-    pub fn opt_f64(&mut self) -> Result<Option<f64>, CkptError> {
-        Ok(if self.bool_()? {
-            Some(self.f64()?)
-        } else {
-            None
-        })
-    }
-
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, CkptError> {
-        Ok(if self.bool_()? {
-            Some(self.u64()?)
-        } else {
-            None
-        })
-    }
-
-    /// A length is bounded by the bytes left: a corrupt length can never
-    /// trigger a huge allocation.
-    fn bounded_len(&mut self, elem_bytes: usize) -> Result<usize, CkptError> {
-        let len = self.usize_()?;
-        if len.checked_mul(elem_bytes.max(1)).is_none()
-            || len * elem_bytes.max(1) > self.remaining()
-        {
-            return Err(CkptError::Truncated);
-        }
-        Ok(len)
-    }
-
-    pub fn f64s(&mut self) -> Result<Vec<f64>, CkptError> {
-        let len = self.bounded_len(8)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.f64()?);
-        }
+    #[inline]
+    pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N], CkptError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
         Ok(out)
-    }
-
-    pub fn f64_vecs(&mut self) -> Result<Vec<Vec<f64>>, CkptError> {
-        let len = self.bounded_len(8)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.f64s()?);
-        }
-        Ok(out)
-    }
-
-    /// Length-prefixed raw byte blob (dual of [`Enc::put_bytes`]).
-    pub fn bytes_(&mut self) -> Result<Vec<u8>, CkptError> {
-        let len = self.bounded_len(1)?;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    /// Length-prefixed UTF-8 string (dual of [`Enc::put_str`]).
-    pub fn str_(&mut self) -> Result<String, CkptError> {
-        let len = self.bounded_len(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CkptError::Corrupt("string section is not valid UTF-8".into()))
     }
 
     /// Everything must be consumed: trailing bytes mean a reader/writer
@@ -486,6 +344,19 @@ impl SectionWriter {
         self.buf.extend_from_slice(payload);
     }
 
+    /// One section holding exactly `value`'s encoding.
+    pub fn put<T: Wire>(&mut self, tag: [u8; 4], value: &T) {
+        self.put_with(tag, |enc| value.put(enc));
+    }
+
+    /// One section holding whatever `fill` encodes — for the sections
+    /// whose parts live in separate fields of the snapshot struct.
+    pub fn put_with(&mut self, tag: [u8; 4], fill: impl FnOnce(&mut Enc)) {
+        let mut enc = Enc::new();
+        fill(&mut enc);
+        self.section(tag, &enc.into_bytes());
+    }
+
     /// Append the `END` marker and return the complete file image.
     pub fn finish(mut self) -> Vec<u8> {
         self.section(END_TAG, &[]);
@@ -510,19 +381,18 @@ pub struct SectionReader<'a> {
 impl<'a> SectionReader<'a> {
     pub fn parse(bytes: &'a [u8]) -> Result<Self, CkptError> {
         let mut d = Dec::new(bytes);
-        let magic = d.take(8).map_err(|_| CkptError::Truncated)?;
-        if magic != MAGIC {
+        if d.array::<8>()? != MAGIC {
             return Err(CkptError::BadMagic);
         }
-        let version = d.u32()?;
+        let version = u32::get(&mut d)?;
         if version == 0 || version > VERSION {
             return Err(CkptError::UnsupportedVersion(version));
         }
         let mut sections = Vec::new();
         loop {
-            let tag: [u8; 4] = d.take(4)?.try_into().unwrap();
-            let len = d.usize_()?;
-            let crc = d.u32()?;
+            let tag: [u8; 4] = d.array()?;
+            let len = usize::get(&mut d)?;
+            let crc = u32::get(&mut d)?;
             let payload = d.take(len)?;
             if crc32(payload) != crc {
                 return Err(CkptError::ChecksumMismatch { tag });
@@ -554,6 +424,25 @@ impl<'a> SectionReader<'a> {
             .find(|(t, _)| *t == tag)
             .map(|(_, p)| *p)
             .ok_or(CkptError::MissingSection { tag })
+    }
+
+    /// Decode section `tag` as one `T`; the payload must be consumed
+    /// exactly.
+    pub fn get<T: Wire>(&self, tag: [u8; 4]) -> Result<T, CkptError> {
+        let mut dec = Dec::new(self.section(tag)?);
+        let value = T::get(&mut dec)?;
+        dec.finish()?;
+        Ok(value)
+    }
+
+    /// [`Self::get`] for a section older images do not have: absent means
+    /// `T::default()`, present means it must decode.
+    pub fn get_or_default<T: Wire + Default>(&self, tag: [u8; 4]) -> Result<T, CkptError> {
+        if self.has(tag) {
+            self.get(tag)
+        } else {
+            Ok(T::default())
+        }
     }
 }
 
@@ -625,64 +514,68 @@ mod tests {
 
     #[test]
     fn fields_round_trip_bitwise() {
+        let nan = f64::from_bits(0x7FF8_0000_0000_0001); // a specific NaN
         let mut e = Enc::new();
-        e.put_u8(7);
-        e.put_u32(0xDEAD_BEEF);
-        e.put_u64(u64::MAX - 1);
-        e.put_usize(42);
-        e.put_f64(-0.0);
-        e.put_f64(f64::from_bits(0x7FF8_0000_0000_0001)); // a specific NaN
-        e.put_bool(true);
-        e.put_opt_f64(None);
-        e.put_opt_f64(Some(1.5e-300));
-        e.put_opt_u64(Some(9));
-        e.put_f64s(&[1.0, -2.5]);
-        e.put_f64_vecs(&[vec![], vec![3.0]]);
+        (7u8, 0xDEAD_BEEFu32, u64::MAX - 1, 42usize).put(&mut e);
+        (-0.0f64, nan, true).put(&mut e);
+        (None::<f64>, Some(1.5e-300f64), Some(9u64)).put(&mut e);
+        (vec![1.0f64, -2.5], vec![vec![], vec![3.0f64]]).put(&mut e);
         let bytes = e.into_bytes();
+        // spot-check the shapes: LE integers, u64 lengths, one-byte tags
+        assert_eq!(bytes[..5], [7, 0xEF, 0xBE, 0xAD, 0xDE]);
+        assert_eq!(
+            bytes.len(),
+            1 + 4 + 8 + 8 + 17 + (1 + 9 + 9) + (24 + 8 + 8 + 16)
+        );
 
         let mut d = Dec::new(&bytes);
-        assert_eq!(d.u8().unwrap(), 7);
-        assert_eq!(d.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(d.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(d.usize_().unwrap(), 42);
-        assert_eq!(d.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(d.f64().unwrap().to_bits(), 0x7FF8_0000_0000_0001);
-        assert!(d.bool_().unwrap());
-        assert_eq!(d.opt_f64().unwrap(), None);
-        assert_eq!(d.opt_f64().unwrap(), Some(1.5e-300));
-        assert_eq!(d.opt_u64().unwrap(), Some(9));
-        assert_eq!(d.f64s().unwrap(), vec![1.0, -2.5]);
-        assert_eq!(d.f64_vecs().unwrap(), vec![vec![], vec![3.0]]);
+        let ints: (u8, u32, u64, usize) = Wire::get(&mut d).unwrap();
+        assert_eq!(ints, (7, 0xDEAD_BEEF, u64::MAX - 1, 42));
+        let (z, n, b): (f64, f64, bool) = Wire::get(&mut d).unwrap();
+        assert_eq!(z.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(n.to_bits(), nan.to_bits());
+        assert!(b);
+        let opts: (Option<f64>, Option<f64>, Option<u64>) = Wire::get(&mut d).unwrap();
+        assert_eq!(opts, (None, Some(1.5e-300), Some(9)));
+        let vecs: (Vec<f64>, Vec<Vec<f64>>) = Wire::get(&mut d).unwrap();
+        assert_eq!(vecs, (vec![1.0, -2.5], vec![vec![], vec![3.0]]));
         d.finish().unwrap();
+
+        assert!(matches!(
+            bool::get(&mut Dec::new(&[2])),
+            Err(CkptError::Corrupt(_))
+        ));
     }
 
     #[test]
     fn strings_round_trip_and_reject_bad_utf8() {
+        let text = "watchdog_breach lane#1 \"quoted\" \u{2192} evict".to_string();
         let mut e = Enc::new();
-        e.put_str("");
-        e.put_str("watchdog_breach lane#1 \"quoted\" \u{2192} evict");
+        (String::new(), text.clone()).put(&mut e);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
-        assert_eq!(d.str_().unwrap(), "");
         assert_eq!(
-            d.str_().unwrap(),
-            "watchdog_breach lane#1 \"quoted\" \u{2192} evict"
+            <(String, String)>::get(&mut d).unwrap(),
+            (String::new(), text)
         );
         d.finish().unwrap();
 
         // length claims more bytes than remain -> typed truncation
         let mut e = Enc::new();
-        e.put_usize(100);
+        100usize.put(&mut e);
         let bytes = e.into_bytes();
-        assert_eq!(Dec::new(&bytes).str_(), Err(CkptError::Truncated));
+        assert_eq!(
+            String::get(&mut Dec::new(&bytes)),
+            Err(CkptError::Truncated)
+        );
 
         // invalid UTF-8 payload -> typed corruption, not a panic
         let mut e = Enc::new();
-        e.put_usize(2);
+        2usize.put(&mut e);
         let mut bytes = e.into_bytes();
         bytes.extend_from_slice(&[0xFF, 0xFE]);
         assert!(matches!(
-            Dec::new(&bytes).str_(),
+            String::get(&mut Dec::new(&bytes)),
             Err(CkptError::Corrupt(_))
         ));
     }
@@ -703,6 +596,33 @@ mod tests {
             r.section(*b"CCCC"),
             Err(CkptError::MissingSection { tag: *b"CCCC" })
         );
+    }
+
+    #[test]
+    fn typed_sections_round_trip_and_must_be_consumed_exactly() {
+        let mut w = SectionWriter::new();
+        w.put(*b"PAIR", &(7u64, vec![1.5f64, -0.0]));
+        w.put_with(*b"TWO\0", |enc| {
+            3u32.put(enc);
+            true.put(enc);
+        });
+        let bytes = w.finish();
+        let r = SectionReader::parse(&bytes).unwrap();
+        let (a, v): (u64, Vec<f64>) = r.get(*b"PAIR").unwrap();
+        assert_eq!((a, v[0]), (7, 1.5));
+        assert_eq!(v[1].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(r.get::<(u32, bool)>(*b"TWO\0"), Ok((3, true)));
+        // a shorter type leaves bytes behind: reader/writer mismatch
+        assert!(matches!(
+            r.get::<u32>(*b"TWO\0"),
+            Err(CkptError::Corrupt(_))
+        ));
+        assert_eq!(
+            r.get::<u64>(*b"NONE"),
+            Err(CkptError::MissingSection { tag: *b"NONE" })
+        );
+        assert_eq!(r.get_or_default::<Vec<u64>>(*b"NONE"), Ok(Vec::new()));
+        assert_eq!(r.get_or_default::<(u32, bool)>(*b"TWO\0"), Ok((3, true)));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! marker. Every `f64` crosses the boundary as its IEEE-754 bit pattern
 //! (`to_bits`/`from_bits`), so a restored state is *bitwise* what was
 //! saved — the property the durable drivers in `hetsolve-core` build their
-//! replay-determinism argument on (see DESIGN.md §12).
+//! replay-determinism argument on (see DESIGN.md §12). What a payload holds
+//! is declared once per type through the [`Wire`] trait and the
+//! [`wire_struct!`], [`wire_code!`] and [`wire_newtype!`] field lists.
 //!
 //! Durability comes from two mechanisms working together:
 //!
@@ -27,6 +29,7 @@
 mod format;
 mod replica;
 mod store;
+mod wire;
 
 pub use format::{
     crc32, fnv1a, mix64, write_atomic, CkptError, Crc32, Dec, Enc, SectionReader, SectionWriter,
@@ -34,3 +37,4 @@ pub use format::{
 };
 pub use replica::ReplicaStore;
 pub use store::{tear, CheckpointStore, RestoreReport, SkippedCheckpoint};
+pub use wire::{min_wire_bytes_of, Wire};

@@ -17,14 +17,16 @@
 //! configuration fails typed (and the store falls back to older files)
 //! instead of silently resuming the wrong simulation.
 
-use hetsolve_ckpt::{fnv1a, mix64, CkptError, Dec, Enc, SectionReader, SectionWriter};
+use hetsolve_ckpt::{
+    fnv1a, mix64, wire_newtype, wire_struct, CkptError, SectionReader, SectionWriter,
+};
+use hetsolve_fem::RandomLoadSpec;
 use hetsolve_machine::ClockState;
-use hetsolve_obs::Termination;
 
 use crate::backend::Backend;
-use crate::integrity::{CorruptTarget, CorruptionAction, CorruptionReport};
+use crate::integrity::CorruptionReport;
 use crate::methods::{RunConfig, RunState, StepRecord, WindowPolicy};
-use crate::recovery::{GuessSource, RecoveryEvent};
+use crate::recovery::RecoveryEvent;
 use crate::slot::CaseSlot;
 
 /// Section tags of the run-checkpoint format.
@@ -46,29 +48,60 @@ const TAG_INTEGRITY: [u8; 4] = *b"INTG";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConfigFingerprint(pub u64);
 
+wire_newtype!(ConfigFingerprint(u64));
+
 impl ConfigFingerprint {
+    /// Both configs are destructured without `..`: a new field must be
+    /// mixed or explicitly waved through here before this compiles.
     pub fn of(backend: &Backend, cfg: &RunConfig) -> Self {
-        let mut h = fnv1a(cfg.method.label().as_bytes());
+        let RunConfig {
+            method,
+            // KNOWN GAP (DESIGN.md §12): the node's rates steer the adaptive
+            // window, so it belongs in the hash; mixing it now would reject
+            // every `HSCKPT` file already written
+            node: _,
+            cpu_threads,
+            r,
+            s_max,
+            region_dofs,
+            tol,
+            window,
+            n_steps,
+            seed,
+            load,
+            // summaries only: which records `MethodSummary` averages over
+            measure_from: _,
+            record_surface,
+            // KNOWN GAP (DESIGN.md §12), same reason as `node`
+            integrity: _,
+        } = cfg;
+        let RandomLoadSpec {
+            n_sources,
+            impulses_per_source,
+            amplitude,
+            active_window,
+        } = load;
+        let mut h = fnv1a(method.label().as_bytes());
         h = mix64(h, backend.n_dofs() as u64);
-        h = mix64(h, cfg.r as u64);
-        h = mix64(h, cfg.s_max as u64);
-        h = mix64(h, cfg.region_dofs as u64);
-        h = mix64(h, cfg.tol.to_bits());
+        h = mix64(h, *r as u64);
+        h = mix64(h, *s_max as u64);
+        h = mix64(h, *region_dofs as u64);
+        h = mix64(h, tol.to_bits());
         h = mix64(
             h,
-            match cfg.window {
+            match window {
                 WindowPolicy::Adaptive => 0,
                 WindowPolicy::FullWindow => 1,
             },
         );
-        h = mix64(h, cfg.n_steps as u64);
-        h = mix64(h, cfg.seed);
-        h = mix64(h, cfg.cpu_threads as u64);
-        h = mix64(h, cfg.load.n_sources as u64);
-        h = mix64(h, cfg.load.impulses_per_source.to_bits());
-        h = mix64(h, cfg.load.amplitude.to_bits());
-        h = mix64(h, cfg.load.active_window.to_bits());
-        h = mix64(h, cfg.record_surface as u64);
+        h = mix64(h, *n_steps as u64);
+        h = mix64(h, *seed);
+        h = mix64(h, *cpu_threads as u64);
+        h = mix64(h, *n_sources as u64);
+        h = mix64(h, impulses_per_source.to_bits());
+        h = mix64(h, amplitude.to_bits());
+        h = mix64(h, active_window.to_bits());
+        h = mix64(h, *record_surface as u64);
         ConfigFingerprint(h)
     }
 }
@@ -88,137 +121,17 @@ pub struct SlotState {
     pub waveform: Vec<Vec<f64>>,
 }
 
-impl SlotState {
-    /// Encode into `enc` (shared with the serve-layer checkpoint).
-    pub fn encode_into(&self, enc: &mut Enc) {
-        enc.put_u64(self.seed);
-        enc.put_usize(self.n_steps);
-        enc.put_usize(self.step);
-        enc.put_f64s(&self.u);
-        enc.put_f64s(&self.v);
-        enc.put_f64s(&self.a);
-        enc.put_f64_vecs(&self.adams_hist);
-        enc.put_f64_vecs(&self.dd_hist);
-        enc.put_f64_vecs(&self.waveform);
-    }
-
-    /// Inverse of [`SlotState::encode_into`].
-    pub fn decode_from(dec: &mut Dec<'_>) -> Result<Self, CkptError> {
-        Ok(SlotState {
-            seed: dec.u64()?,
-            n_steps: dec.usize_()?,
-            step: dec.usize_()?,
-            u: dec.f64s()?,
-            v: dec.f64s()?,
-            a: dec.f64s()?,
-            adams_hist: dec.f64_vecs()?,
-            dd_hist: dec.f64_vecs()?,
-            waveform: dec.f64_vecs()?,
-        })
-    }
-}
-
-fn encode_record(enc: &mut Enc, r: &StepRecord) {
-    enc.put_usize(r.step);
-    enc.put_f64(r.step_time_per_case);
-    enc.put_f64(r.solver_time_per_case);
-    enc.put_f64(r.predictor_time_per_case);
-    enc.put_f64(r.transfer_time);
-    enc.put_f64(r.iterations);
-    enc.put_usize(r.s_used);
-    enc.put_f64(r.initial_rel_res);
-}
-
-fn decode_record(dec: &mut Dec<'_>) -> Result<StepRecord, CkptError> {
-    Ok(StepRecord {
-        step: dec.usize_()?,
-        step_time_per_case: dec.f64()?,
-        solver_time_per_case: dec.f64()?,
-        predictor_time_per_case: dec.f64()?,
-        transfer_time: dec.f64()?,
-        iterations: dec.f64()?,
-        s_used: dec.usize_()?,
-        initial_rel_res: dec.f64()?,
-    })
-}
-
-/// Encode one [`RecoveryEvent`] (shared with the serve-layer checkpoint).
-pub fn encode_recovery_event(enc: &mut Enc, ev: &RecoveryEvent) {
-    enc.put_usize(ev.step);
-    enc.put_opt_u64(ev.case.map(|c| c as u64));
-    enc.put_usize(ev.set);
-    enc.put_u8(ev.failed.code());
-    enc.put_u8(ev.recovered_with.code());
-    enc.put_usize(ev.attempts);
-}
-
-/// Decode one [`RecoveryEvent`]; unknown wire codes are typed corruption.
-pub fn decode_recovery_event(dec: &mut Dec<'_>) -> Result<RecoveryEvent, CkptError> {
-    let step = dec.usize_()?;
-    let case = dec.opt_u64()?.map(|c| c as usize);
-    let set = dec.usize_()?;
-    let failed = Termination::from_code(dec.u8()?)
-        .ok_or_else(|| CkptError::Corrupt("unknown termination code".into()))?;
-    let recovered_with = GuessSource::from_code(dec.u8()?)
-        .ok_or_else(|| CkptError::Corrupt("unknown guess-source code".into()))?;
-    let attempts = dec.usize_()?;
-    Ok(RecoveryEvent {
-        step,
-        case,
-        set,
-        failed,
-        recovered_with,
-        attempts,
-    })
-}
-
-/// Encode one [`CorruptionReport`] (shared with the serve-layer
-/// checkpoint).
-pub fn encode_corruption_report(enc: &mut Enc, rep: &CorruptionReport) {
-    enc.put_usize(rep.step);
-    enc.put_opt_u64(rep.case.map(|c| c as u64));
-    enc.put_u8(rep.target.code());
-    enc.put_u8(rep.action.code());
-}
-
-/// Decode one [`CorruptionReport`]; unknown wire codes are typed
-/// corruption.
-pub fn decode_corruption_report(dec: &mut Dec<'_>) -> Result<CorruptionReport, CkptError> {
-    let step = dec.usize_()?;
-    let case = dec.opt_u64()?.map(|c| c as usize);
-    let target = CorruptTarget::from_code(dec.u8()?)
-        .ok_or_else(|| CkptError::Corrupt("unknown corruption-target code".into()))?;
-    let action = CorruptionAction::from_code(dec.u8()?)
-        .ok_or_else(|| CkptError::Corrupt("unknown corruption-action code".into()))?;
-    Ok(CorruptionReport {
-        step,
-        case,
-        target,
-        action,
-    })
-}
-
-/// Encode one [`ClockState`] (shared with the serve-layer checkpoint).
-pub fn encode_clock_state(enc: &mut Enc, cs: &ClockState) {
-    enc.put_f64(cs.cpu_time);
-    enc.put_f64(cs.cpu_busy);
-    enc.put_f64(cs.cpu_busy_energy);
-    enc.put_f64(cs.gpu_time);
-    enc.put_f64(cs.gpu_busy);
-    enc.put_f64(cs.gpu_busy_energy);
-}
-
-/// Decode one [`ClockState`].
-pub fn decode_clock_state(dec: &mut Dec<'_>) -> Result<ClockState, CkptError> {
-    Ok(ClockState {
-        cpu_time: dec.f64()?,
-        cpu_busy: dec.f64()?,
-        cpu_busy_energy: dec.f64()?,
-        gpu_time: dec.f64()?,
-        gpu_busy: dec.f64()?,
-        gpu_busy_energy: dec.f64()?,
-    })
-}
+wire_struct!(SlotState {
+    seed,
+    n_steps,
+    step,
+    u,
+    v,
+    a,
+    adams_hist,
+    dd_hist,
+    waveform,
+});
 
 /// One crash-consistent snapshot of a run (any method) at a step boundary.
 #[derive(Debug, Clone, PartialEq)]
@@ -254,114 +167,7 @@ impl RunCheckpoint {
 
     /// Serialize into the sectioned `hetsolve-ckpt` format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SectionWriter::new();
-        let mut meta = Enc::new();
-        meta.put_u64(self.fingerprint.0);
-        meta.put_usize(self.step);
-        w.section(TAG_META, &meta.into_bytes());
-
-        let mut slots = Enc::new();
-        slots.put_usize(self.slots.len());
-        for s in &self.slots {
-            s.encode_into(&mut slots);
-        }
-        w.section(TAG_SLOTS, &slots.into_bytes());
-
-        let mut adpt = Enc::new();
-        adpt.put_usize(self.adaptive_s);
-        adpt.put_opt_f64(self.adaptive_unit_cost);
-        w.section(TAG_ADAPTIVE, &adpt.into_bytes());
-
-        let mut clk = Enc::new();
-        encode_clock_state(&mut clk, &self.clock);
-        w.section(TAG_CLOCK, &clk.into_bytes());
-
-        let mut recs = Enc::new();
-        recs.put_usize(self.records.len());
-        for r in &self.records {
-            encode_record(&mut recs, r);
-        }
-        w.section(TAG_RECORDS, &recs.into_bytes());
-
-        let mut rcvr = Enc::new();
-        rcvr.put_usize(self.recoveries.len());
-        for ev in &self.recoveries {
-            encode_recovery_event(&mut rcvr, ev);
-        }
-        w.section(TAG_RECOVERIES, &rcvr.into_bytes());
-
-        let mut intg = Enc::new();
-        intg.put_usize(self.corruptions.len());
-        for rep in &self.corruptions {
-            encode_corruption_report(&mut intg, rep);
-        }
-        w.section(TAG_INTEGRITY, &intg.into_bytes());
-        w.finish()
-    }
-
-    /// Parse and validate a snapshot. A fingerprint mismatch is typed
-    /// corruption (the snapshot belongs to a different run), so
-    /// `CheckpointStore::load_latest_valid` treats it as a skip and keeps
-    /// scanning older files.
-    pub fn from_bytes(bytes: &[u8], expect: ConfigFingerprint) -> Result<Self, CkptError> {
-        let r = SectionReader::parse(bytes)?;
-        let mut meta = Dec::new(r.section(TAG_META)?);
-        let fingerprint = ConfigFingerprint(meta.u64()?);
-        let step = meta.usize_()?;
-        meta.finish()?;
-        if fingerprint != expect {
-            return Err(CkptError::Corrupt(format!(
-                "config fingerprint mismatch: checkpoint {:#018x}, run {:#018x}",
-                fingerprint.0, expect.0
-            )));
-        }
-
-        let mut sd = Dec::new(r.section(TAG_SLOTS)?);
-        let n_slots = sd.usize_()?;
-        let mut slots = Vec::with_capacity(n_slots.min(1 << 16));
-        for _ in 0..n_slots {
-            slots.push(SlotState::decode_from(&mut sd)?);
-        }
-        sd.finish()?;
-
-        let mut ad = Dec::new(r.section(TAG_ADAPTIVE)?);
-        let adaptive_s = ad.usize_()?;
-        let adaptive_unit_cost = ad.opt_f64()?;
-        ad.finish()?;
-
-        let mut cd = Dec::new(r.section(TAG_CLOCK)?);
-        let clock = decode_clock_state(&mut cd)?;
-        cd.finish()?;
-
-        let mut rd = Dec::new(r.section(TAG_RECORDS)?);
-        let n_recs = rd.usize_()?;
-        let mut records = Vec::with_capacity(n_recs.min(1 << 20));
-        for _ in 0..n_recs {
-            records.push(decode_record(&mut rd)?);
-        }
-        rd.finish()?;
-
-        let mut vd = Dec::new(r.section(TAG_RECOVERIES)?);
-        let n_rcv = vd.usize_()?;
-        let mut recoveries = Vec::with_capacity(n_rcv.min(1 << 20));
-        for _ in 0..n_rcv {
-            recoveries.push(decode_recovery_event(&mut vd)?);
-        }
-        vd.finish()?;
-
-        // INTG is optional: pre-SDC checkpoints restore with no reports
-        let mut corruptions = Vec::new();
-        if r.has(TAG_INTEGRITY) {
-            let mut id = Dec::new(r.section(TAG_INTEGRITY)?);
-            let n_intg = id.usize_()?;
-            corruptions.reserve(n_intg.min(1 << 20));
-            for _ in 0..n_intg {
-                corruptions.push(decode_corruption_report(&mut id)?);
-            }
-            id.finish()?;
-        }
-
-        Ok(RunCheckpoint {
+        let RunCheckpoint {
             fingerprint,
             step,
             slots,
@@ -371,6 +177,43 @@ impl RunCheckpoint {
             records,
             recoveries,
             corruptions,
+        } = self;
+        let mut w = SectionWriter::new();
+        w.put(TAG_META, &(*fingerprint, *step));
+        w.put(TAG_SLOTS, slots);
+        w.put(TAG_ADAPTIVE, &(*adaptive_s, *adaptive_unit_cost));
+        w.put(TAG_CLOCK, clock);
+        w.put(TAG_RECORDS, records);
+        w.put(TAG_RECOVERIES, recoveries);
+        w.put(TAG_INTEGRITY, corruptions);
+        w.finish()
+    }
+
+    /// Parse and validate a snapshot. A fingerprint mismatch is typed
+    /// corruption (the snapshot belongs to a different run), so
+    /// `CheckpointStore::load_latest_valid` treats it as a skip and keeps
+    /// scanning older files.
+    pub fn from_bytes(bytes: &[u8], expect: ConfigFingerprint) -> Result<Self, CkptError> {
+        let r = SectionReader::parse(bytes)?;
+        let (fingerprint, step): (ConfigFingerprint, _) = r.get(TAG_META)?;
+        if fingerprint != expect {
+            return Err(CkptError::Corrupt(format!(
+                "config fingerprint mismatch: checkpoint {:#018x}, run {:#018x}",
+                fingerprint.0, expect.0
+            )));
+        }
+        let (adaptive_s, adaptive_unit_cost) = r.get(TAG_ADAPTIVE)?;
+        Ok(RunCheckpoint {
+            fingerprint,
+            step,
+            slots: r.get(TAG_SLOTS)?,
+            adaptive_s,
+            adaptive_unit_cost,
+            clock: r.get(TAG_CLOCK)?,
+            records: r.get(TAG_RECORDS)?,
+            recoveries: r.get(TAG_RECOVERIES)?,
+            // pre-SDC checkpoints restore with no reports
+            corruptions: r.get_or_default(TAG_INTEGRITY)?,
         })
     }
 

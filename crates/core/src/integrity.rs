@@ -150,6 +150,8 @@ impl CorruptTarget {
     }
 }
 
+hetsolve_ckpt::wire_code!(CorruptTarget, "corruption-target");
+
 /// Which ladder rung repaired a detected corruption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptionAction {
@@ -208,6 +210,8 @@ impl CorruptionAction {
     }
 }
 
+hetsolve_ckpt::wire_code!(CorruptionAction, "corruption-action");
+
 /// One corruption the integrity layer detected and repaired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorruptionReport {
@@ -219,6 +223,13 @@ pub struct CorruptionReport {
     pub target: CorruptTarget,
     pub action: CorruptionAction,
 }
+
+hetsolve_ckpt::wire_struct!(CorruptionReport {
+    step,
+    case,
+    target,
+    action
+});
 
 impl fmt::Display for CorruptionReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

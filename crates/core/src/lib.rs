@@ -43,10 +43,7 @@ pub mod study;
 pub mod trace;
 
 pub use backend::{Backend, RhsScratch};
-pub use checkpoint::{
-    decode_clock_state, decode_corruption_report, decode_recovery_event, encode_clock_state,
-    encode_corruption_report, encode_recovery_event, ConfigFingerprint, RunCheckpoint, SlotState,
-};
+pub use checkpoint::{ConfigFingerprint, RunCheckpoint, SlotState};
 pub use durable::{run_durable, run_durable_clocked, CheckpointPolicy, DurableOutcome};
 pub use ensemble::{
     run_ensemble, run_ensemble_durable, run_ensemble_for_model, EnsembleConfig,

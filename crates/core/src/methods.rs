@@ -240,6 +240,17 @@ pub struct StepRecord {
     pub initial_rel_res: f64,
 }
 
+hetsolve_ckpt::wire_struct!(StepRecord {
+    step,
+    step_time_per_case,
+    solver_time_per_case,
+    predictor_time_per_case,
+    transfer_time,
+    iterations,
+    s_used,
+    initial_rel_res,
+});
+
 /// Result of a time-history run.
 #[derive(Debug, Clone)]
 pub struct RunResult {

@@ -65,6 +65,8 @@ impl GuessSource {
     }
 }
 
+hetsolve_ckpt::wire_code!(GuessSource, "guess-source");
+
 /// One recovery performed by the ladder: the step survived, on a downgraded
 /// guess.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,6 +85,15 @@ pub struct RecoveryEvent {
     /// Solve attempts made, including the successful one.
     pub attempts: usize,
 }
+
+hetsolve_ckpt::wire_struct!(RecoveryEvent {
+    step,
+    case,
+    set,
+    failed,
+    recovered_with,
+    attempts,
+});
 
 impl fmt::Display for RecoveryEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -1,312 +1,68 @@
-//! `hetsolve-ckpt` codecs for the load-generation types.
+//! Canonical byte images of the load-generation types.
 //!
 //! [`ArrivalLog`]s persist so a soak's exact input can be re-replayed or
 //! shipped next to its report; [`SoakReport`]s serialize so determinism
-//! tests can compare two runs bitwise. Every struct here is registered
-//! in the xtask schema-drift table, and each codec body binds one local
-//! per field under the field's own name — the pass cross-checks the
-//! struct's field list against these bodies, so a new field that is not
-//! serialized fails `cargo xtask analyze`.
+//! tests can compare two runs bitwise. Each image is a format magic
+//! followed by the type's [`Wire`] layout, which is declared next to the
+//! type (`gen.rs`, `shape.rs`, `soak.rs`).
 
-use hetsolve_ckpt::{CkptError, Dec, Enc};
-use hetsolve_serve::{SolveRequest, TenantId};
+use hetsolve_ckpt::{CkptError, Dec, Enc, Wire};
 
-use crate::gen::{Arrival, ArrivalLog, LoadConfig};
-use crate::shape::TrafficShape;
-use crate::soak::{SoakReport, TenantLatency};
+use crate::gen::ArrivalLog;
+use crate::soak::SoakReport;
 
 /// Format magic of a serialized [`ArrivalLog`].
 const LOG_MAGIC: u64 = 0x6865_744c_4f41_4431; // "hetLOAD1"
 /// Format magic of a serialized [`SoakReport`].
 const REPORT_MAGIC: u64 = 0x6865_7453_4f41_4b31; // "hetSOAK1"
 
-fn encode_shape(enc: &mut Enc, s: &TrafficShape) {
-    enc.put_u8(s.code());
-    match *s {
-        TrafficShape::Constant { rps } => enc.put_f64(rps),
-        TrafficShape::Diurnal {
-            base_rps,
-            amplitude,
-            period_s,
-        } => {
-            enc.put_f64(base_rps);
-            enc.put_f64(amplitude);
-            enc.put_f64(period_s);
-        }
-        TrafficShape::Burst {
-            base_rps,
-            burst_rps,
-            start_s,
-            len_s,
-        } => {
-            enc.put_f64(base_rps);
-            enc.put_f64(burst_rps);
-            enc.put_f64(start_s);
-            enc.put_f64(len_s);
-        }
-    }
-}
-
-fn decode_shape(dec: &mut Dec<'_>) -> Result<TrafficShape, CkptError> {
-    Ok(match dec.u8()? {
-        0 => TrafficShape::Constant { rps: dec.f64()? },
-        1 => TrafficShape::Diurnal {
-            base_rps: dec.f64()?,
-            amplitude: dec.f64()?,
-            period_s: dec.f64()?,
-        },
-        2 => TrafficShape::Burst {
-            base_rps: dec.f64()?,
-            burst_rps: dec.f64()?,
-            start_s: dec.f64()?,
-            len_s: dec.f64()?,
-        },
-        c => {
-            return Err(CkptError::Corrupt(format!(
-                "unknown traffic-shape code {c}"
-            )))
-        }
-    })
-}
-
-pub(crate) fn encode_load_config(enc: &mut Enc, c: &LoadConfig) {
-    let seed = c.seed;
-    enc.put_u64(seed);
-    let n_requests = c.n_requests;
-    enc.put_usize(n_requests);
-    let shape = &c.shape;
-    encode_shape(enc, shape);
-    let n_tenants = c.n_tenants;
-    enc.put_u32(n_tenants);
-    let zipf_s = c.zipf_s;
-    enc.put_f64(zipf_s);
-    let steps_min = c.steps_min;
-    enc.put_u32(steps_min);
-    let steps_max = c.steps_max;
-    enc.put_u32(steps_max);
-    let priority_levels = c.priority_levels;
-    enc.put_u8(priority_levels);
-    let deadline_slack_s = c.deadline_slack_s;
-    enc.put_opt_f64(deadline_slack_s);
-}
-
-pub(crate) fn decode_load_config(dec: &mut Dec<'_>) -> Result<LoadConfig, CkptError> {
-    let seed = dec.u64()?;
-    let n_requests = dec.usize_()?;
-    let shape = decode_shape(dec)?;
-    let n_tenants = dec.u32()?;
-    let zipf_s = dec.f64()?;
-    let steps_min = dec.u32()?;
-    let steps_max = dec.u32()?;
-    let priority_levels = dec.u8()?;
-    let deadline_slack_s = dec.opt_f64()?;
-    Ok(LoadConfig {
-        seed,
-        n_requests,
-        shape,
-        n_tenants,
-        zipf_s,
-        steps_min,
-        steps_max,
-        priority_levels,
-        deadline_slack_s,
-    })
-}
-
-pub(crate) fn encode_arrival(enc: &mut Enc, a: &Arrival) {
-    let t_s = a.t_s;
-    enc.put_f64(t_s);
-    let request = &a.request;
-    enc.put_u64(request.seed);
-    enc.put_usize(request.n_steps);
-    enc.put_u8(request.priority);
-    enc.put_opt_f64(request.deadline);
-    enc.put_opt_f64(request.tol);
-    enc.put_u32(request.tenant.0);
-}
-
-pub(crate) fn decode_arrival(dec: &mut Dec<'_>) -> Result<Arrival, CkptError> {
-    let t_s = dec.f64()?;
-    let request = SolveRequest {
-        seed: dec.u64()?,
-        n_steps: dec.usize_()?,
-        priority: dec.u8()?,
-        deadline: dec.opt_f64()?,
-        tol: dec.opt_f64()?,
-        tenant: TenantId(dec.u32()?),
-    };
-    Ok(Arrival { t_s, request })
-}
-
-pub(crate) fn encode_tenant_latency(enc: &mut Enc, t: &TenantLatency) {
-    let tenant = t.tenant;
-    enc.put_u32(tenant);
-    let completed = t.completed;
-    enc.put_u64(completed);
-    let served_steps = t.served_steps;
-    enc.put_u64(served_steps);
-    let p50_s = t.p50_s;
-    enc.put_f64(p50_s);
-    let p99_s = t.p99_s;
-    enc.put_f64(p99_s);
-    let p999_s = t.p999_s;
-    enc.put_f64(p999_s);
-    let max_s = t.max_s;
-    enc.put_f64(max_s);
-}
-
-pub(crate) fn decode_tenant_latency(dec: &mut Dec<'_>) -> Result<TenantLatency, CkptError> {
-    let tenant = dec.u32()?;
-    let completed = dec.u64()?;
-    let served_steps = dec.u64()?;
-    let p50_s = dec.f64()?;
-    let p99_s = dec.f64()?;
-    let p999_s = dec.f64()?;
-    let max_s = dec.f64()?;
-    Ok(TenantLatency {
-        tenant,
-        completed,
-        served_steps,
-        p50_s,
-        p99_s,
-        p999_s,
-        max_s,
-    })
-}
-
-pub(crate) fn soak_report_to_bytes(r: &SoakReport) -> Vec<u8> {
+fn to_image<T: Wire>(magic: u64, value: &T) -> Vec<u8> {
     let mut enc = Enc::new();
-    enc.put_u64(REPORT_MAGIC);
-    let n_arrivals = r.n_arrivals;
-    enc.put_usize(n_arrivals);
-    let admitted = r.admitted;
-    enc.put_usize(admitted);
-    let rejected = r.rejected;
-    enc.put_usize(rejected);
-    let shed = r.shed;
-    enc.put_usize(shed);
-    let completed = r.completed;
-    enc.put_usize(completed);
-    let evicted = r.evicted;
-    enc.put_usize(evicted);
-    let shed_early = r.shed_early;
-    enc.put_usize(shed_early);
-    let deadline_miss = r.deadline_miss;
-    enc.put_usize(deadline_miss);
-    let deadline_miss_rate = r.deadline_miss_rate;
-    enc.put_f64(deadline_miss_rate);
-    let slo_miss = r.slo_miss;
-    enc.put_usize(slo_miss);
-    let autoscale_events = r.autoscale_events;
-    enc.put_usize(autoscale_events);
-    let peak_queue_depth = r.peak_queue_depth;
-    enc.put_usize(peak_queue_depth);
-    let ticks = r.ticks;
-    enc.put_usize(ticks);
-    let modeled_elapsed_s = r.modeled_elapsed_s;
-    enc.put_f64(modeled_elapsed_s);
-    let tenants = &r.tenants;
-    enc.put_usize(tenants.len());
-    for t in tenants {
-        encode_tenant_latency(&mut enc, t);
-    }
+    magic.put(&mut enc);
+    value.put(&mut enc);
     enc.into_bytes()
 }
 
-pub(crate) fn soak_report_from_bytes(bytes: &[u8]) -> Result<SoakReport, CkptError> {
+fn from_image<T: Wire>(magic: u64, what: &str, bytes: &[u8]) -> Result<T, CkptError> {
     let mut dec = Dec::new(bytes);
-    if dec.u64()? != REPORT_MAGIC {
-        return Err(CkptError::Corrupt("not a soak report".into()));
+    if u64::get(&mut dec)? != magic {
+        return Err(CkptError::Corrupt(format!("not {what}")));
     }
-    let n_arrivals = dec.usize_()?;
-    let admitted = dec.usize_()?;
-    let rejected = dec.usize_()?;
-    let shed = dec.usize_()?;
-    let completed = dec.usize_()?;
-    let evicted = dec.usize_()?;
-    let shed_early = dec.usize_()?;
-    let deadline_miss = dec.usize_()?;
-    let deadline_miss_rate = dec.f64()?;
-    let slo_miss = dec.usize_()?;
-    let autoscale_events = dec.usize_()?;
-    let peak_queue_depth = dec.usize_()?;
-    let ticks = dec.usize_()?;
-    let modeled_elapsed_s = dec.f64()?;
-    let n = dec.usize_()?;
-    let mut tenants = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        tenants.push(decode_tenant_latency(&mut dec)?);
-    }
+    let value = T::get(&mut dec)?;
     dec.finish()?;
-    Ok(SoakReport {
-        n_arrivals,
-        admitted,
-        rejected,
-        shed,
-        completed,
-        evicted,
-        shed_early,
-        deadline_miss,
-        deadline_miss_rate,
-        slo_miss,
-        autoscale_events,
-        peak_queue_depth,
-        ticks,
-        modeled_elapsed_s,
-        tenants,
-    })
+    Ok(value)
 }
 
 impl SoakReport {
+    /// Canonical byte image — bitwise equal for bitwise-equal runs.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        to_image(REPORT_MAGIC, self)
+    }
+
     /// Parse a serialized report ([`SoakReport::to_bytes`] inverse).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CkptError> {
-        soak_report_from_bytes(bytes)
+        from_image(REPORT_MAGIC, "a soak report", bytes)
     }
-}
-
-pub(crate) fn arrival_log_to_bytes(log: &ArrivalLog) -> Vec<u8> {
-    let mut enc = Enc::new();
-    enc.put_u64(LOG_MAGIC);
-    let config = &log.config;
-    encode_load_config(&mut enc, config);
-    let arrivals = &log.arrivals;
-    enc.put_usize(arrivals.len());
-    for a in arrivals {
-        encode_arrival(&mut enc, a);
-    }
-    enc.into_bytes()
-}
-
-pub(crate) fn arrival_log_from_bytes(bytes: &[u8]) -> Result<ArrivalLog, CkptError> {
-    let mut dec = Dec::new(bytes);
-    if dec.u64()? != LOG_MAGIC {
-        return Err(CkptError::Corrupt("not an arrival log".into()));
-    }
-    let config = decode_load_config(&mut dec)?;
-    let n = dec.usize_()?;
-    let mut arrivals = Vec::with_capacity(n.min(1 << 22));
-    for _ in 0..n {
-        arrivals.push(decode_arrival(&mut dec)?);
-    }
-    dec.finish()?;
-    Ok(ArrivalLog { config, arrivals })
 }
 
 impl ArrivalLog {
     /// Serialize the stream (config + every arrival).
     pub fn to_bytes(&self) -> Vec<u8> {
-        arrival_log_to_bytes(self)
+        to_image(LOG_MAGIC, self)
     }
 
     /// Parse a serialized stream ([`ArrivalLog::to_bytes`] inverse).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CkptError> {
-        arrival_log_from_bytes(bytes)
+        from_image(LOG_MAGIC, "an arrival log", bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::LoadConfig;
+    use crate::shape::TrafficShape;
+    use crate::soak::TenantLatency;
 
     #[test]
     fn arrival_log_round_trips() {

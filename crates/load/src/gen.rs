@@ -72,6 +72,18 @@ pub struct LoadConfig {
     pub deadline_slack_s: Option<f64>,
 }
 
+hetsolve_ckpt::wire_struct!(LoadConfig {
+    seed,
+    n_requests,
+    shape,
+    n_tenants,
+    zipf_s,
+    steps_min,
+    steps_max,
+    priority_levels,
+    deadline_slack_s,
+});
+
 impl LoadConfig {
     /// A single-tenant constant-rate scenario; compose with the builders.
     pub fn new(seed: u64, n_requests: usize, rps: f64) -> Self {
@@ -125,6 +137,8 @@ pub struct Arrival {
     pub request: SolveRequest,
 }
 
+hetsolve_ckpt::wire_struct!(Arrival { t_s, request });
+
 /// A replayable arrival stream: the generating config plus every arrival
 /// in time order.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,6 +146,8 @@ pub struct ArrivalLog {
     pub config: LoadConfig,
     pub arrivals: Vec<Arrival>,
 }
+
+hetsolve_ckpt::wire_struct!(ArrivalLog { config, arrivals });
 
 impl ArrivalLog {
     /// Generate the stream for `config` by thinning a homogeneous

@@ -20,9 +20,9 @@
 //!   never wait for the server) and distill the run into a
 //!   [`SoakReport`]: admitted/shed/evicted counts, per-tenant tail
 //!   latencies, deadline-miss rate, peak queue depth, autoscale events,
-//! * [`checkpoint`] — `hetsolve-ckpt` codecs for the above (registered
-//!   in the xtask schema-drift table), so arrival streams and reports
-//!   can be persisted and byte-compared across runs.
+//! * [`checkpoint`] — canonical byte images of the above (their `Wire`
+//!   layouts are declared next to the types), so arrival streams and
+//!   reports can be persisted and byte-compared across runs.
 //!
 //! Determinism is the point: the generator draws from an internal
 //! splitmix64 stream (no RNG dependency), the soak drivers make no

@@ -7,6 +7,8 @@
 //! probability `rate_at(t) / peak_rate()` — exact for any bounded rate
 //! curve, and deterministic given the seeded uniform stream.
 
+use hetsolve_ckpt::{CkptError, Dec, Enc, Wire};
+
 /// Arrival-rate curve of one load scenario (requests / modeled second).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficShape {
@@ -81,6 +83,61 @@ impl TrafficShape {
             TrafficShape::Diurnal { .. } => 1,
             TrafficShape::Burst { .. } => 2,
         }
+    }
+}
+
+/// Hand-written because it is a tagged union, which `wire_struct!` cannot
+/// express: the [`code`](TrafficShape::code) byte, then the variant's
+/// fields in declaration order.
+impl Wire for TrafficShape {
+    const MIN_WIRE_BYTES: usize = 1 + 8;
+
+    fn put(&self, enc: &mut Enc) {
+        self.code().put(enc);
+        match *self {
+            TrafficShape::Constant { rps } => rps.put(enc),
+            TrafficShape::Diurnal {
+                base_rps,
+                amplitude,
+                period_s,
+            } => (base_rps, amplitude, period_s).put(enc),
+            TrafficShape::Burst {
+                base_rps,
+                burst_rps,
+                start_s,
+                len_s,
+            } => (base_rps, burst_rps, start_s, len_s).put(enc),
+        }
+    }
+
+    fn get(dec: &mut Dec<'_>) -> Result<Self, CkptError> {
+        Ok(match u8::get(dec)? {
+            0 => TrafficShape::Constant {
+                rps: Wire::get(dec)?,
+            },
+            1 => {
+                let (base_rps, amplitude, period_s) = Wire::get(dec)?;
+                TrafficShape::Diurnal {
+                    base_rps,
+                    amplitude,
+                    period_s,
+                }
+            }
+            2 => {
+                let (base_rps, burst_rps, start_s, len_s) = Wire::get(dec)?;
+                TrafficShape::Burst {
+                    base_rps,
+                    burst_rps,
+                    start_s,
+                    len_s,
+                }
+            }
+            c => {
+                return Err(CkptError::Corrupt(format!(
+                    "unknown traffic-shape code {c}"
+                )))
+            }
+        })
     }
 }
 

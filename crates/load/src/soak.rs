@@ -27,6 +27,16 @@ pub struct TenantLatency {
     pub max_s: f64,
 }
 
+hetsolve_ckpt::wire_struct!(TenantLatency {
+    tenant,
+    completed,
+    served_steps,
+    p50_s,
+    p99_s,
+    p999_s,
+    max_s,
+});
+
 /// Everything a soak run distills to. Byte-serializable
 /// ([`SoakReport::to_bytes`]) so determinism tests can assert two
 /// same-seed soaks are bitwise equal, and JSON-exportable for artifacts.
@@ -56,6 +66,24 @@ pub struct SoakReport {
     /// One row per tenant, dense by id.
     pub tenants: Vec<TenantLatency>,
 }
+
+hetsolve_ckpt::wire_struct!(SoakReport {
+    n_arrivals,
+    admitted,
+    rejected,
+    shed,
+    completed,
+    evicted,
+    shed_early,
+    deadline_miss,
+    deadline_miss_rate,
+    slo_miss,
+    autoscale_events,
+    peak_queue_depth,
+    ticks,
+    modeled_elapsed_s,
+    tenants,
+});
 
 impl SoakReport {
     fn from_run(
@@ -97,12 +125,6 @@ impl SoakReport {
             modeled_elapsed_s: stats.elapsed_s(),
             tenants,
         }
-    }
-
-    /// Canonical byte image (see [`crate::checkpoint`]) — bitwise equal
-    /// for bitwise-equal runs.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        crate::checkpoint::soak_report_to_bytes(self)
     }
 
     /// JSON export for artifacts and the bench snapshot.

@@ -78,6 +78,15 @@ pub struct ClockState {
     pub gpu_busy_energy: f64,
 }
 
+hetsolve_ckpt::wire_struct!(ClockState {
+    cpu_time,
+    cpu_busy,
+    cpu_busy_energy,
+    gpu_time,
+    gpu_busy,
+    gpu_busy_energy,
+});
+
 /// Summary of a finished (or in-progress) timeline.
 #[derive(Debug, Clone, Copy)]
 pub struct EnergyReport {

@@ -105,6 +105,14 @@ pub struct LinkTraffic {
     pub link_time_s: f64,
 }
 
+hetsolve_ckpt::wire_struct!(LinkTraffic {
+    steal_msgs,
+    steal_bytes,
+    replica_msgs,
+    replica_bytes,
+    link_time_s,
+});
+
 impl LinkTraffic {
     /// Charge one work-steal transfer of `bytes` and return its modeled
     /// link time.

@@ -12,10 +12,10 @@
 //! Timestamps are **modeled seconds** from the deterministic
 //! `ModuleClock`, not wall time — so a dump from a failing CI run is
 //! bit-reproducible locally, and two dumps can be diffed. The ring state
-//! itself is checkpointed through `hetsolve-ckpt` (see
-//! `crates/serve/src/checkpoint.rs`), so a restored server remembers the
-//! events that led up to the checkpoint — a crash shortly after restore
-//! still dumps a full causal window.
+//! itself is checkpointed through `hetsolve-ckpt` (the `wire_struct!`
+//! lists below; the `FLIT` section of a server image), so a restored
+//! server remembers the events that led up to the checkpoint — a crash
+//! shortly after restore still dumps a full causal window.
 
 use std::collections::VecDeque;
 use std::io;
@@ -49,6 +49,16 @@ pub struct FlightEvent {
     /// Free-form human detail (decision, reason, rung).
     pub detail: String,
 }
+
+hetsolve_ckpt::wire_struct!(FlightEvent {
+    seq,
+    t_s,
+    kind,
+    request,
+    lane,
+    step,
+    detail
+});
 
 impl FlightEvent {
     pub fn to_json(&self) -> Json {
@@ -155,23 +165,22 @@ impl FlightRecorder {
 
     /// Rebuild from checkpointed parts (events oldest first). Excess
     /// events beyond `capacity` are dropped from the front, counted.
-    pub fn from_parts(
+    /// `capacity` is outside input: nothing is reserved for it.
+    fn from_parts(
         capacity: usize,
-        events: Vec<FlightEvent>,
+        mut events: Vec<FlightEvent>,
         next_seq: u64,
         dropped: u64,
     ) -> Self {
-        let mut rec = FlightRecorder::new(capacity);
-        rec.next_seq = next_seq;
-        rec.dropped = dropped;
-        for ev in events {
-            if rec.events.len() == rec.capacity {
-                rec.events.pop_front();
-                rec.dropped += 1;
-            }
-            rec.events.push_back(ev);
+        let capacity = capacity.max(1);
+        let excess = events.len().saturating_sub(capacity);
+        events.drain(..excess);
+        FlightRecorder {
+            capacity,
+            events: events.into(),
+            next_seq,
+            dropped: dropped.saturating_add(excess as u64),
         }
-        rec
     }
 
     /// Serialize the ring as a dump document:
@@ -198,6 +207,10 @@ impl FlightRecorder {
         std::fs::write(path, self.to_json(trigger).to_string_pretty())
     }
 }
+
+hetsolve_ckpt::wire_struct!(
+    FlightRecorder { capacity, events, next_seq, dropped } => FlightRecorder::from_parts
+);
 
 #[cfg(test)]
 mod tests {
@@ -238,6 +251,9 @@ mod tests {
         assert_eq!(small.len(), 2);
         assert_eq!(small.dropped(), 3);
         assert_eq!(small.events().map(|e| e.seq).collect::<Vec<_>>(), [3, 4]);
+        // a capacity no machine has memory for is a number, not a reservation
+        let huge = FlightRecorder::from_parts(usize::MAX >> 8, Vec::new(), 0, 0);
+        assert_eq!((huge.capacity(), huge.len()), (usize::MAX >> 8, 0));
     }
 
     #[test]

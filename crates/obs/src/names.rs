@@ -5,10 +5,9 @@
 //! metric-names pass parses this table textually and fails CI on a
 //! duplicate declaration or on a registry call site
 //! (`.inc("...")` / `.gauge_set("...")` / `.observe("...")` /
-//! `.merge_histogram("...")`) whose literal name is not declared here —
-//! the textual twin of the checkpoint schema-drift pass. Keeping the table
-//! in one file makes renames reviewable and the Prometheus page's
-//! vocabulary diffable across PRs.
+//! `.merge_histogram("...")`) whose literal name is not declared here.
+//! Keeping the table in one file makes renames reviewable and the
+//! Prometheus page's vocabulary diffable across PRs.
 //!
 //! Naming convention: `<layer>_<quantity>[_<unit>][_total]`, with `_total`
 //! reserved for monotonic counters and `_s` for seconds, following the

@@ -96,6 +96,8 @@ impl Termination {
     }
 }
 
+hetsolve_ckpt::wire_code!(Termination, "termination");
+
 /// Observer hooks called by the CG solvers. `rel_res` carries one relative
 /// residual per fused case (length 1 for single-RHS `pcg`); the slice is
 /// borrowed from solver-owned storage, so implementations must copy what

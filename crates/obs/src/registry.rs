@@ -183,7 +183,7 @@ impl LogHistogram {
     /// Rebuild from checkpointed parts. A counts vector from a different
     /// build is resized (zero-padded or truncated) to the current layout;
     /// the exact `total`/`sum`/`min`/`max` stay authoritative either way.
-    pub fn from_parts(counts: Vec<u64>, total: u64, sum: f64, min: f64, max: f64) -> Self {
+    fn from_parts(counts: Vec<u64>, total: u64, sum: f64, min: f64, max: f64) -> Self {
         let mut counts = counts;
         counts.resize(HIST_BUCKETS, 0);
         LogHistogram {
@@ -193,17 +193,6 @@ impl LogHistogram {
             min,
             max,
         }
-    }
-
-    /// Checkpoint view of the exact `min` field (may be `+inf` when
-    /// empty — the in-memory sentinel, unlike the clamped [`Self::min`]).
-    pub fn raw_min(&self) -> f64 {
-        self.min
-    }
-
-    /// Checkpoint view of the exact `max` field (see [`Self::raw_min`]).
-    pub fn raw_max(&self) -> f64 {
-        self.max
     }
 
     /// Compact JSON summary (bucket array elided; quantiles cover it).
@@ -220,6 +209,12 @@ impl LogHistogram {
         ])
     }
 }
+
+// `min`/`max` cross as the in-memory fields (±inf while empty), not the
+// clamped accessors.
+hetsolve_ckpt::wire_struct!(
+    LogHistogram { counts, total, sum, min, max } => LogHistogram::from_parts
+);
 
 /// Named counters, gauges and histograms. Names must be declared in the
 /// committed [`crate::names::METRICS`] table — enforced by a
@@ -470,13 +465,7 @@ mod tests {
         for v in [0.001, 0.002, 0.4] {
             h.observe(v);
         }
-        let back = LogHistogram::from_parts(
-            h.counts().to_vec(),
-            h.total(),
-            h.sum(),
-            h.raw_min(),
-            h.raw_max(),
-        );
+        let back = LogHistogram::from_parts(h.counts().to_vec(), h.total(), h.sum(), h.min, h.max);
         assert_eq!(back, h);
         // a shorter counts vector (older build) is zero-padded
         let short = LogHistogram::from_parts(vec![1, 2], 3, 6.0, 1.0, 3.0);

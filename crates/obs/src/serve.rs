@@ -9,13 +9,14 @@
 //! `serve` section of the bench snapshot (`BENCH_<n>.json`), giving the
 //! ROADMAP's perf trajectory lane-occupancy and queue-latency columns.
 
+use hetsolve_ckpt::{CkptError, Dec, Enc, Wire};
+
 use crate::json::Json;
 use crate::registry::{LogHistogram, MetricsRegistry};
 
 /// Per-tenant serving outcomes: the QoS layer's accounting unit. One
 /// entry exists per tenant id that was ever observed (dense ids expected;
-/// the vec grows to cover the largest). Checkpointed with [`ServeStats`]
-/// and registered in the xtask schema-drift table.
+/// the vec grows to cover the largest). Checkpointed with [`ServeStats`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantStats {
     /// Tenant id this row accounts for.
@@ -36,6 +37,18 @@ pub struct TenantStats {
     /// percentiles per tenant are the QoS report's headline numbers).
     pub latency: LogHistogram,
 }
+
+hetsolve_ckpt::wire_struct!(TenantStats {
+    tenant,
+    completed,
+    rejected,
+    shed,
+    evicted,
+    deadline_miss,
+    slo_miss,
+    served_steps,
+    latency,
+});
 
 impl TenantStats {
     pub fn new(tenant: u32) -> Self {
@@ -342,8 +355,7 @@ impl ServeStats {
         self.sdc_evictions
     }
 
-    /// The detect→recover turnaround histogram (checkpoint + export
-    /// access).
+    /// The detect→recover turnaround histogram.
     pub fn sdc_recovery(&self) -> &LogHistogram {
         &self.sdc_recovery
     }
@@ -369,106 +381,14 @@ impl ServeStats {
         self.deadline_miss as f64 / outcomes as f64
     }
 
-    /// Raw queue-depth samples, in boundary order (checkpoint access).
+    /// Raw queue-depth samples, in boundary order.
     pub fn queue_depth_samples(&self) -> &[usize] {
         &self.queue_depth
     }
 
-    /// Raw `(occupied, width)` lane samples (checkpoint access).
-    pub fn occupancy_samples(&self) -> &[(usize, usize)] {
-        &self.occupancy
-    }
-
-    /// The completion-latency histogram (checkpoint + export access).
+    /// The completion-latency histogram.
     pub fn latency(&self) -> &LogHistogram {
         &self.latency
-    }
-
-    /// Rebuild stats from checkpointed parts — the restore-side inverse
-    /// of the accessors above. Counters resume exactly where the saved
-    /// run left off (they must not reset on resume).
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        queue_depth: Vec<usize>,
-        occupancy: Vec<(usize, usize)>,
-        latency: LogHistogram,
-        completed: usize,
-        failed: usize,
-        evicted: usize,
-        rejected: usize,
-        shed: usize,
-        watchdog_breaches: usize,
-        watchdog_restarts: usize,
-        node_crashes: usize,
-        failovers: usize,
-        stolen: usize,
-        elapsed_s: f64,
-    ) -> Self {
-        ServeStats {
-            queue_depth,
-            occupancy,
-            latency,
-            completed,
-            failed,
-            evicted,
-            rejected,
-            shed,
-            watchdog_breaches,
-            watchdog_restarts,
-            node_crashes,
-            failovers,
-            stolen,
-            elapsed_s,
-            shed_early: 0,
-            deadline_miss: 0,
-            slo_miss: 0,
-            autoscale_events: 0,
-            tenants: Vec::new(),
-            sdc_detected: 0,
-            sdc_restarts: 0,
-            sdc_evictions: 0,
-            sdc_recovery: LogHistogram::default(),
-        }
-    }
-
-    /// Attach the QoS-era fields to stats rebuilt by
-    /// [`ServeStats::from_parts`] — the restore-side inverse of the
-    /// `shed_early` / `deadline_miss` / `slo_miss` / `autoscale_events` /
-    /// `tenants` accessors. Split from `from_parts` so pre-QoS checkpoints
-    /// (no `QOS\0` section) restore with clean zeros.
-    pub fn with_qos_parts(
-        mut self,
-        shed_early: usize,
-        deadline_miss: usize,
-        slo_miss: usize,
-        autoscale_events: usize,
-        tenants: Vec<TenantStats>,
-    ) -> Self {
-        self.shed_early = shed_early;
-        self.deadline_miss = deadline_miss;
-        self.slo_miss = slo_miss;
-        self.autoscale_events = autoscale_events;
-        self.tenants = tenants;
-        self
-    }
-
-    /// Attach the SDC-era fields to stats rebuilt by
-    /// [`ServeStats::from_parts`] — the restore-side inverse of the
-    /// `sdc_detected` / `sdc_restarts` / `sdc_evictions` / `sdc_recovery`
-    /// accessors. Split out so pre-SDC checkpoints (no `INTG` section)
-    /// restore with clean zeros.
-    pub fn with_sdc_parts(
-        mut self,
-        sdc_detected: usize,
-        sdc_restarts: usize,
-        sdc_evictions: usize,
-        sdc_recovery: LogHistogram,
-    ) -> Self {
-        self.sdc_detected = sdc_detected;
-        self.sdc_restarts = sdc_restarts;
-        self.sdc_evictions = sdc_evictions;
-        self.sdc_recovery = sdc_recovery;
-        self
     }
 
     /// Fold another shard's stats into this one without double-counting:
@@ -632,6 +552,103 @@ impl ServeStats {
     }
 }
 
+/// Hand-written because of the tail: the SDC counters were appended to the
+/// `STAT` payload after images without them had been written, so a payload
+/// that ends after `tenants` restores them as clean zeros. Everything else
+/// is the field list in order.
+impl Wire for ServeStats {
+    // three length prefixes, fifteen scalars, one histogram; no tail
+    const MIN_WIRE_BYTES: usize = (3 + 15) * 8 + LogHistogram::MIN_WIRE_BYTES;
+
+    fn put(&self, enc: &mut Enc) {
+        let ServeStats {
+            queue_depth,
+            occupancy,
+            latency,
+            completed,
+            failed,
+            evicted,
+            rejected,
+            shed,
+            watchdog_breaches,
+            watchdog_restarts,
+            node_crashes,
+            failovers,
+            stolen,
+            elapsed_s,
+            shed_early,
+            deadline_miss,
+            slo_miss,
+            autoscale_events,
+            tenants,
+            sdc_detected,
+            sdc_restarts,
+            sdc_evictions,
+            sdc_recovery,
+        } = self;
+        queue_depth.put(enc);
+        occupancy.put(enc);
+        latency.put(enc);
+        completed.put(enc);
+        failed.put(enc);
+        evicted.put(enc);
+        rejected.put(enc);
+        shed.put(enc);
+        watchdog_breaches.put(enc);
+        watchdog_restarts.put(enc);
+        node_crashes.put(enc);
+        failovers.put(enc);
+        stolen.put(enc);
+        elapsed_s.put(enc);
+        shed_early.put(enc);
+        deadline_miss.put(enc);
+        slo_miss.put(enc);
+        autoscale_events.put(enc);
+        tenants.put(enc);
+        sdc_detected.put(enc);
+        sdc_restarts.put(enc);
+        sdc_evictions.put(enc);
+        sdc_recovery.put(enc);
+    }
+
+    fn get(dec: &mut Dec<'_>) -> Result<Self, CkptError> {
+        let mut stats = ServeStats {
+            queue_depth: Wire::get(dec)?,
+            occupancy: Wire::get(dec)?,
+            latency: Wire::get(dec)?,
+            completed: Wire::get(dec)?,
+            failed: Wire::get(dec)?,
+            evicted: Wire::get(dec)?,
+            rejected: Wire::get(dec)?,
+            shed: Wire::get(dec)?,
+            watchdog_breaches: Wire::get(dec)?,
+            watchdog_restarts: Wire::get(dec)?,
+            node_crashes: Wire::get(dec)?,
+            failovers: Wire::get(dec)?,
+            stolen: Wire::get(dec)?,
+            elapsed_s: Wire::get(dec)?,
+            shed_early: Wire::get(dec)?,
+            deadline_miss: Wire::get(dec)?,
+            slo_miss: Wire::get(dec)?,
+            autoscale_events: Wire::get(dec)?,
+            tenants: Wire::get(dec)?,
+            sdc_detected: 0,
+            sdc_restarts: 0,
+            sdc_evictions: 0,
+            sdc_recovery: LogHistogram::default(),
+        };
+        if dec.remaining() > 0 {
+            (
+                stats.sdc_detected,
+                stats.sdc_restarts,
+                stats.sdc_evictions,
+                stats.sdc_recovery,
+            ) = Wire::get(dec)?;
+        }
+        Ok(stats)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -783,13 +800,10 @@ mod tests {
         assert_eq!(s.autoscale_events(), 1);
         assert_eq!(s.tenant(2).unwrap().latency_percentile(1.0), 2.0);
 
-        let restored = ServeStats::new().with_qos_parts(
-            s.shed_early(),
-            s.deadline_miss(),
-            s.slo_miss(),
-            s.autoscale_events(),
-            s.tenants().to_vec(),
-        );
+        let mut enc = Enc::new();
+        s.put(&mut enc);
+        let bytes = enc.into_bytes();
+        let restored = ServeStats::get(&mut Dec::new(&bytes)).unwrap();
         assert_eq!(restored.tenants(), s.tenants());
         assert_eq!(restored.deadline_miss(), s.deadline_miss());
     }

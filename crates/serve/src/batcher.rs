@@ -30,6 +30,8 @@ use crate::request::RequestId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CompatKey(pub u64);
 
+hetsolve_ckpt::wire_newtype!(CompatKey(u64));
+
 impl CompatKey {
     pub fn from_tol(tol: f64) -> Self {
         CompatKey(tol.to_bits())

@@ -20,22 +20,22 @@ use std::io;
 use std::path::PathBuf;
 
 use hetsolve_ckpt::{
-    mix64, CheckpointStore, CkptError, Dec, Enc, RestoreReport, SectionReader, SectionWriter,
+    mix64, wire_newtype, wire_struct, CheckpointStore, CkptError, RestoreReport, SectionReader,
+    SectionWriter, Wire,
 };
 use hetsolve_core::{
-    decode_clock_state, decode_corruption_report, decode_recovery_event, encode_clock_state,
-    encode_corruption_report, encode_recovery_event, Backend, CaseSlot, ConfigFingerprint,
-    CorruptionReport, RecoveryEvent, SlotState,
+    Backend, CaseSlot, ConfigFingerprint, CorruptionReport, RecoveryEvent, SlotState,
 };
 use hetsolve_fault::{FaultInjector, NoopFaults};
 use hetsolve_machine::ClockState;
-use hetsolve_obs::{FlightEvent, FlightRecorder, LogHistogram, ServeStats, TenantStats};
+use hetsolve_obs::{FlightRecorder, ServeStats};
 
 use crate::batcher::{BatchPolicy, CompatKey};
-use crate::qos::{AutoscalerState, TenantQuota};
+use crate::qos::{AutoscaleConfig, AutoscalerState, QosConfig, TenantQuota};
 use crate::queue::{DrrState, QueueEntrySnapshot};
-use crate::request::{EvictReason, RequestId, RequestRecord, RequestState, SolveRequest, TenantId};
+use crate::request::{RequestId, RequestRecord};
 use crate::server::{EnsembleServer, ServeConfig};
+use crate::watchdog::WatchdogConfig;
 
 /// Section tags of the server-checkpoint format.
 const TAG_META: [u8; 4] = *b"META";
@@ -63,55 +63,92 @@ const TAG_INTEGRITY: [u8; 4] = *b"INTG";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeFingerprint(pub u64);
 
+wire_newtype!(ServeFingerprint(u64));
+
 impl ServeFingerprint {
+    /// Every config struct is destructured without `..`: a new field must
+    /// be mixed or explicitly waved through here before this compiles.
     pub fn of(backend: &Backend, cfg: &ServeConfig) -> Self {
-        let mut h = ConfigFingerprint::of(backend, &cfg.run).0;
-        h = mix64(h, cfg.queue_capacity as u64);
-        h = mix64(h, cfg.sched_seed);
+        let ServeConfig {
+            run,
+            queue_capacity,
+            policy,
+            sched_seed,
+            // a safety net against a stuck loop; never steers a healthy run
+            max_ticks: _,
+            watchdog,
+            checkpoint_every,
+            // the ring's size and dump path shape telemetry, not state
+            flight_capacity: _,
+            flight_dump: _,
+            qos,
+            autoscale,
+            keep_results,
+        } = cfg;
+        let mut h = ConfigFingerprint::of(backend, run).0;
+        h = mix64(h, *queue_capacity as u64);
+        h = mix64(h, *sched_seed);
         h = mix64(
             h,
-            match cfg.policy {
+            match policy {
                 BatchPolicy::Continuous => 0,
                 BatchPolicy::DrainThenRefill => 1,
             },
         );
-        h = mix64(h, cfg.checkpoint_every as u64);
-        match cfg.watchdog {
+        h = mix64(h, *checkpoint_every as u64);
+        match watchdog {
             None => h = mix64(h, 0),
-            Some(wd) => {
+            Some(WatchdogConfig {
+                step_deadline_s,
+                max_retries,
+                backoff_base_s,
+                backoff_factor,
+            }) => {
                 h = mix64(h, 1);
-                h = mix64(h, wd.step_deadline_s.to_bits());
-                h = mix64(h, wd.max_retries as u64);
-                h = mix64(h, wd.backoff_base_s.to_bits());
-                h = mix64(h, wd.backoff_factor.to_bits());
+                h = mix64(h, step_deadline_s.to_bits());
+                h = mix64(h, *max_retries as u64);
+                h = mix64(h, backoff_base_s.to_bits());
+                h = mix64(h, backoff_factor.to_bits());
             }
         }
-        match &cfg.qos {
+        match qos {
             None => h = mix64(h, 0),
-            Some(q) => {
+            Some(QosConfig { tenants, quantum }) => {
                 h = mix64(h, 1);
-                h = mix64(h, q.quantum);
-                h = mix64(h, q.tenants.len() as u64);
-                for t in &q.tenants {
-                    h = mix64(h, t.weight);
-                    h = mix64(h, t.max_in_flight as u64);
-                    h = mix64(h, t.queue_share.to_bits());
-                    h = mix64(h, t.slo_latency_s.map_or(0, f64::to_bits));
+                h = mix64(h, *quantum);
+                h = mix64(h, tenants.len() as u64);
+                for t in tenants {
+                    let TenantQuota {
+                        weight,
+                        max_in_flight,
+                        queue_share,
+                        slo_latency_s,
+                    } = t;
+                    h = mix64(h, *weight);
+                    h = mix64(h, *max_in_flight as u64);
+                    h = mix64(h, queue_share.to_bits());
+                    h = mix64(h, slo_latency_s.map_or(0, f64::to_bits));
                 }
             }
         }
-        match cfg.autoscale {
+        match autoscale {
             None => h = mix64(h, 0),
-            Some(a) => {
+            Some(AutoscaleConfig {
+                min_lanes,
+                max_lanes,
+                scale_up_queue_per_lane,
+                scale_down_occupancy,
+                cooldown_ticks,
+            }) => {
                 h = mix64(h, 1);
-                h = mix64(h, a.min_lanes as u64);
-                h = mix64(h, a.max_lanes as u64);
-                h = mix64(h, a.scale_up_queue_per_lane as u64);
-                h = mix64(h, a.scale_down_occupancy.to_bits());
-                h = mix64(h, a.cooldown_ticks);
+                h = mix64(h, *min_lanes as u64);
+                h = mix64(h, *max_lanes as u64);
+                h = mix64(h, *scale_up_queue_per_lane as u64);
+                h = mix64(h, scale_down_occupancy.to_bits());
+                h = mix64(h, *cooldown_ticks);
             }
         }
-        h = mix64(h, u64::from(cfg.keep_results));
+        h = mix64(h, u64::from(*keep_results));
         ServeFingerprint(h)
     }
 }
@@ -125,6 +162,8 @@ pub struct LaneCheckpoint {
     pub breach: u32,
     pub slots: Vec<Option<(RequestId, SlotState)>>,
 }
+
+wire_struct!(LaneCheckpoint { key, breach, slots });
 
 /// One crash-consistent snapshot of a serving run at a tick boundary.
 #[derive(Debug, Clone)]
@@ -152,629 +191,10 @@ pub struct ServerCheckpoint {
     pub sdc_breach: Vec<u32>,
 }
 
-fn encode_queue_entry(enc: &mut Enc, e: &QueueEntrySnapshot) {
-    enc.put_u64(e.id.0);
-    enc.put_u64(e.key.0);
-    enc.put_u8(e.priority);
-    enc.put_opt_f64(e.deadline);
-    enc.put_u64(e.tie);
-    enc.put_u32(e.tenant.0);
-    enc.put_u32(e.cost);
-}
-
-fn decode_queue_entry(dec: &mut Dec<'_>) -> Result<QueueEntrySnapshot, CkptError> {
-    Ok(QueueEntrySnapshot {
-        id: RequestId(dec.u64()?),
-        key: CompatKey(dec.u64()?),
-        priority: dec.u8()?,
-        deadline: dec.opt_f64()?,
-        tie: dec.u64()?,
-        tenant: TenantId(dec.u32()?),
-        cost: dec.u32()?,
-    })
-}
-
-pub(crate) fn encode_record(enc: &mut Enc, r: &RequestRecord) {
-    enc.put_u64(r.id.0);
-    enc.put_u64(r.request.seed);
-    enc.put_usize(r.request.n_steps);
-    enc.put_u8(r.request.priority);
-    enc.put_opt_f64(r.request.deadline);
-    enc.put_opt_f64(r.request.tol);
-    enc.put_u32(r.request.tenant.0);
-    enc.put_u8(r.state.code());
-    enc.put_f64(r.admitted_at);
-    enc.put_opt_f64(r.finished_at);
-    match r.evict_reason {
-        Some(er) => {
-            enc.put_bool(true);
-            enc.put_u8(er.code());
-        }
-        None => enc.put_bool(false),
-    }
-    match &r.result {
-        Some(u) => {
-            enc.put_bool(true);
-            enc.put_f64s(u);
-        }
-        None => enc.put_bool(false),
-    }
-}
-
-pub(crate) fn decode_record(dec: &mut Dec<'_>) -> Result<RequestRecord, CkptError> {
-    let id = RequestId(dec.u64()?);
-    let request = SolveRequest {
-        seed: dec.u64()?,
-        n_steps: dec.usize_()?,
-        priority: dec.u8()?,
-        deadline: dec.opt_f64()?,
-        tol: dec.opt_f64()?,
-        tenant: TenantId(dec.u32()?),
-    };
-    let state = RequestState::from_code(dec.u8()?)
-        .ok_or_else(|| CkptError::Corrupt("unknown request-state code".into()))?;
-    let admitted_at = dec.f64()?;
-    let finished_at = dec.opt_f64()?;
-    let evict_reason = if dec.bool_()? {
-        Some(
-            EvictReason::from_code(dec.u8()?)
-                .ok_or_else(|| CkptError::Corrupt("unknown evict-reason code".into()))?,
-        )
-    } else {
-        None
-    };
-    let result = if dec.bool_()? {
-        Some(dec.f64s()?)
-    } else {
-        None
-    };
-    Ok(RequestRecord {
-        id,
-        request,
-        state,
-        admitted_at,
-        finished_at,
-        evict_reason,
-        result,
-    })
-}
-
-// Both codec bodies bind one local per `LogHistogram` field, under the
-// field's own name: the schema-drift pass (`cargo xtask analyze`)
-// cross-checks the struct's field list against these bodies, so a new
-// field that is not serialized here fails the build.
-fn encode_histogram(enc: &mut Enc, h: &LogHistogram) {
-    let counts = h.counts();
-    enc.put_usize(counts.len());
-    for &c in counts {
-        enc.put_u64(c);
-    }
-    let total = h.total();
-    enc.put_u64(total);
-    let sum = h.sum();
-    enc.put_f64(sum);
-    // raw views: the ±inf empty-histogram sentinels, not the clamped
-    // public accessors — `from_parts` expects the in-memory field values
-    let min = h.raw_min();
-    enc.put_f64(min);
-    let max = h.raw_max();
-    enc.put_f64(max);
-}
-
-fn decode_histogram(dec: &mut Dec<'_>) -> Result<LogHistogram, CkptError> {
-    let n = dec.usize_()?;
-    let mut counts = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        counts.push(dec.u64()?);
-    }
-    let total = dec.u64()?;
-    let sum = dec.f64()?;
-    let min = dec.f64()?;
-    let max = dec.f64()?;
-    Ok(LogHistogram::from_parts(counts, total, sum, min, max))
-}
-
-// Both codec bodies bind one local per `TenantStats` field, under the
-// field's own name, for the schema-drift pass.
-fn encode_tenant_stats(enc: &mut Enc, t: &TenantStats) {
-    let tenant = t.tenant;
-    enc.put_u32(tenant);
-    let completed = t.completed;
-    enc.put_u64(completed);
-    let rejected = t.rejected;
-    enc.put_u64(rejected);
-    let shed = t.shed;
-    enc.put_u64(shed);
-    let evicted = t.evicted;
-    enc.put_u64(evicted);
-    let deadline_miss = t.deadline_miss;
-    enc.put_u64(deadline_miss);
-    let slo_miss = t.slo_miss;
-    enc.put_u64(slo_miss);
-    let served_steps = t.served_steps;
-    enc.put_u64(served_steps);
-    let latency = &t.latency;
-    encode_histogram(enc, latency);
-}
-
-fn decode_tenant_stats(dec: &mut Dec<'_>) -> Result<TenantStats, CkptError> {
-    let tenant = dec.u32()?;
-    let completed = dec.u64()?;
-    let rejected = dec.u64()?;
-    let shed = dec.u64()?;
-    let evicted = dec.u64()?;
-    let deadline_miss = dec.u64()?;
-    let slo_miss = dec.u64()?;
-    let served_steps = dec.u64()?;
-    let latency = decode_histogram(dec)?;
-    let mut t = TenantStats::new(tenant);
-    t.completed = completed;
-    t.rejected = rejected;
-    t.shed = shed;
-    t.evicted = evicted;
-    t.deadline_miss = deadline_miss;
-    t.slo_miss = slo_miss;
-    t.served_steps = served_steps;
-    t.latency = latency;
-    Ok(t)
-}
-
-// Both codec bodies bind one local per `DrrState` field, under the
-// field's own name, for the schema-drift pass.
-pub(crate) fn encode_drr_state(enc: &mut Enc, d: &DrrState) {
-    let deficits = &d.deficits;
-    enc.put_usize(deficits.len());
-    for &x in deficits {
-        enc.put_u64(x);
-    }
-    let cursor = d.cursor;
-    enc.put_usize(cursor);
-}
-
-pub(crate) fn decode_drr_state(dec: &mut Dec<'_>) -> Result<DrrState, CkptError> {
-    let n = dec.usize_()?;
-    let mut deficits = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        deficits.push(dec.u64()?);
-    }
-    let cursor = dec.usize_()?;
-    Ok(DrrState { deficits, cursor })
-}
-
-// Both codec bodies bind one local per `AutoscalerState` field, under
-// the field's own name, for the schema-drift pass.
-pub(crate) fn encode_autoscaler_state(enc: &mut Enc, a: &AutoscalerState) {
-    let cooldown = a.cooldown;
-    enc.put_u64(cooldown);
-    let draining = a.draining;
-    enc.put_bool(draining);
-    let events = a.events;
-    enc.put_u64(events);
-}
-
-pub(crate) fn decode_autoscaler_state(dec: &mut Dec<'_>) -> Result<AutoscalerState, CkptError> {
-    let cooldown = dec.u64()?;
-    let draining = dec.bool_()?;
-    let events = dec.u64()?;
-    Ok(AutoscalerState {
-        cooldown,
-        draining,
-        events,
-    })
-}
-
-// Both codec bodies bind one local per `TenantQuota` field, under the
-// field's own name, for the schema-drift pass.
-fn encode_tenant_quota(enc: &mut Enc, q: &TenantQuota) {
-    let weight = q.weight;
-    enc.put_u64(weight);
-    let max_in_flight = q.max_in_flight;
-    enc.put_usize(max_in_flight);
-    let queue_share = q.queue_share;
-    enc.put_f64(queue_share);
-    let slo_latency_s = q.slo_latency_s;
-    enc.put_opt_f64(slo_latency_s);
-}
-
-fn decode_tenant_quota(dec: &mut Dec<'_>) -> Result<TenantQuota, CkptError> {
-    let weight = dec.u64()?;
-    let max_in_flight = dec.usize_()?;
-    let queue_share = dec.f64()?;
-    let slo_latency_s = dec.opt_f64()?;
-    Ok(TenantQuota {
-        weight,
-        max_in_flight,
-        queue_share,
-        slo_latency_s,
-    })
-}
-
-fn encode_flight_event(enc: &mut Enc, e: &FlightEvent) {
-    let seq = e.seq;
-    enc.put_u64(seq);
-    let t_s = e.t_s;
-    enc.put_f64(t_s);
-    let kind = &e.kind;
-    enc.put_str(kind);
-    let request = e.request;
-    enc.put_opt_u64(request);
-    let lane = e.lane;
-    enc.put_opt_u64(lane);
-    let step = e.step;
-    enc.put_opt_u64(step);
-    let detail = &e.detail;
-    enc.put_str(detail);
-}
-
-fn decode_flight_event(dec: &mut Dec<'_>) -> Result<FlightEvent, CkptError> {
-    let seq = dec.u64()?;
-    let t_s = dec.f64()?;
-    let kind = dec.str_()?;
-    let request = dec.opt_u64()?;
-    let lane = dec.opt_u64()?;
-    let step = dec.opt_u64()?;
-    let detail = dec.str_()?;
-    Ok(FlightEvent {
-        seq,
-        t_s,
-        kind,
-        request,
-        lane,
-        step,
-        detail,
-    })
-}
-
-pub(crate) fn encode_flight(enc: &mut Enc, f: &FlightRecorder) {
-    let capacity = f.capacity();
-    enc.put_usize(capacity);
-    let events = f.events();
-    enc.put_usize(f.len());
-    for e in events {
-        encode_flight_event(enc, e);
-    }
-    let next_seq = f.next_seq();
-    enc.put_u64(next_seq);
-    let dropped = f.dropped();
-    enc.put_u64(dropped);
-}
-
-pub(crate) fn decode_flight(dec: &mut Dec<'_>) -> Result<FlightRecorder, CkptError> {
-    let capacity = dec.usize_()?;
-    let n = dec.usize_()?;
-    let mut events = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        events.push(decode_flight_event(dec)?);
-    }
-    let next_seq = dec.u64()?;
-    let dropped = dec.u64()?;
-    Ok(FlightRecorder::from_parts(
-        capacity, events, next_seq, dropped,
-    ))
-}
-
-// Both codec bodies bind one local per `ServeStats` field, under the
-// field's own name: the schema-drift pass (`cargo xtask analyze`)
-// cross-checks the struct's field list against these bodies, so a new
-// field that is not serialized here fails the build.
-pub(crate) fn encode_stats(enc: &mut Enc, s: &ServeStats) {
-    let queue_depth = s.queue_depth_samples();
-    enc.put_usize(queue_depth.len());
-    for &d in queue_depth {
-        enc.put_usize(d);
-    }
-    let occupancy = s.occupancy_samples();
-    enc.put_usize(occupancy.len());
-    for &(o, w) in occupancy {
-        enc.put_usize(o);
-        enc.put_usize(w);
-    }
-    let latency = s.latency();
-    encode_histogram(enc, latency);
-    enc.put_usize(s.completed());
-    enc.put_usize(s.failed());
-    enc.put_usize(s.evicted());
-    enc.put_usize(s.rejected());
-    enc.put_usize(s.shed());
-    enc.put_usize(s.watchdog_breaches());
-    enc.put_usize(s.watchdog_restarts());
-    enc.put_usize(s.node_crashes());
-    enc.put_usize(s.failovers());
-    enc.put_usize(s.stolen());
-    enc.put_f64(s.elapsed_s());
-    let shed_early = s.shed_early();
-    enc.put_usize(shed_early);
-    let deadline_miss = s.deadline_miss();
-    enc.put_usize(deadline_miss);
-    let slo_miss = s.slo_miss();
-    enc.put_usize(slo_miss);
-    let autoscale_events = s.autoscale_events();
-    enc.put_usize(autoscale_events);
-    let tenants = s.tenants();
-    enc.put_usize(tenants.len());
-    for t in tenants {
-        encode_tenant_stats(enc, t);
-    }
-    let sdc_detected = s.sdc_detected();
-    enc.put_usize(sdc_detected);
-    let sdc_restarts = s.sdc_restarts();
-    enc.put_usize(sdc_restarts);
-    let sdc_evictions = s.sdc_evictions();
-    enc.put_usize(sdc_evictions);
-    let sdc_recovery = s.sdc_recovery();
-    encode_histogram(enc, sdc_recovery);
-}
-
-pub(crate) fn decode_stats(dec: &mut Dec<'_>) -> Result<ServeStats, CkptError> {
-    let n = dec.usize_()?;
-    let mut queue_depth = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        queue_depth.push(dec.usize_()?);
-    }
-    let n = dec.usize_()?;
-    let mut occupancy = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        occupancy.push((dec.usize_()?, dec.usize_()?));
-    }
-    let latency = decode_histogram(dec)?;
-    let completed = dec.usize_()?;
-    let failed = dec.usize_()?;
-    let evicted = dec.usize_()?;
-    let rejected = dec.usize_()?;
-    let shed = dec.usize_()?;
-    let watchdog_breaches = dec.usize_()?;
-    let watchdog_restarts = dec.usize_()?;
-    let node_crashes = dec.usize_()?;
-    let failovers = dec.usize_()?;
-    let stolen = dec.usize_()?;
-    let elapsed_s = dec.f64()?;
-    let shed_early = dec.usize_()?;
-    let deadline_miss = dec.usize_()?;
-    let slo_miss = dec.usize_()?;
-    let autoscale_events = dec.usize_()?;
-    let n = dec.usize_()?;
-    let mut tenants = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        tenants.push(decode_tenant_stats(dec)?);
-    }
-    // SDC counters trail the QoS fields; a pre-SDC STAT payload simply
-    // ends here and the fields restore as clean zeros
-    let (sdc_detected, sdc_restarts, sdc_evictions, sdc_recovery) = if dec.remaining() > 0 {
-        (
-            dec.usize_()?,
-            dec.usize_()?,
-            dec.usize_()?,
-            decode_histogram(dec)?,
-        )
-    } else {
-        (0, 0, 0, LogHistogram::default())
-    };
-    Ok(ServeStats::from_parts(
-        queue_depth,
-        occupancy,
-        latency,
-        completed,
-        failed,
-        evicted,
-        rejected,
-        shed,
-        watchdog_breaches,
-        watchdog_restarts,
-        node_crashes,
-        failovers,
-        stolen,
-        elapsed_s,
-    )
-    .with_qos_parts(
-        shed_early,
-        deadline_miss,
-        slo_miss,
-        autoscale_events,
-        tenants,
-    )
-    .with_sdc_parts(sdc_detected, sdc_restarts, sdc_evictions, sdc_recovery))
-}
-
 impl ServerCheckpoint {
     /// Serialize into the sectioned `hetsolve-ckpt` format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SectionWriter::new();
-        let mut meta = Enc::new();
-        meta.put_u64(self.fingerprint.0);
-        meta.put_usize(self.ticks);
-        meta.put_usize(self.admissions);
-        w.section(TAG_META, &meta.into_bytes());
-
-        let mut clk = Enc::new();
-        encode_clock_state(&mut clk, &self.clock);
-        w.section(TAG_CLOCK, &clk.into_bytes());
-
-        let mut que = Enc::new();
-        que.put_usize(self.queue.len());
-        for e in &self.queue {
-            encode_queue_entry(&mut que, e);
-        }
-        w.section(TAG_QUEUE, &que.into_bytes());
-
-        let mut lanes = Enc::new();
-        lanes.put_usize(self.lanes.len());
-        for lane in &self.lanes {
-            lanes.put_opt_u64(lane.key);
-            lanes.put_u32(lane.breach);
-            lanes.put_usize(lane.slots.len());
-            for slot in &lane.slots {
-                match slot {
-                    Some((id, st)) => {
-                        lanes.put_bool(true);
-                        lanes.put_u64(id.0);
-                        st.encode_into(&mut lanes);
-                    }
-                    None => lanes.put_bool(false),
-                }
-            }
-        }
-        w.section(TAG_LANES, &lanes.into_bytes());
-
-        let mut reqs = Enc::new();
-        reqs.put_usize(self.records.len());
-        for r in &self.records {
-            encode_record(&mut reqs, r);
-        }
-        w.section(TAG_REQUESTS, &reqs.into_bytes());
-
-        let mut stat = Enc::new();
-        encode_stats(&mut stat, &self.stats);
-        w.section(TAG_STATS, &stat.into_bytes());
-
-        let mut rcvr = Enc::new();
-        rcvr.put_usize(self.recoveries.len());
-        for ev in &self.recoveries {
-            encode_recovery_event(&mut rcvr, ev);
-        }
-        w.section(TAG_RECOVERIES, &rcvr.into_bytes());
-
-        let mut flt = Enc::new();
-        encode_flight(&mut flt, &self.flight);
-        w.section(TAG_FLIGHT, &flt.into_bytes());
-
-        let mut qos = Enc::new();
-        encode_drr_state(&mut qos, &self.drr);
-        encode_autoscaler_state(&mut qos, &self.autoscaler);
-        qos.put_usize(self.quotas.len());
-        for q in &self.quotas {
-            encode_tenant_quota(&mut qos, q);
-        }
-        w.section(TAG_QOS, &qos.into_bytes());
-
-        let mut intg = Enc::new();
-        intg.put_usize(self.corruptions.len());
-        for rep in &self.corruptions {
-            encode_corruption_report(&mut intg, rep);
-        }
-        intg.put_usize(self.sdc_breach.len());
-        for &b in &self.sdc_breach {
-            intg.put_u32(b);
-        }
-        w.section(TAG_INTEGRITY, &intg.into_bytes());
-        w.finish()
-    }
-
-    /// Parse and validate a snapshot. A fingerprint mismatch is typed
-    /// corruption — the snapshot belongs to a different serving setup —
-    /// so the store's restore scan skips it and keeps falling back.
-    pub fn from_bytes(bytes: &[u8], expect: ServeFingerprint) -> Result<Self, CkptError> {
-        let r = SectionReader::parse(bytes)?;
-        let mut meta = Dec::new(r.section(TAG_META)?);
-        let fingerprint = ServeFingerprint(meta.u64()?);
-        let ticks = meta.usize_()?;
-        let admissions = meta.usize_()?;
-        meta.finish()?;
-        if fingerprint != expect {
-            return Err(CkptError::Corrupt(format!(
-                "serve fingerprint mismatch: checkpoint {:#018x}, server {:#018x}",
-                fingerprint.0, expect.0
-            )));
-        }
-
-        let mut cd = Dec::new(r.section(TAG_CLOCK)?);
-        let clock = decode_clock_state(&mut cd)?;
-        cd.finish()?;
-
-        let mut qd = Dec::new(r.section(TAG_QUEUE)?);
-        let n_queue = qd.usize_()?;
-        let mut queue = Vec::with_capacity(n_queue.min(1 << 20));
-        for _ in 0..n_queue {
-            queue.push(decode_queue_entry(&mut qd)?);
-        }
-        qd.finish()?;
-
-        let mut ld = Dec::new(r.section(TAG_LANES)?);
-        let n_lanes = ld.usize_()?;
-        let mut lanes = Vec::with_capacity(n_lanes.min(1 << 10));
-        for _ in 0..n_lanes {
-            let key = ld.opt_u64()?;
-            let breach = ld.u32()?;
-            let n_slots = ld.usize_()?;
-            let mut slots = Vec::with_capacity(n_slots.min(1 << 16));
-            for _ in 0..n_slots {
-                slots.push(if ld.bool_()? {
-                    let id = RequestId(ld.u64()?);
-                    Some((id, SlotState::decode_from(&mut ld)?))
-                } else {
-                    None
-                });
-            }
-            lanes.push(LaneCheckpoint { key, breach, slots });
-        }
-        ld.finish()?;
-
-        let mut rd = Dec::new(r.section(TAG_REQUESTS)?);
-        let n_recs = rd.usize_()?;
-        let mut records = Vec::with_capacity(n_recs.min(1 << 20));
-        for _ in 0..n_recs {
-            records.push(decode_record(&mut rd)?);
-        }
-        rd.finish()?;
-
-        let mut sd = Dec::new(r.section(TAG_STATS)?);
-        let stats = decode_stats(&mut sd)?;
-        sd.finish()?;
-
-        let mut vd = Dec::new(r.section(TAG_RECOVERIES)?);
-        let n_rcv = vd.usize_()?;
-        let mut recoveries = Vec::with_capacity(n_rcv.min(1 << 20));
-        for _ in 0..n_rcv {
-            recoveries.push(decode_recovery_event(&mut vd)?);
-        }
-        vd.finish()?;
-
-        // optional: pre-telemetry-v2 snapshots have no flight section
-        let flight = if r.has(TAG_FLIGHT) {
-            let mut fd = Dec::new(r.section(TAG_FLIGHT)?);
-            let flight = decode_flight(&mut fd)?;
-            fd.finish()?;
-            flight
-        } else {
-            FlightRecorder::default()
-        };
-
-        // optional: pre-QoS snapshots restore with clean scheduler state
-        let (drr, autoscaler, quotas) = if r.has(TAG_QOS) {
-            let mut qd = Dec::new(r.section(TAG_QOS)?);
-            let drr = decode_drr_state(&mut qd)?;
-            let autoscaler = decode_autoscaler_state(&mut qd)?;
-            let n = qd.usize_()?;
-            let mut quotas = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                quotas.push(decode_tenant_quota(&mut qd)?);
-            }
-            qd.finish()?;
-            (drr, autoscaler, quotas)
-        } else {
-            (DrrState::default(), AutoscalerState::default(), Vec::new())
-        };
-
-        // optional: pre-SDC snapshots restore with no reports and clean
-        // ladder counters
-        let (corruptions, sdc_breach) = if r.has(TAG_INTEGRITY) {
-            let mut id = Dec::new(r.section(TAG_INTEGRITY)?);
-            let n = id.usize_()?;
-            let mut corruptions = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                corruptions.push(decode_corruption_report(&mut id)?);
-            }
-            let n = id.usize_()?;
-            let mut sdc_breach = Vec::with_capacity(n.min(1 << 10));
-            for _ in 0..n {
-                sdc_breach.push(id.u32()?);
-            }
-            id.finish()?;
-            (corruptions, sdc_breach)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-
-        Ok(ServerCheckpoint {
+        let ServerCheckpoint {
             fingerprint,
             ticks,
             admissions,
@@ -785,6 +205,61 @@ impl ServerCheckpoint {
             stats,
             recoveries,
             flight,
+            drr,
+            autoscaler,
+            quotas,
+            corruptions,
+            sdc_breach,
+        } = self;
+        let mut w = SectionWriter::new();
+        w.put(TAG_META, &(*fingerprint, *ticks, *admissions));
+        w.put(TAG_CLOCK, clock);
+        w.put(TAG_QUEUE, queue);
+        w.put(TAG_LANES, lanes);
+        w.put(TAG_REQUESTS, records);
+        w.put(TAG_STATS, stats);
+        w.put(TAG_RECOVERIES, recoveries);
+        w.put(TAG_FLIGHT, flight);
+        w.put_with(TAG_QOS, |enc| {
+            drr.put(enc);
+            autoscaler.put(enc);
+            quotas.put(enc);
+        });
+        w.put_with(TAG_INTEGRITY, |enc| {
+            corruptions.put(enc);
+            sdc_breach.put(enc);
+        });
+        w.finish()
+    }
+
+    /// Parse and validate a snapshot. A fingerprint mismatch is typed
+    /// corruption — the snapshot belongs to a different serving setup —
+    /// so the store's restore scan skips it and keeps falling back.
+    pub fn from_bytes(bytes: &[u8], expect: ServeFingerprint) -> Result<Self, CkptError> {
+        let r = SectionReader::parse(bytes)?;
+        let (fingerprint, ticks, admissions): (ServeFingerprint, _, _) = r.get(TAG_META)?;
+        if fingerprint != expect {
+            return Err(CkptError::Corrupt(format!(
+                "serve fingerprint mismatch: checkpoint {:#018x}, server {:#018x}",
+                fingerprint.0, expect.0
+            )));
+        }
+        // optional sections: pre-QoS snapshots restore with clean scheduler
+        // state, pre-SDC ones with no reports and clean ladder counters,
+        // pre-telemetry-v2 ones with an empty ring
+        let (drr, autoscaler, quotas) = r.get_or_default(TAG_QOS)?;
+        let (corruptions, sdc_breach) = r.get_or_default(TAG_INTEGRITY)?;
+        Ok(ServerCheckpoint {
+            fingerprint,
+            ticks,
+            admissions,
+            clock: r.get(TAG_CLOCK)?,
+            queue: r.get(TAG_QUEUE)?,
+            lanes: r.get(TAG_LANES)?,
+            records: r.get(TAG_REQUESTS)?,
+            stats: r.get(TAG_STATS)?,
+            recoveries: r.get(TAG_RECOVERIES)?,
+            flight: r.get_or_default(TAG_FLIGHT)?,
             drr,
             autoscaler,
             quotas,

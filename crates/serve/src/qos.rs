@@ -43,6 +43,13 @@ pub struct TenantQuota {
     pub slo_latency_s: Option<f64>,
 }
 
+hetsolve_ckpt::wire_struct!(TenantQuota {
+    weight,
+    max_in_flight,
+    queue_share,
+    slo_latency_s,
+});
+
 impl TenantQuota {
     pub fn new(weight: u64) -> Self {
         TenantQuota {
@@ -164,8 +171,7 @@ pub struct AutoscaleEvent {
 }
 
 /// Dynamic autoscaler state, checkpointed in the optional `QOS\0` section
-/// so a restore mid-scale resumes the exact same schedule (registered in
-/// the xtask schema-drift table).
+/// so a restore mid-scale resumes the exact same schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AutoscalerState {
     /// Ticks left before the next scaling decision may fire.
@@ -176,6 +182,12 @@ pub struct AutoscalerState {
     /// Scaling events since server start (monotone; survives restore).
     pub events: u64,
 }
+
+hetsolve_ckpt::wire_struct!(AutoscalerState {
+    cooldown,
+    draining,
+    events,
+});
 
 #[cfg(test)]
 mod tests {

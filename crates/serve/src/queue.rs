@@ -131,6 +131,16 @@ pub struct QueueEntrySnapshot {
     pub cost: u32,
 }
 
+hetsolve_ckpt::wire_struct!(QueueEntrySnapshot {
+    id,
+    key,
+    priority,
+    deadline,
+    tie,
+    tenant,
+    cost,
+});
+
 impl QueueEntry {
     /// Totally ordered scheduling rank: smaller runs first.
     fn rank(&self) -> (std::cmp::Reverse<u8>, u64, u64, u64) {
@@ -181,8 +191,7 @@ impl TenantPolicy {
 
 /// Dynamic deficit-round-robin state: per-tenant deficits plus the round
 /// cursor. Checkpointed (optional `QOS\0` section) so a restored server
-/// resumes the exact same fair-share schedule; registered in the xtask
-/// schema-drift table.
+/// resumes the exact same fair-share schedule.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DrrState {
     /// Unspent deficit credit per tenant (case steps).
@@ -190,6 +199,8 @@ pub struct DrrState {
     /// Tenant whose sub-queue the next round visits first.
     pub cursor: usize,
 }
+
+hetsolve_ckpt::wire_struct!(DrrState { deficits, cursor });
 
 /// The bounded, scheduled request queue.
 #[derive(Debug, Clone)]

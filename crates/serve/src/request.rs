@@ -8,10 +8,14 @@
 //! `Queued → Batched → Solving → Done | Failed | Evicted` recorded in its
 //! [`RequestRecord`].
 
+use hetsolve_ckpt::{wire_code, wire_newtype, wire_struct};
+
 /// Handle to an admitted request (dense: the `n`-th admitted request is
 /// `RequestId(n)`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId(pub u64);
+
+wire_newtype!(RequestId(u64));
 
 impl std::fmt::Display for RequestId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -47,6 +51,15 @@ pub struct SolveRequest {
     /// the numerics of the solve.
     pub tenant: TenantId,
 }
+
+wire_struct!(SolveRequest {
+    seed,
+    n_steps,
+    priority,
+    deadline,
+    tol,
+    tenant,
+});
 
 impl SolveRequest {
     pub fn new(seed: u64, n_steps: usize) -> Self {
@@ -85,6 +98,8 @@ impl SolveRequest {
 /// configured quota table when QoS is enabled).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TenantId(pub u32);
+
+wire_newtype!(TenantId(u32));
 
 impl std::fmt::Display for TenantId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -165,6 +180,8 @@ impl RequestState {
     }
 }
 
+wire_code!(RequestState, "request-state");
+
 /// Why an `Evicted` request was removed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictReason {
@@ -228,6 +245,8 @@ impl EvictReason {
     }
 }
 
+wire_code!(EvictReason, "evict-reason");
+
 /// Everything the server remembers about one admitted request.
 #[derive(Debug, Clone)]
 pub struct RequestRecord {
@@ -243,6 +262,16 @@ pub struct RequestRecord {
     /// Final displacement vector (only for `Done`).
     pub result: Option<Vec<f64>>,
 }
+
+wire_struct!(RequestRecord {
+    id,
+    request,
+    state,
+    admitted_at,
+    finished_at,
+    evict_reason,
+    result,
+});
 
 impl RequestRecord {
     /// Admit→done latency; `None` until the request is terminal.

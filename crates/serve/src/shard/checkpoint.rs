@@ -15,18 +15,15 @@ use std::io;
 use std::path::PathBuf;
 
 use hetsolve_ckpt::{
-    mix64, CheckpointStore, CkptError, Dec, Enc, RestoreReport, SectionReader, SectionWriter,
+    mix64, wire_newtype, CheckpointStore, CkptError, RestoreReport, SectionReader, SectionWriter,
 };
 use hetsolve_core::Backend;
 use hetsolve_fault::{FaultInjector, NoopFaults};
 use hetsolve_machine::LinkTraffic;
 use hetsolve_obs::{FlightRecorder, ServeStats};
 
-use crate::checkpoint::{
-    decode_flight, decode_record, decode_stats, encode_flight, encode_record, encode_stats,
-    ServeFingerprint,
-};
-use crate::request::{RequestRecord, SolveRequest, TenantId};
+use crate::checkpoint::ServeFingerprint;
+use crate::request::RequestRecord;
 use crate::server::EnsembleServer;
 use crate::shard::cluster::{ClusterConfig, ClusterServer, RouteEntry};
 
@@ -46,17 +43,31 @@ const TAG_SHARDS: [u8; 4] = *b"SHRD";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterFingerprint(pub u64);
 
+wire_newtype!(ClusterFingerprint(u64));
+
 impl ClusterFingerprint {
+    /// The config is destructured without `..`: a new field must be mixed
+    /// or explicitly waved through here before this compiles.
     pub fn of(backend: &Backend, cfg: &ClusterConfig) -> Self {
-        let mut h = mix64(0xc1a5_7e12, cfg.shards as u64);
-        for i in 0..cfg.shards {
+        let ClusterConfig {
+            // mixed through every `shard_cfg(i)` below
+            serve: _,
+            shards,
+            placement_seed,
+            replica_every,
+            replica_keep,
+            steal,
+            steal_bytes,
+        } = cfg;
+        let mut h = mix64(0xc1a5_7e12, *shards as u64);
+        for i in 0..*shards {
             h = mix64(h, ServeFingerprint::of(backend, &cfg.shard_cfg(i)).0);
         }
-        h = mix64(h, cfg.placement_seed);
-        h = mix64(h, cfg.replica_every as u64);
-        h = mix64(h, cfg.replica_keep as u64);
-        h = mix64(h, cfg.steal as u64);
-        h = mix64(h, cfg.steal_bytes.to_bits());
+        h = mix64(h, *placement_seed);
+        h = mix64(h, *replica_every as u64);
+        h = mix64(h, *replica_keep as u64);
+        h = mix64(h, *steal as u64);
+        h = mix64(h, steal_bytes.to_bits());
         ClusterFingerprint(h)
     }
 }
@@ -80,203 +91,10 @@ pub struct ClusterCheckpoint {
     pub shards: Vec<Vec<u8>>,
 }
 
-// Both codec bodies bind one local per `RouteEntry` field, under the
-// field's own name: the schema-drift pass (`cargo xtask analyze`)
-// cross-checks the struct's field list against these bodies.
-fn encode_route(enc: &mut Enc, r: &RouteEntry) {
-    let shard = r.shard;
-    enc.put_usize(shard);
-    let local = r.local;
-    enc.put_u64(local);
-    let request = &r.request;
-    enc.put_u64(request.seed);
-    enc.put_usize(request.n_steps);
-    enc.put_u8(request.priority);
-    enc.put_opt_f64(request.deadline);
-    enc.put_opt_f64(request.tol);
-    enc.put_u32(request.tenant.0);
-}
-
-fn decode_route(dec: &mut Dec<'_>) -> Result<RouteEntry, CkptError> {
-    let shard = dec.usize_()?;
-    let local = dec.u64()?;
-    let request = SolveRequest {
-        seed: dec.u64()?,
-        n_steps: dec.usize_()?,
-        priority: dec.u8()?,
-        deadline: dec.opt_f64()?,
-        tol: dec.opt_f64()?,
-        tenant: TenantId(dec.u32()?),
-    };
-    Ok(RouteEntry {
-        shard,
-        local,
-        request,
-    })
-}
-
-// Both codec bodies bind one local per `LinkTraffic` field, under the
-// field's own name, for the same schema-drift cross-check.
-fn encode_traffic(enc: &mut Enc, t: &LinkTraffic) {
-    let steal_msgs = t.steal_msgs;
-    enc.put_u64(steal_msgs);
-    let steal_bytes = t.steal_bytes;
-    enc.put_f64(steal_bytes);
-    let replica_msgs = t.replica_msgs;
-    enc.put_u64(replica_msgs);
-    let replica_bytes = t.replica_bytes;
-    enc.put_f64(replica_bytes);
-    let link_time_s = t.link_time_s;
-    enc.put_f64(link_time_s);
-}
-
-fn decode_traffic(dec: &mut Dec<'_>) -> Result<LinkTraffic, CkptError> {
-    let steal_msgs = dec.u64()?;
-    let steal_bytes = dec.f64()?;
-    let replica_msgs = dec.u64()?;
-    let replica_bytes = dec.f64()?;
-    let link_time_s = dec.f64()?;
-    Ok(LinkTraffic {
-        steal_msgs,
-        steal_bytes,
-        replica_msgs,
-        replica_bytes,
-        link_time_s,
-    })
-}
-
 impl ClusterCheckpoint {
     /// Serialize into the sectioned `hetsolve-ckpt` format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SectionWriter::new();
-        let mut meta = Enc::new();
-        let fingerprint = self.fingerprint;
-        meta.put_u64(fingerprint.0);
-        let ticks = self.ticks;
-        meta.put_usize(ticks);
-        let admissions = self.admissions;
-        meta.put_usize(admissions);
-        let replica_writes = self.replica_writes;
-        meta.put_usize(replica_writes);
-        let replica_skipped = self.replica_skipped;
-        meta.put_usize(replica_skipped);
-        w.section(TAG_META, &meta.into_bytes());
-
-        let mut rt = Enc::new();
-        let routes = &self.routes;
-        rt.put_usize(routes.len());
-        for r in routes {
-            encode_route(&mut rt, r);
-        }
-        w.section(TAG_ROUTES, &rt.into_bytes());
-
-        let mut lo = Enc::new();
-        let lost = &self.lost;
-        lo.put_usize(lost.len());
-        for t in lost {
-            match t {
-                Some(rec) => {
-                    lo.put_bool(true);
-                    encode_record(&mut lo, rec);
-                }
-                None => lo.put_bool(false),
-            }
-        }
-        w.section(TAG_LOST, &lo.into_bytes());
-
-        let mut st = Enc::new();
-        let stats = &self.stats;
-        encode_stats(&mut st, stats);
-        w.section(TAG_STATS, &st.into_bytes());
-
-        let mut tr = Enc::new();
-        let traffic = &self.traffic;
-        encode_traffic(&mut tr, traffic);
-        w.section(TAG_TRAFFIC, &tr.into_bytes());
-
-        let mut rc = Enc::new();
-        let recovery_s = &self.recovery_s;
-        rc.put_f64s(recovery_s);
-        w.section(TAG_RECOVERY, &rc.into_bytes());
-
-        let mut fl = Enc::new();
-        let flight = &self.flight;
-        encode_flight(&mut fl, flight);
-        w.section(TAG_FLIGHT, &fl.into_bytes());
-
-        let mut sh = Enc::new();
-        let shards = &self.shards;
-        sh.put_usize(shards.len());
-        for image in shards {
-            sh.put_bytes(image);
-        }
-        w.section(TAG_SHARDS, &sh.into_bytes());
-        w.finish()
-    }
-
-    /// Parse and validate a snapshot. A fingerprint mismatch is typed
-    /// corruption — the snapshot belongs to a different cluster setup.
-    pub fn from_bytes(bytes: &[u8], expect: ClusterFingerprint) -> Result<Self, CkptError> {
-        let r = SectionReader::parse(bytes)?;
-        let mut meta = Dec::new(r.section(TAG_META)?);
-        let fingerprint = ClusterFingerprint(meta.u64()?);
-        let ticks = meta.usize_()?;
-        let admissions = meta.usize_()?;
-        let replica_writes = meta.usize_()?;
-        let replica_skipped = meta.usize_()?;
-        meta.finish()?;
-        if fingerprint != expect {
-            return Err(CkptError::Corrupt(format!(
-                "cluster fingerprint mismatch: checkpoint {:#018x}, cluster {:#018x}",
-                fingerprint.0, expect.0
-            )));
-        }
-
-        let mut rd = Dec::new(r.section(TAG_ROUTES)?);
-        let n = rd.usize_()?;
-        let mut routes = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            routes.push(decode_route(&mut rd)?);
-        }
-        rd.finish()?;
-
-        let mut ld = Dec::new(r.section(TAG_LOST)?);
-        let n = ld.usize_()?;
-        let mut lost = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            lost.push(if ld.bool_()? {
-                Some(decode_record(&mut ld)?)
-            } else {
-                None
-            });
-        }
-        ld.finish()?;
-
-        let mut sd = Dec::new(r.section(TAG_STATS)?);
-        let stats = decode_stats(&mut sd)?;
-        sd.finish()?;
-
-        let mut td = Dec::new(r.section(TAG_TRAFFIC)?);
-        let traffic = decode_traffic(&mut td)?;
-        td.finish()?;
-
-        let mut cd = Dec::new(r.section(TAG_RECOVERY)?);
-        let recovery_s = cd.f64s()?;
-        cd.finish()?;
-
-        let mut fd = Dec::new(r.section(TAG_FLIGHT)?);
-        let flight = decode_flight(&mut fd)?;
-        fd.finish()?;
-
-        let mut hd = Dec::new(r.section(TAG_SHARDS)?);
-        let n = hd.usize_()?;
-        let mut shards = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            shards.push(hd.bytes_()?);
-        }
-        hd.finish()?;
-
-        Ok(ClusterCheckpoint {
+        let ClusterCheckpoint {
             fingerprint,
             ticks,
             admissions,
@@ -289,6 +107,58 @@ impl ClusterCheckpoint {
             traffic,
             flight,
             shards,
+        } = self;
+        let mut w = SectionWriter::new();
+        w.put(
+            TAG_META,
+            &(
+                *fingerprint,
+                *ticks,
+                *admissions,
+                *replica_writes,
+                *replica_skipped,
+            ),
+        );
+        w.put(TAG_ROUTES, routes);
+        w.put(TAG_LOST, lost);
+        w.put(TAG_STATS, stats);
+        w.put(TAG_TRAFFIC, traffic);
+        w.put(TAG_RECOVERY, recovery_s);
+        w.put(TAG_FLIGHT, flight);
+        w.put(TAG_SHARDS, shards);
+        w.finish()
+    }
+
+    /// Parse and validate a snapshot. A fingerprint mismatch is typed
+    /// corruption — the snapshot belongs to a different cluster setup.
+    pub fn from_bytes(bytes: &[u8], expect: ClusterFingerprint) -> Result<Self, CkptError> {
+        let r = SectionReader::parse(bytes)?;
+        let (fingerprint, ticks, admissions, replica_writes, replica_skipped): (
+            ClusterFingerprint,
+            _,
+            _,
+            _,
+            _,
+        ) = r.get(TAG_META)?;
+        if fingerprint != expect {
+            return Err(CkptError::Corrupt(format!(
+                "cluster fingerprint mismatch: checkpoint {:#018x}, cluster {:#018x}",
+                fingerprint.0, expect.0
+            )));
+        }
+        Ok(ClusterCheckpoint {
+            fingerprint,
+            ticks,
+            admissions,
+            routes: r.get(TAG_ROUTES)?,
+            lost: r.get(TAG_LOST)?,
+            stats: r.get(TAG_STATS)?,
+            replica_writes,
+            replica_skipped,
+            recovery_s: r.get(TAG_RECOVERY)?,
+            traffic: r.get(TAG_TRAFFIC)?,
+            flight: r.get(TAG_FLIGHT)?,
+            shards: r.get(TAG_SHARDS)?,
         })
     }
 }

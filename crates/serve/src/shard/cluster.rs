@@ -103,6 +103,12 @@ pub struct RouteEntry {
     pub request: SolveRequest,
 }
 
+hetsolve_ckpt::wire_struct!(RouteEntry {
+    shard,
+    local,
+    request
+});
+
 /// The sharded serving cluster: router + N shards + peer replicas.
 ///
 /// Fields are `pub(crate)` for the sibling [`crate::shard::checkpoint`]

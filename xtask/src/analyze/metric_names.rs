@@ -1,5 +1,4 @@
-//! Metric-name registry enforcement — the textual twin of the
-//! checkpoint schema-drift pass, for the telemetry vocabulary.
+//! Metric-name registry enforcement for the telemetry vocabulary.
 //!
 //! `hetsolve-obs`'s `MetricsRegistry` creates series lazily by name, so a
 //! typo'd call site (`serve_request_latency_seconds` vs `_s`) would

@@ -1,6 +1,6 @@
 //! `cargo xtask analyze` — workspace-wide static analysis.
 //!
-//! Five passes over a comment/string-aware code view of every Rust source
+//! Four passes over a comment/string-aware code view of every Rust source
 //! (see [`scanner`]), each enforcing an invariant the test suite can only
 //! check dynamically:
 //!
@@ -10,10 +10,6 @@
 //! * [`determinism`] — no ambient wall clock (`Instant`/`SystemTime`)
 //!   outside the injectable-clock module, no default-hasher map/set
 //!   iteration in library paths, no ambient randomness.
-//! * [`schema_drift`] — every field of the checkpoint structs is
-//!   mentioned by its encode *and* decode body, so adding a field
-//!   without serializing it fails the build instead of corrupting
-//!   restores.
 //! * [`panic_surface`] — no `unwrap`/`expect`/`panic!` in hetsolve-core
 //!   and hetsolve-serve library code outside tests, unless annotated
 //!   `// PANIC-OK: <reason>`.
@@ -30,7 +26,6 @@ pub mod determinism;
 pub mod metric_names;
 pub mod panic_surface;
 pub mod scanner;
-pub mod schema_drift;
 pub mod unsafe_audit;
 
 use std::fs;
@@ -64,7 +59,6 @@ impl Violation {
 pub struct Report {
     pub files_scanned: usize,
     pub unsafe_sites: usize,
-    pub codec_pairs_checked: usize,
     pub metric_names_declared: usize,
     pub violations: Vec<Violation>,
 }
@@ -121,12 +115,8 @@ pub fn run(mut args: impl Iterator<Item = String>) -> ExitCode {
     if report.violations.is_empty() {
         println!(
             "xtask analyze: ok — {} files, {} unsafe sites audited, \
-             {} codec pairs drift-checked, {} metric names registered, \
-             determinism and panic-surface clean",
-            report.files_scanned,
-            report.unsafe_sites,
-            report.codec_pairs_checked,
-            report.metric_names_declared
+             {} metric names registered, determinism and panic-surface clean",
+            report.files_scanned, report.unsafe_sites, report.metric_names_declared
         );
         ExitCode::SUCCESS
     } else {
@@ -152,7 +142,6 @@ pub fn analyze(root: &Path, only_pass: Option<&str>) -> Report {
 
     let mut violations = Vec::new();
     let mut unsafe_sites = 0usize;
-    let mut codec_pairs_checked = 0usize;
     let mut metric_names_declared = 0usize;
 
     if enabled("unsafe-audit") {
@@ -162,11 +151,6 @@ pub fn analyze(root: &Path, only_pass: Option<&str>) -> Report {
     }
     if enabled("determinism") {
         violations.append(&mut determinism::check(&files));
-    }
-    if enabled("schema-drift") {
-        let (pairs, mut v) = schema_drift::check(root, &files);
-        codec_pairs_checked = pairs;
-        violations.append(&mut v);
     }
     if enabled("panic-surface") {
         violations.append(&mut panic_surface::check(&files));
@@ -181,7 +165,6 @@ pub fn analyze(root: &Path, only_pass: Option<&str>) -> Report {
     Report {
         files_scanned: files.len(),
         unsafe_sites,
-        codec_pairs_checked,
         metric_names_declared,
         violations,
     }
@@ -254,7 +237,6 @@ mod tests {
         assert!(msgs.is_empty(), "{msgs:#?}");
         assert!(report.files_scanned > 50);
         assert!(report.unsafe_sites > 0);
-        assert!(report.codec_pairs_checked >= 10);
     }
 
     #[test]

@@ -16,9 +16,7 @@
 //! * nested block comments, raw strings (`r#"…"#`, `br#"…"#`), byte
 //!   strings, char literals vs. lifetimes;
 //! * `#[cfg(test)]`-gated regions (the following block is marked so
-//!   passes can exempt test code);
-//! * brace-matched item extraction (`fn` bodies, `struct` field lists)
-//!   for the schema-drift pass.
+//!   passes can exempt test code).
 
 /// One parsed source file: raw lines for messages/markers, a blanked
 /// code view for token searches, and a per-line test-region mask.
@@ -108,70 +106,6 @@ impl SourceFile {
         None
     }
 
-    /// Find `fn <name>` and return `(0-based line of fn, body incl braces)`.
-    pub fn find_fn(&self, name: &str) -> Option<(usize, &str)> {
-        for pos in token_positions(&self.code, "fn") {
-            let after = self.code[pos + 2..].trim_start();
-            let ident: String = after
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            if ident != name {
-                continue;
-            }
-            let open = pos + self.code[pos..].find('{')?;
-            let close = self.match_brace(open)?;
-            return Some((self.line_of(pos), &self.code[open..=close]));
-        }
-        None
-    }
-
-    /// Find `struct <name> { … }` and return the 0-based line of each
-    /// field declaration together with the field identifier.
-    pub fn struct_fields(&self, name: &str) -> Option<Vec<(usize, String)>> {
-        for pos in token_positions(&self.code, "struct") {
-            let after = self.code[pos + "struct".len()..].trim_start();
-            let ident: String = after
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            if ident != name {
-                continue;
-            }
-            // Tuple structs (`struct X(...)`) have no named fields; only
-            // brace-bodied structs participate in the drift check.
-            let open = pos + self.code[pos..].find('{')?;
-            let close = self.match_brace(open)?;
-            return Some(self.fields_in(open + 1, close));
-        }
-        None
-    }
-
-    /// Field identifiers at brace depth 1 of a struct body.
-    fn fields_in(&self, start: usize, end: usize) -> Vec<(usize, String)> {
-        let mut out = Vec::new();
-        let mut depth = 0i32;
-        let body = &self.code[start..end];
-        for (off, line) in split_with_offsets(body) {
-            if depth == 0 {
-                if let Some(field) = field_name(line) {
-                    out.push((self.line_of(start + off), field));
-                }
-            }
-            for c in line.chars() {
-                match c {
-                    '{' | '(' | '[' | '<' => depth += 1,
-                    '}' | ')' | ']' | '>' => depth -= 1,
-                    _ => {}
-                }
-            }
-            // `->`, comparisons etc. can unbalance `<`/`>` counting; clamp
-            // so a stray `>` never hides subsequent depth-0 fields.
-            depth = depth.max(0);
-        }
-        out
-    }
-
     /// Lines covered by `#[cfg(test)]` attributes: the attribute line plus
     /// the gated item (to its matching close brace, or to `;`).
     fn compute_test_mask(&self) -> Vec<bool> {
@@ -198,44 +132,6 @@ impl SourceFile {
         }
         mask
     }
-}
-
-/// Leading `pub`/`pub(…)`-stripped `ident:` field declaration on a struct
-/// body line, if any.
-fn field_name(line: &str) -> Option<String> {
-    let mut s = line.trim_start();
-    if s.starts_with("#[") || s.is_empty() {
-        return None;
-    }
-    if let Some(rest) = s.strip_prefix("pub") {
-        s = rest.trim_start();
-        if let Some(open) = s.strip_prefix('(') {
-            s = open.split_once(')')?.1.trim_start();
-        }
-    }
-    let ident: String = s
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    if ident.is_empty() || ident.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        return None;
-    }
-    let rest = s[ident.len()..].trim_start();
-    if rest.starts_with(':') && !rest.starts_with("::") {
-        Some(ident)
-    } else {
-        None
-    }
-}
-
-fn split_with_offsets(s: &str) -> impl Iterator<Item = (usize, &str)> {
-    s.split_inclusive('\n')
-        .scan(0usize, |off, line| {
-            let here = *off;
-            *off += line.len();
-            Some((here, line))
-        })
-        .map(|(off, line)| (off, line.trim_end_matches('\n')))
 }
 
 /// Offsets at which `token` occurs in `code` with identifier boundaries on
@@ -487,36 +383,6 @@ mod tests {
         assert!(f.in_test(1));
         assert!(f.in_test(3));
         assert!(!f.in_test(5));
-    }
-
-    #[test]
-    fn find_fn_extracts_the_body() {
-        let f = sf("fn alpha() { inner(); }\nfn beta() { alpha(); }\n");
-        let (line, body) = f.find_fn("beta").unwrap();
-        assert_eq!(line, 1);
-        assert!(body.contains("alpha()"));
-        let (line, body) = f.find_fn("alpha").unwrap();
-        assert_eq!(line, 0);
-        assert!(body.contains("inner()"));
-    }
-
-    #[test]
-    fn struct_fields_skip_nested_braces_and_attrs() {
-        let f = sf(concat!(
-            "pub struct S {\n",
-            "    pub a: usize,\n",
-            "    #[allow(dead_code)]\n",
-            "    pub(crate) b: Vec<Option<(u32, f64)>>,\n",
-            "    c: std::collections::HashMap<String, Vec<u8>>,\n",
-            "}\n",
-        ));
-        let fields: Vec<String> = f
-            .struct_fields("S")
-            .unwrap()
-            .into_iter()
-            .map(|(_, n)| n)
-            .collect();
-        assert_eq!(fields, vec!["a", "b", "c"]);
     }
 
     #[test]

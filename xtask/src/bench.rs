@@ -378,21 +378,16 @@ fn analyze_stats() -> Json {
     let report = crate::analyze::analyze(&root, None);
     let runtime_s = t0.elapsed().as_secs_f64();
     println!(
-        "bench-snapshot: analyze           {:.3} s, {} files, {} unsafe sites, {} codec pairs, {} violation(s)",
+        "bench-snapshot: analyze           {:.3} s, {} files, {} unsafe sites, {} violation(s)",
         runtime_s,
         report.files_scanned,
         report.unsafe_sites,
-        report.codec_pairs_checked,
         report.violations.len(),
     );
     Json::obj([
         ("runtime_s", Json::from(runtime_s)),
         ("files_scanned", Json::from(report.files_scanned)),
         ("unsafe_sites", Json::from(report.unsafe_sites)),
-        (
-            "codec_pairs_checked",
-            Json::from(report.codec_pairs_checked),
-        ),
         ("violations", Json::from(report.violations.len())),
     ])
 }

@@ -85,28 +85,6 @@ fn ambient_randomness_fires() {
 }
 
 #[test]
-fn unserialized_checkpoint_field_fires() {
-    // isolate the drift pass: the fixture's codec bodies use `.unwrap()`,
-    // which the panic-surface pass would (correctly) also flag
-    let stderr = expect_violations(&fixture("schema_drift"), &["--pass", "schema-drift"]);
-    assert!(
-        stderr.contains("[schema-drift]"),
-        "drift violation missing:\n{stderr}"
-    );
-    assert!(stderr.contains("RunCheckpoint"), "{stderr}");
-    assert!(stderr.contains("unserialized_extra"), "{stderr}");
-    // the consistent SlotState pair must not produce noise
-    assert!(!stderr.contains("SlotState"), "{stderr}");
-    // the load-crate registry entries must fire too: LoadConfig grew a
-    // knob its encode fn ignores, while the consistent Arrival and
-    // ArrivalLog pairs stay quiet
-    assert!(stderr.contains("LoadConfig"), "{stderr}");
-    assert!(stderr.contains("unserialized_knob"), "{stderr}");
-    assert!(!stderr.contains("`Arrival`"), "{stderr}");
-    assert!(!stderr.contains("ArrivalLog"), "{stderr}");
-}
-
-#[test]
 fn unregistered_metric_names_fire() {
     let stderr = expect_violations(&fixture("metric_names"), &["--pass", "metric-names"]);
     // duplicate + unknown-kind declarations in the fixture table
