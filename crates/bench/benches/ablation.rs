@@ -130,7 +130,7 @@ fn ablate_coloring() {
         ts * 1e3,
         tp * 1e3,
         ts / tp,
-        rayon::current_num_threads()
+        hetsolve_pool::threads()
     );
 }
 

@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of the *real host kernels* (genuine wall-clock
 //! measurements, complementing the modeled Table 2):
 //!
-//! * 3×3 block-CRS SpMV (sequential and rayon-parallel),
+//! * 3×3 block-CRS SpMV (sequential and on the host pool),
 //! * cached-matrix EBE vs compact matrix-free EBE,
 //! * EBE with 1/2/4/8 fused right-hand sides (the multi-RHS amortization
 //!   the paper measures as the EBE->EBE4 speedup),

@@ -70,7 +70,13 @@ fn table2() {
         "kernel", "time/case", "TFLOPS (%peak)", "mem BW TB/s (%peak)", "paper"
     );
     let rows: [(&str, DeviceSpec, KernelCounts, usize, f64); 5] = [
-        ("CRS-rayon@CPU", grace_480(), paper_crs_counts(), 1, 0.163),
+        (
+            "CRS-threaded@CPU",
+            grace_480(),
+            paper_crs_counts(),
+            1,
+            0.163,
+        ),
         ("CRS-colored@GPU", h100(), paper_crs_counts(), 1, 0.0168),
         ("EBE-colored@GPU", h100(), paper_ebe_counts(1), 1, 0.00456),
         ("EBE4-colored@GPU", h100(), paper_ebe_counts(4), 4, 0.00239),

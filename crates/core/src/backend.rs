@@ -31,7 +31,10 @@ pub struct Backend {
     pub crs_m: Option<Bcrs3>,
     /// Block-Jacobi preconditioner of `A`.
     pub precond: BlockJacobi,
-    /// Run kernels with rayon.
+    /// The switch for host threads: `true` hands the operators this
+    /// backend builds (`ebe_a`/`ebe_m`/`ebe_c`, the assembled matrices) and
+    /// its preconditioner to the host pool, `false` keeps every one of them
+    /// on the calling thread. Same bits either way (DESIGN.md §19).
     pub parallel: bool,
 }
 

@@ -24,12 +24,12 @@ use std::borrow::Cow;
 
 use hetsolve_mesh::mesh::TET_EDGES;
 use hetsolve_mesh::{validate_groups, Coloring, Material, TetMesh10};
+use hetsolve_pool as pool;
 use hetsolve_sparse::dirichlet::FixedMask;
 use hetsolve_sparse::ebe::color_faces;
 use hetsolve_sparse::op::{KernelCounts, LinearOperator, MultiOperator};
-use hetsolve_sparse::parcheck::ColorScatter;
+use hetsolve_sparse::parcheck::{ColorScatter, GROUP_CHUNK};
 use hetsolve_sparse::sym::{packed_idx, packed_len};
-use rayon::prelude::*;
 
 use crate::quad::{tet_rule_deg2, tet_rule_deg5, TetQp};
 use crate::shape::{tet10_shape, tet_bary_gradients};
@@ -96,24 +96,23 @@ impl CompactElements {
     pub fn compute(mesh: &TetMesh10, mats: &[Material]) -> Self {
         let ne = mesh.n_elems();
         let mut geo = vec![0.0; ne * GEO_STRIDE];
-        geo.par_chunks_mut(GEO_STRIDE)
-            .enumerate()
-            .for_each(|(e, g)| {
-                let verts = mesh.vertices(e);
-                let (dl, vol) = tet_bary_gradients(&verts);
-                assert!(vol > 0.0, "element {e} has non-positive volume");
-                for a in 0..4 {
-                    let v = dl[a].to_array();
-                    g[3 * a] = v[0];
-                    g[3 * a + 1] = v[1];
-                    g[3 * a + 2] = v[2];
-                }
-                let m = &mats[mesh.material[e] as usize];
-                g[12] = vol;
-                g[13] = m.rho;
-                g[14] = m.lambda();
-                g[15] = m.mu();
-            });
+        // serial, like `ElementMatrices::compute`: set-up stays off the pool
+        for (e, g) in geo.chunks_exact_mut(GEO_STRIDE).enumerate() {
+            let verts = mesh.vertices(e);
+            let (dl, vol) = tet_bary_gradients(&verts);
+            assert!(vol > 0.0, "element {e} has non-positive volume");
+            for a in 0..4 {
+                let v = dl[a].to_array();
+                g[3 * a] = v[0];
+                g[3 * a + 1] = v[1];
+                g[3 * a + 2] = v[2];
+            }
+            let m = &mats[mesh.material[e] as usize];
+            g[12] = vol;
+            g[13] = m.rho;
+            g[14] = m.lambda();
+            g[15] = m.mu();
+        }
         CompactElements {
             geo,
             n_elems: ne,
@@ -215,9 +214,9 @@ pub struct CompactEbe<'a> {
     n_nodes: usize,
     coloring: &'a Coloring,
     face_groups: Cow<'a, [Vec<u32>]>,
-    /// Kept for the threaded pool of ROADMAP 2(a); the kernel walks each
-    /// color group in one serial loop, which is what the serial `rayon`
-    /// shim made of `par_iter` anyway.
+    /// Split each color group into [`GROUP_CHUNK`]-entity chunks on the
+    /// host pool; `false` walks every group on the calling thread. Writes
+    /// within a color are disjoint, so the bits are the same.
     pub parallel: bool,
     /// Fused right-hand sides (1, 2, 4, or 8).
     r: usize,
@@ -338,7 +337,8 @@ impl<'a> CompactEbe<'a> {
 
     /// `y = A x` for `R` fused right-hand sides: zero `y`, run the colored
     /// element and face passes through the widest kernel instance this CPU
-    /// runs, then the Dirichlet identity.
+    /// runs, then the Dirichlet identity. (Zero-fill and identity stay on
+    /// the calling thread: ≈ 2 % of the apply.)
     fn apply_r<const R: usize>(&self, x: &[f64], y: &mut [f64]) {
         // The scatter writes `y` unchecked: its length is part of the
         // safety argument, so it is checked in every build.
@@ -439,11 +439,16 @@ impl<'a> CompactEbe<'a> {
 // ---------------------------------------------------------------------------
 // The host kernel. Every flop works on `[f64; R]` lane arrays (one lane per
 // fused right-hand side) with the lane loop innermost, every multiply-add is
-// `f64::mul_add`, and all of it is `#[inline(always)]` into the two
-// instances at the bottom: a closure or a non-inlined helper would be a
-// symbol of its own and would not inherit the instance's target features.
-// `mul_add` rounds once whether it is a `vfmadd` or libm's `fma`, so both
-// instances return the same bits.
+// `f64::mul_add`, and all of it is `#[inline(always)]` into the chunk
+// closures of the two instances at the bottom. A closure has the target
+// features of the function it is *written in* (rustc ≥ 1.86, checked on
+// 1.95: a closure inside the `#[target_feature]` instance compiles to
+// `vfmadd`, the same closure inside an `#[inline(always)]` helper that the
+// instance calls does not — it stays a symbol of its own at the helper's
+// baseline features). So the closures the pool runs are written in the
+// instances, and everything they call is inlined into them. `mul_add`
+// rounds once whether it is a `vfmadd` or libm's `fma`, so both instances
+// return the same bits.
 // ---------------------------------------------------------------------------
 
 /// `acc += a · x`, lane by lane.
@@ -622,57 +627,98 @@ fn face_lanes<const R: usize>(c_b: f64, cb: &[f64], u: &[[f64; R]; 18], y: &mut 
     }
 }
 
-/// All colored passes of one apply: elements color by color, then (when
-/// `c_b ≠ 0`) the dashpot faces color by color, accumulating into
-/// `scatter`. `x` holds `3·n_nodes·R` values (checked by the caller).
+/// `y += A_e x` for the elements `elems` of one color group (a whole group
+/// or one chunk of it), accumulated into `scatter`.
 #[inline(always)]
-fn colored_passes<const R: usize>(op: &CompactEbe<'_>, x: &[f64], scatter: &mut ColorScatter<'_>) {
-    let (x, _) = x.as_chunks::<R>();
+fn element_chunk<const R: usize>(
+    op: &CompactEbe<'_>,
+    x: &[[f64; R]],
+    scatter: &ColorScatter<'_>,
+    elems: &[u32],
+) {
     let fixed = FixedMask::new(op.fixed);
-    let tables = &op.data.tables;
-    for group in &op.coloring.groups {
-        scatter.begin_color();
-        for &e in group {
-            let el = &op.elems[e as usize];
-            let g = &op.data.geo[e as usize * GEO_STRIDE..(e as usize + 1) * GEO_STRIDE];
-            let u: [[f64; R]; 30] = gather_lanes(el, x, fixed);
-            let mut y = [[0.0f64; R]; 30];
-            element_lanes(g, tables, op.c_m, op.c_k, &u, &mut y);
-            for (k, &n) in el.iter().enumerate() {
-                for a in 0..3 {
-                    // SAFETY: `ScatterPlan::validate` checked that the
-                    // elements of one color group share no node and that
-                    // every node id is below `n_nodes`, and `apply_r` that
-                    // the output holds `3·n_nodes·R` slots: this DOF's `R`
-                    // slots are in bounds and no other element of this
-                    // pass writes them.
-                    unsafe { scatter.add_lanes(e, 3 * n as usize + a, &y[3 * k + a]) };
-                }
-            }
-        }
-    }
-    if op.c_b != 0.0 {
-        for group in op.face_groups.iter() {
-            scatter.begin_color();
-            for &f in group {
-                let fc = &op.faces[f as usize];
-                let cb = &op.cb[f as usize * FACE_PACKED..(f as usize + 1) * FACE_PACKED];
-                let u: [[f64; R]; 18] = gather_lanes(fc, x, fixed);
-                let mut y = [[0.0f64; R]; 18];
-                face_lanes(op.c_b, cb, &u, &mut y);
-                for (k, &n) in fc.iter().enumerate() {
-                    for a in 0..3 {
-                        // SAFETY: as for the elements — the face coloring
-                        // passed the same validation over `faces`.
-                        unsafe { scatter.add_lanes(f, 3 * n as usize + a, &y[3 * k + a]) };
-                    }
-                }
+    for &e in elems {
+        let el = &op.elems[e as usize];
+        let g = &op.data.geo[e as usize * GEO_STRIDE..(e as usize + 1) * GEO_STRIDE];
+        let u: [[f64; R]; 30] = gather_lanes(el, x, fixed);
+        let mut y = [[0.0f64; R]; 30];
+        element_lanes(g, &op.data.tables, op.c_m, op.c_k, &u, &mut y);
+        for (k, &n) in el.iter().enumerate() {
+            for a in 0..3 {
+                // SAFETY: `ScatterPlan::validate` checked that the
+                // elements of one color group share no node and that
+                // every node id is below `n_nodes`, and `apply_r` that
+                // the output holds `3·n_nodes·R` slots: this DOF's `R`
+                // slots are in bounds and no other element of this
+                // pass — on this thread or another — writes them.
+                unsafe { scatter.add_lanes(e, 3 * n as usize + a, &y[3 * k + a]) };
             }
         }
     }
 }
 
-/// [`colored_passes`] through the widest instance this CPU runs.
+/// `y += c_b C_f x` for the dashpot faces `faces` of one face color group.
+#[inline(always)]
+fn face_chunk<const R: usize>(
+    op: &CompactEbe<'_>,
+    x: &[[f64; R]],
+    scatter: &ColorScatter<'_>,
+    faces: &[u32],
+) {
+    let fixed = FixedMask::new(op.fixed);
+    for &f in faces {
+        let fc = &op.faces[f as usize];
+        let cb = &op.cb[f as usize * FACE_PACKED..(f as usize + 1) * FACE_PACKED];
+        let u: [[f64; R]; 18] = gather_lanes(fc, x, fixed);
+        let mut y = [[0.0f64; R]; 18];
+        face_lanes(op.c_b, cb, &u, &mut y);
+        for (k, &n) in fc.iter().enumerate() {
+            for a in 0..3 {
+                // SAFETY: as for the elements — the face coloring
+                // passed the same validation over `faces`.
+                unsafe { scatter.add_lanes(f, 3 * n as usize + a, &y[3 * k + a]) };
+            }
+        }
+    }
+}
+
+/// All colored passes of one apply: elements color by color, then (when
+/// `c_b ≠ 0`) the dashpot faces color by color. `elems` / `faces` run one
+/// chunk of a group (an instance's `element_chunk` / `face_chunk`); with
+/// `op.parallel` a group's chunks run on the host pool. The closure a pass
+/// hands the pool borrows `&ColorScatter` until the pool's join returns, so
+/// the next `begin_color(&mut self)` is still the point where one color's
+/// writes end and the next one's begin (DESIGN.md §8).
+fn colored_passes(
+    op: &CompactEbe<'_>,
+    scatter: &mut ColorScatter<'_>,
+    elems: impl Fn(&ColorScatter<'_>, &[u32]) + Sync,
+    faces: impl Fn(&ColorScatter<'_>, &[u32]) + Sync,
+) {
+    let parallel = op.parallel;
+    let pass = |scatter: &ColorScatter<'_>,
+                group: &[u32],
+                chunk: &(dyn Fn(&ColorScatter<'_>, &[u32]) + Sync)| {
+        if parallel {
+            pool::for_each_chunk(group, GROUP_CHUNK, |_, part| chunk(scatter, part));
+        } else {
+            chunk(scatter, group);
+        }
+    };
+    for group in &op.coloring.groups {
+        scatter.begin_color();
+        pass(scatter, group, &elems);
+    }
+    if op.c_b != 0.0 {
+        for group in op.face_groups.iter() {
+            scatter.begin_color();
+            pass(scatter, group, &faces);
+        }
+    }
+}
+
+/// [`colored_passes`] through the widest instance this CPU runs. `x` holds
+/// `3·n_nodes·R` values (checked by the caller).
 fn colored_passes_widest<const R: usize>(
     op: &CompactEbe<'_>,
     x: &[f64],
@@ -688,7 +734,8 @@ fn colored_passes_widest<const R: usize>(
 }
 
 /// The kernel compiled for AVX2 + FMA: four lanes per register and
-/// `mul_add` as one `vfmadd`.
+/// `mul_add` as one `vfmadd`. The chunk closures are written here so that
+/// they carry these features onto whichever thread runs them.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn colored_passes_avx2_fma<const R: usize>(
@@ -696,7 +743,13 @@ fn colored_passes_avx2_fma<const R: usize>(
     x: &[f64],
     scatter: &mut ColorScatter<'_>,
 ) {
-    colored_passes::<R>(op, x, scatter)
+    let (x, _) = x.as_chunks::<R>();
+    colored_passes(
+        op,
+        scatter,
+        |s, elems| element_chunk::<R>(op, x, s, elems),
+        |s, faces| face_chunk::<R>(op, x, s, faces),
+    )
 }
 
 /// The kernel at the build's baseline features. Where those lack a fused
@@ -707,7 +760,13 @@ fn colored_passes_portable<const R: usize>(
     x: &[f64],
     scatter: &mut ColorScatter<'_>,
 ) {
-    colored_passes::<R>(op, x, scatter)
+    let (x, _) = x.as_chunks::<R>();
+    colored_passes(
+        op,
+        scatter,
+        |s, elems| element_chunk::<R>(op, x, s, elems),
+        |s, faces| face_chunk::<R>(op, x, s, faces),
+    )
 }
 
 /// Analytic cost of one compact-EBE apply with `r` fused RHS over
@@ -876,14 +935,19 @@ mod tests {
             .collect()
     }
 
+    /// Splitting the color groups over the pool changes no bit: every
+    /// fused width, pools of one to four threads, on the 9,537-DOF mesh
+    /// whose groups are up to four chunks long.
     #[test]
     fn parallel_matches_sequential() {
-        let p = problem();
+        let p =
+            FemProblem::paper_like(&GroundModelSpec::paper_like(8, 8, 5, InterfaceShape::Basin));
         let coloring = color_elements(&p.model.mesh);
+        assert!(coloring.groups.iter().any(|g| g.len() > 2 * GROUP_CHUNK));
         let compact = CompactElements::compute(&p.model.mesh, &p.materials);
         let fixed = as_slice(&p.mask);
         let a = p.a_coeffs();
-        let mk = |par: bool| {
+        let mk = |par: bool, r: usize| {
             CompactEbe::new(
                 p.n_nodes(),
                 &p.model.mesh.elems,
@@ -894,17 +958,24 @@ mod tests {
                 &fixed,
                 &coloring,
                 par,
-                1,
+                r,
             )
         };
         let n = p.n_dofs();
-        let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.61).cos()).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        mk(false).apply(&x, &mut y1);
-        mk(true).apply(&x, &mut y2);
-        for i in 0..n {
-            assert!((y1[i] - y2[i]).abs() < 1e-12);
+        for r in [1usize, 2, 4, 8] {
+            let x = multi_wave(n, r);
+            let mut y_seq = vec![0.0; n * r];
+            mk(false, r).apply_multi(&x, &mut y_seq);
+            assert!(y_seq.iter().any(|&v| v != 0.0));
+            let par = mk(true, r);
+            for threads in 1..=4 {
+                let mut y_par = vec![0.0; n * r];
+                pool::Pool::with_threads(threads).install(|| par.apply_multi(&x, &mut y_par));
+                assert!(
+                    (0..n * r).all(|i| y_seq[i].to_bits() == y_par[i].to_bits()),
+                    "r={r} threads={threads}"
+                );
+            }
         }
     }
 

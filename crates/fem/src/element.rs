@@ -96,16 +96,20 @@ impl ElementMatrices {
         let ne = mesh.n_elems();
         let mut me = vec![0.0; ne * PACKED];
         let mut ke = vec![0.0; ne * PACKED];
-        use rayon::prelude::*;
-        me.par_chunks_mut(PACKED)
-            .zip(ke.par_chunks_mut(PACKED))
+        // Serial on purpose (DESIGN.md §19): threading this loop halves it,
+        // but `mass_matrix`/`stiffness_matrix` return `Vec`s, and temporaries
+        // allocated on a worker make the main heap's layout — and with it
+        // whether glibc trims ~60 MB after every set-up — vary run to run.
+        for (e, (me_e, ke_e)) in me
+            .chunks_exact_mut(PACKED)
+            .zip(ke.chunks_exact_mut(PACKED))
             .enumerate()
-            .for_each(|(e, (me_e, ke_e))| {
-                let x = mesh.elem_coords(e);
-                let mat = &mats[mesh.material[e] as usize];
-                me_e.copy_from_slice(&mass_matrix(&x, mat.rho, &rule_m));
-                ke_e.copy_from_slice(&stiffness_matrix(&x, mat, &rule_k));
-            });
+        {
+            let x = mesh.elem_coords(e);
+            let mat = &mats[mesh.material[e] as usize];
+            me_e.copy_from_slice(&mass_matrix(&x, mat.rho, &rule_m));
+            ke_e.copy_from_slice(&stiffness_matrix(&x, mat, &rule_k));
+        }
         ElementMatrices {
             me,
             ke,

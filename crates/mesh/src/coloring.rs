@@ -1,8 +1,8 @@
 //! Greedy element coloring.
 //!
 //! The EBE (element-by-element) matrix-free SpMV scatters 30 values per
-//! element into the global result vector. On a GPU (and with rayon on the
-//! CPU) elements in the same batch run concurrently, so two elements sharing
+//! element into the global result vector. On a GPU (and on the host pool on
+//! the CPU) elements in the same batch run concurrently, so two elements sharing
 //! a node must not be processed at the same time. Coloring the element graph
 //! (elements adjacent iff they share a node) gives batches ("colors") whose
 //! members touch disjoint node sets; each color can then be scattered fully

@@ -17,7 +17,6 @@
 use std::collections::VecDeque;
 
 use hetsolve_sparse::KernelCounts;
-use rayon::prelude::*;
 
 /// Snapshot store + per-region prediction.
 #[derive(Debug, Clone)]
@@ -138,38 +137,37 @@ impl DataDrivenPredictor {
         let len = h.len();
         // columns: X_i = h[len-1-s+i], Y_i = h[len-s+i], input = h[len-1]
         let rdofs = self.region_dofs;
-        out.par_chunks_mut(rdofs)
-            .enumerate()
-            .for_each(|(reg, out_r)| {
-                let lo = reg * rdofs;
-                let m = out_r.len();
-                // local snapshot matrices, column-major
-                let mut x = vec![0.0; m * s];
-                let mut y = vec![0.0; m * s];
-                for i in 0..s {
-                    x[i * m..(i + 1) * m].copy_from_slice(&h[len - 1 - s + i][lo..lo + m]);
-                    y[i * m..(i + 1) * m].copy_from_slice(&h[len - s + i][lo..lo + m]);
-                }
-                let qr = crate::mgs::mgs_qr(&x, m, s, self.tol);
-                if qr.rank() == 0 {
-                    out_r.fill(0.0);
-                    return;
-                }
-                let input = &h[len - 1][lo..lo + m];
-                let mut c = vec![0.0; qr.rank()];
-                qr.project(input, &mut c);
-                let mut w = vec![0.0; s];
-                qr.back_substitute(&c, &mut w);
+        // one region per pool chunk: regions share nothing but the history
+        hetsolve_pool::for_each_mut([(out, rdofs)], |reg, [out_r]| {
+            let lo = reg * rdofs;
+            let m = out_r.len();
+            // local snapshot matrices, column-major
+            let mut x = vec![0.0; m * s];
+            let mut y = vec![0.0; m * s];
+            for i in 0..s {
+                x[i * m..(i + 1) * m].copy_from_slice(&h[len - 1 - s + i][lo..lo + m]);
+                y[i * m..(i + 1) * m].copy_from_slice(&h[len - s + i][lo..lo + m]);
+            }
+            let qr = crate::mgs::mgs_qr(&x, m, s, self.tol);
+            if qr.rank() == 0 {
                 out_r.fill(0.0);
-                for i in 0..s {
-                    if w[i] != 0.0 {
-                        let ycol = &y[i * m..(i + 1) * m];
-                        for (o, yv) in out_r.iter_mut().zip(ycol) {
-                            *o += w[i] * yv;
-                        }
+                return;
+            }
+            let input = &h[len - 1][lo..lo + m];
+            let mut c = vec![0.0; qr.rank()];
+            qr.project(input, &mut c);
+            let mut w = vec![0.0; s];
+            qr.back_substitute(&c, &mut w);
+            out_r.fill(0.0);
+            for i in 0..s {
+                if w[i] != 0.0 {
+                    let ycol = &y[i * m..(i + 1) * m];
+                    for (o, yv) in out_r.iter_mut().zip(ycol) {
+                        *o += w[i] * yv;
                     }
                 }
-            });
+            }
+        });
         true
     }
 

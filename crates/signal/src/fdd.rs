@@ -9,8 +9,6 @@
 //! simulated surface waveforms to map the dominant frequency over the
 //! ground surface (Fig. 1).
 
-use rayon::prelude::*;
-
 use crate::complex::C64;
 use crate::eig::herm_largest;
 use crate::spectra::{peak_bin, welch_csd, welch_psd, WelchConfig};
@@ -57,7 +55,11 @@ impl FddResult {
 pub fn fdd(channels: &[&[f64]], cfg: &WelchConfig) -> FddResult {
     let nc = channels.len();
     let csd = welch_csd(channels, cfg);
-    let results: Vec<(f64, Vec<C64>)> = csd.par_iter().map(|bin| herm_largest(bin, nc)).collect();
+    // one frequency bin per pool chunk: each is an eigenproblem of its own
+    let mut results: Vec<(f64, Vec<C64>)> = vec![(0.0, Vec::new()); csd.len()];
+    hetsolve_pool::for_each_mut([(&mut results[..], 1)], |k, [slot]| {
+        slot[0] = herm_largest(&csd[k], nc);
+    });
     let freqs = (0..csd.len()).map(|k| cfg.frequency(k)).collect();
     let (sv1, modes) = results.into_iter().unzip();
     FddResult { freqs, sv1, modes }

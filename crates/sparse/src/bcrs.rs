@@ -5,9 +5,12 @@
 //! matrices in memory"). Blocks are stored row-major (`[f64; 9]`), block
 //! columns sorted ascending within each block row.
 
-use rayon::prelude::*;
+use hetsolve_pool as pool;
 
 use crate::op::{KernelCounts, LinearOperator};
+
+/// Block rows per chunk of the parallel SpMV.
+const ROWS_PER_CHUNK: usize = 256;
 
 /// 3×3 block CRS sparse matrix.
 #[derive(Debug, Clone)]
@@ -20,7 +23,8 @@ pub struct Bcrs3 {
     pub cols: Vec<u32>,
     /// 3×3 blocks, row-major.
     pub blocks: Vec<[f64; 9]>,
-    /// Run SpMV with rayon across block rows.
+    /// Run the SpMV on the host pool, [`ROWS_PER_CHUNK`] block rows to a
+    /// chunk (a row is computed whole by one thread: same bits).
     pub parallel: bool,
 }
 
@@ -77,18 +81,17 @@ impl LinearOperator for Bcrs3 {
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         debug_assert_eq!(x.len(), self.n());
         debug_assert_eq!(y.len(), self.n());
+        let rows = |first: usize, y: &mut [f64]| {
+            for (k, yr) in y.as_chunks_mut::<3>().0.iter_mut().enumerate() {
+                self.spmv_row(first + k, x, yr);
+            }
+        };
         if self.parallel {
-            y.par_chunks_exact_mut(3).enumerate().for_each(|(br, yc)| {
-                let mut acc = [0.0; 3];
-                self.spmv_row(br, x, &mut acc);
-                yc.copy_from_slice(&acc);
+            pool::for_each_mut([(y, 3 * ROWS_PER_CHUNK)], |i, [yc]| {
+                rows(i * ROWS_PER_CHUNK, yc)
             });
         } else {
-            for br in 0..self.n_brows {
-                let mut acc = [0.0; 3];
-                self.spmv_row(br, x, &mut acc);
-                y[3 * br..3 * br + 3].copy_from_slice(&acc);
-            }
+            rows(0, y);
         }
     }
 
@@ -197,16 +200,42 @@ mod tests {
         assert_eq!(&y[3..], &[15.0, 16.0, 20.0]);
     }
 
+    /// The chunked SpMV computes every row whole on one thread: bitwise
+    /// the sequential one on pools of one to four threads, with a row
+    /// count that leaves a short last chunk.
     #[test]
     fn parallel_matches_sequential() {
-        let mseq = small_matrix(false);
-        let mpar = small_matrix(true);
-        let x: Vec<f64> = (0..6).map(|i| (i as f64).cos()).collect();
-        let mut y1 = vec![0.0; 6];
-        let mut y2 = vec![0.0; 6];
+        let nb = 3 * ROWS_PER_CHUNK + 17;
+        let mut b = BcrsBuilder::new(nb);
+        for i in 0..nb {
+            let s = (i as f64 * 0.3).sin();
+            b.add_block(
+                i as u32,
+                i as u32,
+                &[6.0, s, 0.0, s, 7.0, 1.0, 0.0, 1.0, 8.0],
+            );
+            for j in [(i + 1) % nb, (i + 37) % nb] {
+                b.add_block(
+                    i as u32,
+                    j as u32,
+                    &[s, 0.1, -0.2, 0.3, -s, 0.4, 0.5, 0.6, s * s],
+                );
+            }
+        }
+        let mseq = b.finish(false);
+        let mpar = Bcrs3 {
+            parallel: true,
+            ..mseq.clone()
+        };
+        let x: Vec<f64> = (0..3 * nb).map(|i| (i as f64).cos()).collect();
+        let mut y1 = vec![0.0; 3 * nb];
         mseq.apply(&x, &mut y1);
-        mpar.apply(&x, &mut y2);
-        assert_eq!(y1, y2);
+        assert!(y1.iter().all(|v| *v != 0.0));
+        for threads in 1..=4 {
+            let mut y2 = vec![0.0; 3 * nb];
+            pool::Pool::with_threads(threads).install(|| mpar.apply(&x, &mut y2));
+            assert_eq!(y1, y2, "threads={threads}");
+        }
     }
 
     #[test]

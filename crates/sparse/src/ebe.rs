@@ -15,11 +15,11 @@
 //! atomics — the standard strategy of GPU EBE kernels (paper ref. [4]).
 
 use hetsolve_mesh::{validate_groups, Coloring};
-use rayon::prelude::*;
+use hetsolve_pool as pool;
 
 use crate::dirichlet::FixedMask;
 use crate::op::{KernelCounts, LinearOperator, MultiOperator};
-use crate::parcheck::ColorScatter;
+use crate::parcheck::{ColorScatter, GROUP_CHUNK};
 use crate::sym::{sym2_matvec_add, sym2_matvec_add_multi, sym_matvec_add};
 
 /// Packed sizes.
@@ -87,7 +87,8 @@ pub struct EbeOperator<'a> {
     pub coloring: &'a Coloring,
     /// Face coloring groups (computed for the dashpot faces).
     pub face_groups: Vec<Vec<u32>>,
-    /// Use rayon within each color.
+    /// Split each color group over the host pool ([`GROUP_CHUNK`] entities
+    /// to a chunk; same-color writes are disjoint, so same bits).
     pub parallel: bool,
     /// Fused right-hand sides: 1, 2, 4 or 8.
     pub r: usize,
@@ -314,7 +315,7 @@ impl<'a> EbeOperator<'a> {
             }
         };
         if self.parallel {
-            elems.par_iter().for_each(body);
+            pool::for_each_chunk(elems, GROUP_CHUNK, |_, chunk| chunk.iter().for_each(body));
         } else {
             elems.iter().for_each(body);
         }
@@ -363,7 +364,7 @@ impl<'a> EbeOperator<'a> {
             }
         };
         if self.parallel {
-            faces.par_iter().for_each(body);
+            pool::for_each_chunk(faces, GROUP_CHUNK, |_, chunk| chunk.iter().for_each(body));
         } else {
             faces.iter().for_each(body);
         }
@@ -491,7 +492,11 @@ mod tests {
     /// we need valid connectivity + coloring, but the matrix values can be
     /// arbitrary symmetric data (tests compare EBE vs assembled CRS).
     fn fixture(with_fixed: bool) -> Fixture {
-        let gm = GroundModelSpec::paper_like(3, 3, 2, InterfaceShape::Stratified).build();
+        fixture_on((3, 3, 2), with_fixed)
+    }
+
+    fn fixture_on((nx, ny, nz): (usize, usize, usize), with_fixed: bool) -> Fixture {
+        let gm = GroundModelSpec::paper_like(nx, ny, nz, InterfaceShape::Stratified).build();
         let mesh = gm.mesh;
         let coloring = color_elements(&mesh);
         let ne = mesh.n_elems();
@@ -592,19 +597,42 @@ mod tests {
         }
     }
 
+    /// The colored kernel against the element-order loop (a different
+    /// summation order: to rounding), and against itself split over pools
+    /// of one to four threads at every fused width (same order: to the
+    /// bit) — on a mesh whose color groups are several chunks long.
     #[test]
     fn colored_parallel_matches_seq() {
-        let fx = fixture(false);
-        let d = data(&fx, false);
+        let fx = fixture_on((8, 8, 5), true);
+        assert!(fx.coloring.groups.iter().any(|g| g.len() > 2 * GROUP_CHUNK));
+        let d = data(&fx, true);
         let op_seq = EbeOperator::new(d.clone(), &fx.coloring, false);
-        let op_par = EbeOperator::new(d, &fx.coloring, true);
-        let x = test_vec(op_seq.n());
-        let mut y1 = vec![0.0; op_seq.n()];
-        let mut y2 = vec![0.0; op_seq.n()];
+        let op_par = EbeOperator::new(d.clone(), &fx.coloring, true);
+        let n = op_seq.n();
+        let x = test_vec(n);
+        let mut y1 = vec![0.0; n];
+        let mut y2 = vec![0.0; n];
         op_seq.apply(&x, &mut y1);
         op_par.apply(&x, &mut y2);
-        for i in 0..y1.len() {
-            assert!((y1[i] - y2[i]).abs() < 1e-12, "dof {i}");
+        for i in 0..n {
+            assert!((y1[i] - y2[i]).abs() < 1e-11, "dof {i}");
+        }
+
+        for r in [1usize, 2, 4, 8] {
+            let x = test_vec(n * r);
+            let mut y_seq = vec![0.0; n * r];
+            EbeOperator::new(d.clone(), &fx.coloring, false)
+                .fused(r)
+                .apply_multi(&x, &mut y_seq);
+            let par = EbeOperator::new(d.clone(), &fx.coloring, true).fused(r);
+            for threads in 1..=4 {
+                let mut y_par = vec![0.0; n * r];
+                pool::Pool::with_threads(threads).install(|| par.apply_multi(&x, &mut y_par));
+                assert!(
+                    (0..n * r).all(|i| y_seq[i].to_bits() == y_par[i].to_bits()),
+                    "r={r} threads={threads}"
+                );
+            }
         }
     }
 

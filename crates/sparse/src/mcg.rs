@@ -13,7 +13,7 @@
 use hetsolve_obs::{NoopObserver, SolveObserver, Termination};
 
 use crate::op::{KernelCounts, MultiOperator, Preconditioner};
-use crate::vecops::{cg_update_multi, dot_multi, xpby_multi};
+use crate::vecops::{cg_update_multi, dot_multi, residual_multi, xpby_multi};
 
 use crate::cg::{CgConfig, DEFAULT_SENTINEL_DRIFT};
 
@@ -130,9 +130,7 @@ pub fn mcg_masked_observed<A: MultiOperator, P: Preconditioner, O: SolveObserver
     let mut r_vec = vec![0.0; n * r];
     a.apply_multi(x, &mut r_vec);
     counts = counts.merged(a.counts());
-    for i in 0..n * r {
-        r_vec[i] = f[i] - r_vec[i];
-    }
+    residual_multi(f, &mut r_vec);
 
     let mut rel = vec![0.0; r];
     let mut rr = vec![0.0; r];

@@ -53,6 +53,11 @@ use std::marker::PhantomData;
 #[cfg(any(debug_assertions, feature = "racecheck"))]
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Entities (elements or faces) of one color group per chunk of a parallel
+/// pass: small enough that a thread arriving late still finds work, large
+/// enough (≈ 5–15 µs of kernel) that claiming a chunk costs nothing.
+pub const GROUP_CHUNK: usize = 32;
+
 /// Shared handle for race-free color-parallel accumulation into one output
 /// slice. See the module docs for the full safety argument.
 pub struct ColorScatter<'a> {
@@ -373,5 +378,26 @@ mod tests {
                 .count()
         });
         assert!(caught >= 1, "at least one writer must observe the race");
+    }
+
+    /// The same violation inside a pass the host pool runs: whichever
+    /// thread writes second panics, and the pool re-raises it on the
+    /// caller with the claim table's message.
+    #[test]
+    #[cfg_attr(not(any(debug_assertions, feature = "racecheck")), ignore)]
+    #[should_panic(expected = "parcheck: race on output slot 0")]
+    fn overlap_inside_a_pool_pass_panics_on_the_caller() {
+        let mut y = vec![0.0f64; 1];
+        let mut scatter = ColorScatter::new(&mut y);
+        scatter.begin_color();
+        let scatter = &scatter;
+        hetsolve_pool::Pool::with_threads(2).install(|| {
+            hetsolve_pool::run(2, |owner| {
+                // SAFETY: intentionally violating the color-pass contract
+                // (two owners, one slot) to test detection; the claim
+                // table panics before the second write lands.
+                unsafe { scatter.add(owner as u32, 0, 1.0) };
+            })
+        });
     }
 }

@@ -1,22 +1,47 @@
 //! Vector primitives of the CG iteration on interleaved multi-RHS vectors
 //! (a single right-hand side is the width-1 case), plus a plain [`dot`].
-//! Rayon-parallel above a size threshold; the threshold keeps small test
-//! problems on one thread where parallel dispatch would dominate.
 //!
-//! The multi-RHS passes of the MCG iteration ([`dot_multi`],
-//! [`xpby_multi`], [`cg_update_multi`]) run on `[f64; R]` lane arrays for
-//! the fused widths the EBE kernels support (1, 2, 4, 8) and fall back to
-//! the any-`r` loops otherwise. Both forms give the same bits: no
+//! Every pass over a multi-vector of at least [`PAR_THRESHOLD`] values is
+//! cut into chunks of [`PARTIAL_ROWS`] rows that run on the host pool
+//! (`hetsolve-pool`); a shorter vector is one chunk and never reaches the
+//! pool, which keeps small problems on one thread where a fork-join would
+//! dominate. The cut depends on the vector's length alone, a chunk writes
+//! only its own rows, and a reduction keeps one partial sum per chunk and
+//! adds them in row order ([`ChunkSums`]) — so the bits of every result are
+//! the same at any thread count, and the same as one thread walking the
+//! chunks in order.
+//!
+//! The passes of the MCG iteration ([`dot_multi`], [`xpby_multi`],
+//! [`cg_update_multi`], [`residual_multi`]) run on `[f64; R]` lane arrays
+//! for the fused widths the EBE kernels support (1, 2, 4, 8) and fall back
+//! to the any-`r` loops otherwise. Both forms give the same bits: no
 //! multiply-add is contracted, frozen cases are skipped by a lane select,
-//! and every reduction sums in the order [`LaneDot`] documents.
+//! and both sum in [`ChunkSums`]'s order.
 
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Below this length, run sequentially.
+use hetsolve_pool as pool;
+
+/// Below this length, a pass is one chunk (and one running sum per case).
 const PAR_THRESHOLD: usize = 1 << 14;
 
-/// Rows per partial sum of a multi-RHS reduction above [`PAR_THRESHOLD`].
+/// Rows per chunk, and per partial sum, of a pass over a longer vector.
 const PARTIAL_ROWS: usize = 4096;
+
+/// Partial sums one fork-join of a reduction holds (on the caller's stack:
+/// a pass allocates nothing). A vector of more chunks is reduced in
+/// several fork-joins of this many.
+pub(crate) const MAX_PARTIALS: usize = 192;
+
+/// Values in one chunk of a pass over a `len`-value multi-vector of `r`
+/// cases: the rows of one partial sum, or everything below the threshold.
+pub(crate) fn chunk_values(len: usize, r: usize) -> usize {
+    if len < PAR_THRESHOLD {
+        usize::MAX
+    } else {
+        PARTIAL_ROWS * r
+    }
+}
 
 /// Evaluate `$body` with the constant `$R` bound to the fused width `$r`
 /// when that is one the lane kernels are built for, else `$other`.
@@ -50,43 +75,66 @@ pub(crate) fn lane_array<T, const R: usize>(per_case: &[T]) -> &[T; R] {
     per_case.try_into().expect("one value per fused case")
 }
 
-/// Dot product `x·y`.
+/// Dot product `x·y`, summed as [`dot_multi`] sums one case.
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
-    if x.len() < PAR_THRESHOLD {
-        x.iter().zip(y).map(|(a, b)| a * b).sum()
-    } else {
-        x.par_chunks(4096)
-            .zip(y.par_chunks(4096))
-            .map(|(xc, yc)| xc.iter().zip(yc).map(|(a, b)| a * b).sum::<f64>())
-            .sum()
+    dot_lanes::<1>(x, y)[0]
+}
+
+/// The one summation order of every multi-RHS reduction in this crate,
+/// whichever threads run it: a chunk's partial sum is a running sum over
+/// its rows from `+0.0` (any thread stores it with [`Self::set`]), and the
+/// caller adds the partials to the total in chunk order ([`Self::fold`]).
+pub(crate) struct ChunkSums<const R: usize> {
+    pub(crate) total: [f64; R],
+    /// `f64` bits. Relaxed: the pool's join publishes a chunk's stores to
+    /// the caller before it folds.
+    partial: [[AtomicU64; R]; MAX_PARTIALS],
+}
+
+impl<const R: usize> ChunkSums<R> {
+    pub(crate) fn new() -> Self {
+        ChunkSums {
+            total: [0.0; R],
+            partial: [const { [const { AtomicU64::new(0) }; R] }; MAX_PARTIALS],
+        }
+    }
+
+    /// Record the partial sum of chunk `i` of the fork-join in flight.
+    pub(crate) fn set(&self, i: usize, sum: [f64; R]) {
+        for c in 0..R {
+            self.partial[i][c].store(sum[c].to_bits(), Ordering::Relaxed);
+        }
+    }
+
+    /// Add the first `chunks` partials to the total, in chunk order.
+    pub(crate) fn fold(&mut self, chunks: usize) {
+        for partial in &mut self.partial[..chunks] {
+            for c in 0..R {
+                self.total[c] += f64::from_bits(*partial[c].get_mut());
+            }
+        }
     }
 }
 
-/// Per-lane dot-product accumulator fed one row at a time, summing in the
-/// one order every multi-RHS reduction of this crate uses, so that fused
-/// and unfused passes agree to the bit and results do not depend on how a
-/// pass is scheduled: a vector of fewer than [`PAR_THRESHOLD`] values is
-/// one running sum per case; a longer one is a partial sum per
-/// [`PARTIAL_ROWS`] rows, the partials added in row order.
-pub(crate) struct LaneDot<const R: usize> {
-    total: [f64; R],
+/// Row products fed one row at a time into [`ChunkSums`] partials, a new
+/// partial every `rows` rows from slot `first` on — for a chunk that spans
+/// several partials because its unit of work straddles their boundaries
+/// (`BlockJacobi`'s 3-row nodes against 4096-row partials).
+pub(crate) struct LaneDot<'s, const R: usize> {
+    sums: &'s ChunkSums<R>,
+    slot: usize,
     partial: [f64; R],
     /// Rows the current partial still takes.
     left: usize,
     rows: usize,
 }
 
-impl<const R: usize> LaneDot<R> {
-    /// Accumulator for multi-vectors of `len` values (`len / R` rows).
-    pub(crate) fn new(len: usize) -> Self {
-        let rows = if len < PAR_THRESHOLD {
-            usize::MAX
-        } else {
-            PARTIAL_ROWS
-        };
+impl<'s, const R: usize> LaneDot<'s, R> {
+    pub(crate) fn new(sums: &'s ChunkSums<R>, first: usize, rows: usize) -> Self {
         LaneDot {
-            total: [0.0; R],
+            sums,
+            slot: first,
             partial: [0.0; R],
             left: rows,
             rows,
@@ -106,21 +154,20 @@ impl<const R: usize> LaneDot<R> {
     }
 
     fn close_partial(&mut self) {
-        for c in 0..R {
-            self.total[c] += self.partial[c];
-        }
+        self.sums.set(self.slot, self.partial);
+        self.slot += 1;
         self.partial = [0.0; R];
         self.left = self.rows;
     }
 
-    pub(crate) fn finish(mut self) -> [f64; R] {
+    /// Store the last (possibly short) partial.
+    pub(crate) fn finish(mut self) {
         self.close_partial();
-        self.total
     }
 }
 
 /// Per-case dot products of interleaved multi-vectors:
-/// `out[c] = Σ_i x[i*r+c] * y[i*r+c]`, summed in [`LaneDot`]'s order.
+/// `out[c] = Σ_i x[i*r+c] * y[i*r+c]`, summed in [`ChunkSums`]'s order.
 pub fn dot_multi(x: &[f64], y: &[f64], r: usize, out: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     debug_assert_eq!(x.len() % r, 0);
@@ -129,40 +176,54 @@ pub fn dot_multi(x: &[f64], y: &[f64], r: usize, out: &mut [f64]) {
 }
 
 fn dot_lanes<const R: usize>(x: &[f64], y: &[f64]) -> [f64; R] {
-    let mut dot = LaneDot::<R>::new(x.len());
-    for (xr, yr) in x.as_chunks::<R>().0.iter().zip(y.as_chunks::<R>().0) {
-        dot.add(xr, yr);
+    let chunk = chunk_values(x.len(), R);
+    let block = chunk.saturating_mul(MAX_PARTIALS);
+    let mut sums = ChunkSums::<R>::new();
+    for (xb, yb) in x.chunks(block).zip(y.chunks(block)) {
+        pool::for_each_chunk(xb, chunk, |i, xc| {
+            sums.set(i, dot_rows::<R>(xc, &yb[i * chunk..]));
+        });
+        sums.fold(xb.len().div_ceil(chunk));
     }
-    dot.finish()
+    sums.total
+}
+
+// The row kernels of the lane passes are functions of their own, not
+// inlined into the chunk closures: as parameters the slices are known not to
+// alias, which is what lets the lane loops vectorize (inlined, `xpby` at
+// r = 1 ran 2.6× slower and the r = 4 passes 6–16 %).
+
+/// Running per-lane sum of `x·y` over the rows of `x` (`y` may be longer).
+#[inline(never)]
+fn dot_rows<const R: usize>(x: &[f64], y: &[f64]) -> [f64; R] {
+    let mut sum = [0.0; R];
+    for (xr, yr) in x.as_chunks::<R>().0.iter().zip(y.as_chunks::<R>().0) {
+        for c in 0..R {
+            sum[c] += xr[c] * yr[c];
+        }
+    }
+    sum
 }
 
 /// [`dot_multi`] for any `r`.
 fn dot_any(x: &[f64], y: &[f64], r: usize, out: &mut [f64]) {
-    out.fill(0.0);
-    if x.len() < PAR_THRESHOLD {
-        for (xc, yc) in x.chunks_exact(r).zip(y.chunks_exact(r)) {
+    let chunk = chunk_values(x.len(), r);
+    let mut partials = vec![0.0; x.len().div_ceil(chunk) * r];
+    pool::for_each_mut([(&mut partials[..], r)], |i, [acc]| {
+        let (xc, yc) = (
+            x[i * chunk..].chunks_exact(r),
+            y[i * chunk..].chunks_exact(r),
+        );
+        for (xr, yr) in xc.zip(yc).take(chunk / r) {
             for c in 0..r {
-                out[c] += xc[c] * yc[c];
+                acc[c] += xr[c] * yr[c];
             }
         }
-    } else {
-        let partials: Vec<Vec<f64>> = x
-            .par_chunks(PARTIAL_ROWS * r)
-            .zip(y.par_chunks(PARTIAL_ROWS * r))
-            .map(|(xc, yc)| {
-                let mut acc = vec![0.0; r];
-                for (xr, yr) in xc.chunks_exact(r).zip(yc.chunks_exact(r)) {
-                    for c in 0..r {
-                        acc[c] += xr[c] * yr[c];
-                    }
-                }
-                acc
-            })
-            .collect();
-        for p in partials {
-            for c in 0..r {
-                out[c] += p[c];
-            }
+    });
+    out.fill(0.0);
+    for p in partials.chunks_exact(r) {
+        for c in 0..r {
+            out[c] += p[c];
         }
     }
 }
@@ -174,22 +235,16 @@ pub fn axpy_multi(alpha: &[f64], x: &[f64], y: &mut [f64], r: usize, active: &[b
     debug_assert_eq!(x.len(), y.len());
     debug_assert_eq!(alpha.len(), r);
     debug_assert_eq!(active.len(), r);
-    let body = |yc: &mut [f64], xc: &[f64]| {
-        for (yr, xr) in yc.chunks_exact_mut(r).zip(xc.chunks_exact(r)) {
+    let chunk = chunk_values(x.len(), r);
+    pool::for_each_mut([(y, chunk)], |i, [yc]| {
+        for (yr, xr) in yc.chunks_exact_mut(r).zip(x[i * chunk..].chunks_exact(r)) {
             for c in 0..r {
                 if active[c] {
                     yr[c] += alpha[c] * xr[c];
                 }
             }
         }
-    };
-    if x.len() < PAR_THRESHOLD {
-        body(y, x);
-    } else {
-        y.par_chunks_mut(PARTIAL_ROWS * r)
-            .zip(x.par_chunks(PARTIAL_ROWS * r))
-            .for_each(|(yc, xc)| body(yc, xc));
-    }
+    });
 }
 
 /// Per-case `y[.,c] = x[.,c] + beta[c] * y[.,c]` on interleaved
@@ -204,9 +259,21 @@ pub fn xpby_multi(x: &[f64], beta: &[f64], y: &mut [f64], r: usize, active: &[bo
 }
 
 fn xpby_lanes<const R: usize>(x: &[f64], beta: &[f64; R], y: &mut [f64], active: &[bool; R]) {
-    let (x, _) = x.as_chunks::<R>();
-    let (y, _) = y.as_chunks_mut::<R>();
-    for (yr, xr) in y.iter_mut().zip(x) {
+    let chunk = chunk_values(x.len(), R);
+    pool::for_each_mut([(y, chunk)], |i, [yc]| {
+        xpby_rows::<R>(&x[i * chunk..], beta, yc, active)
+    });
+}
+
+/// `y = x + βy` on the active lanes of the rows of `y` (`x` may be longer).
+#[inline(never)]
+fn xpby_rows<const R: usize>(x: &[f64], beta: &[f64; R], y: &mut [f64], active: &[bool; R]) {
+    for (yr, xr) in y
+        .as_chunks_mut::<R>()
+        .0
+        .iter_mut()
+        .zip(x.as_chunks::<R>().0)
+    {
         for c in 0..R {
             // a select, never a multiply by zero: a frozen lane keeps its
             // bits even when it holds NaN
@@ -221,22 +288,16 @@ fn xpby_lanes<const R: usize>(x: &[f64], beta: &[f64; R], y: &mut [f64], active:
 
 /// [`xpby_multi`] for any `r`.
 fn xpby_any(x: &[f64], beta: &[f64], y: &mut [f64], r: usize, active: &[bool]) {
-    let body = |yc: &mut [f64], xc: &[f64]| {
-        for (yr, xr) in yc.chunks_exact_mut(r).zip(xc.chunks_exact(r)) {
+    let chunk = chunk_values(x.len(), r);
+    pool::for_each_mut([(y, chunk)], |i, [yc]| {
+        for (yr, xr) in yc.chunks_exact_mut(r).zip(x[i * chunk..].chunks_exact(r)) {
             for c in 0..r {
                 if active[c] {
                     yr[c] = xr[c] + beta[c] * yr[c];
                 }
             }
         }
-    };
-    if x.len() < PAR_THRESHOLD {
-        body(y, x);
-    } else {
-        y.par_chunks_mut(PARTIAL_ROWS * r)
-            .zip(x.par_chunks(PARTIAL_ROWS * r))
-            .for_each(|(yc, xc)| body(yc, xc));
-    }
+    });
 }
 
 /// The solution/residual update of one MCG iteration in one pass over the
@@ -279,21 +340,58 @@ fn cg_update_lanes<const R: usize>(
     rv: &mut [f64],
     active: &[bool; R],
 ) -> [f64; R] {
-    let mut dot = LaneDot::<R>::new(rv.len());
-    let (p, _) = p.as_chunks::<R>();
-    let (q, _) = q.as_chunks::<R>();
-    let (x, _) = x.as_chunks_mut::<R>();
-    let (rv, _) = rv.as_chunks_mut::<R>();
+    let chunk = chunk_values(x.len(), R);
+    let block = chunk.saturating_mul(MAX_PARTIALS);
+    let mut sums = ChunkSums::<R>::new();
+    let vectors = x.chunks_mut(block).zip(rv.chunks_mut(block));
+    for ((xb, rb), (pb, qb)) in vectors.zip(p.chunks(block).zip(q.chunks(block))) {
+        let chunks = xb.len().div_ceil(chunk);
+        pool::for_each_mut([(xb, chunk), (rb, chunk)], |i, [xc, rc]| {
+            let (pc, qc) = (&pb[i * chunk..], &qb[i * chunk..]);
+            sums.set(i, cg_update_rows::<R>(alpha, pc, qc, xc, rc, active));
+        });
+        sums.fold(chunks);
+    }
+    sums.total
+}
+
+/// `x += αp`, `rv −= αq` on the active lanes of the rows of `x` / `rv` (`p`,
+/// `q` may be longer), and the running per-lane sum of `rv·rv` over them.
+#[inline(never)]
+fn cg_update_rows<const R: usize>(
+    alpha: &[f64; R],
+    p: &[f64],
+    q: &[f64],
+    x: &mut [f64],
+    rv: &mut [f64],
+    active: &[bool; R],
+) -> [f64; R] {
+    let (p, q) = (p.as_chunks::<R>().0, q.as_chunks::<R>().0);
+    let (x, rv) = (x.as_chunks_mut::<R>().0, rv.as_chunks_mut::<R>().0);
+    let mut sum = [0.0; R];
     for ((xr, res), (pr, qr)) in x.iter_mut().zip(rv).zip(p.iter().zip(q)) {
         for c in 0..R {
-            // selects: a frozen lane keeps its bits (see `xpby_lanes`)
+            // selects: a frozen lane keeps its bits (see `xpby_rows`)
             let (xn, rn) = (xr[c] + alpha[c] * pr[c], res[c] + -alpha[c] * qr[c]);
             xr[c] = if active[c] { xn } else { xr[c] };
             res[c] = if active[c] { rn } else { res[c] };
         }
-        dot.add(res, res);
+        for c in 0..R {
+            sum[c] += res[c] * res[c];
+        }
     }
-    dot.finish()
+    sum
+}
+
+/// `rv = f − rv` in place: the initial residual of a solve from `rv = A x`.
+pub fn residual_multi(f: &[f64], rv: &mut [f64]) {
+    debug_assert_eq!(f.len(), rv.len());
+    let chunk = chunk_values(f.len(), 1);
+    pool::for_each_mut([(rv, chunk)], |i, [rc]| {
+        for (res, fv) in rc.iter_mut().zip(&f[i * chunk..]) {
+            *res = fv - *res;
+        }
+    });
 }
 
 /// Gather case `c` of an interleaved multi-vector into a contiguous vector.
@@ -361,9 +459,20 @@ mod tests {
         assert_eq!(y, vec![5.0, 110.0, 6.0, 140.0]);
     }
 
-    /// Row counts on both sides of `PAR_THRESHOLD` for every width, none a
-    /// multiple of the partial length.
-    const ROWS: [usize; 3] = [37, PARTIAL_ROWS + 5, 2 * PAR_THRESHOLD + 11];
+    /// Row counts on both sides of `PAR_THRESHOLD` for every width: none a
+    /// multiple of the partial length, then counts straddling one and two
+    /// partials exactly.
+    const ROWS: [usize; 9] = [
+        37,
+        PARTIAL_ROWS + 5,
+        2 * PAR_THRESHOLD + 11,
+        PARTIAL_ROWS - 1,
+        PARTIAL_ROWS,
+        PARTIAL_ROWS + 1,
+        2 * PARTIAL_ROWS,
+        4 * PARTIAL_ROWS,
+        4 * PARTIAL_ROWS + 1,
+    ];
 
     fn waves(len: usize, freq: f64) -> Vec<f64> {
         (0..len).map(|i| (i as f64 * freq).sin() + 0.25).collect()
@@ -373,39 +482,118 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Each lane pass is bitwise the any-`r` sequence it replaces, below and
-    /// above the partial-sum threshold.
+    /// The documented summation order in plain loops on one thread: a
+    /// running sum per `PARTIAL_ROWS` rows (one for a short vector), the
+    /// partials added in row order.
+    fn dot_oracle(x: &[f64], y: &[f64], r: usize) -> Vec<f64> {
+        let rows = if x.len() < PAR_THRESHOLD {
+            usize::MAX
+        } else {
+            PARTIAL_ROWS
+        };
+        let mut total = vec![0.0; r];
+        let xy: Vec<(&[f64], &[f64])> = x.chunks(r).zip(y.chunks(r)).collect();
+        for chunk in xy.chunks(rows) {
+            let mut partial = vec![0.0; r];
+            for (xr, yr) in chunk {
+                for c in 0..r {
+                    partial[c] += xr[c] * yr[c];
+                }
+            }
+            for c in 0..r {
+                total[c] += partial[c];
+            }
+        }
+        total
+    }
+
+    /// Every pass at `rows` rows of width `r`, lanes against the any-`r`
+    /// loops and both against single-thread oracles.
+    fn check_passes(r: usize, rows: usize) {
+        let len = rows * r;
+        let (p, q) = (waves(len, 0.37), waves(len, 0.11));
+        let (x0, r0) = (waves(len, 0.53), waves(len, 0.29));
+        let alpha: Vec<f64> = (0..r).map(|c| 0.3 + 0.1 * c as f64).collect();
+        let active: Vec<bool> = (0..r).map(|c| c % 3 != 1).collect();
+        let at = format!("r={r} rows={rows} threads={}", pool::threads());
+
+        let (mut d, mut d_ref) = (vec![0.0; r], vec![0.0; r]);
+        dot_multi(&p, &q, r, &mut d);
+        dot_any(&p, &q, r, &mut d_ref);
+        assert_eq!(bits(&d), bits(&d_ref), "dot {at}");
+        assert_eq!(bits(&d), bits(&dot_oracle(&p, &q, r)), "dot oracle {at}");
+
+        let (mut y, mut y_ref) = (x0.clone(), x0.clone());
+        xpby_multi(&p, &alpha, &mut y, r, &active);
+        xpby_any(&p, &alpha, &mut y_ref, r, &active);
+        assert_eq!(bits(&y), bits(&y_ref), "xpby {at}");
+        for (i, v) in y.iter().enumerate() {
+            let c = i % r;
+            let want = if active[c] {
+                p[i] + alpha[c] * x0[i]
+            } else {
+                x0[i]
+            };
+            assert_eq!(v.to_bits(), want.to_bits(), "xpby oracle {at} slot {i}");
+        }
+
+        let (mut x, mut rv, mut rr) = (x0.clone(), r0.clone(), vec![0.0; r]);
+        cg_update_multi(&alpha, &p, &q, &mut x, &mut rv, r, &active, &mut rr);
+        let (mut x_ref, mut rv_ref, mut rr_ref) = (x0.clone(), r0.clone(), vec![0.0; r]);
+        let neg_alpha: Vec<f64> = alpha.iter().map(|a| -a).collect();
+        axpy_multi(&alpha, &p, &mut x_ref, r, &active);
+        axpy_multi(&neg_alpha, &q, &mut rv_ref, r, &active);
+        dot_any(&rv_ref, &rv_ref, r, &mut rr_ref);
+        assert_eq!(bits(&x), bits(&x_ref), "update x {at}");
+        assert_eq!(bits(&rv), bits(&rv_ref), "update r {at}");
+        assert_eq!(bits(&rr), bits(&rr_ref), "update rr {at}");
+        assert_eq!(
+            bits(&rr),
+            bits(&dot_oracle(&rv, &rv, r)),
+            "update rr oracle {at}"
+        );
+        for (i, v) in rv.iter().enumerate() {
+            let c = i % r;
+            let want = if active[c] {
+                r0[i] + -alpha[c] * q[i]
+            } else {
+                r0[i]
+            };
+            assert_eq!(v.to_bits(), want.to_bits(), "update r oracle {at} slot {i}");
+        }
+
+        let mut res = r0.clone();
+        residual_multi(&p, &mut res);
+        assert!(
+            (0..len).all(|i| res[i].to_bits() == (p[i] - r0[i]).to_bits()),
+            "residual {at}"
+        );
+    }
+
+    /// Each lane pass is bitwise the any-`r` sequence it replaces and the
+    /// single-thread oracle of the documented order — below the threshold,
+    /// above it, at row counts straddling the partial length, and on pools
+    /// of one to four threads.
     #[test]
     fn lane_passes_match_the_any_width_loops_bitwise() {
-        for r in [1usize, 2, 4, 8] {
-            for rows in ROWS {
-                let len = rows * r;
-                let (p, q) = (waves(len, 0.37), waves(len, 0.11));
-                let (x0, r0) = (waves(len, 0.53), waves(len, 0.29));
-                let alpha: Vec<f64> = (0..r).map(|c| 0.3 + 0.1 * c as f64).collect();
-                let active: Vec<bool> = (0..r).map(|c| c % 3 != 1).collect();
+        for threads in 1..=4 {
+            pool::Pool::with_threads(threads).install(|| {
+                for r in [1usize, 2, 4, 8] {
+                    for rows in ROWS {
+                        check_passes(r, rows);
+                    }
+                }
+            });
+        }
+    }
 
-                let (mut d, mut d_ref) = (vec![0.0; r], vec![0.0; r]);
-                dot_multi(&p, &q, r, &mut d);
-                dot_any(&p, &q, r, &mut d_ref);
-                assert_eq!(bits(&d), bits(&d_ref), "dot r={r} rows={rows}");
-
-                let (mut y, mut y_ref) = (x0.clone(), x0.clone());
-                xpby_multi(&p, &alpha, &mut y, r, &active);
-                xpby_any(&p, &alpha, &mut y_ref, r, &active);
-                assert_eq!(bits(&y), bits(&y_ref), "xpby r={r} rows={rows}");
-
-                let (mut x, mut rv, mut rr) = (x0.clone(), r0.clone(), vec![0.0; r]);
-                cg_update_multi(&alpha, &p, &q, &mut x, &mut rv, r, &active, &mut rr);
-                let (mut x_ref, mut rv_ref, mut rr_ref) = (x0.clone(), r0.clone(), vec![0.0; r]);
-                let neg_alpha: Vec<f64> = alpha.iter().map(|a| -a).collect();
-                axpy_multi(&alpha, &p, &mut x_ref, r, &active);
-                axpy_multi(&neg_alpha, &q, &mut rv_ref, r, &active);
-                dot_any(&rv_ref, &rv_ref, r, &mut rr_ref);
-                assert_eq!(bits(&x), bits(&x_ref), "update x r={r} rows={rows}");
-                assert_eq!(bits(&rv), bits(&rv_ref), "update r r={r} rows={rows}");
-                assert_eq!(bits(&rr), bits(&rr_ref), "update rr r={r} rows={rows}");
-            }
+    /// A reduction over more chunks than one fork-join holds partials for
+    /// is folded fork-join by fork-join, in the same order.
+    #[test]
+    fn reductions_longer_than_one_fork_join_keep_the_order() {
+        let rows = (MAX_PARTIALS + 1) * PARTIAL_ROWS + 7;
+        for threads in [1, 3] {
+            pool::Pool::with_threads(threads).install(|| check_passes(1, rows));
         }
     }
 

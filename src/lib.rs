@@ -16,6 +16,8 @@
 //!   correction predictor with adaptive window,
 //! * [`machine`] — the calibrated GH200/Alps hardware model (roofline,
 //!   energy, power caps, interconnect),
+//! * [`pool`] — the host's threads: the deterministic fork-join pool every
+//!   parallel kernel runs on (same bits at any thread count),
 //! * [`signal`] — FFT, Welch spectra, frequency domain decomposition,
 //! * [`obs`] — dependency-free observability: solver observers,
 //!   Chrome-trace-event export, bench-snapshot metrics,
@@ -43,6 +45,7 @@ pub use hetsolve_load as load;
 pub use hetsolve_machine as machine;
 pub use hetsolve_mesh as mesh;
 pub use hetsolve_obs as obs;
+pub use hetsolve_pool as pool;
 pub use hetsolve_predictor as predictor;
 pub use hetsolve_serve as serve;
 pub use hetsolve_signal as signal;

@@ -25,7 +25,11 @@ use hetsolve::serve::{
 
 fn small_backend() -> Backend {
     let spec = GroundModelSpec::paper_like(3, 3, 2, InterfaceShape::Stratified);
-    Backend::new(FemProblem::paper_like(&spec), false, false)
+    // CI runs this suite a second time with `HETSOLVE_TEST_PARALLEL` set:
+    // the same assertions, pinned values included, on a backend whose
+    // operators, preconditioner and predictor use the host pool.
+    let parallel = std::env::var_os("HETSOLVE_TEST_PARALLEL").is_some();
+    Backend::new(FemProblem::paper_like(&spec), false, parallel)
 }
 
 fn quick_load() -> RandomLoadSpec {

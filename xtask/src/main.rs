@@ -2,9 +2,12 @@
 //! EBE scatter safety story (see DESIGN.md "Safety argument"):
 //!
 //! 1. The **only** `unsafe impl Send`/`unsafe impl Sync` in the repository
-//!    must be the audited pair on `ColorScatter` in
-//!    `crates/sparse/src/parcheck.rs`. Every raw-pointer scatter must go
-//!    through that abstraction instead of re-rolling its own `SendPtr`.
+//!    are the audited pair on `ColorScatter` in
+//!    `crates/sparse/src/parcheck.rs` and the one `Sync` on the host
+//!    pool's disjoint-piece hand-out in `crates/pool/src/lib.rs`, each an
+//!    exact count. Every raw-pointer scatter goes through the first and
+//!    every split of a `&mut` slice across threads through the second
+//!    (`hetsolve_pool::for_each_mut`) instead of re-rolling a `SendPtr`.
 //! 2. Crates that need no unsafe code at all must say so with
 //!    `#![forbid(unsafe_code)]`, so a future `unsafe` block there is a
 //!    compile error rather than a review burden.
@@ -22,8 +25,26 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// The one module allowed to contain `unsafe impl Send`/`Sync`.
-const BLESSED: &str = "crates/sparse/src/parcheck.rs";
+/// The modules allowed to contain `unsafe impl Send`/`Sync`, with the exact
+/// number of each they must contain.
+const BLESSED: &[Blessed] = &[
+    Blessed {
+        file: "crates/sparse/src/parcheck.rs",
+        send: 1,
+        sync: 1,
+    },
+    Blessed {
+        file: "crates/pool/src/lib.rs",
+        send: 0,
+        sync: 1,
+    },
+];
+
+struct Blessed {
+    file: &'static str,
+    send: usize,
+    sync: usize,
+}
 
 /// Crates whose root must carry `#![forbid(unsafe_code)]`.
 const FORBID_UNSAFE_ROOTS: &[&str] = &[
@@ -66,9 +87,14 @@ fn main() -> ExitCode {
 fn lint() -> ExitCode {
     let failures = lint_failures(&workspace_root());
     if failures.is_empty() {
+        let blessed: Vec<String> = BLESSED
+            .iter()
+            .map(|b| format!("{} Send + {} Sync in {}", b.send, b.sync, b.file))
+            .collect();
         println!(
-            "xtask lint: ok — one blessed unsafe Send/Sync impl pair in {BLESSED}, \
+            "xtask lint: ok — blessed unsafe marker impls: {}; \
              {} crate roots forbid unsafe_code",
+            blessed.join(", "),
             FORBID_UNSAFE_ROOTS.len()
         );
         ExitCode::SUCCESS
@@ -86,8 +112,8 @@ fn lint() -> ExitCode {
 fn lint_failures(root: &Path) -> Vec<String> {
     let mut failures: Vec<String> = Vec::new();
 
-    let mut blessed_send = 0usize;
-    let mut blessed_sync = 0usize;
+    // (Send, Sync) impls found in each blessed module
+    let mut found = vec![(0usize, 0usize); BLESSED.len()];
 
     for file in rust_sources(root) {
         let rel = file
@@ -106,27 +132,31 @@ fn lint_failures(root: &Path) -> Vec<String> {
             let Some(kind) = unsafe_impl_kind(line) else {
                 continue;
             };
-            if rel == BLESSED {
+            if let Some(k) = BLESSED.iter().position(|b| b.file == rel) {
                 match kind {
-                    MarkerImpl::Send => blessed_send += 1,
-                    MarkerImpl::Sync => blessed_sync += 1,
+                    MarkerImpl::Send => found[k].0 += 1,
+                    MarkerImpl::Sync => found[k].1 += 1,
                 }
             } else {
                 failures.push(format!(
-                    "{rel}:{}: `unsafe impl {kind:?}` outside the blessed module \
-                     ({BLESSED}); route parallel scatters through \
-                     `hetsolve_sparse::parcheck::ColorScatter` instead",
+                    "{rel}:{}: `unsafe impl {kind:?}` outside the blessed modules; \
+                     route parallel scatters through \
+                     `hetsolve_sparse::parcheck::ColorScatter` and splits of a \
+                     `&mut` slice through `hetsolve_pool::for_each_mut` instead",
                     idx + 1,
                 ));
             }
         }
     }
 
-    if blessed_send != 1 || blessed_sync != 1 {
-        failures.push(format!(
-            "{BLESSED}: expected exactly one blessed Send marker impl and one \
-             Sync marker impl (found {blessed_send} Send, {blessed_sync} Sync)",
-        ));
+    for (b, (send, sync)) in BLESSED.iter().zip(found) {
+        if (send, sync) != (b.send, b.sync) {
+            failures.push(format!(
+                "{}: expected exactly {} Send and {} Sync marker impls \
+                 (found {send} Send, {sync} Sync)",
+                b.file, b.send, b.sync,
+            ));
+        }
     }
 
     for rel in FORBID_UNSAFE_ROOTS {
