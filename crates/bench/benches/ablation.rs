@@ -72,8 +72,8 @@ fn ablate_storage() {
     let data = hetsolve_sparse::EbeData {
         n_nodes: backend.problem.n_nodes(),
         elems: &backend.problem.model.mesh.elems,
-        me: &backend.problem.elements.me,
-        ke: &backend.problem.elements.ke,
+        me: &backend.problem.elements().me,
+        ke: &backend.problem.elements().ke,
         faces: &backend.problem.dashpots.faces,
         cb: &backend.problem.dashpots.cb,
         c_m: a.c_m,
@@ -96,7 +96,7 @@ fn ablate_storage() {
         "host measurement: cached {:.3} ms vs compact {:.3} ms per apply; memory {:.1} vs {:.1} MB",
         tc * 1e3,
         tm * 1e3,
-        backend.problem.elements.bytes() as f64 / 1e6,
+        backend.problem.elements().bytes() as f64 / 1e6,
         backend.compact.bytes() as f64 / 1e6,
     );
 }

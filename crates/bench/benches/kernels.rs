@@ -53,8 +53,8 @@ fn bench_spmv(c: &mut Criterion) {
     let data = hetsolve_sparse::EbeData {
         n_nodes: backend.problem.n_nodes(),
         elems: &backend.problem.model.mesh.elems,
-        me: &backend.problem.elements.me,
-        ke: &backend.problem.elements.ke,
+        me: &backend.problem.elements().me,
+        ke: &backend.problem.elements().ke,
         faces: &backend.problem.dashpots.faces,
         cb: &backend.problem.dashpots.cb,
         c_m: a.c_m,

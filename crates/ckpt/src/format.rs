@@ -21,6 +21,8 @@ use std::fs::File;
 use std::io::Write;
 use std::path::Path;
 
+use hetsolve_crc::crc32;
+
 use crate::wire::Wire;
 
 /// File magic. The `\r\n` tail catches text-mode mangling, like PNG's.
@@ -89,135 +91,6 @@ impl std::error::Error for CkptError {}
 impl From<std::io::Error> for CkptError {
     fn from(e: std::io::Error) -> Self {
         CkptError::Io(e.to_string())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, the zlib polynomial), table built at compile time.
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-const CRC_TABLE: [u32; 256] = crc32_table();
-
-// Slicing-by-8: TABLES[j][b] is the CRC contribution of byte `b` placed
-// `j` bytes deep in an 8-byte window, so one loop iteration folds 8 bytes
-// with 8 independent lookups instead of an 8-long sequential chain. Same
-// polynomial and parameters as the byte-at-a-time table — the digest is
-// identical; only the throughput changes (the integrity layer checksums
-// every state vector at every step boundary, so this is on the hot path).
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    t[0] = crc32_table();
-    let mut j = 1;
-    while j < 8 {
-        let mut i = 0;
-        while i < 256 {
-            t[j][i] = t[0][(t[j - 1][i] & 0xFF) as usize] ^ (t[j - 1][i] >> 8);
-            i += 1;
-        }
-        j += 1;
-    }
-    t
-}
-
-const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
-
-/// CRC32 of `bytes` (IEEE polynomial, init/xorout `0xFFFFFFFF`).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
-}
-
-/// Incremental CRC32 hasher (same polynomial and parameters as
-/// [`crc32`]): `Crc32::new().update(b).finish() == crc32(b)`.
-///
-/// Lets callers checksum data that is not contiguous in memory — `f64`
-/// state vectors, block arrays, multi-part operator payloads — without
-/// staging it into a byte buffer first. Because the polynomial is
-/// primitive, any *single-bit* flip in the covered data changes the
-/// digest, which is the detection guarantee the silent-data-corruption
-/// defense builds on.
-#[derive(Debug, Clone, Copy)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
-        let mut chunks = bytes.chunks_exact(8);
-        for ch in &mut chunks {
-            self.fold_word(u64::from_le_bytes([
-                ch[0], ch[1], ch[2], ch[3], ch[4], ch[5], ch[6], ch[7],
-            ]));
-        }
-        for &b in chunks.remainder() {
-            self.state = CRC_TABLE[((self.state ^ b as u32) & 0xFF) as usize] ^ (self.state >> 8);
-        }
-        self
-    }
-
-    /// Slicing-by-8 kernel: fold one little-endian 8-byte window.
-    #[inline]
-    fn fold_word(&mut self, w: u64) {
-        let lo = (w as u32) ^ self.state;
-        let hi = (w >> 32) as u32;
-        self.state = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
-    }
-
-    /// Fold one `u64` word (little-endian) into the digest.
-    pub fn update_u64(&mut self, v: u64) -> &mut Self {
-        self.fold_word(v);
-        self
-    }
-
-    /// Fold an `f64` slice by IEEE-754 bit pattern — the same
-    /// representation the checkpoint codecs use, so `-0.0` and NaN
-    /// payload bits are all covered (and distinguished).
-    pub fn update_f64s(&mut self, v: &[f64]) -> &mut Self {
-        for &x in v {
-            self.fold_word(x.to_bits());
-        }
-        self
-    }
-
-    pub fn finish(&self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
     }
 }
 
@@ -467,6 +340,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetsolve_crc::Crc32;
 
     #[test]
     fn crc32_matches_known_vector() {

@@ -22,7 +22,10 @@
 //!   per-section CRC validation — e.g. one torn by a crash *during* the
 //!   rename-free window, or by the [`tear`] chaos helper in tests.
 //!
-//! The crate is dependency-free and `forbid(unsafe_code)`.
+//! The crate is `forbid(unsafe_code)`; its one dependency is the CRC32 of
+//! `hetsolve-crc` (re-exported here as [`crc32`]/[`Crc32`]), kept apart
+//! because its carry-less-multiply kernel needs one feature-checked
+//! `unsafe` call.
 
 #![forbid(unsafe_code)]
 
@@ -32,9 +35,9 @@ mod store;
 mod wire;
 
 pub use format::{
-    crc32, fnv1a, mix64, write_atomic, CkptError, Crc32, Dec, Enc, SectionReader, SectionWriter,
-    MAGIC, VERSION,
+    fnv1a, mix64, write_atomic, CkptError, Dec, Enc, SectionReader, SectionWriter, MAGIC, VERSION,
 };
+pub use hetsolve_crc::{crc32, Crc32};
 pub use replica::ReplicaStore;
 pub use store::{tear, CheckpointStore, RestoreReport, SkippedCheckpoint};
 pub use wire::{min_wire_bytes_of, Wire};

@@ -42,17 +42,25 @@ impl Backend {
     /// Build the backend; `with_crs` assembles the global matrices (the
     /// CRS-CG baselines need them; EBE-MCG does not).
     pub fn new(problem: FemProblem, with_crs: bool, parallel: bool) -> Self {
+        // Element matrices first, and only for assembly: the order keeps
+        // the allocation sequence of a CRS build what it was when the
+        // problem computed them itself (`setup_s` follows which freed
+        // pages glibc hands back, DESIGN.md §17).
+        if with_crs {
+            problem.elements();
+        }
         let coloring = color_elements(&problem.model.mesh);
         let compact = CompactElements::compute(&problem.model.mesh, &problem.materials);
         let fixed: Vec<bool> = problem.mask.as_slice().to_vec();
         let a = problem.a_coeffs();
         let (crs_a, crs_m) = if with_crs {
             let mesh = &problem.model.mesh;
+            let elements = problem.elements();
             let crs_a = assemble_global(
                 mesh.n_nodes(),
                 &mesh.elems,
-                &problem.elements.me,
-                &problem.elements.ke,
+                &elements.me,
+                &elements.ke,
                 a.c_m,
                 a.c_k,
                 &problem.dashpots.faces,
@@ -64,8 +72,8 @@ impl Backend {
             let crs_m = assemble_global(
                 mesh.n_nodes(),
                 &mesh.elems,
-                &problem.elements.me,
-                &problem.elements.ke,
+                &elements.me,
+                &elements.ke,
                 1.0,
                 0.0,
                 &[],

@@ -257,10 +257,21 @@ pub fn crc_f64s(v: &[f64]) -> u32 {
 /// CRC32 over a sequence of `f64` columns; column boundaries are folded in
 /// so reshaping the same values is not checksum-neutral.
 pub fn crc_cols<'a>(cols: impl Iterator<Item = &'a [f64]>) -> u32 {
+    crc_cols_via(cols, |col, c| {
+        c.update_f64s(col);
+    })
+}
+
+/// [`crc_cols`] with the caller folding each column's values into the
+/// digest — [`StateGuard::capture`] snapshots the column on the way.
+fn crc_cols_via<'a>(
+    cols: impl Iterator<Item = &'a [f64]>,
+    mut fold: impl FnMut(&'a [f64], &mut Crc32),
+) -> u32 {
     let mut c = Crc32::new();
     for col in cols {
         c.update_u64(col.len() as u64);
-        c.update_f64s(col);
+        fold(col, &mut c);
     }
     c.finish()
 }
@@ -274,29 +285,38 @@ pub enum OperatorPayload<'a> {
     Crs(&'a Bcrs3),
 }
 
+impl<'a> OperatorPayload<'a> {
+    /// The payload's floating-point values, as one run.
+    fn values(self) -> &'a [f64] {
+        match self {
+            OperatorPayload::Ebe(compact) => &compact.geo,
+            OperatorPayload::Crs(m) => m.blocks.as_flattened(),
+        }
+    }
+
+    /// Checksum of the payload's structure followed by `values` — its own
+    /// ([`operator_crc`]) or a corrupted working copy of them
+    /// ([`operator_guard`]). Each array is hashed as one long run.
+    fn crc_with(self, values: &[f64]) -> u32 {
+        let mut c = Crc32::new();
+        match self {
+            OperatorPayload::Ebe(compact) => {
+                c.update_u64(compact.n_elems as u64);
+            }
+            OperatorPayload::Crs(m) => {
+                c.update_u64(m.n_brows as u64);
+                c.update_words(&m.row_ptr, |p| p as u64);
+                c.update_words(&m.cols, |j| j as u64);
+            }
+        }
+        c.update_f64s(values).finish()
+    }
+}
+
 /// Construction-time checksum of the immutable operator payload — the
 /// reference every step boundary re-verifies against.
 pub fn operator_crc(payload: OperatorPayload<'_>) -> u32 {
-    let mut c = Crc32::new();
-    match payload {
-        OperatorPayload::Ebe(compact) => {
-            c.update_u64(compact.n_elems as u64);
-            c.update_f64s(&compact.geo);
-        }
-        OperatorPayload::Crs(m) => {
-            c.update_u64(m.n_brows as u64);
-            for &p in &m.row_ptr {
-                c.update_u64(p as u64);
-            }
-            for &j in &m.cols {
-                c.update_u64(j as u64);
-            }
-            for b in &m.blocks {
-                c.update_f64s(b);
-            }
-        }
-    }
-    c.finish()
+    payload.crc_with(payload.values())
 }
 
 /// Step-boundary guard of one case: per-component checksums plus the
@@ -305,13 +325,21 @@ pub fn operator_crc(payload: OperatorPayload<'_>) -> u32 {
 /// [`StateGuard::restore_into`] rolls the slot back bitwise. The waveform
 /// and load are deliberately outside the guard: neither is an input to the
 /// step about to execute.
+///
+/// A guard is reused: a driver guards its cases one after another, so it
+/// owns one guard and every [`capture`](Self::capture) overwrites the
+/// last. The snapshot buffer starts empty, grows to one case's state on
+/// the first capture and is never reallocated after.
+#[derive(Debug, Default)]
 pub struct StateGuard {
     step: usize,
-    u: Vec<f64>,
-    v: Vec<f64>,
-    a: Vec<f64>,
-    adams_hist: Vec<Vec<f64>>,
-    dd_hist: Vec<Vec<f64>>,
+    /// The captured columns back to back: `u`, `v`, `a`, then the Adams
+    /// history and the predictor history, each oldest first.
+    snapshot: Vec<f64>,
+    /// End of each captured column in `snapshot`.
+    ends: Vec<usize>,
+    /// How many of the columns after `a` are Adams history.
+    n_adams: usize,
     crc_u: u32,
     crc_v: u32,
     crc_a: u32,
@@ -320,21 +348,39 @@ pub struct StateGuard {
 }
 
 impl StateGuard {
-    /// Checksum and snapshot `slot`'s boundary state.
-    pub fn capture(slot: &CaseSlot) -> Self {
-        StateGuard {
-            step: slot.time.step,
-            u: slot.time.u.clone(),
-            v: slot.time.v.clone(),
-            a: slot.time.a.clone(),
-            adams_hist: slot.adams.history(),
-            dd_hist: slot.dd.history(),
-            crc_u: crc_f64s(&slot.time.u),
-            crc_v: crc_f64s(&slot.time.v),
-            crc_a: crc_f64s(&slot.time.a),
-            crc_adams: crc_cols(slot.adams.history_cols()),
-            crc_dd: crc_cols(slot.dd.history_cols()),
-        }
+    /// Copy `col` behind the snapshot and fold the copy — still in cache —
+    /// into `crc`.
+    fn push_col(&mut self, col: &[f64], crc: &mut Crc32) {
+        let start = self.snapshot.len();
+        self.snapshot.extend_from_slice(col);
+        self.ends.push(self.snapshot.len());
+        crc.update_f64s(&self.snapshot[start..]);
+    }
+
+    /// [`crc_f64s`] of `col`, snapshotting it on the way.
+    fn push_vector(&mut self, col: &[f64]) -> u32 {
+        let mut c = Crc32::new();
+        self.push_col(col, &mut c);
+        c.finish()
+    }
+
+    /// [`crc_cols`] of `cols`, snapshotting them on the way.
+    fn push_history<'a>(&mut self, cols: impl Iterator<Item = &'a [f64]>) -> u32 {
+        crc_cols_via(cols, |col, c| self.push_col(col, c))
+    }
+
+    /// Checksum and snapshot `slot`'s boundary state, replacing whatever
+    /// this guard held.
+    pub fn capture(&mut self, slot: &CaseSlot) {
+        self.snapshot.clear();
+        self.ends.clear();
+        self.step = slot.time.step;
+        self.crc_u = self.push_vector(&slot.time.u);
+        self.crc_v = self.push_vector(&slot.time.v);
+        self.crc_a = self.push_vector(&slot.time.a);
+        self.crc_adams = self.push_history(slot.adams.history_cols());
+        self.n_adams = self.ends.len() - 3;
+        self.crc_dd = self.push_history(slot.dd.history_cols());
     }
 
     /// Re-checksum the slot; `Some(target)` names the first component
@@ -358,16 +404,30 @@ impl StateGuard {
         None
     }
 
+    /// The captured columns, in capture order.
+    fn columns(&self) -> impl Iterator<Item = &[f64]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(lo, &hi)| &self.snapshot[lo..hi])
+    }
+
     /// Roll the slot back to the captured boundary state, bitwise. The
     /// load, waveform and scratch are untouched — the first is immutable,
     /// the latter two are not step inputs.
     pub fn restore_into(&self, slot: &mut CaseSlot) {
+        let mut cols = self.columns();
+        // PANIC-OK: every capture pushes `u`, `v` and `a` first; restoring
+        // from a guard that never captured is a driver bug.
+        let mut vector = || cols.next().expect("guard holds a captured state");
         slot.time.step = self.step;
-        slot.time.u.copy_from_slice(&self.u);
-        slot.time.v.copy_from_slice(&self.v);
-        slot.time.a.copy_from_slice(&self.a);
-        slot.adams.restore_history(self.adams_hist.clone());
-        slot.dd.restore_history(self.dd_hist.clone());
+        slot.time.u.copy_from_slice(vector());
+        slot.time.v.copy_from_slice(vector());
+        slot.time.a.copy_from_slice(vector());
+        let mut history = cols.map(<[f64]>::to_vec);
+        slot.adams
+            .restore_history(history.by_ref().take(self.n_adams).collect());
+        slot.dd.restore_history(history.collect());
     }
 }
 
@@ -398,6 +458,7 @@ pub fn inject_basis_flip(slot: &mut CaseSlot, flip: BitFlip) -> bool {
 /// corruption; with detection on and no fault this is pure read-only
 /// overhead, so clean runs stay bitwise-identical.
 pub fn boundary_guard<F: FaultInjector>(
+    guard: &mut StateGuard,
     slot: &mut CaseSlot,
     faults: &mut F,
     step: usize,
@@ -405,18 +466,16 @@ pub fn boundary_guard<F: FaultInjector>(
     detect: bool,
     reports: &mut Vec<CorruptionReport>,
 ) {
-    let guard = if detect {
-        Some(StateGuard::capture(slot))
-    } else {
-        None
-    };
+    if detect {
+        guard.capture(slot);
+    }
     if let Some((field, flip)) = faults.state_flip_fault(step, case) {
         inject_state_flip(slot, field, flip);
     }
     if let Some(flip) = faults.basis_flip_fault(step, case) {
         inject_basis_flip(slot, flip);
     }
-    if let Some(guard) = guard {
+    if detect {
         if let Some(target) = guard.verify(slot) {
             guard.restore_into(slot);
             reports.push(CorruptionReport {
@@ -487,30 +546,9 @@ pub fn operator_guard<F: FaultInjector>(
     reports: &mut Vec<CorruptionReport>,
 ) -> Result<(), CorruptTarget> {
     if let Some(flip) = faults.operator_flip_fault(step) {
-        let corrupted_copy_detected = match payload {
-            OperatorPayload::Ebe(compact) => {
-                let mut shadow = compact.geo.clone();
-                flip.apply(&mut shadow);
-                let mut c = Crc32::new();
-                c.update_u64(compact.n_elems as u64);
-                c.update_f64s(&shadow);
-                c.finish() != baseline
-            }
-            OperatorPayload::Crs(m) => {
-                let mut shadow: Vec<f64> = m.blocks.iter().flatten().copied().collect();
-                flip.apply(&mut shadow);
-                let mut c = Crc32::new();
-                c.update_u64(m.n_brows as u64);
-                for &p in &m.row_ptr {
-                    c.update_u64(p as u64);
-                }
-                for &j in &m.cols {
-                    c.update_u64(j as u64);
-                }
-                c.update_f64s(&shadow);
-                c.finish() != baseline
-            }
-        };
+        let mut shadow = payload.values().to_vec();
+        flip.apply(&mut shadow);
+        let corrupted_copy_detected = payload.crc_with(&shadow) != baseline;
         if detect && corrupted_copy_detected {
             reports.push(CorruptionReport {
                 step,
@@ -595,8 +633,14 @@ mod tests {
         let mut scratch = RhsScratch::new(backend.n_dofs());
         for _ in 0..steps {
             let (ab, _) = slot.prepare_step(backend, &mut scratch, cfg.s_max);
-            // cheap fake solve: the guard logic only needs state evolution
-            let x: Vec<f64> = slot.guess().to_vec();
+            // cheap fake solve: the guard logic only needs state that
+            // evolves, so that no two columns hold the same bits
+            let x: Vec<f64> = slot
+                .guess()
+                .iter()
+                .zip(slot.rhs())
+                .map(|(g, f)| g + 1e-3 * f)
+                .collect();
             slot.advance(backend, &x, &ab, None);
         }
         slot
@@ -661,12 +705,13 @@ mod tests {
         let (backend, cfg) = small();
         let slot = warmed_slot(&backend, &cfg, 6);
         let reference = slot.state();
+        let mut guard = StateGuard::default();
         for (i, field) in [StateField::U, StateField::V, StateField::A]
             .into_iter()
             .enumerate()
         {
             let mut s = CaseSlot::from_state(&backend, &cfg, &reference);
-            let guard = StateGuard::capture(&s);
+            guard.capture(&s);
             assert_eq!(guard.verify(&s), None, "clean slot must verify");
             inject_state_flip(
                 &mut s,
@@ -682,11 +727,96 @@ mod tests {
         }
         // basis history flip
         let mut s = CaseSlot::from_state(&backend, &cfg, &reference);
-        let guard = StateGuard::capture(&s);
+        guard.capture(&s);
         assert!(inject_basis_flip(&mut s, BitFlip { seed: 991 }));
         assert_eq!(guard.verify(&s), Some(CorruptTarget::BasisHistory));
         guard.restore_into(&mut s);
         assert_eq!(s.state(), reference);
+    }
+
+    #[test]
+    fn flips_in_old_history_columns_are_reported_and_restored() {
+        let (backend, cfg) = small();
+        let slot = warmed_slot(&backend, &cfg, 6);
+        let reference = slot.state();
+        assert_eq!(reference.adams_hist.len(), 4);
+        assert_eq!(reference.dd_hist.len(), cfg.s_max + 1);
+        assert_ne!(reference.dd_hist[0], reference.dd_hist[1]);
+        let mut guard = StateGuard::default();
+
+        // the oldest predictor column, not the newest one the fault plan hits
+        let mut s = CaseSlot::from_state(&backend, &cfg, &reference);
+        guard.capture(&s);
+        BitFlip { seed: 17 }
+            .apply(s.dd.column_mut(0).expect("oldest column"))
+            .expect("column is not empty");
+        assert_eq!(guard.verify(&s), Some(CorruptTarget::BasisHistory));
+        guard.restore_into(&mut s);
+        assert_eq!(guard.verify(&s), None);
+        assert_eq!(s.state(), reference);
+
+        // every Adams column in turn
+        for k in 0..4 {
+            let mut s = CaseSlot::from_state(&backend, &cfg, &reference);
+            guard.capture(&s);
+            let mut hist = s.adams.history();
+            BitFlip {
+                seed: 40 + k as u64,
+            }
+            .apply(&mut hist[k])
+            .expect("column is not empty");
+            s.adams.restore_history(hist);
+            assert_eq!(
+                guard.verify(&s),
+                Some(CorruptTarget::AdamsHistory),
+                "col {k}"
+            );
+            guard.restore_into(&mut s);
+            assert_eq!(guard.verify(&s), None);
+            assert_eq!(s.state(), reference, "Adams column {k}");
+        }
+    }
+
+    #[test]
+    fn reused_guard_forgets_the_previous_capture() {
+        let (backend, mut cfg) = small();
+        cfg.s_max = 16;
+        let long = warmed_slot(&backend, &cfg, 20);
+        assert_eq!(long.dd.history_cols().count(), 17);
+        let mut guard = StateGuard::default();
+        // after a 17-column capture: a 2-column history, then a fresh slot
+        for steps in [2, 0] {
+            guard.capture(&long);
+            assert_eq!(guard.verify(&long), None);
+            let slot = warmed_slot(&backend, &cfg, steps);
+            let reference = slot.state();
+            assert_eq!(reference.dd_hist.len(), steps);
+            guard.capture(&slot);
+            assert_eq!(guard.columns().count(), 3 + 2 * steps);
+            assert_eq!(guard.verify(&slot), None);
+            assert!(guard.verify(&long).is_some(), "the long capture is gone");
+            // a rollback hands the slot this capture's columns only
+            let mut s = CaseSlot::from_state(&backend, &cfg, &reference);
+            inject_state_flip(&mut s, StateField::U, BitFlip { seed: 5 });
+            assert_eq!(guard.verify(&s), Some(CorruptTarget::State(StateField::U)));
+            guard.restore_into(&mut s);
+            assert_eq!(s.state(), reference, "after {steps} steps");
+        }
+    }
+
+    #[test]
+    fn operator_crc_is_the_parent_commits() {
+        // recorded from the tree before the carry-less-multiply kernel and
+        // the long-run hashing: same byte stream, same digest
+        let (backend, _cfg) = small();
+        assert_eq!(
+            operator_crc(OperatorPayload::Ebe(&backend.compact)),
+            0x6cb5_633c
+        );
+        assert_eq!(
+            operator_crc(OperatorPayload::Crs(backend.crs_a())),
+            0x4404_0d68
+        );
     }
 
     #[test]
@@ -699,7 +829,8 @@ mod tests {
         let mut s = CaseSlot::from_state(&backend, &cfg, &reference);
         let mut plan = FaultPlan::new(3).flip_state(step, 0, StateField::V);
         let mut reports = Vec::new();
-        boundary_guard(&mut s, &mut plan, step, 0, true, &mut reports);
+        let mut guard = StateGuard::default();
+        boundary_guard(&mut guard, &mut s, &mut plan, step, 0, true, &mut reports);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].target, CorruptTarget::State(StateField::V));
         assert_eq!(reports[0].action, CorruptionAction::RestoredState);
@@ -710,14 +841,22 @@ mod tests {
         let mut s = CaseSlot::from_state(&backend, &cfg, &reference);
         let mut plan = FaultPlan::new(3).flip_state(step, 0, StateField::V);
         let mut reports = Vec::new();
-        boundary_guard(&mut s, &mut plan, step, 0, false, &mut reports);
+        boundary_guard(&mut guard, &mut s, &mut plan, step, 0, false, &mut reports);
         assert!(reports.is_empty());
         assert_ne!(s.state(), reference, "unguarded flip must corrupt");
 
         // no fault: guard is a read-only no-op
         let mut s = CaseSlot::from_state(&backend, &cfg, &reference);
         let mut reports = Vec::new();
-        boundary_guard(&mut s, &mut NoopFaults, step, 0, true, &mut reports);
+        boundary_guard(
+            &mut guard,
+            &mut s,
+            &mut NoopFaults,
+            step,
+            0,
+            true,
+            &mut reports,
+        );
         assert!(reports.is_empty());
         assert_eq!(s.state(), reference);
     }

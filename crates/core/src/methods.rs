@@ -55,7 +55,7 @@ use hetsolve_sparse::{Bcrs3, CgConfig, KernelCounts, MultiOperator, Width1};
 use crate::backend::{Backend, RhsScratch};
 use crate::integrity::{
     basis_sentinel, boundary_guard, operator_crc, operator_guard, rhs_guard, scrub_state,
-    CorruptTarget, CorruptionReport, IntegrityConfig, OperatorPayload,
+    CorruptTarget, CorruptionReport, IntegrityConfig, OperatorPayload, StateGuard,
 };
 use crate::recovery::{solve_set_with_ladder, RecoveryEvent, RunError};
 use crate::slot::CaseSlot;
@@ -521,6 +521,9 @@ pub(crate) struct RunState {
     /// Next step boundary to execute (`records.len()` on a healthy run).
     pub(crate) step: usize,
     scratch: RhsScratch,
+    /// The one boundary guard, reused case after case (working storage
+    /// like `scratch`: every capture overwrites it).
+    guard: StateGuard,
     f_multi: Vec<f64>,
     x_multi: Vec<f64>,
 }
@@ -549,6 +552,7 @@ impl RunState {
             corruptions: Vec::new(),
             step: 0,
             scratch: RhsScratch::new(n),
+            guard: StateGuard::default(),
             f_multi: vec![0.0; n * layout.lanes],
             x_multi: vec![0.0; n * layout.lanes],
         }
@@ -628,7 +632,15 @@ impl RunState {
             let mut guess_faulted = false;
             for c in set_cases.clone() {
                 let case = &mut self.cases[c];
-                boundary_guard(case, faults, step, c, detect, &mut self.corruptions);
+                boundary_guard(
+                    &mut self.guard,
+                    case,
+                    faults,
+                    step,
+                    c,
+                    detect,
+                    &mut self.corruptions,
+                );
                 if check_basis_at(&cfg.integrity, step) {
                     self.corruptions.extend(basis_sentinel(
                         case,

@@ -902,8 +902,8 @@ mod tests {
             EbeData {
                 n_nodes: p.n_nodes(),
                 elems: &p.model.mesh.elems,
-                me: &p.elements.me,
-                ke: &p.elements.ke,
+                me: &p.elements().me,
+                ke: &p.elements().ke,
                 faces: &p.dashpots.faces,
                 cb: &p.dashpots.cb,
                 c_m: a.c_m,
@@ -1308,7 +1308,7 @@ mod tests {
     fn compact_memory_is_much_smaller() {
         let p = problem();
         let compact = CompactElements::compute(&p.model.mesh, &p.materials);
-        assert!(compact.bytes() * 20 < p.elements.bytes());
+        assert!(compact.bytes() * 20 < p.elements().bytes());
     }
 
     #[test]

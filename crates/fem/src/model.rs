@@ -3,10 +3,13 @@
 //! absorbing sides, Rayleigh damping, and Newmark-β time integration.
 //!
 //! [`FemProblem`] bundles everything a solver backend (CRS or EBE, built in
-//! `hetsolve-sparse`/`hetsolve-core`) needs: element matrices, face
-//! dashpots, constraint mask, and the coefficient sets that express the
-//! system/mass/damping operators as linear combinations
-//! `c_M M + c_K K + c_B C_b`.
+//! `hetsolve-sparse`/`hetsolve-core`) needs: face dashpots, constraint
+//! mask, the coefficient sets that express the system/mass/damping
+//! operators as linear combinations `c_M M + c_K K + c_B C_b`, and — for
+//! whoever assembles or caches them — the element matrices, computed on
+//! first use.
+
+use std::sync::OnceLock;
 
 use hetsolve_mesh::{extract_boundary, BoundarySet, GroundModel, GroundModelSpec, Material};
 
@@ -32,7 +35,9 @@ pub struct FemProblem {
     pub materials: Vec<Material>,
     pub rayleigh: Rayleigh,
     pub newmark: Newmark,
-    pub elements: ElementMatrices,
+    /// Computed by the first [`Self::elements`] call: the matrix-free
+    /// method never asks, and at 55k DOF these are 91 MB.
+    elements: OnceLock<ElementMatrices>,
     pub dashpots: FaceDashpots,
     pub boundary: BoundarySet,
     pub mask: DofMask,
@@ -56,7 +61,6 @@ impl FemProblem {
         let newmark = Newmark::new(dt);
         let g = &spec.grid;
         let boundary = extract_boundary(&model.mesh, g.lx, g.ly, g.lz, 1e-6 * g.lz.max(g.lx));
-        let elements = ElementMatrices::compute(&model.mesh, &materials);
         let dashpots = FaceDashpots::compute(&model.mesh, &boundary, &materials);
         let mask = DofMask::from_fixed_nodes(model.mesh.n_nodes(), &boundary.fixed_nodes());
         let surface_nodes = boundary.free_surface_nodes();
@@ -65,7 +69,7 @@ impl FemProblem {
             materials,
             rayleigh,
             newmark,
-            elements,
+            elements: OnceLock::new(),
             dashpots,
             boundary,
             mask,
@@ -77,6 +81,14 @@ impl FemProblem {
     /// 0.2–5 Hz (the paper resolves up to 5 Hz), `dt = 0.005 s` (paper).
     pub fn paper_like(spec: &GroundModelSpec) -> Self {
         Self::build(spec, 0.025, 0.2, 5.0, 0.005)
+    }
+
+    /// Packed element mass and stiffness matrices — what global assembly
+    /// and the cached-matrix EBE operator read. Computed on the first call
+    /// and kept.
+    pub fn elements(&self) -> &ElementMatrices {
+        self.elements
+            .get_or_init(|| ElementMatrices::compute(&self.model.mesh, &self.materials))
     }
 
     #[inline]
@@ -143,7 +155,7 @@ mod tests {
     fn builds_consistently() {
         let p = problem();
         assert_eq!(p.n_dofs(), 3 * p.n_nodes());
-        assert_eq!(p.elements.n_elems, p.model.mesh.n_elems());
+        assert_eq!(p.elements().n_elems, p.model.mesh.n_elems());
         assert!(p.dashpots.n_faces() > 0);
         assert!(p.mask.n_fixed() > 0);
         assert!(!p.surface_nodes.is_empty());

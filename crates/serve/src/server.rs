@@ -27,7 +27,7 @@ use std::path::PathBuf;
 use hetsolve_core::{
     basis_sentinel, boundary_guard, driver_cg_config, rhs_guard, scrub_state, solve_set_resumable,
     Backend, CaseSlot, CorruptionReport, MethodKind, RecoveryEvent, RhsScratch, RunConfig,
-    SlotState, WindowPolicy, TID_CPU, TID_GPU, TID_LINK,
+    SlotState, StateGuard, WindowPolicy, TID_CPU, TID_GPU, TID_LINK,
 };
 use hetsolve_fault::{AdmissionFault, FaultInjector, FaultLane, NoopFaults};
 use hetsolve_machine::{LaneKind, ModuleClock, NodeSpec, SystemClock, WallClock};
@@ -158,6 +158,8 @@ pub struct EnsembleServer<'b, F: FaultInjector = NoopFaults> {
     pub(crate) records: Vec<RequestRecord>,
     pub(crate) clock: ModuleClock,
     pub(crate) scratch: RhsScratch,
+    /// The one SDC boundary guard, reused column after column.
+    guard: StateGuard,
     pub(crate) stats: ServeStats,
     pub(crate) recoveries: Vec<RecoveryEvent>,
     /// Corruption detections + the recovery taken, in order (the serving
@@ -243,6 +245,7 @@ impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
             records: Vec::new(),
             clock,
             scratch: RhsScratch::new(backend.n_dofs()),
+            guard: StateGuard::default(),
             stats: ServeStats::new(),
             recoveries: Vec::new(),
             corruptions: Vec::new(),
@@ -840,6 +843,7 @@ impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
             // SDC boundary guard: checksum the column's state, let any
             // injected flips land, verify and roll back bitwise
             boundary_guard(
+                &mut self.guard,
                 case,
                 &mut self.faults,
                 self.ticks,

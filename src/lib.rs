@@ -27,6 +27,8 @@
 //! * [`ckpt`] — crash-consistent checkpointing: the versioned,
 //!   section-checksummed snapshot format, atomic writes, and the
 //!   sequence-numbered store with torn-write fallback,
+//! * [`crc`] — the one CRC32 behind checkpoint sections and the integrity
+//!   guards: a carry-less-multiply kernel with a table fallback, one digest,
 //! * [`core`] — the four methods (`CRS-CG@CPU/GPU/CPU-GPU`,
 //!   `EBE-MCG@CPU-GPU`), ensembles, and multi-node execution,
 //! * [`serve`] — the serving layer: continuous-batching ensemble service
@@ -39,6 +41,7 @@
 
 pub use hetsolve_ckpt as ckpt;
 pub use hetsolve_core as core;
+pub use hetsolve_crc as crc;
 pub use hetsolve_fault as fault;
 pub use hetsolve_fem as fem;
 pub use hetsolve_load as load;
