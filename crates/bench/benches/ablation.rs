@@ -81,7 +81,8 @@ fn ablate_storage() {
         c_b: a.c_b,
         fixed: &backend.fixed,
     };
-    let cached = hetsolve_sparse::EbeOperator::new(data, &backend.coloring, true);
+    let coloring = hetsolve_mesh::color_elements(&backend.problem.model.mesh);
+    let cached = hetsolve_sparse::EbeOperator::new(data, &coloring, true);
     let compact = backend.ebe_a(1);
     let time = |f: &mut dyn FnMut()| {
         let t0 = Instant::now();
@@ -107,11 +108,20 @@ fn ablate_coloring() {
     let n = backend.n_dofs();
     let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.4).sin()).collect();
     let mut y = vec![0.0; n];
+    let mesh = &backend.problem.model.mesh;
+    let coloring = hetsolve_mesh::color_elements(mesh);
+    let plan = hetsolve_fem::ScatterPlan::validate(
+        mesh.n_nodes(),
+        &mesh.elems,
+        &backend.problem.dashpots.faces,
+    );
     println!(
-        "coloring: {} colors for {} elements (group sizes {:?})",
-        backend.coloring.n_colors,
-        backend.problem.model.mesh.n_elems(),
-        backend.coloring.group_size_range()
+        "{} elements: {} colors (group sizes {:?}) for the cached operator, \
+         {:?} (element, face) block phases for the compact one",
+        mesh.n_elems(),
+        coloring.n_colors,
+        coloring.group_size_range(),
+        plan.n_phases()
     );
     let par = backend.ebe_a(1);
     let mut seq = backend.ebe_a(1);

@@ -62,7 +62,8 @@ fn bench_spmv(c: &mut Criterion) {
         c_b: a.c_b,
         fixed: &backend.fixed,
     };
-    let cached = hetsolve_sparse::EbeOperator::new(data, &backend.coloring, true);
+    let coloring = hetsolve_mesh::color_elements(&backend.problem.model.mesh);
+    let cached = hetsolve_sparse::EbeOperator::new(data, &coloring, true);
     g.bench_function("ebe_cached", |b| {
         b.iter(|| cached.apply(black_box(&x), black_box(&mut y)))
     });

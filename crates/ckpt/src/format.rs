@@ -28,9 +28,12 @@ use crate::wire::Wire;
 /// File magic. The `\r\n` tail catches text-mode mangling, like PNG's.
 pub const MAGIC: [u8; 8] = *b"HSCKPT\r\n";
 
-/// Current format version. Readers reject anything newer; older versions
-/// stay parseable for as long as a reader for them exists.
-pub const VERSION: u32 = 1;
+/// Current format version, and the only one readers accept. Version 1
+/// images were written under another summation order of the matrix-free
+/// operator (and under fingerprints that left out the node model and the
+/// integrity configuration): they parse, but a run resumed from one would
+/// not continue bitwise, so they are refused like a newer version.
+pub const VERSION: u32 = 2;
 
 const END_TAG: [u8; 4] = *b"END\0";
 
@@ -44,7 +47,8 @@ pub enum CkptError {
     Io(String),
     /// The file does not start with [`MAGIC`].
     BadMagic,
-    /// The file's format version is newer than this reader.
+    /// The file's format version is not the one this reader resumes from
+    /// (newer, or older than the last change that moved bits).
     UnsupportedVersion(u32),
     /// The file ends before its sections do — the torn-write signature.
     Truncated,
@@ -258,7 +262,7 @@ impl<'a> SectionReader<'a> {
             return Err(CkptError::BadMagic);
         }
         let version = u32::get(&mut d)?;
-        if version == 0 || version > VERSION {
+        if version != VERSION {
             return Err(CkptError::UnsupportedVersion(version));
         }
         let mut sections = Vec::new();
@@ -505,12 +509,14 @@ mod tests {
         let mut wrong = bytes.clone();
         wrong[0] ^= 0xFF;
         assert_eq!(SectionReader::parse(&wrong), Err(CkptError::BadMagic));
-        let mut newer = bytes.clone();
-        newer[8..12].copy_from_slice(&(VERSION + 1).to_le_bytes());
-        assert_eq!(
-            SectionReader::parse(&newer),
-            Err(CkptError::UnsupportedVersion(VERSION + 1))
-        );
+        for other in [VERSION + 1, VERSION - 1, 0] {
+            let mut image = bytes.clone();
+            image[8..12].copy_from_slice(&other.to_le_bytes());
+            assert_eq!(
+                SectionReader::parse(&image),
+                Err(CkptError::UnsupportedVersion(other))
+            );
+        }
     }
 
     #[test]

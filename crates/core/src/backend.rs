@@ -11,16 +11,14 @@
 //! and is verified by the cross-method equivalence tests.
 
 use hetsolve_fem::{CompactEbe, CompactElements, FemProblem, ScatterPlan};
-use hetsolve_mesh::{color_elements, Coloring};
 use hetsolve_sparse::{assemble_global, Bcrs3, BlockJacobi, KernelCounts, LinearOperator};
 
 /// Owned problem + every precomputed structure the methods share.
 pub struct Backend {
     pub problem: FemProblem,
-    pub coloring: Coloring,
-    /// Proof that `coloring` (and the face coloring it carries) is
-    /// race-free over the mesh: validated once here, so `ebe_a`/`ebe_m`/
-    /// `ebe_c` build operators without re-validating.
+    /// The block sweep of the mesh (element and face runs, coloured into
+    /// phases) and the proof that it is race-free: validated once here, so
+    /// every operator over this mesh is built without re-validating.
     plan: ScatterPlan,
     pub compact: CompactElements,
     /// Dirichlet mask as a bool slice.
@@ -49,7 +47,6 @@ impl Backend {
         if with_crs {
             problem.elements();
         }
-        let coloring = color_elements(&problem.model.mesh);
         let compact = CompactElements::compute(&problem.model.mesh, &problem.materials);
         let fixed: Vec<bool> = problem.mask.as_slice().to_vec();
         let a = problem.a_coeffs();
@@ -90,27 +87,21 @@ impl Backend {
             problem.n_nodes(),
             &problem.model.mesh.elems,
             &problem.dashpots.faces,
-            &coloring,
         );
         // preconditioner blocks from the matrix-free diagonal (identical to
         // the assembled diagonal; see fem::ebe_compact tests)
-        let op = CompactEbe::with_plan(
-            problem.n_nodes(),
-            &problem.model.mesh.elems,
+        let op = compact_op(
+            &problem,
+            &plan,
             &compact,
-            &problem.dashpots.faces,
-            &problem.dashpots.cb,
             (a.c_m, a.c_k, a.c_b),
             &fixed,
-            &coloring,
-            &plan,
             parallel,
             1,
         );
         let precond = BlockJacobi::from_blocks(&op.diagonal_blocks(), parallel);
         Backend {
             problem,
-            coloring,
             plan,
             compact,
             fixed,
@@ -121,24 +112,23 @@ impl Backend {
         }
     }
 
-    /// A matrix-free operator over this backend's mesh, under the plan
-    /// validated in [`Self::new`].
-    fn compact_op<'a>(
+    /// A matrix-free operator `c_m M + c_k K + c_b C_b` over this backend's
+    /// mesh with element data `data` (the backend's own, or a copy whose
+    /// moduli a nonlinear run updates), under the plan validated in
+    /// [`Self::new`].
+    pub fn compact_op<'a>(
         &'a self,
+        data: &'a CompactElements,
         coeffs: (f64, f64, f64),
         fixed: &'a [bool],
         r: usize,
     ) -> CompactEbe<'a> {
-        CompactEbe::with_plan(
-            self.problem.n_nodes(),
-            &self.problem.model.mesh.elems,
-            &self.compact,
-            &self.problem.dashpots.faces,
-            &self.problem.dashpots.cb,
+        compact_op(
+            &self.problem,
+            &self.plan,
+            data,
             coeffs,
             fixed,
-            &self.coloring,
-            &self.plan,
             self.parallel,
             r,
         )
@@ -147,19 +137,19 @@ impl Backend {
     /// Matrix-free system operator `A` with `r` fused RHS.
     pub fn ebe_a(&self, r: usize) -> CompactEbe<'_> {
         let a = self.problem.a_coeffs();
-        self.compact_op((a.c_m, a.c_k, a.c_b), &self.fixed, r)
+        self.compact_op(&self.compact, (a.c_m, a.c_k, a.c_b), &self.fixed, r)
     }
 
     /// Matrix-free mass operator `M` (no Dirichlet identity: used inside
     /// the RHS where fixed rows are projected to zero afterwards).
     pub fn ebe_m(&self) -> CompactEbe<'_> {
-        self.compact_op((1.0, 0.0, 0.0), &[], 1)
+        self.compact_op(&self.compact, (1.0, 0.0, 0.0), &[], 1)
     }
 
     /// Matrix-free damping operator `C = α M + β K + C_b`.
     pub fn ebe_c(&self) -> CompactEbe<'_> {
         let c = self.problem.c_coeffs();
-        self.compact_op((c.c_m, c.c_k, c.c_b), &[], 1)
+        self.compact_op(&self.compact, (c.c_m, c.c_k, c.c_b), &[], 1)
     }
 
     /// Were the assembled (CRS) matrices built? The run drivers check
@@ -224,6 +214,30 @@ impl Backend {
     pub fn n_dofs(&self) -> usize {
         self.problem.n_dofs()
     }
+}
+
+/// The operator over `problem`'s mesh that `plan` was validated for.
+fn compact_op<'a>(
+    problem: &'a FemProblem,
+    plan: &'a ScatterPlan,
+    data: &'a CompactElements,
+    coeffs: (f64, f64, f64),
+    fixed: &'a [bool],
+    parallel: bool,
+    r: usize,
+) -> CompactEbe<'a> {
+    CompactEbe::with_plan(
+        problem.n_nodes(),
+        &problem.model.mesh.elems,
+        data,
+        &problem.dashpots.faces,
+        &problem.dashpots.cb,
+        coeffs,
+        fixed,
+        plan,
+        parallel,
+        r,
+    )
 }
 
 /// Scratch vectors reused across RHS evaluations.

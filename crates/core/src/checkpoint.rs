@@ -21,10 +21,10 @@ use hetsolve_ckpt::{
     fnv1a, mix64, wire_newtype, wire_struct, CkptError, SectionReader, SectionWriter,
 };
 use hetsolve_fem::RandomLoadSpec;
-use hetsolve_machine::ClockState;
+use hetsolve_machine::{ClockState, DeviceSpec, LinkSpec, ModuleSpec, NodeSpec};
 
 use crate::backend::Backend;
-use crate::integrity::CorruptionReport;
+use crate::integrity::{CorruptionReport, IntegrityConfig};
 use crate::methods::{RunConfig, RunState, StepRecord, WindowPolicy};
 use crate::recovery::RecoveryEvent;
 use crate::slot::CaseSlot;
@@ -56,10 +56,7 @@ impl ConfigFingerprint {
     pub fn of(backend: &Backend, cfg: &RunConfig) -> Self {
         let RunConfig {
             method,
-            // KNOWN GAP (DESIGN.md §12): the node's rates steer the adaptive
-            // window, so it belongs in the hash; mixing it now would reject
-            // every `HSCKPT` file already written
-            node: _,
+            node,
             cpu_threads,
             r,
             s_max,
@@ -72,8 +69,7 @@ impl ConfigFingerprint {
             // summaries only: which records `MethodSummary` averages over
             measure_from: _,
             record_surface,
-            // KNOWN GAP (DESIGN.md §12), same reason as `node`
-            integrity: _,
+            integrity,
         } = cfg;
         let RandomLoadSpec {
             n_sources,
@@ -102,8 +98,74 @@ impl ConfigFingerprint {
         h = mix64(h, amplitude.to_bits());
         h = mix64(h, active_window.to_bits());
         h = mix64(h, *record_surface as u64);
+        h = mix_node(h, node);
+        let IntegrityConfig {
+            detect,
+            basis_check_every,
+            basis_defect_tol,
+        } = integrity;
+        h = mix64(h, *detect as u64);
+        h = mix64(h, *basis_check_every as u64);
+        h = mix64(h, basis_defect_tol.to_bits());
         ConfigFingerprint(h)
     }
+}
+
+/// Fold the node model into `h`: its rates price every modeled phase, and
+/// modeled time steers the adaptive window. Names are labels, not rates.
+fn mix_node(h: u64, node: &NodeSpec) -> u64 {
+    let NodeSpec {
+        name: _,
+        module,
+        modules_per_node,
+        interconnect_bw,
+        interconnect_latency,
+    } = node;
+    let ModuleSpec {
+        name: _,
+        cpu,
+        gpu,
+        link: LinkSpec { bw, latency },
+        power_cap,
+    } = module;
+    let mut h = mix64(h, *modules_per_node as u64);
+    for rate in [
+        interconnect_bw,
+        interconnect_latency,
+        bw,
+        latency,
+        power_cap,
+    ] {
+        h = mix64(h, rate.to_bits());
+    }
+    for device in [cpu, gpu] {
+        let DeviceSpec {
+            name: _,
+            flops_peak,
+            mem_bw,
+            mem_capacity,
+            n_cores,
+            eff_flops,
+            eff_stream,
+            txn_rate,
+            idle_power,
+            active_power,
+        } = device;
+        h = mix64(h, *mem_capacity);
+        h = mix64(h, *n_cores as u64);
+        for rate in [
+            flops_peak,
+            mem_bw,
+            eff_flops,
+            eff_stream,
+            txn_rate,
+            idle_power,
+            active_power,
+        ] {
+            h = mix64(h, rate.to_bits());
+        }
+    }
+    h
 }
 
 /// Everything needed to rebuild one [`CaseSlot`] bitwise (the load
@@ -264,8 +326,19 @@ mod tests {
         let mut other = cfg.clone();
         other.seed += 1;
         assert_ne!(fp, ConfigFingerprint::of(&backend, &other));
-        let mut other = cfg;
+        let mut other = cfg.clone();
         other.tol *= 10.0;
+        assert_ne!(fp, ConfigFingerprint::of(&backend, &other));
+        // the node's rates steer the adaptive window; the integrity
+        // configuration decides what is scrubbed and rolled back
+        let mut other = cfg.clone();
+        other.node = hetsolve_machine::alps_node();
+        assert_ne!(fp, ConfigFingerprint::of(&backend, &other));
+        let mut other = cfg.clone();
+        other.node.module.gpu.eff_flops *= 0.5;
+        assert_ne!(fp, ConfigFingerprint::of(&backend, &other));
+        let mut other = cfg;
+        other.integrity = IntegrityConfig::disabled();
         assert_ne!(fp, ConfigFingerprint::of(&backend, &other));
     }
 

@@ -9,8 +9,8 @@
 //! which is what the paper means by "the computation becomes consistent
 //! with a single CPU-GPU case".
 
-use hetsolve_fem::{CompactEbe, CompactElements, FemProblem};
-use hetsolve_mesh::{build_partition, color_elements, partition_rcb, Coloring, Partition, SubMesh};
+use hetsolve_fem::{CompactEbe, CompactElements, FemProblem, ScatterPlan};
+use hetsolve_mesh::{build_partition, partition_rcb, Partition, SubMesh};
 use hetsolve_obs::Json;
 use hetsolve_sparse::{KernelCounts, LinearOperator};
 
@@ -49,7 +49,8 @@ impl PartitionMetrics {
 pub struct LocalPart {
     pub sub: SubMesh,
     pub compact: CompactElements,
-    pub coloring: Coloring,
+    /// The block sweep of the sub-mesh and its local faces, validated once.
+    plan: ScatterPlan,
     /// Local dashpot faces (in local node ids) + packed matrices.
     pub faces: Vec<[u32; 6]>,
     pub cb: Vec<f64>,
@@ -84,7 +85,6 @@ impl PartitionedProblem {
             .iter()
             .map(|sub| {
                 let compact = CompactElements::compute(&sub.mesh, &problem.materials);
-                let coloring = color_elements(&sub.mesh);
                 // map global dashpot faces owned by this part's elements
                 let g2l: std::collections::HashMap<u32, u32> = sub
                     .l2g
@@ -127,10 +127,11 @@ impl PartitionedProblem {
                     .flat_map(|&g| (0..3).map(move |d| fg[3 * g as usize + d]))
                     .collect();
                 let sub = sub.clone();
+                let plan = ScatterPlan::validate(sub.mesh.n_nodes(), &sub.mesh.elems, &faces);
                 LocalPart {
                     sub,
                     compact,
-                    coloring,
+                    plan,
                     faces,
                     cb,
                     fixed,
@@ -149,7 +150,7 @@ impl PartitionedProblem {
     }
 
     fn local_op<'a>(&'a self, p: &'a LocalPart) -> CompactEbe<'a> {
-        CompactEbe::new(
+        CompactEbe::with_plan(
             p.sub.mesh.n_nodes(),
             &p.sub.mesh.elems,
             &p.compact,
@@ -157,7 +158,7 @@ impl PartitionedProblem {
             &p.cb,
             self.coeffs,
             &p.fixed,
-            &p.coloring,
+            &p.plan,
             self.parallel,
             1,
         )

@@ -13,7 +13,7 @@
 
 use hetsolve_fem::{
     nonlinear::{refresh_counts_crs, refresh_counts_ebe},
-    CompactEbe, CompactElements, HyperbolicModel, NonlinearState, RandomLoad, TimeState,
+    CompactElements, HyperbolicModel, NonlinearState, RandomLoad, TimeState,
 };
 use hetsolve_machine::{ModuleClock, NodeSpec};
 use hetsolve_obs::Json;
@@ -138,18 +138,7 @@ pub fn run_nonlinear_traced(
         let mut cg_total = 0;
         let mut x = guess.clone();
         loop {
-            let op = CompactEbe::new(
-                backend.problem.n_nodes(),
-                &mesh.elems,
-                &compact,
-                &backend.problem.dashpots.faces,
-                &backend.problem.dashpots.cb,
-                (a.c_m, a.c_k, a.c_b),
-                &backend.fixed,
-                &backend.coloring,
-                backend.parallel,
-                1,
-            );
+            let op = backend.compact_op(&compact, (a.c_m, a.c_k, a.c_b), &backend.fixed, 1);
             // matrix-free RHS with current moduli
             {
                 let nm = &backend.problem.newmark;
@@ -161,30 +150,8 @@ pub fn run_nonlinear_traced(
                     &mut scratch.c_aux,
                 );
                 let c = backend.problem.c_coeffs();
-                let op_m = CompactEbe::new(
-                    backend.problem.n_nodes(),
-                    &mesh.elems,
-                    &compact,
-                    &backend.problem.dashpots.faces,
-                    &backend.problem.dashpots.cb,
-                    (1.0, 0.0, 0.0),
-                    &[],
-                    &backend.coloring,
-                    backend.parallel,
-                    1,
-                );
-                let op_c = CompactEbe::new(
-                    backend.problem.n_nodes(),
-                    &mesh.elems,
-                    &compact,
-                    &backend.problem.dashpots.faces,
-                    &backend.problem.dashpots.cb,
-                    (c.c_m, c.c_k, c.c_b),
-                    &[],
-                    &backend.coloring,
-                    backend.parallel,
-                    1,
-                );
+                let op_m = backend.compact_op(&compact, (1.0, 0.0, 0.0), &[], 1);
+                let op_c = backend.compact_op(&compact, (c.c_m, c.c_k, c.c_b), &[], 1);
                 op_m.apply(&scratch.m_aux, &mut scratch.t1);
                 op_c.apply(&scratch.c_aux, &mut scratch.t2);
                 for i in 0..n {

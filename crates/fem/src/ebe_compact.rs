@@ -20,15 +20,15 @@
 //! (32 B) + 40 B of node ids ≈ 168 B — versus 7.4 KB for cached packed
 //! matrices, a ~44× traffic reduction that turns the kernel compute-bound.
 
-use std::borrow::Cow;
+use std::ops::Range;
+use std::sync::Arc;
 
 use hetsolve_mesh::mesh::TET_EDGES;
-use hetsolve_mesh::{validate_groups, Coloring, Material, TetMesh10};
+use hetsolve_mesh::{color_runs, validate_runs, Material, RunColoring, TetMesh10};
 use hetsolve_pool as pool;
 use hetsolve_sparse::dirichlet::FixedMask;
-use hetsolve_sparse::ebe::color_faces;
 use hetsolve_sparse::op::{KernelCounts, LinearOperator, MultiOperator};
-use hetsolve_sparse::parcheck::{ColorScatter, GROUP_CHUNK};
+use hetsolve_sparse::parcheck::ColorScatter;
 use hetsolve_sparse::sym::{packed_idx, packed_len};
 
 use crate::quad::{tet_rule_deg2, tet_rule_deg5, TetQp};
@@ -133,65 +133,89 @@ fn slice_id<T>(s: &[T]) -> (usize, usize) {
     (s.as_ptr() as usize, s.len())
 }
 
-/// Proof that the colored scatter of one mesh is race-free and in bounds,
-/// so that operators over it need not re-derive it: the element coloring
-/// passed [`validate_groups`], and the dashpot faces were colored and that
-/// coloring passed it too. Only [`ScatterPlan::validate`] builds one (the
+/// Elements (and faces) per block of the sweep: one thread walks a block in
+/// stored order, a phase is one fork-join over its blocks. Chosen by
+/// measurement on the 9,537- and 55,539-DOF meshes (EXPERIMENTS.md, "After
+/// PR 23"); a function of nothing — not of the mesh, never of the thread
+/// count — so the summation order it fixes is the same everywhere.
+const RUN_LEN: usize = 64;
+
+/// Values per piece of the pooled zero-fill that opens an apply.
+const ZERO_PIECE: usize = 1 << 13;
+
+/// Proof that the block sweep of one mesh is race-free and in bounds, so
+/// that operators over it need not re-derive it: the stored element order
+/// and the dashpot faces were each cut into runs, the runs coloured into
+/// phases, and both colourings passed [`validate_runs`]. Only
+/// [`ScatterPlan::validate`] and [`ScatterPlan::with_runs`] build one (the
 /// fields are private), and an operator accepts it only for the very
 /// buffers it was validated against ([`CompactEbe::with_plan`]) — owners
 /// that build many operators over one mesh (`Backend`) validate once.
+/// Cloning shares the plan.
 #[derive(Debug, Clone)]
-pub struct ScatterPlan {
+pub struct ScatterPlan(Arc<Sweep>);
+
+#[derive(Debug, Clone)]
+struct Sweep {
     n_nodes: usize,
     elems: (usize, usize),
     faces: (usize, usize),
-    groups: (usize, usize),
-    face_groups: Vec<Vec<u32>>,
+    elem_runs: RunColoring,
+    face_runs: RunColoring,
 }
 
 impl ScatterPlan {
-    /// Validate `coloring` over `elems`, color `faces` and validate that
-    /// coloring. Panics with the offending pair on a coloring that would
-    /// race (see `hetsolve_sparse::parcheck`).
-    pub fn validate(
+    /// Cut `elems` and `faces` into runs of [`RUN_LEN`], colour the runs
+    /// and validate both colourings.
+    pub fn validate(n_nodes: usize, elems: &[[u32; 10]], faces: &[[u32; 6]]) -> Self {
+        Self::with_runs(
+            n_nodes,
+            elems,
+            faces,
+            color_runs(n_nodes, elems, RUN_LEN),
+            color_runs(n_nodes, faces, RUN_LEN),
+        )
+    }
+
+    /// Validate the given run colourings. Panics with the offending pair of
+    /// runs on one that would race (see `hetsolve_sparse::parcheck`).
+    pub fn with_runs(
         n_nodes: usize,
         elems: &[[u32; 10]],
         faces: &[[u32; 6]],
-        coloring: &Coloring,
+        elem_runs: RunColoring,
+        face_runs: RunColoring,
     ) -> Self {
-        assert_eq!(coloring.color.len(), elems.len());
-        if let Err(c) = validate_groups(n_nodes, elems, &coloring.groups) {
-            panic!("ScatterPlan::validate: element {c}");
+        if let Err(c) = validate_runs(n_nodes, elems, &elem_runs) {
+            panic!("ScatterPlan: element runs: {c}");
         }
-        let face_groups = color_faces(n_nodes, faces);
-        if let Err(c) = validate_groups(n_nodes, faces, &face_groups) {
-            panic!("ScatterPlan::validate: face {c}");
+        if let Err(c) = validate_runs(n_nodes, faces, &face_runs) {
+            panic!("ScatterPlan: face runs: {c}");
         }
-        ScatterPlan {
+        ScatterPlan(Arc::new(Sweep {
             n_nodes,
             elems: slice_id(elems),
             faces: slice_id(faces),
-            groups: slice_id(&coloring.groups),
-            face_groups,
-        }
+            elem_runs,
+            face_runs,
+        }))
+    }
+
+    /// Phases of the element and of the face sweep: the fork-joins of one
+    /// apply (faces only when `c_b ≠ 0`).
+    pub fn n_phases(&self) -> (usize, usize) {
+        (self.0.elem_runs.phases.len(), self.0.face_runs.phases.len())
     }
 
     /// Panic unless this plan was validated against exactly these buffers.
     /// (Editing a validated buffer in place afterwards is not detected;
     /// owners keep plan and buffers together and immutable.)
-    fn assert_covers(
-        &self,
-        n_nodes: usize,
-        elems: &[[u32; 10]],
-        faces: &[[u32; 6]],
-        coloring: &Coloring,
-    ) {
+    fn assert_covers(&self, n_nodes: usize, elems: &[[u32; 10]], faces: &[[u32; 6]]) {
         assert!(
-            self.n_nodes == n_nodes
-                && self.elems == slice_id(elems)
-                && self.faces == slice_id(faces)
-                && self.groups == slice_id(&coloring.groups),
-            "ScatterPlan was validated against a different mesh or coloring"
+            self.0.n_nodes == n_nodes
+                && self.0.elems == slice_id(elems)
+                && self.0.faces == slice_id(faces),
+            "ScatterPlan was validated against a different mesh"
         );
     }
 }
@@ -199,8 +223,8 @@ impl ScatterPlan {
 /// The compact matrix-free operator `c_m M + c_k K + c_b C_b` over a Tet10
 /// mesh with optional boundary dashpots and Dirichlet mask.
 ///
-/// The connectivity, coloring and fused width are private: the unsafe
-/// scatter relies on the validation they passed at construction.
+/// The connectivity, plan and fused width are private: the unsafe scatter
+/// relies on the validation they passed at construction.
 pub struct CompactEbe<'a> {
     elems: &'a [[u32; 10]],
     pub data: &'a CompactElements,
@@ -212,11 +236,10 @@ pub struct CompactEbe<'a> {
     pub c_b: f64,
     pub fixed: &'a [bool],
     n_nodes: usize,
-    coloring: &'a Coloring,
-    face_groups: Cow<'a, [Vec<u32>]>,
-    /// Split each color group into [`GROUP_CHUNK`]-entity chunks on the
-    /// host pool; `false` walks every group on the calling thread. Writes
-    /// within a color are disjoint, so the bits are the same.
+    plan: ScatterPlan,
+    /// Run the blocks of each phase on the host pool; `false` walks them in
+    /// order on the calling thread. Blocks of one phase write disjoint
+    /// rows, so the bits are the same.
     pub parallel: bool,
     /// Fused right-hand sides (1, 2, 4, or 8).
     r: usize,
@@ -228,9 +251,9 @@ pub struct CompactEbe<'a> {
 }
 
 impl<'a> CompactEbe<'a> {
-    /// Build the operator, validating the coloring (and coloring the
-    /// faces) on the spot. Owners that build many operators over one mesh
-    /// validate once and use [`Self::with_plan`].
+    /// Build the operator, planning and validating the sweep on the spot.
+    /// Owners that build many operators over one mesh validate once and
+    /// use [`Self::with_plan`].
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         n_nodes: usize,
@@ -240,24 +263,11 @@ impl<'a> CompactEbe<'a> {
         cb: &'a [f64],
         coeffs: (f64, f64, f64),
         fixed: &'a [bool],
-        coloring: &'a Coloring,
         parallel: bool,
         r: usize,
     ) -> Self {
-        let plan = ScatterPlan::validate(n_nodes, elems, faces, coloring);
-        Self::build(
-            n_nodes,
-            elems,
-            data,
-            faces,
-            cb,
-            coeffs,
-            fixed,
-            coloring,
-            Cow::Owned(plan.face_groups),
-            parallel,
-            r,
-        )
+        let plan = ScatterPlan::validate(n_nodes, elems, faces);
+        Self::build(elems, data, faces, cb, coeffs, fixed, plan, parallel, r)
     }
 
     /// [`Self::new`] without re-validating: `plan` is the proof that these
@@ -271,22 +281,19 @@ impl<'a> CompactEbe<'a> {
         cb: &'a [f64],
         coeffs: (f64, f64, f64),
         fixed: &'a [bool],
-        coloring: &'a Coloring,
-        plan: &'a ScatterPlan,
+        plan: &ScatterPlan,
         parallel: bool,
         r: usize,
     ) -> Self {
-        plan.assert_covers(n_nodes, elems, faces, coloring);
+        plan.assert_covers(n_nodes, elems, faces);
         Self::build(
-            n_nodes,
             elems,
             data,
             faces,
             cb,
             coeffs,
             fixed,
-            coloring,
-            Cow::Borrowed(&plan.face_groups),
+            plan.clone(),
             parallel,
             r,
         )
@@ -294,15 +301,13 @@ impl<'a> CompactEbe<'a> {
 
     #[allow(clippy::too_many_arguments)]
     fn build(
-        n_nodes: usize,
         elems: &'a [[u32; 10]],
         data: &'a CompactElements,
         faces: &'a [[u32; 6]],
         cb: &'a [f64],
         coeffs: (f64, f64, f64),
         fixed: &'a [bool],
-        coloring: &'a Coloring,
-        face_groups: Cow<'a, [Vec<u32>]>,
+        plan: ScatterPlan,
         parallel: bool,
         r: usize,
     ) -> Self {
@@ -320,9 +325,8 @@ impl<'a> CompactEbe<'a> {
             c_k: coeffs.1,
             c_b: coeffs.2,
             fixed,
-            n_nodes,
-            coloring,
-            face_groups,
+            n_nodes: plan.0.n_nodes,
+            plan,
             parallel,
             r,
             identity_on_fixed: true,
@@ -335,18 +339,23 @@ impl<'a> CompactEbe<'a> {
         self
     }
 
-    /// `y = A x` for `R` fused right-hand sides: zero `y`, run the colored
-    /// element and face passes through the widest kernel instance this CPU
-    /// runs, then the Dirichlet identity. (Zero-fill and identity stay on
-    /// the calling thread: ≈ 2 % of the apply.)
+    /// `y = A x` for `R` fused right-hand sides: zero `y`, sweep the element
+    /// and face blocks through the widest kernel instance this CPU runs,
+    /// then the Dirichlet identity. The zero-fill is cut over the pool too:
+    /// filled by the caller alone, half of `y` would sit modified in its
+    /// cache when the other threads' blocks come to add into it.
     fn apply_r<const R: usize>(&self, x: &[f64], y: &mut [f64]) {
         // The scatter writes `y` unchecked: its length is part of the
         // safety argument, so it is checked in every build.
         assert_eq!(x.len(), 3 * self.n_nodes * R, "input multi-vector length");
         assert_eq!(y.len(), 3 * self.n_nodes * R, "output multi-vector length");
-        y.fill(0.0);
+        if self.parallel {
+            pool::for_each_mut([(&mut *y, ZERO_PIECE)], |_, [piece]| piece.fill(0.0));
+        } else {
+            y.fill(0.0);
+        }
         let mut scatter = ColorScatter::new(y);
-        colored_passes_widest::<R>(self, x, &mut scatter);
+        block_sweep_widest::<R>(self, x, &mut scatter);
         drop(scatter);
         // Dirichlet: identity on fixed DOFs
         if self.identity_on_fixed {
@@ -627,99 +636,104 @@ fn face_lanes<const R: usize>(c_b: f64, cb: &[f64], u: &[[f64; R]; 18], y: &mut 
     }
 }
 
-/// `y += A_e x` for the elements `elems` of one color group (a whole group
-/// or one chunk of it), accumulated into `scatter`.
+/// `y += A_e x` for the elements `elems` of block `block`, in stored order,
+/// accumulated into `scatter`.
 #[inline(always)]
 fn element_chunk<const R: usize>(
     op: &CompactEbe<'_>,
     x: &[[f64; R]],
     scatter: &ColorScatter<'_>,
-    elems: &[u32],
+    block: u32,
+    elems: Range<usize>,
 ) {
     let fixed = FixedMask::new(op.fixed);
-    for &e in elems {
-        let el = &op.elems[e as usize];
-        let g = &op.data.geo[e as usize * GEO_STRIDE..(e as usize + 1) * GEO_STRIDE];
+    for e in elems {
+        let el = &op.elems[e];
+        let g = &op.data.geo[e * GEO_STRIDE..(e + 1) * GEO_STRIDE];
         let u: [[f64; R]; 30] = gather_lanes(el, x, fixed);
         let mut y = [[0.0f64; R]; 30];
         element_lanes(g, &op.data.tables, op.c_m, op.c_k, &u, &mut y);
         for (k, &n) in el.iter().enumerate() {
             for a in 0..3 {
-                // SAFETY: `ScatterPlan::validate` checked that the
-                // elements of one color group share no node and that
-                // every node id is below `n_nodes`, and `apply_r` that
-                // the output holds `3·n_nodes·R` slots: this DOF's `R`
-                // slots are in bounds and no other element of this
-                // pass — on this thread or another — writes them.
-                unsafe { scatter.add_lanes(e, 3 * n as usize + a, &y[3 * k + a]) };
+                // SAFETY: `ScatterPlan` checked that the blocks of one
+                // phase share no node and that every node id is below
+                // `n_nodes`, and `apply_r` that the output holds
+                // `3·n_nodes·R` slots: this DOF's `R` slots are in bounds,
+                // no other block of this phase writes them, and this
+                // block runs on this thread alone (`block_sweep`).
+                unsafe { scatter.add_lanes(block, 3 * n as usize + a, &y[3 * k + a]) };
             }
         }
     }
 }
 
-/// `y += c_b C_f x` for the dashpot faces `faces` of one face color group.
+/// `y += c_b C_f x` for the dashpot faces `faces` of face block `block`.
 #[inline(always)]
 fn face_chunk<const R: usize>(
     op: &CompactEbe<'_>,
     x: &[[f64; R]],
     scatter: &ColorScatter<'_>,
-    faces: &[u32],
+    block: u32,
+    faces: Range<usize>,
 ) {
     let fixed = FixedMask::new(op.fixed);
-    for &f in faces {
-        let fc = &op.faces[f as usize];
-        let cb = &op.cb[f as usize * FACE_PACKED..(f as usize + 1) * FACE_PACKED];
+    for f in faces {
+        let fc = &op.faces[f];
+        let cb = &op.cb[f * FACE_PACKED..(f + 1) * FACE_PACKED];
         let u: [[f64; R]; 18] = gather_lanes(fc, x, fixed);
         let mut y = [[0.0f64; R]; 18];
         face_lanes(op.c_b, cb, &u, &mut y);
         for (k, &n) in fc.iter().enumerate() {
             for a in 0..3 {
-                // SAFETY: as for the elements — the face coloring
-                // passed the same validation over `faces`.
-                unsafe { scatter.add_lanes(f, 3 * n as usize + a, &y[3 * k + a]) };
+                // SAFETY: as for the elements — the face runs passed the
+                // same validation over `faces`.
+                unsafe { scatter.add_lanes(block, 3 * n as usize + a, &y[3 * k + a]) };
             }
         }
     }
 }
 
-/// All colored passes of one apply: elements color by color, then (when
-/// `c_b ≠ 0`) the dashpot faces color by color. `elems` / `faces` run one
-/// chunk of a group (an instance's `element_chunk` / `face_chunk`); with
-/// `op.parallel` a group's chunks run on the host pool. The closure a pass
+/// One instance's block kernel: `(scatter, block id, entities of the block)`.
+type BlockFn<'f> = &'f (dyn Fn(&ColorScatter<'_>, u32, Range<usize>) + Sync);
+
+/// The sweep of one apply: the element phases in order, then (when
+/// `c_b ≠ 0`) the face phases. A phase is one fork-join whose chunk `i` is
+/// the phase's `i`-th block, walked front to back by whichever thread
+/// claims it (`elems` / `faces`: an instance's `element_chunk` /
+/// `face_chunk`); without `op.parallel` the calling thread walks the blocks
+/// in the same order. Each row therefore sums its contributions in (phase,
+/// block, entity) order whatever the thread count. The closure a phase
 /// hands the pool borrows `&ColorScatter` until the pool's join returns, so
-/// the next `begin_color(&mut self)` is still the point where one color's
-/// writes end and the next one's begin (DESIGN.md §8).
-fn colored_passes(
+/// the next `begin_phase(&mut self)` is the point where one phase's writes
+/// end and the next one's begin (DESIGN.md §8).
+fn block_sweep(
     op: &CompactEbe<'_>,
     scatter: &mut ColorScatter<'_>,
-    elems: impl Fn(&ColorScatter<'_>, &[u32]) + Sync,
-    faces: impl Fn(&ColorScatter<'_>, &[u32]) + Sync,
+    elems: BlockFn<'_>,
+    faces: BlockFn<'_>,
 ) {
     let parallel = op.parallel;
-    let pass = |scatter: &ColorScatter<'_>,
-                group: &[u32],
-                chunk: &(dyn Fn(&ColorScatter<'_>, &[u32]) + Sync)| {
-        if parallel {
-            pool::for_each_chunk(group, GROUP_CHUNK, |_, part| chunk(scatter, part));
-        } else {
-            chunk(scatter, group);
+    let mut sweep = |runs: &RunColoring, kernel: BlockFn<'_>| {
+        for phase in &runs.phases {
+            scatter.begin_phase();
+            let scatter = &*scatter;
+            let block = |i: usize| kernel(scatter, phase[i], runs.run(phase[i]));
+            if parallel {
+                pool::run(phase.len(), block);
+            } else {
+                (0..phase.len()).for_each(block);
+            }
         }
     };
-    for group in &op.coloring.groups {
-        scatter.begin_color();
-        pass(scatter, group, &elems);
-    }
+    sweep(&op.plan.0.elem_runs, elems);
     if op.c_b != 0.0 {
-        for group in op.face_groups.iter() {
-            scatter.begin_color();
-            pass(scatter, group, &faces);
-        }
+        sweep(&op.plan.0.face_runs, faces);
     }
 }
 
-/// [`colored_passes`] through the widest instance this CPU runs. `x` holds
+/// [`block_sweep`] through the widest instance this CPU runs. `x` holds
 /// `3·n_nodes·R` values (checked by the caller).
-fn colored_passes_widest<const R: usize>(
+fn block_sweep_widest<const R: usize>(
     op: &CompactEbe<'_>,
     x: &[f64],
     scatter: &mut ColorScatter<'_>,
@@ -728,44 +742,44 @@ fn colored_passes_widest<const R: usize>(
     if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
         // SAFETY: the CPU was just seen to support both features the
         // instance is compiled for.
-        return unsafe { colored_passes_avx2_fma::<R>(op, x, scatter) };
+        return unsafe { block_sweep_avx2_fma::<R>(op, x, scatter) };
     }
-    colored_passes_portable::<R>(op, x, scatter)
+    block_sweep_portable::<R>(op, x, scatter)
 }
 
 /// The kernel compiled for AVX2 + FMA: four lanes per register and
-/// `mul_add` as one `vfmadd`. The chunk closures are written here so that
+/// `mul_add` as one `vfmadd`. The block closures are written here so that
 /// they carry these features onto whichever thread runs them.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn colored_passes_avx2_fma<const R: usize>(
+fn block_sweep_avx2_fma<const R: usize>(
     op: &CompactEbe<'_>,
     x: &[f64],
     scatter: &mut ColorScatter<'_>,
 ) {
     let (x, _) = x.as_chunks::<R>();
-    colored_passes(
+    block_sweep(
         op,
         scatter,
-        |s, elems| element_chunk::<R>(op, x, s, elems),
-        |s, faces| face_chunk::<R>(op, x, s, faces),
+        &|s, block, elems| element_chunk::<R>(op, x, s, block, elems),
+        &|s, block, faces| face_chunk::<R>(op, x, s, block, faces),
     )
 }
 
 /// The kernel at the build's baseline features. Where those lack a fused
 /// multiply-add (x86-64 before AVX2/FMA) `mul_add` is libm's `fma`: slow,
 /// and the same bits.
-fn colored_passes_portable<const R: usize>(
+fn block_sweep_portable<const R: usize>(
     op: &CompactEbe<'_>,
     x: &[f64],
     scatter: &mut ColorScatter<'_>,
 ) {
     let (x, _) = x.as_chunks::<R>();
-    colored_passes(
+    block_sweep(
         op,
         scatter,
-        |s, elems| element_chunk::<R>(op, x, s, elems),
-        |s, faces| face_chunk::<R>(op, x, s, faces),
+        &|s, block, elems| element_chunk::<R>(op, x, s, block, elems),
+        &|s, block, faces| face_chunk::<R>(op, x, s, block, faces),
     )
 }
 
@@ -826,8 +840,11 @@ impl MultiOperator for CompactEbe<'_> {
 mod tests {
     use super::*;
     use crate::model::FemProblem;
-    use hetsolve_mesh::{color_elements, GroundModelSpec, InterfaceShape};
+    use hetsolve_mesh::{
+        box_tet10, color_elements, BoxGrid, Coloring, GroundModelSpec, InterfaceShape,
+    };
     use hetsolve_sparse::ebe::{EbeData, EbeOperator};
+    use proptest::prelude::*;
 
     fn problem() -> FemProblem {
         FemProblem::paper_like(&GroundModelSpec::paper_like(
@@ -842,7 +859,8 @@ mod tests {
         (0..mask.n_dofs()).map(|d| mask.is_fixed(d)).collect()
     }
 
-    /// Everything one test needs to build operators over the 3×3×2 mesh.
+    /// Everything one test needs to build operators over the 3×3×2 mesh
+    /// (`coloring` is the cached-matrix oracle's).
     struct Fixture {
         p: FemProblem,
         coloring: Coloring,
@@ -879,7 +897,6 @@ mod tests {
                 &self.p.dashpots.cb,
                 coeffs,
                 fixed,
-                &self.coloring,
                 false,
                 r,
             )
@@ -935,20 +952,24 @@ mod tests {
             .collect()
     }
 
-    /// Splitting the color groups over the pool changes no bit: every
+    /// The 9,537-DOF mesh of the `hetbench` 10k workloads.
+    fn problem_10k() -> FemProblem {
+        FemProblem::paper_like(&GroundModelSpec::paper_like(8, 8, 5, InterfaceShape::Basin))
+    }
+
+    /// Handing the blocks of a phase to the pool changes no bit: every
     /// fused width, pools of one to four threads, on the 9,537-DOF mesh
-    /// whose groups are up to four chunks long.
+    /// whose phases hold several blocks each.
     #[test]
     fn parallel_matches_sequential() {
-        let p =
-            FemProblem::paper_like(&GroundModelSpec::paper_like(8, 8, 5, InterfaceShape::Basin));
-        let coloring = color_elements(&p.model.mesh);
-        assert!(coloring.groups.iter().any(|g| g.len() > 2 * GROUP_CHUNK));
+        let p = problem_10k();
         let compact = CompactElements::compute(&p.model.mesh, &p.materials);
         let fixed = as_slice(&p.mask);
         let a = p.a_coeffs();
+        let plan = ScatterPlan::validate(p.n_nodes(), &p.model.mesh.elems, &p.dashpots.faces);
+        assert!(plan.0.elem_runs.phases.iter().all(|ph| ph.len() > 2));
         let mk = |par: bool, r: usize| {
-            CompactEbe::new(
+            CompactEbe::with_plan(
                 p.n_nodes(),
                 &p.model.mesh.elems,
                 &compact,
@@ -956,7 +977,7 @@ mod tests {
                 &p.dashpots.cb,
                 (a.c_m, a.c_k, a.c_b),
                 &fixed,
-                &coloring,
+                &plan,
                 par,
                 r,
             )
@@ -969,13 +990,35 @@ mod tests {
             assert!(y_seq.iter().any(|&v| v != 0.0));
             let par = mk(true, r);
             for threads in 1..=4 {
-                let mut y_par = vec![0.0; n * r];
+                // stale contents: the pooled zero-fill must reach every slot
+                let mut y_par = vec![f64::NAN; n * r];
                 pool::Pool::with_threads(threads).install(|| par.apply_multi(&x, &mut y_par));
                 assert!(
                     (0..n * r).all(|i| y_seq[i].to_bits() == y_par[i].to_bits()),
                     "r={r} threads={threads}"
                 );
             }
+        }
+    }
+
+    /// What the issue sized the sweep for: a handful of fork-joins per
+    /// apply on the three bench meshes, where the colour sweep made ≈ 36.
+    #[test]
+    fn bench_meshes_need_at_most_eight_element_phases() {
+        for (nx, ny, nz, shape, dofs) in [
+            (4, 3, 2, InterfaceShape::Stratified, 945),
+            (8, 8, 5, InterfaceShape::Basin, 9537),
+            (16, 16, 8, InterfaceShape::Stratified, 55539),
+        ] {
+            let p = FemProblem::paper_like(&GroundModelSpec::paper_like(nx, ny, nz, shape));
+            assert_eq!(p.n_dofs(), dofs);
+            let plan = ScatterPlan::validate(p.n_nodes(), &p.model.mesh.elems, &p.dashpots.faces);
+            let (elem_phases, face_phases) = plan.n_phases();
+            assert!(elem_phases <= 8, "{dofs} DOF: {elem_phases} element phases");
+            assert!(
+                elem_phases + face_phases <= 12,
+                "{dofs} DOF: {elem_phases} + {face_phases} phases"
+            );
         }
     }
 
@@ -1201,7 +1244,7 @@ mod tests {
             op.apply_multi(&x, &mut y);
             let mut y_portable = vec![0.0; n * R];
             let mut scatter = ColorScatter::new(&mut y_portable);
-            colored_passes_portable::<R>(&op, &x, &mut scatter);
+            block_sweep_portable::<R>(&op, &x, &mut scatter);
             drop(scatter);
             assert!(y.iter().any(|&v| v != 0.0));
             for i in 0..n * R {
@@ -1217,26 +1260,20 @@ mod tests {
 
     /// A plan stands for the buffers it was validated against, no others.
     #[test]
-    #[should_panic(expected = "validated against a different mesh or coloring")]
+    #[should_panic(expected = "validated against a different mesh")]
     fn plan_is_rejected_for_other_buffers() {
         let fx = Fixture::new();
         let p = &fx.p;
-        let plan = ScatterPlan::validate(
-            p.n_nodes(),
-            &p.model.mesh.elems,
-            &p.dashpots.faces,
-            &fx.coloring,
-        );
-        let other = fx.coloring.clone();
+        let plan = ScatterPlan::validate(p.n_nodes(), &p.model.mesh.elems, &p.dashpots.faces);
+        let other = p.model.mesh.elems.clone();
         let _ = CompactEbe::with_plan(
             p.n_nodes(),
-            &p.model.mesh.elems,
+            &other,
             &fx.compact,
             &p.dashpots.faces,
             &p.dashpots.cb,
             (1.0, 1.0, 0.0),
             &[],
-            &other,
             &plan,
             false,
             1,
@@ -1248,12 +1285,7 @@ mod tests {
         let fx = Fixture::new();
         let p = &fx.p;
         let a = p.a_coeffs();
-        let plan = ScatterPlan::validate(
-            p.n_nodes(),
-            &p.model.mesh.elems,
-            &p.dashpots.faces,
-            &fx.coloring,
-        );
+        let plan = ScatterPlan::validate(p.n_nodes(), &p.model.mesh.elems, &p.dashpots.faces);
         let planned = CompactEbe::with_plan(
             p.n_nodes(),
             &p.model.mesh.elems,
@@ -1262,7 +1294,6 @@ mod tests {
             &p.dashpots.cb,
             (a.c_m, a.c_k, a.c_b),
             &fx.fixed,
-            &fx.coloring,
             &plan,
             false,
             4,
@@ -1275,33 +1306,93 @@ mod tests {
         assert_eq!(y1, y2);
     }
 
-    /// The constructor's coloring validator fires before any scatter: a
-    /// coloring whose first group holds node-sharing elements panics with
-    /// the offending pair.
+    /// `runs` with its last phase's first run moved into the first phase
+    /// that holds a run it shares a node with (`None` when every run sits
+    /// alone on its nodes, e.g. a mesh of one run).
+    fn corrupted<const K: usize>(
+        connectivity: &[[u32; K]],
+        runs: &RunColoring,
+    ) -> Option<RunColoring> {
+        let mut bad = runs.clone();
+        let moved = bad.phases.last_mut()?.remove(0);
+        let shares_a_node = |other: u32| {
+            let mine = &connectivity[runs.run(moved)];
+            connectivity[runs.run(other)]
+                .iter()
+                .flatten()
+                .any(|n| mine.iter().flatten().any(|m| m == n))
+        };
+        let target = (0..bad.phases.len() - 1)
+            .find(|&p| bad.phases[p].iter().any(|&other| shares_a_node(other)))?;
+        bad.phases[target].push(moved);
+        bad.phases.retain(|ph| !ph.is_empty());
+        Some(bad)
+    }
+
+    /// The validator fires before any scatter: a run moved into a phase
+    /// where it shares a node panics with the offending pair.
     #[test]
     #[should_panic(expected = "would race")]
     fn rejects_corrupted_coloring() {
-        let p = problem();
-        let mut coloring = color_elements(&p.model.mesh);
-        let moved = coloring.groups.remove(1);
-        for &e in &moved {
-            coloring.color[e as usize] = 0;
+        let p = problem_10k();
+        let (n, elems) = (p.n_nodes(), &p.model.mesh.elems);
+        let bad = corrupted(elems, &color_runs(n, elems, RUN_LEN)).expect("runs share nodes");
+        let _ = ScatterPlan::with_runs(n, elems, &[], bad, color_runs::<6>(n, &[], RUN_LEN));
+    }
+
+    fn catch<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|e| {
+            e.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random box grids × run lengths: the plan validates and covers
+        /// every element exactly once; with a run moved into a phase where
+        /// it shares a node, `with_runs` panics, and a sweep under that plan
+        /// (smuggled past the validator) panics at the offending write with
+        /// both block ids — the claim table is on in this build.
+        #[test]
+        fn run_plans_validate_and_corrupted_ones_are_caught(
+            nx in 1usize..=4,
+            ny in 1usize..=3,
+            nz in 1usize..=3,
+            run_len in 1usize..=40,
+        ) {
+            let mesh = box_tet10(&BoxGrid::new(nx, ny, nz, 1.0, 1.0, 1.0));
+            let (n, elems) = (mesh.n_nodes(), &mesh.elems);
+            let runs = color_runs(n, elems, run_len);
+            let no_faces = || color_runs::<6>(n, &[], run_len);
+            let mut covered = vec![0u32; elems.len()];
+            for &run in runs.phases.iter().flatten() {
+                for e in runs.run(run) {
+                    covered[e] += 1;
+                }
+            }
+            prop_assert!(covered.iter().all(|&c| c == 1));
+            let plan = ScatterPlan::with_runs(n, elems, &[], runs.clone(), no_faces());
+
+            let Some(bad) = corrupted(elems, &runs) else { return Ok(()) };
+            let refused = catch(|| ScatterPlan::with_runs(n, elems, &[], bad.clone(), no_faces()));
+            prop_assert!(refused.unwrap_err().contains("would race"));
+
+            prop_assert!(ColorScatter::racecheck_enabled());
+            let data = CompactElements::compute(&mesh, &[Material::new(1800.0, 200.0, 700.0)]);
+            let smuggled = ScatterPlan(Arc::new(Sweep { elem_runs: bad, ..(*plan.0).clone() }));
+            let op = CompactEbe::with_plan(
+                n, elems, &data, &[], &[], (1.0, 1.0, 0.0), &[], &smuggled, true, 1,
+            );
+            let x = multi_wave(3 * n, 1);
+            let mut y = vec![0.0; 3 * n];
+            let raced = catch(|| op.apply(&x, &mut y)).unwrap_err();
+            prop_assert!(raced.contains("parcheck: race on output slot"), "{}", raced);
+            prop_assert!(raced.contains("blocks "), "{}", raced);
         }
-        coloring.groups[0].extend(moved);
-        coloring.n_colors -= 1;
-        let compact = CompactElements::compute(&p.model.mesh, &p.materials);
-        let _ = CompactEbe::new(
-            p.n_nodes(),
-            &p.model.mesh.elems,
-            &compact,
-            &p.dashpots.faces,
-            &p.dashpots.cb,
-            (1.0, 1.0, 0.0),
-            &[],
-            &coloring,
-            true,
-            1,
-        );
     }
 
     #[test]

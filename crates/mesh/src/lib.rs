@@ -31,7 +31,10 @@ pub mod partition;
 pub mod vec3;
 
 pub use boundary::{extract_boundary, BoundaryFace, BoundaryKind, BoundarySet};
-pub use coloring::{color_elements, validate_groups, Coloring, ColoringConflict};
+pub use coloring::{
+    color_elements, color_runs, validate_groups, validate_runs, Coloring, ColoringConflict,
+    RunColoring,
+};
 pub use generate::{box_tet10, box_tet4, promote_tet10, BoxGrid, TetMesh4};
 pub use ground::{GroundModel, GroundModelSpec, InterfaceShape, Material};
 pub use io::{write_vtk, write_vtk_file, Field};

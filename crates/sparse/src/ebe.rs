@@ -376,12 +376,12 @@ impl<'a> EbeOperator<'a> {
         y.fill(0.0);
         let mut scatter = ColorScatter::new(y);
         for group in &self.coloring.groups {
-            scatter.begin_color();
+            scatter.begin_phase();
             self.apply_group::<R>(group, x, &scatter);
         }
         if self.data.c_b != 0.0 {
             for group in &self.face_groups {
-                scatter.begin_color();
+                scatter.begin_phase();
                 self.apply_face_group::<R>(group, x, &scatter);
             }
         }

@@ -1,13 +1,19 @@
-//! Concurrency-correctness layer for the color-parallel EBE scatter.
+//! Concurrency-correctness layer for the parallel EBE scatter.
 //!
 //! # The one unsafe contract in this workspace
 //!
 //! Every EBE kernel (cached-matrix, compact matrix-free) accumulates
-//! per-element results into the shared output
-//! vector from many threads at once. No atomics are used; instead, the
-//! mesh is colored so that **no two elements (or faces) of the same color
-//! share a node**, which makes every same-color write set disjoint. That
-//! invariant — not the type system — is what makes the scatter sound.
+//! per-element results into the shared output vector from many threads at
+//! once. No atomics are used; instead the work of an apply is cut into
+//! **blocks** — sets of elements (or faces) that one thread walks serially
+//! — and the blocks are grouped into **phases** so that **no two blocks of
+//! one phase share a node**, which makes the write sets of concurrently
+//! running blocks disjoint. That invariant — not the type system — is what
+//! makes the scatter sound. The compact operator's blocks are contiguous
+//! runs of the stored element order (`hetsolve_mesh::color_runs`); the
+//! cached operator's are single elements and its phases the colours of an
+//! element colouring. Entities *inside* a block may share nodes freely:
+//! one thread adds them one after another.
 //!
 //! Before this module existed, each kernel carried its own copy of a
 //! `SendPtr(*mut f64)` wrapper with its own `unsafe impl Send/Sync`, and
@@ -15,14 +21,16 @@
 //! pattern:
 //!
 //! * it owns the **single audited `unsafe impl Send`/`Sync` pair in the
-//!   workspace** (`cargo xtask lint` fails the build if another appears);
+//!   workspace** besides the pool's (`cargo xtask lint` fails the build if
+//!   another appears);
 //! * constructors of the EBE operators call
+//!   [`hetsolve_mesh::coloring::validate_runs`] /
 //!   [`hetsolve_mesh::coloring::validate_groups`] once, so a structurally
-//!   broken coloring fails loudly at build time of the operator;
+//!   broken phase assignment fails loudly at build time of the operator;
 //! * under `cfg(debug_assertions)` or the `racecheck` feature, every write
-//!   is recorded in an epoch-tagged per-slot claim table and a same-pass
-//!   overlap panics with both writer ids — catching colorings that pass
-//!   no static check (e.g. hand-constructed groups) at the exact write
+//!   is recorded in an epoch-tagged per-slot claim table and a same-phase
+//!   overlap panics with both block ids — catching assignments that pass
+//!   no static check (e.g. hand-constructed phases) at the exact write
 //!   that would have raced;
 //! * in release without `racecheck`, [`ColorScatter::add`] compiles to the
 //!   raw `*ptr.add(slot) += v` the kernels used before: zero overhead.
@@ -37,16 +45,17 @@
 //! DOF), `unsafe fn`s whose contract is:
 //!
 //! 1. every written slot is `< len` (debug-asserted), and
-//! 2. within one color pass (between two [`ColorScatter::begin_color`]
-//!    calls), at most one owner writes any given slot.
+//! 2. within one phase (between two [`ColorScatter::begin_phase`] calls),
+//!    at most one block writes any given slot, and a block's writes all
+//!    come from one thread.
 //!
-//! Callers discharge (2) by iterating elements of a single validated color
-//! group per pass. `begin_color` takes `&mut self`, so passes are
-//! serialized by the borrow checker; writes *within* a pass are disjoint
-//! by (2); therefore no two threads ever write the same location without
-//! a synchronization point between them, and the `Send`/`Sync` impls are
-//! sound. The claim table turns a violated (2) into a deterministic panic
-//! instead of silent UB.
+//! Callers discharge (2) by handing each block of a validated phase to one
+//! chunk of one fork-join. `begin_phase` takes `&mut self`, so phases are
+//! serialized by the borrow checker; writes *within* a phase are disjoint
+//! across blocks by (2) and sequential inside a block; therefore no two
+//! threads ever write the same location without a synchronization point
+//! between them, and the `Send`/`Sync` impls are sound. The claim table
+//! turns a violated (2) into a deterministic panic instead of silent UB.
 
 use std::marker::PhantomData;
 
@@ -54,20 +63,21 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Entities (elements or faces) of one color group per chunk of a parallel
-/// pass: small enough that a thread arriving late still finds work, large
-/// enough (≈ 5–15 µs of kernel) that claiming a chunk costs nothing.
+/// pass of the cached-matrix operator: small enough that a thread arriving
+/// late still finds work, large enough (≈ 5–15 µs of kernel) that claiming
+/// a chunk costs nothing.
 pub const GROUP_CHUNK: usize = 32;
 
-/// Shared handle for race-free color-parallel accumulation into one output
+/// Shared handle for race-free phase-parallel accumulation into one output
 /// slice. See the module docs for the full safety argument.
 pub struct ColorScatter<'a> {
     ptr: *mut f64,
     len: usize,
-    /// Current color pass, bumped by [`Self::begin_color`]; 0 = no pass
-    /// started yet.
+    /// Current phase, bumped by [`Self::begin_phase`]; 0 = none started
+    /// yet.
     #[cfg(any(debug_assertions, feature = "racecheck"))]
     epoch: u32,
-    /// Per-slot claim: `epoch << 32 | owner + 1` of the last writer.
+    /// Per-slot claim: `epoch << 32 | block + 1` of the last writer.
     #[cfg(any(debug_assertions, feature = "racecheck"))]
     claims: Vec<AtomicU64>,
     _borrow: PhantomData<&'a mut [f64]>,
@@ -75,18 +85,18 @@ pub struct ColorScatter<'a> {
 
 // SAFETY: the raw pointer targets an exclusively borrowed `&mut [f64]`
 // (no aliasing with safe code for the scatter's lifetime), and the `add`
-// contract guarantees same-pass writes are slot-disjoint while passes are
-// serialized through `begin_color(&mut self)`. This is the single blessed
-// Send impl in the workspace; `cargo xtask lint` rejects any other.
+// contract guarantees the blocks of one phase write disjoint slots while
+// phases are serialized through `begin_phase(&mut self)`. This is the single
+// blessed Send impl in the workspace; `cargo xtask lint` rejects any other.
 unsafe impl Send for ColorScatter<'_> {}
 
 // SAFETY: same argument as `Send` — `&ColorScatter` only exposes `add`,
-// whose contract forbids overlapping same-pass writes; the claim table
-// (debug/racecheck builds) verifies that contract dynamically.
+// whose contract forbids two blocks of one phase writing one slot; the claim
+// table (debug/racecheck builds) verifies that contract dynamically.
 unsafe impl Sync for ColorScatter<'_> {}
 
 impl<'a> ColorScatter<'a> {
-    /// Wrap an output slice for colored accumulation. The slice keeps
+    /// Wrap an output slice for phased accumulation. The slice keeps
     /// whatever contents it has (kernels zero-fill before wrapping).
     pub fn new(y: &'a mut [f64]) -> Self {
         ColorScatter {
@@ -115,40 +125,38 @@ impl<'a> ColorScatter<'a> {
         cfg!(any(debug_assertions, feature = "racecheck"))
     }
 
-    /// Start a color pass. Must be called before the first `add` and again
-    /// for every color group; `&mut self` serializes passes, establishing
+    /// Start a phase. Must be called before the first `add` and again at
+    /// every phase boundary; `&mut self` serializes phases, establishing
     /// the synchronization point between them.
-    pub fn begin_color(&mut self) {
+    pub fn begin_phase(&mut self) {
         #[cfg(any(debug_assertions, feature = "racecheck"))]
         {
-            self.epoch = self
-                .epoch
-                .checked_add(1)
-                .expect("color-pass epoch overflow");
+            self.epoch = self.epoch.checked_add(1).expect("phase epoch overflow");
         }
     }
 
-    /// Accumulate `v` into `slot` on behalf of `owner` (an element or face
-    /// id — any id unique within the current color group).
+    /// Accumulate `v` into `slot` on behalf of `block` (a run, element or
+    /// face id — any id unique among the blocks of the current phase).
     ///
     /// # Safety
     ///
-    /// `slot` must be in bounds, and within the current color pass no
-    /// *different* owner may write the same slot — guaranteed when owners
-    /// come from one color group of a coloring validated by
-    /// `hetsolve_mesh::coloring::validate_groups` over the connectivity
-    /// being scattered. Debug/racecheck builds verify both conditions and
+    /// `slot` must be in bounds; within the current phase no *different*
+    /// block may write the same slot, and all writes of one block must come
+    /// from one thread — guaranteed when each block of a phase validated by
+    /// `hetsolve_mesh::coloring::{validate_runs, validate_groups}` over the
+    /// connectivity being scattered is one chunk of one fork-join.
+    /// Debug/racecheck builds verify bounds and block-disjointness and
     /// panic on violation; release builds compile to the bare accumulate.
     #[inline]
-    pub unsafe fn add(&self, owner: u32, slot: usize, v: f64) {
-        self.claim(owner, slot);
+    pub unsafe fn add(&self, block: u32, slot: usize, v: f64) {
+        self.claim(block, slot);
         debug_assert!(
             slot < self.len,
             "scatter slot {slot} out of bounds ({})",
             self.len
         );
         // SAFETY: `slot < len` per the contract (checked above in debug);
-        // concurrent calls never target the same slot per the color-pass
+        // concurrent calls never target the same slot per the phase
         // contract, so the read-modify-write cannot race.
         unsafe {
             *self.ptr.add(slot) += v;
@@ -156,21 +164,21 @@ impl<'a> ColorScatter<'a> {
     }
 
     /// Accumulate the lane array `v` into the `R` consecutive slots
-    /// `dof * R .. (dof + 1) * R` on behalf of `owner` — the `R` fused
+    /// `dof * R .. (dof + 1) * R` on behalf of `block` — the `R` fused
     /// right-hand sides of one DOF of an interleaved multi-vector, as one
     /// read-modify-write. Equivalent to `R` calls of [`Self::add`].
     ///
     /// # Safety
     ///
     /// Exactly [`Self::add`]'s contract for each of the `R` slots:
-    /// `(dof + 1) * R <= len`, and within the current color pass no
-    /// *different* owner may write any of them. Debug/racecheck builds
-    /// claim and verify every slot and panic on violation; release builds
-    /// compile to the bare lane accumulate.
+    /// `(dof + 1) * R <= len`, and within the current phase no *different*
+    /// block may write any of them. Debug/racecheck builds claim and
+    /// verify every slot and panic on violation; release builds compile to
+    /// the bare lane accumulate.
     #[inline(always)]
-    pub unsafe fn add_lanes<const R: usize>(&self, owner: u32, dof: usize, v: &[f64; R]) {
+    pub unsafe fn add_lanes<const R: usize>(&self, block: u32, dof: usize, v: &[f64; R]) {
         for c in 0..R {
-            self.claim(owner, dof * R + c);
+            self.claim(block, dof * R + c);
         }
         debug_assert!(
             (dof + 1) * R <= self.len,
@@ -179,7 +187,7 @@ impl<'a> ColorScatter<'a> {
         );
         // SAFETY: the `R` slots are in bounds per the contract (checked
         // above in debug); concurrent calls never target the same slots per
-        // the color-pass contract, so the read-modify-write cannot race.
+        // the phase contract, so the read-modify-write cannot race.
         unsafe {
             let p = self.ptr.add(dof * R);
             for c in 0..R {
@@ -192,13 +200,13 @@ impl<'a> ColorScatter<'a> {
     /// record — [`Self::add`] is the bare accumulate.
     #[cfg(not(any(debug_assertions, feature = "racecheck")))]
     #[inline(always)]
-    fn claim(&self, _owner: u32, _slot: usize) {}
+    fn claim(&self, _block: u32, _slot: usize) {}
 
-    /// Record `owner`'s write to `slot` and panic if another owner already
-    /// wrote it within the current color pass — the data race the coloring
+    /// Record `block`'s write to `slot` and panic if another block already
+    /// wrote it within the current phase — the data race the phase
     /// invariant is supposed to exclude.
     #[cfg(any(debug_assertions, feature = "racecheck"))]
-    fn claim(&self, owner: u32, slot: usize) {
+    fn claim(&self, block: u32, slot: usize) {
         assert!(
             slot < self.len,
             "scatter slot {slot} out of bounds ({})",
@@ -206,17 +214,17 @@ impl<'a> ColorScatter<'a> {
         );
         assert!(
             self.epoch > 0,
-            "ColorScatter::begin_color() must precede add()"
+            "ColorScatter::begin_phase() must precede add()"
         );
-        let tag = ((self.epoch as u64) << 32) | (owner as u64 + 1);
+        let tag = ((self.epoch as u64) << 32) | (block as u64 + 1);
         let prev = self.claims[slot].swap(tag, Ordering::Relaxed);
-        let (prev_epoch, prev_owner) = ((prev >> 32) as u32, (prev & 0xffff_ffff) as u32);
-        if prev_owner != 0 && prev_epoch == self.epoch && prev_owner != owner + 1 {
+        let (prev_epoch, prev_block) = ((prev >> 32) as u32, (prev & 0xffff_ffff) as u32);
+        if prev_block != 0 && prev_epoch == self.epoch && prev_block != block + 1 {
             panic!(
-                "parcheck: race on output slot {slot}: owners {} and {owner} both \
-                 wrote it in color pass {} — same-color entities share a DOF, \
-                 the coloring invariant is violated",
-                prev_owner - 1,
+                "parcheck: race on output slot {slot}: blocks {} and {block} both \
+                 wrote it in phase {} — same-phase blocks share a DOF, the \
+                 phase invariant is violated",
+                prev_block - 1,
                 self.epoch,
             );
         }
@@ -233,14 +241,14 @@ mod tests {
     fn disjoint_and_cross_pass_writes_accumulate() {
         let mut y = vec![0.0f64; 8];
         let mut scatter = ColorScatter::new(&mut y);
-        scatter.begin_color();
+        scatter.begin_phase();
         // SAFETY: owners 0/1 write disjoint slots within this pass.
         unsafe {
             scatter.add(0, 0, 1.0);
             scatter.add(0, 1, 2.0);
             scatter.add(1, 4, 3.0);
         }
-        scatter.begin_color();
+        scatter.begin_phase();
         // SAFETY: single owner this pass; slot 0 rewrite is a new pass.
         unsafe {
             scatter.add(7, 0, 10.0);
@@ -250,13 +258,13 @@ mod tests {
         assert_eq!(y[4], 3.0);
     }
 
-    /// One owner may hit the same slot repeatedly (e.g. an element whose
-    /// local scatter loop touches a DOF once per fused RHS slot).
+    /// One block may hit the same slot repeatedly (the elements of a run
+    /// share nodes; one thread adds them one after another).
     #[test]
     fn same_owner_rewrites_are_allowed() {
         let mut y = vec![0.0f64; 4];
         let mut scatter = ColorScatter::new(&mut y);
-        scatter.begin_color();
+        scatter.begin_phase();
         // SAFETY: a single owner cannot race with itself.
         unsafe {
             scatter.add(3, 2, 1.5);
@@ -271,7 +279,7 @@ mod tests {
     fn same_pass_overlap_panics() {
         let mut y = vec![0.0f64; 4];
         let mut scatter = ColorScatter::new(&mut y);
-        scatter.begin_color();
+        scatter.begin_phase();
         // SAFETY: serial execution — the "race" is two owners claiming one
         // slot in a single pass, which the claim table must reject.
         unsafe {
@@ -286,13 +294,13 @@ mod tests {
     fn add_lanes_accumulates_each_lane() {
         let mut y = vec![1.0f64; 12];
         let mut scatter = ColorScatter::new(&mut y);
-        scatter.begin_color();
+        scatter.begin_phase();
         // SAFETY: owners 0/1 write disjoint DOFs (0 and 2) within this pass.
         unsafe {
             scatter.add_lanes::<4>(0, 0, &[1.0, 2.0, 3.0, 4.0]);
             scatter.add_lanes::<4>(1, 2, &[5.0, 6.0, 7.0, 8.0]);
         }
-        scatter.begin_color();
+        scatter.begin_phase();
         // SAFETY: single owner this pass; DOF 0 rewrite is a new pass.
         unsafe {
             scatter.add_lanes::<4>(9, 0, &[10.0; 4]);
@@ -310,7 +318,7 @@ mod tests {
     fn add_lanes_same_pass_overlap_panics() {
         let mut y = vec![0.0f64; 8];
         let mut scatter = ColorScatter::new(&mut y);
-        scatter.begin_color();
+        scatter.begin_phase();
         // SAFETY: serial execution — the "race" is owner 1 claiming the
         // last lane of the DOF owner 0 wrote, which the claim table must
         // reject.
@@ -326,7 +334,7 @@ mod tests {
     fn add_lanes_out_of_bounds_panics() {
         let mut y = vec![0.0f64; 6];
         let mut scatter = ColorScatter::new(&mut y);
-        scatter.begin_color();
+        scatter.begin_phase();
         // SAFETY: serial; DOF 1 x 4 lanes ends at slot 8 > 6, which the
         // claim check must reject before the write.
         unsafe {
@@ -336,11 +344,11 @@ mod tests {
 
     #[test]
     #[cfg_attr(not(any(debug_assertions, feature = "racecheck")), ignore)]
-    #[should_panic(expected = "begin_color")]
+    #[should_panic(expected = "begin_phase")]
     fn add_without_pass_panics() {
         let mut y = vec![0.0f64; 2];
         let scatter = ColorScatter::new(&mut y);
-        // SAFETY: serial; checking the missing-begin_color guard.
+        // SAFETY: serial; checking the missing-begin_phase guard.
         unsafe {
             scatter.add(0, 0, 1.0);
         }
@@ -354,7 +362,7 @@ mod tests {
     fn concurrent_overlap_is_detected() {
         let mut y = vec![0.0f64; 1];
         let mut scatter = ColorScatter::new(&mut y);
-        scatter.begin_color();
+        scatter.begin_phase();
         let caught = std::thread::scope(|s| {
             let handles: Vec<_> = (0..2u32)
                 .map(|owner| {
@@ -363,7 +371,7 @@ mod tests {
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             for _ in 0..1000 {
                                 // SAFETY: intentionally violating the
-                                // color-pass contract to test detection.
+                                // phase contract to test detection.
                                 unsafe { scatter.add(owner, 0, 1.0) };
                             }
                         }))
@@ -389,12 +397,12 @@ mod tests {
     fn overlap_inside_a_pool_pass_panics_on_the_caller() {
         let mut y = vec![0.0f64; 1];
         let mut scatter = ColorScatter::new(&mut y);
-        scatter.begin_color();
+        scatter.begin_phase();
         let scatter = &scatter;
         hetsolve_pool::Pool::with_threads(2).install(|| {
             hetsolve_pool::run(2, |owner| {
-                // SAFETY: intentionally violating the color-pass contract
-                // (two owners, one slot) to test detection; the claim
+                // SAFETY: intentionally violating the phase contract
+                // (two blocks, one slot) to test detection; the claim
                 // table panics before the second write lands.
                 unsafe { scatter.add(owner as u32, 0, 1.0) };
             })

@@ -101,41 +101,6 @@ pub fn sym2_matvec_add_multi<const R: usize>(
     }
 }
 
-/// Mixed-precision multi-RHS variant: matrices stored in `f32` (halving
-/// their memory traffic — the lever that lets the paper fit 2×4 cases in
-/// GPU memory), vectors and accumulation in `f64`.
-pub fn sym2_matvec_add_multi_f32<const R: usize>(
-    ca: f64,
-    a: &[f32],
-    cb: f64,
-    b: &[f32],
-    x: &[f64],
-    y: &mut [f64],
-    n: usize,
-) {
-    debug_assert_eq!(a.len(), packed_len(n));
-    debug_assert_eq!(b.len(), packed_len(n));
-    debug_assert_eq!(x.len(), n * R);
-    debug_assert_eq!(y.len(), n * R);
-    let mut idx = 0;
-    for i in 0..n {
-        let mut acc = [0.0f64; R];
-        for j in 0..i {
-            let m = ca * a[idx] as f64 + cb * b[idx] as f64;
-            for r in 0..R {
-                acc[r] += m * x[j * R + r];
-                y[j * R + r] += m * x[i * R + r];
-            }
-            idx += 1;
-        }
-        let d = ca * a[idx] as f64 + cb * b[idx] as f64;
-        idx += 1;
-        for r in 0..R {
-            y[i * R + r] += acc[r] + d * x[i * R + r];
-        }
-    }
-}
-
 /// Unpack into a dense row-major `n×n` matrix (testing / dense fallbacks).
 pub fn unpack_dense(a: &[f64], n: usize) -> Vec<f64> {
     let mut d = vec![0.0; n * n];
@@ -256,33 +221,6 @@ mod tests {
             for i in 0..n {
                 assert!((y[i * R + r] - yr[i]).abs() < 1e-10);
             }
-        }
-    }
-
-    #[test]
-    fn f32_storage_matches_f64_to_single_precision() {
-        const R: usize = 2;
-        let n = 30;
-        let a = sample(n);
-        let b: Vec<f64> = sample(n).iter().map(|v| v * 0.7 - 0.2).collect();
-        let a32: Vec<f32> = a.iter().map(|&v| v as f32).collect();
-        let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
-        let (ca, cb) = (1.7, -0.4);
-        let x: Vec<f64> = (0..n * R)
-            .map(|k| ((k * 13 + 5) % 23) as f64 * 0.05 - 0.5)
-            .collect();
-        let mut y64 = vec![0.0; n * R];
-        let mut y32 = vec![0.0; n * R];
-        sym2_matvec_add_multi::<R>(ca, &a, cb, &b, &x, &mut y64, n);
-        sym2_matvec_add_multi_f32::<R>(ca, &a32, cb, &b32, &x, &mut y32, n);
-        let scale = y64.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
-        for k in 0..n * R {
-            assert!(
-                (y64[k] - y32[k]).abs() < 1e-5 * scale,
-                "slot {k}: {} vs {}",
-                y64[k],
-                y32[k]
-            );
         }
     }
 

@@ -5,7 +5,10 @@
 //!   modeled work of `pcg`, recorded from the hand-written single-RHS loop
 //!   of the commit before the collapse, on the assembled and the
 //!   matrix-free operator, below and above the 2^14-value partial-sum
-//!   threshold of the vector reductions, from a zero and a warm guess;
+//!   threshold of the vector reductions, from a zero and a warm guess (the
+//!   assembled-operator pins are still those; the matrix-free ones were
+//!   re-recorded at PR 23, whose block sweep sums each row of `A x` in
+//!   another order — same iteration counts, residuals equal to 13 digits);
 //! * the single-RHS drivers go through the one (multi-RHS) recovery ladder
 //!   with a laneless case id: a CRS run whose guess is poisoned recovers,
 //!   and its recovery events carry `case: None`.
@@ -102,18 +105,18 @@ fn pcg_reproduces_parent_bits_below_the_partial_sum_threshold() {
         ],
         [
             pin(
-                3082036409,
+                1573623300,
                 37,
                 4607182418800017408,
-                4484729695813790174,
+                4484729695813790173,
                 4733603097178275840,
                 4724572591098953728,
             ),
             pin(
-                2672845360,
+                12352008,
                 22,
-                4562951646709114362,
-                4486635590152665835,
+                4562951646709114355,
+                4486635590152665677,
                 4730113074013405184,
                 4721018922810212352,
             ),
@@ -146,18 +149,18 @@ fn pcg_reproduces_parent_bits_above_the_partial_sum_threshold() {
         ],
         [
             pin(
-                1677277717,
+                4077608497,
                 41,
                 4607182418800017408,
-                4485737319917814063,
+                4485737319917814062,
                 4740407857160126464,
                 4730657342939463680,
             ),
             pin(
-                273703556,
+                1292734241,
                 25,
-                4563432346845830178,
-                4484342022602037554,
+                4563432346845830199,
+                4484342022602035868,
                 4737598265657131008,
                 4727598330060734464,
             ),

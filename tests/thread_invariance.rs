@@ -1,11 +1,14 @@
 //! Thread invariance of the host pool (DESIGN.md §19): everything a run
 //! leaves behind is the same, bit for bit, on pools of 1, 2, 3 and 4
-//! threads — and the same as what the parent commit, which had no threads,
-//! computed (two digests pinned from it below, not a self-comparison).
+//! threads. Two run digests are pinned: recorded from the serial commit
+//! before the pool (cce8d3c) and held by every commit up to PR 22, then
+//! re-recorded at PR 23, whose block sweep sums each row of a matrix-free
+//! apply in another order — `final_u_is_the_parents_to_rounding` holds the
+//! new bits to 1e-12 of what PR 22 computed.
 //!
 //! The mesh is the 9,537-DOF one of the `hetbench` 10k workloads: large
-//! enough that every chunked path engages (colour groups of up to four
-//! pool chunks, 13 chunks of block rows in the CRS SpMV, multi-vectors of
+//! enough that every chunked path engages (element phases of 6–9 blocks,
+//! 13 chunks of block rows in the CRS SpMV, multi-vectors of
 //! three 4096-row chunks at `r = 2` — at `r = 1` they are below the
 //! threshold, one chunk — and 25 predictor regions), on a `parallel = true`
 //! backend with assembled matrices so all four methods run.
@@ -119,11 +122,11 @@ fn assert_same_bits(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
     }
 }
 
-/// Digests of `render_run(run(backend(), config(method)))` at the parent
-/// commit (cce8d3c: serial `rayon` shim, `parallel` a dead flag).
-const PARENT_RUN_DIGESTS: [(MethodKind, u64); 2] = [
-    (MethodKind::CrsCgCpuGpu, 0x7678_77b7_0fcb_15c3),
-    (MethodKind::EbeMcgCpuGpu, 0xed91_67ce_86b9_d3ca),
+/// Digests of `render_run(run(backend(), config(method)))`, recorded at
+/// PR 23 on one thread (see the module docs).
+const RUN_DIGESTS: [(MethodKind, u64); 2] = [
+    (MethodKind::CrsCgCpuGpu, 0xaffc_9b1d_5b97_d95a),
+    (MethodKind::EbeMcgCpuGpu, 0x694b_ecbb_af79_82d1),
 ];
 
 #[test]
@@ -134,12 +137,12 @@ fn run_leaves_the_same_bits_at_any_thread_count() {
         let reference = Pool::with_threads(1).install(|| run(b, &cfg).expect("one thread"));
         assert!(reference.records.iter().any(|r| r.iterations > 0.0));
         let rendered = render_run(&reference);
-        for (pinned, want) in PARENT_RUN_DIGESTS {
+        for (pinned, want) in RUN_DIGESTS {
             if pinned == method {
                 assert_eq!(
                     digest(&rendered),
                     want,
-                    "{method:?}: bits moved against the parent commit:\n{rendered}"
+                    "{method:?}: bits moved against the pinned digest:\n{rendered}"
                 );
             }
         }
@@ -211,6 +214,73 @@ fn closed_serve_loop_leaves_the_same_bits_at_any_thread_count() {
         assert_same_bits(&r, &results, &format!("serve at {threads} threads"));
         assert!(c == ckpt, "server checkpoint bytes at {threads} threads");
     }
+}
+
+/// What the parent commit (2eb2b5f, the all-colours sweep) computed for
+/// [`differential_vectors`]: per vector `‖u‖₂`, `‖u‖∞` and every
+/// [`SAMPLE_STRIDE`]-th entry, as little-endian `f64` — written by
+/// `record_parent_final_u` run on a checkout of that commit.
+const PARENT_FINAL_U: &[u8] = include_bytes!("data/parent_pr22_final_u.bin");
+const SAMPLE_STRIDE: usize = 16;
+
+/// Every `final_u` of the four methods, then every result of the closed
+/// serve loop, on one thread.
+fn differential_vectors(b: &Backend) -> Vec<Vec<f64>> {
+    Pool::with_threads(1).install(|| {
+        let mut all = Vec::new();
+        for method in METHODS {
+            all.extend(run(b, &config(method)).expect("run").final_u);
+        }
+        all.extend(closed_serve_loop(b).1);
+        all
+    })
+}
+
+fn norms_and_samples(u: &[f64]) -> Vec<f64> {
+    let l2 = u.iter().map(|v| v * v).sum::<f64>().sqrt();
+    let linf = u.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let mut out = vec![l2, linf];
+    out.extend(u.iter().step_by(SAMPLE_STRIDE));
+    out
+}
+
+/// The block sweep sums each row in another order than the parent's colour
+/// sweep, so the bits moved — by rounding only: every displacement the four
+/// methods and the serve loop end on is the parent's to 1e-12 of its
+/// largest entry.
+#[test]
+fn final_u_is_the_parents_to_rounding() {
+    let mut parent = PARENT_FINAL_U
+        .chunks_exact(8)
+        .map(|w| f64::from_le_bytes(w.try_into().unwrap()));
+    let mut worst = 0.0f64;
+    for (k, u) in differential_vectors(backend()).iter().enumerate() {
+        let got = norms_and_samples(u);
+        let want: Vec<f64> = parent.by_ref().take(got.len()).collect();
+        assert_eq!(want.len(), got.len(), "vector {k}: recorded file too short");
+        let (l2, linf) = (want[0], want[1]);
+        assert!(linf > 0.0, "vector {k}: the parent's result is zero");
+        worst = worst.max((got[0] - l2).abs() / l2);
+        for (g, w) in got[2..].iter().zip(&want[2..]) {
+            worst = worst.max((g - w).abs() / linf);
+        }
+        assert!(worst <= 1e-12, "vector {k}: {worst:e} from the parent");
+    }
+    assert_eq!(parent.next(), None, "recorded file has vectors left over");
+    println!("largest deviation from the parent: {worst:e}");
+}
+
+#[test]
+#[ignore = "rewrites tests/data/parent_pr22_final_u.bin; meant for a checkout of the parent commit"]
+fn record_parent_final_u() {
+    let bytes: Vec<u8> = differential_vectors(backend())
+        .iter()
+        .flat_map(|u| norms_and_samples(u))
+        .flat_map(f64::to_le_bytes)
+        .collect();
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/parent_pr22_final_u.bin");
+    std::fs::write(path, bytes).unwrap();
 }
 
 /// `run_durable` killed at step 5 and resumed (checkpoint every 2 steps):

@@ -1,21 +1,31 @@
 //! Golden bytes for every checkpoint layout (DESIGN.md §12).
 //!
-//! Every file under `tests/data/wire/` (and `parent_ebe_step2.hsckpt`) was
-//! written by the commit *before* the layouts became `wire_struct!` field
-//! lists, i.e. by the 28 hand-written encode/decode pairs. Each test parses
-//! a golden with this commit's decoder and re-encodes it with this commit's
-//! encoder; the result must be the golden file byte for byte, so every field
-//! crosses both directions of the new code against bytes the old code wrote.
-//! The three fingerprints are pinned the same way: the literals below were
-//! printed by the parent commit.
+//! Every file under `tests/data/wire/` (and `parent_ebe_step2.hsckpt`) is a
+//! recorded image. Each test parses a golden with this commit's decoder and
+//! re-encodes it with this commit's encoder; the result must be the golden
+//! file byte for byte, so every field crosses both directions of the codec
+//! against bytes an earlier commit wrote. The three fingerprints are pinned
+//! the same way.
 //!
-//! The scenario builders at the bottom are how the files were produced
-//! (`record_goldens`, ignored). Re-run it only when a layout changes on
-//! purpose — the point of the files is that they were *not* written by the
-//! code under test.
+//! The files were first written by the 28 hand-written encode/decode pairs
+//! that preceded the `wire_struct!` field lists, and re-recorded once, at
+//! PR 23, by the field lists that had reproduced them byte for byte since:
+//! that PR moved the bits of every stored displacement (the block sweep's
+//! summation order), the format version (1 → 2) and the fingerprints (node
+//! model and integrity configuration mixed in), and no layout.
+//! `v1_ebe_step2.hsckpt` is the version-1 run image, kept to show that it
+//! is refused.
+//!
+//! The scenario builders at the bottom are how the files are produced
+//! (`record_goldens`, ignored). Re-run it only when bits or a layout move
+//! on purpose — the point of the files is that they were *not* written by
+//! the code under test.
 
 use hetsolve::ckpt::CkptError;
-use hetsolve::core::{ConfigFingerprint, RecoveryEvent, RunCheckpoint, WindowPolicy};
+use hetsolve::core::{
+    run_durable, CheckpointPolicy, ConfigFingerprint, RecoveryEvent, RunCheckpoint, StepTracer,
+    WindowPolicy,
+};
 use hetsolve::fault::StateField;
 use hetsolve::load::{soak_server, ArrivalLog, LoadConfig, SoakReport, TrafficShape};
 use hetsolve::obs::{FlightRecorder, LogHistogram, Termination};
@@ -212,8 +222,42 @@ fn soak_report_golden_reencodes_byte_for_byte() {
     assert!(rep.to_bytes() == bytes, "SoakReport re-encode differs");
 }
 
+/// An image written before the bits moved is refused with a typed error,
+/// by the decoder and by the store scan of a durable run (which then starts
+/// from step 0 instead of resuming non-bitwise).
+#[test]
+fn a_version_1_image_is_refused_typed() {
+    let b = backend();
+    let v1 = golden("v1_ebe_step2.hsckpt");
+    assert_eq!(
+        RunCheckpoint::from_bytes(&v1, ConfigFingerprint::of(&b, &run_cfg())).unwrap_err(),
+        CkptError::UnsupportedVersion(1)
+    );
+
+    let dir = std::env::temp_dir().join("hs-wire-golden-v1-image");
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::new(&dir, 3).unwrap();
+    std::fs::write(store.path_for(2), &v1).unwrap();
+    let out = run_durable(
+        &b,
+        &run_cfg(),
+        &mut StepTracer::disabled(),
+        &mut NoopFaults,
+        &store,
+        CheckpointPolicy { every: 0, keep: 3 },
+    )
+    .expect("a fresh run");
+    assert_eq!(out.resumed_from, None);
+    assert_eq!(out.restore.skipped.len(), 1, "{}", out.restore);
+    assert_eq!(
+        out.restore.skipped[0].error,
+        CkptError::UnsupportedVersion(1)
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 // ---------------------------------------------------------------------------
-// Fingerprint values, recorded from the parent commit.
+// Fingerprint values, recorded with the goldens.
 
 #[test]
 fn fingerprint_values_are_the_parents() {
@@ -234,9 +278,9 @@ fn fingerprint_values_are_the_parents() {
     );
 }
 
-const RUN_FP: [u64; 2] = [0x8ee8_4348_b3e0_fb37, 0x08d5_2f2e_8295_9dea];
-const SERVE_FP: [u64; 2] = [0x1ffc_0572_aa9c_ed04, 0x8c6b_fd0b_5c21_c011];
-const CLUSTER_FP: [u64; 2] = [0x29a9_5a35_ccc4_ce70, 0xfed5_12ac_688f_3658];
+const RUN_FP: [u64; 2] = [0x5753_ca62_47d9_6891, 0x9253_a28b_edb0_9b00];
+const SERVE_FP: [u64; 2] = [0x701b_27a6_9099_f923, 0xc1d1_733e_90d3_87cb];
+const CLUSTER_FP: [u64; 2] = [0xed34_9dbe_4a85_73a3, 0x86ed_2656_90db_c8aa];
 
 // ---------------------------------------------------------------------------
 // Optional sections: an image written before a section existed restores
@@ -372,6 +416,25 @@ fn cluster_image(b: &Backend) -> Vec<u8> {
     cluster.checkpoint_bytes()
 }
 
+/// The step-2 checkpoint of [`run_cfg`]: a durable run killed at step 3.
+fn run_image(b: &Backend) -> Vec<u8> {
+    let dir = std::env::temp_dir().join("hs-wire-golden-run-image");
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::new(&dir, 3).unwrap();
+    let killed = run_durable(
+        b,
+        &run_cfg(),
+        &mut StepTracer::disabled(),
+        &mut FaultPlan::new(1).crash_at(3),
+        &store,
+        CheckpointPolicy { every: 2, keep: 3 },
+    );
+    assert_eq!(killed.unwrap_err(), RunError::Crashed { step: 3 });
+    let bytes = std::fs::read(store.path_for(2)).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    bytes
+}
+
 fn soak_report(b: &Backend) -> SoakReport {
     let mut server = EnsembleServer::new(b, serve_cfg());
     soak_server(&mut server, &ArrivalLog::generate(&load_cfgs()[1].1))
@@ -382,6 +445,7 @@ fn soak_report(b: &Backend) -> SoakReport {
 fn record_goldens() {
     let b = backend();
     std::fs::create_dir_all(data("wire")).unwrap();
+    std::fs::write(data("parent_ebe_step2.hsckpt"), run_image(&b)).unwrap();
     std::fs::write(data("wire/server.hsckpt"), server_image(&b)).unwrap();
     std::fs::write(data("wire/cluster.hsckpt"), cluster_image(&b)).unwrap();
     for (name, cfg) in load_cfgs() {
