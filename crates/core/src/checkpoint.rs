@@ -349,7 +349,7 @@ mod tests {
         let mut st = RunState::new(&backend, &cfg);
         let ctx = crate::methods::RunCtx::new(&backend, &cfg).unwrap();
         let mut tracer = crate::trace::StepTracer::disabled();
-        let mut faults = hetsolve_fault::NoopFaults;
+        let mut faults = hetsolve_fault::FaultPlan::default();
         st.step_once(&backend, &cfg, &mut tracer, &mut faults, &ctx)
             .unwrap();
         st.step_once(&backend, &cfg, &mut tracer, &mut faults, &ctx)

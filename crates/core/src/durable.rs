@@ -1,28 +1,23 @@
-//! Crash-consistent driver for any method: periodic checkpoints + resume.
+//! Crash consistency for any method: periodic checkpoints + resume.
 //!
-//! [`run_durable`] is the uninterrupted [`crate::methods::run`] driver with
-//! durability wrapped around the same `RunState::step_once` loop: on
-//! entry it restores the newest *valid* checkpoint from a
+//! A run handed a store ([`Hooks::durable`](crate::methods::Hooks::durable))
+//! is the plain step loop of [`run_with`](crate::methods::run_with) plus
+//! this module: on entry it restores the newest *valid* checkpoint of the
 //! [`CheckpointStore`] (falling back past torn or corrupt files with a
-//! typed [`RestoreReport`]), then advances step by step, snapshotting
-//! every [`CheckpointPolicy::every`] steps with atomic temp-file + rename
-//! writes. Because the resumed state is bitwise-identical to the state the
-//! uninterrupted run had at that boundary, and both paths execute the same
-//! `step_once`, a killed-and-resumed run produces a bitwise-identical
-//! [`RunResult`] — the chaos suite's kill-at-any-step-boundary property.
-//!
-//! Chaos hooks: [`FaultInjector::crash_fault`] aborts the run *before* a
-//! step boundary with [`RunError::Crashed`] (the injected stand-in for
-//! `kill -9`), and [`FaultInjector::torn_write_fault`] truncates the
-//! checkpoint that was just written, exercising the restore fallback.
+//! typed [`RestoreReport`]), and every [`CheckpointPolicy::every`] steps it
+//! snapshots with atomic temp-file + rename writes — where a planned torn
+//! write truncates the file just written. The resumed state is the state
+//! the uninterrupted run had at that boundary and both run the same
+//! `step_once`, so a killed-and-resumed run's result is bitwise-identical:
+//! the chaos suite's kill-at-any-step-boundary property.
 
 use hetsolve_ckpt::{tear, CheckpointStore, RestoreReport};
-use hetsolve_fault::FaultInjector;
-use hetsolve_machine::{SystemClock, WallClock};
+use hetsolve_fault::{FaultKind, FaultPlan, FaultSite};
+use hetsolve_machine::WallClock;
 
 use crate::backend::Backend;
 use crate::checkpoint::{ConfigFingerprint, RunCheckpoint};
-use crate::methods::{RunConfig, RunCtx, RunResult, RunState};
+use crate::methods::{RunConfig, RunState};
 use crate::recovery::RunError;
 use crate::trace::StepTracer;
 
@@ -44,10 +39,9 @@ impl Default for CheckpointPolicy {
     }
 }
 
-/// A durable run's result plus its durability bookkeeping.
-#[derive(Debug)]
+/// A durable run's bookkeeping, in [`RunResult::durable`](crate::methods::RunResult::durable).
+#[derive(Debug, Clone)]
 pub struct DurableOutcome {
-    pub result: RunResult,
     /// Step boundary the run resumed from (`None` for a fresh start).
     pub resumed_from: Option<usize>,
     /// What the restore scan saw (skips = torn-write fallback at work).
@@ -56,173 +50,120 @@ pub struct DurableOutcome {
     pub checkpoints_written: usize,
     /// Size of the last checkpoint written (bytes).
     pub checkpoint_bytes: usize,
-    /// Real time spent writing checkpoints (s).
+    /// Wall time spent writing checkpoints (s).
     pub write_s: f64,
-    /// Real time spent reading + validating checkpoints on restore (s).
+    /// Wall time spent reading + validating checkpoints on restore (s).
     pub restore_s: f64,
 }
 
-/// Run `cfg.method` crash-consistently: restore from `store` if a valid
-/// checkpoint exists, then advance, snapshotting per `policy`.
-///
-/// Every method advances through the one resumable step driver, so any
-/// of the four can be checkpointed. `cfg` (method included) is folded
-/// into the stored [`ConfigFingerprint`], so a checkpoint written under a
-/// different configuration is rejected typed rather than resumed
-/// silently. A CRS method on a backend built without assembled matrices
-/// is a typed [`RunError::Config`], as in [`crate::methods::run_faulted`].
-pub fn run_durable<F: FaultInjector>(
-    backend: &Backend,
-    cfg: &RunConfig,
-    tracer: &mut StepTracer,
-    faults: &mut F,
-    store: &CheckpointStore,
+/// The checkpoint side of one run given a store. `cfg` (method included)
+/// is folded into the stored [`ConfigFingerprint`], so a checkpoint
+/// written under a different configuration is rejected typed rather than
+/// resumed silently.
+pub(crate) struct Durable<'s> {
+    store: &'s CheckpointStore,
     policy: CheckpointPolicy,
-) -> Result<DurableOutcome, RunError> {
-    run_durable_clocked(
-        backend,
-        cfg,
-        tracer,
-        faults,
-        store,
-        policy,
-        &SystemClock::new(),
-    )
+    fingerprint: ConfigFingerprint,
+    pub(crate) outcome: DurableOutcome,
 }
 
-/// [`run_durable`] with an injected wall clock. The clock only feeds the
-/// [`DurableOutcome`] I/O timing fields (`write_s`, `restore_s`) — it
-/// never influences the solve — so a [`hetsolve_machine::ManualClock`]
-/// makes those fields deterministic in tests, and the determinism lint
-/// (`cargo xtask analyze`) can ban ambient `Instant` reads outright.
-pub fn run_durable_clocked<F: FaultInjector, C: WallClock + ?Sized>(
-    backend: &Backend,
-    cfg: &RunConfig,
-    tracer: &mut StepTracer,
-    faults: &mut F,
-    store: &CheckpointStore,
-    policy: CheckpointPolicy,
-    wall: &C,
-) -> Result<DurableOutcome, RunError> {
-    let ctx = RunCtx::new(backend, cfg)?;
-    let fp = ConfigFingerprint::of(backend, cfg);
-
-    let t0 = wall.now();
-    let (found, restore) =
-        store.load_latest_valid(|_seq, bytes| RunCheckpoint::from_bytes(bytes, fp));
-    let restore_s = wall.now() - t0;
-    let (mut st, resumed_from) = match found {
-        Some((_seq, snap)) => {
-            let step = snap.step;
-            (snap.into_state(backend, cfg), Some(step))
-        }
-        None => (RunState::new(backend, cfg), None),
-    };
-    if let Some(step) = resumed_from {
-        let skipped = restore.skipped.len();
-        tracer.flight_event(
-            st.clock.elapsed(),
-            "ckpt_restore",
-            Some(step as u64),
-            format!("resumed from step {step}, {skipped} invalid checkpoint(s) skipped"),
-        );
-        if let Some(reg) = tracer.registry_mut() {
-            reg.inc("core_ckpt_restores_total", 1.0);
-        }
-    }
-
-    tracer.begin_run(cfg.method.label(), cfg, ctx.sets());
-    tracer.attach_clock(&mut st.clock);
-    let mut checkpoints_written = 0;
-    let mut checkpoint_bytes = 0;
-    let mut write_s = 0.0;
-
-    loop {
-        if faults.crash_fault(st.step) {
-            // black-box behavior: the last thing the recorder sees is the
-            // crash itself, then the ring hits disk (best-effort — a dump
-            // failure must not mask the crash error)
+impl<'s> Durable<'s> {
+    /// Scan `store` for the newest valid checkpoint; the state to resume
+    /// from, if one validates.
+    pub(crate) fn open(
+        store: &'s CheckpointStore,
+        policy: CheckpointPolicy,
+        backend: &Backend,
+        cfg: &RunConfig,
+        wall: &dyn WallClock,
+        tracer: &mut StepTracer,
+    ) -> (Self, Option<RunState>) {
+        let fingerprint = ConfigFingerprint::of(backend, cfg);
+        let t0 = wall.now();
+        let (found, restore) =
+            store.load_latest_valid(|_seq, bytes| RunCheckpoint::from_bytes(bytes, fingerprint));
+        let restore_s = wall.now() - t0;
+        let resumed_from = found.as_ref().map(|(_, snap)| snap.step);
+        let st = found.map(|(_, snap)| snap.into_state(backend, cfg));
+        if let (Some(step), Some(st)) = (resumed_from, &st) {
+            let skipped = restore.skipped.len();
             tracer.flight_event(
                 st.clock.elapsed(),
-                "crash",
-                Some(st.step as u64),
-                "injected crash_fault at step boundary",
-            );
-            let _ = tracer.dump_flight("crash");
-            return Err(RunError::Crashed { step: st.step });
-        }
-        if st.step >= cfg.n_steps {
-            break;
-        }
-        let corruptions_before = st.corruptions.len();
-        if let Err(e) = st.step_once(backend, cfg, tracer, faults, &ctx) {
-            tracer.flight_event(
-                st.clock.elapsed(),
-                "run_error",
-                Some(st.step as u64),
-                format!("{e}"),
-            );
-            let _ = tracer.dump_flight("run_error");
-            return Err(e);
-        }
-        // every report appended by step_once is a detection that was also
-        // recovered in place (unrecoverable corruption returns Err above)
-        for rep in &st.corruptions[corruptions_before..] {
-            tracer.flight_event(
-                st.clock.elapsed(),
-                "sdc_recovered",
-                Some(rep.step as u64),
-                format!("{rep}"),
+                "ckpt_restore",
+                Some(step as u64),
+                format!("resumed from step {step}, {skipped} invalid checkpoint(s) skipped"),
             );
             if let Some(reg) = tracer.registry_mut() {
-                reg.inc("core_sdc_detected_total", 1.0);
-                reg.inc("core_sdc_recovered_total", 1.0);
+                reg.inc("core_ckpt_restores_total", 1.0);
             }
         }
-        if policy.every > 0 && st.step % policy.every == 0 && st.step < cfg.n_steps {
-            let bytes = RunCheckpoint::capture(&st, fp).to_bytes();
-            let seq = st.step as u64;
-            let tw = wall.now();
-            let path = store.save(seq, &bytes).map_err(|e| RunError::Checkpoint {
+        let outcome = DurableOutcome {
+            resumed_from,
+            restore,
+            checkpoints_written: 0,
+            checkpoint_bytes: 0,
+            write_s: 0.0,
+            restore_s,
+        };
+        let durable = Durable {
+            store,
+            policy,
+            fingerprint,
+            outcome,
+        };
+        (durable, st)
+    }
+
+    /// Snapshot the boundary `st` just reached if the policy says so, then
+    /// tear the file just written if the plan says so.
+    pub(crate) fn after_step(
+        &mut self,
+        st: &RunState,
+        cfg: &RunConfig,
+        faults: &mut FaultPlan,
+        wall: &dyn WallClock,
+        tracer: &mut StepTracer,
+    ) -> Result<(), RunError> {
+        let every = self.policy.every;
+        if every == 0 || !st.step.is_multiple_of(every) || st.step >= cfg.n_steps {
+            return Ok(());
+        }
+        let bytes = RunCheckpoint::capture(st, self.fingerprint).to_bytes();
+        let seq = st.step as u64;
+        let tw = wall.now();
+        let path = self
+            .store
+            .save(seq, &bytes)
+            .map_err(|e| RunError::Checkpoint {
                 message: e.to_string(),
             })?;
-            write_s += wall.now() - tw;
-            checkpoints_written += 1;
-            checkpoint_bytes = bytes.len();
-            tracer.flight_event(
-                st.clock.elapsed(),
-                "ckpt_write",
-                Some(seq),
-                format!("{} bytes", bytes.len()),
-            );
-            if let Some(reg) = tracer.registry_mut() {
-                reg.inc("core_ckpt_writes_total", 1.0);
-            }
-            if let Some(t) = faults.torn_write_fault(seq) {
-                tear(&path, t.keep_frac).map_err(|e| RunError::Checkpoint {
-                    message: format!("injected tear failed: {e}"),
-                })?;
-            }
+        self.outcome.write_s += wall.now() - tw;
+        self.outcome.checkpoints_written += 1;
+        self.outcome.checkpoint_bytes = bytes.len();
+        tracer.flight_event(
+            st.clock.elapsed(),
+            "ckpt_write",
+            Some(seq),
+            format!("{} bytes", bytes.len()),
+        );
+        if let Some(reg) = tracer.registry_mut() {
+            reg.inc("core_ckpt_writes_total", 1.0);
         }
+        if let Some(FaultKind::TornWrite { keep_frac }) =
+            faults.inject(FaultSite::TornWrite { seq })
+        {
+            tear(&path, keep_frac).map_err(|e| RunError::Checkpoint {
+                message: format!("injected tear failed: {e}"),
+            })?;
+        }
+        Ok(())
     }
-
-    let result = st.into_result(cfg);
-    tracer.finish_run(&result, cfg.measure_from);
-    Ok(DurableOutcome {
-        result,
-        resumed_from,
-        restore,
-        checkpoints_written,
-        checkpoint_bytes,
-        write_s,
-        restore_s,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::MethodKind;
+    use crate::methods::{run, run_with, Hooks, MethodKind};
     use hetsolve_fem::FemProblem;
     use hetsolve_machine::single_gh200;
     use hetsolve_mesh::{GroundModelSpec, InterfaceShape};
@@ -243,24 +184,20 @@ mod tests {
         CheckpointStore::new(dir, 3).unwrap()
     }
 
+    const POLICY: CheckpointPolicy = CheckpointPolicy { every: 2, keep: 3 };
+
     #[test]
     fn fresh_durable_run_matches_plain_run() {
         let (backend, cfg) = small();
         let store = tmp_store("fresh");
-        let out = run_durable(
-            &backend,
-            &cfg,
-            &mut StepTracer::disabled(),
-            &mut hetsolve_fault::NoopFaults,
-            &store,
-            CheckpointPolicy { every: 2, keep: 3 },
-        )
-        .unwrap();
-        assert!(out.resumed_from.is_none());
-        assert!(out.restore.clean());
-        assert_eq!(out.checkpoints_written, 2, "steps 2 and 4 of 6");
-        let plain = crate::methods::run(&backend, &cfg).unwrap();
-        assert_eq!(out.result.final_u, plain.final_u, "bitwise-equal to run()");
+        let out = run_with(&backend, &cfg, Hooks::default().durable(&store, POLICY)).unwrap();
+        let d = out.durable.as_ref().expect("run with a store");
+        assert!(d.resumed_from.is_none());
+        assert!(d.restore.clean());
+        assert_eq!(d.checkpoints_written, 2, "steps 2 and 4 of 6");
+        let plain = run(&backend, &cfg).unwrap();
+        assert!(plain.durable.is_none());
+        assert_eq!(out.final_u, plain.final_u, "bitwise-equal to run()");
         std::fs::remove_dir_all(store.dir()).unwrap();
     }
 
@@ -268,31 +205,24 @@ mod tests {
     fn crash_then_resume_is_bitwise_identical() {
         let (backend, cfg) = small();
         let store = tmp_store("resume");
-        let mut plan = hetsolve_fault::FaultPlan::new(7).crash_at(5);
-        let policy = CheckpointPolicy { every: 2, keep: 3 };
-        let err = run_durable(
+        let mut plan = FaultPlan::new(7).crash_at(5);
+        let err = run_with(
             &backend,
             &cfg,
-            &mut StepTracer::disabled(),
-            &mut plan,
-            &store,
-            policy,
+            Hooks::default().faults(&mut plan).durable(&store, POLICY),
         )
         .unwrap_err();
         assert_eq!(err, RunError::Crashed { step: 5 });
         // same plan instance: the crash is spent, the resume sails through
-        let out = run_durable(
+        let out = run_with(
             &backend,
             &cfg,
-            &mut StepTracer::disabled(),
-            &mut plan,
-            &store,
-            policy,
+            Hooks::default().faults(&mut plan).durable(&store, POLICY),
         )
         .unwrap();
-        assert_eq!(out.resumed_from, Some(4));
-        let plain = crate::methods::run(&backend, &cfg).unwrap();
-        assert_eq!(out.result.final_u, plain.final_u);
+        assert_eq!(out.durable.unwrap().resumed_from, Some(4));
+        let plain = run(&backend, &cfg).unwrap();
+        assert_eq!(out.final_u, plain.final_u);
         std::fs::remove_dir_all(store.dir()).unwrap();
     }
 
@@ -304,19 +234,22 @@ mod tests {
         let store = tmp_store("manual-clock");
         let clock = hetsolve_machine::ManualClock::new();
         clock.set(100.0);
-        let out = run_durable_clocked(
-            &backend,
-            &cfg,
-            &mut StepTracer::disabled(),
-            &mut hetsolve_fault::NoopFaults,
-            &store,
-            CheckpointPolicy { every: 2, keep: 3 },
-            &clock,
-        )
-        .unwrap();
-        assert_eq!(out.restore_s, 0.0, "clock never advanced");
-        assert_eq!(out.write_s, 0.0);
-        assert_eq!(out.checkpoints_written, 2);
+        let hooks = Hooks::default().wall(&clock).durable(&store, POLICY);
+        let d = run_with(&backend, &cfg, hooks).unwrap().durable.unwrap();
+        assert_eq!(d.restore_s, 0.0, "clock never advanced");
+        assert_eq!(d.write_s, 0.0);
+        assert_eq!(d.checkpoints_written, 2);
         std::fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    /// Without a store a planned crash still stops the run at its
+    /// boundary: the crash check is the step loop's, not the store's.
+    #[test]
+    fn planned_crash_without_a_store_is_typed() {
+        let (backend, cfg) = small();
+        let mut plan = FaultPlan::new(7).crash_at(3);
+        let err = run_with(&backend, &cfg, Hooks::default().faults(&mut plan)).unwrap_err();
+        assert_eq!(err, RunError::Crashed { step: 3 });
+        assert!(plan.all_fired());
     }
 }

@@ -3,21 +3,17 @@
 //! simulated, surface waveforms recorded, and the dominant frequency at
 //! each surface point obtained by frequency-domain decomposition.
 
-use hetsolve_fem::FemProblem;
 use hetsolve_machine::NodeSpec;
-use hetsolve_mesh::GroundModelSpec;
 use hetsolve_signal::{dominant_frequency_psd, fdd, welch_psd, FddResult, WelchConfig};
 
 use std::path::Path;
 
 use hetsolve_ckpt::CheckpointStore;
-use hetsolve_fault::NoopFaults;
 
 use crate::backend::Backend;
-use crate::durable::{run_durable, CheckpointPolicy, DurableOutcome};
-use crate::methods::{run, MethodKind, RunConfig, RunResult};
+use crate::durable::CheckpointPolicy;
+use crate::methods::{run, run_with, Hooks, MethodKind, RunConfig, RunResult};
 use crate::recovery::RunError;
-use crate::trace::StepTracer;
 
 /// Why an [`EnsembleConfig`] was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,18 +208,18 @@ pub fn run_ensemble(
     run_batches(backend, cfg, |_, rc| run(backend, rc), |r| &r.waveforms)
 }
 
-/// Like [`run_ensemble`], but every fused batch runs under the durable
-/// driver ([`run_durable`], same method), checkpointing into
-/// `<dir>/batch<k>/`. A killed ensemble re-invoked with the same `dir`
-/// skips nothing it has not computed: each batch resumes
-/// bitwise-identically from its own newest valid checkpoint, so only the
-/// interrupted batch's tail and the batches never started are re-executed.
+/// Like [`run_ensemble`], but every fused batch runs durably ([`run_with`]
+/// given a store, same method), checkpointing into `<dir>/batch<k>/`. A
+/// killed ensemble re-invoked with the same `dir` skips nothing it has not
+/// computed: each batch resumes bitwise-identically from its own newest
+/// valid checkpoint, so only the interrupted batch's tail and the batches
+/// never started are re-executed. Each result's `durable` is `Some`.
 pub fn run_ensemble_durable(
     backend: &Backend,
     cfg: &EnsembleConfig,
     dir: &Path,
     policy: CheckpointPolicy,
-) -> Result<(EnsembleResult, Vec<DurableOutcome>), RunError> {
+) -> Result<(EnsembleResult, Vec<RunResult>), RunError> {
     run_batches(
         backend,
         cfg,
@@ -232,39 +228,18 @@ pub fn run_ensemble_durable(
                 .map_err(|e| RunError::Checkpoint {
                     message: format!("open store for batch {batch}: {e}"),
                 })?;
-            run_durable(
-                backend,
-                rc,
-                &mut StepTracer::new(),
-                &mut NoopFaults,
-                &store,
-                policy,
-            )
+            run_with(backend, rc, Hooks::default().durable(&store, policy))
         },
-        |out| &out.result.waveforms,
+        |r| &r.waveforms,
     )
-}
-
-/// Convenience: build a problem from a spec and run the ensemble.
-pub fn run_ensemble_for_model(
-    spec: &GroundModelSpec,
-    cfg: &EnsembleConfig,
-    parallel: bool,
-) -> Result<(EnsembleResult, Vec<RunResult>), RunError> {
-    let needs_crs = matches!(
-        cfg.run.method,
-        MethodKind::CrsCgCpu | MethodKind::CrsCgGpu | MethodKind::CrsCgCpuGpu
-    );
-    let backend = Backend::new(FemProblem::paper_like(spec), needs_crs, parallel);
-    run_ensemble(&backend, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsolve_fem::RandomLoadSpec;
+    use hetsolve_fem::{FemProblem, RandomLoadSpec};
     use hetsolve_machine::single_gh200;
-    use hetsolve_mesh::InterfaceShape;
+    use hetsolve_mesh::{GroundModelSpec, InterfaceShape};
 
     fn quick_cfg(n_cases: usize, n_steps: usize) -> EnsembleConfig {
         let mut cfg = EnsembleConfig::new(single_gh200(), n_cases, n_steps).expect("valid config");

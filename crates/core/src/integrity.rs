@@ -42,7 +42,7 @@
 use std::fmt;
 
 use hetsolve_ckpt::Crc32;
-use hetsolve_fault::{BitFlip, FaultInjector, StateField};
+use hetsolve_fault::{BitFlip, FaultKind, FaultPlan, FaultSite, StateField};
 use hetsolve_fem::CompactElements;
 use hetsolve_sparse::Bcrs3;
 
@@ -457,10 +457,10 @@ pub fn inject_basis_flip(slot: &mut CaseSlot, flip: BitFlip) -> bool {
 /// injected flips land unguarded — the baseline that demonstrates silent
 /// corruption; with detection on and no fault this is pure read-only
 /// overhead, so clean runs stay bitwise-identical.
-pub fn boundary_guard<F: FaultInjector>(
+pub fn boundary_guard(
     guard: &mut StateGuard,
     slot: &mut CaseSlot,
-    faults: &mut F,
+    faults: &mut FaultPlan,
     step: usize,
     case: usize,
     detect: bool,
@@ -469,10 +469,14 @@ pub fn boundary_guard<F: FaultInjector>(
     if detect {
         guard.capture(slot);
     }
-    if let Some((field, flip)) = faults.state_flip_fault(step, case) {
+    if let Some(FaultKind::StateFlip { field, flip, .. }) =
+        faults.inject(FaultSite::StateFlip { step, case })
+    {
         inject_state_flip(slot, field, flip);
     }
-    if let Some(flip) = faults.basis_flip_fault(step, case) {
+    if let Some(FaultKind::BasisFlip { flip, .. }) =
+        faults.inject(FaultSite::BasisFlip { step, case })
+    {
         inject_basis_flip(slot, flip);
     }
     if detect {
@@ -492,11 +496,11 @@ pub fn boundary_guard<F: FaultInjector>(
 /// assembled right-hand side is detected and the column recomputed —
 /// bitwise, because the guarded `f`/`u`/`v`/`a` inputs are still intact.
 #[allow(clippy::too_many_arguments)]
-pub fn rhs_guard<F: FaultInjector>(
+pub fn rhs_guard(
     backend: &Backend,
     slot: &mut CaseSlot,
     scratch: &mut RhsScratch,
-    faults: &mut F,
+    faults: &mut FaultPlan,
     step: usize,
     case: usize,
     detect: bool,
@@ -507,7 +511,8 @@ pub fn rhs_guard<F: FaultInjector>(
     } else {
         None
     };
-    if let Some(flip) = faults.rhs_flip_fault(step, case) {
+    if let Some(FaultKind::RhsFlip { flip, .. }) = faults.inject(FaultSite::RhsFlip { step, case })
+    {
         flip.apply(&mut slot.rhs);
     }
     if let Some(crc) = crc {
@@ -537,15 +542,16 @@ pub fn rhs_guard<F: FaultInjector>(
 /// Returns `Some(report)` when a corrupted copy was dropped; the pristine
 /// payload failing its own baseline would be unrecoverable host-memory
 /// corruption, surfaced by the caller as `RunError::Corruption`.
-pub fn operator_guard<F: FaultInjector>(
+pub fn operator_guard(
     payload: OperatorPayload<'_>,
     baseline: u32,
-    faults: &mut F,
+    faults: &mut FaultPlan,
     step: usize,
     detect: bool,
     reports: &mut Vec<CorruptionReport>,
 ) -> Result<(), CorruptTarget> {
-    if let Some(flip) = faults.operator_flip_fault(step) {
+    if let Some(FaultKind::OperatorFlip { flip }) = faults.inject(FaultSite::OperatorFlip { step })
+    {
         let mut shadow = payload.values().to_vec();
         flip.apply(&mut shadow);
         let corrupted_copy_detected = payload.crc_with(&shadow) != baseline;
@@ -611,7 +617,6 @@ pub fn basis_sentinel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsolve_fault::{FaultPlan, NoopFaults};
     use hetsolve_fem::FemProblem;
     use hetsolve_machine::single_gh200;
     use hetsolve_mesh::{GroundModelSpec, InterfaceShape};
@@ -848,15 +853,8 @@ mod tests {
         // no fault: guard is a read-only no-op
         let mut s = CaseSlot::from_state(&backend, &cfg, &reference);
         let mut reports = Vec::new();
-        boundary_guard(
-            &mut guard,
-            &mut s,
-            &mut NoopFaults,
-            step,
-            0,
-            true,
-            &mut reports,
-        );
+        let mut empty = FaultPlan::default();
+        boundary_guard(&mut guard, &mut s, &mut empty, step, 0, true, &mut reports);
         assert!(reports.is_empty());
         assert_eq!(s.state(), reference);
     }
@@ -927,18 +925,14 @@ mod tests {
             assert_eq!(reports[0].action, CorruptionAction::RebuiltOperator);
             // clean step: no fault, no report
             let mut reports = Vec::new();
-            operator_guard(payload, baseline, &mut NoopFaults, 4, true, &mut reports).unwrap();
+            let mut empty = FaultPlan::default();
+            operator_guard(payload, baseline, &mut empty, 4, true, &mut reports).unwrap();
             assert!(reports.is_empty());
             // a wrong baseline means the payload itself is corrupt
-            assert!(operator_guard(
-                payload,
-                baseline ^ 1,
-                &mut NoopFaults,
-                5,
-                true,
-                &mut Vec::new()
-            )
-            .is_err());
+            assert!(
+                operator_guard(payload, baseline ^ 1, &mut empty, 5, true, &mut Vec::new())
+                    .is_err()
+            );
         }
     }
 

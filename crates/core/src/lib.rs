@@ -17,8 +17,8 @@
 //!   sequential ones (Fig. 2, Fig. 5),
 //! * [`checkpoint`] / [`durable`] — crash-consistent snapshots of the
 //!   step driver's run state (any method) and the checkpoint-every-N /
-//!   resume-from-latest driver built on them (bitwise-identical replay
-//!   after a crash),
+//!   resume-from-latest side of the step loop a store turns on
+//!   (bitwise-identical replay after a crash),
 //! * [`recovery`] — the typed error ladder: retry failed solves with
 //!   progressively safer guesses, recording each [`recovery::RecoveryEvent`],
 //! * [`report`] — table/series formatting for the benchmark harnesses,
@@ -44,10 +44,9 @@ pub mod trace;
 
 pub use backend::{Backend, RhsScratch};
 pub use checkpoint::{ConfigFingerprint, RunCheckpoint, SlotState};
-pub use durable::{run_durable, run_durable_clocked, CheckpointPolicy, DurableOutcome};
+pub use durable::{CheckpointPolicy, DurableOutcome};
 pub use ensemble::{
-    run_ensemble, run_ensemble_durable, run_ensemble_for_model, EnsembleConfig,
-    EnsembleConfigError, EnsembleResult,
+    run_ensemble, run_ensemble_durable, EnsembleConfig, EnsembleConfigError, EnsembleResult,
 };
 pub use integrity::{
     basis_sentinel, boundary_guard, crc_cols, crc_f64s, inject_basis_flip, inject_state_flip,
@@ -55,16 +54,12 @@ pub use integrity::{
     CorruptionReport, IntegrityConfig, OperatorPayload, StateGuard,
 };
 pub use methods::{
-    driver_cg_config, run, run_faulted, run_traced, MethodKind, RunConfig, RunResult, StepRecord,
+    driver_cg_config, run, run_with, Hooks, MethodKind, RunConfig, RunResult, StepRecord,
     WindowPolicy,
 };
 pub use multinode::{DistributedOperator, LocalPart, PartitionMetrics, PartitionedProblem};
-pub use nonlinear_run::{
-    run_nonlinear, run_nonlinear_traced, NonlinearResult, NonlinearStepRecord,
-};
-pub use realtime::{
-    run_realtime, run_realtime_clocked, run_realtime_faulted, run_realtime_traced, RealtimeReport,
-};
+pub use nonlinear_run::{run_nonlinear, NonlinearResult, NonlinearStepRecord};
+pub use realtime::{run_realtime, RealtimeReport};
 pub use recovery::{solve_set_resumable, GuessSource, RecoveryEvent, RunError, SetSolveOutcome};
 pub use report::{apply_speedups, format_application_table, format_series, MethodSummary};
 pub use slot::CaseSlot;

@@ -21,10 +21,10 @@
 //! 1 set × 1 case, 2 sets × 1 case, 2 sets × r cases — over an operator
 //! that is either the assembled matrix (`Width1(crs_a)`) or the
 //! matrix-free multi-vector product (`CompactEbe` at `r`). The loop exists
-//! once, as the resumable `RunState::step_once`; [`run`] and
-//! [`crate::durable::run_durable`] both advance every method through it,
-//! which is why any method can be checkpointed and resumed bitwise. A
-//! method is a `Layout`:
+//! once, as the resumable `RunState::step_once`, and one loop calls it:
+//! [`run_with`], whatever [`Hooks`] it is given — which is why any method
+//! can be traced, faulted, checkpointed and resumed bitwise. A method is a
+//! `Layout`:
 //!
 //! | method | sets | lanes | operator view | solve lane | clock | schedule |
 //! |---|---|---|---|---|---|---|
@@ -44,15 +44,17 @@
 //! [`ModuleClock`] are independent accumulators, so within a set the order
 //! of the CPU and GPU charges is free.
 
-use hetsolve_fault::{ExchangeFault, FaultInjector, FaultLane, NoopFaults};
+use hetsolve_ckpt::CheckpointStore;
+use hetsolve_fault::{ExchangeFault, FaultKind, FaultLane, FaultPlan, FaultSite};
 use hetsolve_fem::{CompactEbe, RandomLoadSpec};
-use hetsolve_machine::{EnergyReport, LaneKind, ModuleClock, NodeSpec};
+use hetsolve_machine::{EnergyReport, LaneKind, ModuleClock, NodeSpec, SystemClock, WallClock};
 use hetsolve_obs::Json;
 use hetsolve_predictor::AdaptiveWindow;
 use hetsolve_sparse::vecops::{extract_case, insert_case};
 use hetsolve_sparse::{Bcrs3, CgConfig, KernelCounts, MultiOperator, Width1};
 
 use crate::backend::{Backend, RhsScratch};
+use crate::durable::{CheckpointPolicy, Durable, DurableOutcome};
 use crate::integrity::{
     basis_sentinel, boundary_guard, operator_crc, operator_guard, rhs_guard, scrub_state,
     CorruptTarget, CorruptionReport, IntegrityConfig, OperatorPayload, StateGuard,
@@ -268,6 +270,9 @@ pub struct RunResult {
     /// Corruptions the integrity layer detected and repaired (rollback,
     /// recompute, rebuild, reset). Empty on a clean run.
     pub corruptions: Vec<CorruptionReport>,
+    /// Checkpoint bookkeeping of a run given a store ([`Hooks::durable`]);
+    /// `None` otherwise.
+    pub durable: Option<DurableOutcome>,
 }
 
 impl RunResult {
@@ -304,47 +309,130 @@ impl RunResult {
     }
 }
 
+/// What a run is observed, injected, timed and made durable with. Every
+/// hook defaults to off — a disabled tracer, an empty [`FaultPlan`], the
+/// system clock, no store — so `Hooks::default()` is [`run`].
+#[derive(Default)]
+pub struct Hooks<'h> {
+    pub(crate) tracer: Option<&'h mut StepTracer>,
+    pub(crate) faults: Option<&'h mut FaultPlan>,
+    pub(crate) wall: Option<&'h (dyn WallClock + Sync)>,
+    pub(crate) store: Option<(&'h CheckpointStore, CheckpointPolicy)>,
+}
+
+impl<'h> Hooks<'h> {
+    /// Label every charge into `tracer`'s timeline, record window
+    /// decisions and counters, fold the run into its metrics sink.
+    pub fn tracer(mut self, tracer: &'h mut StepTracer) -> Self {
+        self.tracer = Some(tracer);
+        self
+    }
+
+    /// Inject `plan`'s faults; read back [`FaultPlan::injected`] after.
+    pub fn faults(mut self, plan: &'h mut FaultPlan) -> Self {
+        self.faults = Some(plan);
+        self
+    }
+
+    /// The wall clock of the I/O timings and the realtime report — never
+    /// of the numerics, so a `ManualClock` makes them deterministic.
+    pub fn wall(mut self, wall: &'h (dyn WallClock + Sync)) -> Self {
+        self.wall = Some(wall);
+        self
+    }
+
+    /// Restore from `store`'s newest valid checkpoint, then snapshot per
+    /// `policy` ([`crate::durable`]).
+    pub fn durable(mut self, store: &'h CheckpointStore, policy: CheckpointPolicy) -> Self {
+        self.store = Some((store, policy));
+        self
+    }
+}
+
 /// Run a time-history simulation with the configured method.
 ///
 /// Returns a typed [`RunError`] instead of panicking when a step's solve
 /// exhausts the recovery ladder (see [`crate::recovery`]).
 pub fn run(backend: &Backend, cfg: &RunConfig) -> Result<RunResult, RunError> {
-    run_traced(backend, cfg, &mut StepTracer::disabled())
+    run_with(backend, cfg, Hooks::default())
 }
 
-/// [`run`] with an observability tracer threaded through the driver: every
-/// kernel/transfer charge is labeled into the tracer's Chrome-trace
-/// timeline, adaptive-window decisions and CG-iteration counters are
-/// recorded, and the finished run is folded into the tracer's metrics
-/// sink. With [`StepTracer::disabled`] this is exactly [`run`].
-pub fn run_traced(
+/// [`run`] with `hooks`: the one loop around `RunState::step_once`.
+///
+/// A crash planned at a step boundary stops the run there with
+/// [`RunError::Crashed`] (the injected `kill -9`); with a store the run
+/// first resumes from the newest valid checkpoint and snapshots every
+/// `policy.every` steps, and a planned torn write truncates the file just
+/// written. An empty plan and no store leave the bits of [`run`].
+pub fn run_with(
     backend: &Backend,
     cfg: &RunConfig,
-    tracer: &mut StepTracer,
-) -> Result<RunResult, RunError> {
-    run_faulted(backend, cfg, tracer, &mut NoopFaults)
-}
-
-/// [`run_traced`] with a fault injector threaded through the driver. With
-/// [`NoopFaults`] (a ZST whose hooks are the empty defaults) this is
-/// exactly [`run_traced`] — the fault suite asserts bitwise identity. With
-/// a [`FaultPlan`](hetsolve_fault::FaultPlan), the scheduled faults hit
-/// guesses, snapshots, exchanges, lanes and solver caps, and the recovery
-/// ladder's response is recorded in [`RunResult::recoveries`].
-pub fn run_faulted<F: FaultInjector>(
-    backend: &Backend,
-    cfg: &RunConfig,
-    tracer: &mut StepTracer,
-    faults: &mut F,
+    hooks: Hooks<'_>,
 ) -> Result<RunResult, RunError> {
     let ctx = RunCtx::new(backend, cfg)?;
-    let mut st = RunState::new(backend, cfg);
+    let (mut no_tracer, mut no_faults) = Default::default();
+    let system = SystemClock::new();
+    let tracer = hooks.tracer.unwrap_or(&mut no_tracer);
+    let faults = hooks.faults.unwrap_or(&mut no_faults);
+    let wall = hooks.wall.unwrap_or(&system);
+    let (mut durable, resumed) = match hooks.store {
+        Some((store, policy)) => {
+            let (d, st) = Durable::open(store, policy, backend, cfg, wall, tracer);
+            (Some(d), st)
+        }
+        None => (None, None),
+    };
+    let mut st = resumed.unwrap_or_else(|| RunState::new(backend, cfg));
     tracer.begin_run(cfg.method.label(), cfg, ctx.sets());
     tracer.attach_clock(&mut st.clock);
-    while st.step < cfg.n_steps {
-        st.step_once(backend, cfg, tracer, faults, &ctx)?;
+    loop {
+        if faults.inject(FaultSite::Crash { step: st.step }).is_some() {
+            // black-box behavior: the last thing the recorder sees is the
+            // crash itself, then the ring hits disk (best-effort — a dump
+            // failure must not mask the crash error)
+            tracer.flight_event(
+                st.clock.elapsed(),
+                "crash",
+                Some(st.step as u64),
+                "injected crash_fault at step boundary",
+            );
+            let _ = tracer.dump_flight("crash");
+            return Err(RunError::Crashed { step: st.step });
+        }
+        if st.step >= cfg.n_steps {
+            break;
+        }
+        let corruptions_before = st.corruptions.len();
+        if let Err(e) = st.step_once(backend, cfg, tracer, faults, &ctx) {
+            tracer.flight_event(
+                st.clock.elapsed(),
+                "run_error",
+                Some(st.step as u64),
+                format!("{e}"),
+            );
+            let _ = tracer.dump_flight("run_error");
+            return Err(e);
+        }
+        // every report appended by step_once is a detection that was also
+        // recovered in place (unrecoverable corruption returns Err above)
+        for rep in &st.corruptions[corruptions_before..] {
+            tracer.flight_event(
+                st.clock.elapsed(),
+                "sdc_recovered",
+                Some(rep.step as u64),
+                format!("{rep}"),
+            );
+            if let Some(reg) = tracer.registry_mut() {
+                reg.inc("core_sdc_detected_total", 1.0);
+                reg.inc("core_sdc_recovered_total", 1.0);
+            }
+        }
+        if let Some(d) = durable.as_mut() {
+            d.after_step(&st, cfg, faults, wall, tracer)?;
+        }
     }
-    let result = st.into_result(cfg);
+    let mut result = st.into_result(cfg);
+    result.durable = durable.map(|d| d.outcome);
     tracer.finish_run(&result, cfg.measure_from);
     Ok(result)
 }
@@ -507,10 +595,9 @@ impl<'a> RunCtx<'a> {
 /// crash-consistent checkpoint must persist. The `scratch`/`f_multi`/
 /// `x_multi` buffers are excluded on purpose: every step fully rewrites
 /// them before reading, so a resumed run is bitwise-identical without
-/// them. Both the uninterrupted driver ([`run_faulted`]) and the durable
-/// driver ([`crate::durable::run_durable`]) advance every method through
-/// the same [`RunState::step_once`], which is what makes the
-/// replay-determinism claim structural rather than coincidental.
+/// them. Uninterrupted, resumed and faulted runs all advance every method
+/// through the same [`RunState::step_once`] in [`run_with`], which is what
+/// makes the replay-determinism claim structural rather than coincidental.
 pub(crate) struct RunState {
     pub(crate) cases: Vec<CaseSlot>,
     pub(crate) clock: ModuleClock,
@@ -562,12 +649,12 @@ impl RunState {
     /// (CPU lane), the fused solve (the layout's solve lane) and the
     /// advance; then sync, exchange and window adaptation as the method's
     /// [`Schedule`] says.
-    pub(crate) fn step_once<F: FaultInjector>(
+    pub(crate) fn step_once(
         &mut self,
         backend: &Backend,
         cfg: &RunConfig,
         tracer: &mut StepTracer,
-        faults: &mut F,
+        faults: &mut FaultPlan,
         ctx: &RunCtx<'_>,
     ) -> Result<(), RunError> {
         let n = backend.n_dofs();
@@ -663,8 +750,10 @@ impl RunState {
                 );
                 ab_guesses.push(ab_guess);
                 s_used = su;
-                if let Some(vf) = faults.guess_fault(step, c) {
-                    vf.apply(&mut case.guess);
+                if let Some(FaultKind::Guess { fault, .. }) =
+                    faults.inject(FaultSite::Guess { step, case: c })
+                {
+                    fault.apply(&mut case.guess);
                     guess_faulted = true;
                 }
                 if schedule != Schedule::Serial {
@@ -682,13 +771,7 @@ impl RunState {
                 insert_case(&mut self.f_multi, lanes, k, &self.cases[c].rhs);
                 insert_case(&mut self.x_multi, lanes, k, &self.cases[c].guess);
             }
-            let first_cfg = match faults.solver_fault(step, set) {
-                Some(sf) => CgConfig {
-                    max_iter: sf.max_iter.min(ctx.cg_cfg.max_iter),
-                    ..ctx.cg_cfg
-                },
-                None => ctx.cg_cfg,
-            };
+            let first_cfg = first_solve_cfg(faults, step, set, &ctx.cg_cfg);
             let before = self.recoveries.len();
             // The Adams-Bashforth rung is always distinct on a fused lane;
             // on a lane of one only when the first attempt started from a
@@ -733,7 +816,9 @@ impl RunState {
             for ev in &self.recoveries[before..] {
                 tracer.recovery_event(self.clock.elapsed(), ev);
             }
-            if let Some(lf) = faults.lane_fault(step, set) {
+            if let Some(FaultKind::Lane { fault: lf, .. }) =
+                faults.inject(FaultSite::Lane { step, set })
+            {
                 let (lane, stalled) = match lf.lane {
                     FaultLane::Cpu => (LaneKind::Cpu, &mut stall_pred),
                     FaultLane::Gpu => (LaneKind::Gpu, &mut stall_solver),
@@ -745,12 +830,11 @@ impl RunState {
                 extract_case(&self.x_multi, lanes, k, &mut x);
                 iter_sum += stats.case_iterations[k] as f64;
                 res_sum += stats.initial_rel_res[k];
-                if !self.cases[c].advance(
-                    backend,
-                    &x,
-                    &ab_guesses[k],
-                    faults.snapshot_fault(step, c),
-                ) {
+                let snapshot = match faults.inject(FaultSite::Snapshot { step, case: c }) {
+                    Some(FaultKind::Snapshot { fault, .. }) => Some(fault),
+                    _ => None,
+                };
+                if !self.cases[c].advance(backend, &x, &ab_guesses[k], snapshot) {
                     history_poisoned = true;
                 }
                 if detect {
@@ -838,26 +922,50 @@ impl RunState {
             final_u,
             recoveries: self.recoveries,
             corruptions: self.corruptions,
+            durable: None,
         }
+    }
+}
+
+/// The CG configuration of set `set`'s first solve attempt at `step`: the
+/// driver's, with the iteration cap a planned solver fault imposes.
+pub(crate) fn first_solve_cfg(
+    faults: &mut FaultPlan,
+    step: usize,
+    set: usize,
+    cg_cfg: &CgConfig,
+) -> CgConfig {
+    match faults.inject(FaultSite::Solver { step, set }) {
+        Some(FaultKind::Solver { max_iter, .. }) => CgConfig {
+            max_iter: max_iter.min(cg_cfg.max_iter),
+            ..*cg_cfg
+        },
+        _ => *cg_cfg,
     }
 }
 
 /// Barrier, then the CPU↔GPU exchange of `bytes` keyed `(step, set)` for
 /// the fault plan. Returns the modeled transfer time (0 when an injected
 /// fault dropped the exchange: nothing crosses the link).
-fn sync_and_exchange<F: FaultInjector>(
+fn sync_and_exchange(
     clock: &mut ModuleClock,
     tracer: &mut StepTracer,
-    faults: &mut F,
+    faults: &mut FaultPlan,
     step: usize,
     set: usize,
     bytes: f64,
 ) -> f64 {
     clock.sync();
-    let bytes = match faults.exchange_fault(step, set) {
-        Some(ExchangeFault::Drop) => 0.0,
-        Some(ExchangeFault::Delay { factor }) => bytes * factor,
-        None => bytes,
+    let bytes = match faults.inject(FaultSite::Exchange { step, set }) {
+        Some(FaultKind::Exchange {
+            fault: ExchangeFault::Drop,
+            ..
+        }) => 0.0,
+        Some(FaultKind::Exchange {
+            fault: ExchangeFault::Delay { factor },
+            ..
+        }) => bytes * factor,
+        _ => bytes,
     };
     if bytes > 0.0 {
         tracer.charge_transfer(clock, set, "exchange", bytes)

@@ -15,7 +15,7 @@ use hetsolve_fem::{
     nonlinear::{refresh_counts_crs, refresh_counts_ebe},
     CompactElements, HyperbolicModel, NonlinearState, RandomLoad, TimeState,
 };
-use hetsolve_machine::{ModuleClock, NodeSpec};
+use hetsolve_machine::ModuleClock;
 use hetsolve_obs::Json;
 use hetsolve_predictor::AdamsState;
 use hetsolve_sparse::{BlockJacobi, LinearOperator};
@@ -59,30 +59,13 @@ pub struct NonlinearResult {
 /// Run a single-case nonlinear time history with the matrix-free operator.
 ///
 /// `secant_tol` is the modulus-ratio change below which the per-step
-/// secant loop stops (at most `max_secant` passes).
+/// secant loop stops (at most `max_secant` passes). An enabled `tracer`
+/// records every secant pass's convergence evidence (iterations,
+/// termination cause, initial and final residual of its solve, recovery
+/// rungs included) in its metrics sink under the `nonlinear_convergence`
+/// section, and operator refreshes become labeled GPU spans;
+/// [`StepTracer::disabled`] records nothing.
 pub fn run_nonlinear(
-    backend: &Backend,
-    cfg: &RunConfig,
-    model: &HyperbolicModel,
-    secant_tol: f64,
-    max_secant: usize,
-) -> Result<NonlinearResult, RunError> {
-    run_nonlinear_traced(
-        backend,
-        cfg,
-        model,
-        secant_tol,
-        max_secant,
-        &mut StepTracer::disabled(),
-    )
-}
-
-/// [`run_nonlinear`] with observability: every secant pass's convergence
-/// evidence (iterations, termination cause, initial and final residual of
-/// its solve, recovery rungs included) lands in the tracer's metrics sink
-/// under the `nonlinear_convergence` section; operator refreshes become
-/// labeled GPU spans.
-pub fn run_nonlinear_traced(
     backend: &Backend,
     cfg: &RunConfig,
     model: &HyperbolicModel,
@@ -114,7 +97,7 @@ pub fn run_nonlinear_traced(
     let cg_cfg = driver_cg_config(cfg.tol);
     let mut records = Vec::with_capacity(cfg.n_steps);
     let mut recoveries: Vec<RecoveryEvent> = Vec::new();
-    let mut clock = ModuleClock::new(node_of(cfg).module, cfg.cpu_threads, false);
+    let mut clock = ModuleClock::new(cfg.node.module, cfg.cpu_threads, false);
     tracer.begin_run("EBE nonlinear (secant)", cfg, 1);
     tracer.attach_clock(&mut clock);
     let mut convergence_rows: Vec<Json> = Vec::new();
@@ -203,7 +186,7 @@ pub fn run_nonlinear_traced(
                 &[("secant_pass", Json::from(secant_iterations))],
             );
             refresh_time_crs += hetsolve_machine::kernel_time(
-                &node_of(cfg).module.gpu,
+                &cfg.node.module.gpu,
                 &refresh_counts_crs(compact.n_elems, nnzb),
                 &hetsolve_machine::ExecCtx::default(),
             );
@@ -244,10 +227,6 @@ pub fn run_nonlinear_traced(
     })
 }
 
-fn node_of(cfg: &RunConfig) -> NodeSpec {
-    cfg.node
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,7 +252,8 @@ mod tests {
     fn strong_shaking_softens_the_ground() {
         let (backend, cfg) = setup();
         let model = HyperbolicModel::new(1e-4, 0.05);
-        let res = run_nonlinear(&backend, &cfg, &model, 1e-3, 3).expect("nonlinear");
+        let res = run_nonlinear(&backend, &cfg, &model, 1e-3, 3, &mut StepTracer::disabled())
+            .expect("nonlinear");
         assert_eq!(res.records.len(), cfg.n_steps);
         let min_ratio = res
             .records
@@ -293,7 +273,8 @@ mod tests {
         let (backend, mut cfg) = setup();
         cfg.load.amplitude = 1.0; // negligible forcing
         let model = HyperbolicModel::new(1e-4, 0.05);
-        let res = run_nonlinear(&backend, &cfg, &model, 1e-6, 3).expect("nonlinear");
+        let res = run_nonlinear(&backend, &cfg, &model, 1e-6, 3, &mut StepTracer::disabled())
+            .expect("nonlinear");
         let min_ratio = res
             .records
             .iter()
@@ -308,8 +289,24 @@ mod tests {
         let strong = HyperbolicModel::new(1e-4, 0.05);
         // gamma_ref so large the model never leaves the linear branch
         let linearish = HyperbolicModel::new(1e6, 0.05);
-        let r1 = run_nonlinear(&backend, &cfg, &strong, 1e-3, 3).expect("nonlinear");
-        let r2 = run_nonlinear(&backend, &cfg, &linearish, 1e-3, 3).expect("nonlinear");
+        let r1 = run_nonlinear(
+            &backend,
+            &cfg,
+            &strong,
+            1e-3,
+            3,
+            &mut StepTracer::disabled(),
+        )
+        .expect("nonlinear");
+        let r2 = run_nonlinear(
+            &backend,
+            &cfg,
+            &linearish,
+            1e-3,
+            3,
+            &mut StepTracer::disabled(),
+        )
+        .expect("nonlinear");
         let d: f64 = r1
             .final_u
             .iter()
@@ -328,10 +325,11 @@ mod tests {
         let (backend, mut cfg) = setup();
         cfg.n_steps = 4;
         let model = HyperbolicModel::new(1e-4, 0.05);
-        let plain = run_nonlinear(&backend, &cfg, &model, 1e-3, 3).expect("nonlinear");
+        let plain = run_nonlinear(&backend, &cfg, &model, 1e-3, 3, &mut StepTracer::disabled())
+            .expect("nonlinear");
         let mut tracer = StepTracer::new();
         let traced =
-            run_nonlinear_traced(&backend, &cfg, &model, 1e-3, 3, &mut tracer).expect("nonlinear");
+            run_nonlinear(&backend, &cfg, &model, 1e-3, 3, &mut tracer).expect("nonlinear");
         // tracing must not perturb the numerics
         assert_eq!(plain.final_u, traced.final_u);
         assert_eq!(
@@ -371,7 +369,8 @@ mod tests {
     fn matrix_free_refresh_is_far_cheaper_than_reassembly() {
         let (backend, cfg) = setup();
         let model = HyperbolicModel::new(1e-4, 0.05);
-        let res = run_nonlinear(&backend, &cfg, &model, 1e-3, 2).expect("nonlinear");
+        let res = run_nonlinear(&backend, &cfg, &model, 1e-3, 2, &mut StepTracer::disabled())
+            .expect("nonlinear");
         assert!(
             res.refresh_time_crs_equiv > 10.0 * res.refresh_time_ebe,
             "CRS reassembly {} s vs EBE refresh {} s",

@@ -18,18 +18,24 @@
 //! steps (`prepare_step` on the predictor thread, `advance` on the solver
 //! thread); what is this module's own is the two-thread phase schedule and
 //! the [`RealtimeReport`].
+//!
+//! It takes the same [`Hooks`] as [`crate::methods::run_with`] — tracer,
+//! fault plan, wall clock — but not a checkpoint store: its two sets live
+//! on two threads mid-step, so there is no boundary state to snapshot
+//! (ROADMAP item 1 merges it into the step driver).
 
-use hetsolve_fault::{FaultInjector, NoopFaults, VectorFault};
-use hetsolve_machine::{SystemClock, WallClock};
+use std::sync::Mutex;
+
+use hetsolve_fault::{FaultKind, FaultPlan, FaultSite, VectorFault};
+use hetsolve_machine::SystemClock;
 use hetsolve_sparse::vecops::{extract_case, insert_case};
 use hetsolve_sparse::{CgConfig, SolveError};
-use parking_lot::Mutex;
 
 use crate::backend::{Backend, RhsScratch};
-use crate::methods::{driver_cg_config, RunConfig};
+use crate::methods::{driver_cg_config, first_solve_cfg, Hooks, RunConfig};
 use crate::recovery::{solve_set_with_ladder, RecoveryEvent, RunError};
 use crate::slot::CaseSlot;
-use crate::trace::{StepTracer, TID_CPU, TID_GPU};
+use crate::trace::{TID_CPU, TID_GPU};
 
 /// Wall-clock accounting of the real pipelined run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -49,8 +55,8 @@ pub struct RealtimeReport {
     pub recoveries: usize,
 }
 
-/// Per-phase fault descriptors, resolved on the main thread so the solver
-/// thread never touches the (non-`Sync`) injector.
+/// Per-phase fault descriptors, resolved on the main thread so only `Copy`
+/// values cross into the solver thread.
 struct PhaseFaults {
     guess: Vec<Option<VectorFault>>,
     snapshot: Vec<Option<VectorFault>>,
@@ -58,28 +64,28 @@ struct PhaseFaults {
 }
 
 impl PhaseFaults {
-    fn resolve<F: FaultInjector>(
-        faults: &mut F,
+    fn resolve(
+        faults: &mut FaultPlan,
         step: usize,
         set: usize,
         case_base: usize,
         r: usize,
         cg_cfg: &CgConfig,
     ) -> Self {
-        let first_cfg = match faults.solver_fault(step, set) {
-            Some(sf) => CgConfig {
-                max_iter: sf.max_iter.min(cg_cfg.max_iter),
-                ..*cg_cfg
-            },
-            None => *cg_cfg,
+        let first_cfg = first_solve_cfg(faults, step, set, cg_cfg);
+        let mut vector = |site| match faults.inject(site) {
+            Some(FaultKind::Guess { fault, .. } | FaultKind::Snapshot { fault, .. }) => Some(fault),
+            _ => None,
         };
+        let guess = (case_base..case_base + r)
+            .map(|case| vector(FaultSite::Guess { step, case }))
+            .collect();
+        let snapshot = (case_base..case_base + r)
+            .map(|case| vector(FaultSite::Snapshot { step, case }))
+            .collect();
         PhaseFaults {
-            guess: (0..r)
-                .map(|c| faults.guess_fault(step, case_base + c))
-                .collect(),
-            snapshot: (0..r)
-                .map(|c| faults.snapshot_fault(step, case_base + c))
-                .collect(),
+            guess,
+            snapshot,
             first_cfg,
         }
     }
@@ -148,57 +154,40 @@ fn solve_set(
     Ok(recoveries)
 }
 
-/// Run EBE-MCG with two real device threads. Returns the per-case final
-/// displacements and the wall-clock report, or a typed [`RunError`] if a
-/// solve fails beyond recovery or a device thread panics.
-pub fn run_realtime(
-    backend: &Backend,
-    cfg: &RunConfig,
-) -> Result<(Vec<Vec<f64>>, RealtimeReport), RunError> {
-    run_realtime_traced(backend, cfg, &mut StepTracer::disabled())
-}
-
 /// Span collected by a device thread: (pid, tid, label, start_s, dur_s),
 /// both times relative to the run start.
 type WallSpan = (usize, usize, &'static str, f64, f64);
 
-/// [`run_realtime`] with wall-clock tracing: each solver/predictor phase of
-/// each device thread becomes a `cat:"wall"` span in the tracer's timeline
-/// (pid = process set, tid = device lane), so the *real* thread overlap can
-/// be inspected in Perfetto next to the modeled one.
-pub fn run_realtime_traced(
+/// Run EBE-MCG with two real device threads. Returns the per-case final
+/// displacements and the wall-clock report, or a typed [`RunError`] if a
+/// solve fails beyond recovery or a device thread panics — or
+/// [`RunError::Config`] if `hooks` carry a checkpoint store.
+///
+/// With a tracer, each solver/predictor phase of each device thread
+/// becomes a `cat:"wall"` span in its timeline (pid = process set, tid =
+/// device lane), so the *real* thread overlap can be inspected in Perfetto
+/// next to the modeled one. Fault descriptors are resolved on the main
+/// thread each phase. Both device threads read the wall clock, which feeds
+/// only the [`RealtimeReport`] and the wall spans — numerics are
+/// clock-independent, which is what lets the determinism lint ban ambient
+/// `Instant` reads here.
+pub fn run_realtime(
     backend: &Backend,
     cfg: &RunConfig,
-    tracer: &mut StepTracer,
+    hooks: Hooks<'_>,
 ) -> Result<(Vec<Vec<f64>>, RealtimeReport), RunError> {
-    run_realtime_faulted(backend, cfg, tracer, &mut NoopFaults)
-}
-
-/// [`run_realtime_traced`] with a fault injector. Fault descriptors are
-/// resolved on the main thread each phase; only `Copy` descriptor values
-/// cross into the solver thread.
-pub fn run_realtime_faulted<F: FaultInjector>(
-    backend: &Backend,
-    cfg: &RunConfig,
-    tracer: &mut StepTracer,
-    faults: &mut F,
-) -> Result<(Vec<Vec<f64>>, RealtimeReport), RunError> {
-    run_realtime_clocked(backend, cfg, tracer, faults, &SystemClock::new())
-}
-
-/// [`run_realtime_faulted`] with an injected wall clock. Both device
-/// threads read the clock concurrently, so it must be `Sync`
-/// ([`SystemClock`] in production, [`hetsolve_machine::SharedManualClock`]
-/// in deterministic tests). The clock feeds only the [`RealtimeReport`]
-/// and the wall-span trace — numerics are clock-independent — which is
-/// what lets the determinism lint ban ambient `Instant` reads here.
-pub fn run_realtime_clocked<F: FaultInjector, C: WallClock + Sync>(
-    backend: &Backend,
-    cfg: &RunConfig,
-    tracer: &mut StepTracer,
-    faults: &mut F,
-    wall: &C,
-) -> Result<(Vec<Vec<f64>>, RealtimeReport), RunError> {
+    if hooks.store.is_some() {
+        return Err(RunError::Config {
+            message: "the realtime driver cannot checkpoint: it has no step boundary \
+                      at which both sets are at rest"
+                .into(),
+        });
+    }
+    let (mut no_tracer, mut no_faults) = Default::default();
+    let system = SystemClock::new();
+    let tracer = hooks.tracer.unwrap_or(&mut no_tracer);
+    let faults = hooks.faults.unwrap_or(&mut no_faults);
+    let wall = hooks.wall.unwrap_or(&system);
     assert!(cfg.r >= 1);
     tracer.begin_run("EBE-MCG@CPU-GPU (realtime)", cfg, 2);
     // two sets of r case slots — the same per-case state, `prepare_step`
@@ -229,16 +218,14 @@ pub fn run_realtime_clocked<F: FaultInjector, C: WallClock + Sync>(
                  predicting: Option<&mut PipeSet>,
                  ph: &PhaseFaults|
      -> Result<Vec<RecoveryEvent>, RunError> {
-        crossbeam::thread::scope(|scope| {
-            let solver = scope.spawn(|_| {
+        std::thread::scope(|scope| {
+            let solver = scope.spawn(|| {
                 let start = since_start();
                 let out = solve_set(backend, cfg, solving, it, set, ph);
                 let dur = since_start() - start;
-                busy.lock().0 += dur;
+                lock(&busy).0 += dur;
                 if trace_on {
-                    spans
-                        .lock()
-                        .push((set, TID_GPU, "solve (wall)", start, dur));
+                    lock(&spans).push((set, TID_GPU, "solve (wall)", start, dur));
                 }
                 out
             });
@@ -248,11 +235,9 @@ pub fn run_realtime_clocked<F: FaultInjector, C: WallClock + Sync>(
                 let start = since_start();
                 predict_set(backend, predicting, s);
                 let dur = since_start() - start;
-                busy.lock().1 += dur;
+                lock(&busy).1 += dur;
                 if trace_on {
-                    spans
-                        .lock()
-                        .push((1 - set, TID_CPU, "predict (wall)", start, dur));
+                    lock(&spans).push((1 - set, TID_CPU, "predict (wall)", start, dur));
                 }
             }
             match solver.join() {
@@ -262,9 +247,6 @@ pub fn run_realtime_clocked<F: FaultInjector, C: WallClock + Sync>(
                 }),
             }
         })
-        // PANIC-OK: the scope closure joins both children, so crossbeam's
-        // scope-level error (an unjoined child panic) is unreachable.
-        .expect("thread scope failed")
     };
 
     for it in 0..cfg.n_steps {
@@ -279,7 +261,7 @@ pub fn run_realtime_clocked<F: FaultInjector, C: WallClock + Sync>(
         recoveries.extend(phase(it, 0, &mut set_a, next_b, &ph_a)?);
     }
 
-    for (pid, tid, name, start_s, dur_s) in spans.into_inner() {
+    for (pid, tid, name, start_s, dur_s) in spans.into_inner().unwrap_or_else(|e| e.into_inner()) {
         tracer
             .trace
             .span(pid, tid, "wall", name, start_s * 1e6, dur_s * 1e6, vec![]);
@@ -290,7 +272,7 @@ pub fn run_realtime_clocked<F: FaultInjector, C: WallClock + Sync>(
     }
 
     let wall = since_start();
-    let (solver_busy, predictor_busy) = *busy.lock();
+    let (solver_busy, predictor_busy) = *lock(&busy);
     let report = RealtimeReport {
         wall,
         solver_busy,
@@ -308,10 +290,18 @@ pub fn run_realtime_clocked<F: FaultInjector, C: WallClock + Sync>(
     Ok((final_u, report))
 }
 
+/// Lock `m`, ignoring poisoning: a device thread that panicked is
+/// reported as [`RunError::WorkerPanic`] by its join, and every update
+/// under these locks is one statement, so a poisoned value is still whole.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::methods::{run, MethodKind};
+    use crate::trace::StepTracer;
     use hetsolve_fem::{FemProblem, RandomLoadSpec};
     use hetsolve_machine::single_gh200;
     use hetsolve_mesh::{GroundModelSpec, InterfaceShape};
@@ -334,7 +324,7 @@ mod tests {
     #[test]
     fn realtime_runs_and_reports() {
         let (backend, cfg) = setup();
-        let (final_u, rep) = run_realtime(&backend, &cfg).expect("realtime");
+        let (final_u, rep) = run_realtime(&backend, &cfg, Hooks::default()).expect("realtime");
         assert_eq!(final_u.len(), 2 * cfg.r);
         assert_eq!(rep.steps, cfg.n_steps);
         assert!(rep.wall > 0.0);
@@ -349,7 +339,8 @@ mod tests {
         let (backend, mut cfg) = setup();
         cfg.n_steps = 3;
         let mut tracer = StepTracer::new();
-        let (_, rep) = run_realtime_traced(&backend, &cfg, &mut tracer).expect("realtime");
+        let (_, rep) =
+            run_realtime(&backend, &cfg, Hooks::default().tracer(&mut tracer)).expect("realtime");
         assert_eq!(rep.steps, 3);
         let events = tracer.trace.events();
         assert!(events.iter().all(|e| e.cat == "wall"));
@@ -368,7 +359,7 @@ mod tests {
     #[test]
     fn realtime_matches_modeled_numerics() {
         let (backend, cfg) = setup();
-        let (final_rt, _) = run_realtime(&backend, &cfg).expect("realtime");
+        let (final_rt, _) = run_realtime(&backend, &cfg, Hooks::default()).expect("realtime");
         let modeled = run(&backend, &cfg).expect("run");
         // The modeled driver grows s by the adaptive controller while the
         // realtime driver grows by available history; both refine to the
@@ -391,22 +382,32 @@ mod tests {
     fn manual_clock_makes_the_report_deterministic() {
         let (backend, mut cfg) = setup();
         cfg.n_steps = 3;
-        let clock = hetsolve_machine::SharedManualClock::new();
+        let clock = hetsolve_machine::ManualClock::new();
         clock.set(42.0);
-        let (final_u, rep) = run_realtime_clocked(
-            &backend,
-            &cfg,
-            &mut StepTracer::disabled(),
-            &mut NoopFaults,
-            &clock,
-        )
-        .expect("realtime");
+        let (final_u, rep) =
+            run_realtime(&backend, &cfg, Hooks::default().wall(&clock)).expect("realtime");
         assert_eq!(rep.wall, 0.0, "frozen clock: no wall time elapsed");
         assert_eq!(rep.solver_busy, 0.0);
         assert_eq!(rep.predictor_busy, 0.0);
         assert!(final_u.iter().any(|u| u.iter().any(|&x| x != 0.0)));
         // the same run on the real clock computes identical numerics
-        let (real_u, _) = run_realtime(&backend, &cfg).expect("realtime");
+        let (real_u, _) = run_realtime(&backend, &cfg, Hooks::default()).expect("realtime");
         assert_eq!(final_u, real_u, "clock choice must not affect results");
+    }
+
+    /// The realtime driver has no boundary to snapshot: a store is a typed
+    /// configuration error, not a silently non-durable run.
+    #[test]
+    fn realtime_given_a_store_is_a_typed_config_error() {
+        let (backend, cfg) = setup();
+        let dir = std::env::temp_dir().join("hs-realtime-store");
+        let store = hetsolve_ckpt::CheckpointStore::new(&dir, 2).unwrap();
+        let hooks = Hooks::default().durable(&store, Default::default());
+        match run_realtime(&backend, &cfg, hooks) {
+            Err(RunError::Config { message }) => assert!(message.contains("checkpoint")),
+            other => panic!("expected RunError::Config, got {other:?}"),
+        }
+        assert!(store.list().unwrap().is_empty(), "nothing written");
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

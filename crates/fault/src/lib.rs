@@ -14,11 +14,16 @@
 //! * crash points at durable-run step boundaries and torn checkpoint
 //!   writes (both one-shot: they fire once, so a resumed run proceeds),
 //!
-//! and the core drivers consume it through the [`FaultInjector`] trait.
-//! [`NoopFaults`] mirrors `NoopObserver`/`StepTracer::disabled()`: a
-//! zero-sized type whose hooks are the empty default bodies, so the
-//! unfaulted drivers monomorphize to exactly the pre-fault code
-//! (bitwise-identity is asserted by `tests/fault_suite.rs`).
+//! and every driver asks it one question: [`FaultPlan::inject`] at a
+//! [`FaultSite`], the coordinates the driver holds at that point. A plan
+//! with no entries is "no faults" — every query answers `None` — and the
+//! drivers run it when nobody hands them one (bitwise neutrality is
+//! asserted by `tests/fault_suite.rs`).
+//!
+//! Adding a fault is one [`FaultKind`] variant (what it does), one
+//! [`FaultSite`] variant if no existing site fits, and one arm of
+//! [`FaultRecord::site`] (where it fires); [`FaultKind::one_shot`] says
+//! whether it fires once.
 //!
 //! Determinism: every random choice comes from an internal splitmix64
 //! stream keyed by `(plan seed, step, case)`, so one plan replays the same
@@ -34,15 +39,6 @@
 pub enum FaultLane {
     Cpu,
     Gpu,
-}
-
-impl FaultLane {
-    pub fn label(&self) -> &'static str {
-        match self {
-            FaultLane::Cpu => "cpu",
-            FaultLane::Gpu => "gpu",
-        }
-    }
 }
 
 /// Corruption applied to a vector (an initial guess or a predictor
@@ -99,16 +95,6 @@ pub enum StateField {
     A,
 }
 
-impl StateField {
-    pub fn label(&self) -> &'static str {
-        match self {
-            StateField::U => "u",
-            StateField::V => "v",
-            StateField::A => "a",
-        }
-    }
-}
-
 /// A single-bit corruption of one `f64` word — the atom of silent data
 /// corruption. The word index and bit position are derived from `seed`,
 /// so the same plan flips the same bit across runs; the flip is its own
@@ -157,13 +143,6 @@ pub struct LaneFault {
     pub seconds: f64,
 }
 
-/// Cap the CG solver's iteration budget for one step (forces max-iter
-/// exhaustion and exercises the recovery ladder).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolverFault {
-    pub max_iter: usize,
-}
-
 /// Fault injected into the serving layer's admission decision: the
 /// request is turned away even though the real queue had room.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,19 +151,6 @@ pub enum AdmissionFault {
     Reject,
     /// Shed as if the queue were at capacity (backpressure).
     Shed,
-}
-
-/// Forcibly evict an in-flight request from its lane slot at the next
-/// time-step boundary (an operator cancel, a watchdog kill).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvictionFault;
-
-/// Tear the checkpoint file that was just written: keep only the leading
-/// `keep_frac` of its bytes, simulating a crash mid-write on a filesystem
-/// without the atomic-rename guarantee.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TornWriteFault {
-    pub keep_frac: f64,
 }
 
 /// One scheduled (or injected) fault with its target.
@@ -206,9 +172,12 @@ pub enum FaultKind {
         set: usize,
         fault: LaneFault,
     },
+    /// Cap set `set`'s first solve attempt at `max_iter` iterations
+    /// (forces max-iter exhaustion and exercises the recovery ladder;
+    /// retries run with the real configuration).
     Solver {
         set: usize,
-        fault: SolverFault,
+        max_iter: usize,
     },
     /// Serving-layer admission fault; `index` is the admission sequence
     /// number (the n-th `admit` call), recorded as the step.
@@ -216,13 +185,17 @@ pub enum FaultKind {
         index: usize,
         fault: AdmissionFault,
     },
-    /// Serving-layer eviction of request `case` at a step boundary.
+    /// Serving-layer eviction of in-flight request `case` at a step
+    /// boundary (an operator cancel, a watchdog kill).
     Eviction {
         case: usize,
     },
-    /// Process death at the start of durable-run step `step` (one-shot).
+    /// Process death at step boundary `step`, before the step executes
+    /// (one-shot, so a resumed run replaying the boundary proceeds).
     Crash,
-    /// Tear the checkpoint written with sequence number `step` (one-shot).
+    /// Tear the checkpoint written with sequence number `step` down to its
+    /// leading `keep_frac` of bytes — a crash mid-write on a filesystem
+    /// without the atomic-rename guarantee (one-shot).
     TornWrite {
         keep_frac: f64,
     },
@@ -294,162 +267,137 @@ pub enum FaultKind {
     },
 }
 
-/// A fault that actually fired: the step it hit plus what it did.
+impl FaultKind {
+    /// Does this fault fire once and then stay spent? Process and node
+    /// deaths, torn or flipped checkpoint images, partitions, bursts and
+    /// forced scale-downs are one-shot, so a resumed run or a failed-over
+    /// shard replaying the same boundary proceeds; every other fault fires
+    /// whenever its site is queried.
+    pub fn one_shot(&self) -> bool {
+        matches!(
+            self,
+            FaultKind::Crash
+                | FaultKind::TornWrite { .. }
+                | FaultKind::NodeCrash { .. }
+                | FaultKind::ReplicaCorrupt { .. }
+                | FaultKind::LinkPartition { .. }
+                | FaultKind::TenantBurst { .. }
+                | FaultKind::StuckLaneScaledown
+                | FaultKind::ReplicaFlip { .. }
+        )
+    }
+}
+
+/// A planned fault: the step (tick, admission index or checkpoint
+/// sequence) it targets plus what it does. [`FaultPlan::injected`] logs
+/// the planned record itself each time it fires.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultRecord {
     pub step: usize,
     pub kind: FaultKind,
 }
 
-/// Driver-side hooks. Every hook defaults to `None` (no fault), so an
-/// injector that overrides nothing — [`NoopFaults`] — compiles out of the
-/// hot path entirely. Hooks take `&mut self` so plans can log what fired;
-/// drivers must query each hook at most once per (step, target).
-pub trait FaultInjector {
-    /// Corrupt the initial guess of `case` at `step` (after prediction,
-    /// before the solve).
-    fn guess_fault(&mut self, _step: usize, _case: usize) -> Option<VectorFault> {
-        None
-    }
+/// Where a driver asks whether a fault fires: the coordinates it already
+/// holds at that point. Steps are the driver's step or tick boundary;
+/// `seq` is a checkpoint sequence number; `set` a process set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultSite {
+    /// `case`'s initial guess at `step` (after prediction, before the solve).
+    Guess { step: usize, case: usize },
+    /// `case`'s correction snapshot recorded at `step`.
+    Snapshot { step: usize, case: usize },
+    /// Process set `set`'s modeled exchange at `step`.
+    Exchange { step: usize, set: usize },
+    /// A modeled device lane of process set `set` at `step`.
+    Lane { step: usize, set: usize },
+    /// Process set `set`'s first solve attempt at `step`.
+    Solver { step: usize, set: usize },
+    /// The serving layer's `index`-th admission (0-based, lifetime).
+    Admission { index: usize },
+    /// In-flight request `case` at serving step `step`.
+    Eviction { step: usize, case: usize },
+    /// Step (or server tick) boundary `step`, before it executes.
+    Crash { step: usize },
+    /// The run checkpoint just written with sequence number `seq`.
+    TornWrite { seq: u64 },
+    /// Cluster node `node` at tick `tick`, before the tick executes.
+    NodeCrash { tick: usize, node: usize },
+    /// The peer replica of `node`'s checkpoint just mirrored as `seq`.
+    ReplicaCorrupt { node: usize, seq: u64 },
+    /// The modeled link between nodes `a` and `b` (either order) at
+    /// cluster tick `tick`.
+    LinkPartition { tick: usize, a: usize, b: usize },
+    /// The serving layer at tick `tick` (tenant flood).
+    TenantBurst { tick: usize },
+    /// The autoscaler at tick `tick`.
+    StuckLaneScaledown { tick: usize },
+    /// `case`'s state vectors at the `step` boundary, before verification.
+    StateFlip { step: usize, case: usize },
+    /// `case`'s assembled RHS at `step`, before the checksummed consume.
+    RhsFlip { step: usize, case: usize },
+    /// The run's operator payload as of `step`.
+    OperatorFlip { step: usize },
+    /// `case`'s predictor history at the `step` boundary.
+    BasisFlip { step: usize, case: usize },
+    /// The in-memory replica of `node`'s checkpoint just mirrored as `seq`.
+    ReplicaFlip { node: usize, seq: u64 },
+}
 
-    /// Poison the correction snapshot of `case` recorded at `step` (before
-    /// it enters the predictor history).
-    fn snapshot_fault(&mut self, _step: usize, _case: usize) -> Option<VectorFault> {
-        None
-    }
-
-    /// Break the modeled exchange of process set `set` at `step`.
-    fn exchange_fault(&mut self, _step: usize, _set: usize) -> Option<ExchangeFault> {
-        None
-    }
-
-    /// Stall a modeled device lane of process set `set` at `step`.
-    fn lane_fault(&mut self, _step: usize, _set: usize) -> Option<LaneFault> {
-        None
-    }
-
-    /// Cap the solver's iteration budget for process set `set` at `step`
-    /// (applies to the first solve attempt only; recovery retries run with
-    /// the real configuration).
-    fn solver_fault(&mut self, _step: usize, _set: usize) -> Option<SolverFault> {
-        None
-    }
-
-    /// Fault the serving layer's `index`-th admission decision (0-based
-    /// over the server's lifetime).
-    fn admission_fault(&mut self, _index: usize) -> Option<AdmissionFault> {
-        None
-    }
-
-    /// Evict in-flight request `case` at the `step` boundary of the
-    /// serving layer's global clock.
-    fn eviction_fault(&mut self, _step: usize, _case: usize) -> Option<EvictionFault> {
-        None
-    }
-
-    /// Kill the process at the `step` boundary of a durable run, *before*
-    /// the step executes. One-shot in [`FaultPlan`]: querying the same
-    /// boundary again (the resumed run replaying it) returns `false`, so
-    /// a resume with the same plan instance proceeds past the crash.
-    fn crash_fault(&mut self, _step: usize) -> bool {
-        false
-    }
-
-    /// Tear the checkpoint file just written with sequence number `seq`.
-    /// One-shot in [`FaultPlan`], like [`FaultInjector::crash_fault`].
-    fn torn_write_fault(&mut self, _seq: u64) -> Option<TornWriteFault> {
-        None
-    }
-
-    /// Kill cluster node `node` at cluster tick `tick`, *before* the tick
-    /// executes. One-shot like [`FaultInjector::crash_fault`]: a failed-over
-    /// shard replaying the same boundary proceeds.
-    fn node_crash_fault(&mut self, _tick: usize, _node: usize) -> bool {
-        false
-    }
-
-    /// Corrupt the peer replica of `node`'s shard checkpoint just mirrored
-    /// with sequence number `seq`. One-shot, keyed by `(node, seq)`.
-    fn replica_corruption_fault(&mut self, _node: usize, _seq: u64) -> Option<TornWriteFault> {
-        None
-    }
-
-    /// Partition the modeled link between nodes `a` and `b` for cluster
-    /// tick `tick`. Symmetric in `(a, b)` and one-shot: the link heals at
-    /// the next tick.
-    fn link_partition_fault(&mut self, _tick: usize, _a: usize, _b: usize) -> bool {
-        false
-    }
-
-    /// Flood the serving layer at tick `tick`: returns `(tenant, count)`
-    /// for a burst of self-admitted requests from one tenant (one-shot in
-    /// [`FaultPlan`]). The server admits them through the normal QoS path,
-    /// so typed sheds are expected — and the point.
-    fn tenant_burst_fault(&mut self, _tick: usize) -> Option<(u32, u32)> {
-        None
-    }
-
-    /// Force the autoscaler to start draining its highest lane at tick
-    /// `tick` regardless of load (one-shot in [`FaultPlan`]): the chaos
-    /// probe for the scale-down path with columns still in flight.
-    fn stuck_scaledown_fault(&mut self, _tick: usize) -> bool {
-        false
-    }
-
-    /// Flip one bit of one state vector (u/v/a) of `case` at the `step`
-    /// boundary, before the step's integrity verification runs.
-    fn state_flip_fault(&mut self, _step: usize, _case: usize) -> Option<(StateField, BitFlip)> {
-        None
-    }
-
-    /// Flip one bit of `case`'s assembled RHS at `step` (after assembly,
-    /// before the checksum-verified consume).
-    fn rhs_flip_fault(&mut self, _step: usize, _case: usize) -> Option<BitFlip> {
-        None
-    }
-
-    /// Flip one bit of the run's operator payload as of `step`. The
-    /// driver materializes a corrupted shadow of the operator data; the
-    /// pristine source stays untouched, mirroring a fault in device
-    /// memory with a clean host copy to recover from.
-    fn operator_flip_fault(&mut self, _step: usize) -> Option<BitFlip> {
-        None
-    }
-
-    /// Flip one bit of `case`'s predictor history (MGS basis source) at
-    /// the `step` boundary.
-    fn basis_flip_fault(&mut self, _step: usize, _case: usize) -> Option<BitFlip> {
-        None
-    }
-
-    /// Flip one bit of the in-memory replica of `node`'s checkpoint just
-    /// mirrored with sequence number `seq`. One-shot, keyed by
-    /// `(node, seq)` like [`FaultInjector::replica_corruption_fault`].
-    fn replica_flip_fault(&mut self, _node: usize, _seq: u64) -> Option<BitFlip> {
-        None
+impl FaultSite {
+    /// The site with symmetric coordinates in one order: a partitioned
+    /// link is the same fault seen from either end.
+    fn canonical(self) -> Self {
+        match self {
+            FaultSite::LinkPartition { tick, a, b } => FaultSite::LinkPartition {
+                tick,
+                a: a.min(b),
+                b: a.max(b),
+            },
+            site => site,
+        }
     }
 }
 
-/// The zero-cost default: a ZST whose hooks are the empty default bodies.
-/// `run(b, cfg)` and a fault-threaded run with `NoopFaults` compile to the
-/// same machine code, and the fault suite asserts bitwise-identical
-/// results.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopFaults;
-
-impl FaultInjector for NoopFaults {}
+impl FaultRecord {
+    /// The one site this planned fault fires at — the matcher every query
+    /// goes through.
+    pub fn site(&self) -> FaultSite {
+        let (step, seq, tick) = (self.step, self.step as u64, self.step);
+        match self.kind {
+            FaultKind::Guess { case, .. } => FaultSite::Guess { step, case },
+            FaultKind::Snapshot { case, .. } => FaultSite::Snapshot { step, case },
+            FaultKind::Exchange { set, .. } => FaultSite::Exchange { step, set },
+            FaultKind::Lane { set, .. } => FaultSite::Lane { step, set },
+            FaultKind::Solver { set, .. } => FaultSite::Solver { step, set },
+            FaultKind::Admission { index, .. } => FaultSite::Admission { index },
+            FaultKind::Eviction { case } => FaultSite::Eviction { step, case },
+            FaultKind::Crash => FaultSite::Crash { step },
+            FaultKind::TornWrite { .. } => FaultSite::TornWrite { seq },
+            FaultKind::NodeCrash { node } => FaultSite::NodeCrash { tick, node },
+            FaultKind::ReplicaCorrupt { node, .. } => FaultSite::ReplicaCorrupt { node, seq },
+            FaultKind::LinkPartition { a, b } => FaultSite::LinkPartition { tick, a, b },
+            FaultKind::TenantBurst { .. } => FaultSite::TenantBurst { tick },
+            FaultKind::StuckLaneScaledown => FaultSite::StuckLaneScaledown { tick },
+            FaultKind::StateFlip { case, .. } => FaultSite::StateFlip { step, case },
+            FaultKind::RhsFlip { case, .. } => FaultSite::RhsFlip { step, case },
+            FaultKind::OperatorFlip { .. } => FaultSite::OperatorFlip { step },
+            FaultKind::BasisFlip { case, .. } => FaultSite::BasisFlip { step, case },
+            FaultKind::ReplicaFlip { node, .. } => FaultSite::ReplicaFlip { node, seq },
+        }
+    }
+}
 
 /// A seeded, deterministic schedule of faults. Build it with the
-/// `at_step`-style methods, hand it to a `run_faulted` driver, then read
-/// back [`FaultPlan::injected`] to assert every scheduled fault actually
-/// fired.
+/// `at_step`-style methods, hand it to a driver (`run_with`, a server),
+/// then read back [`FaultPlan::injected`] to assert every scheduled fault
+/// actually fired. `FaultPlan::default()` — no entries — is "no faults".
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     seed: u64,
     planned: Vec<FaultRecord>,
     injected: Vec<FaultRecord>,
-    /// Planned entries already consumed by a one-shot hook (crash, torn
-    /// write); indexed parallel to `planned`, grown lazily.
+    /// Planned entries a one-shot fault already consumed; parallel to
+    /// `planned`.
     spent: Vec<bool>,
 }
 
@@ -457,9 +405,7 @@ impl FaultPlan {
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
-            planned: Vec::new(),
-            injected: Vec::new(),
-            spent: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -472,273 +418,162 @@ impl FaultPlan {
         splitmix64(&mut s)
     }
 
-    /// NaN ~`frac` of the entries of `case`'s initial guess at `step`.
-    pub fn nan_guess(mut self, step: usize, case: usize, frac: f64) -> Self {
-        let seed = self.derive_seed(step, case);
-        self.planned.push(FaultRecord {
-            step,
-            kind: FaultKind::Guess {
-                case,
-                fault: VectorFault::Nan { frac, seed },
-            },
-        });
+    /// Schedule `kind` at `step`.
+    fn plan(mut self, step: usize, kind: FaultKind) -> Self {
+        self.planned.push(FaultRecord { step, kind });
+        self.spent.push(false);
         self
+    }
+
+    /// NaN ~`frac` of the entries of `case`'s initial guess at `step`.
+    pub fn nan_guess(self, step: usize, case: usize, frac: f64) -> Self {
+        let seed = self.derive_seed(step, case);
+        let fault = VectorFault::Nan { frac, seed };
+        self.plan(step, FaultKind::Guess { case, fault })
     }
 
     /// Scale `case`'s initial guess by `factor` at `step`.
-    pub fn scale_guess(mut self, step: usize, case: usize, factor: f64) -> Self {
-        self.planned.push(FaultRecord {
-            step,
-            kind: FaultKind::Guess {
-                case,
-                fault: VectorFault::Scale { factor },
-            },
-        });
-        self
+    pub fn scale_guess(self, step: usize, case: usize, factor: f64) -> Self {
+        let fault = VectorFault::Scale { factor };
+        self.plan(step, FaultKind::Guess { case, fault })
     }
 
     /// NaN ~`frac` of `case`'s correction snapshot recorded at `step`.
-    pub fn nan_snapshot(mut self, step: usize, case: usize, frac: f64) -> Self {
+    pub fn nan_snapshot(self, step: usize, case: usize, frac: f64) -> Self {
         let seed = self.derive_seed(step, case).rotate_left(17);
-        self.planned.push(FaultRecord {
-            step,
-            kind: FaultKind::Snapshot {
-                case,
-                fault: VectorFault::Nan { frac, seed },
-            },
-        });
-        self
+        let fault = VectorFault::Nan { frac, seed };
+        self.plan(step, FaultKind::Snapshot { case, fault })
     }
 
     /// Scale `case`'s correction snapshot by `factor` at `step`.
-    pub fn scale_snapshot(mut self, step: usize, case: usize, factor: f64) -> Self {
-        self.planned.push(FaultRecord {
-            step,
-            kind: FaultKind::Snapshot {
-                case,
-                fault: VectorFault::Scale { factor },
-            },
-        });
-        self
+    pub fn scale_snapshot(self, step: usize, case: usize, factor: f64) -> Self {
+        let fault = VectorFault::Scale { factor };
+        self.plan(step, FaultKind::Snapshot { case, fault })
     }
 
     /// Drop set `set`'s modeled exchange at `step`.
-    pub fn drop_exchange(mut self, step: usize, set: usize) -> Self {
-        self.planned.push(FaultRecord {
-            step,
-            kind: FaultKind::Exchange {
-                set,
-                fault: ExchangeFault::Drop,
-            },
-        });
-        self
+    pub fn drop_exchange(self, step: usize, set: usize) -> Self {
+        let fault = ExchangeFault::Drop;
+        self.plan(step, FaultKind::Exchange { set, fault })
     }
 
     /// Delay set `set`'s modeled exchange by `factor`× at `step`.
-    pub fn delay_exchange(mut self, step: usize, set: usize, factor: f64) -> Self {
-        self.planned.push(FaultRecord {
-            step,
-            kind: FaultKind::Exchange {
-                set,
-                fault: ExchangeFault::Delay { factor },
-            },
-        });
-        self
+    pub fn delay_exchange(self, step: usize, set: usize, factor: f64) -> Self {
+        let fault = ExchangeFault::Delay { factor };
+        self.plan(step, FaultKind::Exchange { set, fault })
     }
 
     /// Stall a device lane of set `set` for `seconds` at `step`.
-    pub fn stall_lane(mut self, step: usize, set: usize, lane: FaultLane, seconds: f64) -> Self {
-        self.planned.push(FaultRecord {
-            step,
-            kind: FaultKind::Lane {
-                set,
-                fault: LaneFault { lane, seconds },
-            },
-        });
-        self
+    pub fn stall_lane(self, step: usize, set: usize, lane: FaultLane, seconds: f64) -> Self {
+        let fault = LaneFault { lane, seconds };
+        self.plan(step, FaultKind::Lane { set, fault })
     }
 
     /// Cap the solver at `max_iter` iterations for set `set` at `step`.
-    pub fn cap_solver(mut self, step: usize, set: usize, max_iter: usize) -> Self {
-        self.planned.push(FaultRecord {
-            step,
-            kind: FaultKind::Solver {
-                set,
-                fault: SolverFault { max_iter },
-            },
-        });
-        self
+    pub fn cap_solver(self, step: usize, set: usize, max_iter: usize) -> Self {
+        self.plan(step, FaultKind::Solver { set, max_iter })
     }
 
     /// Reject the serving layer's `index`-th admission.
-    pub fn reject_admission(mut self, index: usize) -> Self {
-        self.planned.push(FaultRecord {
-            step: index,
-            kind: FaultKind::Admission {
-                index,
-                fault: AdmissionFault::Reject,
-            },
-        });
-        self
+    pub fn reject_admission(self, index: usize) -> Self {
+        let fault = AdmissionFault::Reject;
+        self.plan(index, FaultKind::Admission { index, fault })
     }
 
     /// Shed the serving layer's `index`-th admission (simulated
     /// backpressure).
-    pub fn shed_admission(mut self, index: usize) -> Self {
-        self.planned.push(FaultRecord {
-            step: index,
-            kind: FaultKind::Admission {
-                index,
-                fault: AdmissionFault::Shed,
-            },
-        });
-        self
+    pub fn shed_admission(self, index: usize) -> Self {
+        let fault = AdmissionFault::Shed;
+        self.plan(index, FaultKind::Admission { index, fault })
     }
 
     /// Evict in-flight request `case` at serving step `step`.
-    pub fn evict(mut self, step: usize, case: usize) -> Self {
-        self.planned.push(FaultRecord {
-            step,
-            kind: FaultKind::Eviction { case },
-        });
-        self
+    pub fn evict(self, step: usize, case: usize) -> Self {
+        self.plan(step, FaultKind::Eviction { case })
     }
 
-    /// Kill the process at durable-run step boundary `step` (one-shot:
-    /// fires once, so the resumed run proceeds past it).
-    pub fn crash_at(mut self, step: usize) -> Self {
-        self.planned.push(FaultRecord {
-            step,
-            kind: FaultKind::Crash,
-        });
-        self
+    /// Kill the process at step boundary `step` (one-shot: fires once, so
+    /// the resumed run proceeds past it).
+    pub fn crash_at(self, step: usize) -> Self {
+        self.plan(step, FaultKind::Crash)
     }
 
     /// Tear the checkpoint written with sequence number `seq` down to the
     /// leading `keep_frac` of its bytes (one-shot).
-    pub fn tear_checkpoint(mut self, seq: u64, keep_frac: f64) -> Self {
-        self.planned.push(FaultRecord {
-            step: seq as usize,
-            kind: FaultKind::TornWrite { keep_frac },
-        });
-        self
+    pub fn tear_checkpoint(self, seq: u64, keep_frac: f64) -> Self {
+        self.plan(seq as usize, FaultKind::TornWrite { keep_frac })
     }
 
     /// Kill cluster node `node` at cluster tick boundary `tick`
     /// (one-shot: the failed-over shard replays past it).
-    pub fn crash_node(mut self, tick: usize, node: usize) -> Self {
-        self.planned.push(FaultRecord {
-            step: tick,
-            kind: FaultKind::NodeCrash { node },
-        });
-        self
+    pub fn crash_node(self, tick: usize, node: usize) -> Self {
+        self.plan(tick, FaultKind::NodeCrash { node })
     }
 
     /// Corrupt the peer replica of `node`'s checkpoint mirrored with
     /// sequence number `seq` down to the leading `keep_frac` of its bytes
     /// (one-shot).
-    pub fn corrupt_replica(mut self, node: usize, seq: u64, keep_frac: f64) -> Self {
-        self.planned.push(FaultRecord {
-            step: seq as usize,
-            kind: FaultKind::ReplicaCorrupt { node, keep_frac },
-        });
-        self
+    pub fn corrupt_replica(self, node: usize, seq: u64, keep_frac: f64) -> Self {
+        self.plan(seq as usize, FaultKind::ReplicaCorrupt { node, keep_frac })
     }
 
     /// Sever the modeled link between nodes `a` and `b` for cluster tick
     /// `tick` (one-shot, symmetric).
-    pub fn partition_link(mut self, tick: usize, a: usize, b: usize) -> Self {
-        self.planned.push(FaultRecord {
-            step: tick,
-            kind: FaultKind::LinkPartition { a, b },
-        });
-        self
+    pub fn partition_link(self, tick: usize, a: usize, b: usize) -> Self {
+        self.plan(tick, FaultKind::LinkPartition { a, b })
     }
 
     /// Flood the server with `count` requests from `tenant` at tick `tick`
     /// (one-shot).
-    pub fn tenant_burst(mut self, tick: usize, tenant: u32, count: u32) -> Self {
-        self.planned.push(FaultRecord {
-            step: tick,
-            kind: FaultKind::TenantBurst { tenant, count },
-        });
-        self
+    pub fn tenant_burst(self, tick: usize, tenant: u32, count: u32) -> Self {
+        self.plan(tick, FaultKind::TenantBurst { tenant, count })
     }
 
     /// Force the autoscaler to drain its highest lane at tick `tick` even
     /// under load (one-shot).
-    pub fn stuck_lane_scaledown(mut self, tick: usize) -> Self {
-        self.planned.push(FaultRecord {
-            step: tick,
-            kind: FaultKind::StuckLaneScaledown,
-        });
-        self
+    pub fn stuck_lane_scaledown(self, tick: usize) -> Self {
+        self.plan(tick, FaultKind::StuckLaneScaledown)
     }
 
     /// Flip one seeded bit of `case`'s `field` state vector at `step`.
-    pub fn flip_state(mut self, step: usize, case: usize, field: StateField) -> Self {
-        let seed = self.derive_seed(step, case).rotate_left(29);
-        self.planned.push(FaultRecord {
-            step,
-            kind: FaultKind::StateFlip {
-                case,
-                field,
-                flip: BitFlip { seed },
-            },
-        });
-        self
+    pub fn flip_state(self, step: usize, case: usize, field: StateField) -> Self {
+        let flip = BitFlip {
+            seed: self.derive_seed(step, case).rotate_left(29),
+        };
+        self.plan(step, FaultKind::StateFlip { case, field, flip })
     }
 
     /// Flip one seeded bit of `case`'s assembled RHS at `step`.
-    pub fn flip_rhs(mut self, step: usize, case: usize) -> Self {
-        let seed = self.derive_seed(step, case).rotate_left(41);
-        self.planned.push(FaultRecord {
-            step,
-            kind: FaultKind::RhsFlip {
-                case,
-                flip: BitFlip { seed },
-            },
-        });
-        self
+    pub fn flip_rhs(self, step: usize, case: usize) -> Self {
+        let flip = BitFlip {
+            seed: self.derive_seed(step, case).rotate_left(41),
+        };
+        self.plan(step, FaultKind::RhsFlip { case, flip })
     }
 
     /// Flip one seeded bit of the operator payload as of `step`.
-    pub fn flip_operator(mut self, step: usize) -> Self {
-        let seed = self.derive_seed(step, 0).rotate_left(53);
-        self.planned.push(FaultRecord {
-            step,
-            kind: FaultKind::OperatorFlip {
-                flip: BitFlip { seed },
-            },
-        });
-        self
+    pub fn flip_operator(self, step: usize) -> Self {
+        let flip = BitFlip {
+            seed: self.derive_seed(step, 0).rotate_left(53),
+        };
+        self.plan(step, FaultKind::OperatorFlip { flip })
     }
 
     /// Flip one seeded bit of `case`'s predictor history at `step`.
-    pub fn flip_basis(mut self, step: usize, case: usize) -> Self {
-        let seed = self.derive_seed(step, case).rotate_left(7);
-        self.planned.push(FaultRecord {
-            step,
-            kind: FaultKind::BasisFlip {
-                case,
-                flip: BitFlip { seed },
-            },
-        });
-        self
+    pub fn flip_basis(self, step: usize, case: usize) -> Self {
+        let flip = BitFlip {
+            seed: self.derive_seed(step, case).rotate_left(7),
+        };
+        self.plan(step, FaultKind::BasisFlip { case, flip })
     }
 
     /// Flip one seeded bit of the replica of `node`'s checkpoint mirrored
     /// with sequence number `seq` (one-shot).
-    pub fn flip_replica(mut self, node: usize, seq: u64) -> Self {
-        let seed = self.derive_seed(seq as usize, node).rotate_left(13);
-        self.planned.push(FaultRecord {
-            step: seq as usize,
-            kind: FaultKind::ReplicaFlip {
-                node,
-                flip: BitFlip { seed },
-            },
-        });
-        self
+    pub fn flip_replica(self, node: usize, seq: u64) -> Self {
+        let flip = BitFlip {
+            seed: self.derive_seed(seq as usize, node).rotate_left(13),
+        };
+        self.plan(seq as usize, FaultKind::ReplicaFlip { node, flip })
     }
 
     /// Faults scheduled in this plan.
@@ -746,8 +581,8 @@ impl FaultPlan {
         &self.planned
     }
 
-    /// Faults that actually fired (one record per hook hit), in firing
-    /// order. Fault-suite tests assert this covers the whole plan.
+    /// Faults that actually fired (the planned record, once per hit), in
+    /// firing order. Fault-suite tests assert this covers the whole plan.
     pub fn injected(&self) -> &[FaultRecord] {
         &self.injected
     }
@@ -759,214 +594,19 @@ impl FaultPlan {
             .all(|p| self.injected.iter().any(|i| i == p))
     }
 
-    fn log(&mut self, step: usize, kind: FaultKind) {
-        self.injected.push(FaultRecord { step, kind });
-    }
-
-    /// Find a not-yet-consumed planned entry matching `pred`, mark it
-    /// consumed, and return its kind — the one-shot firing discipline.
-    fn take_one_shot(&mut self, pred: impl Fn(&FaultRecord) -> bool) -> Option<FaultKind> {
-        if self.spent.len() < self.planned.len() {
-            self.spent.resize(self.planned.len(), false);
-        }
-        let i = self
-            .planned
-            .iter()
-            .enumerate()
-            .position(|(i, p)| !self.spent[i] && pred(p))?;
-        self.spent[i] = true;
-        Some(self.planned[i].kind)
-    }
-}
-
-impl FaultInjector for FaultPlan {
-    fn guess_fault(&mut self, step: usize, case: usize) -> Option<VectorFault> {
-        let hit = self.planned.iter().find_map(|p| match p.kind {
-            FaultKind::Guess { case: c, fault } if p.step == step && c == case => Some(fault),
-            _ => None,
-        })?;
-        self.log(step, FaultKind::Guess { case, fault: hit });
-        Some(hit)
-    }
-
-    fn snapshot_fault(&mut self, step: usize, case: usize) -> Option<VectorFault> {
-        let hit = self.planned.iter().find_map(|p| match p.kind {
-            FaultKind::Snapshot { case: c, fault } if p.step == step && c == case => Some(fault),
-            _ => None,
-        })?;
-        self.log(step, FaultKind::Snapshot { case, fault: hit });
-        Some(hit)
-    }
-
-    fn exchange_fault(&mut self, step: usize, set: usize) -> Option<ExchangeFault> {
-        let hit = self.planned.iter().find_map(|p| match p.kind {
-            FaultKind::Exchange { set: s, fault } if p.step == step && s == set => Some(fault),
-            _ => None,
-        })?;
-        self.log(step, FaultKind::Exchange { set, fault: hit });
-        Some(hit)
-    }
-
-    fn lane_fault(&mut self, step: usize, set: usize) -> Option<LaneFault> {
-        let hit = self.planned.iter().find_map(|p| match p.kind {
-            FaultKind::Lane { set: s, fault } if p.step == step && s == set => Some(fault),
-            _ => None,
-        })?;
-        self.log(step, FaultKind::Lane { set, fault: hit });
-        Some(hit)
-    }
-
-    fn solver_fault(&mut self, step: usize, set: usize) -> Option<SolverFault> {
-        let hit = self.planned.iter().find_map(|p| match p.kind {
-            FaultKind::Solver { set: s, fault } if p.step == step && s == set => Some(fault),
-            _ => None,
-        })?;
-        self.log(step, FaultKind::Solver { set, fault: hit });
-        Some(hit)
-    }
-
-    fn admission_fault(&mut self, index: usize) -> Option<AdmissionFault> {
-        let hit = self.planned.iter().find_map(|p| match p.kind {
-            FaultKind::Admission { index: i, fault } if i == index => Some(fault),
-            _ => None,
-        })?;
-        self.log(index, FaultKind::Admission { index, fault: hit });
-        Some(hit)
-    }
-
-    fn eviction_fault(&mut self, step: usize, case: usize) -> Option<EvictionFault> {
-        self.planned.iter().find_map(|p| match p.kind {
-            FaultKind::Eviction { case: c } if p.step == step && c == case => Some(()),
-            _ => None,
-        })?;
-        self.log(step, FaultKind::Eviction { case });
-        Some(EvictionFault)
-    }
-
-    fn crash_fault(&mut self, step: usize) -> bool {
-        let hit = self.take_one_shot(|p| matches!(p.kind, FaultKind::Crash) && p.step == step);
-        if hit.is_some() {
-            self.log(step, FaultKind::Crash);
-        }
-        hit.is_some()
-    }
-
-    fn torn_write_fault(&mut self, seq: u64) -> Option<TornWriteFault> {
-        let kind = self.take_one_shot(|p| {
-            matches!(p.kind, FaultKind::TornWrite { .. }) && p.step == seq as usize
-        })?;
-        let FaultKind::TornWrite { keep_frac } = kind else {
-            unreachable!("one-shot matcher filtered on TornWrite");
-        };
-        self.log(seq as usize, kind);
-        Some(TornWriteFault { keep_frac })
-    }
-
-    fn node_crash_fault(&mut self, tick: usize, node: usize) -> bool {
-        let hit = self.take_one_shot(|p| {
-            matches!(p.kind, FaultKind::NodeCrash { node: n } if n == node) && p.step == tick
-        });
-        if hit.is_some() {
-            self.log(tick, FaultKind::NodeCrash { node });
-        }
-        hit.is_some()
-    }
-
-    fn replica_corruption_fault(&mut self, node: usize, seq: u64) -> Option<TornWriteFault> {
-        let kind = self.take_one_shot(|p| {
-            matches!(p.kind, FaultKind::ReplicaCorrupt { node: n, .. } if n == node)
-                && p.step == seq as usize
-        })?;
-        let FaultKind::ReplicaCorrupt { keep_frac, .. } = kind else {
-            unreachable!("one-shot matcher filtered on ReplicaCorrupt");
-        };
-        self.log(seq as usize, kind);
-        Some(TornWriteFault { keep_frac })
-    }
-
-    fn link_partition_fault(&mut self, tick: usize, a: usize, b: usize) -> bool {
-        let hit = self.take_one_shot(|p| {
-            matches!(p.kind, FaultKind::LinkPartition { a: x, b: y }
-                if (x == a && y == b) || (x == b && y == a))
-                && p.step == tick
-        });
-        // log the planned orientation: the match is symmetric in (a, b),
-        // but `all_fired` compares records literally
-        if let Some(kind) = hit {
-            self.log(tick, kind);
-        }
-        hit.is_some()
-    }
-
-    fn tenant_burst_fault(&mut self, tick: usize) -> Option<(u32, u32)> {
-        let kind = self
-            .take_one_shot(|p| matches!(p.kind, FaultKind::TenantBurst { .. }) && p.step == tick)?;
-        let FaultKind::TenantBurst { tenant, count } = kind else {
-            unreachable!("one-shot matcher filtered on TenantBurst");
-        };
-        self.log(tick, kind);
-        Some((tenant, count))
-    }
-
-    fn stuck_scaledown_fault(&mut self, tick: usize) -> bool {
-        let hit = self
-            .take_one_shot(|p| matches!(p.kind, FaultKind::StuckLaneScaledown) && p.step == tick);
-        if hit.is_some() {
-            self.log(tick, FaultKind::StuckLaneScaledown);
-        }
-        hit.is_some()
-    }
-
-    fn state_flip_fault(&mut self, step: usize, case: usize) -> Option<(StateField, BitFlip)> {
-        let (field, flip) = self.planned.iter().find_map(|p| match p.kind {
-            FaultKind::StateFlip {
-                case: c,
-                field,
-                flip,
-            } if p.step == step && c == case => Some((field, flip)),
-            _ => None,
-        })?;
-        self.log(step, FaultKind::StateFlip { case, field, flip });
-        Some((field, flip))
-    }
-
-    fn rhs_flip_fault(&mut self, step: usize, case: usize) -> Option<BitFlip> {
-        let flip = self.planned.iter().find_map(|p| match p.kind {
-            FaultKind::RhsFlip { case: c, flip } if p.step == step && c == case => Some(flip),
-            _ => None,
-        })?;
-        self.log(step, FaultKind::RhsFlip { case, flip });
-        Some(flip)
-    }
-
-    fn operator_flip_fault(&mut self, step: usize) -> Option<BitFlip> {
-        let flip = self.planned.iter().find_map(|p| match p.kind {
-            FaultKind::OperatorFlip { flip } if p.step == step => Some(flip),
-            _ => None,
-        })?;
-        self.log(step, FaultKind::OperatorFlip { flip });
-        Some(flip)
-    }
-
-    fn basis_flip_fault(&mut self, step: usize, case: usize) -> Option<BitFlip> {
-        let flip = self.planned.iter().find_map(|p| match p.kind {
-            FaultKind::BasisFlip { case: c, flip } if p.step == step && c == case => Some(flip),
-            _ => None,
-        })?;
-        self.log(step, FaultKind::BasisFlip { case, flip });
-        Some(flip)
-    }
-
-    fn replica_flip_fault(&mut self, node: usize, seq: u64) -> Option<BitFlip> {
-        let kind = self.take_one_shot(|p| {
-            matches!(p.kind, FaultKind::ReplicaFlip { node: n, .. } if n == node)
-                && p.step == seq as usize
-        })?;
-        let FaultKind::ReplicaFlip { flip, .. } = kind else {
-            unreachable!("one-shot matcher filtered on ReplicaFlip");
-        };
-        self.log(seq as usize, kind);
-        Some(flip)
+    /// The one fault query: does a planned fault fire at `site`? The first
+    /// matching entry that is not a spent one-shot fires — it is logged to
+    /// [`FaultPlan::injected`], consumed if [`FaultKind::one_shot`], and
+    /// its kind returned for the driver to apply. Drivers query each site
+    /// at most once per step; an empty plan answers `None` everywhere.
+    pub fn inject(&mut self, site: FaultSite) -> Option<FaultKind> {
+        let site = site.canonical();
+        let i = (0..self.planned.len())
+            .find(|&i| !self.spent[i] && self.planned[i].site().canonical() == site)?;
+        let hit = self.planned[i];
+        self.spent[i] = hit.kind.one_shot();
+        self.injected.push(hit);
+        Some(hit.kind)
     }
 }
 
@@ -990,15 +630,30 @@ fn unit_f64(x: u64) -> f64 {
 mod tests {
     use super::*;
 
+    /// The initial-guess site, the one most queries below target.
+    fn guess(step: usize, case: usize) -> FaultSite {
+        FaultSite::Guess { step, case }
+    }
+
     #[test]
     fn noop_is_zero_sized() {
-        assert_eq!(std::mem::size_of::<NoopFaults>(), 0);
-        let mut noop = NoopFaults;
-        assert!(noop.guess_fault(0, 0).is_none());
-        assert!(noop.snapshot_fault(3, 1).is_none());
-        assert!(noop.exchange_fault(5, 0).is_none());
-        assert!(noop.lane_fault(7, 1).is_none());
-        assert!(noop.solver_fault(9, 0).is_none());
+        // the empty plan is the no-op: it holds no allocation, answers
+        // `None` at every site and logs nothing
+        let mut empty = FaultPlan::default();
+        assert_eq!(empty.planned.capacity() + empty.spent.capacity(), 0);
+        assert!(empty.inject(guess(0, 0)).is_none());
+        assert!(empty
+            .inject(FaultSite::Snapshot { step: 3, case: 1 })
+            .is_none());
+        assert!(empty
+            .inject(FaultSite::Exchange { step: 5, set: 0 })
+            .is_none());
+        assert!(empty.inject(FaultSite::Lane { step: 7, set: 1 }).is_none());
+        assert!(empty
+            .inject(FaultSite::Solver { step: 9, set: 0 })
+            .is_none());
+        assert!(empty.inject(FaultSite::Crash { step: 0 }).is_none());
+        assert!(empty.injected().is_empty() && empty.all_fired());
     }
 
     #[test]
@@ -1042,19 +697,29 @@ mod tests {
             .drop_exchange(4, 1)
             .stall_lane(2, 0, FaultLane::Gpu, 0.25);
         assert_eq!(plan.planned().len(), 4);
-        assert!(plan.guess_fault(2, 1).is_none(), "wrong step");
-        assert!(plan.guess_fault(3, 0).is_none(), "wrong case");
-        let g = plan.guess_fault(3, 1).expect("scheduled guess fault");
-        assert!(matches!(g, VectorFault::Nan { frac, .. } if frac == 0.1));
+        assert!(plan.inject(guess(2, 1)).is_none(), "wrong step");
+        assert!(plan.inject(guess(3, 0)).is_none(), "wrong case");
+        let g = plan.inject(guess(3, 1)).expect("scheduled guess fault");
         assert!(matches!(
-            plan.solver_fault(5, 0),
-            Some(SolverFault { max_iter: 2 })
+            g,
+            FaultKind::Guess { fault: VectorFault::Nan { frac, .. }, .. } if frac == 0.1
         ));
         assert!(matches!(
-            plan.exchange_fault(4, 1),
-            Some(ExchangeFault::Drop)
+            plan.inject(FaultSite::Solver { step: 5, set: 0 }),
+            Some(FaultKind::Solver { max_iter: 2, .. })
         ));
-        let lf = plan.lane_fault(2, 0).expect("scheduled lane fault");
+        assert!(matches!(
+            plan.inject(FaultSite::Exchange { step: 4, set: 1 }),
+            Some(FaultKind::Exchange {
+                fault: ExchangeFault::Drop,
+                ..
+            })
+        ));
+        let Some(FaultKind::Lane { fault: lf, .. }) =
+            plan.inject(FaultSite::Lane { step: 2, set: 0 })
+        else {
+            panic!("scheduled lane fault");
+        };
         assert_eq!(lf.lane, FaultLane::Gpu);
         assert_eq!(lf.seconds, 0.25);
         assert!(plan.all_fired());
@@ -1067,29 +732,34 @@ mod tests {
             .reject_admission(0)
             .shed_admission(2)
             .evict(5, 7);
-        assert_eq!(plan.admission_fault(0), Some(AdmissionFault::Reject));
-        assert!(plan.admission_fault(1).is_none());
-        assert_eq!(plan.admission_fault(2), Some(AdmissionFault::Shed));
-        assert!(plan.eviction_fault(5, 6).is_none(), "wrong request");
-        assert!(plan.eviction_fault(4, 7).is_none(), "wrong step");
-        assert_eq!(plan.eviction_fault(5, 7), Some(EvictionFault));
+        let admission =
+            |plan: &mut FaultPlan, index| match plan.inject(FaultSite::Admission { index }) {
+                Some(FaultKind::Admission { fault, .. }) => Some(fault),
+                _ => None,
+            };
+        assert_eq!(admission(&mut plan, 0), Some(AdmissionFault::Reject));
+        assert!(admission(&mut plan, 1).is_none());
+        assert_eq!(admission(&mut plan, 2), Some(AdmissionFault::Shed));
+        let evict = |step, case| FaultSite::Eviction { step, case };
+        assert!(plan.inject(evict(5, 6)).is_none(), "wrong request");
+        assert!(plan.inject(evict(4, 7)).is_none(), "wrong step");
+        assert_eq!(
+            plan.inject(evict(5, 7)),
+            Some(FaultKind::Eviction { case: 7 })
+        );
         assert!(plan.all_fired());
-        // Noop defaults stay None
-        let mut noop = NoopFaults;
-        assert!(noop.admission_fault(0).is_none());
-        assert!(noop.eviction_fault(0, 0).is_none());
     }
 
     #[test]
     fn same_seed_same_plan_same_nan_pattern() {
         let mut p1 = FaultPlan::new(99).nan_guess(7, 2, 0.2);
         let mut p2 = FaultPlan::new(99).nan_guess(7, 2, 0.2);
-        let f1 = p1.guess_fault(7, 2).unwrap();
-        let f2 = p2.guess_fault(7, 2).unwrap();
+        let f1 = p1.inject(guess(7, 2)).unwrap();
+        let f2 = p2.inject(guess(7, 2)).unwrap();
         assert_eq!(f1, f2);
         // different seed -> different derived pattern seed
         let mut p3 = FaultPlan::new(100).nan_guess(7, 2, 0.2);
-        let f3 = p3.guess_fault(7, 2).unwrap();
+        let f3 = p3.inject(guess(7, 2)).unwrap();
         assert_ne!(f1, f3);
     }
 
@@ -1098,19 +768,26 @@ mod tests {
         let mut p = FaultPlan::new(5)
             .nan_guess(1, 0, 0.3)
             .nan_snapshot(1, 0, 0.3);
-        let g = p.guess_fault(1, 0).unwrap();
-        let s = p.snapshot_fault(1, 0).unwrap();
+        let Some(FaultKind::Guess { fault: g, .. }) = p.inject(guess(1, 0)) else {
+            panic!("guess fault");
+        };
+        let Some(FaultKind::Snapshot { fault: s, .. }) =
+            p.inject(FaultSite::Snapshot { step: 1, case: 0 })
+        else {
+            panic!("snapshot fault");
+        };
         assert_ne!(g, s, "guess and snapshot patterns must be independent");
     }
 
     #[test]
     fn crash_fault_is_one_shot() {
         let mut plan = FaultPlan::new(1).crash_at(4);
-        assert!(!plan.crash_fault(3), "wrong boundary");
-        assert!(plan.crash_fault(4), "planned crash fires");
+        let crash = |step| FaultSite::Crash { step };
+        assert!(plan.inject(crash(3)).is_none(), "wrong boundary");
+        assert!(plan.inject(crash(4)).is_some(), "planned crash fires");
         // The resumed run replays the same boundary with the same plan
         // instance — it must sail through.
-        assert!(!plan.crash_fault(4), "crash already consumed");
+        assert!(plan.inject(crash(4)).is_none(), "crash already consumed");
         assert!(plan.all_fired());
         assert_eq!(plan.injected().len(), 1);
     }
@@ -1118,11 +795,15 @@ mod tests {
     #[test]
     fn torn_write_is_one_shot_and_keyed_by_seq() {
         let mut plan = FaultPlan::new(1).tear_checkpoint(8, 0.5);
-        assert!(plan.torn_write_fault(7).is_none(), "wrong sequence");
-        let t = plan.torn_write_fault(8).expect("planned tear fires");
-        assert_eq!(t.keep_frac, 0.5);
+        let tear = |seq| FaultSite::TornWrite { seq };
+        assert!(plan.inject(tear(7)).is_none(), "wrong sequence");
+        assert_eq!(
+            plan.inject(tear(8)),
+            Some(FaultKind::TornWrite { keep_frac: 0.5 }),
+            "planned tear fires"
+        );
         assert!(
-            plan.torn_write_fault(8).is_none(),
+            plan.inject(tear(8)).is_none(),
             "tear already consumed; the rewritten checkpoint survives"
         );
         assert!(plan.all_fired());
@@ -1131,37 +812,48 @@ mod tests {
     #[test]
     fn node_crash_is_one_shot_and_keyed_by_node() {
         let mut plan = FaultPlan::new(1).crash_node(3, 1);
-        assert!(!plan.node_crash_fault(3, 0), "wrong node");
-        assert!(!plan.node_crash_fault(2, 1), "wrong tick");
-        assert!(plan.node_crash_fault(3, 1), "planned node crash fires");
-        assert!(!plan.node_crash_fault(3, 1), "node crash already consumed");
+        let crash = |tick, node| FaultSite::NodeCrash { tick, node };
+        assert!(plan.inject(crash(3, 0)).is_none(), "wrong node");
+        assert!(plan.inject(crash(2, 1)).is_none(), "wrong tick");
+        assert!(
+            plan.inject(crash(3, 1)).is_some(),
+            "planned node crash fires"
+        );
+        assert!(plan.inject(crash(3, 1)).is_none(), "node crash consumed");
         assert!(plan.all_fired());
     }
 
     #[test]
     fn replica_corruption_is_one_shot_and_keyed_by_node_and_seq() {
         let mut plan = FaultPlan::new(1).corrupt_replica(2, 5, 0.4);
-        assert!(plan.replica_corruption_fault(1, 5).is_none(), "wrong node");
-        assert!(plan.replica_corruption_fault(2, 4).is_none(), "wrong seq");
-        let t = plan.replica_corruption_fault(2, 5).expect("planned fires");
-        assert_eq!(t.keep_frac, 0.4);
-        assert!(plan.replica_corruption_fault(2, 5).is_none(), "consumed");
+        let site = |node, seq| FaultSite::ReplicaCorrupt { node, seq };
+        assert!(plan.inject(site(1, 5)).is_none(), "wrong node");
+        assert!(plan.inject(site(2, 4)).is_none(), "wrong seq");
+        assert_eq!(
+            plan.inject(site(2, 5)),
+            Some(FaultKind::ReplicaCorrupt {
+                node: 2,
+                keep_frac: 0.4
+            })
+        );
+        assert!(plan.inject(site(2, 5)).is_none(), "consumed");
         assert!(plan.all_fired());
     }
 
     #[test]
     fn link_partition_is_symmetric_and_one_shot() {
         let mut plan = FaultPlan::new(1).partition_link(4, 0, 2);
-        assert!(!plan.link_partition_fault(4, 0, 1), "wrong pair");
-        assert!(!plan.link_partition_fault(3, 0, 2), "wrong tick");
-        assert!(plan.link_partition_fault(4, 2, 0), "symmetric pair fires");
-        assert!(!plan.link_partition_fault(4, 0, 2), "link heals after tick");
+        let link = |tick, a, b| FaultSite::LinkPartition { tick, a, b };
+        assert!(plan.inject(link(4, 0, 1)).is_none(), "wrong pair");
+        assert!(plan.inject(link(3, 0, 2)).is_none(), "wrong tick");
+        assert!(plan.inject(link(4, 2, 0)).is_some(), "symmetric pair fires");
+        assert!(
+            plan.inject(link(4, 0, 2)).is_none(),
+            "link heals after tick"
+        );
         assert!(plan.all_fired());
-        // Noop defaults never partition, crash nodes, or corrupt replicas
-        let mut noop = NoopFaults;
-        assert!(!noop.node_crash_fault(0, 0));
-        assert!(noop.replica_corruption_fault(0, 0).is_none());
-        assert!(!noop.link_partition_fault(0, 0, 1));
+        // the planned orientation is what gets logged
+        assert_eq!(plan.injected(), plan.planned());
     }
 
     #[test]
@@ -1169,16 +861,21 @@ mod tests {
         let mut plan = FaultPlan::new(1)
             .tenant_burst(4, 2, 50)
             .stuck_lane_scaledown(6);
-        assert!(plan.tenant_burst_fault(3).is_none(), "wrong tick");
-        assert_eq!(plan.tenant_burst_fault(4), Some((2, 50)));
-        assert!(plan.tenant_burst_fault(4).is_none(), "burst consumed");
-        assert!(!plan.stuck_scaledown_fault(5), "wrong tick");
-        assert!(plan.stuck_scaledown_fault(6));
-        assert!(!plan.stuck_scaledown_fault(6), "scaledown consumed");
+        let burst = |tick| FaultSite::TenantBurst { tick };
+        let stuck = |tick| FaultSite::StuckLaneScaledown { tick };
+        assert!(plan.inject(burst(3)).is_none(), "wrong tick");
+        assert_eq!(
+            plan.inject(burst(4)),
+            Some(FaultKind::TenantBurst {
+                tenant: 2,
+                count: 50
+            })
+        );
+        assert!(plan.inject(burst(4)).is_none(), "burst consumed");
+        assert!(plan.inject(stuck(5)).is_none(), "wrong tick");
+        assert!(plan.inject(stuck(6)).is_some());
+        assert!(plan.inject(stuck(6)).is_none(), "scaledown consumed");
         assert!(plan.all_fired());
-        let mut noop = NoopFaults;
-        assert!(noop.tenant_burst_fault(0).is_none());
-        assert!(!noop.stuck_scaledown_fault(0));
     }
 
     #[test]
@@ -1219,70 +916,140 @@ mod tests {
             .flip_rhs(4, 0)
             .flip_operator(5)
             .flip_basis(6, 2);
-        assert!(plan.state_flip_fault(3, 0).is_none(), "wrong case");
-        assert!(plan.state_flip_fault(2, 1).is_none(), "wrong step");
-        let (field, flip) = plan.state_flip_fault(3, 1).expect("scheduled");
+        let state = |step, case| FaultSite::StateFlip { step, case };
+        let rhs = |step, case| FaultSite::RhsFlip { step, case };
+        let basis = |step, case| FaultSite::BasisFlip { step, case };
+        assert!(plan.inject(state(3, 0)).is_none(), "wrong case");
+        assert!(plan.inject(state(2, 1)).is_none(), "wrong step");
+        let Some(FaultKind::StateFlip { field, flip, .. }) = plan.inject(state(3, 1)) else {
+            panic!("scheduled state flip");
+        };
         assert_eq!(field, StateField::V);
-        assert!(plan.rhs_flip_fault(4, 1).is_none(), "wrong case");
-        let rhs = plan.rhs_flip_fault(4, 0).expect("scheduled");
-        assert_ne!(rhs.seed, flip.seed, "targets get independent seeds");
-        assert!(plan.operator_flip_fault(4).is_none(), "wrong step");
-        assert!(plan.operator_flip_fault(5).is_some());
-        assert!(plan.basis_flip_fault(6, 0).is_none(), "wrong case");
-        assert!(plan.basis_flip_fault(6, 2).is_some());
+        assert!(plan.inject(rhs(4, 1)).is_none(), "wrong case");
+        let Some(FaultKind::RhsFlip { flip: rhs_flip, .. }) = plan.inject(rhs(4, 0)) else {
+            panic!("scheduled rhs flip");
+        };
+        assert_ne!(rhs_flip.seed, flip.seed, "targets get independent seeds");
+        assert!(plan.inject(FaultSite::OperatorFlip { step: 4 }).is_none());
+        assert!(plan.inject(FaultSite::OperatorFlip { step: 5 }).is_some());
+        assert!(plan.inject(basis(6, 0)).is_none(), "wrong case");
+        assert!(plan.inject(basis(6, 2)).is_some());
         assert!(plan.all_fired());
-        let mut noop = NoopFaults;
-        assert!(noop.state_flip_fault(0, 0).is_none());
-        assert!(noop.rhs_flip_fault(0, 0).is_none());
-        assert!(noop.operator_flip_fault(0).is_none());
-        assert!(noop.basis_flip_fault(0, 0).is_none());
-        assert!(noop.replica_flip_fault(0, 0).is_none());
     }
 
     #[test]
     fn replica_flip_is_one_shot_and_keyed_by_node_and_seq() {
         let mut plan = FaultPlan::new(2).flip_replica(1, 6);
-        assert!(plan.replica_flip_fault(0, 6).is_none(), "wrong node");
-        assert!(plan.replica_flip_fault(1, 5).is_none(), "wrong seq");
-        assert!(
-            plan.replica_flip_fault(1, 6).is_some(),
-            "planned flip fires"
-        );
-        assert!(plan.replica_flip_fault(1, 6).is_none(), "consumed");
+        let site = |node, seq| FaultSite::ReplicaFlip { node, seq };
+        assert!(plan.inject(site(0, 6)).is_none(), "wrong node");
+        assert!(plan.inject(site(1, 5)).is_none(), "wrong seq");
+        assert!(plan.inject(site(1, 6)).is_some(), "planned flip fires");
+        assert!(plan.inject(site(1, 6)).is_none(), "consumed");
         assert!(plan.all_fired());
     }
 
     #[test]
     fn flip_seeds_are_stable_across_plan_instances() {
+        let state = FaultSite::StateFlip { step: 2, case: 0 };
         let mut p1 = FaultPlan::new(7).flip_state(2, 0, StateField::U);
         let mut p2 = FaultPlan::new(7).flip_state(2, 0, StateField::U);
-        assert_eq!(p1.state_flip_fault(2, 0), p2.state_flip_fault(2, 0));
+        assert_eq!(p1.inject(state), p2.inject(state));
         let mut p3 = FaultPlan::new(8).flip_state(2, 0, StateField::U);
-        assert_ne!(
-            p1.injected()[0],
-            p3.state_flip_fault(2, 0)
-                .map(|(field, flip)| FaultRecord {
-                    step: 2,
-                    kind: FaultKind::StateFlip {
-                        case: 0,
-                        field,
-                        flip
-                    },
-                })
-                .unwrap()
-        );
+        p3.inject(state).expect("scheduled");
+        assert_ne!(p1.injected()[0], p3.injected()[0]);
     }
 
     #[test]
     fn distinct_crash_points_fire_independently() {
         let mut plan = FaultPlan::new(1).crash_at(2).crash_at(6);
-        assert!(plan.crash_fault(2));
-        assert!(!plan.crash_fault(2));
-        assert!(plan.crash_fault(6));
+        let crash = |step| FaultSite::Crash { step };
+        assert!(plan.inject(crash(2)).is_some());
+        assert!(plan.inject(crash(2)).is_none());
+        assert!(plan.inject(crash(6)).is_some());
         assert!(plan.all_fired());
-        // Noop defaults never crash or tear
-        let mut noop = NoopFaults;
-        assert!(!noop.crash_fault(0));
-        assert!(noop.torn_write_fault(0).is_none());
+    }
+
+    /// Every builder, with the coordinates of its site: `at(c)` is the
+    /// site at coordinates `c`, so `c` with one coordinate moved by one is
+    /// the neighbouring step, target, node or sequence number.
+    #[allow(clippy::type_complexity)]
+    #[rustfmt::skip]
+    fn every_builder() -> Vec<(FaultPlan, [usize; 3], fn([usize; 3]) -> FaultSite)> {
+        use FaultSite::*;
+        let p = || FaultPlan::new(0xfa);
+        vec![
+            (p().nan_guess(3, 1, 0.1), [3, 1, 0], |c| Guess { step: c[0], case: c[1] }),
+            (p().scale_guess(3, 1, 2.0), [3, 1, 0], |c| Guess { step: c[0], case: c[1] }),
+            (p().nan_snapshot(4, 2, 0.1), [4, 2, 0], |c| Snapshot { step: c[0], case: c[1] }),
+            (p().scale_snapshot(4, 2, 2.0), [4, 2, 0], |c| Snapshot { step: c[0], case: c[1] }),
+            (p().drop_exchange(5, 1), [5, 1, 0], |c| Exchange { step: c[0], set: c[1] }),
+            (p().delay_exchange(5, 1, 3.0), [5, 1, 0], |c| Exchange { step: c[0], set: c[1] }),
+            (p().stall_lane(6, 1, FaultLane::Cpu, 0.1), [6, 1, 0], |c| Lane { step: c[0], set: c[1] }),
+            (p().cap_solver(7, 1, 2), [7, 1, 0], |c| Solver { step: c[0], set: c[1] }),
+            (p().reject_admission(2), [2, 0, 0], |c| Admission { index: c[0] }),
+            (p().shed_admission(2), [2, 0, 0], |c| Admission { index: c[0] }),
+            (p().evict(8, 3), [8, 3, 0], |c| Eviction { step: c[0], case: c[1] }),
+            (p().crash_at(9), [9, 0, 0], |c| Crash { step: c[0] }),
+            (p().tear_checkpoint(10, 0.5), [10, 0, 0], |c| TornWrite { seq: c[0] as u64 }),
+            (p().crash_node(11, 2), [11, 2, 0], |c| NodeCrash { tick: c[0], node: c[1] }),
+            (p().corrupt_replica(2, 12, 0.5), [2, 12, 0], |c| ReplicaCorrupt { node: c[0], seq: c[1] as u64 }),
+            (p().partition_link(13, 1, 3), [13, 1, 3], |c| LinkPartition { tick: c[0], a: c[1], b: c[2] }),
+            (p().partition_link(13, 1, 3), [13, 3, 1], |c| LinkPartition { tick: c[0], a: c[1], b: c[2] }),
+            (p().tenant_burst(14, 1, 5), [14, 0, 0], |c| TenantBurst { tick: c[0] }),
+            (p().stuck_lane_scaledown(15), [15, 0, 0], |c| StuckLaneScaledown { tick: c[0] }),
+            (p().flip_state(16, 1, StateField::A), [16, 1, 0], |c| StateFlip { step: c[0], case: c[1] }),
+            (p().flip_rhs(17, 1), [17, 1, 0], |c| RhsFlip { step: c[0], case: c[1] }),
+            (p().flip_operator(18), [18, 0, 0], |c| OperatorFlip { step: c[0] }),
+            (p().flip_basis(19, 1), [19, 1, 0], |c| BasisFlip { step: c[0], case: c[1] }),
+            (p().flip_replica(2, 20), [2, 20, 0], |c| ReplicaFlip { node: c[0], seq: c[1] as u64 }),
+        ]
+    }
+
+    #[test]
+    fn every_builder_fires_at_its_own_site_only() {
+        for (mut plan, coords, at) in every_builder() {
+            let site = at(coords);
+            let planned = plan.planned()[0];
+            // every neighbouring coordinate misses and consumes nothing
+            for k in 0..3 {
+                for shifted in [coords[k].wrapping_sub(1), coords[k] + 1] {
+                    let mut c = coords;
+                    c[k] = shifted;
+                    if at(c) != site {
+                        assert!(plan.inject(at(c)).is_none(), "{planned:?} fired at {c:?}");
+                    }
+                }
+            }
+            assert!(plan.injected().is_empty(), "{planned:?}");
+            assert_eq!(plan.inject(site), Some(planned.kind), "{planned:?}");
+            let again = plan.inject(site);
+            assert_eq!(again.is_none(), planned.kind.one_shot(), "{planned:?}");
+            assert!(plan.all_fired());
+            assert!(plan.injected().iter().all(|r| *r == planned));
+        }
+    }
+
+    #[test]
+    fn injected_logs_the_planned_records_in_firing_order() {
+        let mut plan = FaultPlan::new(0xfb);
+        let mut sites = Vec::new();
+        for (one, coords, at) in every_builder() {
+            // one distinct step per entry, so no two builders share a site
+            if !plan
+                .planned()
+                .iter()
+                .any(|p| p.site().canonical() == at(coords).canonical())
+            {
+                plan = plan.plan(one.planned[0].step, one.planned[0].kind);
+                sites.push(at(coords));
+            }
+        }
+        for &site in sites.iter().rev() {
+            assert!(plan.inject(site).is_some(), "{site:?}");
+        }
+        let mut expected = plan.planned().to_vec();
+        expected.reverse();
+        assert_eq!(plan.injected(), expected.as_slice());
+        assert!(plan.all_fired());
     }
 }

@@ -8,7 +8,6 @@
 //! shed and deadline misses, exactly what the QoS layer is supposed to
 //! produce, never as generator back-pressure.
 
-use hetsolve_fault::FaultInjector;
 use hetsolve_obs::{Json, ServeStats};
 use hetsolve_serve::{AdmitError, ClusterServer, EnsembleServer};
 
@@ -182,10 +181,7 @@ fn count_admit<T>(
 }
 
 /// Soak one [`EnsembleServer`] with `log`, open-loop, and drain to idle.
-pub fn soak_server<F: FaultInjector>(
-    server: &mut EnsembleServer<'_, F>,
-    log: &ArrivalLog,
-) -> SoakReport {
+pub fn soak_server(server: &mut EnsembleServer<'_>, log: &ArrivalLog) -> SoakReport {
     let ticks_before = server.ticks();
     let (mut admitted, mut rejected, mut shed) = (0usize, 0usize, 0usize);
     let mut peak = server.queue_depth();
@@ -223,10 +219,7 @@ pub fn soak_server<F: FaultInjector>(
 }
 
 /// Soak one [`ClusterServer`] with `log`, open-loop, and drain to idle.
-pub fn soak_cluster<F: FaultInjector>(
-    cluster: &mut ClusterServer<'_, F>,
-    log: &ArrivalLog,
-) -> SoakReport {
+pub fn soak_cluster(cluster: &mut ClusterServer<'_>, log: &ArrivalLog) -> SoakReport {
     let ticks_before = cluster.ticks();
     let (mut admitted, mut rejected, mut shed) = (0usize, 0usize, 0usize);
     let mut peak = cluster.queue_depth();

@@ -328,44 +328,16 @@ impl WallClock for SystemClock {
     }
 }
 
-/// A hand-cranked wall clock for deterministic tests. Clones share the
-/// same underlying time, so a test can keep one handle and advance the
-/// clone it injected.
+/// A hand-cranked wall clock for deterministic tests. `Send + Sync` (time
+/// is stored as `f64` bits in an atomic), so the threaded drivers' workers
+/// can read it concurrently; clones share the same underlying time, so a
+/// test can keep one handle and advance the clone it injected.
 #[derive(Debug, Clone, Default)]
 pub struct ManualClock {
-    now: std::rc::Rc<std::cell::Cell<f64>>,
-}
-
-impl ManualClock {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn set(&self, seconds: f64) {
-        self.now.set(seconds);
-    }
-
-    pub fn advance(&self, seconds: f64) {
-        self.now.set(self.now.get() + seconds);
-    }
-}
-
-impl WallClock for ManualClock {
-    fn now(&self) -> f64 {
-        self.now.get()
-    }
-}
-
-/// A hand-cranked wall clock that is `Send + Sync`, for deterministic
-/// tests of the *threaded* drivers (`run_realtime_clocked` spawns scoped
-/// workers that read the clock concurrently). Time is stored as `f64`
-/// bits in an atomic; clones share the same underlying time.
-#[derive(Debug, Clone, Default)]
-pub struct SharedManualClock {
     bits: std::sync::Arc<std::sync::atomic::AtomicU64>,
 }
 
-impl SharedManualClock {
+impl ManualClock {
     pub fn new() -> Self {
         Self::default()
     }
@@ -380,7 +352,7 @@ impl SharedManualClock {
     }
 }
 
-impl WallClock for SharedManualClock {
+impl WallClock for ManualClock {
     fn now(&self) -> f64 {
         f64::from_bits(self.bits.load(std::sync::atomic::Ordering::SeqCst))
     }

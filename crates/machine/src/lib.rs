@@ -27,8 +27,7 @@ pub mod roofline;
 pub mod spec;
 
 pub use clock::{
-    ClockState, EnergyReport, LaneKind, LaneSpan, ManualClock, ModuleClock, SharedManualClock,
-    SystemClock, WallClock,
+    ClockState, EnergyReport, LaneKind, LaneSpan, ManualClock, ModuleClock, SystemClock, WallClock,
 };
 pub use cluster::{
     box_halo_pattern, halo_exchange_time, link_transfer_time, weak_scaling_efficiency,

@@ -26,7 +26,7 @@ use hetsolve_ckpt::{
 use hetsolve_core::{
     Backend, CaseSlot, ConfigFingerprint, CorruptionReport, RecoveryEvent, SlotState,
 };
-use hetsolve_fault::{FaultInjector, NoopFaults};
+use hetsolve_fault::FaultPlan;
 use hetsolve_machine::ClockState;
 use hetsolve_obs::{FlightRecorder, ServeStats};
 
@@ -269,7 +269,7 @@ impl ServerCheckpoint {
     }
 }
 
-impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
+impl<'b> EnsembleServer<'b> {
     /// Snapshot the server as it stands at a tick boundary.
     pub fn checkpoint(&self) -> ServerCheckpoint {
         let lanes = (0..self.batcher.n_lanes())
@@ -335,13 +335,14 @@ impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
         Ok(path)
     }
 
-    /// Rebuild a server from a parsed snapshot. The restored server
-    /// continues bitwise-identically to the one the snapshot was taken
-    /// from — same results, same modeled timeline, counters intact.
+    /// Rebuild a server from a parsed snapshot, injecting `faults`. The
+    /// restored server continues bitwise-identically to the one the
+    /// snapshot was taken from — same results, same modeled timeline,
+    /// counters intact.
     pub fn from_checkpoint(
         backend: &'b Backend,
         cfg: ServeConfig,
-        faults: F,
+        faults: FaultPlan,
         ck: ServerCheckpoint,
     ) -> Result<Self, CkptError> {
         let mut server = Self::with_faults(backend, cfg, faults);
@@ -427,16 +428,14 @@ impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
     }
 
     /// Parse `bytes` (validating the fingerprint against `(backend, cfg)`)
-    /// and rebuild the server.
-    pub fn restore_with_faults(
+    /// and rebuild the server, injecting nothing.
+    pub fn restore(
         backend: &'b Backend,
         cfg: ServeConfig,
-        faults: F,
         bytes: &[u8],
     ) -> Result<Self, CkptError> {
-        let fp = ServeFingerprint::of(backend, &cfg);
-        let ck = ServerCheckpoint::from_bytes(bytes, fp)?;
-        Self::from_checkpoint(backend, cfg, faults, ck)
+        let ck = ServerCheckpoint::from_bytes(bytes, ServeFingerprint::of(backend, &cfg))?;
+        Self::from_checkpoint(backend, cfg, FaultPlan::default(), ck)
     }
 
     /// Restore from the newest valid checkpoint in `store`, falling back
@@ -445,37 +444,26 @@ impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
     pub fn restore_latest(
         backend: &'b Backend,
         cfg: ServeConfig,
-        faults: F,
         store: &CheckpointStore,
     ) -> (Option<(u64, Self)>, RestoreReport) {
         let fp = ServeFingerprint::of(backend, &cfg);
         let (found, mut report) =
             store.load_latest_valid(|_, bytes| ServerCheckpoint::from_bytes(bytes, fp));
         match found {
-            Some((seq, ck)) => match Self::from_checkpoint(backend, cfg, faults, ck) {
-                Ok(server) => (Some((seq, server)), report),
-                Err(error) => {
-                    report.skipped.push(hetsolve_ckpt::SkippedCheckpoint {
-                        seq,
-                        path: store.path_for(seq),
-                        error,
-                    });
-                    (None, report)
+            Some((seq, ck)) => {
+                match Self::from_checkpoint(backend, cfg, FaultPlan::default(), ck) {
+                    Ok(server) => (Some((seq, server)), report),
+                    Err(error) => {
+                        report.skipped.push(hetsolve_ckpt::SkippedCheckpoint {
+                            seq,
+                            path: store.path_for(seq),
+                            error,
+                        });
+                        (None, report)
+                    }
                 }
-            },
+            }
             None => (None, report),
         }
-    }
-}
-
-impl<'b> EnsembleServer<'b, NoopFaults> {
-    /// [`restore_with_faults`](Self::restore_with_faults) without
-    /// injection.
-    pub fn restore(
-        backend: &'b Backend,
-        cfg: ServeConfig,
-        bytes: &[u8],
-    ) -> Result<Self, CkptError> {
-        Self::restore_with_faults(backend, cfg, NoopFaults, bytes)
     }
 }

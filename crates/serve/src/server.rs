@@ -29,7 +29,7 @@ use hetsolve_core::{
     Backend, CaseSlot, CorruptionReport, MethodKind, RecoveryEvent, RhsScratch, RunConfig,
     SlotState, StateGuard, WindowPolicy, TID_CPU, TID_GPU, TID_LINK,
 };
-use hetsolve_fault::{AdmissionFault, FaultInjector, FaultLane, NoopFaults};
+use hetsolve_fault::{AdmissionFault, FaultKind, FaultLane, FaultPlan, FaultSite};
 use hetsolve_machine::{LaneKind, ModuleClock, NodeSpec, SystemClock, WallClock};
 use hetsolve_obs::{
     flow_id_for_request, FlightRecorder, Json, MetricsRegistry, ServeStats, TraceBuilder,
@@ -146,7 +146,7 @@ impl ServeConfig {
 /// The serving subsystem: queue + batcher + lanes over one backend.
 /// Fields are `pub(crate)` for the sibling [`crate::checkpoint`] module,
 /// which serializes and rebuilds the whole server.
-pub struct EnsembleServer<'b, F: FaultInjector = NoopFaults> {
+pub struct EnsembleServer<'b> {
     pub(crate) backend: &'b Backend,
     pub(crate) cfg: ServeConfig,
     pub(crate) queue: AdmissionQueue,
@@ -169,9 +169,10 @@ pub struct EnsembleServer<'b, F: FaultInjector = NoopFaults> {
     /// Consecutive corrupted ticks per lane — the SDC escalation ladder's
     /// counter (in-place recovery → lane restart → evict).
     pub(crate) sdc_breach: Vec<u32>,
-    pub(crate) faults: F,
+    /// Faults injected into this server (empty: none).
+    pub(crate) faults: FaultPlan,
     /// Admission attempts made (rejected ones included) — the fault
-    /// injector's admission index.
+    /// plan's admission index.
     pub(crate) admissions: usize,
     pub(crate) ticks: usize,
     trace: Option<TraceBuilder>,
@@ -206,15 +207,14 @@ pub struct EnsembleServer<'b, F: FaultInjector = NoopFaults> {
     step_floor: f64,
 }
 
-impl<'b> EnsembleServer<'b, NoopFaults> {
+impl<'b> EnsembleServer<'b> {
     pub fn new(backend: &'b Backend, cfg: ServeConfig) -> Self {
-        Self::with_faults(backend, cfg, NoopFaults)
+        Self::with_faults(backend, cfg, FaultPlan::default())
     }
-}
 
-impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
-    /// Server with a fault injector on the admission/eviction hooks.
-    pub fn with_faults(backend: &'b Backend, mut cfg: ServeConfig, faults: F) -> Self {
+    /// Server that injects `faults` (admission, eviction, crash, lane,
+    /// autoscaler and data-flip sites).
+    pub fn with_faults(backend: &'b Backend, mut cfg: ServeConfig, faults: FaultPlan) -> Self {
         cfg.run.method = MethodKind::EbeMcgCpuGpu;
         cfg.run.window = WindowPolicy::FullWindow;
         let r = cfg.run.r.max(1);
@@ -306,15 +306,21 @@ impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
         self.admissions += 1;
         let now = self.clock.elapsed();
         let tenant = request.tenant;
-        match self.faults.admission_fault(index) {
-            Some(AdmissionFault::Reject) => {
+        match self.faults.inject(FaultSite::Admission { index }) {
+            Some(FaultKind::Admission {
+                fault: AdmissionFault::Reject,
+                ..
+            }) => {
                 self.stats.record_rejection();
                 self.stats.tenant_rejection(tenant.0);
                 self.flight
                     .record(now, "admit_rejected", None, None, None, "fault injected");
                 return Err(AdmitError::Rejected(RejectReason::FaultInjected));
             }
-            Some(AdmissionFault::Shed) => {
+            Some(FaultKind::Admission {
+                fault: AdmissionFault::Shed,
+                ..
+            }) => {
                 self.stats.record_shed();
                 self.stats.tenant_shed(tenant.0);
                 self.flight
@@ -324,7 +330,7 @@ impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
                     capacity: self.queue.capacity(),
                 });
             }
-            None => {}
+            _ => {}
         }
         if request.n_steps == 0 {
             self.stats.record_rejection();
@@ -429,8 +435,9 @@ impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
     /// non-empty lane by one time step (supervised by the watchdog when
     /// one is configured).
     pub fn tick(&mut self) {
-        let now = self.clock.elapsed();
-        if self.faults.crash_fault(self.ticks) {
+        let (now, tick) = (self.clock.elapsed(), self.ticks);
+        let crash = FaultSite::Crash { step: tick };
+        if self.faults.inject(crash).is_some() {
             // modeled `kill -9`: the flight ring is the black box — dump
             // it with the crash as its last event and stop ticking
             self.flight.record(
@@ -445,7 +452,9 @@ impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
             self.crashed = true;
             return;
         }
-        if let Some((tenant, count)) = self.faults.tenant_burst_fault(self.ticks) {
+        if let Some(FaultKind::TenantBurst { tenant, count }) =
+            self.faults.inject(FaultSite::TenantBurst { tick })
+        {
             // chaos hook: one tenant floods the server at this boundary.
             // Typed admission failures (shed / zero quota / unknown) are
             // the point — the burst must not starve other tenants.
@@ -486,11 +495,11 @@ impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
                 let Some(id) = self.batcher.slot(lane, slot) else {
                     continue;
                 };
-                if self
-                    .faults
-                    .eviction_fault(self.ticks, id.0 as usize)
-                    .is_some()
-                {
+                let evict = FaultSite::Eviction {
+                    step: tick,
+                    case: id.0 as usize,
+                };
+                if self.faults.inject(evict).is_some() {
                     self.batcher.free(lane, slot);
                     self.slots[lane][slot] = None;
                     self.finish(id, RequestState::Evicted, now);
@@ -553,10 +562,14 @@ impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
                 self.capture_lane(lane);
             }
             let before = self.clock.elapsed();
-            // injected lane stall (PR 3's fault hook): the watchdog is
+            // injected lane stall: the watchdog is
             // what turns this timing fault into a supervised recovery
             if self.batcher.occupied_count(lane) > 0 {
-                if let Some(lf) = self.faults.lane_fault(self.ticks, lane) {
+                let stall = FaultSite::Lane {
+                    step: tick,
+                    set: lane,
+                };
+                if let Some(FaultKind::Lane { fault: lf, .. }) = self.faults.inject(stall) {
                     let kind = match lf.lane {
                         FaultLane::Cpu => LaneKind::Cpu,
                         FaultLane::Gpu => LaneKind::Gpu,
@@ -602,7 +615,8 @@ impl<'b, F: FaultInjector> EnsembleServer<'b, F> {
             }
             return;
         }
-        let stuck = self.faults.stuck_scaledown_fault(self.ticks);
+        let stuck = FaultSite::StuckLaneScaledown { tick: self.ticks };
+        let stuck = self.faults.inject(stuck).is_some();
         if self.autoscaler.cooldown > 0 {
             self.autoscaler.cooldown -= 1;
             if !stuck {

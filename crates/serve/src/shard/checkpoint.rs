@@ -18,7 +18,7 @@ use hetsolve_ckpt::{
     mix64, wire_newtype, CheckpointStore, CkptError, RestoreReport, SectionReader, SectionWriter,
 };
 use hetsolve_core::Backend;
-use hetsolve_fault::{FaultInjector, NoopFaults};
+use hetsolve_fault::FaultPlan;
 use hetsolve_machine::LinkTraffic;
 use hetsolve_obs::{FlightRecorder, ServeStats};
 
@@ -163,7 +163,7 @@ impl ClusterCheckpoint {
     }
 }
 
-impl<'b, F: FaultInjector> ClusterServer<'b, F> {
+impl<'b> ClusterServer<'b> {
     /// Snapshot the cluster as it stands at a tick boundary.
     pub fn checkpoint(&self) -> ClusterCheckpoint {
         ClusterCheckpoint {
@@ -210,7 +210,7 @@ impl<'b, F: FaultInjector> ClusterServer<'b, F> {
     pub fn from_checkpoint(
         backend: &'b Backend,
         cfg: ClusterConfig,
-        faults: F,
+        faults: FaultPlan,
         ck: ClusterCheckpoint,
     ) -> Result<Self, CkptError> {
         if ck.shards.len() != cfg.shards {
@@ -222,12 +222,7 @@ impl<'b, F: FaultInjector> ClusterServer<'b, F> {
         }
         let mut cluster = Self::with_faults(backend, cfg, faults);
         for (i, image) in ck.shards.iter().enumerate() {
-            cluster.shards[i] = EnsembleServer::restore_with_faults(
-                backend,
-                cluster.cfg.shard_cfg(i),
-                NoopFaults,
-                image,
-            )?;
+            cluster.shards[i] = EnsembleServer::restore(backend, cluster.cfg.shard_cfg(i), image)?;
         }
         cluster.routes = ck.routes;
         cluster.lost = ck.lost;
@@ -251,16 +246,14 @@ impl<'b, F: FaultInjector> ClusterServer<'b, F> {
     }
 
     /// Parse `bytes` (validating the fingerprint against `(backend, cfg)`)
-    /// and rebuild the cluster.
-    pub fn restore_with_faults(
+    /// and rebuild the cluster, injecting nothing.
+    pub fn restore(
         backend: &'b Backend,
         cfg: ClusterConfig,
-        faults: F,
         bytes: &[u8],
     ) -> Result<Self, CkptError> {
-        let fp = ClusterFingerprint::of(backend, &cfg);
-        let ck = ClusterCheckpoint::from_bytes(bytes, fp)?;
-        Self::from_checkpoint(backend, cfg, faults, ck)
+        let ck = ClusterCheckpoint::from_bytes(bytes, ClusterFingerprint::of(backend, &cfg))?;
+        Self::from_checkpoint(backend, cfg, FaultPlan::default(), ck)
     }
 
     /// Restore from the newest valid cluster checkpoint in `store`,
@@ -269,37 +262,26 @@ impl<'b, F: FaultInjector> ClusterServer<'b, F> {
     pub fn restore_latest(
         backend: &'b Backend,
         cfg: ClusterConfig,
-        faults: F,
         store: &CheckpointStore,
     ) -> (Option<(u64, Self)>, RestoreReport) {
         let fp = ClusterFingerprint::of(backend, &cfg);
         let (found, mut report) =
             store.load_latest_valid(|_, bytes| ClusterCheckpoint::from_bytes(bytes, fp));
         match found {
-            Some((seq, ck)) => match Self::from_checkpoint(backend, cfg, faults, ck) {
-                Ok(cluster) => (Some((seq, cluster)), report),
-                Err(error) => {
-                    report.skipped.push(hetsolve_ckpt::SkippedCheckpoint {
-                        seq,
-                        path: store.path_for(seq),
-                        error,
-                    });
-                    (None, report)
+            Some((seq, ck)) => {
+                match Self::from_checkpoint(backend, cfg, FaultPlan::default(), ck) {
+                    Ok(cluster) => (Some((seq, cluster)), report),
+                    Err(error) => {
+                        report.skipped.push(hetsolve_ckpt::SkippedCheckpoint {
+                            seq,
+                            path: store.path_for(seq),
+                            error,
+                        });
+                        (None, report)
+                    }
                 }
-            },
+            }
             None => (None, report),
         }
-    }
-}
-
-impl<'b> ClusterServer<'b, NoopFaults> {
-    /// [`restore_with_faults`](Self::restore_with_faults) without
-    /// injection.
-    pub fn restore(
-        backend: &'b Backend,
-        cfg: ClusterConfig,
-        bytes: &[u8],
-    ) -> Result<Self, CkptError> {
-        Self::restore_with_faults(backend, cfg, NoopFaults, bytes)
     }
 }

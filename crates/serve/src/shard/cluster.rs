@@ -35,7 +35,7 @@
 
 use hetsolve_ckpt::{mix64, ReplicaStore, RestoreReport};
 use hetsolve_core::Backend;
-use hetsolve_fault::{AdmissionFault, FaultInjector, NoopFaults};
+use hetsolve_fault::{AdmissionFault, FaultKind, FaultPlan, FaultSite};
 use hetsolve_machine::{LaneKind, LinkTraffic};
 use hetsolve_obs::{FlightRecorder, MetricsRegistry, ServeStats};
 
@@ -113,12 +113,12 @@ hetsolve_ckpt::wire_struct!(RouteEntry {
 ///
 /// Fields are `pub(crate)` for the sibling [`crate::shard::checkpoint`]
 /// module, which serializes and rebuilds the whole cluster.
-pub struct ClusterServer<'b, F: FaultInjector = NoopFaults> {
+pub struct ClusterServer<'b> {
     pub(crate) backend: &'b Backend,
     pub(crate) cfg: ClusterConfig,
     /// Node-local shards; cluster-level faults are injected here, so the
     /// shards themselves run fault-free.
-    pub(crate) shards: Vec<EnsembleServer<'b, NoopFaults>>,
+    pub(crate) shards: Vec<EnsembleServer<'b>>,
     /// `replicas[i]` is the peer-held mirror of shard `i`'s checkpoints
     /// (modeled as living on node `(i + 1) % n`, surviving node `i`).
     pub(crate) replicas: Vec<ReplicaStore>,
@@ -134,7 +134,7 @@ pub struct ClusterServer<'b, F: FaultInjector = NoopFaults> {
     pub(crate) traffic: LinkTraffic,
     /// Cluster-level flight ring: routing, steals, crashes, failovers.
     pub(crate) flight: FlightRecorder,
-    pub(crate) faults: F,
+    pub(crate) faults: FaultPlan,
     /// Cluster admission attempts (fault-injection index).
     pub(crate) admissions: usize,
     /// Cluster scheduling boundaries executed.
@@ -151,16 +151,14 @@ pub struct ClusterServer<'b, F: FaultInjector = NoopFaults> {
     failover_reports: Vec<(usize, RestoreReport)>,
 }
 
-impl<'b> ClusterServer<'b, NoopFaults> {
+impl<'b> ClusterServer<'b> {
     pub fn new(backend: &'b Backend, cfg: ClusterConfig) -> Self {
-        Self::with_faults(backend, cfg, NoopFaults)
+        Self::with_faults(backend, cfg, FaultPlan::default())
     }
-}
 
-impl<'b, F: FaultInjector> ClusterServer<'b, F> {
-    /// Cluster with a fault injector on the node-crash / replica /
-    /// partition / admission hooks.
-    pub fn with_faults(backend: &'b Backend, cfg: ClusterConfig, faults: F) -> Self {
+    /// Cluster that injects `faults` at the node-crash / replica /
+    /// partition / admission sites.
+    pub fn with_faults(backend: &'b Backend, cfg: ClusterConfig, faults: FaultPlan) -> Self {
         let shards = (0..cfg.shards)
             .map(|i| EnsembleServer::new(backend, cfg.shard_cfg(i)))
             .collect();
@@ -213,8 +211,11 @@ impl<'b, F: FaultInjector> ClusterServer<'b, F> {
         let index = self.admissions;
         self.admissions += 1;
         let now = self.elapsed();
-        match self.faults.admission_fault(index) {
-            Some(AdmissionFault::Reject) => {
+        match self.faults.inject(FaultSite::Admission { index }) {
+            Some(FaultKind::Admission {
+                fault: AdmissionFault::Reject,
+                ..
+            }) => {
                 self.cluster_stats.record_rejection();
                 self.flight
                     .record(now, "admit_rejected", None, None, None, "fault injected");
@@ -222,7 +223,10 @@ impl<'b, F: FaultInjector> ClusterServer<'b, F> {
                     crate::queue::RejectReason::FaultInjected,
                 ));
             }
-            Some(AdmissionFault::Shed) => {
+            Some(FaultKind::Admission {
+                fault: AdmissionFault::Shed,
+                ..
+            }) => {
                 self.cluster_stats.record_shed();
                 self.flight
                     .record(now, "admit_shed", None, None, None, "fault injected");
@@ -231,7 +235,7 @@ impl<'b, F: FaultInjector> ClusterServer<'b, F> {
                     capacity: self.cfg.serve.queue_capacity * self.shards.len(),
                 });
             }
-            None => {}
+            _ => {}
         }
         let gid = self.routes.len() as u64;
         let key = CompatKey::from_tol(request.tol.unwrap_or(self.cfg.serve.run.tol));
@@ -295,7 +299,8 @@ impl<'b, F: FaultInjector> ClusterServer<'b, F> {
         let mut severed: Vec<(usize, usize)> = Vec::new();
         for a in 0..n {
             for b in (a + 1)..n {
-                if self.faults.link_partition_fault(tick, a, b) {
+                let site = FaultSite::LinkPartition { tick, a, b };
+                if self.faults.inject(site).is_some() {
                     severed.push((a, b));
                     self.flight.record(
                         self.elapsed(),
@@ -319,7 +324,8 @@ impl<'b, F: FaultInjector> ClusterServer<'b, F> {
             }
         }
         for node in 0..n {
-            if self.faults.node_crash_fault(tick, node) {
+            let crash = FaultSite::NodeCrash { tick, node };
+            if self.faults.inject(crash).is_some() {
                 self.failover(node);
             }
         }
@@ -466,7 +472,9 @@ impl<'b, F: FaultInjector> ClusterServer<'b, F> {
         self.shards[node].clock.stall(LaneKind::Link, t);
         self.replicas[node].mirror(seq, &bytes);
         self.replica_writes += 1;
-        if let Some(flip) = self.faults.replica_flip_fault(node, seq) {
+        if let Some(FaultKind::ReplicaFlip { flip, .. }) =
+            self.faults.inject(FaultSite::ReplicaFlip { node, seq })
+        {
             self.replicas[node].flip_bit(seq, flip.seed);
             self.flight.record(
                 self.shards[node].elapsed(),
@@ -477,15 +485,17 @@ impl<'b, F: FaultInjector> ClusterServer<'b, F> {
                 format!("seq {seq} silently bit-flipped in the peer mirror"),
             );
         }
-        if let Some(torn) = self.faults.replica_corruption_fault(node, seq) {
-            self.replicas[node].tear(seq, torn.keep_frac);
+        if let Some(FaultKind::ReplicaCorrupt { keep_frac, .. }) =
+            self.faults.inject(FaultSite::ReplicaCorrupt { node, seq })
+        {
+            self.replicas[node].tear(seq, keep_frac);
             self.flight.record(
                 self.shards[node].elapsed(),
                 "replica_torn",
                 None,
                 Some(node as u64),
                 Some(self.ticks as u64),
-                format!("seq {seq} torn to {:.0}%", torn.keep_frac * 100.0),
+                format!("seq {seq} torn to {:.0}%", keep_frac * 100.0),
             );
         } else {
             self.flight.record(
@@ -532,7 +542,7 @@ impl<'b, F: FaultInjector> ClusterServer<'b, F> {
         }
         self.failover_reports.push((node, report));
         let restored = found.and_then(|(seq, (ck, nbytes))| {
-            EnsembleServer::from_checkpoint(self.backend, cfg.clone(), NoopFaults, ck)
+            EnsembleServer::from_checkpoint(self.backend, cfg.clone(), FaultPlan::default(), ck)
                 .ok()
                 .map(|sh| (seq, sh, nbytes))
         });
@@ -764,7 +774,7 @@ impl<'b, F: FaultInjector> ClusterServer<'b, F> {
     }
 
     /// The node-local shards (tests inspect per-shard placement).
-    pub fn shards(&self) -> &[EnsembleServer<'b, NoopFaults>] {
+    pub fn shards(&self) -> &[EnsembleServer<'b>] {
         &self.shards
     }
 

@@ -11,9 +11,8 @@
 
 use hetsolve::ckpt::CheckpointStore;
 use hetsolve::core::{
-    run_durable, run_traced, Backend, CheckpointPolicy, MethodKind, RunConfig, StepTracer,
+    run_with, Backend, CheckpointPolicy, Hooks, MethodKind, RunConfig, StepTracer,
 };
-use hetsolve::fault::NoopFaults;
 use hetsolve::fem::{FemProblem, RandomLoadSpec};
 use hetsolve::machine::{alps_node, single_gh200};
 use hetsolve::mesh::{GroundModelSpec, InterfaceShape};
@@ -47,29 +46,23 @@ fn main() {
             active_window: 0.1,
         };
         let mut tracer = StepTracer::new();
-        // The single-GH200 leg goes through the durable driver so the run
-        // leaves crash-consistent checkpoints under target/artifacts/.
-        let result = if label == "single-GH200" {
-            let ckpt_dir = "target/artifacts/ensemble_ckpt";
+        // The single-GH200 leg runs with a checkpoint store so it leaves
+        // crash-consistent checkpoints under target/artifacts/.
+        let ckpt_dir = "target/artifacts/ensemble_ckpt";
+        let store;
+        let mut hooks = Hooks::default().tracer(&mut tracer);
+        if label == "single-GH200" {
             let _ = std::fs::remove_dir_all(ckpt_dir);
-            let store = CheckpointStore::new(ckpt_dir, 3).expect("open checkpoint store");
-            let out = run_durable(
-                &backend,
-                &cfg,
-                &mut tracer,
-                &mut NoopFaults,
-                &store,
-                CheckpointPolicy { every: 16, keep: 3 },
-            )
-            .expect("durable run");
+            store = CheckpointStore::new(ckpt_dir, 3).expect("open checkpoint store");
+            hooks = hooks.durable(&store, CheckpointPolicy { every: 16, keep: 3 });
+        }
+        let result = run_with(&backend, &cfg, hooks).expect("run");
+        if let Some(d) = &result.durable {
             println!(
                 "wrote {} checkpoints ({} B each) under {ckpt_dir}",
-                out.checkpoints_written, out.checkpoint_bytes,
+                d.checkpoints_written, d.checkpoint_bytes,
             );
-            out.result
-        } else {
-            run_traced(&backend, &cfg, &mut tracer).expect("run")
-        };
+        }
         for row in tracer.sink.methods() {
             let mut row = row.clone();
             row.method = format!("{} ({label})", row.method);

@@ -13,7 +13,7 @@
 //! cargo run --release --example nonlinear_site
 //! ```
 
-use hetsolve::core::{run_nonlinear, Backend, MethodKind, RunConfig};
+use hetsolve::core::{run_nonlinear, Backend, MethodKind, RunConfig, StepTracer};
 use hetsolve::fem::{FemProblem, HyperbolicModel, RandomLoadSpec};
 use hetsolve::machine::single_gh200;
 use hetsolve::mesh::{Field, GroundModelSpec, InterfaceShape};
@@ -32,7 +32,8 @@ fn main() {
     let model = HyperbolicModel::new(1e-4, 0.05);
 
     println!("running nonlinear (equivalent-linear secant) time history...");
-    let res = run_nonlinear(&backend, &cfg, &model, 1e-3, 3).expect("nonlinear run");
+    let res = run_nonlinear(&backend, &cfg, &model, 1e-3, 3, &mut StepTracer::disabled())
+        .expect("nonlinear run");
 
     println!(
         "\n{:>5} | {:>7} | {:>7} | {:>11} | {:>11}",

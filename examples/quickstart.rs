@@ -11,10 +11,9 @@
 
 use hetsolve::ckpt::CheckpointStore;
 use hetsolve::core::{
-    apply_speedups, format_application_table, run_durable, run_traced, Backend, CheckpointPolicy,
+    apply_speedups, format_application_table, run_with, Backend, CheckpointPolicy, Hooks,
     MethodKind, MethodSummary, RunConfig, StepTracer,
 };
-use hetsolve::fault::NoopFaults;
 use hetsolve::fem::{FemProblem, RandomLoadSpec};
 use hetsolve::machine::{
     crs_cg_cpu, crs_cg_cpu_gpu, crs_cg_gpu, ebe_mcg_cpu_gpu, single_gh200, ProblemDims,
@@ -80,32 +79,26 @@ fn main() {
             active_window: 0.15,
         };
         let mut tracer = StepTracer::new();
-        // The EBE-MCG leg runs under the durable driver: every few steps it
+        // The EBE-MCG leg runs with a checkpoint store: every few steps it
         // writes a crash-consistent checkpoint under target/artifacts/, so a
         // killed run resumes bitwise-identically (see DESIGN.md section 12).
-        let result = if method == MethodKind::EbeMcgCpuGpu {
-            let ckpt_dir = "target/artifacts/quickstart_ckpt";
+        let ckpt_dir = "target/artifacts/quickstart_ckpt";
+        let store;
+        let mut hooks = Hooks::default().tracer(&mut tracer);
+        if method == MethodKind::EbeMcgCpuGpu {
             let _ = std::fs::remove_dir_all(ckpt_dir);
-            let store = CheckpointStore::new(ckpt_dir, 3).expect("open checkpoint store");
-            let out = run_durable(
-                &backend,
-                &cfg,
-                &mut tracer,
-                &mut NoopFaults,
-                &store,
-                CheckpointPolicy { every: 12, keep: 3 },
-            )
-            .expect("durable run");
+            store = CheckpointStore::new(ckpt_dir, 3).expect("open checkpoint store");
+            hooks = hooks.durable(&store, CheckpointPolicy { every: 12, keep: 3 });
+        }
+        let result = run_with(&backend, &cfg, hooks).expect("run");
+        if let Some(d) = &result.durable {
             println!(
                 "{:<17} wrote {} checkpoints ({} B each) under {ckpt_dir}",
                 method.label(),
-                out.checkpoints_written,
-                out.checkpoint_bytes,
+                d.checkpoints_written,
+                d.checkpoint_bytes,
             );
-            out.result
-        } else {
-            run_traced(&backend, &cfg, &mut tracer).expect("run")
-        };
+        }
         println!(
             "{:<17} done: {} cases x {} steps, mean {:.1} CG iterations/step",
             method.label(),

@@ -94,7 +94,7 @@ fn main() {
 
     let mut server = match &resume_dir {
         Some(dir) => {
-            let (found, report) = EnsembleServer::restore_latest(&backend, cfg, NoopFaults, &store);
+            let (found, report) = EnsembleServer::restore_latest(&backend, cfg, &store);
             let (seq, server) = found.unwrap_or_else(|| {
                 panic!("no valid checkpoint under {dir} to resume from ({report})")
             });

@@ -9,10 +9,9 @@
 
 use hetsolve::ckpt::CheckpointStore;
 use hetsolve::core::{
-    run_durable, Backend, CheckpointPolicy, DistributedOperator, MethodKind, PartitionedProblem,
-    RunConfig, StepTracer,
+    run_with, Backend, CheckpointPolicy, DistributedOperator, Hooks, MethodKind,
+    PartitionedProblem, RunConfig, StepTracer,
 };
-use hetsolve::fault::NoopFaults;
 use hetsolve::fem::FemProblem;
 use hetsolve::machine::{alps_node, weak_scaling_efficiency, weak_scaling_step_time};
 use hetsolve::mesh::{GroundModelSpec, InterfaceShape};
@@ -62,16 +61,11 @@ fn main() {
     let _ = std::fs::remove_dir_all(ckpt_dir);
     std::fs::create_dir_all("target/artifacts").expect("create artifact dir");
     let store = CheckpointStore::new(ckpt_dir, 2).expect("open checkpoint store");
-    let result = run_durable(
-        &backend,
-        &run_cfg,
-        &mut StepTracer::new(),
-        &mut NoopFaults,
-        &store,
-        CheckpointPolicy { every: 10, keep: 2 },
-    )
-    .expect("run")
-    .result;
+    let mut tracer = StepTracer::new();
+    let hooks = Hooks::default()
+        .tracer(&mut tracer)
+        .durable(&store, CheckpointPolicy { every: 10, keep: 2 });
+    let result = run_with(&backend, &run_cfg, hooks).expect("run");
     let from = 15;
     let step_time = result.mean_step_time(from) * result.n_cases as f64; // per module wall
     let iters = result.mean_iterations(from);

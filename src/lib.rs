@@ -23,7 +23,8 @@
 //!   Chrome-trace-event export, bench-snapshot metrics,
 //! * [`fault`] — deterministic fault injection (corrupted guesses,
 //!   poisoned snapshots, dropped exchanges, lane stalls, solver caps,
-//!   crashes, torn writes) for the robustness suite,
+//!   crashes, torn writes, bit flips): a seeded plan every driver queries
+//!   at its fault sites,
 //! * [`ckpt`] — crash-consistent checkpointing: the versioned,
 //!   section-checksummed snapshot format, atomic writes, and the
 //!   sequence-numbered store with torn-write fallback,
@@ -58,11 +59,10 @@ pub use hetsolve_sparse as sparse;
 pub mod prelude {
     pub use hetsolve_ckpt::CheckpointStore;
     pub use hetsolve_core::{
-        run, run_durable, run_ensemble, run_faulted, run_traced, Backend, CheckpointPolicy,
-        EnsembleConfig, MethodKind, PartitionedProblem, RecoveryEvent, RunConfig, RunError,
-        RunResult, StepTracer,
+        run, run_ensemble, run_with, Backend, CheckpointPolicy, EnsembleConfig, Hooks, MethodKind,
+        PartitionedProblem, RecoveryEvent, RunConfig, RunError, RunResult, StepTracer,
     };
-    pub use hetsolve_fault::{FaultInjector, FaultPlan, NoopFaults};
+    pub use hetsolve_fault::{FaultKind, FaultPlan, FaultSite};
     pub use hetsolve_fem::{FemProblem, RandomLoadSpec};
     pub use hetsolve_machine::{alps_node, single_gh200, NodeSpec};
     pub use hetsolve_mesh::{GroundModelSpec, InterfaceShape};

@@ -7,9 +7,7 @@
 //! results continue exactly where the saved run left off.
 
 use hetsolve::ckpt::{CheckpointStore, CkptError, SectionWriter, MAGIC};
-use hetsolve::core::{
-    run, run_durable, run_ensemble_durable, CheckpointPolicy, RunError, StepTracer,
-};
+use hetsolve::core::{run, run_ensemble_durable, CheckpointPolicy, DurableOutcome, RunError};
 use hetsolve::fault::FaultLane;
 use hetsolve::fem::FemProblem;
 use hetsolve::machine::ManualClock;
@@ -58,6 +56,20 @@ fn tmp_store(name: &str) -> CheckpointStore {
     CheckpointStore::new(dir, 3).unwrap()
 }
 
+/// A run of `cfg` durable in `store`, injecting `plan`: its result and
+/// its durability bookkeeping.
+fn durable_run(
+    b: &Backend,
+    cfg: &RunConfig,
+    plan: &mut FaultPlan,
+    store: &CheckpointStore,
+    policy: CheckpointPolicy,
+) -> Result<(RunResult, DurableOutcome), RunError> {
+    let mut res = run_with(b, cfg, Hooks::default().faults(plan).durable(store, policy))?;
+    let out = res.durable.take().expect("a run with a store");
+    Ok((res, out))
+}
+
 fn assert_bitwise_eq(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: case count");
     for (case, (ua, ub)) in a.iter().zip(b).enumerate() {
@@ -86,15 +98,7 @@ fn kill_at_any_step_boundary_resumes_bitwise_identical() {
         for boundary in 0..cfg.n_steps {
             let store = tmp_store(&format!("kill-{}-{boundary}", method.label()));
             let mut plan = FaultPlan::new(7).crash_at(boundary);
-            let err = run_durable(
-                &b,
-                &cfg,
-                &mut StepTracer::disabled(),
-                &mut plan,
-                &store,
-                policy,
-            )
-            .unwrap_err();
+            let err = durable_run(&b, &cfg, &mut plan, &store, policy).unwrap_err();
             assert_eq!(
                 err,
                 RunError::Crashed { step: boundary },
@@ -104,15 +108,8 @@ fn kill_at_any_step_boundary_resumes_bitwise_identical() {
 
             // resume with the same (now spent) plan: restores the newest
             // checkpoint at or before the kill point and runs to completion
-            let out = run_durable(
-                &b,
-                &cfg,
-                &mut StepTracer::disabled(),
-                &mut plan,
-                &store,
-                policy,
-            )
-            .unwrap_or_else(|e| panic!("boundary {boundary}: resume failed: {e}"));
+            let (res, out) = durable_run(&b, &cfg, &mut plan, &store, policy)
+                .unwrap_or_else(|e| panic!("boundary {boundary}: resume failed: {e}"));
             assert!(out.restore.clean(), "boundary {boundary}: {}", out.restore);
             assert_eq!(
                 out.resumed_from,
@@ -124,17 +121,11 @@ fn kill_at_any_step_boundary_resumes_bitwise_identical() {
                 "boundary {boundary}: wrong resume point"
             );
             assert_bitwise_eq(
-                &out.result.final_u,
+                &res.final_u,
                 &plain.final_u,
                 &format!("{method:?} boundary {boundary}: final_u"),
             );
-            for (case, (wa, wb)) in out
-                .result
-                .waveforms
-                .iter()
-                .zip(&plain.waveforms)
-                .enumerate()
-            {
+            for (case, (wa, wb)) in res.waveforms.iter().zip(&plain.waveforms).enumerate() {
                 assert_bitwise_eq(
                     wa,
                     wb,
@@ -142,10 +133,10 @@ fn kill_at_any_step_boundary_resumes_bitwise_identical() {
                 );
             }
             assert_eq!(
-                out.result.records, plain.records,
+                res.records, plain.records,
                 "boundary {boundary}: step records diverged"
             );
-            assert_eq!(out.result.recoveries, plain.recoveries);
+            assert_eq!(res.recoveries, plain.recoveries);
             std::fs::remove_dir_all(store.dir()).unwrap();
         }
     }
@@ -165,34 +156,19 @@ fn torn_latest_checkpoint_falls_back_typed_and_stays_bitwise() {
 
         // crash at step 5 after tearing the seq-4 checkpoint mid-write
         let mut plan = FaultPlan::new(11).tear_checkpoint(4, 0.5).crash_at(5);
-        let err = run_durable(
-            &b,
-            &cfg,
-            &mut StepTracer::disabled(),
-            &mut plan,
-            &store,
-            policy,
-        )
-        .unwrap_err();
+        let err = durable_run(&b, &cfg, &mut plan, &store, policy).unwrap_err();
         assert_eq!(err, RunError::Crashed { step: 5 });
         assert!(plan.all_fired());
 
-        let out = run_durable(
-            &b,
-            &cfg,
-            &mut StepTracer::disabled(),
-            &mut plan,
-            &store,
-            policy,
-        )
-        .expect("resume past the torn file");
+        let (res, out) =
+            durable_run(&b, &cfg, &mut plan, &store, policy).expect("resume past the torn file");
         assert_eq!(out.resumed_from, Some(2), "fell back to the seq-2 snapshot");
         assert!(!out.restore.clean(), "the skip must be reported");
         assert_eq!(out.restore.skipped.len(), 1);
         assert_eq!(out.restore.skipped[0].seq, 4);
         assert_eq!(out.restore.skipped[0].error, CkptError::Truncated);
         assert_bitwise_eq(
-            &out.result.final_u,
+            &res.final_u,
             &plain.final_u,
             &format!("{method:?} torn fallback"),
         );
@@ -222,9 +198,10 @@ fn durable_ensemble_runs_the_configured_method_bitwise() {
         plain_runs.len(),
         "same batches, same method"
     );
-    for (out, plain_run) in outcomes.iter().zip(&plain_runs) {
-        assert_eq!(out.result.method, MethodKind::CrsCgCpu);
-        assert_eq!(out.result.records, plain_run.records);
+    for (res, plain_run) in outcomes.iter().zip(&plain_runs) {
+        assert_eq!(res.method, MethodKind::CrsCgCpu);
+        assert_eq!(res.records, plain_run.records);
+        let out = res.durable.as_ref().expect("a run with a store");
         assert_eq!(out.checkpoints_written, 2, "steps 2 and 4 of 6");
     }
     assert_eq!(durable.waveforms.len(), 3);
@@ -242,28 +219,14 @@ fn checkpoint_from_other_config_is_rejected_not_resumed() {
     let b = backend();
     let store = tmp_store("fingerprint");
     let policy = CheckpointPolicy { every: 2, keep: 3 };
-    run_durable(
-        &b,
-        &config(6),
-        &mut StepTracer::disabled(),
-        &mut NoopFaults,
-        &store,
-        policy,
-    )
-    .expect("seed the store under config A");
+    durable_run(&b, &config(6), &mut FaultPlan::default(), &store, policy)
+        .expect("seed the store under config A");
 
     // same store, different seed: every stored snapshot is foreign
     let mut other = config(6);
     other.seed = 999;
-    let out = run_durable(
-        &b,
-        &other,
-        &mut StepTracer::disabled(),
-        &mut NoopFaults,
-        &store,
-        policy,
-    )
-    .expect("run under config B");
+    let (res, out) = durable_run(&b, &other, &mut FaultPlan::default(), &store, policy)
+        .expect("run under config B");
     assert!(
         out.resumed_from.is_none(),
         "must not resume a foreign snapshot"
@@ -275,7 +238,7 @@ fn checkpoint_from_other_config_is_rejected_not_resumed() {
         .iter()
         .all(|s| matches!(s.error, CkptError::Corrupt(_))));
     let plain = run(&b, &other).expect("plain run under config B");
-    assert_bitwise_eq(&out.result.final_u, &plain.final_u, "foreign-store run");
+    assert_bitwise_eq(&res.final_u, &plain.final_u, "foreign-store run");
     std::fs::remove_dir_all(store.dir()).unwrap();
 }
 
@@ -287,11 +250,10 @@ fn format_tolerates_unknown_sections_and_rejects_foreign_files() {
     let b = backend();
     let cfg = config(4);
     let store = tmp_store("format");
-    run_durable(
+    durable_run(
         &b,
         &cfg,
-        &mut StepTracer::disabled(),
-        &mut NoopFaults,
+        &mut FaultPlan::default(),
         &store,
         CheckpointPolicy { every: 2, keep: 3 },
     )
@@ -307,11 +269,10 @@ fn format_tolerates_unknown_sections_and_rejects_foreign_files() {
     extended.extend_from_slice(&w.finish()[MAGIC.len() + 4..]);
     std::fs::write(store.path_for(seq + 2), &extended).unwrap();
 
-    let out = run_durable(
+    let (_, out) = durable_run(
         &b,
         &cfg,
-        &mut StepTracer::disabled(),
-        &mut NoopFaults,
+        &mut FaultPlan::default(),
         &store,
         CheckpointPolicy { every: 0, keep: 3 },
     )
@@ -321,11 +282,10 @@ fn format_tolerates_unknown_sections_and_rejects_foreign_files() {
 
     // a non-checkpoint file in the newest slot fails typed and falls back
     std::fs::write(store.path_for(seq + 4), b"not a checkpoint at all").unwrap();
-    let out = run_durable(
+    let (_, out) = durable_run(
         &b,
         &cfg,
-        &mut StepTracer::disabled(),
-        &mut NoopFaults,
+        &mut FaultPlan::default(),
         &store,
         CheckpointPolicy { every: 0, keep: 5 },
     )
@@ -438,7 +398,7 @@ fn torn_server_checkpoint_falls_back_to_previous() {
     server.save_checkpoint(&store).expect("save at tick 2");
     hetsolve::ckpt::tear(&store.path_for(2), 0.4).expect("tear the newest");
 
-    let (found, report) = EnsembleServer::restore_latest(&backend, cfg.clone(), NoopFaults, &store);
+    let (found, report) = EnsembleServer::restore_latest(&backend, cfg.clone(), &store);
     let (seq, mut restored) = found.expect("fallback restore");
     assert_eq!(seq, 1, "fell back to the tick-1 snapshot");
     assert_eq!(report.skipped.len(), 1);
@@ -1005,7 +965,7 @@ fn stuck_lane_scaledown_drains_under_load_without_losing_work() {
         autoscale.cooldown_ticks = 2;
         cfg.with_autoscale(autoscale)
     };
-    let admit_all = |server: &mut EnsembleServer<'_, FaultPlan>| -> Vec<RequestId> {
+    let admit_all = |server: &mut EnsembleServer<'_>| -> Vec<RequestId> {
         (0..10)
             .map(|c| server.admit(SolveRequest::new(700 + c, 6)).expect("admit"))
             .collect()

@@ -10,7 +10,7 @@
 //!   that exercises every charge the loops scheduled differently (lane
 //!   stalls on both lanes, dropped and delayed exchanges, a poisoned
 //!   snapshot, state and operator bit flips);
-//! * a *parent checkpoint*: `HSCKPT` bytes the parent's `run_durable` wrote
+//! * a *parent checkpoint*: `HSCKPT` bytes the parent's durable driver wrote
 //!   at step 2 of an EBE-MCG run restore under this commit and resume to a
 //!   result bitwise equal to the uninterrupted run;
 //! * the real-thread pipeline, now two `Vec<CaseSlot>`, against the final
@@ -29,9 +29,7 @@
 //! same line (`tests/thread_invariance.rs` holds the new tree to 1e-12 of
 //! the old one's displacements).
 
-use hetsolve::core::{
-    crc_f64s, run_durable, run_realtime_faulted, CheckpointPolicy, StepTracer, WindowPolicy,
-};
+use hetsolve::core::{crc_f64s, run_realtime, CheckpointPolicy, WindowPolicy};
 use hetsolve::fault::{FaultLane, StateField};
 use hetsolve::prelude::*;
 
@@ -159,7 +157,7 @@ fn render_all() -> String {
     for method in METHODS {
         for (name, window, mut plan) in scenarios() {
             let cfg = config(method, window);
-            let res = run_faulted(&b, &cfg, &mut StepTracer::disabled(), &mut plan)
+            let res = run_with(&b, &cfg, Hooks::default().faults(&mut plan))
                 .unwrap_or_else(|e| panic!("{method:?} {name}: {e}"));
             render_run(&mut out, name, &res);
         }
@@ -177,7 +175,7 @@ fn the_one_driver_reproduces_the_parents_hand_written_loops_bit_for_bit() {
     assert_eq!(got.lines().count(), expected.lines().count());
 }
 
-/// `HSCKPT` bytes written by an earlier commit's `run_durable` at step 2 of
+/// `HSCKPT` bytes written by an earlier commit's durable driver at step 2 of
 /// an EBE-MCG run under [`ckpt_config`].
 const PARENT_CKPT: &[u8] = include_bytes!("data/parent_ebe_step2.hsckpt");
 
@@ -199,24 +197,19 @@ fn a_parent_checkpoint_restores_and_resumes_bitwise() {
     let store = CheckpointStore::new(&dir, 3).unwrap();
     std::fs::write(store.path_for(2), PARENT_CKPT).unwrap();
 
-    let out = run_durable(
-        &b,
-        &cfg,
-        &mut StepTracer::disabled(),
-        &mut NoopFaults,
-        &store,
-        CheckpointPolicy { every: 0, keep: 3 },
-    )
-    .expect("resume from the parent's checkpoint");
+    let policy = CheckpointPolicy { every: 0, keep: 3 };
+    let res = run_with(&b, &cfg, Hooks::default().durable(&store, policy))
+        .expect("resume from the parent's checkpoint");
+    let out = res.durable.as_ref().expect("a run with a store");
     assert!(out.restore.clean(), "{}", out.restore);
     assert_eq!(out.resumed_from, Some(2));
 
     let plain = run(&b, &cfg).expect("uninterrupted");
     let (mut resumed, mut whole) = (String::new(), String::new());
-    render_run(&mut resumed, "resumed", &out.result);
+    render_run(&mut resumed, "resumed", &res);
     render_run(&mut whole, "resumed", &plain);
     assert_eq!(resumed, whole);
-    for (ua, ub) in out.result.final_u.iter().zip(&plain.final_u) {
+    for (ua, ub) in res.final_u.iter().zip(&plain.final_u) {
         assert!(ua.iter().zip(ub).all(|(p, q)| p.to_bits() == q.to_bits()));
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -244,8 +237,7 @@ fn realtime_on_case_slots_reproduces_the_parents_set_state() {
         (faulty, [0xcf68fdc7, 0x24ce0ea4, 0xe1fefaad, 0x48be41f2], 3),
     ] {
         let (final_u, report) =
-            run_realtime_faulted(&b, &cfg, &mut StepTracer::disabled(), &mut plan)
-                .expect("realtime");
+            run_realtime(&b, &cfg, Hooks::default().faults(&mut plan)).expect("realtime");
         let got: Vec<u32> = final_u.iter().map(|u| crc_f64s(u)).collect();
         assert_eq!(got, crcs);
         assert_eq!(report.recoveries, recoveries);

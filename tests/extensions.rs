@@ -1,7 +1,9 @@
 //! Integration tests of the extension features (nonlinear analysis,
 //! real-thread pipelining) at the facade level.
 
-use hetsolve::core::{run, run_nonlinear, run_realtime, Backend, MethodKind, RunConfig};
+use hetsolve::core::{
+    run, run_nonlinear, run_realtime, Backend, Hooks, MethodKind, RunConfig, StepTracer,
+};
 use hetsolve::fem::{FemProblem, HyperbolicModel, RandomLoadSpec};
 use hetsolve::machine::single_gh200;
 use hetsolve::mesh::{GroundModelSpec, InterfaceShape};
@@ -32,7 +34,8 @@ fn nonlinear_reduces_to_linear_for_tiny_strain() {
     let mut cfg = base_cfg(8);
     cfg.r = 1; // nonlinear driver is single-case; compare against case 0
     let linearish = HyperbolicModel::new(1e9, 0.01);
-    let nl = run_nonlinear(&b, &cfg, &linearish, 1e-9, 2).expect("nonlinear");
+    let nl = run_nonlinear(&b, &cfg, &linearish, 1e-9, 2, &mut StepTracer::disabled())
+        .expect("nonlinear");
     // a plain linear run of the same case: use the modeled EBE driver
     let lin = run(&b, &cfg).expect("run");
     let scale = lin.final_u[0]
@@ -49,7 +52,7 @@ fn nonlinear_reduces_to_linear_for_tiny_strain() {
 fn realtime_pipeline_overlap_report_is_sane() {
     let b = backend();
     let cfg = base_cfg(6);
-    let (final_u, rep) = run_realtime(&b, &cfg).expect("realtime");
+    let (final_u, rep) = run_realtime(&b, &cfg, Hooks::default()).expect("realtime");
     assert_eq!(final_u.len(), 2 * cfg.r);
     assert!(rep.wall > 0.0);
     // device busy times are bounded by the wall on each side

@@ -2,12 +2,10 @@
 //! either *recovers* — the run completes and matches the fault-free
 //! trajectory to solver accuracy, with the recovery recorded — or fails
 //! *typed* through [`RunError`]. Nothing in here may panic. The flip side
-//! is neutrality: with [`NoopFaults`] the fault-threaded drivers must be
-//! bitwise-identical to the plain ones.
+//! is neutrality: with an empty [`FaultPlan`] the hooked driver must be
+//! bitwise-identical to the plain one.
 
-use hetsolve::core::{
-    run, run_faulted, run_realtime, run_realtime_faulted, GuessSource, RunError, StepTracer,
-};
+use hetsolve::core::{run, run_realtime, GuessSource, RunError, StepTracer};
 use hetsolve::fault::FaultLane;
 use hetsolve::fem::FemProblem;
 use hetsolve::obs::Termination;
@@ -60,8 +58,9 @@ fn noop_faults_are_bitwise_neutral_for_all_methods() {
     for method in ALL_METHODS {
         let cfg = config(method, 10);
         let plain = run(&b, &cfg).expect("run");
-        let faulted = run_faulted(&b, &cfg, &mut StepTracer::disabled(), &mut NoopFaults)
-            .expect("noop-faulted run");
+        let mut empty = FaultPlan::default();
+        let faulted =
+            run_with(&b, &cfg, Hooks::default().faults(&mut empty)).expect("empty-plan run");
         assert!(
             plain.recoveries.is_empty(),
             "{method:?}: healthy run recovered"
@@ -72,7 +71,7 @@ fn noop_faults_are_bitwise_neutral_for_all_methods() {
                 assert_eq!(
                     p.to_bits(),
                     f.to_bits(),
-                    "{method:?}: NoopFaults perturbed case {case}"
+                    "{method:?}: an empty plan perturbed case {case}"
                 );
             }
         }
@@ -88,7 +87,7 @@ fn nan_guess_recovers_via_ladder_on_every_method() {
         // case/set addressing differs per driver: single-case drivers query
         // case 0, the pipelined driver queries per-set, EBE per global case
         let mut plan = FaultPlan::new(7).nan_guess(5, 0, 0.3);
-        let res = run_faulted(&b, &cfg, &mut StepTracer::disabled(), &mut plan)
+        let res = run_with(&b, &cfg, Hooks::default().faults(&mut plan))
             .unwrap_or_else(|e| panic!("{method:?}: NaN guess was not recovered: {e}"));
         assert!(plan.all_fired(), "{method:?}: scheduled fault never fired");
         assert!(
@@ -121,7 +120,7 @@ fn scale_guess_degrades_but_converges_without_recovery_need() {
     let mut plan = FaultPlan::new(11)
         .scale_guess(6, 1, -40.0)
         .scale_guess(8, 2, 1e6);
-    let res = run_faulted(&b, &cfg, &mut StepTracer::disabled(), &mut plan).expect("scaled guess");
+    let res = run_with(&b, &cfg, Hooks::default().faults(&mut plan)).expect("scaled guess");
     assert!(plan.all_fired());
     let d = rel_distance(&baseline.final_u, &res.final_u);
     assert!(d < 1e-4, "scaled guess drifted {d:e} from fault-free");
@@ -142,8 +141,7 @@ fn poisoned_snapshot_is_quarantined_from_the_predictor() {
     let mut plan = FaultPlan::new(13)
         .nan_snapshot(4, 0, 0.2)
         .scale_snapshot(6, 3, 1e9);
-    let res =
-        run_faulted(&b, &cfg, &mut StepTracer::disabled(), &mut plan).expect("poisoned snapshot");
+    let res = run_with(&b, &cfg, Hooks::default().faults(&mut plan)).expect("poisoned snapshot");
     assert!(plan.all_fired());
     // the NaN snapshot is dropped before it enters the history; the
     // finite-but-huge snapshot gets into the basis and wrecks later
@@ -170,7 +168,7 @@ fn solver_cap_forces_maxiter_then_ladder_recovers() {
         let cfg = config(method, 12);
         let baseline = run(&b, &cfg).expect("baseline");
         let mut plan = FaultPlan::new(17).cap_solver(7, 0, 2);
-        let res = run_faulted(&b, &cfg, &mut StepTracer::disabled(), &mut plan)
+        let res = run_with(&b, &cfg, Hooks::default().faults(&mut plan))
             .unwrap_or_else(|e| panic!("{method:?}: capped solve not recovered: {e}"));
         assert!(plan.all_fired());
         let ev = res
@@ -196,7 +194,12 @@ fn exchange_and_lane_faults_cost_time_but_never_numerics() {
         .stall_lane(4, 0, FaultLane::Gpu, 0.5)
         .stall_lane(6, 1, FaultLane::Cpu, 0.25);
     let mut tracer = StepTracer::new();
-    let res = run_faulted(&b, &cfg, &mut tracer, &mut plan).expect("timing faults");
+    let res = run_with(
+        &b,
+        &cfg,
+        Hooks::default().tracer(&mut tracer).faults(&mut plan),
+    )
+    .expect("timing faults");
     assert!(plan.all_fired());
     // timing faults live on the modeled clock only: bitwise identity holds
     for (case, (up, uf)) in baseline.final_u.iter().zip(&res.final_u).enumerate() {
@@ -258,7 +261,12 @@ fn recovery_events_reach_the_traced_metrics() {
     let cfg = config(MethodKind::EbeMcgCpuGpu, 12);
     let mut plan = FaultPlan::new(23).nan_guess(5, 1, 0.4);
     let mut tracer = StepTracer::new();
-    let res = run_faulted(&b, &cfg, &mut tracer, &mut plan).expect("faulted traced run");
+    let res = run_with(
+        &b,
+        &cfg,
+        Hooks::default().tracer(&mut tracer).faults(&mut plan),
+    )
+    .expect("faulted traced run");
     assert!(!res.recoveries.is_empty());
     assert!(
         tracer
@@ -282,14 +290,14 @@ fn recovery_events_reach_the_traced_metrics() {
 fn realtime_driver_recovers_from_nan_guess() {
     let b = backend();
     let cfg = config(MethodKind::EbeMcgCpuGpu, 8);
-    let (u_base, rep_base) = run_realtime(&b, &cfg).expect("realtime baseline");
+    let (u_base, rep_base) = run_realtime(&b, &cfg, Hooks::default()).expect("realtime baseline");
     assert_eq!(rep_base.recoveries, 0);
     // case 1 lives in set A (case_base 0), case r+1 in set B
     let mut plan = FaultPlan::new(29)
         .nan_guess(3, 1, 0.3)
         .nan_guess(5, cfg.r + 1, 0.3);
-    let (u_fault, rep) = run_realtime_faulted(&b, &cfg, &mut StepTracer::disabled(), &mut plan)
-        .expect("realtime fault run");
+    let (u_fault, rep) =
+        run_realtime(&b, &cfg, Hooks::default().faults(&mut plan)).expect("realtime fault run");
     assert!(plan.all_fired());
     assert!(rep.recoveries >= 2, "both NaN guesses must be recovered");
     let d = rel_distance(&u_base, &u_fault);
@@ -297,26 +305,27 @@ fn realtime_driver_recovers_from_nan_guess() {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster-fault hooks: crash_node / corrupt_replica / partition_link
+// Cluster-fault sites: crash_node / corrupt_replica / partition_link
 // ---------------------------------------------------------------------------
 //
 // Negative tests for the cluster-level injections (DESIGN.md §15): each
-// hook fires only on its exact coordinates, exactly once, and a plan with
+// fault fires only at its exact site, exactly once, and a plan with
 // unfired faults says so through `all_fired`.
 
 #[test]
 fn crash_node_ignores_wrong_tick_and_node_and_is_one_shot() {
     let mut plan = FaultPlan::new(31).crash_node(4, 1);
+    let crash = |tick, node| FaultSite::NodeCrash { tick, node };
     // wrong node at the right tick, right node at the wrong tick: no fire
-    assert!(!plan.node_crash_fault(4, 0));
-    assert!(!plan.node_crash_fault(4, 2));
-    assert!(!plan.node_crash_fault(3, 1));
-    assert!(!plan.node_crash_fault(5, 1));
+    assert!(plan.inject(crash(4, 0)).is_none());
+    assert!(plan.inject(crash(4, 2)).is_none());
+    assert!(plan.inject(crash(3, 1)).is_none());
+    assert!(plan.inject(crash(5, 1)).is_none());
     assert!(!plan.all_fired(), "misses must not consume the fault");
     // exact coordinates fire exactly once
-    assert!(plan.node_crash_fault(4, 1));
+    assert!(plan.inject(crash(4, 1)).is_some());
     assert!(
-        !plan.node_crash_fault(4, 1),
+        plan.inject(crash(4, 1)).is_none(),
         "a failed-over shard replaying the boundary must not re-crash"
     );
     assert!(plan.all_fired());
@@ -325,18 +334,19 @@ fn crash_node_ignores_wrong_tick_and_node_and_is_one_shot() {
 #[test]
 fn corrupt_replica_is_keyed_by_node_and_sequence() {
     let mut plan = FaultPlan::new(37).corrupt_replica(2, 7, 0.5);
+    let site = |node, seq| FaultSite::ReplicaCorrupt { node, seq };
     // wrong node, wrong seq: the mirror stays intact
-    assert!(plan.replica_corruption_fault(1, 7).is_none());
-    assert!(plan.replica_corruption_fault(3, 7).is_none());
-    assert!(plan.replica_corruption_fault(2, 6).is_none());
-    assert!(plan.replica_corruption_fault(2, 8).is_none());
+    assert!(plan.inject(site(1, 7)).is_none());
+    assert!(plan.inject(site(3, 7)).is_none());
+    assert!(plan.inject(site(2, 6)).is_none());
+    assert!(plan.inject(site(2, 8)).is_none());
     assert!(!plan.all_fired());
-    let torn = plan
-        .replica_corruption_fault(2, 7)
-        .expect("exact (node, seq) must fire");
-    assert_eq!(torn.keep_frac, 0.5);
+    let Some(FaultKind::ReplicaCorrupt { keep_frac, .. }) = plan.inject(site(2, 7)) else {
+        panic!("exact (node, seq) must fire");
+    };
+    assert_eq!(keep_frac, 0.5);
     assert!(
-        plan.replica_corruption_fault(2, 7).is_none(),
+        plan.inject(site(2, 7)).is_none(),
         "the re-mirrored replica at the same seq must survive"
     );
     assert!(plan.all_fired());
@@ -345,20 +355,21 @@ fn corrupt_replica_is_keyed_by_node_and_sequence() {
 #[test]
 fn partition_link_is_symmetric_and_heals_next_tick() {
     let mut plan = FaultPlan::new(41).partition_link(3, 0, 2);
+    let link = |tick, a, b| FaultSite::LinkPartition { tick, a, b };
     // other links and other ticks are unaffected
-    assert!(!plan.link_partition_fault(3, 0, 1));
-    assert!(!plan.link_partition_fault(3, 1, 2));
-    assert!(!plan.link_partition_fault(2, 0, 2));
-    assert!(!plan.link_partition_fault(4, 0, 2));
+    assert!(plan.inject(link(3, 0, 1)).is_none());
+    assert!(plan.inject(link(3, 1, 2)).is_none());
+    assert!(plan.inject(link(2, 0, 2)).is_none());
+    assert!(plan.inject(link(4, 0, 2)).is_none());
     assert!(!plan.all_fired());
     // symmetric in (a, b), then healed: one-shot means the next query —
     // the next tick's — sees the link back up
     assert!(
-        plan.link_partition_fault(3, 2, 0),
+        plan.inject(link(3, 2, 0)).is_some(),
         "severed link is symmetric"
     );
     assert!(
-        !plan.link_partition_fault(3, 0, 2),
+        plan.inject(link(3, 0, 2)).is_none(),
         "link heals after the partitioned boundary"
     );
     assert!(plan.all_fired());

@@ -4,7 +4,7 @@
 //! hand-rolled JSON parser with the advertised schemas, and the EBE-MCG
 //! timeline must actually show the paper's Fig. 4 CPU/GPU overlap.
 
-use hetsolve::core::{run, run_traced, StepTracer, TID_CPU, TID_GPU};
+use hetsolve::core::{run, StepTracer, TID_CPU, TID_GPU};
 use hetsolve::fault::FaultLane;
 use hetsolve::fem::FemProblem;
 use hetsolve::obs::{
@@ -116,7 +116,7 @@ fn traced_run_is_bitwise_identical_to_untraced() {
         let cfg = config(method, 20);
         let plain = run(&b, &cfg).expect("run");
         let mut tracer = StepTracer::new();
-        let traced = run_traced(&b, &cfg, &mut tracer).expect("run");
+        let traced = run_with(&b, &cfg, Hooks::default().tracer(&mut tracer)).expect("run");
         assert!(
             !tracer.trace.is_empty(),
             "{method:?}: tracer recorded nothing"
@@ -143,7 +143,12 @@ fn traced_run_is_bitwise_identical_to_untraced() {
 fn exported_artifacts_round_trip_with_schemas() {
     let b = backend();
     let mut tracer = StepTracer::new();
-    let result = run_traced(&b, &config(MethodKind::EbeMcgCpuGpu, 16), &mut tracer).expect("run");
+    let result = run_with(
+        &b,
+        &config(MethodKind::EbeMcgCpuGpu, 16),
+        Hooks::default().tracer(&mut tracer),
+    )
+    .expect("run");
     assert!(result.records.len() == 16);
 
     // trace document: parseable, schema-tagged, lane-serializable
@@ -192,7 +197,7 @@ fn registry_attached_run_is_bitwise_neutral_and_populated() {
 
     let mut tracer = StepTracer::new();
     tracer.attach_registry(MetricsRegistry::new());
-    let observed = run_traced(&b, &cfg, &mut tracer).expect("run");
+    let observed = run_with(&b, &cfg, Hooks::default().tracer(&mut tracer)).expect("run");
     for (case, (up, uo)) in plain.final_u.iter().zip(&observed.final_u).enumerate() {
         for (p, o) in up.iter().zip(uo) {
             assert_eq!(
@@ -229,7 +234,7 @@ fn registry_attached_run_is_bitwise_neutral_and_populated() {
     // used by the bench snapshot) is populated identically
     let mut quiet = StepTracer::disabled();
     quiet.attach_registry(MetricsRegistry::new());
-    let q = run_traced(&b, &cfg, &mut quiet).expect("run");
+    let q = run_with(&b, &cfg, Hooks::default().tracer(&mut quiet)).expect("run");
     for (up, uq) in plain.final_u.iter().zip(&q.final_u) {
         for (p, o) in up.iter().zip(uq) {
             assert_eq!(p.to_bits(), o.to_bits());
@@ -248,7 +253,7 @@ fn registry_attached_run_is_bitwise_neutral_and_populated() {
     ] {
         let mut t = StepTracer::disabled();
         t.attach_registry(MetricsRegistry::new());
-        run_traced(&b, &config(method, 7), &mut t).expect("run");
+        run_with(&b, &config(method, 7), Hooks::default().tracer(&mut t)).expect("run");
         let steps = t.registry().expect("attached").counter("core_steps_total");
         assert_eq!(steps, 7.0, "{method:?}");
     }
@@ -356,7 +361,12 @@ fn examples_write_artifacts_only_under_target_artifacts() {
 fn ebe_mcg_trace_shows_predictor_solver_overlap() {
     let b = backend();
     let mut tracer = StepTracer::new();
-    run_traced(&b, &config(MethodKind::EbeMcgCpuGpu, 24), &mut tracer).expect("run");
+    run_with(
+        &b,
+        &config(MethodKind::EbeMcgCpuGpu, 24),
+        Hooks::default().tracer(&mut tracer),
+    )
+    .expect("run");
 
     let events = tracer.trace.events();
     let spans = |tid: usize, name: &str| {

@@ -139,7 +139,8 @@ fn overload_2x_sheds_typed_and_queue_stays_bounded() {
     let load = LoadConfig::new(0x0dd, 20_000, 2.0 * cap).with_steps(1, 1);
     let log = ArrivalLog::generate(&load);
 
-    let mut server = EnsembleServer::with_faults(&backend, cfg, hetsolve::fault::NoopFaults);
+    let mut server =
+        EnsembleServer::with_faults(&backend, cfg, hetsolve::fault::FaultPlan::default());
     let report = soak_server(&mut server, &log);
 
     assert_conservation(&report);

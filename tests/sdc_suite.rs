@@ -7,7 +7,7 @@
 //! run with detection enabled is *bitwise-identical* to one without: the
 //! defense is free until a checksum actually mismatches.
 
-use hetsolve::core::{run_faulted, run_traced, IntegrityConfig, StepTracer};
+use hetsolve::core::IntegrityConfig;
 use hetsolve::fault::StateField;
 use hetsolve::fem::FemProblem;
 use hetsolve::prelude::*;
@@ -67,8 +67,8 @@ fn clean_runs_are_bitwise_unchanged_by_detection() {
         let on_cfg = config(method, 6);
         let mut off_cfg = on_cfg.clone();
         off_cfg.integrity = IntegrityConfig::disabled();
-        let on = run_traced(&b, &on_cfg, &mut StepTracer::disabled()).expect("detect-on run");
-        let off = run_traced(&b, &off_cfg, &mut StepTracer::disabled()).expect("detect-off run");
+        let on = run(&b, &on_cfg).expect("detect-on run");
+        let off = run(&b, &off_cfg).expect("detect-off run");
         assert!(on.corruptions.is_empty(), "{method:?}: clean run reported");
         assert_bitwise(&on.final_u, &off.final_u, "detection neutrality");
     }
@@ -82,7 +82,7 @@ fn clean_runs_are_bitwise_unchanged_by_detection() {
 fn flip_at_every_step_boundary_recovers_bitwise() {
     let b = backend();
     let cfg = config(MethodKind::EbeMcgCpuGpu, 10);
-    let clean = run_traced(&b, &cfg, &mut StepTracer::disabled()).expect("clean run");
+    let clean = run(&b, &cfg).expect("clean run");
     for step in 0..cfg.n_steps {
         let mut plans: Vec<(&str, FaultPlan)> = vec![
             (
@@ -106,7 +106,7 @@ fn flip_at_every_step_boundary_recovers_bitwise() {
             plans.push(("basis", FaultPlan::new(11).flip_basis(step, 0)));
         }
         for (what, mut plan) in plans {
-            let r = run_faulted(&b, &cfg, &mut StepTracer::disabled(), &mut plan)
+            let r = run_with(&b, &cfg, Hooks::default().faults(&mut plan))
                 .unwrap_or_else(|e| panic!("{what} flip at step {step} must recover: {e}"));
             assert!(
                 !r.corruptions.is_empty(),
@@ -128,7 +128,7 @@ fn flip_at_every_step_boundary_recovers_bitwise() {
 fn crs_driver_recovers_from_flips() {
     let b = backend();
     let cfg = config(MethodKind::CrsCgCpuGpu, 8);
-    let clean = run_traced(&b, &cfg, &mut StepTracer::disabled()).expect("clean run");
+    let clean = run(&b, &cfg).expect("clean run");
     for (what, mut plan) in [
         (
             "state_v",
@@ -137,7 +137,7 @@ fn crs_driver_recovers_from_flips() {
         ("rhs", FaultPlan::new(23).flip_rhs(5, 1)),
         ("operator", FaultPlan::new(23).flip_operator(4)),
     ] {
-        let r = run_faulted(&b, &cfg, &mut StepTracer::disabled(), &mut plan)
+        let r = run_with(&b, &cfg, Hooks::default().faults(&mut plan))
             .unwrap_or_else(|e| panic!("{what}: must recover: {e}"));
         assert!(!r.corruptions.is_empty(), "{what}: must be detected");
         assert_bitwise(&r.final_u, &clean.final_u, what);
@@ -160,13 +160,8 @@ fn guards_run_in_one_order_for_every_method() {
         let mut plan = FaultPlan::new(31)
             .flip_state(3, 0, StateField::U)
             .flip_operator(3);
-        let r = run_faulted(
-            &b,
-            &config(method, 6),
-            &mut StepTracer::disabled(),
-            &mut plan,
-        )
-        .unwrap_or_else(|e| panic!("{method:?}: must recover: {e}"));
+        let r = run_with(&b, &config(method, 6), Hooks::default().faults(&mut plan))
+            .unwrap_or_else(|e| panic!("{method:?}: must recover: {e}"));
         let order: Vec<(usize, Option<usize>)> =
             r.corruptions.iter().map(|c| (c.step, c.case)).collect();
         assert_eq!(order, [(3, None), (3, Some(0))], "{method:?}");
@@ -182,10 +177,10 @@ fn detection_off_lets_the_same_flip_corrupt() {
     let b = backend();
     let mut cfg = config(MethodKind::EbeMcgCpuGpu, 10);
     cfg.integrity = IntegrityConfig::disabled();
-    let clean = run_traced(&b, &cfg, &mut StepTracer::disabled()).expect("clean run");
+    let clean = run(&b, &cfg).expect("clean run");
     let mut plan = FaultPlan::new(11).flip_state(4, 0, StateField::U);
     // a NaN-ward flip may also kill the solve — typed, which is fine
-    if let Ok(r) = run_faulted(&b, &cfg, &mut StepTracer::disabled(), &mut plan) {
+    if let Ok(r) = run_with(&b, &cfg, Hooks::default().faults(&mut plan)) {
         assert!(r.corruptions.is_empty(), "detection is off");
         let same = r
             .final_u
@@ -295,8 +290,9 @@ fn server_checkpoint_roundtrips_sdc_state() {
     )
     .expect("decode checkpoint");
     assert_eq!(ck.corruptions, reports);
-    let restored = EnsembleServer::from_checkpoint(&b, server.config().clone(), NoopFaults, ck)
-        .expect("restore");
+    let restored =
+        EnsembleServer::from_checkpoint(&b, server.config().clone(), FaultPlan::default(), ck)
+            .expect("restore");
     assert_eq!(restored.corruptions(), &reports[..]);
     assert_eq!(restored.stats().sdc_detected(), detected);
 }

@@ -13,7 +13,7 @@
 //!   with a laneless case id: a CRS run whose guess is poisoned recovers,
 //!   and its recovery events carry `case: None`.
 
-use hetsolve::core::{crc_f64s, driver_cg_config, GuessSource, StepTracer};
+use hetsolve::core::{crc_f64s, driver_cg_config, GuessSource};
 use hetsolve::obs::Termination;
 use hetsolve::prelude::*;
 use hetsolve::sparse::{pcg, LinearOperator};
@@ -187,7 +187,7 @@ fn crs_runs_recover_through_the_one_ladder_without_a_case_id() {
         };
         let baseline = run(&b, &cfg).expect("baseline");
         let mut plan = FaultPlan::new(7).nan_guess(4, 0, 0.3);
-        let res = run_faulted(&b, &cfg, &mut StepTracer::disabled(), &mut plan)
+        let res = run_with(&b, &cfg, Hooks::default().faults(&mut plan))
             .unwrap_or_else(|e| panic!("{method:?}: not recovered: {e}"));
         assert!(plan.all_fired());
         assert_eq!(res.recoveries.len(), 1, "{method:?}");

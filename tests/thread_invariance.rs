@@ -18,12 +18,12 @@
 //! * a closed serve loop through `EnsembleServer`: tick count, every
 //!   request's result, and the server's checkpoint bytes (records, stats,
 //!   modeled clock, lane state);
-//! * a `run_durable` killed at a step boundary and resumed: the result,
+//! * a durable run killed at a step boundary and resumed: the result,
 //!   and the bytes of every checkpoint file the two legs wrote.
 
 use std::sync::OnceLock;
 
-use hetsolve::core::{crc_f64s, run_durable, CheckpointPolicy, StepTracer, WindowPolicy};
+use hetsolve::core::{crc_f64s, CheckpointPolicy, WindowPolicy};
 use hetsolve::pool::Pool;
 use hetsolve::prelude::*;
 use hetsolve::serve::RequestState;
@@ -283,7 +283,7 @@ fn record_parent_final_u() {
     std::fs::write(path, bytes).unwrap();
 }
 
-/// `run_durable` killed at step 5 and resumed (checkpoint every 2 steps):
+/// A durable run killed at step 5 and resumed (checkpoint every 2 steps):
 /// the resumed result, and `(file name, bytes)` of every checkpoint the
 /// two legs left in the store.
 fn kill_and_resume(b: &Backend, tag: usize) -> (RunResult, Vec<(String, Vec<u8>)>) {
@@ -294,10 +294,15 @@ fn kill_and_resume(b: &Backend, tag: usize) -> (RunResult, Vec<(String, Vec<u8>)
     let policy = CheckpointPolicy { every: 2, keep: 4 };
     let mut plan = FaultPlan::new(7).crash_at(5);
     let leg = |plan: &mut FaultPlan| {
-        run_durable(b, &cfg, &mut StepTracer::disabled(), plan, &store, policy)
+        run_with(
+            b,
+            &cfg,
+            Hooks::default().faults(plan).durable(&store, policy),
+        )
     };
     assert_eq!(leg(&mut plan).unwrap_err(), RunError::Crashed { step: 5 });
-    let out = leg(&mut plan).expect("resume");
+    let res = leg(&mut plan).expect("resume");
+    let out = res.durable.as_ref().expect("a run with a store");
     assert!(out.restore.clean(), "{}", out.restore);
     assert_eq!(out.resumed_from, Some(4));
     let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
@@ -310,7 +315,7 @@ fn kill_and_resume(b: &Backend, tag: usize) -> (RunResult, Vec<(String, Vec<u8>)
         .collect();
     files.sort();
     std::fs::remove_dir_all(&dir).unwrap();
-    (out.result, files)
+    (res, files)
 }
 
 #[test]

@@ -23,8 +23,7 @@
 
 use hetsolve::ckpt::CkptError;
 use hetsolve::core::{
-    run_durable, CheckpointPolicy, ConfigFingerprint, RecoveryEvent, RunCheckpoint, StepTracer,
-    WindowPolicy,
+    CheckpointPolicy, ConfigFingerprint, RecoveryEvent, RunCheckpoint, WindowPolicy,
 };
 use hetsolve::fault::StateField;
 use hetsolve::load::{soak_server, ArrivalLog, LoadConfig, SoakReport, TrafficShape};
@@ -238,15 +237,11 @@ fn a_version_1_image_is_refused_typed() {
     let _ = std::fs::remove_dir_all(&dir);
     let store = CheckpointStore::new(&dir, 3).unwrap();
     std::fs::write(store.path_for(2), &v1).unwrap();
-    let out = run_durable(
-        &b,
-        &run_cfg(),
-        &mut StepTracer::disabled(),
-        &mut NoopFaults,
-        &store,
-        CheckpointPolicy { every: 0, keep: 3 },
-    )
-    .expect("a fresh run");
+    let policy = CheckpointPolicy { every: 0, keep: 3 };
+    let out = run_with(&b, &run_cfg(), Hooks::default().durable(&store, policy))
+        .expect("a fresh run")
+        .durable
+        .expect("a run with a store");
     assert_eq!(out.resumed_from, None);
     assert_eq!(out.restore.skipped.len(), 1, "{}", out.restore);
     assert_eq!(
@@ -421,13 +416,12 @@ fn run_image(b: &Backend) -> Vec<u8> {
     let dir = std::env::temp_dir().join("hs-wire-golden-run-image");
     let _ = std::fs::remove_dir_all(&dir);
     let store = CheckpointStore::new(&dir, 3).unwrap();
-    let killed = run_durable(
+    let mut plan = FaultPlan::new(1).crash_at(3);
+    let policy = CheckpointPolicy { every: 2, keep: 3 };
+    let killed = run_with(
         b,
         &run_cfg(),
-        &mut StepTracer::disabled(),
-        &mut FaultPlan::new(1).crash_at(3),
-        &store,
-        CheckpointPolicy { every: 2, keep: 3 },
+        Hooks::default().faults(&mut plan).durable(&store, policy),
     );
     assert_eq!(killed.unwrap_err(), RunError::Crashed { step: 3 });
     let bytes = std::fs::read(store.path_for(2)).unwrap();

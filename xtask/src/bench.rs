@@ -9,10 +9,10 @@ use std::process::ExitCode;
 
 use hetsolve_ckpt::CheckpointStore;
 use hetsolve_core::{
-    run_durable, run_faulted, run_traced, Backend, CheckpointPolicy, IntegrityConfig, MethodKind,
+    run, run_with, Backend, CheckpointPolicy, Hooks, IntegrityConfig, MethodKind,
     PartitionedProblem, RunConfig, StepTracer,
 };
-use hetsolve_fault::{FaultPlan, NoopFaults, StateField};
+use hetsolve_fault::{FaultPlan, StateField};
 use hetsolve_fem::{FemProblem, RandomLoadSpec};
 use hetsolve_load::{soak_server, ArrivalLog, LoadConfig, TrafficShape};
 use hetsolve_machine::{alps_node, single_gh200};
@@ -55,7 +55,8 @@ pub fn bench_snapshot(dir: Option<String>) -> ExitCode {
     ] {
         let cfg = bench_config(method);
         let mut tracer = StepTracer::new();
-        let result = run_traced(&backend, &cfg, &mut tracer).expect("bench run failed");
+        let result = run_with(&backend, &cfg, Hooks::default().tracer(&mut tracer))
+            .expect("bench run failed");
         println!(
             "bench-snapshot: {:<16} {:>3} steps, {:.3e} s/step/case, {:.1} iters",
             method.label(),
@@ -159,7 +160,7 @@ fn sdc_stats(backend: &Backend) -> Json {
         let mut best = f64::INFINITY;
         for _ in 0..REPS {
             let t0 = std::time::Instant::now();
-            run_traced(backend, cfg, &mut StepTracer::disabled()).expect("sdc bench run");
+            run(backend, cfg).expect("sdc bench run");
             best = best.min(t0.elapsed().as_secs_f64());
         }
         best
@@ -198,9 +199,8 @@ fn sdc_stats(backend: &Backend) -> Json {
         1.0
     };
 
-    let clean = run_traced(backend, &on_cfg, &mut StepTracer::disabled()).expect("sdc clean run");
-    let baseline =
-        run_traced(backend, &off_cfg, &mut StepTracer::disabled()).expect("sdc baseline");
+    let clean = run(backend, &on_cfg).expect("sdc clean run");
+    let baseline = run(backend, &off_cfg).expect("sdc baseline");
     assert!(
         clean.corruptions.is_empty(),
         "clean run must report nothing"
@@ -232,7 +232,7 @@ fn sdc_stats(backend: &Backend) -> Json {
         ];
         for mut plan in plans {
             injected += 1;
-            let result = run_faulted(backend, &on_cfg, &mut StepTracer::disabled(), &mut plan)
+            let result = run_with(backend, &on_cfg, Hooks::default().faults(&mut plan))
                 .expect("sdc injected run must recover, not fail");
             if !result.corruptions.is_empty() {
                 detected += 1;
@@ -309,7 +309,8 @@ fn telemetry_stats(backend: &Backend) -> Json {
         for _ in 0..REPS {
             let mut tracer = mk();
             let t0 = std::time::Instant::now();
-            run_traced(backend, &cfg, &mut tracer).expect("telemetry bench run");
+            run_with(backend, &cfg, Hooks::default().tracer(&mut tracer))
+                .expect("telemetry bench run");
             best = best.min(t0.elapsed().as_secs_f64());
         }
         best
@@ -329,7 +330,7 @@ fn telemetry_stats(backend: &Backend) -> Json {
     // the registry the overhead claim is about must actually be populated
     let mut tracer = StepTracer::disabled();
     tracer.attach_registry(MetricsRegistry::new());
-    run_traced(backend, &cfg, &mut tracer).expect("telemetry bench run");
+    run_with(backend, &cfg, Hooks::default().tracer(&mut tracer)).expect("telemetry bench run");
     let reg = tracer.take_registry().expect("registry attached above");
     assert_eq!(
         reg.counter("core_steps_total") as usize,
@@ -609,24 +610,13 @@ fn ckpt_stats(backend: &Backend) -> Json {
     let store = CheckpointStore::new(&dir, 3).expect("open bench checkpoint store");
     let policy = CheckpointPolicy { every: 4, keep: 3 };
 
-    let fresh = run_durable(
-        backend,
-        &cfg,
-        &mut StepTracer::new(),
-        &mut NoopFaults,
-        &store,
-        policy,
-    )
-    .expect("durable bench run");
-    let resumed = run_durable(
-        backend,
-        &cfg,
-        &mut StepTracer::new(),
-        &mut NoopFaults,
-        &store,
-        policy,
-    )
-    .expect("durable bench resume");
+    let durable_run = || {
+        let mut tracer = StepTracer::new();
+        let hooks = Hooks::default().tracer(&mut tracer).durable(&store, policy);
+        run_with(backend, &cfg, hooks).map(|r| r.durable.expect("run with a store"))
+    };
+    let fresh = durable_run().expect("durable bench run");
+    let resumed = durable_run().expect("durable bench resume");
     let _ = std::fs::remove_dir_all(&dir);
 
     println!(
