@@ -256,7 +256,7 @@ pub fn crc_f64s(v: &[f64]) -> u32 {
 
 /// CRC32 over a sequence of `f64` columns; column boundaries are folded in
 /// so reshaping the same values is not checksum-neutral.
-pub fn crc_cols<'a>(cols: impl Iterator<Item = &'a [f64]>) -> u32 {
+pub(crate) fn crc_cols<'a>(cols: impl Iterator<Item = &'a [f64]>) -> u32 {
     crc_cols_via(cols, |col, c| {
         c.update_f64s(col);
     })
@@ -278,7 +278,7 @@ fn crc_cols_via<'a>(
 
 /// The operator payload a run's ABFT checksum covers.
 #[derive(Clone, Copy)]
-pub enum OperatorPayload<'a> {
+pub(crate) enum OperatorPayload<'a> {
     /// Matrix-free EBE: the compact per-element geometry data.
     Ebe(&'a CompactElements),
     /// Assembled BCRS: structure plus block values.
@@ -315,7 +315,7 @@ impl<'a> OperatorPayload<'a> {
 
 /// Construction-time checksum of the immutable operator payload — the
 /// reference every step boundary re-verifies against.
-pub fn operator_crc(payload: OperatorPayload<'_>) -> u32 {
+pub(crate) fn operator_crc(payload: OperatorPayload<'_>) -> u32 {
     payload.crc_with(payload.values())
 }
 
@@ -331,7 +331,7 @@ pub fn operator_crc(payload: OperatorPayload<'_>) -> u32 {
 /// last. The snapshot buffer starts empty, grows to one case's state on
 /// the first capture and is never reallocated after.
 #[derive(Debug, Default)]
-pub struct StateGuard {
+pub(crate) struct StateGuard {
     step: usize,
     /// The captured columns back to back: `u`, `v`, `a`, then the Adams
     /// history and the predictor history, each oldest first.
@@ -433,7 +433,7 @@ impl StateGuard {
 
 /// Apply an injected single-bit flip to one state vector of `slot` — the
 /// fault layer's memory-soft-error model.
-pub fn inject_state_flip(slot: &mut CaseSlot, field: StateField, flip: BitFlip) {
+pub(crate) fn inject_state_flip(slot: &mut CaseSlot, field: StateField, flip: BitFlip) {
     let v = match field {
         StateField::U => &mut slot.time.u,
         StateField::V => &mut slot.time.v,
@@ -444,7 +444,7 @@ pub fn inject_state_flip(slot: &mut CaseSlot, field: StateField, flip: BitFlip) 
 
 /// Apply an injected single-bit flip to the newest column of `slot`'s
 /// predictor history; a no-op while the history is empty.
-pub fn inject_basis_flip(slot: &mut CaseSlot, flip: BitFlip) -> bool {
+pub(crate) fn inject_basis_flip(slot: &mut CaseSlot, flip: BitFlip) -> bool {
     let newest = slot.dd.available_s();
     match slot.dd.column_mut(newest) {
         Some(col) => flip.apply(col).is_some(),
@@ -457,7 +457,7 @@ pub fn inject_basis_flip(slot: &mut CaseSlot, flip: BitFlip) -> bool {
 /// injected flips land unguarded — the baseline that demonstrates silent
 /// corruption; with detection on and no fault this is pure read-only
 /// overhead, so clean runs stay bitwise-identical.
-pub fn boundary_guard(
+pub(crate) fn boundary_guard(
     guard: &mut StateGuard,
     slot: &mut CaseSlot,
     faults: &mut FaultPlan,
@@ -496,7 +496,7 @@ pub fn boundary_guard(
 /// assembled right-hand side is detected and the column recomputed —
 /// bitwise, because the guarded `f`/`u`/`v`/`a` inputs are still intact.
 #[allow(clippy::too_many_arguments)]
-pub fn rhs_guard(
+pub(crate) fn rhs_guard(
     backend: &Backend,
     slot: &mut CaseSlot,
     scratch: &mut RhsScratch,
@@ -542,7 +542,7 @@ pub fn rhs_guard(
 /// Returns `Some(report)` when a corrupted copy was dropped; the pristine
 /// payload failing its own baseline would be unrecoverable host-memory
 /// corruption, surfaced by the caller as `RunError::Corruption`.
-pub fn operator_guard(
+pub(crate) fn operator_guard(
     payload: OperatorPayload<'_>,
     baseline: u32,
     faults: &mut FaultPlan,
@@ -576,7 +576,7 @@ pub fn operator_guard(
 /// first poisoned vector. A corruption that reaches this point slipped
 /// past every checksum and sentinel — the caller surfaces it typed
 /// (`RunError::Corruption`) instead of carrying NaNs forward.
-pub fn scrub_state(slot: &CaseSlot) -> Option<StateField> {
+pub(crate) fn scrub_state(slot: &CaseSlot) -> Option<StateField> {
     if slot.time.u.iter().any(|x| !x.is_finite()) {
         return Some(StateField::U);
     }
@@ -594,7 +594,7 @@ pub fn scrub_state(slot: &CaseSlot) -> Option<StateField> {
 /// non-finite), the history is reset — the predictor falls back to plain
 /// Adams-Bashforth and re-accumulates, which degrades speed, never
 /// accuracy. Returns the report when the reset fired.
-pub fn basis_sentinel(
+pub(crate) fn basis_sentinel(
     slot: &mut CaseSlot,
     step: usize,
     case: usize,
@@ -636,14 +636,15 @@ mod tests {
     fn warmed_slot(backend: &Backend, cfg: &RunConfig, steps: usize) -> CaseSlot {
         let mut slot = CaseSlot::with_seed(backend, cfg, 7, cfg.n_steps.max(steps), 0);
         let mut scratch = RhsScratch::new(backend.n_dofs());
+        let mut ab = Vec::new();
         for _ in 0..steps {
-            let (ab, _) = slot.prepare_step(backend, &mut scratch, cfg.s_max);
+            slot.prepare_step(backend, &mut scratch, cfg.s_max, &mut ab);
             // cheap fake solve: the guard logic only needs state that
             // evolves, so that no two columns hold the same bits
             let x: Vec<f64> = slot
-                .guess()
+                .guess
                 .iter()
-                .zip(slot.rhs())
+                .zip(&slot.rhs)
                 .map(|(g, f)| g + 1e-3 * f)
                 .collect();
             slot.advance(backend, &x, &ab, None);
@@ -865,8 +866,8 @@ mod tests {
         let mut slot = warmed_slot(&backend, &cfg, 4);
         let mut scratch = RhsScratch::new(backend.n_dofs());
         let step = slot.step_index();
-        let _ = slot.prepare_step(&backend, &mut scratch, cfg.s_max);
-        let clean_rhs = slot.rhs().to_vec();
+        slot.prepare_step(&backend, &mut scratch, cfg.s_max, &mut Vec::new());
+        let clean_rhs = slot.rhs.clone();
 
         let mut plan = FaultPlan::new(5).flip_rhs(step, 0);
         let mut reports = Vec::new();
@@ -883,7 +884,7 @@ mod tests {
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].target, CorruptTarget::Rhs);
         assert_eq!(reports[0].action, CorruptionAction::RecomputedRhs);
-        for (a, b) in slot.rhs().iter().zip(&clean_rhs) {
+        for (a, b) in slot.rhs.iter().zip(&clean_rhs) {
             assert_eq!(a.to_bits(), b.to_bits(), "recompute must be bitwise");
         }
 
@@ -902,7 +903,7 @@ mod tests {
         );
         assert!(reports.is_empty());
         assert!(slot
-            .rhs()
+            .rhs
             .iter()
             .zip(&clean_rhs)
             .any(|(a, b)| a.to_bits() != b.to_bits()));

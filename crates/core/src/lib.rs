@@ -19,6 +19,9 @@
 //!   step driver's run state (any method) and the checkpoint-every-N /
 //!   resume-from-latest side of the step loop a store turns on
 //!   (bitwise-identical replay after a crash),
+//! * [`set`] — one fused set's step (guards, predictor, the recovery
+//!   ladder, advance) as a CPU half and a device half: the one per-set
+//!   sequence the step driver, the real-thread pipeline and the server run,
 //! * [`recovery`] — the typed error ladder: retry failed solves with
 //!   progressively safer guesses, recording each [`recovery::RecoveryEvent`],
 //! * [`report`] — table/series formatting for the benchmark harnesses,
@@ -38,6 +41,7 @@ pub mod nonlinear_run;
 pub mod realtime;
 pub mod recovery;
 pub mod report;
+pub mod set;
 pub mod slot;
 pub mod study;
 pub mod trace;
@@ -48,11 +52,7 @@ pub use durable::{CheckpointPolicy, DurableOutcome};
 pub use ensemble::{
     run_ensemble, run_ensemble_durable, EnsembleConfig, EnsembleConfigError, EnsembleResult,
 };
-pub use integrity::{
-    basis_sentinel, boundary_guard, crc_cols, crc_f64s, inject_basis_flip, inject_state_flip,
-    operator_crc, operator_guard, rhs_guard, scrub_state, CorruptTarget, CorruptionAction,
-    CorruptionReport, IntegrityConfig, OperatorPayload, StateGuard,
-};
+pub use integrity::{crc_f64s, CorruptTarget, CorruptionAction, CorruptionReport, IntegrityConfig};
 pub use methods::{
     driver_cg_config, run, run_with, Hooks, MethodKind, RunConfig, RunResult, StepRecord,
     WindowPolicy,
@@ -60,7 +60,7 @@ pub use methods::{
 pub use multinode::{DistributedOperator, LocalPart, PartitionMetrics, PartitionedProblem};
 pub use nonlinear_run::{run_nonlinear, NonlinearResult, NonlinearStepRecord};
 pub use realtime::{run_realtime, RealtimeReport};
-pub use recovery::{solve_set_resumable, GuessSource, RecoveryEvent, RunError, SetSolveOutcome};
+pub use recovery::{GuessSource, RecoveryEvent, RunError};
 pub use report::{apply_speedups, format_application_table, format_series, MethodSummary};
 pub use slot::CaseSlot;
 pub use study::{convergence_study, ConvergenceStudy, GuessResult, StudyConfig};

@@ -38,28 +38,29 @@
 //! the `Schedule` (what is charged where, when the lanes sync, what is
 //! exchanged, and the `StepRecord` time formulas that follow from it); the
 //! shared adaptive window, which only the CRS pipeline clamps to case 0's
-//! history; and the ladder's `retry_ab` / `case_base`, which follow the
-//! operator view (a fused lane always has a distinct Adams-Bashforth rung
-//! and names its cases; a lane of one does neither). The two lanes of
-//! [`ModuleClock`] are independent accumulators, so within a set the order
-//! of the CPU and GPU charges is free.
+//! history; and [`SetSpec::fused`], which follows the operator view (a
+//! fused lane always has a distinct Adams-Bashforth rung and names its
+//! cases; a lane of one does neither). The per-set sequence itself —
+//! guards, predictor, ladder, advance — is the one set step of
+//! [`crate::set`]. The two lanes of [`ModuleClock`] are independent
+//! accumulators, so within a set the order of the CPU and GPU charges is
+//! free.
 
 use hetsolve_ckpt::CheckpointStore;
 use hetsolve_fault::{ExchangeFault, FaultKind, FaultLane, FaultPlan, FaultSite};
-use hetsolve_fem::{CompactEbe, RandomLoadSpec};
+use hetsolve_fem::RandomLoadSpec;
 use hetsolve_machine::{EnergyReport, LaneKind, ModuleClock, NodeSpec, SystemClock, WallClock};
 use hetsolve_obs::Json;
 use hetsolve_predictor::AdaptiveWindow;
-use hetsolve_sparse::vecops::{extract_case, insert_case};
-use hetsolve_sparse::{Bcrs3, CgConfig, KernelCounts, MultiOperator, Width1};
+use hetsolve_sparse::{CgConfig, KernelCounts, MultiOperator, Width1};
 
-use crate::backend::{Backend, RhsScratch};
+use crate::backend::Backend;
 use crate::durable::{CheckpointPolicy, Durable, DurableOutcome};
 use crate::integrity::{
-    basis_sentinel, boundary_guard, operator_crc, operator_guard, rhs_guard, scrub_state,
-    CorruptTarget, CorruptionReport, IntegrityConfig, OperatorPayload, StateGuard,
+    operator_crc, operator_guard, CorruptionReport, IntegrityConfig, OperatorPayload,
 };
-use crate::recovery::{solve_set_with_ladder, RecoveryEvent, RunError};
+use crate::recovery::{RecoveryEvent, RunError};
+use crate::set::{Fate, SetSpec, SetStep};
 use crate::slot::CaseSlot;
 use crate::trace::StepTracer;
 
@@ -106,14 +107,6 @@ pub fn driver_cg_config(tol: f64) -> CgConfig {
         sentinel_drift: 0.0, // DEFAULT_SENTINEL_DRIFT
         norm_bound: DRIVER_NORM_BOUND,
     }
-}
-
-/// Is this step one of the periodic predictor-basis audit boundaries?
-fn check_basis_at(integ: &IntegrityConfig, step: usize) -> bool {
-    integ.detect
-        && integ.basis_check_every > 0
-        && step > 0
-        && step.is_multiple_of(integ.basis_check_every)
 }
 
 /// Which of the paper's methods to run.
@@ -492,44 +485,6 @@ impl Layout {
     }
 }
 
-/// The system operator as the one (multi-RHS) solver sees it.
-enum OpView<'a> {
-    /// The assembled matrix at fused width 1 (Algorithms 2 and 4).
-    Crs(Width1<'a, Bcrs3>),
-    /// The matrix-free compact EBE kernel at width `r` (Algorithm 3).
-    Ebe(CompactEbe<'a>),
-}
-
-impl MultiOperator for OpView<'_> {
-    fn n(&self) -> usize {
-        match self {
-            OpView::Crs(a) => a.n(),
-            OpView::Ebe(a) => a.n(),
-        }
-    }
-
-    fn r(&self) -> usize {
-        match self {
-            OpView::Crs(a) => a.r(),
-            OpView::Ebe(a) => a.r(),
-        }
-    }
-
-    fn apply_multi(&self, x: &[f64], y: &mut [f64]) {
-        match self {
-            OpView::Crs(a) => a.apply_multi(x, y),
-            OpView::Ebe(a) => a.apply_multi(x, y),
-        }
-    }
-
-    fn counts(&self) -> KernelCounts {
-        match self {
-            OpView::Crs(a) => a.counts(),
-            OpView::Ebe(a) => a.counts(),
-        }
-    }
-}
-
 /// Immutable per-run context of the step driver: the method's layout, the
 /// operator view and kernel costs borrowed from the backend, the CG
 /// settings, and the observation DOFs. Rebuilt identically from
@@ -537,13 +492,15 @@ impl MultiOperator for OpView<'_> {
 /// checkpoint.
 pub(crate) struct RunCtx<'a> {
     layout: Layout,
-    op: OpView<'a>,
+    /// The system operator as the one (multi-RHS) solver sees it: the
+    /// assembled matrix at fused width 1 (Algorithms 2 and 4) or the
+    /// matrix-free compact EBE kernel at width `r` (Algorithm 3).
+    op: Box<dyn MultiOperator + 'a>,
     /// What the per-step ABFT audit checksums, and its construction-time
     /// reference value.
     payload: OperatorPayload<'a>,
     op_crc: u32,
     rhs_counts: KernelCounts,
-    cg_cfg: CgConfig,
     obs: Vec<usize>,
 }
 
@@ -552,35 +509,35 @@ impl<'a> RunCtx<'a> {
     /// the backend was built without.
     pub(crate) fn new(backend: &'a Backend, cfg: &RunConfig) -> Result<Self, RunError> {
         let layout = Layout::of(cfg);
-        let (op, payload, rhs_counts) = if cfg.method == MethodKind::EbeMcgCpuGpu {
-            (
-                OpView::Ebe(backend.ebe_a(cfg.r)),
-                OperatorPayload::Ebe(&backend.compact),
-                backend.rhs_counts_ebe(cfg.r),
-            )
-        } else if backend.has_crs() {
-            let crs = backend.crs_a();
-            (
-                OpView::Crs(Width1(crs)),
-                OperatorPayload::Crs(crs),
-                backend.rhs_counts_crs(),
-            )
-        } else {
-            return Err(RunError::Config {
-                message: format!(
-                    "method {} needs assembled matrices, but the backend was built \
+        let (op, payload, rhs_counts): (Box<dyn MultiOperator>, _, _) =
+            if cfg.method == MethodKind::EbeMcgCpuGpu {
+                (
+                    Box::new(backend.ebe_a(cfg.r)),
+                    OperatorPayload::Ebe(&backend.compact),
+                    backend.rhs_counts_ebe(cfg.r),
+                )
+            } else if backend.has_crs() {
+                let crs = backend.crs_a();
+                (
+                    Box::new(Width1(crs)),
+                    OperatorPayload::Crs(crs),
+                    backend.rhs_counts_crs(),
+                )
+            } else {
+                return Err(RunError::Config {
+                    message: format!(
+                        "method {} needs assembled matrices, but the backend was built \
                      with `with_crs = false`",
-                    cfg.method.label()
-                ),
-            });
-        };
+                        cfg.method.label()
+                    ),
+                });
+            };
         Ok(RunCtx {
             layout,
             op,
             payload,
             op_crc: operator_crc(payload),
             rhs_counts,
-            cg_cfg: driver_cg_config(cfg.tol),
             obs: backend.problem.surface_dofs_z(),
         })
     }
@@ -592,12 +549,12 @@ impl<'a> RunCtx<'a> {
 }
 
 /// Mutable state of a run at a step boundary — exactly what a
-/// crash-consistent checkpoint must persist. The `scratch`/`f_multi`/
-/// `x_multi` buffers are excluded on purpose: every step fully rewrites
-/// them before reading, so a resumed run is bitwise-identical without
-/// them. Uninterrupted, resumed and faulted runs all advance every method
-/// through the same [`RunState::step_once`] in [`run_with`], which is what
-/// makes the replay-determinism claim structural rather than coincidental.
+/// crash-consistent checkpoint must persist. The `set_step` buffers are
+/// excluded on purpose: every step fully rewrites them before reading, so
+/// a resumed run is bitwise-identical without them. Uninterrupted, resumed
+/// and faulted runs all advance every method through the same
+/// [`RunState::step_once`] in [`run_with`], which is what makes the
+/// replay-determinism claim structural rather than coincidental.
 pub(crate) struct RunState {
     pub(crate) cases: Vec<CaseSlot>,
     pub(crate) clock: ModuleClock,
@@ -607,12 +564,8 @@ pub(crate) struct RunState {
     pub(crate) corruptions: Vec<CorruptionReport>,
     /// Next step boundary to execute (`records.len()` on a healthy run).
     pub(crate) step: usize,
-    scratch: RhsScratch,
-    /// The one boundary guard, reused case after case (working storage
-    /// like `scratch`: every capture overwrites it).
-    guard: StateGuard,
-    f_multi: Vec<f64>,
-    x_multi: Vec<f64>,
+    /// The one set step's working storage, reused set after set.
+    set_step: SetStep,
 }
 
 impl RunState {
@@ -638,10 +591,7 @@ impl RunState {
             recoveries: Vec::new(),
             corruptions: Vec::new(),
             step: 0,
-            scratch: RhsScratch::new(n),
-            guard: StateGuard::default(),
-            f_multi: vec![0.0; n * layout.lanes],
-            x_multi: vec![0.0; n * layout.lanes],
+            set_step: SetStep::new(n, layout.lanes),
         }
     }
 
@@ -668,7 +618,7 @@ impl RunState {
         let n_cases = (sets * lanes) as f64;
         let step = self.step;
         let detect = cfg.integrity.detect;
-        let matrix_free = matches!(ctx.op, OpView::Ebe(_));
+        let matrix_free = cfg.method == MethodKind::EbeMcgCpuGpu;
         // Adaptive shares one window across cases; FullWindow is
         // case-local (clamped to each case's own history below). The
         // Adams-Bashforth-only methods run every case at window 0. The
@@ -714,84 +664,35 @@ impl RunState {
 
         for set in 0..sets {
             let set_cases = set * lanes..(set + 1) * lanes;
+            let ids: Vec<Option<usize>> = set_cases.clone().map(Some).collect();
+            let spec = SetSpec {
+                step,
+                set,
+                ids: &ids,
+                fused: matrix_free,
+                window: s_shared,
+                tol: cfg.tol,
+            };
             // predictors (CPU lane)
-            let mut ab_guesses: Vec<Vec<f64>> = Vec::with_capacity(lanes);
-            let mut guess_faulted = false;
-            for c in set_cases.clone() {
-                let case = &mut self.cases[c];
-                boundary_guard(
-                    &mut self.guard,
-                    case,
-                    faults,
-                    step,
-                    c,
-                    detect,
-                    &mut self.corruptions,
-                );
-                if check_basis_at(&cfg.integrity, step) {
-                    self.corruptions.extend(basis_sentinel(
-                        case,
-                        step,
-                        c,
-                        cfg.integrity.basis_defect_tol,
-                    ));
-                }
-                let s = s_shared.unwrap_or_else(|| cfg.s_max.max(1).min(case.dd.available_s()));
-                let (ab_guess, su) = case.prepare_step(backend, &mut self.scratch, s);
-                rhs_guard(
-                    backend,
-                    case,
-                    &mut self.scratch,
-                    faults,
-                    step,
-                    c,
-                    detect,
-                    &mut self.corruptions,
-                );
-                ab_guesses.push(ab_guess);
-                s_used = su;
-                if let Some(FaultKind::Guess { fault, .. }) =
-                    faults.inject(FaultSite::Guess { step, case: c })
-                {
-                    fault.apply(&mut case.guess);
-                    guess_faulted = true;
-                }
+            let lane = self.cases[set_cases.clone()].iter_mut().map(Some);
+            let prepared = self.set_step.prepare(backend, cfg, spec, lane, faults);
+            self.corruptions.extend_from_slice(&prepared.corruptions);
+            for col in prepared.columns.iter().flatten() {
+                s_used = col.s_used;
                 if schedule != Schedule::Serial {
                     pred_t += tracer.charge_cpu(
                         &mut self.clock,
                         set,
                         "predictor",
-                        &case.dd.cost(s_used.max(1)),
-                        &[("case", Json::from(c)), ("s", Json::from(s_used))],
+                        &col.predictor,
+                        &[("case", Json::from(col.id)), ("s", Json::from(s_used))],
                     );
                 }
             }
-            // fused solve (the layout's solve lane)
-            for (k, c) in set_cases.clone().enumerate() {
-                insert_case(&mut self.f_multi, lanes, k, &self.cases[c].rhs);
-                insert_case(&mut self.x_multi, lanes, k, &self.cases[c].guess);
-            }
-            let first_cfg = first_solve_cfg(faults, step, set, &ctx.cg_cfg);
-            let before = self.recoveries.len();
-            // The Adams-Bashforth rung is always distinct on a fused lane;
-            // on a lane of one only when the first attempt started from a
-            // data-driven or a corrupted guess. Fused lanes name their
-            // cases in events and errors; a lane of one is laneless
-            // (`case: None`).
-            let stats = solve_set_with_ladder(
-                &ctx.op,
-                &backend.precond,
-                &self.f_multi,
-                &mut self.x_multi,
-                &ab_guesses,
-                &ctx.cg_cfg,
-                &first_cfg,
-                step,
-                set,
-                matrix_free.then_some(set * lanes),
-                matrix_free || s_used > 0 || guess_faulted,
-                &mut self.recoveries,
-            )?;
+            // fused solve (the layout's solve lane) and advance
+            let lane = self.cases[set_cases].iter_mut().map(Some);
+            let out = self.set_step.solve(backend, &*ctx.op, lane);
+            out.error()?;
             // the serial schedule charges RHS + Adams-Bashforth (4 vector
             // passes) + solve as one kernel; the pipelined ones charged
             // their predictors above
@@ -799,7 +700,7 @@ impl RunState {
             if schedule == Schedule::Serial {
                 work = work.merged(vector_counts(n, 4.0));
             }
-            let work = work.merged(stats.counts);
+            let work = work.merged(out.counts);
             let name = if matrix_free {
                 "rhs + MCG solve"
             } else {
@@ -807,13 +708,14 @@ impl RunState {
             };
             let args = [
                 ("r", Json::from(lanes)),
-                ("fused_iterations", Json::from(stats.fused_iterations)),
+                ("fused_iterations", Json::from(out.fused_iterations)),
             ];
             solver_t += match solve_lane {
                 LaneKind::Cpu => tracer.charge_cpu(&mut self.clock, set, name, &work, &args),
                 _ => tracer.charge_gpu(&mut self.clock, set, name, &work, &args),
             };
-            for ev in &self.recoveries[before..] {
+            self.recoveries.extend_from_slice(&out.recoveries);
+            for ev in &out.recoveries {
                 tracer.recovery_event(self.clock.elapsed(), ev);
             }
             if let Some(FaultKind::Lane { fault: lf, .. }) =
@@ -825,29 +727,19 @@ impl RunState {
                 };
                 *stalled += tracer.charge_stall(&mut self.clock, set, lane, lf.seconds);
             }
-            let mut x = vec![0.0; n];
-            for (k, c) in set_cases.clone().enumerate() {
-                extract_case(&self.x_multi, lanes, k, &mut x);
-                iter_sum += stats.case_iterations[k] as f64;
-                res_sum += stats.initial_rel_res[k];
-                let snapshot = match faults.inject(FaultSite::Snapshot { step, case: c }) {
-                    Some(FaultKind::Snapshot { fault, .. }) => Some(fault),
-                    _ => None,
-                };
-                if !self.cases[c].advance(backend, &x, &ab_guesses[k], snapshot) {
-                    history_poisoned = true;
-                }
-                if detect {
-                    if let Some(field) = scrub_state(&self.cases[c]) {
-                        return Err(RunError::Corruption {
-                            step,
-                            case: Some(c),
-                            target: CorruptTarget::State(field).label(),
-                        });
-                    }
+            for col in out.columns.iter().flatten() {
+                if let Fate::Advanced {
+                    iterations,
+                    initial_rel_res,
+                    history_ok,
+                } = col.fate
+                {
+                    iter_sum += iterations as f64;
+                    res_sum += initial_rel_res;
+                    history_poisoned |= !history_ok;
                 }
                 if cfg.record_surface {
-                    self.cases[c].record_waveform(&ctx.obs);
+                    self.cases[col.id].record_waveform(&ctx.obs);
                 }
             }
             if schedule == Schedule::ExchangePerSet {
@@ -924,23 +816,6 @@ impl RunState {
             corruptions: self.corruptions,
             durable: None,
         }
-    }
-}
-
-/// The CG configuration of set `set`'s first solve attempt at `step`: the
-/// driver's, with the iteration cap a planned solver fault imposes.
-pub(crate) fn first_solve_cfg(
-    faults: &mut FaultPlan,
-    step: usize,
-    set: usize,
-    cg_cfg: &CgConfig,
-) -> CgConfig {
-    match faults.inject(FaultSite::Solver { step, set }) {
-        Some(FaultKind::Solver { max_iter, .. }) => CgConfig {
-            max_iter: max_iter.min(cg_cfg.max_iter),
-            ..*cg_cfg
-        },
-        _ => *cg_cfg,
     }
 }
 

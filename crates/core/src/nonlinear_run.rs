@@ -18,13 +18,13 @@ use hetsolve_fem::{
 use hetsolve_machine::ModuleClock;
 use hetsolve_obs::Json;
 use hetsolve_predictor::AdamsState;
-use hetsolve_sparse::{BlockJacobi, LinearOperator};
+use hetsolve_sparse::{BlockJacobi, LinearOperator, SolveError};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::backend::{Backend, RhsScratch};
 use crate::methods::{driver_cg_config, RunConfig};
-use crate::recovery::{solve_set_with_ladder, RecoveryEvent, RunError};
+use crate::recovery::{solve_set_resumable, RecoveryEvent, RunError};
 use crate::trace::StepTracer;
 
 /// Per-step record of a nonlinear run.
@@ -148,20 +148,31 @@ pub fn run_nonlinear(
             // the only retry rung is the zero restart with a raised
             // iteration cap (a hard modulus update can leave the guess far
             // outside the new operator's convergence basin).
-            let stats = solve_set_with_ladder(
+            let (stats, attempts) = solve_set_resumable(
                 &op,
                 &precond,
                 &rhs,
                 &mut x,
                 std::slice::from_ref(&guess),
+                &[true],
+                &[None],
                 &cg_cfg,
                 &cg_cfg,
                 step,
                 0,
-                None,
                 false,
                 &mut recoveries,
-            )?;
+            );
+            if !stats.converged {
+                return Err(RunError::Solve(SolveError {
+                    step,
+                    case: None,
+                    termination: stats.case_termination[0],
+                    rel_res: stats.final_rel_res[0],
+                    iterations: stats.case_iterations[0],
+                    attempts,
+                }));
+            }
             cg_total += stats.case_iterations[0];
             if tracer.is_enabled() {
                 convergence_rows.push(Json::obj([

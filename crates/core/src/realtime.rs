@@ -12,28 +12,28 @@
 //!            phase 2: [solver: set A]  ||  [predictor: set B (step it+1)]
 //! ```
 //!
-//! Numerics are identical to [`crate::methods::run`] with
-//! `EBE-MCG@CPU-GPU` (verified by tests); only the execution medium
-//! differs. The per-case state is the same [`CaseSlot`] every other driver
-//! steps (`prepare_step` on the predictor thread, `advance` on the solver
-//! thread); what is this module's own is the two-thread phase schedule and
-//! the [`RealtimeReport`].
+//! Each set is a `Vec<CaseSlot>` with its own [`SetStep`]: the predictor
+//! thread runs its [`SetStep::prepare`] (the integrity guards of
+//! `cfg.integrity` included), the solver thread its [`SetStep::solve`] —
+//! the one set step every driver runs. What is this module's own is the
+//! two-thread phase schedule and the [`RealtimeReport`]. Its numerics are
+//! not the modeled `EBE-MCG@CPU-GPU` driver's bit for bit: a set predicts
+//! with the window its history allows (up to `s_max`) where the modeled
+//! driver follows its adaptive controller, so the two agree to solver
+//! tolerance.
 //!
 //! It takes the same [`Hooks`] as [`crate::methods::run_with`] — tracer,
 //! fault plan, wall clock — but not a checkpoint store: its two sets live
 //! on two threads mid-step, so there is no boundary state to snapshot
 //! (ROADMAP item 1 merges it into the step driver).
 
-use std::sync::Mutex;
-
-use hetsolve_fault::{FaultKind, FaultPlan, FaultSite, VectorFault};
+use hetsolve_fault::FaultPlan;
 use hetsolve_machine::SystemClock;
-use hetsolve_sparse::vecops::{extract_case, insert_case};
-use hetsolve_sparse::{CgConfig, SolveError};
 
-use crate::backend::{Backend, RhsScratch};
-use crate::methods::{driver_cg_config, first_solve_cfg, Hooks, RunConfig};
-use crate::recovery::{solve_set_with_ladder, RecoveryEvent, RunError};
+use crate::backend::Backend;
+use crate::methods::{Hooks, RunConfig};
+use crate::recovery::{RecoveryEvent, RunError};
+use crate::set::{SetSpec, SetStep};
 use crate::slot::CaseSlot;
 use crate::trace::{TID_CPU, TID_GPU};
 
@@ -53,122 +53,30 @@ pub struct RealtimeReport {
     /// Recovery-ladder successes over the whole run (0 unless faults were
     /// injected or a solve genuinely struggled).
     pub recoveries: usize,
+    /// Corruptions the integrity guards detected and repaired (0 on a
+    /// clean run).
+    pub corruptions: usize,
 }
 
-/// Per-phase fault descriptors, resolved on the main thread so only `Copy`
-/// values cross into the solver thread.
-struct PhaseFaults {
-    guess: Vec<Option<VectorFault>>,
-    snapshot: Vec<Option<VectorFault>>,
-    first_cfg: CgConfig,
-}
+/// One pipelined set: its case slots and its set step's storage.
+type Set = (Vec<CaseSlot>, SetStep);
 
-impl PhaseFaults {
-    fn resolve(
-        faults: &mut FaultPlan,
-        step: usize,
-        set: usize,
-        case_base: usize,
-        r: usize,
-        cg_cfg: &CgConfig,
-    ) -> Self {
-        let first_cfg = first_solve_cfg(faults, step, set, cg_cfg);
-        let mut vector = |site| match faults.inject(site) {
-            Some(FaultKind::Guess { fault, .. } | FaultKind::Snapshot { fault, .. }) => Some(fault),
-            _ => None,
-        };
-        let guess = (case_base..case_base + r)
-            .map(|case| vector(FaultSite::Guess { step, case }))
-            .collect();
-        let snapshot = (case_base..case_base + r)
-            .map(|case| vector(FaultSite::Snapshot { step, case }))
-            .collect();
-        PhaseFaults {
-            guess,
-            snapshot,
-            first_cfg,
-        }
-    }
-}
-
-/// One pipelined set: its case slots, and the Adams-Bashforth guesses its
-/// predictor phase hands to its solver phase.
-type PipeSet = (Vec<CaseSlot>, Vec<Vec<f64>>);
-
-/// Predictor phase of one set: [`CaseSlot::prepare_step`] every case with
-/// window `s` (RHS + initial guess for the slot's own next step), keeping
-/// the Adams-Bashforth guesses for the solve phase.
-fn predict_set(backend: &Backend, (cases, ab_guesses): &mut PipeSet, s: usize) {
-    let mut scratch = RhsScratch::new(backend.n_dofs());
-    ab_guesses.clear();
-    for case in cases {
-        ab_guesses.push(case.prepare_step(backend, &mut scratch, s).0);
-    }
-}
-
-/// Solver phase of one set: fused MCG solve (with recovery ladder) +
-/// [`CaseSlot::advance`]. Returns the set's recovery events.
-fn solve_set(
-    backend: &Backend,
-    cfg: &RunConfig,
-    (cases, ab_guesses): &mut PipeSet,
-    step: usize,
-    set: usize,
-    ph: &PhaseFaults,
-) -> Result<Vec<RecoveryEvent>, SolveError> {
-    let n = backend.n_dofs();
-    let r = cfg.r;
-    let op = backend.ebe_a(r);
-    let mut f_multi = vec![0.0; n * r];
-    let mut x_multi = vec![0.0; n * r];
-    for (c, case) in cases.iter_mut().enumerate() {
-        if let Some(vf) = ph.guess[c] {
-            vf.apply(&mut case.guess);
-        }
-        insert_case(&mut f_multi, r, c, &case.rhs);
-        insert_case(&mut x_multi, r, c, &case.guess);
-    }
-    let cg_cfg = driver_cg_config(cfg.tol);
-    let mut recoveries = Vec::new();
-    solve_set_with_ladder(
-        &op,
-        &backend.precond,
-        &f_multi,
-        &mut x_multi,
-        ab_guesses,
-        &cg_cfg,
-        &ph.first_cfg,
-        step,
-        set,
-        Some(set * r),
-        true,
-        &mut recoveries,
-    )?;
-    let mut x = vec![0.0; n];
-    for (c, case) in cases.iter_mut().enumerate() {
-        extract_case(&x_multi, r, c, &mut x);
-        // the window follows available history, so a poisoned (rebuilt)
-        // history needs no controller reset here
-        let _ = case.advance(backend, &x, &ab_guesses[c], ph.snapshot[c]);
-    }
-    Ok(recoveries)
-}
-
-/// Span collected by a device thread: (pid, tid, label, start_s, dur_s),
+/// Span of one device thread's phase: (pid, tid, label, start_s, dur_s),
 /// both times relative to the run start.
 type WallSpan = (usize, usize, &'static str, f64, f64);
 
 /// Run EBE-MCG with two real device threads. Returns the per-case final
 /// displacements and the wall-clock report, or a typed [`RunError`] if a
-/// solve fails beyond recovery or a device thread panics — or
-/// [`RunError::Config`] if `hooks` carry a checkpoint store.
+/// solve fails beyond recovery, a corruption escapes the guards or a
+/// device thread panics — or [`RunError::Config`] if `hooks` carry a
+/// checkpoint store.
 ///
 /// With a tracer, each solver/predictor phase of each device thread
 /// becomes a `cat:"wall"` span in its timeline (pid = process set, tid =
 /// device lane), so the *real* thread overlap can be inspected in Perfetto
-/// next to the modeled one. Fault descriptors are resolved on the main
-/// thread each phase. Both device threads read the wall clock, which feeds
-/// only the [`RealtimeReport`] and the wall spans — numerics are
+/// next to the modeled one. Faults are injected by the predictor half on
+/// this thread. Both device threads read the wall clock, which feeds only
+/// the [`RealtimeReport`] and the wall spans — numerics are
 /// clock-independent, which is what lets the determinism lint ban ambient
 /// `Instant` reads here.
 pub fn run_realtime(
@@ -188,83 +96,95 @@ pub fn run_realtime(
     let tracer = hooks.tracer.unwrap_or(&mut no_tracer);
     let faults = hooks.faults.unwrap_or(&mut no_faults);
     let wall = hooks.wall.unwrap_or(&system);
-    assert!(cfg.r >= 1);
+    let r = cfg.r;
+    assert!(r >= 1);
     tracer.begin_run("EBE-MCG@CPU-GPU (realtime)", cfg, 2);
-    // two sets of r case slots — the same per-case state, `prepare_step`
-    // and `advance` as the modeled driver
-    let new_set = |base: usize| -> PipeSet {
-        let cases = (base..base + cfg.r).map(|c| CaseSlot::new(backend, cfg, c, 0));
-        (cases.collect(), Vec::new())
-    };
-    let (mut set_a, mut set_b) = (new_set(0), new_set(cfg.r));
-    let busy = Mutex::new((0.0f64, 0.0f64)); // (solver, predictor)
-    let trace_on = tracer.is_enabled();
-    let spans: Mutex<Vec<WallSpan>> = Mutex::new(Vec::new());
-    let cg_cfg = driver_cg_config(cfg.tol);
+    let ids: [Vec<Option<usize>>; 2] =
+        [0, 1].map(|set| (set * r..(set + 1) * r).map(Some).collect());
+    let mut sets: [Set; 2] = [0, 1].map(|set| {
+        let cases = (set * r..(set + 1) * r).map(|c| CaseSlot::new(backend, cfg, c, 0));
+        (cases.collect(), SetStep::new(backend.n_dofs(), r))
+    });
+    let op = backend.ebe_a(r);
+    let mut spans: Vec<WallSpan> = Vec::new();
     let mut recoveries: Vec<RecoveryEvent> = Vec::new();
+    let mut corruptions = 0;
     let t_start = wall.now();
     // run-relative timestamp of "now" on the injected clock
     let since_start = || wall.now() - t_start;
 
-    // pre-step: prepare both sets' step-0 inputs (no history yet)
-    predict_set(backend, &mut set_a, 0);
-    predict_set(backend, &mut set_b, 0);
-
-    // One pipeline phase: the solver thread runs `solving`'s fused solve of
-    // step `it` while this thread prepares `predicting`'s next step.
-    let phase = |it: usize,
-                 set: usize,
-                 solving: &mut PipeSet,
-                 predicting: Option<&mut PipeSet>,
-                 ph: &PhaseFaults|
-     -> Result<Vec<RecoveryEvent>, RunError> {
-        std::thread::scope(|scope| {
-            let solver = scope.spawn(|| {
-                let start = since_start();
-                let out = solve_set(backend, cfg, solving, it, set, ph);
-                let dur = since_start() - start;
-                lock(&busy).0 += dur;
-                if trace_on {
-                    lock(&spans).push((set, TID_GPU, "solve (wall)", start, dur));
-                }
-                out
-            });
-            if let Some(predicting) = predicting {
-                // window grows with available history, as in the modeled driver
-                let s = predicting.0[0].available_s().min(cfg.s_max);
-                let start = since_start();
-                predict_set(backend, predicting, s);
-                let dur = since_start() - start;
-                lock(&busy).1 += dur;
-                if trace_on {
-                    lock(&spans).push((1 - set, TID_CPU, "predict (wall)", start, dur));
-                }
-            }
-            match solver.join() {
-                Ok(r) => r.map_err(RunError::from),
-                Err(_) => Err(RunError::WorkerPanic {
-                    phase: ["realtime solve (set A)", "realtime solve (set B)"][set],
-                }),
-            }
-        })
+    // The predictor half of `set`'s step `step`; the window grows with the
+    // set's available history.
+    let prepare = |(cases, work): &mut Set, set: usize, step: usize, faults: &mut FaultPlan| {
+        let spec = SetSpec {
+            step,
+            set,
+            ids: &ids[set],
+            fused: true,
+            window: Some(cases[0].available_s().min(cfg.s_max)),
+            tol: cfg.tol,
+        };
+        work.prepare(backend, cfg, spec, cases.iter_mut().map(Some), faults);
     };
+    prepare(&mut sets[1], 1, 0, faults);
 
     for it in 0..cfg.n_steps {
-        // phase 1: solve B || predict A for this step (A's rhs already
-        // prepared; recompute with latest state to stay causally correct:
-        // A's state was advanced in the previous phase 2)
-        let ph_b = PhaseFaults::resolve(faults, it, 1, cfg.r, cfg.r, &cg_cfg);
-        recoveries.extend(phase(it, 1, &mut set_b, Some(&mut set_a), &ph_b)?);
-        // phase 2: solve A || predict B for the next step
-        let ph_a = PhaseFaults::resolve(faults, it, 0, 0, cfg.r, &cg_cfg);
-        let next_b = (it + 1 < cfg.n_steps).then_some(&mut set_b);
-        recoveries.extend(phase(it, 0, &mut set_a, next_b, &ph_a)?);
+        // phase 1: solve B's step `it` while A prepares it (A was advanced
+        // in the previous phase 2); phase 2: solve A's step `it` while B
+        // prepares its next one
+        for (set, next) in [
+            (1, Some(it)),
+            (0, Some(it + 1).filter(|&s| s < cfg.n_steps)),
+        ] {
+            let [a, b] = &mut sets;
+            let (solving, predicting) = if set == 0 { (a, b) } else { (b, a) };
+            let (solved, solve_span) = std::thread::scope(|scope| {
+                let solver = scope.spawn(|| {
+                    let start = since_start();
+                    let (cases, work) = solving;
+                    let out = work.solve(backend, &op, cases.iter_mut().map(Some));
+                    let span = (set, TID_GPU, "solve (wall)", start, since_start() - start);
+                    let solved = out
+                        .error()
+                        .map(|()| (out.recoveries.clone(), out.corruptions.len()));
+                    (solved, span)
+                });
+                if let Some(step) = next {
+                    let start = since_start();
+                    prepare(predicting, 1 - set, step, faults);
+                    spans.push((
+                        1 - set,
+                        TID_CPU,
+                        "predict (wall)",
+                        start,
+                        since_start() - start,
+                    ));
+                }
+                solver.join().map_err(|_| RunError::WorkerPanic {
+                    phase: ["realtime solve (set A)", "realtime solve (set B)"][set],
+                })
+            })?;
+            spans.push(solve_span);
+            let (events, repaired) = solved?;
+            recoveries.extend(events);
+            corruptions += repaired;
+        }
     }
 
-    for (pid, tid, name, start_s, dur_s) in spans.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        tracer
-            .trace
-            .span(pid, tid, "wall", name, start_s * 1e6, dur_s * 1e6, vec![]);
+    let busy = |lane| {
+        spans
+            .iter()
+            .filter(|s| s.1 == lane)
+            .map(|s| s.4)
+            .sum::<f64>()
+    };
+    let (solver_busy, predictor_busy) = (busy(TID_GPU), busy(TID_CPU));
+    if tracer.is_enabled() {
+        for &(pid, tid, name, start_s, dur_s) in &spans {
+            tracer
+                .trace
+                .span(pid, tid, "wall", name, start_s * 1e6, dur_s * 1e6, vec![]);
+        }
     }
     let t_now = since_start();
     for ev in &recoveries {
@@ -272,7 +192,6 @@ pub fn run_realtime(
     }
 
     let wall = since_start();
-    let (solver_busy, predictor_busy) = *lock(&busy);
     let report = RealtimeReport {
         wall,
         solver_busy,
@@ -280,21 +199,14 @@ pub fn run_realtime(
         overlap_factor: (solver_busy + predictor_busy) / wall.max(1e-12),
         steps: cfg.n_steps,
         recoveries: recoveries.len(),
+        corruptions,
     };
-    let final_u = set_a
-        .0
+    let final_u = sets
         .into_iter()
-        .chain(set_b.0)
+        .flat_map(|(cases, _)| cases)
         .map(|case| case.time.u)
         .collect();
     Ok((final_u, report))
-}
-
-/// Lock `m`, ignoring poisoning: a device thread that panicked is
-/// reported as [`RunError::WorkerPanic`] by its join, and every update
-/// under these locks is one statement, so a poisoned value is still whole.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]

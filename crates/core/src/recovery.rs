@@ -193,43 +193,24 @@ impl From<SolveError> for RunError {
     }
 }
 
-/// Result of [`solve_set_resumable`]: the merged solver stats plus the
-/// ladder attempts made. Per-lane outcomes are in
-/// [`McgStats::case_termination`] — the caller decides what a residual
-/// failure means (the ensemble drivers abort the run; the serving layer
-/// fails one request and backfills the slot).
-#[derive(Debug, Clone)]
-pub struct SetSolveOutcome {
-    pub stats: McgStats,
-    /// Solve attempts made (1 = first attempt converged every lane).
-    pub attempts: usize,
-}
-
 /// The recovery ladder around [`mcg_masked`], resumable per lane. There is
 /// one ladder: a single-RHS driver runs it on a lane of width 1.
 ///
-/// Only the failing lanes are restarted: their slots in the interleaved
-/// `x` are overwritten with the downgraded guess and the whole set is
-/// re-solved — already-converged lanes re-enter with a sub-tolerance
-/// residual, are inactive from iteration zero, and keep their solution
-/// bitwise (the MCG freeze contract). `first_cfg` is the configuration of
-/// the first attempt only (it may carry an injected iteration cap); retries
-/// always use the clean `cfg`. `retry_ab` selects whether the
-/// Adams-Bashforth rung is distinct from the first attempt (false when the
-/// first attempt already started from `ab_guesses`). `ab_guesses[k]` is the
-/// Adams-Bashforth guess of lane `k` (ignored for vacant lanes, which may
-/// hold an empty vec); `occupied[k] == false` marks a vacant lane that is
-/// skipped entirely (see [`mcg_masked`]); `lane_cases[k]` is lane `k`'s
-/// global case/request id for the recovery log (`None` for a single-RHS
-/// driver). Iterations and kernel counts of all attempts are merged into
-/// the returned stats; the recorded initial residuals stay the first
-/// attempt's (the guess-quality metric).
-///
-/// Unlike the driver-facing wrapper this never errors: lanes that exhaust
-/// the ladder simply keep their failure in `case_termination`, so a caller
-/// with independent lanes can harvest the healthy ones.
+/// Only the failing lanes are restarted: their slots in `x` are
+/// overwritten with the downgraded guess and the whole set is re-solved —
+/// already-converged lanes re-enter with a sub-tolerance residual, are
+/// inactive from iteration zero, and keep their solution bitwise (the MCG
+/// freeze contract). `first_cfg` configures the first attempt only (it may
+/// carry an injected iteration cap); retries use the clean `cfg`.
+/// `retry_ab` says whether the Adams-Bashforth rung (`ab_guesses[k]`)
+/// differs from the first attempt; `occupied[k] == false` marks a vacant
+/// lane, skipped entirely; `lane_cases[k]` names lane `k` in the recovery
+/// log. Returns the stats of all attempts merged — initial residuals stay
+/// the first attempt's — and the attempts made. It never errors: a lane
+/// that exhausts the ladder keeps its failure in `case_termination`, and
+/// the caller decides what that means.
 #[allow(clippy::too_many_arguments)]
-pub fn solve_set_resumable<A: MultiOperator, P: Preconditioner>(
+pub(crate) fn solve_set_resumable<A: MultiOperator + ?Sized, P: Preconditioner>(
     a: &A,
     prec: &P,
     f: &[f64],
@@ -243,129 +224,54 @@ pub fn solve_set_resumable<A: MultiOperator, P: Preconditioner>(
     set: usize,
     retry_ab: bool,
     recoveries: &mut Vec<RecoveryEvent>,
-) -> SetSolveOutcome {
+) -> (McgStats, usize) {
     let r = a.r();
     let mut stats = mcg_masked(a, prec, f, x, first_cfg, occupied);
     if stats.converged {
-        return SetSolveOutcome { stats, attempts: 1 };
+        return (stats, 1);
     }
     let failing = |st: &McgStats, k: usize| occupied[k] && st.case_termination[k].is_failure();
     let first_failed: Vec<Termination> = stats.case_termination.clone();
     let initial_rel_res = stats.initial_rel_res.clone();
     let mut attempts = 1;
-
-    if retry_ab {
-        for k in 0..r {
-            if failing(&stats, k) {
-                hetsolve_sparse::vecops::insert_case(x, r, k, &ab_guesses[k]);
-            }
-        }
-        let retry = mcg_masked(a, prec, f, x, cfg, occupied);
-        attempts += 1;
-        let recovered: Vec<usize> = (0..r)
-            .filter(|&k| failing(&stats, k) && retry.case_termination[k] == Termination::Converged)
-            .collect();
-        stats = merge_mcg(stats, retry);
-        for &k in &recovered {
-            recoveries.push(RecoveryEvent {
-                step,
-                case: lane_cases[k],
-                set,
-                failed: first_failed[k],
-                recovered_with: GuessSource::AdamsBashforth,
-                attempts,
-            });
-        }
-        if stats.converged {
-            stats.initial_rel_res = initial_rel_res;
-            return SetSolveOutcome { stats, attempts };
-        }
-    }
-
-    let n = a.n();
-    let zero = vec![0.0; n];
-    for k in 0..r {
-        if failing(&stats, k) {
-            hetsolve_sparse::vecops::insert_case(x, r, k, &zero);
-        }
-    }
+    let zero = vec![0.0; a.n()];
     let cold_cfg = CgConfig {
         max_iter: cfg.max_iter.saturating_mul(ZERO_GUESS_ITER_FACTOR),
         ..*cfg
     };
-    let cold = mcg_masked(a, prec, f, x, &cold_cfg, occupied);
-    attempts += 1;
-    let recovered: Vec<usize> = (0..r)
-        .filter(|&k| failing(&stats, k) && cold.case_termination[k] == Termination::Converged)
-        .collect();
-    stats = merge_mcg(stats, cold);
+    let rungs = [
+        (GuessSource::AdamsBashforth, cfg),
+        (GuessSource::Zero, &cold_cfg),
+    ];
+    for (source, rung_cfg) in rungs.into_iter().skip(usize::from(!retry_ab)) {
+        for k in (0..r).filter(|&k| failing(&stats, k)) {
+            let guess = match source {
+                GuessSource::AdamsBashforth => &ab_guesses[k],
+                _ => &zero,
+            };
+            hetsolve_sparse::vecops::insert_case(x, r, k, guess);
+        }
+        let retry = mcg_masked(a, prec, f, x, rung_cfg, occupied);
+        attempts += 1;
+        for k in 0..r {
+            if failing(&stats, k) && retry.case_termination[k] == Termination::Converged {
+                recoveries.push(RecoveryEvent {
+                    step,
+                    case: lane_cases[k],
+                    set,
+                    failed: first_failed[k],
+                    recovered_with: source,
+                    attempts,
+                });
+            }
+        }
+        stats = merge_mcg(stats, retry);
+        if stats.converged {
+            break;
+        }
+    }
     stats.initial_rel_res = initial_rel_res;
-    for &k in &recovered {
-        recoveries.push(RecoveryEvent {
-            step,
-            case: lane_cases[k],
-            set,
-            failed: first_failed[k],
-            recovered_with: GuessSource::Zero,
-            attempts,
-        });
-    }
-    SetSolveOutcome { stats, attempts }
-}
-
-/// Driver-facing ladder: fully-occupied lane, and a lane that exhausts the
-/// ladder aborts the run with a typed [`SolveError`] naming the first
-/// failing case. Lane `k` is global case `case_base + k`; a single-RHS
-/// driver passes `None`, and its events and errors carry no case id.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_set_with_ladder<A: MultiOperator, P: Preconditioner>(
-    a: &A,
-    prec: &P,
-    f: &[f64],
-    x: &mut [f64],
-    ab_guesses: &[Vec<f64>],
-    cfg: &CgConfig,
-    first_cfg: &CgConfig,
-    step: usize,
-    set: usize,
-    case_base: Option<usize>,
-    retry_ab: bool,
-    recoveries: &mut Vec<RecoveryEvent>,
-) -> Result<McgStats, SolveError> {
-    let r = a.r();
-    let occupied = vec![true; r];
-    let lane_cases: Vec<Option<usize>> = (0..r).map(|k| case_base.map(|b| b + k)).collect();
-    let SetSolveOutcome { stats, attempts } = solve_set_resumable(
-        a,
-        prec,
-        f,
-        x,
-        ab_guesses,
-        &occupied,
-        &lane_cases,
-        cfg,
-        first_cfg,
-        step,
-        set,
-        retry_ab,
-        recoveries,
-    );
-    if stats.converged {
-        return Ok(stats);
-    }
-    let worst = (0..r)
-        .find(|&k| stats.case_termination[k].is_failure())
-        // PANIC-OK: `!stats.converged` (checked above) means at least one
-        // lane's termination is a failure by `mcg_masked`'s contract.
-        .expect("non-converged MCG must have a failing lane");
-    Err(SolveError {
-        step,
-        case: case_base.map(|b| b + worst),
-        termination: stats.case_termination[worst],
-        rel_res: stats.final_rel_res[worst],
-        iterations: stats.case_iterations[worst],
-        attempts,
-    })
+    (stats, attempts)
 }
 
 /// Fold an MCG retry into the running stats: fused iterations and work

@@ -9,8 +9,9 @@
 //! independently, so a fused lane can backfill a freed slot at a time-step
 //! boundary while its companions keep iterating. Every path — the one
 //! step driver for all four methods, the real-thread pipeline
-//! ([`crate::realtime`]) and the server — calls the exact same
-//! `prepare_step` / `advance` sequence, which is what makes a served
+//! ([`crate::realtime`]) and the server — steps its slots through the one
+//! set step of [`crate::set`], the only caller of `prepare_step` /
+//! `advance` outside the convergence study, which is what makes a served
 //! case's trajectory bitwise-identical to its solo ensemble solve.
 
 use hetsolve_fault::VectorFault;
@@ -77,40 +78,22 @@ impl CaseSlot {
         }
     }
 
-    /// Build the initial guess: Adams-Bashforth extrapolation plus (when
-    /// enabled and warmed up) the data-driven correction with window `s`.
-    /// Returns the window actually used.
-    fn predict(&mut self, backend: &Backend, dt: f64, data_driven: bool, s: usize) -> usize {
-        self.adams.predict(&self.time.u, dt, &mut self.guess);
-        let mut s_used = 0;
-        if data_driven && s >= 1 {
-            let mut corr = vec![0.0; self.guess.len()];
-            if self.dd.predict(s, &mut corr) {
-                for (g, c) in self.guess.iter_mut().zip(&corr) {
-                    *g += c;
-                }
-                s_used = s.min(self.dd.available_s());
-            }
-        }
-        backend.problem.mask.project(&mut self.guess);
-        s_used
-    }
-
     /// Prepare this slot's current step: assemble the Newmark RHS from the
-    /// step's load into `rhs()`, then build the data-driven initial guess
-    /// with window `s` into `guess()`. Returns the plain Adams-Bashforth
-    /// guess (the recovery ladder's retry rung and the correction-snapshot
-    /// reference) and the window actually used. The step index is the
-    /// slot's own [`step_index`](Self::step_index).
-    pub fn prepare_step(
+    /// step's load into `rhs`, then build the data-driven initial guess
+    /// with window `s` into `guess`. Writes the plain Adams-Bashforth guess
+    /// (the recovery ladder's retry rung and the correction-snapshot
+    /// reference) into `ab_guess` and returns the window actually used. The
+    /// step index is the slot's own [`step_index`](Self::step_index).
+    pub(crate) fn prepare_step(
         &mut self,
         backend: &Backend,
         scratch: &mut RhsScratch,
         s: usize,
-    ) -> (Vec<f64>, usize) {
-        let step = self.time.step;
-        self.load.force_into(step, &mut self.f);
-        backend.problem.mask.project(&mut self.f);
+        ab_guess: &mut Vec<f64>,
+    ) -> usize {
+        let mask = &backend.problem.mask;
+        self.load.force_into(self.time.step, &mut self.f);
+        mask.project(&mut self.f);
         backend.newmark_rhs(
             &self.f,
             &self.time.u,
@@ -120,10 +103,23 @@ impl CaseSlot {
             scratch,
         );
         let dt = backend.problem.newmark.dt;
-        self.predict(backend, dt, false, 0);
-        let ab_guess = self.guess.clone();
-        let s_used = self.predict(backend, dt, true, s);
-        (ab_guess, s_used)
+        self.adams.predict(&self.time.u, dt, &mut self.guess);
+        mask.project(&mut self.guess);
+        ab_guess.clear();
+        ab_guess.extend_from_slice(&self.guess);
+        // the data-driven correction, once the history holds a window
+        if s == 0 {
+            return 0;
+        }
+        let mut corr = vec![0.0; self.guess.len()];
+        if !self.dd.predict(s, &mut corr) {
+            return 0;
+        }
+        for (g, c) in self.guess.iter_mut().zip(&corr) {
+            *g += c;
+        }
+        mask.project(&mut self.guess);
+        s.min(self.dd.available_s())
     }
 
     /// After solving into `u_new`: record predictor data and advance the
@@ -131,7 +127,7 @@ impl CaseSlot {
     /// snapshot before it enters the predictor history. Returns `false`
     /// when the history was poisoned and rebuilt (the caller should drop
     /// the adaptive window back to its minimum).
-    pub fn advance(
+    pub(crate) fn advance(
         &mut self,
         backend: &Backend,
         u_new: &[f64],
@@ -163,11 +159,6 @@ impl CaseSlot {
         self.time.step
     }
 
-    /// Steps this slot runs for in total.
-    pub fn n_steps(&self) -> usize {
-        self.n_steps
-    }
-
     /// All its steps are done.
     pub fn is_done(&self) -> bool {
         self.time.step >= self.n_steps
@@ -178,25 +169,9 @@ impl CaseSlot {
         &self.time.u
     }
 
-    /// Newmark right-hand side assembled by the last `prepare_step`.
-    pub fn rhs(&self) -> &[f64] {
-        &self.rhs
-    }
-
-    /// Initial guess built by the last `prepare_step`.
-    pub fn guess(&self) -> &[f64] {
-        &self.guess
-    }
-
     /// Largest data-driven window this slot's history supports right now.
     pub fn available_s(&self) -> usize {
         self.dd.available_s()
-    }
-
-    /// Modeled kernel cost of this slot's predictor at window `s` — what a
-    /// driver charges to the CPU lane for the step's prediction.
-    pub fn predictor_cost(&self, s: usize) -> hetsolve_sparse::KernelCounts {
-        self.dd.cost(s)
     }
 
     /// Capture everything a checkpoint needs to rebuild this slot bitwise:

@@ -4,13 +4,13 @@
 //! and the data-driven predictor at several window sizes — recording the
 //! full CG residual history of each.
 
-use hetsolve_fem::{RandomLoad, RandomLoadSpec};
-use hetsolve_predictor::{AdamsState, DataDrivenPredictor};
-use hetsolve_sparse::{pcg, CgConfig, CgStats};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use hetsolve_fem::RandomLoadSpec;
+use hetsolve_machine::single_gh200;
+use hetsolve_sparse::{pcg, CgConfig};
 
 use crate::backend::{Backend, RhsScratch};
+use crate::methods::{MethodKind, RunConfig};
+use crate::slot::CaseSlot;
 
 /// One initial-guess strategy probed by the study.
 #[derive(Debug, Clone)]
@@ -71,23 +71,14 @@ pub fn convergence_study(backend: &Backend, cfg: &StudyConfig) -> ConvergenceStu
         "warmup ({}) must exceed the largest window ({s_max}) plus AB history",
         cfg.warmup_steps
     );
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let load = RandomLoad::generate(
-        &cfg.load,
-        &backend.problem.surface_nodes,
-        cfg.warmup_steps + 1,
-        &mut rng,
-    );
-
-    let mut time = hetsolve_fem::TimeState::zeros(n);
-    let mut adams = AdamsState::new();
-    let mut dd = DataDrivenPredictor::new(n, cfg.region_dofs.max(3), s_max);
+    // one case slot stepped like every driver's, with its own solver (the
+    // slot reads the load, region size and window of the config, no node)
+    let mut run_cfg = RunConfig::new(MethodKind::EbeMcgCpuGpu, single_gh200(), 0);
+    (run_cfg.load, run_cfg.region_dofs, run_cfg.s_max) = (cfg.load, cfg.region_dofs, s_max);
+    let mut slot = CaseSlot::with_seed(backend, &run_cfg, cfg.seed, cfg.warmup_steps + 1, 0);
     let mut scratch = RhsScratch::new(n);
-    let mut f = vec![0.0; n];
-    let mut rhs = vec![0.0; n];
-    let mut guess = vec![0.0; n];
+    let mut ab = Vec::new();
     let op = backend.ebe_a(1);
-    let dt = backend.problem.newmark.dt;
     let solve_cfg = CgConfig {
         tol: cfg.tol,
         max_iter: 100_000,
@@ -97,65 +88,47 @@ pub fn convergence_study(backend: &Backend, cfg: &StudyConfig) -> ConvergenceStu
     // warm up with the standard data-driven-accelerated loop so the
     // snapshot history reflects a realistic mid-simulation state
     for step in 0..cfg.warmup_steps {
-        load.force_into(step, &mut f);
-        backend.problem.mask.project(&mut f);
-        backend.newmark_rhs(&f, &time.u, &time.v, &time.a, &mut rhs, &mut scratch);
-        adams.predict(&time.u, dt, &mut guess);
-        backend.problem.mask.project(&mut guess);
-        let ab_guess = guess.clone();
-        let mut corr = vec![0.0; n];
-        if dd.predict(dd.available_s().min(s_max), &mut corr) {
-            for (g, c) in guess.iter_mut().zip(&corr) {
-                *g += c;
-            }
-            backend.problem.mask.project(&mut guess);
-        }
-        let mut x = guess.clone();
-        let stats = pcg(&op, &backend.precond, &rhs, &mut x, &solve_cfg);
+        slot.prepare_step(
+            backend,
+            &mut scratch,
+            slot.available_s().min(s_max),
+            &mut ab,
+        );
+        let mut x = slot.guess.clone();
+        let stats = pcg(&op, &backend.precond, &slot.rhs, &mut x, &solve_cfg);
         assert!(stats.converged, "warmup CG failed at step {step}");
-        let delta: Vec<f64> = x.iter().zip(&ab_guess).map(|(u, g)| u - g).collect();
-        dd.record(&delta);
-        let u_old = std::mem::replace(&mut time.u, x);
-        backend
-            .problem
-            .newmark
-            .advance(&time.u, &u_old, &mut time.v, &mut time.a);
-        adams.push(&time.v);
-        time.step += 1;
+        slot.advance(backend, &x, &ab, None);
     }
 
-    // probe step: assemble its RHS once, then solve from each guess
-    let probe = cfg.warmup_steps;
-    load.force_into(probe, &mut f);
-    backend.problem.mask.project(&mut f);
-    backend.newmark_rhs(&f, &time.u, &time.v, &time.a, &mut rhs, &mut scratch);
-
-    let run_one = |label: String, x0: &[f64]| -> GuessResult {
-        let mut x = x0.to_vec();
-        backend.problem.mask.project(&mut x);
-        let stats: CgStats = pcg(&op, &backend.precond, &rhs, &mut x, &solve_cfg);
-        GuessResult {
-            label,
-            initial_rel_res: stats.initial_rel_res,
-            iterations: stats.iterations,
-            history: stats.history,
-        }
-    };
-
-    let mut results = Vec::new();
-    results.push(run_one("zero".into(), &vec![0.0; n]));
-    adams.predict(&time.u, dt, &mut guess);
-    results.push(run_one("Adams-Bashforth".into(), &guess.clone()));
-    for &s in &cfg.windows {
-        let mut g = guess.clone();
-        let mut corr = vec![0.0; n];
-        if dd.predict(s, &mut corr) {
-            for (gi, c) in g.iter_mut().zip(&corr) {
-                *gi += c;
+    // probe step: solve its system from each guess — zero, then the
+    // slot's own guess at window 0 (Adams-Bashforth) and at each window
+    let probe = slot.step_index();
+    let guesses = [
+        ("zero".to_string(), None),
+        ("Adams-Bashforth".to_string(), Some(0)),
+    ]
+    .into_iter()
+    .chain(
+        cfg.windows
+            .iter()
+            .map(|&s| (format!("data-driven s={s}"), Some(s))),
+    );
+    let results = guesses
+        .map(|(label, s)| {
+            slot.prepare_step(backend, &mut scratch, s.unwrap_or(0), &mut ab);
+            let mut x = match s {
+                Some(_) => slot.guess.clone(),
+                None => vec![0.0; n],
+            };
+            let stats = pcg(&op, &backend.precond, &slot.rhs, &mut x, &solve_cfg);
+            GuessResult {
+                label,
+                initial_rel_res: stats.initial_rel_res,
+                iterations: stats.iterations,
+                history: stats.history,
             }
-        }
-        results.push(run_one(format!("data-driven s={s}"), &g));
-    }
+        })
+        .collect();
 
     ConvergenceStudy {
         probe_step: probe,
@@ -199,5 +172,44 @@ mod tests {
         for r in &study.results {
             assert_eq!(r.history.len(), r.iterations + 1);
         }
+    }
+
+    /// Every probe — label, iterations, initial residual bits, residual
+    /// history CRC — as the study's hand-written warm-up loop computed it
+    /// before the study stepped a `CaseSlot`.
+    #[test]
+    fn study_results_are_the_hand_written_loops() {
+        let spec = GroundModelSpec::paper_like(4, 4, 3, InterfaceShape::Stratified);
+        let backend = Backend::new(FemProblem::paper_like(&spec), false, true);
+        let cfg = StudyConfig {
+            warmup_steps: 24,
+            windows: vec![4, 8, 16],
+            ..Default::default()
+        };
+        let study = convergence_study(&backend, &cfg);
+        let got: Vec<(&str, usize, u64, u32)> = study
+            .results
+            .iter()
+            .map(|r| {
+                let crc = crate::integrity::crc_f64s(&r.history);
+                (
+                    r.label.as_str(),
+                    r.iterations,
+                    r.initial_rel_res.to_bits(),
+                    crc,
+                )
+            })
+            .collect();
+        assert_eq!(study.probe_step, 24);
+        assert_eq!(
+            got,
+            [
+                ("zero", 35, 0x3ff0000000000000, 0x1e556675),
+                ("Adams-Bashforth", 20, 0x3f3bb7d4d28a2561, 0x7a07c3b9),
+                ("data-driven s=4", 16, 0x3f0cd6ab37f029a9, 0xfdbd84d2),
+                ("data-driven s=8", 13, 0x3ef2aad53380c1b7, 0x4e11b67a),
+                ("data-driven s=16", 12, 0x3edbab70db94bee4, 0x54e01d14),
+            ]
+        );
     }
 }

@@ -165,11 +165,6 @@ impl Batcher {
         self.lanes[lane].slots.iter().flatten().count()
     }
 
-    /// Per-column occupancy mask of lane `lane` (the MCG lane mask).
-    pub fn occupied_mask(&self, lane: usize) -> Vec<bool> {
-        self.lanes[lane].slots.iter().map(Option::is_some).collect()
-    }
-
     /// Every lane is empty.
     pub fn is_idle(&self) -> bool {
         self.lanes.iter().all(Lane::is_empty)

@@ -12,22 +12,25 @@
 //!
 //! # Bitwise equivalence
 //!
-//! A served case advances through the *same* `CaseSlot::prepare_step` /
-//! `solve_set_resumable` / `CaseSlot::advance` sequence as a solo
-//! [`run_ensemble`](hetsolve_core::run_ensemble) case, with
+//! A served lane advances through the *same* set step
+//! ([`SetStep`]: guards, predictor, the one recovery ladder, advance) as a
+//! solo [`run_ensemble`](hetsolve_core::run_ensemble) set, with
 //! [`WindowPolicy::FullWindow`] making the snapshot window purely
 //! case-local and the MCG lane mask making vacant columns invisible to
 //! occupied ones. A request with seed `s`, the server's `RunConfig`, and
 //! `n_steps` matching a solo run therefore produces a bitwise-identical
 //! final displacement — under any load, any companions, any backfill
-//! order. The serve suite asserts this with `f64::to_bits`.
+//! order. The serve suite asserts this with `f64::to_bits`. What a column's
+//! fate means is the server's own: a column that exhausts the ladder fails
+//! its request, a corrupt one is evicted, and faults are keyed by
+//! `(tick, request id)` or `(tick, lane)`.
 
 use std::path::PathBuf;
 
+use hetsolve_core::set::{Fate, SetSpec, SetStep};
 use hetsolve_core::{
-    basis_sentinel, boundary_guard, driver_cg_config, rhs_guard, scrub_state, solve_set_resumable,
-    Backend, CaseSlot, CorruptionReport, MethodKind, RecoveryEvent, RhsScratch, RunConfig,
-    SlotState, StateGuard, WindowPolicy, TID_CPU, TID_GPU, TID_LINK,
+    Backend, CaseSlot, CorruptionReport, MethodKind, RecoveryEvent, RunConfig, SlotState,
+    WindowPolicy, TID_CPU, TID_GPU, TID_LINK,
 };
 use hetsolve_fault::{AdmissionFault, FaultKind, FaultLane, FaultPlan, FaultSite};
 use hetsolve_machine::{LaneKind, ModuleClock, NodeSpec, SystemClock, WallClock};
@@ -35,7 +38,6 @@ use hetsolve_obs::{
     flow_id_for_request, FlightRecorder, Json, MetricsRegistry, ServeStats, TraceBuilder,
     DEFAULT_FLIGHT_CAPACITY,
 };
-use hetsolve_sparse::vecops::{extract_case, insert_case};
 
 use crate::batcher::{BatchPolicy, Batcher, CompatKey};
 use crate::qos::{AutoscaleConfig, AutoscaleEvent, AutoscalerState, QosConfig, ScaleDirection};
@@ -157,9 +159,9 @@ pub struct EnsembleServer<'b> {
     /// Every admitted request, indexed by `RequestId.0`.
     pub(crate) records: Vec<RequestRecord>,
     pub(crate) clock: ModuleClock,
-    pub(crate) scratch: RhsScratch,
-    /// The one SDC boundary guard, reused column after column.
-    guard: StateGuard,
+    /// The one set step's working storage, shared by the lanes (they
+    /// advance one after another).
+    set_step: SetStep,
     pub(crate) stats: ServeStats,
     pub(crate) recoveries: Vec<RecoveryEvent>,
     /// Corruption detections + the recovery taken, in order (the serving
@@ -213,7 +215,7 @@ impl<'b> EnsembleServer<'b> {
     }
 
     /// Server that injects `faults` (admission, eviction, crash, lane,
-    /// autoscaler and data-flip sites).
+    /// autoscaler, data-flip, guess, solver-cap and snapshot sites).
     pub fn with_faults(backend: &'b Backend, mut cfg: ServeConfig, faults: FaultPlan) -> Self {
         cfg.run.method = MethodKind::EbeMcgCpuGpu;
         cfg.run.window = WindowPolicy::FullWindow;
@@ -244,8 +246,7 @@ impl<'b> EnsembleServer<'b> {
             slots: (0..lanes).map(|_| (0..r).map(|_| None).collect()).collect(),
             records: Vec::new(),
             clock,
-            scratch: RhsScratch::new(backend.n_dofs()),
-            guard: StateGuard::default(),
+            set_step: SetStep::new(backend.n_dofs(), r),
             stats: ServeStats::new(),
             recoveries: Vec::new(),
             corruptions: Vec::new(),
@@ -466,13 +467,9 @@ impl<'b> EnsembleServer<'b> {
         }
         let mut dump_eviction = false;
         for id in self.queue.expire(now) {
-            self.finish(id, RequestState::Evicted, now);
-            self.records[id.0 as usize].evict_reason = Some(EvictReason::DeadlineExpired);
-            self.stats.record_eviction();
+            self.evict(id, EvictReason::DeadlineExpired, now, None);
             let t = self.records[id.0 as usize].request.tenant.0;
-            self.stats.tenant_eviction(t);
             self.stats.tenant_deadline_miss(t);
-            self.record_eviction_event(id, None, EvictReason::DeadlineExpired, now);
             dump_eviction = true;
         }
         // ShedLoad re-evaluation: a queued request whose remaining steps
@@ -480,14 +477,10 @@ impl<'b> EnsembleServer<'b> {
         // floor is shed *now*, freeing its queue share for requests that
         // can still win
         for id in self.queue.shed_unmeetable(now, self.step_floor) {
-            self.finish(id, RequestState::Evicted, now);
-            self.records[id.0 as usize].evict_reason = Some(EvictReason::DeadlineUnmeetable);
-            self.stats.record_eviction();
+            self.evict(id, EvictReason::DeadlineUnmeetable, now, None);
             self.stats.record_shed_early();
             let t = self.records[id.0 as usize].request.tenant.0;
-            self.stats.tenant_eviction(t);
             self.stats.tenant_deadline_miss(t);
-            self.record_eviction_event(id, None, EvictReason::DeadlineUnmeetable, now);
             dump_eviction = true;
         }
         for lane in 0..self.batcher.n_lanes() {
@@ -500,14 +493,7 @@ impl<'b> EnsembleServer<'b> {
                     case: id.0 as usize,
                 };
                 if self.faults.inject(evict).is_some() {
-                    self.batcher.free(lane, slot);
-                    self.slots[lane][slot] = None;
-                    self.finish(id, RequestState::Evicted, now);
-                    self.records[id.0 as usize].evict_reason = Some(EvictReason::Injected);
-                    self.stats.record_eviction();
-                    self.stats
-                        .tenant_eviction(self.records[id.0 as usize].request.tenant.0);
-                    self.record_eviction_event(id, Some(lane), EvictReason::Injected, now);
+                    self.evict(id, EvictReason::Injected, now, Some((lane, slot)));
                     dump_eviction = true;
                 }
             }
@@ -761,35 +747,6 @@ impl<'b> EnsembleServer<'b> {
         }
     }
 
-    /// Flight + trace bookkeeping for one evicted request.
-    fn record_eviction_event(
-        &mut self,
-        id: RequestId,
-        lane: Option<usize>,
-        reason: EvictReason,
-        now: f64,
-    ) {
-        self.flight.record(
-            now,
-            "evicted",
-            Some(id.0),
-            lane.map(|l| l as u64),
-            Some(self.ticks as u64),
-            reason.label(),
-        );
-        if let Some(t) = self.trace.as_mut() {
-            let pid = lane.map_or(0, |l| 1 + l);
-            t.flow_end(
-                pid,
-                if lane.is_some() { TID_GPU } else { 0 },
-                "request",
-                "evicted",
-                now * 1e6,
-                flow_id_for_request(id.0),
-            );
-        }
-    }
-
     /// Telemetry-v2 snapshot of the serving layer: [`ServeStats`] mapped
     /// onto the declared `serve_*` metric names plus admission and
     /// flight-ring counters. Mergeable into run-level registries.
@@ -812,14 +769,11 @@ impl<'b> EnsembleServer<'b> {
     /// width `r` regardless of occupancy, which is exactly why backfilling
     /// matters.
     fn advance_lane(&mut self, lane: usize) {
-        let occupied = self.batcher.occupied_mask(lane);
-        let n_occ = occupied.iter().filter(|&&o| o).count();
+        let n_occ = self.batcher.occupied_count(lane);
         if n_occ == 0 {
             return;
         }
-        let detect = self.cfg.run.integrity.detect;
         let t_detect = self.clock.elapsed();
-        let mut lane_corruptions: Vec<CorruptionReport> = Vec::new();
         let r = self.batcher.width();
         let n = self.backend.n_dofs();
         self.stats.sample_occupancy(n_occ, r);
@@ -831,154 +785,93 @@ impl<'b> EnsembleServer<'b> {
             // occupied lane always has a key.
             .expect("occupied lane has a key")
             .tol();
-        let cg_cfg = driver_cg_config(tol);
+        let ids: Vec<Option<usize>> = (0..r)
+            .map(|k| self.batcher.slot(lane, k).map(|id| id.0 as usize))
+            .collect();
+        for &id in ids.iter().flatten() {
+            self.records[id].state = RequestState::Solving;
+        }
+        let spec = SetSpec {
+            step: self.ticks,
+            set: lane,
+            ids: &ids,
+            fused: true,
+            window: None,
+            tol,
+        };
 
-        // predictors (CPU lane), RHS assembly, fused-vector packing
-        let mut ab_guesses: Vec<Vec<f64>> = vec![Vec::new(); r];
-        let mut lane_cases: Vec<Option<usize>> = vec![None; r];
-        let mut f_multi = vec![0.0; n * r];
-        let mut x_multi = vec![0.0; n * r];
+        // predictors and RHS (CPU lane), guarded; faults keyed by request
+        let slots = self.slots[lane].iter_mut().map(Option::as_mut);
+        let (backend, run) = (self.backend, &self.cfg.run);
+        let prepared = self
+            .set_step
+            .prepare(backend, run, spec, slots, &mut self.faults);
         let mut pred_t = 0.0;
-        for k in 0..r {
-            if !occupied[k] {
-                continue;
-            }
-            // PANIC-OK: guarded by `occupied[k]` from the same batcher's
-            // occupancy mask, read under the same borrow.
-            let id = self.batcher.slot(lane, k).expect("occupied slot");
-            lane_cases[k] = Some(id.0 as usize);
-            self.records[id.0 as usize].state = RequestState::Solving;
-            let case = self.slots[lane][k]
-                .as_mut()
-                // PANIC-OK: `slots` mirrors the batcher occupancy —
-                // populated on admit, cleared on free — and `occupied[k]`
-                // held at the top of this loop body.
-                .expect("occupied slot has a case");
-            // SDC boundary guard: checksum the column's state, let any
-            // injected flips land, verify and roll back bitwise
-            boundary_guard(
-                &mut self.guard,
-                case,
-                &mut self.faults,
-                self.ticks,
-                id.0 as usize,
-                detect,
-                &mut lane_corruptions,
-            );
-            let every = self.cfg.run.integrity.basis_check_every;
-            if detect && every > 0 && self.ticks > 0 && self.ticks.is_multiple_of(every) {
-                if let Some(rep) = basis_sentinel(
-                    case,
-                    self.ticks,
-                    id.0 as usize,
-                    self.cfg.run.integrity.basis_defect_tol,
-                ) {
-                    lane_corruptions.push(rep);
-                }
-            }
-            let s = self.cfg.run.s_max.max(1).min(case.available_s());
-            let (ab, s_used) = case.prepare_step(self.backend, &mut self.scratch, s);
-            // RHS checksum between assembly and the fused solve
-            rhs_guard(
-                self.backend,
-                case,
-                &mut self.scratch,
-                &mut self.faults,
-                self.ticks,
-                id.0 as usize,
-                detect,
-                &mut lane_corruptions,
-            );
-            pred_t += self.clock.run_cpu(&case.predictor_cost(s_used.max(1)));
-            insert_case(&mut f_multi, r, k, case.rhs());
-            insert_case(&mut x_multi, r, k, case.guess());
-            ab_guesses[k] = ab;
+        for col in prepared.columns.iter().flatten() {
+            pred_t += self.clock.run_cpu(&col.predictor);
         }
 
-        // fused masked solve (GPU lane) through the resumable ladder:
-        // a column that exhausts it keeps its failure, companions survive
-        let outcome = solve_set_resumable(
-            &self.backend.ebe_a(r),
-            &self.backend.precond,
-            &f_multi,
-            &mut x_multi,
-            &ab_guesses,
-            &occupied,
-            &lane_cases,
-            &cg_cfg,
-            &cg_cfg,
-            self.ticks,
-            lane,
-            true,
-            &mut self.recoveries,
-        );
+        // fused masked solve (GPU lane) through the one recovery ladder: a
+        // column that exhausts it keeps its failure, companions survive
+        let slots = self.slots[lane].iter_mut().map(Option::as_mut);
+        let out = self.set_step.solve(backend, &backend.ebe_a(r), slots);
         let solver_t = self
             .clock
-            .run_gpu(&self.backend.rhs_counts_ebe(r).merged(outcome.stats.counts));
+            .run_gpu(&backend.rhs_counts_ebe(r).merged(out.counts));
+        let (fused_iterations, attempts) = (out.fused_iterations, out.attempts);
+        self.recoveries.extend_from_slice(&out.recoveries);
+        let lane_corruptions = out.corruptions.clone();
+        let columns = out.columns.clone();
 
         // harvest columns; flow hops collect each occupant's fate for the
         // causal-trace arrows emitted with the spans below
         let mut flow_hops: Vec<(u64, RequestState)> = Vec::with_capacity(n_occ);
-        let mut x = vec![0.0; n];
-        for k in 0..r {
-            if !occupied[k] {
+        for (k, col) in columns.into_iter().enumerate() {
+            let Some(col) = col else {
                 continue;
+            };
+            let id = RequestId(col.id as u64);
+            match col.fate {
+                Fate::Failed(_) => {
+                    let failed_at = self.clock.elapsed();
+                    self.release(lane, k, id, RequestState::Failed, failed_at);
+                    self.stats.record_failure();
+                    self.flight.record(
+                        failed_at,
+                        "failed",
+                        Some(id.0),
+                        Some(lane as u64),
+                        Some(self.ticks as u64),
+                        "solver failure after recovery ladder",
+                    );
+                    flow_hops.push((id.0, RequestState::Failed));
+                    continue;
+                }
+                Fate::Corrupt(_) => {
+                    // non-finite state slipped past every checksum: free the
+                    // column rather than carry NaNs forward (zero silent
+                    // wrong answers)
+                    let at = self.clock.elapsed();
+                    self.evict(id, EvictReason::Corruption, at, Some((lane, k)));
+                    self.stats.record_sdc_eviction();
+                    continue;
+                }
+                Fate::Pending | Fate::Advanced { .. } => {}
             }
-            // PANIC-OK: same `occupied[k]` guard as the packing loop; the
-            // solve does not admit or free slots.
-            let id = self.batcher.slot(lane, k).expect("occupied slot");
-            if outcome.stats.case_termination[k].is_failure() {
-                self.slots[lane][k] = None;
-                self.batcher.free(lane, k);
-                let failed_at = self.clock.elapsed();
-                self.finish(id, RequestState::Failed, failed_at);
-                self.stats.record_failure();
-                self.flight.record(
-                    failed_at,
-                    "failed",
-                    Some(id.0),
-                    Some(lane as u64),
-                    Some(self.ticks as u64),
-                    "solver failure after recovery ladder",
-                );
-                flow_hops.push((id.0, RequestState::Failed));
-                continue;
-            }
-            extract_case(&x_multi, r, k, &mut x);
             let case = self.slots[lane][k]
-                .as_mut()
-                // PANIC-OK: `occupied[k]` held and the failure arm above
-                // `continue`s after clearing, so this slot is still live.
+                .as_ref()
+                // PANIC-OK: the column was advanced, so its slot is live.
                 .expect("occupied slot has a case");
-            case.advance(self.backend, &x, &ab_guesses[k], None);
-            if detect && scrub_state(case).is_some() {
-                // non-finite state slipped past every checksum: free the
-                // column rather than carry NaNs forward (zero silent
-                // wrong answers)
-                self.slots[lane][k] = None;
-                self.batcher.free(lane, k);
-                let at = self.clock.elapsed();
-                self.finish(id, RequestState::Evicted, at);
-                self.records[id.0 as usize].evict_reason = Some(EvictReason::Corruption);
-                self.stats.record_eviction();
-                self.stats.record_sdc_eviction();
-                self.stats
-                    .tenant_eviction(self.records[id.0 as usize].request.tenant.0);
-                self.record_eviction_event(id, Some(lane), EvictReason::Corruption, at);
-                continue;
-            }
             if case.is_done() {
                 let result = if self.cfg.keep_results {
                     Some(case.displacement().to_vec())
                 } else {
                     None
                 };
-                self.slots[lane][k] = None;
-                self.batcher.free(lane, k);
                 let done_at = self.clock.elapsed();
+                self.release(lane, k, id, RequestState::Done, done_at);
                 let req = self.records[id.0 as usize].request;
                 let latency = done_at - self.records[id.0 as usize].admitted_at;
-                self.finish(id, RequestState::Done, done_at);
                 self.records[id.0 as usize].result = result;
                 self.stats.record_completion(latency);
                 self.stats
@@ -1044,11 +937,8 @@ impl<'b> EnsembleServer<'b> {
                 solver_t * 1e6,
                 vec![
                     ("occupied".to_string(), Json::from(n_occ)),
-                    (
-                        "fused_iterations".to_string(),
-                        Json::from(outcome.stats.fused_iterations),
-                    ),
-                    ("attempts".to_string(), Json::from(outcome.attempts)),
+                    ("fused_iterations".to_string(), Json::from(fused_iterations)),
+                    ("attempts".to_string(), Json::from(attempts)),
                 ],
             );
             t.span(
@@ -1257,15 +1147,8 @@ impl<'b> EnsembleServer<'b> {
             let Some(id) = self.batcher.slot(lane, slot) else {
                 continue;
             };
-            self.batcher.free(lane, slot);
-            self.slots[lane][slot] = None;
+            self.evict(id, reason, now, Some((lane, slot)));
             self.lane_ckpt[lane][slot] = None;
-            self.finish(id, RequestState::Evicted, now);
-            self.records[id.0 as usize].evict_reason = Some(reason);
-            self.stats.record_eviction();
-            self.stats
-                .tenant_eviction(self.records[id.0 as usize].request.tenant.0);
-            self.record_eviction_event(id, Some(lane), reason, now);
             evicted += 1;
         }
         evicted
@@ -1274,6 +1157,47 @@ impl<'b> EnsembleServer<'b> {
     /// Supervision decisions taken so far, in order.
     pub fn watchdog_events(&self) -> &[WatchdogEvent] {
         &self.watchdog_events
+    }
+
+    /// Free lane `lane`'s column `slot` and move its request `id` to the
+    /// terminal `state`.
+    fn release(&mut self, lane: usize, slot: usize, id: RequestId, state: RequestState, at: f64) {
+        self.batcher.free(lane, slot);
+        self.slots[lane][slot] = None;
+        self.finish(id, state, at);
+    }
+
+    /// Evict request `id` for `reason`, counted and recorded, releasing
+    /// the lane column `(lane, slot)` it holds, if any.
+    fn evict(
+        &mut self,
+        id: RequestId,
+        reason: EvictReason,
+        at: f64,
+        column: Option<(usize, usize)>,
+    ) {
+        match column {
+            Some((lane, slot)) => self.release(lane, slot, id, RequestState::Evicted, at),
+            None => self.finish(id, RequestState::Evicted, at),
+        }
+        self.records[id.0 as usize].evict_reason = Some(reason);
+        self.stats.record_eviction();
+        let tenant = self.records[id.0 as usize].request.tenant.0;
+        self.stats.tenant_eviction(tenant);
+        let lane = column.map(|(lane, _)| lane);
+        self.flight.record(
+            at,
+            "evicted",
+            Some(id.0),
+            lane.map(|l| l as u64),
+            Some(self.ticks as u64),
+            reason.label(),
+        );
+        if let Some(t) = self.trace.as_mut() {
+            let (pid, tid) = lane.map_or((0, 0), |l| (1 + l, TID_GPU));
+            let flow = flow_id_for_request(id.0);
+            t.flow_end(pid, tid, "request", "evicted", at * 1e6, flow);
+        }
     }
 
     /// Move a request to a terminal state.
@@ -1316,6 +1240,11 @@ impl<'b> EnsembleServer<'b> {
     /// Corruption detections (and the recovery each took) so far.
     pub fn corruptions(&self) -> &[CorruptionReport] {
         &self.corruptions
+    }
+
+    /// The fault plan injected into this server, with what has fired.
+    pub fn faults(&self) -> &FaultPlan {
+        &self.faults
     }
 
     /// Scheduling boundaries executed so far.

@@ -84,7 +84,7 @@ pub fn mcg_observed<A: MultiOperator, P: Preconditioner, O: SolveObserver>(
 /// Callers should keep vacant columns of `f` and `x` finite (the serving
 /// layer zeroes a column when its slot is freed); non-finite garbage in a
 /// vacant column stays in that column but wastes no logic.
-pub fn mcg_masked<A: MultiOperator, P: Preconditioner>(
+pub fn mcg_masked<A: MultiOperator + ?Sized, P: Preconditioner>(
     a: &A,
     prec: &P,
     f: &[f64],
@@ -96,7 +96,7 @@ pub fn mcg_masked<A: MultiOperator, P: Preconditioner>(
 }
 
 /// [`mcg_masked`] with per-iteration observation (see [`mcg_observed`]).
-pub fn mcg_masked_observed<A: MultiOperator, P: Preconditioner, O: SolveObserver>(
+pub fn mcg_masked_observed<A: MultiOperator + ?Sized, P: Preconditioner, O: SolveObserver>(
     a: &A,
     prec: &P,
     f: &[f64],

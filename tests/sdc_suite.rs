@@ -7,7 +7,7 @@
 //! run with detection enabled is *bitwise-identical* to one without: the
 //! defense is free until a checksum actually mismatches.
 
-use hetsolve::core::IntegrityConfig;
+use hetsolve::core::{run_realtime, IntegrityConfig};
 use hetsolve::fault::StateField;
 use hetsolve::fem::FemProblem;
 use hetsolve::prelude::*;
@@ -120,6 +120,26 @@ fn flip_at_every_step_boundary_recovers_bitwise() {
             assert_bitwise(&r.final_u, &clean.final_u, what);
         }
     }
+}
+
+/// The real-thread pipeline prepares its sets through the same set step as
+/// the step driver, guards included: a state flip in set A and an RHS flip
+/// in set B are detected and repaired, and the run keeps the clean bits.
+#[test]
+fn realtime_guards_repair_state_and_rhs_flips() {
+    let b = backend();
+    let cfg = config(MethodKind::EbeMcgCpuGpu, 8);
+    let (clean, clean_rep) = run_realtime(&b, &cfg, Hooks::default()).expect("clean run");
+    assert_eq!(clean_rep.corruptions, 0);
+    // cases 0..r live in set A, r..2r in set B
+    let mut plan = FaultPlan::new(41)
+        .flip_state(3, 1, StateField::U)
+        .flip_rhs(5, cfg.r + 1);
+    let (faulted, rep) =
+        run_realtime(&b, &cfg, Hooks::default().faults(&mut plan)).expect("repaired run");
+    assert!(plan.all_fired(), "both flips fired");
+    assert_eq!(rep.corruptions, 2, "both flips repaired");
+    assert_bitwise(&faulted, &clean, "realtime repair");
 }
 
 /// The CRS drivers carry the same guards as the EBE driver: flips against

@@ -109,6 +109,70 @@ fn served_cases_are_bitwise_equal_to_solo_ensemble() {
     }
 }
 
+/// A served column goes through the same set step as a run's case, so it
+/// honours the guess, solver-cap and snapshot faults a run does: the
+/// faulted request recovers and ends `Done`, and its companions keep the
+/// bits of a clean server.
+#[test]
+fn served_request_survives_guess_solver_and_snapshot_faults() {
+    let backend = small_backend();
+    // lane-major backfill by priority: the target takes lane 0 slot 0 and
+    // the two-step request slot 1, which stays vacant once it is done, so
+    // the lane-0 solver cap at tick 4 reaches the target alone
+    let requests = [
+        SolveRequest::new(700, 8).with_priority(9),
+        SolveRequest::new(701, 2).with_priority(8),
+        SolveRequest::new(702, 8).with_priority(7),
+        SolveRequest::new(703, 6).with_priority(6),
+    ];
+    let serve = |plan: FaultPlan| {
+        let mut server = EnsembleServer::with_faults(&backend, serve_cfg(2), plan);
+        let ids: Vec<_> = requests
+            .iter()
+            .map(|&q| server.admit(q).expect("admit"))
+            .collect();
+        server.run_until_idle();
+        (server, ids)
+    };
+    let (clean, _) = serve(FaultPlan::new(3));
+    let (server, ids) = serve(
+        FaultPlan::new(3)
+            .nan_guess(3, 0, 0.2)
+            .cap_solver(4, 0, 2)
+            .nan_snapshot(5, 0, 0.3),
+    );
+    let target = ids[0];
+    let batched = server
+        .flight()
+        .events()
+        .find(|e| e.kind == "batched" && e.request == Some(0));
+    assert_eq!(batched.and_then(|e| e.lane), Some(0), "target in lane 0");
+    assert_eq!(server.record(target).state, RequestState::Done);
+    assert!(server.faults().all_fired(), "every planned fault fired");
+    let events: Vec<_> = server
+        .recoveries()
+        .iter()
+        .filter(|ev| ev.case == Some(0))
+        .collect();
+    assert!(events.len() >= 2, "guess and cap recovered: {events:?}");
+    assert!(events.iter().all(|ev| ev.set == 0));
+    assert!(clean.recoveries().is_empty());
+    for &id in &ids[1..] {
+        assert_eq!(server.record(id).state, RequestState::Done);
+        let (faulted, solo) = (
+            server.result(id).expect("result"),
+            clean.result(id).expect("result"),
+        );
+        assert!(
+            faulted
+                .iter()
+                .zip(solo)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "companion {id} moved"
+        );
+    }
+}
+
 /// The tentpole throughput claim: with the queue deeper than 2× the lane
 /// width and a heterogeneous (short + long) workload, continuous batching
 /// completes ≥ 1.5× the cases per modeled second of drain-then-refill —
