@@ -6,8 +6,6 @@
 //!
 //! * `benches/tables.rs` — Tables 1–4 (`cargo bench --bench tables`),
 //! * `benches/figures.rs` — Figs. 1, 3, 4, 5 (`cargo bench --bench figures`),
-//! * `benches/kernels.rs` — criterion microbenchmarks of the real host
-//!   kernels (CRS vs EBE vs EBE-multi-RHS, predictor, FFT),
 //! * `benches/ablation.rs` — design-choice ablations (cached vs compact
 //!   EBE, coloring, region size, window size, partitioners).
 

@@ -32,7 +32,7 @@ use crate::recovery::RecoveryEvent;
 
 /// Environment variable naming the Chrome-trace output file.
 pub const TRACE_ENV: &str = "HETSOLVE_TRACE";
-/// Environment variable naming the metrics (bench-snapshot JSON) output.
+/// Environment variable naming the metrics-document (`MetricsSink` JSON) output.
 pub const METRICS_ENV: &str = "HETSOLVE_METRICS";
 
 /// Thread ids of the device lanes in the exported trace.
@@ -48,9 +48,8 @@ pub struct StepTracer {
     pub sink: MetricsSink,
     /// Telemetry-v2 registry, independent of `enabled`: an attached
     /// registry aggregates phase histograms and counters even on a
-    /// `disabled()` tracer (no span labeling, no per-event allocation),
-    /// which is what the bench snapshot's observer-overhead ratio
-    /// measures. `None` (the default) costs one branch per charge.
+    /// `disabled()` tracer (no span labeling, no per-event allocation).
+    /// `None` (the default) costs one branch per charge.
     registry: Option<MetricsRegistry>,
     /// Crash-time flight recorder: always on (a ring push per event —
     /// the drivers only feed it step/checkpoint/recovery boundaries, not

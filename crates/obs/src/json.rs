@@ -66,7 +66,7 @@ impl Json {
     }
 
     /// Serialize with 2-space indentation (what ends up in committed
-    /// `BENCH_<n>.json` files — reviewable diffs).
+    /// golden files — reviewable diffs).
     pub fn to_string_pretty(&self) -> String {
         let mut s = String::new();
         self.write(&mut s, Some(2), 0);

@@ -18,8 +18,8 @@
 //!   (loadable in Perfetto / `chrome://tracing`): a faithful, inspectable
 //!   reproduction of the paper's Fig. 4 CPU/GPU/transfer overlap diagram,
 //! * [`metrics`] — [`MetricsSink`] aggregating kernel counts, iteration
-//!   counts and method summaries into a schema-versioned `BENCH_<n>.json`
-//!   snapshot (written by `cargo xtask bench-snapshot`) or JSONL stream,
+//!   counts and method summaries into one schema-versioned JSON document
+//!   (what `HETSOLVE_METRICS` names; `tests/modeled_golden.rs` pins one),
 //! * [`registry`] — telemetry v2's [`MetricsRegistry`]: named counters,
 //!   gauges and fixed-size log-bucketed [`LogHistogram`]s with mergeable
 //!   snapshots, exported as JSON or a Prometheus-style text page,

@@ -1,17 +1,16 @@
-//! Machine-readable bench snapshots.
+//! Machine-readable run metrics.
 //!
 //! [`MetricsSink`] aggregates method summaries (the paper's Table-3/4
 //! rows), kernel work counters, adaptive-window decisions and free-form
-//! sections into one schema-versioned JSON document. `cargo xtask
-//! bench-snapshot` writes it as `BENCH_<n>.json` at the workspace root so
-//! the perf trajectory mandated by ROADMAP.md is tracked across PRs; the
-//! same sink can append one-object-per-line JSONL for streaming consumers.
+//! sections into one schema-versioned JSON document. `StepTracer` writes
+//! it where `HETSOLVE_METRICS` points, and `tests/modeled_golden.rs` pins
+//! the modeled rows of one such document against a committed file.
 //!
 //! Schema (`hetsolve/bench-snapshot/v1`) — units are embedded in field
 //! names: `_s` seconds, `_j` joules, `_w` watts, `_bytes` bytes.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::json::Json;
 
@@ -137,36 +136,6 @@ impl MetricsSink {
         text.push('\n');
         std::fs::write(path, text)
     }
-
-    /// Write the next `BENCH_<n>.json` in `dir`: scans existing snapshots
-    /// and picks the first free index, so each PR's snapshot lands beside
-    /// its predecessors. Returns the path written.
-    pub fn write_bench_snapshot(&self, dir: impl AsRef<Path>) -> io::Result<PathBuf> {
-        let dir = dir.as_ref();
-        let n = next_bench_index(dir);
-        let path = dir.join(format!("BENCH_{n}.json"));
-        self.write_to(&path)?;
-        Ok(path)
-    }
-
-    /// Append the snapshot as one compact line of JSONL.
-    pub fn append_jsonl(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        use io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        writeln!(f, "{}", self.to_json().to_string_compact())
-    }
-}
-
-/// First index `n` such that `BENCH_<n>.json` does not exist in `dir`.
-pub fn next_bench_index(dir: &Path) -> usize {
-    let mut n = 0;
-    while dir.join(format!("BENCH_{n}.json")).exists() {
-        n += 1;
-    }
-    n
 }
 
 #[cfg(test)]
@@ -224,37 +193,5 @@ mod tests {
             v.get("sections").unwrap().get("x").unwrap().as_f64(),
             Some(2.0)
         );
-    }
-
-    #[test]
-    fn bench_index_skips_existing() {
-        let dir = std::env::temp_dir().join(format!("hetsolve-obs-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        assert_eq!(next_bench_index(&dir), 0);
-        let sink = MetricsSink::new();
-        let p0 = sink.write_bench_snapshot(&dir).unwrap();
-        assert!(p0.ends_with("BENCH_0.json"));
-        let p1 = sink.write_bench_snapshot(&dir).unwrap();
-        assert!(p1.ends_with("BENCH_1.json"));
-        let text = std::fs::read_to_string(&p1).unwrap();
-        assert!(parse_json(&text).is_ok());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn jsonl_appends_compact_lines() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("hetsolve-obs-jsonl-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let mut sink = MetricsSink::new();
-        sink.push_method(row("CRS-CG@GPU", 0.004));
-        sink.append_jsonl(&path).unwrap();
-        sink.append_jsonl(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        for line in text.lines() {
-            assert!(parse_json(line).is_ok());
-        }
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -5,9 +5,9 @@
 //! drain-then-refill because it keeps the fused lanes full — is a claim
 //! about *occupancy over time*, so [`ServeStats`] samples the queue and
 //! every lane at each scheduling boundary and aggregates modeled
-//! end-to-end latencies per request. The summary JSON becomes a
-//! `serve` section of the bench snapshot (`BENCH_<n>.json`), giving the
-//! ROADMAP's perf trajectory lane-occupancy and queue-latency columns.
+//! end-to-end latencies per request. The summary JSON is the `serve`
+//! section of a metrics document; `tests/modeled_golden.rs` pins its
+//! lane-occupancy and queue-latency columns on the reference workload.
 
 use hetsolve_ckpt::{CkptError, Dec, Enc, Wire};
 

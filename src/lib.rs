@@ -20,7 +20,8 @@
 //!   parallel kernel runs on (same bits at any thread count),
 //! * [`signal`] — FFT, Welch spectra, frequency domain decomposition,
 //! * [`obs`] — dependency-free observability: solver observers,
-//!   Chrome-trace-event export, bench-snapshot metrics,
+//!   Chrome-trace-event export, run metrics, telemetry registry, flight
+//!   recorder,
 //! * [`fault`] — deterministic fault injection (corrupted guesses,
 //!   poisoned snapshots, dropped exchanges, lane stalls, solver caps,
 //!   crashes, torn writes, bit flips): a seeded plan every driver queries

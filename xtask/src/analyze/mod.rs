@@ -54,8 +54,8 @@ impl Violation {
     }
 }
 
-/// Aggregate result of a full analysis run, consumed by the CLI and by
-/// `bench-snapshot` (which records analyzer cost next to solver cost).
+/// Aggregate result of a full analysis run, consumed by the CLI and the
+/// fixture tests.
 pub struct Report {
     pub files_scanned: usize,
     pub unsafe_sites: usize,

@@ -19,7 +19,6 @@
 #![forbid(unsafe_code)]
 
 mod analyze;
-mod bench;
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -69,15 +68,14 @@ fn main() -> ExitCode {
     match args.next().as_deref() {
         Some("lint") => lint(),
         Some("analyze") => analyze::run(args),
-        Some("bench-snapshot") => bench::bench_snapshot(args.next()),
         Some(other) => {
-            eprintln!("unknown xtask `{other}`; available: lint, analyze, bench-snapshot");
+            eprintln!("unknown xtask `{other}`; available: lint, analyze");
             ExitCode::FAILURE
         }
         None => {
             eprintln!(
                 "usage: cargo xtask <lint | analyze [--root <dir>] [--write-audit] \
-                 [--pass <name>] | bench-snapshot [dir]>"
+                 [--pass <name>]>"
             );
             ExitCode::FAILURE
         }
