@@ -1,7 +1,7 @@
 //! Ablation studies of the design choices called out in DESIGN.md:
 //!
-//! * cached-matrix vs compact matrix-free EBE (memory-traffic trade),
-//! * element-coloring parallel scatter vs sequential scatter,
+//! * packed element matrices vs compact matrix-free EBE data (memory),
+//! * the EBE block sweep on the host pool vs on the calling thread,
 //! * predictor region size sweep,
 //! * snapshot-window sweep (iterations saved vs predictor cost),
 //! * RCB vs greedy partitioner edge cut,
@@ -16,7 +16,7 @@ use hetsolve_core::{convergence_study, StudyConfig};
 use hetsolve_fem::compact_ebe_counts;
 use hetsolve_machine::{h100, kernel_time, ExecCtx};
 use hetsolve_mesh::{edge_cut, partition_greedy, partition_rcb};
-use hetsolve_sparse::{ebe_counts, LinearOperator};
+use hetsolve_sparse::LinearOperator;
 use std::time::Instant;
 
 fn main() {
@@ -40,87 +40,35 @@ fn main() {
     }
 }
 
-/// Cached element matrices stream 7.4 kB/element; the compact kernel
-/// streams ~170 B/element and recomputes. On high-flops/byte devices the
-/// compact variant wins decisively (modeled), and even on the host CPU it
-/// is competitive (measured).
+/// Packed element matrices take 7.4 kB/element; the compact kernel keeps
+/// ~170 B/element and recomputes them on every apply. (Its speed is
+/// measured against the assembled CRS operator, `hetbench`'s
+/// `fem.ebe_r1_apply_ms` and `sparse.crs_apply_ms`.)
 fn ablate_storage() {
-    println!("\n===== ablation: EBE storage (cached matrices vs compact recompute) =====\n");
+    println!("\n===== ablation: EBE storage (element matrices vs compact geometry) =====\n");
     let backend = bench_backend(8, 8, 5);
-    let n = backend.n_dofs();
-    let ne = backend.problem.model.mesh.n_elems();
-    let nf = backend.problem.dashpots.n_faces();
-    let ctx = ExecCtx::default();
-    for r in [1usize, 4] {
-        let cached = ebe_counts(ne, nf, n, r);
-        let compact = compact_ebe_counts(ne, nf, n, r);
-        let t_cached = kernel_time(&h100(), &cached, &ctx) / r as f64;
-        let t_compact = kernel_time(&h100(), &compact, &ctx) / r as f64;
-        println!(
-            "r={r}: modeled H100 time/case: cached {:.3} ms vs compact {:.3} ms ({:.2}x); stream bytes {:.1} vs {:.1} MB",
-            t_cached * 1e3,
-            t_compact * 1e3,
-            t_cached / t_compact,
-            cached.bytes_stream / 1e6,
-            compact.bytes_stream / 1e6,
-        );
-    }
-    // real host measurement
-    let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.4).sin()).collect();
-    let mut y = vec![0.0; n];
-    let a = backend.problem.a_coeffs();
-    let data = hetsolve_sparse::EbeData {
-        n_nodes: backend.problem.n_nodes(),
-        elems: &backend.problem.model.mesh.elems,
-        me: &backend.problem.elements().me,
-        ke: &backend.problem.elements().ke,
-        faces: &backend.problem.dashpots.faces,
-        cb: &backend.problem.dashpots.cb,
-        c_m: a.c_m,
-        c_k: a.c_k,
-        c_b: a.c_b,
-        fixed: &backend.fixed,
-    };
-    let coloring = hetsolve_mesh::color_elements(&backend.problem.model.mesh);
-    let cached = hetsolve_sparse::EbeOperator::new(data, &coloring, true);
-    let compact = backend.ebe_a(1);
-    let time = |f: &mut dyn FnMut()| {
-        let t0 = Instant::now();
-        for _ in 0..20 {
-            f();
-        }
-        t0.elapsed().as_secs_f64() / 20.0
-    };
-    let tc = time(&mut || cached.apply(&x, &mut y));
-    let tm = time(&mut || compact.apply(&x, &mut y));
     println!(
-        "host measurement: cached {:.3} ms vs compact {:.3} ms per apply; memory {:.1} vs {:.1} MB",
-        tc * 1e3,
-        tm * 1e3,
+        "memory: packed element matrices {:.1} MB vs compact geometry {:.1} MB",
         backend.problem.elements().bytes() as f64 / 1e6,
         backend.compact.bytes() as f64 / 1e6,
     );
 }
 
 fn ablate_coloring() {
-    println!("\n===== ablation: colored parallel scatter vs sequential EBE =====\n");
+    println!("\n===== ablation: phase-parallel block sweep vs serial walk =====\n");
     let backend = bench_backend(8, 8, 5);
     let n = backend.n_dofs();
     let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.4).sin()).collect();
     let mut y = vec![0.0; n];
     let mesh = &backend.problem.model.mesh;
-    let coloring = hetsolve_mesh::color_elements(mesh);
     let plan = hetsolve_fem::ScatterPlan::validate(
         mesh.n_nodes(),
         &mesh.elems,
         &backend.problem.dashpots.faces,
     );
     println!(
-        "{} elements: {} colors (group sizes {:?}) for the cached operator, \
-         {:?} (element, face) block phases for the compact one",
+        "{} elements: {:?} (element, face) block phases",
         mesh.n_elems(),
-        coloring.n_colors,
-        coloring.group_size_range(),
         plan.n_phases()
     );
     let par = backend.ebe_a(1);
@@ -136,7 +84,7 @@ fn ablate_coloring() {
     let tp = time(&par, &mut y);
     let ts = time(&seq, &mut y);
     println!(
-        "host: sequential {:.3} ms, colored-parallel {:.3} ms ({:.2}x on {} threads)",
+        "host: serial {:.3} ms, pooled {:.3} ms ({:.2}x on {} threads)",
         ts * 1e3,
         tp * 1e3,
         ts / tp,

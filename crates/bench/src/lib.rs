@@ -6,8 +6,8 @@
 //!
 //! * `benches/tables.rs` — Tables 1–4 (`cargo bench --bench tables`),
 //! * `benches/figures.rs` — Figs. 1, 3, 4, 5 (`cargo bench --bench figures`),
-//! * `benches/ablation.rs` — design-choice ablations (cached vs compact
-//!   EBE, coloring, region size, window size, partitioners).
+//! * `benches/ablation.rs` — design-choice ablations (EBE storage, the
+//!   pooled block sweep, region size, window size, partitioners, fusing).
 
 use hetsolve_core::Backend;
 use hetsolve_fem::{FemProblem, RandomLoadSpec};

@@ -30,9 +30,10 @@ pub struct Backend {
     /// Block-Jacobi preconditioner of `A`.
     pub precond: BlockJacobi,
     /// The switch for host threads: `true` hands the operators this
-    /// backend builds (`ebe_a`/`ebe_m`/`ebe_c`, the assembled matrices) and
-    /// its preconditioner to the host pool, `false` keeps every one of them
-    /// on the calling thread. Same bits either way (DESIGN.md §19).
+    /// backend builds (`ebe_a`, the RHS's `M` and `C`, the assembled
+    /// matrices) and its preconditioner to the host pool, `false` keeps
+    /// every one of them on the calling thread. Same bits either way
+    /// (DESIGN.md §19).
     pub parallel: bool,
 }
 
@@ -140,18 +141,6 @@ impl Backend {
         self.compact_op(&self.compact, (a.c_m, a.c_k, a.c_b), &self.fixed, r)
     }
 
-    /// Matrix-free mass operator `M` (no Dirichlet identity: used inside
-    /// the RHS where fixed rows are projected to zero afterwards).
-    pub fn ebe_m(&self) -> CompactEbe<'_> {
-        self.compact_op(&self.compact, (1.0, 0.0, 0.0), &[], 1)
-    }
-
-    /// Matrix-free damping operator `C = α M + β K + C_b`.
-    pub fn ebe_c(&self) -> CompactEbe<'_> {
-        let c = self.problem.c_coeffs();
-        self.compact_op(&self.compact, (c.c_m, c.c_k, c.c_b), &[], 1)
-    }
-
     /// Were the assembled (CRS) matrices built? The run drivers check
     /// this at entry and return [`crate::recovery::RunError::Config`]
     /// for CRS methods on a matrix-free backend.
@@ -181,10 +170,29 @@ impl Backend {
         rhs: &mut [f64],
         scratch: &mut RhsScratch,
     ) {
+        self.newmark_rhs_with(&self.compact, f, u, v, a, rhs, scratch);
+    }
+
+    /// [`Self::newmark_rhs`] with the matrix-free `M` (no Dirichlet
+    /// identity: fixed rows are projected to zero afterwards) and
+    /// `C = α M + β K + C_b` over element data `data` — the backend's own,
+    /// or the copy whose secant moduli a nonlinear run updates.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn newmark_rhs_with(
+        &self,
+        data: &CompactElements,
+        f: &[f64],
+        u: &[f64],
+        v: &[f64],
+        a: &[f64],
+        rhs: &mut [f64],
+        scratch: &mut RhsScratch,
+    ) {
         let nm = &self.problem.newmark;
         nm.rhs_aux(u, v, a, &mut scratch.m_aux, &mut scratch.c_aux);
-        let op_m = self.ebe_m();
-        let op_c = self.ebe_c();
+        let c = self.problem.c_coeffs();
+        let op_m = self.compact_op(data, (1.0, 0.0, 0.0), &[], 1);
+        let op_c = self.compact_op(data, (c.c_m, c.c_k, c.c_b), &[], 1);
         op_m.apply(&scratch.m_aux, &mut scratch.t1);
         op_c.apply(&scratch.c_aux, &mut scratch.t2);
         for i in 0..rhs.len() {

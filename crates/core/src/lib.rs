@@ -57,7 +57,7 @@ pub use methods::{
     driver_cg_config, run, run_with, Hooks, MethodKind, RunConfig, RunResult, StepRecord,
     WindowPolicy,
 };
-pub use multinode::{DistributedOperator, LocalPart, PartitionMetrics, PartitionedProblem};
+pub use multinode::{LocalPart, PartitionMetrics, PartitionedProblem};
 pub use nonlinear_run::{run_nonlinear, NonlinearResult, NonlinearStepRecord};
 pub use realtime::{run_realtime, RealtimeReport};
 pub use recovery::{GuessSource, RecoveryEvent, RunError};

@@ -165,43 +165,6 @@ impl PartitionedProblem {
         .without_fixed_identity()
     }
 
-    /// Distributed apply on a *global* vector: scatter to locals, apply the
-    /// local operators, halo-sum the shared nodes, gather back, then apply
-    /// the Dirichlet identity once. Numerically identical to the global
-    /// operator (tests check to rounding).
-    pub fn apply_global(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), 3 * self.n_global_nodes);
-        let mut locals: Vec<Vec<f64>> = Vec::with_capacity(self.parts.len());
-        for p in &self.parts {
-            let nl = p.sub.mesh.n_nodes();
-            let mut xl = vec![0.0; 3 * nl];
-            for (l, &g) in p.sub.l2g.iter().enumerate() {
-                for d in 0..3 {
-                    xl[3 * l + d] = x[3 * g as usize + d];
-                }
-            }
-            let mut yl = vec![0.0; 3 * nl];
-            self.local_op(p).apply(&xl, &mut yl);
-            locals.push(yl);
-        }
-        hetsolve_mesh::halo_sum(&self.partition.parts, &mut locals, 3);
-        y.fill(0.0);
-        for (p, yl) in self.parts.iter().zip(&locals) {
-            for (l, &g) in p.sub.l2g.iter().enumerate() {
-                if p.sub.owned[l] {
-                    for d in 0..3 {
-                        y[3 * g as usize + d] = yl[3 * l + d];
-                    }
-                }
-            }
-        }
-        for (i, &f) in self.fixed_global.iter().enumerate() {
-            if f {
-                y[i] = x[i];
-            }
-        }
-    }
-
     /// Worst-partition halo bytes exchanged per operator application for
     /// `r` fused cases — the input of the weak-scaling model (Fig. 5).
     pub fn max_halo_bytes(&self, r: usize) -> f64 {
@@ -239,31 +202,55 @@ impl PartitionedProblem {
     }
 }
 
-/// Global-vector wrapper implementing [`LinearOperator`] so the existing CG
-/// drives the distributed operator unchanged.
-pub struct DistributedOperator<'a> {
-    pub problem: &'a PartitionedProblem,
-}
-
-impl LinearOperator for DistributedOperator<'_> {
+/// The distributed operator on *global* vectors, so the one CG drives it
+/// unchanged.
+impl LinearOperator for PartitionedProblem {
     fn n(&self) -> usize {
-        3 * self.problem.n_global_nodes
+        3 * self.n_global_nodes
     }
 
+    /// Scatter to locals, apply the local operators, halo-sum the shared
+    /// nodes, gather back, then apply the Dirichlet identity once.
+    /// Numerically identical to the global operator (tests check to
+    /// rounding).
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.problem.apply_global(x, y);
+        assert_eq!(x.len(), 3 * self.n_global_nodes);
+        let mut locals: Vec<Vec<f64>> = Vec::with_capacity(self.parts.len());
+        for p in &self.parts {
+            let nl = p.sub.mesh.n_nodes();
+            let mut xl = vec![0.0; 3 * nl];
+            for (l, &g) in p.sub.l2g.iter().enumerate() {
+                for d in 0..3 {
+                    xl[3 * l + d] = x[3 * g as usize + d];
+                }
+            }
+            let mut yl = vec![0.0; 3 * nl];
+            self.local_op(p).apply(&xl, &mut yl);
+            locals.push(yl);
+        }
+        hetsolve_mesh::halo_sum(&self.partition.parts, &mut locals, 3);
+        y.fill(0.0);
+        for (p, yl) in self.parts.iter().zip(&locals) {
+            for (l, &g) in p.sub.l2g.iter().enumerate() {
+                if p.sub.owned[l] {
+                    for d in 0..3 {
+                        y[3 * g as usize + d] = yl[3 * l + d];
+                    }
+                }
+            }
+        }
+        for (i, &f) in self.fixed_global.iter().enumerate() {
+            if f {
+                y[i] = x[i];
+            }
+        }
     }
 
     fn counts(&self) -> KernelCounts {
         // same arithmetic as the sequential operator; communication is
         // charged by the cluster model, not here.
-        let ne: usize = self
-            .problem
-            .parts
-            .iter()
-            .map(|p| p.sub.mesh.n_elems())
-            .sum();
-        let nf: usize = self.problem.parts.iter().map(|p| p.faces.len()).sum();
+        let ne: usize = self.parts.iter().map(|p| p.sub.mesh.n_elems()).sum();
+        let nf: usize = self.parts.iter().map(|p| p.faces.len()).sum();
         hetsolve_fem::compact_ebe_counts(ne, nf, self.n(), 1)
     }
 }
@@ -295,7 +282,7 @@ mod tests {
             let mut y_seq = vec![0.0; n];
             let mut y_dist = vec![0.0; n];
             backend.ebe_a(1).apply(&x, &mut y_seq);
-            part.apply_global(&x, &mut y_dist);
+            part.apply(&x, &mut y_dist);
             let scale = y_seq.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
             for i in 0..n {
                 assert!(
@@ -313,7 +300,6 @@ mod tests {
         let prob = problem();
         let backend = Backend::new(prob.clone(), false, false);
         let part = PartitionedProblem::new(&backend.problem, 4, false);
-        let dist = DistributedOperator { problem: &part };
         let n = backend.n_dofs();
         let mut f: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.31).cos()).collect();
         backend.problem.mask.project(&mut f);
@@ -325,7 +311,7 @@ mod tests {
         let mut x1 = vec![0.0; n];
         let s1 = pcg(&backend.ebe_a(1), &backend.precond, &f, &mut x1, &cfg);
         let mut x2 = vec![0.0; n];
-        let s2 = pcg(&dist, &backend.precond, &f, &mut x2, &cfg);
+        let s2 = pcg(&part, &backend.precond, &f, &mut x2, &cfg);
         assert!(s1.converged && s2.converged);
         // identical operator => near-identical iterations & solutions
         assert!((s1.iterations as i64 - s2.iterations as i64).abs() <= 1);

@@ -18,7 +18,7 @@ use hetsolve_fem::{
 use hetsolve_machine::ModuleClock;
 use hetsolve_obs::Json;
 use hetsolve_predictor::AdamsState;
-use hetsolve_sparse::{BlockJacobi, LinearOperator, SolveError};
+use hetsolve_sparse::{BlockJacobi, SolveError};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -123,25 +123,15 @@ pub fn run_nonlinear(
         loop {
             let op = backend.compact_op(&compact, (a.c_m, a.c_k, a.c_b), &backend.fixed, 1);
             // matrix-free RHS with current moduli
-            {
-                let nm = &backend.problem.newmark;
-                nm.rhs_aux(
-                    &time.u,
-                    &time.v,
-                    &time.a,
-                    &mut scratch.m_aux,
-                    &mut scratch.c_aux,
-                );
-                let c = backend.problem.c_coeffs();
-                let op_m = backend.compact_op(&compact, (1.0, 0.0, 0.0), &[], 1);
-                let op_c = backend.compact_op(&compact, (c.c_m, c.c_k, c.c_b), &[], 1);
-                op_m.apply(&scratch.m_aux, &mut scratch.t1);
-                op_c.apply(&scratch.c_aux, &mut scratch.t2);
-                for i in 0..n {
-                    rhs[i] = f[i] + scratch.t1[i] + scratch.t2[i];
-                }
-                backend.problem.mask.project(&mut rhs);
-            }
+            backend.newmark_rhs_with(
+                &compact,
+                &f,
+                &time.u,
+                &time.v,
+                &time.a,
+                &mut rhs,
+                &mut scratch,
+            );
             let precond = BlockJacobi::from_blocks(&op.diagonal_blocks(), backend.parallel);
             x.copy_from_slice(&guess);
             // ladder on a lane of one. The secant guess is the AB guess, so

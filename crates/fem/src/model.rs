@@ -83,9 +83,9 @@ impl FemProblem {
         Self::build(spec, 0.025, 0.2, 5.0, 0.005)
     }
 
-    /// Packed element mass and stiffness matrices — what global assembly
-    /// and the cached-matrix EBE operator read. Computed on the first call
-    /// and kept.
+    /// Packed element mass and stiffness matrices — what CRS assembly
+    /// reads, and nothing else (the EBE operator recomputes them). Computed
+    /// on the first call and kept.
     pub fn elements(&self) -> &ElementMatrices {
         self.elements
             .get_or_init(|| ElementMatrices::compute(&self.model.mesh, &self.materials))

@@ -69,7 +69,6 @@ pub fn transfer_time(link: &crate::spec::LinkSpec, bytes: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::spec::{grace_480, h100};
-    use hetsolve_sparse::ebe::ebe_counts;
 
     /// Counts for the paper-scale model a: 11,365,697 elements,
     /// 15,509,903 nodes (46.5M DOF), ~27 blocks per row.
@@ -238,8 +237,8 @@ mod tests {
     fn multi_rhs_amortizes_transactions() {
         let d = h100();
         let ctx = ExecCtx::default();
-        let per_case_1 = kernel_time(&d, &ebe_counts(1_000_000, 0, 4_000_000, 1), &ctx);
-        let per_case_4 = kernel_time(&d, &ebe_counts(1_000_000, 0, 4_000_000, 4), &ctx) / 4.0;
+        let per_case_1 = kernel_time(&d, &paper_compact_ebe(1), &ctx);
+        let per_case_4 = kernel_time(&d, &paper_compact_ebe(4), &ctx) / 4.0;
         assert!(per_case_4 < per_case_1, "{per_case_4} !< {per_case_1}");
     }
 

@@ -16,8 +16,8 @@
 //!   absorbing sides, free loaded surface),
 //! * [`partition`] — RCB / greedy graph partitioning with exact halo
 //!   ("shared node") bookkeeping for multi-node runs (Fig. 2),
-//! * [`coloring`] — element coloring enabling race-free parallel EBE
-//!   scatter.
+//! * [`coloring`] — run colouring of the stored element order and its
+//!   validator, enabling the race-free parallel EBE scatter.
 
 #![forbid(unsafe_code)]
 
@@ -31,10 +31,7 @@ pub mod partition;
 pub mod vec3;
 
 pub use boundary::{extract_boundary, BoundaryFace, BoundaryKind, BoundarySet};
-pub use coloring::{
-    color_elements, color_runs, validate_groups, validate_runs, Coloring, ColoringConflict,
-    RunColoring,
-};
+pub use coloring::{color_runs, validate_runs, ColoringConflict, RunColoring};
 pub use generate::{box_tet10, box_tet4, promote_tet10, BoxGrid, TetMesh4};
 pub use ground::{GroundModel, GroundModelSpec, InterfaceShape, Material};
 pub use io::{write_vtk, write_vtk_file, Field};

@@ -1,9 +1,11 @@
-//! Property-based tests of the mesh substrate: generation, partitioning,
-//! and coloring invariants on arbitrary grid sizes.
+//! Property-based tests of the mesh substrate: generation, partitioning
+//! and boundary invariants on arbitrary grid sizes. (The run colouring's
+//! property test sits next to the sweep it guards, in
+//! `hetsolve_fem::ebe_compact`.)
 
 use hetsolve_mesh::{
-    box_tet10, build_partition, color_elements, coloring::verify_coloring, extract_boundary,
-    halo_sum, partition_greedy, partition_rcb, BoxGrid,
+    box_tet10, build_partition, extract_boundary, halo_sum, partition_greedy, partition_rcb,
+    BoxGrid,
 };
 use proptest::prelude::*;
 
@@ -94,20 +96,6 @@ proptest! {
                 prop_assert!((locals[p][l] - global[g as usize]).abs() < 1e-12);
             }
         }
-    }
-
-    /// Element coloring is always conflict-free.
-    #[test]
-    fn coloring_always_valid(
-        nx in 1usize..5,
-        ny in 1usize..4,
-        nz in 1usize..3,
-    ) {
-        let m = box_tet10(&BoxGrid::new(nx, ny, nz, 1.0, 1.0, 1.0));
-        let c = color_elements(&m);
-        prop_assert!(verify_coloring(&m, &c));
-        let total: usize = c.groups.iter().map(|g| g.len()).sum();
-        prop_assert_eq!(total, m.n_elems());
     }
 
     /// Boundary areas always sum to the box surface, and every boundary

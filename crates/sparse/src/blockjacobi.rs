@@ -2,8 +2,9 @@
 //!
 //! The preconditioner inverts each node's 3×3 diagonal block once at setup
 //! and applies `z = B⁻¹ r` as a streaming pass; for the EBE path the blocks
-//! come from [`crate::ebe::EbeOperator::diagonal_blocks`] without assembling
-//! the matrix.
+//! come from `hetsolve_fem::CompactEbe::diagonal_blocks` without assembling
+//! the matrix ([`crate::Bcrs3::diagonal_blocks`] reads the same blocks
+//! off the assembled one).
 
 use crate::dense::{inv3, mat3_vec};
 use crate::op::{KernelCounts, Preconditioner};

@@ -1,13 +1,12 @@
-//! Shared Dirichlet-mask semantics for the matrix-free operators.
+//! Dirichlet-mask semantics of the matrix-free operator.
 //!
-//! Every EBE variant realizes the projected operator `P A P + (I − P)`
-//! (with `P` zeroing fixed DOFs) the same way: inputs read through
-//! [`FixedMask::masked`] so element contributions see zeros on fixed DOFs,
-//! and after the scatter the output rows of fixed DOFs are overwritten with
-//! the input value (identity on the fixed subspace), matching the assembled
-//! Dirichlet treatment. This module is the single home of that logic; the
-//! cached and compact kernels both delegate here instead of carrying
-//! their own `fix_output`/`fix_output_multi` copies.
+//! The EBE kernel (`hetsolve_fem::CompactEbe`) realizes the projected
+//! operator `P A P + (I − P)` (with `P` zeroing fixed DOFs): inputs read
+//! through the mask so element contributions see zeros on fixed DOFs, and
+//! after the scatter the output rows of fixed DOFs are overwritten with the
+//! input value (identity on the fixed subspace). The assembled matrix gets
+//! the same operator another way, by eliminating rows and columns
+//! ([`crate::assembly::apply_dirichlet`]); the two agree to rounding.
 
 /// A borrowed per-DOF Dirichlet mask. An empty mask means unconstrained
 /// (every helper is a no-op / passthrough).
@@ -43,11 +42,6 @@ impl<'a> FixedMask<'a> {
         }
     }
 
-    /// Identity on fixed rows: `y[fixed] = x[fixed]`.
-    pub fn fix_output(&self, x: &[f64], y: &mut [f64]) {
-        self.fix_output_multi(x, y, 1);
-    }
-
     /// Identity on fixed rows for `r` interleaved RHS
     /// (`y[dof*r + c] = x[dof*r + c]`).
     pub fn fix_output_multi(&self, x: &[f64], y: &mut [f64], r: usize) {
@@ -75,7 +69,7 @@ mod tests {
         assert_eq!(m.masked(3, 2.5), 2.5);
         let x = [1.0, 2.0];
         let mut y = [9.0, 9.0];
-        m.fix_output(&x, &mut y);
+        m.fix_output_multi(&x, &mut y, 1);
         assert_eq!(y, [9.0, 9.0]);
     }
 

@@ -4,9 +4,11 @@
 //! SC24 paper *"Heterogeneous computing in a strongly-connected CPU-GPU
 //! environment"* (Ichimura et al.):
 //!
-//! * [`bcrs`] — 3×3 block CRS (the paper's baseline storage format),
-//! * [`ebe`] — the matrix-free Element-by-Element operator with 1–8 fused
-//!   right-hand sides (the paper's Eq. (2)/(8)/(9)), color-parallel scatter,
+//! * [`bcrs`] — 3×3 block CRS (the paper's baseline storage format, and
+//!   the stored-matrix oracle the matrix-free EBE operator of
+//!   `hetsolve-fem` is checked against),
+//! * [`parcheck`] — the race-checked phase scatter every EBE apply writes
+//!   through,
 //! * [`mcg`] / [`cg`] — the preconditioned conjugate gradient over `r`
 //!   fused right-hand sides (the MCG of EBE-MCG@CPU-GPU) and its `r = 1`
 //!   entry point `pcg` (Algorithm 1),
@@ -25,7 +27,6 @@ pub mod blockjacobi;
 pub mod cg;
 pub mod dense;
 pub mod dirichlet;
-pub mod ebe;
 pub mod error;
 pub mod mcg;
 pub mod op;
@@ -38,7 +39,6 @@ pub use bcrs::{Bcrs3, BcrsBuilder};
 pub use blockjacobi::BlockJacobi;
 pub use cg::{pcg, pcg_observed, CgConfig, CgStats};
 pub use dirichlet::FixedMask;
-pub use ebe::{color_faces, ebe_counts, EbeData, EbeOperator};
 pub use error::SolveError;
 pub use hetsolve_obs::{NoopObserver, ResidualLog, SolveObserver, Termination};
 pub use mcg::{mcg, mcg_masked, mcg_masked_observed, mcg_observed, McgStats};

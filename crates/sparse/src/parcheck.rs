@@ -2,38 +2,32 @@
 //!
 //! # The one unsafe contract in this workspace
 //!
-//! Every EBE kernel (cached-matrix, compact matrix-free) accumulates
-//! per-element results into the shared output vector from many threads at
-//! once. No atomics are used; instead the work of an apply is cut into
-//! **blocks** — sets of elements (or faces) that one thread walks serially
-//! — and the blocks are grouped into **phases** so that **no two blocks of
-//! one phase share a node**, which makes the write sets of concurrently
-//! running blocks disjoint. That invariant — not the type system — is what
-//! makes the scatter sound. The compact operator's blocks are contiguous
-//! runs of the stored element order (`hetsolve_mesh::color_runs`); the
-//! cached operator's are single elements and its phases the colours of an
-//! element colouring. Entities *inside* a block may share nodes freely:
-//! one thread adds them one after another.
+//! The EBE kernel (`hetsolve_fem::CompactEbe`) accumulates per-element
+//! results into the shared output vector from many threads at once. No
+//! atomics are used; instead the work of an apply is cut into **blocks** —
+//! contiguous runs of the stored element (or face) order that one thread
+//! walks serially — and the blocks are grouped into **phases** so that
+//! **no two blocks of one phase share a node**, which makes the write sets
+//! of concurrently running blocks disjoint. That invariant — not the type
+//! system — is what makes the scatter sound. Entities *inside* a block may
+//! share nodes freely: one thread adds them one after another.
 //!
-//! Before this module existed, each kernel carried its own copy of a
-//! `SendPtr(*mut f64)` wrapper with its own `unsafe impl Send/Sync`, and
-//! nothing ever checked the invariant. [`ColorScatter`] centralizes the
-//! pattern:
+//! [`ColorScatter`] is the one place that pattern lives:
 //!
 //! * it owns the **single audited `unsafe impl Send`/`Sync` pair in the
 //!   workspace** besides the pool's (`cargo xtask lint` fails the build if
 //!   another appears);
-//! * constructors of the EBE operators call
-//!   [`hetsolve_mesh::coloring::validate_runs`] /
-//!   [`hetsolve_mesh::coloring::validate_groups`] once, so a structurally
-//!   broken phase assignment fails loudly at build time of the operator;
+//! * the operator's plan (`hetsolve_fem::ScatterPlan`) runs the one
+//!   validator, `hetsolve_mesh::validate_runs`, once over the element and
+//!   the face runs, so a structurally broken phase assignment fails loudly
+//!   before any scatter;
 //! * under `cfg(debug_assertions)` or the `racecheck` feature, every write
 //!   is recorded in an epoch-tagged per-slot claim table and a same-phase
 //!   overlap panics with both block ids — catching assignments that pass
 //!   no static check (e.g. hand-constructed phases) at the exact write
 //!   that would have raced;
 //! * in release without `racecheck`, [`ColorScatter::add`] compiles to the
-//!   raw `*ptr.add(slot) += v` the kernels used before: zero overhead.
+//!   bare `*ptr.add(slot) += v`: zero overhead.
 //!
 //! # Safety argument
 //!
@@ -61,12 +55,6 @@ use std::marker::PhantomData;
 
 #[cfg(any(debug_assertions, feature = "racecheck"))]
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Entities (elements or faces) of one color group per chunk of a parallel
-/// pass of the cached-matrix operator: small enough that a thread arriving
-/// late still finds work, large enough (≈ 5–15 µs of kernel) that claiming
-/// a chunk costs nothing.
-pub const GROUP_CHUNK: usize = 32;
 
 /// Shared handle for race-free phase-parallel accumulation into one output
 /// slice. See the module docs for the full safety argument.
@@ -135,16 +123,16 @@ impl<'a> ColorScatter<'a> {
         }
     }
 
-    /// Accumulate `v` into `slot` on behalf of `block` (a run, element or
-    /// face id — any id unique among the blocks of the current phase).
+    /// Accumulate `v` into `slot` on behalf of `block` (a run id — any id
+    /// unique among the blocks of the current phase).
     ///
     /// # Safety
     ///
     /// `slot` must be in bounds; within the current phase no *different*
     /// block may write the same slot, and all writes of one block must come
     /// from one thread — guaranteed when each block of a phase validated by
-    /// `hetsolve_mesh::coloring::{validate_runs, validate_groups}` over the
-    /// connectivity being scattered is one chunk of one fork-join.
+    /// `hetsolve_mesh::validate_runs` over the connectivity being scattered
+    /// is one chunk of one fork-join.
     /// Debug/racecheck builds verify bounds and block-disjointness and
     /// panic on violation; release builds compile to the bare accumulate.
     #[inline]

@@ -45,62 +45,6 @@ pub fn sym_matvec_add(a: &[f64], x: &[f64], y: &mut [f64], n: usize) {
     }
 }
 
-/// `y += (ca*A + cb*B) x` for two packed symmetric matrices sharing the same
-/// layout — the fused kernel used by EBE: `A_e = c_M M_e + c_K K_e`.
-pub fn sym2_matvec_add(ca: f64, a: &[f64], cb: f64, b: &[f64], x: &[f64], y: &mut [f64], n: usize) {
-    debug_assert_eq!(a.len(), packed_len(n));
-    debug_assert_eq!(b.len(), packed_len(n));
-    let mut idx = 0;
-    for i in 0..n {
-        let xi = x[i];
-        let mut acc = 0.0;
-        for j in 0..i {
-            let m = ca * a[idx] + cb * b[idx];
-            acc += m * x[j];
-            y[j] += m * xi;
-            idx += 1;
-        }
-        acc += (ca * a[idx] + cb * b[idx]) * xi;
-        idx += 1;
-        y[i] += acc;
-    }
-}
-
-/// Multi-RHS variant: `Y[r] += (ca*A + cb*B) X[r]` for `R` fused
-/// right-hand sides stored interleaved (`x[i*R + r]`). Each matrix entry is
-/// loaded once and applied to all `R` vectors — this is the "EBE with
-/// multiple right-hand sides" kernel of the paper's Eq. (9).
-pub fn sym2_matvec_add_multi<const R: usize>(
-    ca: f64,
-    a: &[f64],
-    cb: f64,
-    b: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-    n: usize,
-) {
-    debug_assert_eq!(a.len(), packed_len(n));
-    debug_assert_eq!(x.len(), n * R);
-    debug_assert_eq!(y.len(), n * R);
-    let mut idx = 0;
-    for i in 0..n {
-        let mut acc = [0.0f64; R];
-        for j in 0..i {
-            let m = ca * a[idx] + cb * b[idx];
-            for r in 0..R {
-                acc[r] += m * x[j * R + r];
-                y[j * R + r] += m * x[i * R + r];
-            }
-            idx += 1;
-        }
-        let d = ca * a[idx] + cb * b[idx];
-        idx += 1;
-        for r in 0..R {
-            y[i * R + r] += acc[r] + d * x[i * R + r];
-        }
-    }
-}
-
 /// Unpack into a dense row-major `n×n` matrix (testing / dense fallbacks).
 pub fn unpack_dense(a: &[f64], n: usize) -> Vec<f64> {
     let mut d = vec![0.0; n * n];
@@ -176,51 +120,6 @@ mod tests {
         }
         for i in 0..n {
             assert!((y1[i] - y2[i]).abs() < 1e-10, "{} vs {}", y1[i], y2[i]);
-        }
-    }
-
-    #[test]
-    fn fused_two_matrix_matvec() {
-        let n = 10;
-        let a = sample(n);
-        let b: Vec<f64> = sample(n).iter().map(|v| v * 0.5 + 1.0).collect();
-        let x: Vec<f64> = (0..n).map(|i| i as f64 - 4.0).collect();
-        let (ca, cb) = (2.5, -0.75);
-        let mut y1 = vec![0.0; n];
-        sym2_matvec_add(ca, &a, cb, &b, &x, &mut y1, n);
-        // reference: scale-add then single matvec
-        let m: Vec<f64> = a
-            .iter()
-            .zip(&b)
-            .map(|(&ai, &bi)| ca * ai + cb * bi)
-            .collect();
-        let mut y2 = vec![0.0; n];
-        sym_matvec_add(&m, &x, &mut y2, n);
-        for i in 0..n {
-            assert!((y1[i] - y2[i]).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn multi_rhs_matches_single() {
-        const R: usize = 4;
-        let n = 30;
-        let a = sample(n);
-        let b: Vec<f64> = sample(n).iter().map(|v| v * -0.3 + 0.1).collect();
-        let (ca, cb) = (1.3, 0.9);
-        // interleaved input
-        let x: Vec<f64> = (0..n * R)
-            .map(|k| ((k * 31 + 7) % 17) as f64 * 0.1)
-            .collect();
-        let mut y = vec![0.0; n * R];
-        sym2_matvec_add_multi::<R>(ca, &a, cb, &b, &x, &mut y, n);
-        for r in 0..R {
-            let xr: Vec<f64> = (0..n).map(|i| x[i * R + r]).collect();
-            let mut yr = vec![0.0; n];
-            sym2_matvec_add(ca, &a, cb, &b, &xr, &mut yr, n);
-            for i in 0..n {
-                assert!((y[i * R + r] - yr[i]).abs() < 1e-10);
-            }
         }
     }
 

@@ -9,8 +9,8 @@
 
 use hetsolve::ckpt::CheckpointStore;
 use hetsolve::core::{
-    run_with, Backend, CheckpointPolicy, DistributedOperator, Hooks, MethodKind,
-    PartitionedProblem, RunConfig, StepTracer,
+    run_with, Backend, CheckpointPolicy, Hooks, MethodKind, PartitionedProblem, RunConfig,
+    StepTracer,
 };
 use hetsolve::fem::FemProblem;
 use hetsolve::machine::{alps_node, weak_scaling_efficiency, weak_scaling_step_time};
@@ -24,7 +24,6 @@ fn main() {
 
     // --- consistency: distributed solve == sequential solve (Fig. 2) ---
     let parts = PartitionedProblem::new(&backend.problem, 4, true);
-    let dist = DistributedOperator { problem: &parts };
     let mut f: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.17).sin()).collect();
     backend.problem.mask.project(&mut f);
     let cfg = CgConfig {
@@ -35,7 +34,7 @@ fn main() {
     let mut x_seq = vec![0.0; n];
     let s_seq = pcg(&backend.ebe_a(1), &backend.precond, &f, &mut x_seq, &cfg);
     let mut x_dist = vec![0.0; n];
-    let s_dist = pcg(&dist, &backend.precond, &f, &mut x_dist, &cfg);
+    let s_dist = pcg(&parts, &backend.precond, &f, &mut x_dist, &cfg);
     let max_diff = x_seq
         .iter()
         .zip(&x_dist)
@@ -48,7 +47,7 @@ fn main() {
     );
     println!(
         "  operator cost: {:.1} Mflop/apply",
-        dist.counts().flops / 1e6
+        parts.counts().flops / 1e6
     );
 
     // --- weak scaling prediction (Fig. 5) ---

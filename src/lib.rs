@@ -8,7 +8,7 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`mesh`] — layered 3-D ground models, Tet10 meshes, partitioning,
-//!   element coloring,
+//!   run colouring of the element order,
 //! * [`fem`] — Tet10 elasticity, Newmark-β, absorbing boundaries, loads,
 //!   and the compact matrix-free EBE operator,
 //! * [`sparse`] — block CRS, (multi-RHS) preconditioned CG, block-Jacobi,

@@ -3,7 +3,7 @@
 //! single CPU-GPU case* — identical operator, identical CG trajectory,
 //! identical solution.
 
-use hetsolve::core::{Backend, DistributedOperator, PartitionedProblem};
+use hetsolve::core::{Backend, PartitionedProblem};
 use hetsolve::fem::FemProblem;
 use hetsolve::mesh::{edge_cut, partition_greedy, partition_rcb, GroundModelSpec, InterfaceShape};
 use hetsolve::sparse::{pcg, CgConfig, LinearOperator};
@@ -32,9 +32,8 @@ fn partitioned_solve_is_consistent_with_sequential() {
 
     for np in [2usize, 4, 7] {
         let parts = PartitionedProblem::new(&b.problem, np, true);
-        let dist = DistributedOperator { problem: &parts };
         let mut x = vec![0.0; n];
-        let stats = pcg(&dist, &b.precond, &f, &mut x, &cfg);
+        let stats = pcg(&parts, &b.precond, &f, &mut x, &cfg);
         assert!(stats.converged, "np={np}");
         assert!(
             (stats.iterations as i64 - s_ref.iterations as i64).abs() <= 1,
@@ -100,9 +99,8 @@ fn rcb_and_greedy_partitioners_both_work() {
 fn distributed_counts_match_sequential_counts() {
     let b = backend();
     let parts = PartitionedProblem::new(&b.problem, 4, false);
-    let dist = DistributedOperator { problem: &parts };
     let seq = b.ebe_a(1).counts();
-    let dis = dist.counts();
+    let dis = parts.counts();
     assert!(
         (dis.flops / seq.flops - 1.0).abs() < 1e-9,
         "flops must be identical"

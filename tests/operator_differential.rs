@@ -1,7 +1,7 @@
 //! One operator, every path to it (ROADMAP 6(b)): `y = A x` through the
-//! compact matrix-free block sweep, the assembled `Bcrs3`, the cached
-//! element matrices and the 2/4/7-way partitioned operator, on the three
-//! bench meshes (945 / 9,537 / 55,539 DOF).
+//! compact matrix-free block sweep, the assembled `Bcrs3` and the 2/4/7-way
+//! partitioned operator, on the three bench meshes (945 / 9,537 / 55,539
+//! DOF).
 //!
 //! * The block sweep against itself is *bitwise*: `parallel` on or off,
 //!   pools of 1–4 threads, and every lane of the fused `r = 4` apply against
@@ -13,9 +13,9 @@
 
 use hetsolve::core::{Backend, PartitionedProblem};
 use hetsolve::fem::FemProblem;
-use hetsolve::mesh::{color_elements, GroundModelSpec, InterfaceShape};
+use hetsolve::mesh::{GroundModelSpec, InterfaceShape};
 use hetsolve::pool::Pool;
-use hetsolve::sparse::{EbeData, EbeOperator, LinearOperator, MultiOperator};
+use hetsolve::sparse::{LinearOperator, MultiOperator};
 
 const R: usize = 4;
 
@@ -90,25 +90,9 @@ fn differential(nx: usize, ny: usize, nz: usize, shape: InterfaceShape, dofs: us
     b.crs_a().apply(x, &mut y);
     assert_to_rounding(&y, want, "assembled Bcrs3");
 
-    let (p, a) = (&b.problem, b.problem.a_coeffs());
-    let coloring = color_elements(&p.model.mesh);
-    let cached = EbeData {
-        n_nodes: p.n_nodes(),
-        elems: &p.model.mesh.elems,
-        me: &p.elements().me,
-        ke: &p.elements().ke,
-        faces: &p.dashpots.faces,
-        cb: &p.dashpots.cb,
-        c_m: a.c_m,
-        c_k: a.c_k,
-        c_b: a.c_b,
-        fixed: &b.fixed,
-    };
-    EbeOperator::new(cached, &coloring, true).apply(x, &mut y);
-    assert_to_rounding(&y, want, "cached element matrices");
-
+    let p = &b.problem;
     for parts in [2, 4, 7] {
-        PartitionedProblem::new(p, parts, true).apply_global(x, &mut y);
+        PartitionedProblem::new(p, parts, true).apply(x, &mut y);
         assert_to_rounding(&y, want, &format!("{parts}-way partitioned"));
     }
 }
