@@ -176,6 +176,21 @@ impl Backend {
         self.newmark_rhs_with(&self.compact, f, u, v, a, rhs, scratch);
     }
 
+    /// The element-data-`data` operators `M` (coefficients `(1, 0, 0)`,
+    /// no Dirichlet identity) and `C = α M + β K + C_b` of the Newmark RHS,
+    /// at width `r`.
+    pub(crate) fn rhs_ops<'a>(
+        &'a self,
+        data: &'a CompactElements,
+        r: usize,
+    ) -> (CompactEbe<'a>, CompactEbe<'a>) {
+        let c = self.problem.c_coeffs();
+        (
+            self.compact_op(data, (1.0, 0.0, 0.0), &[], r),
+            self.compact_op(data, (c.c_m, c.c_k, c.c_b), &[], r),
+        )
+    }
+
     /// [`Self::newmark_rhs`] with the matrix-free `M` (no Dirichlet
     /// identity: fixed rows are projected to zero afterwards) and
     /// `C = α M + β K + C_b` over element data `data` — the backend's own,
@@ -191,15 +206,29 @@ impl Backend {
         rhs: &mut [f64],
         scratch: &mut RhsScratch,
     ) {
+        rhs.copy_from_slice(f);
+        self.newmark_rhs_onto(data, u, v, a, rhs, scratch);
+    }
+
+    /// [`Self::newmark_rhs_with`] with the force already in `rhs`: the
+    /// same sums in the same order, `(f + M·m_aux) + C·c_aux`.
+    pub(crate) fn newmark_rhs_onto(
+        &self,
+        data: &CompactElements,
+        u: &[f64],
+        v: &[f64],
+        a: &[f64],
+        rhs: &mut [f64],
+        scratch: &mut RhsScratch,
+    ) {
         let nm = &self.problem.newmark;
         nm.rhs_aux(u, v, a, &mut scratch.m_aux, &mut scratch.c_aux);
-        let c = self.problem.c_coeffs();
-        let op_m = self.compact_op(data, (1.0, 0.0, 0.0), &[], 1);
-        let op_c = self.compact_op(data, (c.c_m, c.c_k, c.c_b), &[], 1);
+        let (op_m, op_c) = self.rhs_ops(data, 1);
         op_m.apply(&scratch.m_aux, &mut scratch.t1);
         op_c.apply(&scratch.c_aux, &mut scratch.t2);
+        // `(f + t1) + t2`, not `f + (t1 + t2)`: the bits of every RHS
         for i in 0..rhs.len() {
-            rhs[i] = f[i] + scratch.t1[i] + scratch.t2[i];
+            rhs[i] = rhs[i] + scratch.t1[i] + scratch.t2[i];
         }
         self.problem.mask.project(rhs);
     }

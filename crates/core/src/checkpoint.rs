@@ -9,8 +9,9 @@
 //! layout has (1, 2 or 2r) and the fingerprint mixes the method label.
 //! Restoring rebuilds a `RunState` that continues *bitwise-identically* to
 //! the uninterrupted run: the random load regenerates from the stored
-//! per-case seed, and the step scratch is recomputed by the first
-//! `prepare_step` after resume.
+//! per-case seed, and the step scratch is recomputed by the first step
+//! after resume. A slot whose vectors do not fit the mesh is typed
+//! corruption, like a bad section CRC.
 //!
 //! A [`ConfigFingerprint`] of `(backend, cfg)` is stored in the header
 //! section; a checkpoint restored against a different problem or run
@@ -193,6 +194,25 @@ wire_struct!(SlotState {
     waveform,
 });
 
+impl SlotState {
+    /// Does this state fit a mesh of `n_dofs` unknowns? A CRC-valid image
+    /// of another mesh, or a hostile one, can carry vectors or history
+    /// columns of any length; restoring one would panic in the predictor
+    /// or the kernels, so it is [`CkptError::Corrupt`] instead.
+    pub fn check(&self, n_dofs: usize) -> Result<(), CkptError> {
+        let vectors = [("u", &self.u), ("v", &self.v), ("a", &self.a)].into_iter();
+        let history = (self.adams_hist.iter().map(|c| ("Adams history", c)))
+            .chain(self.dd_hist.iter().map(|c| ("predictor history", c)));
+        match vectors.chain(history).find(|(_, c)| c.len() != n_dofs) {
+            Some((what, col)) => Err(CkptError::Corrupt(format!(
+                "slot {what} column of {} values on a {n_dofs}-DOF mesh",
+                col.len()
+            ))),
+            None => Ok(()),
+        }
+    }
+}
+
 /// One crash-consistent snapshot of a run (any method) at a step boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunCheckpoint {
@@ -277,8 +297,16 @@ impl RunCheckpoint {
     }
 
     /// Rebuild the run state this snapshot was captured from. The returned
-    /// state continues bitwise-identically to the uninterrupted run.
-    pub(crate) fn into_state(self, backend: &Backend, cfg: &RunConfig) -> RunState {
+    /// state continues bitwise-identically to the uninterrupted run; a slot
+    /// that does not fit `backend`'s mesh is [`CkptError::Corrupt`].
+    pub(crate) fn into_state(
+        self,
+        backend: &Backend,
+        cfg: &RunConfig,
+    ) -> Result<RunState, CkptError> {
+        for s in &self.slots {
+            s.check(backend.n_dofs())?;
+        }
         let mut st = RunState::new(backend, cfg);
         st.cases = self
             .slots
@@ -292,7 +320,7 @@ impl RunCheckpoint {
         st.recoveries = self.recoveries;
         st.corruptions = self.corruptions;
         st.step = self.step;
-        st
+        Ok(st)
     }
 }
 
@@ -356,11 +384,45 @@ mod tests {
         let bytes = snap.to_bytes();
         let back = RunCheckpoint::from_bytes(&bytes, fp).unwrap();
         assert_eq!(snap, back);
-        let restored = back.into_state(&backend, &cfg);
+        let restored = back.into_state(&backend, &cfg).unwrap();
         assert_eq!(restored.step, st.step);
         for (a, b) in restored.cases.iter().zip(&st.cases) {
             assert_eq!(a.displacement(), b.displacement());
         }
+    }
+
+    /// A snapshot whose section CRCs are valid but whose slot columns do
+    /// not fit the mesh is typed corruption on restore, not a panic.
+    #[test]
+    fn slot_of_the_wrong_length_is_typed_corruption() {
+        let (backend, cfg) = small();
+        let fp = ConfigFingerprint::of(&backend, &cfg);
+        let mut st = RunState::new(&backend, &cfg);
+        let ctx = crate::methods::RunCtx::new(&backend, &cfg).unwrap();
+        let mut tracer = crate::trace::StepTracer::disabled();
+        let mut faults = hetsolve_fault::FaultPlan::default();
+        for _ in 0..3 {
+            st.step_once(&backend, &cfg, &mut tracer, &mut faults, &ctx)
+                .unwrap();
+        }
+        let clean = RunCheckpoint::capture(&st, fp);
+        let cuts: [fn(&mut SlotState); 4] = [
+            |s| s.v.truncate(s.v.len() - 1),
+            |s| s.u.push(1.0),
+            |s| s.adams_hist[1].truncate(3),
+            |s| s.dd_hist[0].clear(),
+        ];
+        for (i, cut) in cuts.into_iter().enumerate() {
+            let mut snap = clean.clone();
+            cut(&mut snap.slots[1]);
+            let back = RunCheckpoint::from_bytes(&snap.to_bytes(), fp).expect("CRC-valid");
+            let err = back.into_state(&backend, &cfg).err();
+            assert!(
+                matches!(err, Some(CkptError::Corrupt(_))),
+                "cut {i}: {err:?}"
+            );
+        }
+        assert!(clean.into_state(&backend, &cfg).is_ok());
     }
 
     #[test]

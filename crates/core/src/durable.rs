@@ -82,11 +82,14 @@ impl<'s> Durable<'s> {
     ) -> (Self, Option<RunState>) {
         let fingerprint = ConfigFingerprint::of(backend, cfg);
         let t0 = wall.now();
-        let (found, restore) =
-            store.load_latest_valid(|_seq, bytes| RunCheckpoint::from_bytes(bytes, fingerprint));
+        // a snapshot whose slots do not fit the mesh is skipped like any
+        // other corrupt file
+        let (found, restore) = store.load_latest_valid(|_seq, bytes| {
+            RunCheckpoint::from_bytes(bytes, fingerprint)?.into_state(backend, cfg)
+        });
         let restore_s = wall.now() - t0;
-        let resumed_from = found.as_ref().map(|(_, snap)| snap.step);
-        let st = found.map(|(_, snap)| snap.into_state(backend, cfg));
+        let st = found.map(|(_, st)| st);
+        let resumed_from = st.as_ref().map(|st| st.step);
         if let (Some(step), Some(st)) = (resumed_from, &st) {
             let skipped = restore.skipped.len();
             tracer.flight_event(

@@ -8,10 +8,14 @@
 //! step boundary:
 //!
 //! * **Checksums over mutable state** — [`StateGuard`] captures a CRC32
-//!   per component (`u`/`v`/`a`, Adams history, predictor basis) plus the
-//!   rollback snapshot at each boundary; any single-bit flip between
-//!   capture and verify is detected with certainty (CRC32 has Hamming
-//!   distance ≥ 2 at these lengths) and pinpointed to its component.
+//!   per component (`u`/`v`/`a`, Adams history) plus the rollback
+//!   snapshot at each boundary; any single-bit flip between capture and
+//!   verify is detected with certainty (CRC32 has Hamming distance ≥ 2 at
+//!   these lengths) and pinpointed to its component. The predictor basis
+//!   checks itself: every history column carries the CRC taken when it
+//!   was recorded, plus one XOR parity column over all of them, so the
+//!   guard verifies each column at every boundary without copying it and
+//!   rebuilds a flipped one bitwise from the parity.
 //! * **Checksums over immutable data** — the operator payload (EBE element
 //!   data or assembled CRS blocks) is checksummed once at run start and
 //!   re-verified every step boundary; a corrupted working copy is dropped
@@ -320,11 +324,14 @@ pub(crate) fn operator_crc(payload: OperatorPayload<'_>) -> u32 {
 }
 
 /// Step-boundary guard of one case: per-component checksums plus the
-/// rollback snapshot. Captured before faults can land at a boundary and
-/// verified right after; any mismatch pinpoints the component and
-/// [`StateGuard::restore_into`] rolls the slot back bitwise. The waveform
-/// and load are deliberately outside the guard: neither is an input to the
-/// step about to execute.
+/// rollback snapshot of `u`/`v`/`a` and the Adams history. Captured before
+/// faults can land at a boundary and verified right after; any mismatch
+/// pinpoints the component and [`StateGuard::restore_into`] rolls the slot
+/// back bitwise. The predictor history is not copied: its columns carry
+/// the CRCs taken when they were recorded and a parity column, which
+/// `verify` checks and `restore_into` repairs from. The waveform and load
+/// are deliberately outside the guard: neither is an input to the step
+/// about to execute.
 ///
 /// A guard is reused: a driver guards its cases one after another, so it
 /// owns one guard and every [`capture`](Self::capture) overwrites the
@@ -332,19 +339,19 @@ pub(crate) fn operator_crc(payload: OperatorPayload<'_>) -> u32 {
 /// the first capture and is never reallocated after.
 #[derive(Debug, Default)]
 pub(crate) struct StateGuard {
+    /// Check the predictor history one column per pool chunk; its owner
+    /// sets this from `Backend::parallel`.
+    pub(crate) parallel: bool,
     step: usize,
     /// The captured columns back to back: `u`, `v`, `a`, then the Adams
-    /// history and the predictor history, each oldest first.
+    /// history, oldest first.
     snapshot: Vec<f64>,
     /// End of each captured column in `snapshot`.
     ends: Vec<usize>,
-    /// How many of the columns after `a` are Adams history.
-    n_adams: usize,
     crc_u: u32,
     crc_v: u32,
     crc_a: u32,
     crc_adams: u32,
-    crc_dd: u32,
 }
 
 impl StateGuard {
@@ -364,11 +371,6 @@ impl StateGuard {
         c.finish()
     }
 
-    /// [`crc_cols`] of `cols`, snapshotting them on the way.
-    fn push_history<'a>(&mut self, cols: impl Iterator<Item = &'a [f64]>) -> u32 {
-        crc_cols_via(cols, |col, c| self.push_col(col, c))
-    }
-
     /// Checksum and snapshot `slot`'s boundary state, replacing whatever
     /// this guard held.
     pub fn capture(&mut self, slot: &CaseSlot) {
@@ -378,13 +380,12 @@ impl StateGuard {
         self.crc_u = self.push_vector(&slot.time.u);
         self.crc_v = self.push_vector(&slot.time.v);
         self.crc_a = self.push_vector(&slot.time.a);
-        self.crc_adams = self.push_history(slot.adams.history_cols());
-        self.n_adams = self.ends.len() - 3;
-        self.crc_dd = self.push_history(slot.dd.history_cols());
+        self.crc_adams = crc_cols_via(slot.adams.history_cols(), |col, c| self.push_col(col, c));
     }
 
     /// Re-checksum the slot; `Some(target)` names the first component
-    /// whose bits changed since capture.
+    /// whose bits changed since capture — or, for the predictor history,
+    /// since the column was recorded.
     pub fn verify(&self, slot: &CaseSlot) -> Option<CorruptTarget> {
         if crc_f64s(&slot.time.u) != self.crc_u {
             return Some(CorruptTarget::State(StateField::U));
@@ -398,7 +399,7 @@ impl StateGuard {
         if crc_cols(slot.adams.history_cols()) != self.crc_adams {
             return Some(CorruptTarget::AdamsHistory);
         }
-        if crc_cols(slot.dd.history_cols()) != self.crc_dd {
+        if !slot.dd.corrupt_columns(self.parallel).is_empty() {
             return Some(CorruptTarget::BasisHistory);
         }
         None
@@ -412,10 +413,14 @@ impl StateGuard {
             .map(|(lo, &hi)| &self.snapshot[lo..hi])
     }
 
-    /// Roll the slot back to the captured boundary state, bitwise. The
-    /// load, waveform and scratch are untouched — the first is immutable,
-    /// the latter two are not step inputs.
-    pub fn restore_into(&self, slot: &mut CaseSlot) {
+    /// Roll the slot back to the captured boundary state, bitwise, and
+    /// repair a predictor-history column that no longer matches its CRC
+    /// from the parity. Two or more such columns cannot be rebuilt: the
+    /// history is reset instead (the basis is an accelerator, never a
+    /// correctness dependency) and the action says so. The load, waveform
+    /// and scratch are untouched — the first is immutable, the latter two
+    /// are not step inputs.
+    pub fn restore_into(&self, slot: &mut CaseSlot) -> CorruptionAction {
         let mut cols = self.columns();
         #[allow(
             clippy::expect_used,
@@ -427,10 +432,16 @@ impl StateGuard {
         slot.time.u.copy_from_slice(vector());
         slot.time.v.copy_from_slice(vector());
         slot.time.a.copy_from_slice(vector());
-        let mut history = cols.map(<[f64]>::to_vec);
         slot.adams
-            .restore_history(history.by_ref().take(self.n_adams).collect());
-        slot.dd.restore_history(history.collect());
+            .restore_history(cols.map(<[f64]>::to_vec).collect());
+        match slot.dd.corrupt_columns(self.parallel)[..] {
+            [] => CorruptionAction::RestoredState,
+            [idx] if slot.dd.repair_column(idx) => CorruptionAction::RestoredState,
+            _ => {
+                slot.dd.clear();
+                CorruptionAction::ResetPredictor
+            }
+        }
     }
 }
 
@@ -484,20 +495,22 @@ pub(crate) fn boundary_guard(
     }
     if detect {
         if let Some(target) = guard.verify(slot) {
-            guard.restore_into(slot);
+            let action = guard.restore_into(slot);
             reports.push(CorruptionReport {
                 step,
                 case: Some(case),
                 target,
-                action: CorruptionAction::RestoredState,
+                action,
             });
         }
     }
 }
 
 /// RHS checksum between assembly and the solve: an injected flip of the
-/// assembled right-hand side is detected and the column recomputed —
-/// bitwise, because the guarded `f`/`u`/`v`/`a` inputs are still intact.
+/// assembled right-hand side is detected and the column recomputed one
+/// column wide — bitwise, because the load is immutable, the guarded
+/// `u`/`v`/`a` inputs are still intact, and lane `k` of the set's fused
+/// build equals the width-1 build of column `k`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rhs_guard(
     backend: &Backend,
@@ -520,14 +533,7 @@ pub(crate) fn rhs_guard(
     }
     if let Some(crc) = crc {
         if crc_f64s(&slot.rhs) != crc {
-            backend.newmark_rhs(
-                &slot.f,
-                &slot.time.u,
-                &slot.time.v,
-                &slot.time.a,
-                &mut slot.rhs,
-                scratch,
-            );
+            slot.build_rhs(backend, scratch);
             reports.push(CorruptionReport {
                 step,
                 case: Some(case),
@@ -625,6 +631,7 @@ mod tests {
     use hetsolve_mesh::{GroundModelSpec, InterfaceShape};
 
     use crate::methods::{MethodKind, RunConfig};
+    use crate::set::{SetSpec, SetStep};
 
     fn small() -> (Backend, RunConfig) {
         let spec = GroundModelSpec::paper_like(3, 3, 2, InterfaceShape::Stratified);
@@ -637,20 +644,22 @@ mod tests {
     }
 
     fn warmed_slot(backend: &Backend, cfg: &RunConfig, steps: usize) -> CaseSlot {
+        let n = backend.n_dofs();
         let mut slot = CaseSlot::with_seed(backend, cfg, 7, cfg.n_steps.max(steps), 0);
-        let mut scratch = RhsScratch::new(backend.n_dofs());
-        let mut ab = Vec::new();
+        let mut scratch = RhsScratch::new(n);
+        let (mut ab, mut work) = (Vec::new(), vec![0.0; n]);
         for _ in 0..steps {
-            slot.prepare_step(backend, &mut scratch, cfg.s_max, &mut ab);
+            slot.build_rhs(backend, &mut scratch);
+            slot.prepare_guess(backend, cfg.s_max, &mut ab, &mut work);
             // cheap fake solve: the guard logic only needs state that
             // evolves, so that no two columns hold the same bits
-            let x: Vec<f64> = slot
+            let mut x: Vec<f64> = slot
                 .guess
                 .iter()
                 .zip(&slot.rhs)
                 .map(|(g, f)| g + 1e-3 * f)
                 .collect();
-            slot.advance(backend, &x, &ab, None);
+            slot.advance(backend, &mut x, &ab, &mut work, None);
         }
         slot
     }
@@ -801,7 +810,7 @@ mod tests {
             let reference = slot.state();
             assert_eq!(reference.dd_hist.len(), steps);
             guard.capture(&slot);
-            assert_eq!(guard.columns().count(), 3 + 2 * steps);
+            assert_eq!(guard.columns().count(), 3 + steps);
             assert_eq!(guard.verify(&slot), None);
             assert!(guard.verify(&long).is_some(), "the long capture is gone");
             // a rollback hands the slot this capture's columns only
@@ -811,6 +820,69 @@ mod tests {
             guard.restore_into(&mut s);
             assert_eq!(s.state(), reference, "after {steps} steps");
         }
+    }
+
+    /// Two bad predictor-history columns are more than one parity column
+    /// can rebuild: the boundary resets the history and reports it typed,
+    /// leaves the rest of the state as it was, and the case steps on.
+    #[test]
+    fn two_bad_history_columns_reset_the_predictor() {
+        let (backend, mut cfg) = small();
+        cfg.n_steps = 10;
+        let reference = warmed_slot(&backend, &cfg, 6).state();
+        let mut lane = [CaseSlot::from_state(&backend, &cfg, &reference)];
+        for idx in [0, 2] {
+            let col = lane[0].dd.column_mut(idx).expect("in range");
+            BitFlip {
+                seed: 60 + idx as u64,
+            }
+            .apply(col)
+            .expect("column is not empty");
+        }
+        let step = lane[0].step_index();
+        let mut reports = Vec::new();
+        let (mut guard, mut faults) = (StateGuard::default(), FaultPlan::default());
+        boundary_guard(
+            &mut guard,
+            &mut lane[0],
+            &mut faults,
+            step,
+            0,
+            true,
+            &mut reports,
+        );
+        let reset = CorruptionReport {
+            step,
+            case: Some(0),
+            target: CorruptTarget::BasisHistory,
+            action: CorruptionAction::ResetPredictor,
+        };
+        assert_eq!(reports, [reset]);
+        let st = lane[0].state();
+        assert!(st.dd_hist.is_empty(), "history reset");
+        assert_eq!(
+            (&st.u, &st.v, &st.a),
+            (&reference.u, &reference.v, &reference.a)
+        );
+        assert_eq!(st.adams_hist, reference.adams_hist);
+        // the run completes, the predictor re-accumulating from nothing
+        let (mut set, op) = (SetStep::new(backend.n_dofs(), 1), backend.ebe_a(1));
+        for step in step..cfg.n_steps {
+            let spec = SetSpec {
+                step,
+                set: 0,
+                ids: &[Some(0)],
+                fused: false,
+                window: None,
+                tol: cfg.tol,
+            };
+            let out = set.prepare(&backend, &cfg, spec, &mut lane[..], &mut faults);
+            assert!(out.corruptions.is_empty(), "step {step}");
+            set.solve(&backend, &op, &mut lane[..])
+                .error()
+                .expect("solves");
+        }
+        assert!(lane[0].is_done() && lane[0].available_s() >= 2);
     }
 
     #[test]
@@ -869,7 +941,7 @@ mod tests {
         let mut slot = warmed_slot(&backend, &cfg, 4);
         let mut scratch = RhsScratch::new(backend.n_dofs());
         let step = slot.step_index();
-        slot.prepare_step(&backend, &mut scratch, cfg.s_max, &mut Vec::new());
+        slot.build_rhs(&backend, &mut scratch);
         let clean_rhs = slot.rhs.clone();
 
         let mut plan = FaultPlan::new(5).flip_rhs(step, 0);

@@ -674,7 +674,7 @@ impl RunState {
                 tol: cfg.tol,
             };
             // predictors (CPU lane)
-            let lane = self.cases[set_cases.clone()].iter_mut().map(Some);
+            let lane = &mut self.cases[set_cases.clone()];
             let prepared = self.set_step.prepare(backend, cfg, spec, lane, faults);
             self.corruptions.extend_from_slice(&prepared.corruptions);
             for col in prepared.columns.iter().flatten() {
@@ -690,7 +690,7 @@ impl RunState {
                 }
             }
             // fused solve (the layout's solve lane) and advance
-            let lane = self.cases[set_cases].iter_mut().map(Some);
+            let lane = &mut self.cases[set_cases];
             let out = self.set_step.solve(backend, &*ctx.op, lane);
             out.error()?;
             // the serial schedule charges RHS + Adams-Bashforth (4 vector

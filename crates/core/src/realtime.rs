@@ -124,7 +124,7 @@ pub fn run_realtime(
             window: Some(cases[0].available_s().min(cfg.s_max)),
             tol: cfg.tol,
         };
-        work.prepare(backend, cfg, spec, cases.iter_mut().map(Some), faults);
+        work.prepare(backend, cfg, spec, &mut cases[..], faults);
     };
     prepare(&mut sets[1], 1, 0, faults);
 
@@ -142,7 +142,7 @@ pub fn run_realtime(
                 let solver = scope.spawn(|| {
                     let start = since_start();
                     let (cases, work) = solving;
-                    let out = work.solve(backend, &op, cases.iter_mut().map(Some));
+                    let out = work.solve(backend, &op, &mut cases[..]);
                     let span = (set, TID_GPU, "solve (wall)", start, since_start() - start);
                     let solved = out
                         .error()

@@ -4,15 +4,18 @@
 //! A *set* is a lane of `r` columns the device solves together — a CRS
 //! method's one case, EBE-MCG's `r`, a server lane's occupied slots. Its
 //! step has the CPU-pre → device → CPU-post shape of the paper's
-//! ping-pong. [`SetStep::prepare`] (CPU lane) runs per column the boundary
-//! guard, the basis sentinel, `CaseSlot::prepare_step` at the caller's
-//! window, the RHS guard and the guess fault, packs the column, and
-//! resolves the set's solver-cap and snapshot faults into plain data.
+//! ping-pong. [`SetStep::prepare`] (CPU lane) works at the set's width:
+//! per column the boundary guard and the basis sentinel; then the RHS of
+//! every column at once, two operator applies (`M`, `C`) at width `r`
+//! whose lane `k` is bitwise the width-1 apply of column `k`; then per
+//! column the RHS guard, the Adams-Bashforth and data-driven guess at the
+//! caller's window, the guess fault, the pack and the snapshot fault; and
+//! it resolves the set's solver-cap fault into plain data.
 //! [`SetStep::solve`] (device lane) runs the one recovery ladder, then per
-//! column the unpack, the snapshot fault, `CaseSlot::advance` and the
-//! scrub; it takes no `FaultPlan`, which lets `run_realtime` run it on its
-//! solver thread. Charging the clock, stalls, exchanges, the window rule
-//! and what a failed or corrupt column means stay with the caller.
+//! column the unpack, `CaseSlot::advance` and the scrub; it takes no
+//! `FaultPlan`, which lets `run_realtime` run it on its solver thread.
+//! Charging the clock, stalls, exchanges, the window rule and what a
+//! failed or corrupt column means stay with the caller.
 
 use hetsolve_fault::{FaultKind, FaultPlan, FaultSite, StateField, VectorFault};
 use hetsolve_sparse::vecops::{extract_case, insert_case};
@@ -26,6 +29,25 @@ use crate::integrity::{
 use crate::methods::{driver_cg_config, RunConfig};
 use crate::recovery::{solve_set_resumable, RecoveryEvent, RunError};
 use crate::slot::CaseSlot;
+
+/// The slots of one set, column by column: a run's cases (every column
+/// occupied) or a server lane (`None` where vacant).
+pub trait SetSlots {
+    /// Column `k`'s slot; `None` when vacant.
+    fn column(&mut self, k: usize) -> Option<&mut CaseSlot>;
+}
+
+impl SetSlots for [CaseSlot] {
+    fn column(&mut self, k: usize) -> Option<&mut CaseSlot> {
+        self.get_mut(k)
+    }
+}
+
+impl SetSlots for [Option<CaseSlot>] {
+    fn column(&mut self, k: usize) -> Option<&mut CaseSlot> {
+        self.get_mut(k).and_then(Option::as_mut)
+    }
+}
 
 /// Which set a [`SetStep`] advances, and how.
 #[derive(Debug, Clone, Copy)]
@@ -112,16 +134,21 @@ impl SetOutcome {
 }
 
 /// A set step's working storage — RHS scratch, boundary guard, packed
-/// `f`/`x`, Adams-Bashforth guesses, unpack vector — and what `prepare`
-/// resolved for `solve`. Its owner reuses it; every step rewrites it before
-/// reading, so it is never checkpointed.
+/// `f`/`x`, Adams-Bashforth guesses, unpack and work vectors — and what
+/// `prepare` resolved for `solve`. Its owner reuses it; every step
+/// rewrites it before reading, so it is never checkpointed.
 pub struct SetStep {
     scratch: RhsScratch,
     guard: StateGuard,
     f: Vec<f64>,
     x: Vec<f64>,
     ab: Vec<Vec<f64>>,
+    /// `solve`'s unpack vector; it becomes a column's displacement by a
+    /// swap and comes back holding the previous one.
     u: Vec<f64>,
+    /// The data-driven correction in `prepare`, the correction snapshot in
+    /// `solve`.
+    work: Vec<f64>,
     /// Per column: occupied, id as events name it, snapshot fault.
     occupied: Vec<bool>,
     named: Vec<Option<usize>>,
@@ -144,6 +171,7 @@ impl SetStep {
             x: vec![0.0; n * r],
             ab: vec![Vec::new(); r],
             u: vec![0.0; n],
+            work: vec![0.0; n],
             occupied: vec![false; r],
             named: vec![None; r],
             snapshot: vec![None; r],
@@ -159,12 +187,12 @@ impl SetStep {
     /// The CPU half of the step of `lane` (a case per column of
     /// `spec.ids`, `None` where vacant). Occupied columns come back
     /// [`Fate::Pending`] with their window and predictor cost.
-    pub fn prepare<'c>(
+    pub fn prepare<L: SetSlots + ?Sized>(
         &mut self,
         backend: &Backend,
         cfg: &RunConfig,
         spec: SetSpec<'_>,
-        lane: impl IntoIterator<Item = Option<&'c mut CaseSlot>>,
+        lane: &mut L,
         faults: &mut FaultPlan,
     ) -> &SetOutcome {
         let SetSpec {
@@ -189,8 +217,28 @@ impl SetStep {
         out.recoveries.clear();
         out.step = step;
         self.retry_ab = fused;
-        for (k, case) in lane.into_iter().enumerate() {
-            let (Some(id), Some(case)) = (ids[k], case) else {
+        let reports = &mut out.corruptions;
+        self.guard.parallel = backend.parallel;
+        for (k, &id) in ids.iter().enumerate() {
+            let (Some(id), Some(case)) = (id, lane.column(k)) else {
+                continue;
+            };
+            boundary_guard(
+                &mut self.guard,
+                case,
+                faults,
+                step,
+                id,
+                integ.detect,
+                reports,
+            );
+            if check_basis {
+                reports.extend(basis_sentinel(case, step, id, integ.basis_defect_tol));
+            }
+        }
+        fused_rhs(backend, ids, lane, &mut self.x, &mut self.f);
+        for (k, &id) in ids.iter().enumerate() {
+            let (Some(id), Some(case)) = (id, lane.column(k)) else {
                 // a vacant column enters the solve as zeros and is skipped
                 for buf in [&mut self.f, &mut self.x] {
                     buf.iter_mut().skip(k).step_by(r).for_each(|v| *v = 0.0);
@@ -199,25 +247,18 @@ impl SetStep {
                 out.columns.push(None);
                 continue;
             };
-            let reports = &mut out.corruptions;
-            let guard = &mut self.guard;
-            boundary_guard(guard, case, faults, step, id, integ.detect, reports);
-            if check_basis {
-                reports.extend(basis_sentinel(case, step, id, integ.basis_defect_tol));
-            }
-            let s = window.unwrap_or_else(|| cfg.s_max.max(1).min(case.available_s()));
-            let scratch = &mut self.scratch;
-            let s_used = case.prepare_step(backend, scratch, s, &mut self.ab[k]);
             rhs_guard(
                 backend,
                 case,
-                scratch,
+                &mut self.scratch,
                 faults,
                 step,
                 id,
                 integ.detect,
                 reports,
             );
+            let s = window.unwrap_or_else(|| cfg.s_max.max(1).min(case.available_s()));
+            let s_used = case.prepare_guess(backend, s, &mut self.ab[k], &mut self.work);
             if let Some(FaultKind::Guess { fault, .. }) =
                 faults.inject(FaultSite::Guess { step, case: id })
             {
@@ -252,11 +293,11 @@ impl SetStep {
 
     /// The device half of the step [`prepare`](Self::prepare) set up, on
     /// the same `lane`.
-    pub fn solve<'c, A: MultiOperator + ?Sized>(
+    pub fn solve<L: SetSlots + ?Sized, A: MultiOperator + ?Sized>(
         &mut self,
         backend: &Backend,
         op: &A,
-        lane: impl IntoIterator<Item = Option<&'c mut CaseSlot>>,
+        lane: &mut L,
     ) -> &SetOutcome {
         let (r, out) = (self.ab.len(), &mut self.out);
         let (stats, attempts) = solve_set_resumable(
@@ -274,8 +315,8 @@ impl SetStep {
             self.retry_ab,
             &mut out.recoveries,
         );
-        for (k, case) in lane.into_iter().enumerate() {
-            let (Some(col), Some(case)) = (out.columns[k].as_mut(), case) else {
+        for k in 0..r {
+            let (Some(col), Some(case)) = (out.columns[k].as_mut(), lane.column(k)) else {
                 continue;
             };
             let termination = stats.case_termination[k];
@@ -290,7 +331,8 @@ impl SetStep {
                 })
             } else {
                 extract_case(&self.x, r, k, &mut self.u);
-                let history_ok = case.advance(backend, &self.u, &self.ab[k], self.snapshot[k]);
+                let (ab, snapshot) = (&self.ab[k], self.snapshot[k]);
+                let history_ok = case.advance(backend, &mut self.u, ab, &mut self.work, snapshot);
                 match self.detect.then(|| scrub_state(case)).flatten() {
                     Some(field) => Fate::Corrupt(field),
                     None => Fate::Advanced {
@@ -304,5 +346,127 @@ impl SetStep {
         (out.counts, out.fused_iterations) = (stats.counts, stats.fused_iterations);
         out.attempts = attempts;
         &self.out
+    }
+}
+
+/// The Newmark RHS of every occupied column of `lane` into its `rhs`, as
+/// two operator applies at the set's width `r = ids.len()` through the
+/// packed `x`/`f`: lane `k` of a width-`r` apply is bitwise the width-1
+/// apply of column `k`, and each column sums `(force + M·m_aux) + C·c_aux`
+/// in [`Backend::newmark_rhs`]'s order, so a column's RHS has the bits of
+/// [`CaseSlot::build_rhs`]. The pack that follows overwrites `x` and `f`.
+fn fused_rhs<L: SetSlots + ?Sized>(
+    backend: &Backend,
+    ids: &[Option<usize>],
+    lane: &mut L,
+    x: &mut [f64],
+    f: &mut [f64],
+) {
+    let r = ids.len();
+    let nm = backend.problem.newmark;
+    let (op_m, op_c) = backend.rhs_ops(&backend.compact, r);
+    for (k, id) in ids.iter().enumerate() {
+        let lanes = x.chunks_exact_mut(r).map(|row| &mut row[k]);
+        match lane.column(k).filter(|_| id.is_some()) {
+            Some(case) => {
+                let t = &case.time;
+                for (xi, ((u, v), a)) in lanes.zip(t.u.iter().zip(&t.v).zip(&t.a)) {
+                    *xi = nm.m_aux(*u, *v, *a);
+                }
+            }
+            None => lanes.for_each(|xi| *xi = 0.0),
+        }
+    }
+    op_m.apply_multi(x, f);
+    for (k, id) in ids.iter().enumerate() {
+        let Some(case) = lane.column(k).filter(|_| id.is_some()) else {
+            continue;
+        };
+        case.force_into_rhs(backend);
+        let t = &case.time;
+        let rows = x.chunks_exact_mut(r).zip(f.chunks_exact(r));
+        for ((rhs, (xr, fr)), (u, v)) in case.rhs.iter_mut().zip(rows).zip(t.u.iter().zip(&t.v)) {
+            *rhs += fr[k];
+            xr[k] = nm.c_aux(*u, *v);
+        }
+    }
+    op_c.apply_multi(x, f);
+    for (k, id) in ids.iter().enumerate() {
+        let Some(case) = lane.column(k).filter(|_| id.is_some()) else {
+            continue;
+        };
+        for (rhs, fr) in case.rhs.iter_mut().zip(f.chunks_exact(r)) {
+            *rhs += fr[k];
+        }
+        backend.problem.mask.project(&mut case.rhs);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hetsolve_fem::FemProblem;
+    use hetsolve_machine::single_gh200;
+    use hetsolve_mesh::{GroundModelSpec, InterfaceShape};
+
+    use crate::methods::MethodKind;
+
+    /// The RHS `prepare` builds for a set, two applies at its width, is
+    /// column by column and bit for bit what [`Backend::newmark_rhs`]
+    /// gives one column at a time: at `r` of 1, 2 and 4, with a vacant
+    /// column (the serve shape) whenever `r > 1`, `parallel` on and off,
+    /// over steps whose state is not zero.
+    #[test]
+    fn prepared_rhs_is_the_width_one_rhs_bitwise() {
+        let spec = GroundModelSpec::paper_like(3, 3, 2, InterfaceShape::Stratified);
+        for parallel in [false, true] {
+            let backend = Backend::new(FemProblem::paper_like(&spec), false, parallel);
+            let mut cfg = RunConfig::new(MethodKind::EbeMcgCpuGpu, single_gh200(), 6);
+            (cfg.s_max, cfg.region_dofs) = (3, 64);
+            let n = backend.n_dofs();
+            let mut scratch = RhsScratch::new(n);
+            let (mut force, mut want) = (vec![0.0; n], vec![0.0; n]);
+            for r in [1usize, 2, 4] {
+                let mut lane: Vec<Option<CaseSlot>> = (0..r)
+                    .map(|k| {
+                        let seed = 40 + k as u64;
+                        (r == 1 || k != 1)
+                            .then(|| CaseSlot::with_seed(&backend, &cfg, seed, cfg.n_steps, 0))
+                    })
+                    .collect();
+                let ids: Vec<Option<usize>> = (0..r).map(|k| lane[k].as_ref().map(|_| k)).collect();
+                let (mut set, op) = (SetStep::new(n, r), backend.ebe_a(r));
+                let mut faults = FaultPlan::default();
+                for step in 0..4 {
+                    let spec = SetSpec {
+                        step,
+                        set: 0,
+                        ids: &ids,
+                        fused: r > 1,
+                        window: None,
+                        tol: cfg.tol,
+                    };
+                    set.prepare(&backend, &cfg, spec, &mut lane[..], &mut faults);
+                    for (k, slot) in lane.iter().enumerate() {
+                        let Some(slot) = slot else { continue };
+                        let t = &slot.time;
+                        assert_eq!(step > 0, t.u.iter().any(|&v| v != 0.0));
+                        slot.load.force_into(t.step, &mut force);
+                        backend.problem.mask.project(&mut force);
+                        backend.newmark_rhs(&force, &t.u, &t.v, &t.a, &mut want, &mut scratch);
+                        assert!(
+                            slot.rhs
+                                .iter()
+                                .zip(&want)
+                                .all(|(a, b)| a.to_bits() == b.to_bits()),
+                            "parallel={parallel} r={r} column {k} step {step}"
+                        );
+                    }
+                    set.solve(&backend, &op, &mut lane[..])
+                        .error()
+                        .expect("clean step solves");
+                }
+            }
+        }
     }
 }

@@ -10,9 +10,15 @@
 //! boundary while its companions keep iterating. Every path — the one
 //! step driver for all four methods, the real-thread pipeline
 //! ([`crate::realtime`]) and the server — steps its slots through the one
-//! set step of [`crate::set`], the only caller of `prepare_step` /
+//! set step of [`crate::set`], the only caller of `prepare_guess` /
 //! `advance` outside the convergence study, which is what makes a served
 //! case's trajectory bitwise-identical to its solo ensemble solve.
+//!
+//! A slot holds no force vector and no per-step buffers of its own. The
+//! set step builds the RHS of all its columns at once (`force_into_rhs`
+//! starts each one) and lends `prepare_guess` and `advance` its work
+//! vectors; [`CaseSlot::build_rhs`] is the same RHS one column at a time,
+//! for the RHS guard's recompute and the convergence study.
 
 use hetsolve_fault::VectorFault;
 use hetsolve_fem::{RandomLoad, TimeState};
@@ -35,8 +41,7 @@ pub struct CaseSlot {
     seed: u64,
     /// Steps this case runs for (load generation depends on it).
     n_steps: usize,
-    /// Scratch: force, rhs, solution guess.
-    pub(crate) f: Vec<f64>,
+    /// Scratch: rhs, solution guess.
     pub(crate) rhs: Vec<f64>,
     pub(crate) guess: Vec<f64>,
     pub(crate) waveform: Vec<Vec<f64>>,
@@ -71,51 +76,51 @@ impl CaseSlot {
             dd: DataDrivenPredictor::new(n, cfg.region_dofs.max(3), cfg.s_max.max(1)),
             seed,
             n_steps,
-            f: vec![0.0; n],
             rhs: vec![0.0; n],
             guess: vec![0.0; n],
             waveform: vec![Vec::new(); n_obs],
         }
     }
 
-    /// Prepare this slot's current step: assemble the Newmark RHS from the
-    /// step's load into `rhs`, then build the data-driven initial guess
-    /// with window `s` into `guess`. Writes the plain Adams-Bashforth guess
-    /// (the recovery ladder's retry rung and the correction-snapshot
-    /// reference) into `ab_guess` and returns the window actually used. The
-    /// step index is the slot's own [`step_index`](Self::step_index).
-    pub(crate) fn prepare_step(
+    /// Start this step's RHS: its load, masked, into `rhs`. The set step
+    /// adds the `M` and `C` terms of all its columns at once.
+    pub(crate) fn force_into_rhs(&mut self, backend: &Backend) {
+        self.load.force_into(self.time.step, &mut self.rhs);
+        backend.problem.mask.project(&mut self.rhs);
+    }
+
+    /// This step's whole Newmark RHS into `rhs`, one column at a time —
+    /// the bits the set step's fused build gives this column.
+    pub(crate) fn build_rhs(&mut self, backend: &Backend, scratch: &mut RhsScratch) {
+        self.force_into_rhs(backend);
+        let t = &self.time;
+        backend.newmark_rhs_onto(&backend.compact, &t.u, &t.v, &t.a, &mut self.rhs, scratch);
+    }
+
+    /// Build this step's initial guess into `guess`: the Adams-Bashforth
+    /// extrapolation plus the data-driven correction at window `s`, which
+    /// is computed into `corr` (`n` long, overwritten). Writes the plain
+    /// Adams-Bashforth guess (the recovery ladder's retry rung and the
+    /// correction-snapshot reference) into `ab_guess` and returns the
+    /// window actually used.
+    pub(crate) fn prepare_guess(
         &mut self,
         backend: &Backend,
-        scratch: &mut RhsScratch,
         s: usize,
         ab_guess: &mut Vec<f64>,
+        corr: &mut [f64],
     ) -> usize {
         let mask = &backend.problem.mask;
-        self.load.force_into(self.time.step, &mut self.f);
-        mask.project(&mut self.f);
-        backend.newmark_rhs(
-            &self.f,
-            &self.time.u,
-            &self.time.v,
-            &self.time.a,
-            &mut self.rhs,
-            scratch,
-        );
         let dt = backend.problem.newmark.dt;
         self.adams.predict(&self.time.u, dt, &mut self.guess);
         mask.project(&mut self.guess);
         ab_guess.clear();
         ab_guess.extend_from_slice(&self.guess);
         // the data-driven correction, once the history holds a window
-        if s == 0 {
+        if s == 0 || !self.dd.predict(s, corr) {
             return 0;
         }
-        let mut corr = vec![0.0; self.guess.len()];
-        if !self.dd.predict(s, &mut corr) {
-            return 0;
-        }
-        for (g, c) in self.guess.iter_mut().zip(&corr) {
+        for (g, c) in self.guess.iter_mut().zip(&*corr) {
             *g += c;
         }
         mask.project(&mut self.guess);
@@ -123,26 +128,31 @@ impl CaseSlot {
     }
 
     /// After solving into `u_new`: record predictor data and advance the
-    /// Newmark state. `snapshot_fault` (injected) corrupts the correction
-    /// snapshot before it enters the predictor history. Returns `false`
-    /// when the history was poisoned and rebuilt (the caller should drop
-    /// the adaptive window back to its minimum).
+    /// Newmark state. The correction snapshot is built in `delta` (`n`
+    /// long, overwritten); `snapshot_fault` (injected) corrupts it before
+    /// it enters the predictor history. `u_new` becomes the displacement
+    /// by a swap, so it comes back holding the previous one. Returns
+    /// `false` when the history was poisoned and rebuilt (the caller
+    /// should drop the adaptive window back to its minimum).
     pub(crate) fn advance(
         &mut self,
         backend: &Backend,
-        u_new: &[f64],
+        u_new: &mut Vec<f64>,
         ab_guess: &[f64],
+        delta: &mut [f64],
         snapshot_fault: Option<VectorFault>,
     ) -> bool {
         // correction snapshot: delta = u_true - u_adams
-        let mut delta: Vec<f64> = u_new.iter().zip(ab_guess).map(|(u, g)| u - g).collect();
-        if let Some(f) = snapshot_fault {
-            f.apply(&mut delta);
+        for ((d, u), g) in delta.iter_mut().zip(&*u_new).zip(ab_guess) {
+            *d = u - g;
         }
-        let history_ok = self.dd.record(&delta);
+        if let Some(f) = snapshot_fault {
+            f.apply(delta);
+        }
+        let history_ok = self.dd.record(delta);
+        std::mem::swap(&mut self.time.u, u_new);
         let nm = &backend.problem.newmark;
-        let u_old = std::mem::replace(&mut self.time.u, u_new.to_vec());
-        nm.advance(&self.time.u, &u_old, &mut self.time.v, &mut self.time.a);
+        nm.advance(&self.time.u, u_new, &mut self.time.v, &mut self.time.a);
         self.adams.push(&self.time.v);
         self.time.step += 1;
         history_ok
@@ -154,7 +164,7 @@ impl CaseSlot {
         }
     }
 
-    /// Steps completed so far (the next `prepare_step` runs this index).
+    /// Steps completed so far (the next step runs this index).
     pub fn step_index(&self) -> usize {
         self.time.step
     }
@@ -176,8 +186,8 @@ impl CaseSlot {
 
     /// Capture everything a checkpoint needs to rebuild this slot bitwise:
     /// seed + step count (the load regenerates from them), Newmark vectors,
-    /// both predictor histories, and the recorded waveform. The `f`/`rhs`/
-    /// `guess` scratch is deliberately excluded — `prepare_step` fully
+    /// both predictor histories, and the recorded waveform. The `rhs`/
+    /// `guess` scratch is deliberately excluded — the next step fully
     /// recomputes it before any read.
     pub fn state(&self) -> SlotState {
         SlotState {
@@ -196,7 +206,8 @@ impl CaseSlot {
     /// Rebuild a slot from a captured [`SlotState`] — the restore-side
     /// inverse of [`CaseSlot::state`]. The load is regenerated from the
     /// stored seed, so the resumed trajectory is bitwise-identical to the
-    /// uninterrupted one.
+    /// uninterrupted one. `st` must fit `backend`'s mesh: a state decoded
+    /// from outside the process goes through [`SlotState::check`] first.
     pub fn from_state(backend: &Backend, cfg: &RunConfig, st: &SlotState) -> Self {
         let mut slot = Self::with_seed(backend, cfg, st.seed, st.n_steps, st.waveform.len());
         slot.time.step = st.step;

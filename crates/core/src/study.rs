@@ -77,7 +77,7 @@ pub fn convergence_study(backend: &Backend, cfg: &StudyConfig) -> ConvergenceStu
     (run_cfg.load, run_cfg.region_dofs, run_cfg.s_max) = (cfg.load, cfg.region_dofs, s_max);
     let mut slot = CaseSlot::with_seed(backend, &run_cfg, cfg.seed, cfg.warmup_steps + 1, 0);
     let mut scratch = RhsScratch::new(n);
-    let mut ab = Vec::new();
+    let (mut ab, mut work) = (Vec::new(), vec![0.0; n]);
     let op = backend.ebe_a(1);
     let solve_cfg = CgConfig {
         tol: cfg.tol,
@@ -88,16 +88,13 @@ pub fn convergence_study(backend: &Backend, cfg: &StudyConfig) -> ConvergenceStu
     // warm up with the standard data-driven-accelerated loop so the
     // snapshot history reflects a realistic mid-simulation state
     for step in 0..cfg.warmup_steps {
-        slot.prepare_step(
-            backend,
-            &mut scratch,
-            slot.available_s().min(s_max),
-            &mut ab,
-        );
+        slot.build_rhs(backend, &mut scratch);
+        let s = slot.available_s().min(s_max);
+        slot.prepare_guess(backend, s, &mut ab, &mut work);
         let mut x = slot.guess.clone();
         let stats = pcg(&op, &backend.precond, &slot.rhs, &mut x, &solve_cfg);
         assert!(stats.converged, "warmup CG failed at step {step}");
-        slot.advance(backend, &x, &ab, None);
+        slot.advance(backend, &mut x, &ab, &mut work, None);
     }
 
     // probe step: solve its system from each guess — zero, then the
@@ -115,7 +112,8 @@ pub fn convergence_study(backend: &Backend, cfg: &StudyConfig) -> ConvergenceStu
     );
     let results = guesses
         .map(|(label, s)| {
-            slot.prepare_step(backend, &mut scratch, s.unwrap_or(0), &mut ab);
+            slot.build_rhs(backend, &mut scratch);
+            slot.prepare_guess(backend, s.unwrap_or(0), &mut ab, &mut work);
             let mut x = match s {
                 Some(_) => slot.guess.clone(),
                 None => vec![0.0; n],

@@ -42,11 +42,22 @@ impl Newmark {
     ///
     /// `m_aux = c_m u + (4/dt) v + a`, `c_aux = c_c u + v`.
     pub fn rhs_aux(&self, u: &[f64], v: &[f64], a: &[f64], m_aux: &mut [f64], c_aux: &mut [f64]) {
-        let k4dt = 4.0 / self.dt;
         for i in 0..u.len() {
-            m_aux[i] = self.cm * u[i] + k4dt * v[i] + a[i];
-            c_aux[i] = self.cc * u[i] + v[i];
+            m_aux[i] = self.m_aux(u[i], v[i], a[i]);
+            c_aux[i] = self.c_aux(u[i], v[i]);
         }
+    }
+
+    /// One entry of [`Self::rhs_aux`]'s `m_aux`: `c_m u + (4/dt) v + a`.
+    #[inline]
+    pub fn m_aux(&self, u: f64, v: f64, a: f64) -> f64 {
+        self.cm * u + 4.0 / self.dt * v + a
+    }
+
+    /// One entry of [`Self::rhs_aux`]'s `c_aux`: `c_c u + v`.
+    #[inline]
+    pub fn c_aux(&self, u: f64, v: f64) -> f64 {
+        self.cc * u + v
     }
 
     /// Advance velocity and acceleration in place after the new displacement

@@ -13,9 +13,20 @@
 //!   `U = R⁻¹`).
 //! * No communication between regions is needed, which is what makes the
 //!   predictor embarrassingly parallel across CPU cores and compute nodes.
+//!
+//! The history checks and repairs itself. [`DataDrivenPredictor::record`]
+//! takes the CRC32 of each column as it stores it and keeps one XOR parity
+//! column over the bit patterns of all stored columns. A step boundary
+//! asks [`DataDrivenPredictor::corrupt_columns`] which columns no longer
+//! match their CRC, and [`DataDrivenPredictor::repair_column`] rebuilds
+//! one of them bitwise from the parity and the others. So the integrity
+//! guards of `hetsolve-core` never copy the history, and a column is
+//! covered from the moment it is recorded.
 
 use std::collections::VecDeque;
+use std::sync::{Mutex, PoisonError};
 
+use hetsolve_crc::Crc32;
 use hetsolve_sparse::KernelCounts;
 
 /// Snapshot store + per-region prediction.
@@ -28,8 +39,25 @@ pub struct DataDrivenPredictor {
     s_max: usize,
     /// Correction history, oldest front, newest back.
     history: VecDeque<Vec<f64>>,
+    /// CRC32 of each stored column, taken when it was stored.
+    crcs: VecDeque<u32>,
+    /// XOR of the `f64` bit patterns of every stored column; empty until
+    /// the first column is stored.
+    parity: Vec<u64>,
     /// MGS drop tolerance.
     tol: f64,
+}
+
+/// CRC32 of a column's `f64` bit patterns.
+fn crc_col(col: &[f64]) -> u32 {
+    Crc32::new().update_f64s(col).finish()
+}
+
+/// XOR the bit patterns of `col` into `parity`.
+fn xor_into(parity: &mut [u64], col: &[f64]) {
+    for (p, v) in parity.iter_mut().zip(col) {
+        *p ^= v.to_bits();
+    }
 }
 
 impl DataDrivenPredictor {
@@ -42,6 +70,8 @@ impl DataDrivenPredictor {
             region_dofs,
             s_max,
             history: VecDeque::with_capacity(s_max + 1),
+            crcs: VecDeque::with_capacity(s_max + 1),
+            parity: Vec::new(),
             tol: 1e-10,
         }
     }
@@ -53,19 +83,87 @@ impl DataDrivenPredictor {
     /// history is dropped: every stored column would otherwise keep pairing
     /// with the poisoned one in future X/Y windows, so the basis is rebuilt
     /// from scratch. Returns `false` when that reset happened.
+    ///
+    /// The column's CRC is taken and the parity updated (the evicted column
+    /// XORed out, the new one in) while the column is written.
     pub fn record(&mut self, delta: &[f64]) -> bool {
         assert_eq!(delta.len(), self.n_dofs);
         if delta.iter().any(|v| !v.is_finite()) {
-            self.history.clear();
+            self.clear();
             return false;
         }
-        if self.history.len() == self.s_max + 1 {
-            let mut old = self.history.pop_front().expect("len checked");
-            old.copy_from_slice(delta);
-            self.history.push_back(old);
-        } else {
-            self.history.push_back(delta.to_vec());
+        if self.parity.is_empty() {
+            self.parity = vec![0; self.n_dofs];
         }
+        let col = if self.history.len() == self.s_max + 1 {
+            let mut old = self.history.pop_front().expect("len checked");
+            self.crcs.pop_front();
+            for ((p, o), d) in self.parity.iter_mut().zip(old.iter_mut()).zip(delta) {
+                *p ^= o.to_bits() ^ d.to_bits();
+                *o = *d;
+            }
+            old
+        } else {
+            xor_into(&mut self.parity, delta);
+            delta.to_vec()
+        };
+        self.crcs.push_back(crc_col(&col));
+        self.history.push_back(col);
+        true
+    }
+
+    /// Rebuild the CRCs and the parity from the stored columns.
+    fn rebuild_checks(&mut self) {
+        self.crcs = self.history.iter().map(|c| crc_col(c)).collect();
+        self.parity.clear();
+        if !self.history.is_empty() {
+            self.parity.resize(self.n_dofs, 0);
+            for col in &self.history {
+                xor_into(&mut self.parity, col);
+            }
+        }
+    }
+
+    /// Stored columns (oldest first) whose bits no longer match the CRC
+    /// taken when they were stored; empty on a clean history. Read-only.
+    /// `parallel` checks one column per chunk of the host pool.
+    pub fn corrupt_columns(&self, parallel: bool) -> Vec<usize> {
+        let bad = |i: usize| crc_col(&self.history[i]) != self.crcs[i];
+        let len = self.history.len();
+        if !parallel {
+            return (0..len).filter(|&i| bad(i)).collect();
+        }
+        let found = Mutex::new(Vec::new());
+        hetsolve_pool::run(len, |i| {
+            if bad(i) {
+                found.lock().unwrap_or_else(PoisonError::into_inner).push(i);
+            }
+        });
+        let mut found = found.into_inner().unwrap_or_else(PoisonError::into_inner);
+        found.sort_unstable();
+        found
+    }
+
+    /// Rebuild stored column `idx` (oldest first) from the parity and the
+    /// other columns. The result replaces the column only if it matches
+    /// the column's recorded CRC — which holds, bitwise, when `idx` is the
+    /// only column that changed since it was stored. Returns whether it
+    /// did.
+    pub fn repair_column(&mut self, idx: usize) -> bool {
+        if idx >= self.history.len() {
+            return false;
+        }
+        let mut bits = self.parity.clone();
+        for (j, col) in self.history.iter().enumerate() {
+            if j != idx {
+                xor_into(&mut bits, col);
+            }
+        }
+        let col: Vec<f64> = bits.into_iter().map(f64::from_bits).collect();
+        if crc_col(&col) != self.crcs[idx] {
+            return false;
+        }
+        self.history[idx] = col;
         true
     }
 
@@ -82,6 +180,8 @@ impl DataDrivenPredictor {
 
     /// Mutable access to stored column `idx` (oldest first) — the fault
     /// layer's basis-corruption hook. Returns `None` when out of range.
+    /// Deliberately updates neither the column's CRC nor the parity, so a
+    /// write through it is what [`Self::corrupt_columns`] reports.
     pub fn column_mut(&mut self, idx: usize) -> Option<&mut [f64]> {
         self.history.get_mut(idx).map(|v| v.as_mut_slice())
     }
@@ -98,6 +198,7 @@ impl DataDrivenPredictor {
         while self.history.len() > self.s_max + 1 {
             self.history.pop_front();
         }
+        self.rebuild_checks();
     }
 
     /// Largest usable window with the current history (needs `s+1` stored
@@ -190,6 +291,8 @@ impl DataDrivenPredictor {
     /// Reset the stored history (e.g. between ensemble cases).
     pub fn clear(&mut self) {
         self.history.clear();
+        self.crcs.clear();
+        self.parity.fill(0);
     }
 
     /// Invariant sentinel: factor the newest window-`s` snapshot matrix of
@@ -441,6 +544,105 @@ mod tests {
         // too little history -> None, not a bogus 0
         let q = DataDrivenPredictor::new(12, 12, 4);
         assert!(q.basis_defect(2).is_none());
+    }
+
+    /// Distinct deterministic columns, `k` the record index.
+    fn column(n: usize, k: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| ((i * 7 + k * 13) as f64 * 0.29).sin() * (1.0 + k as f64))
+            .collect()
+    }
+
+    /// The history's bits, oldest first.
+    fn bits(p: &DataDrivenPredictor) -> Vec<Vec<u64>> {
+        p.history_cols()
+            .map(|c| c.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// Flip one bit in the oldest, a middle and the newest column in turn:
+    /// the check names exactly that column (serial and on the pool), and
+    /// the repair restores it bitwise.
+    fn assert_flips_are_found_and_repaired(p: &DataDrivenPredictor) {
+        let len = p.history_cols().count();
+        assert!(len >= 3, "history of {len}");
+        let clean = bits(p);
+        let pool = hetsolve_pool::Pool::with_threads(2);
+        for parallel in [false, true] {
+            assert!(pool.install(|| p.corrupt_columns(parallel)).is_empty());
+        }
+        for (idx, dof, bit) in [(0, 3, 52), (len / 2, 11, 0), (len - 1, 29, 63)] {
+            let mut q = p.clone();
+            let col = q.column_mut(idx).expect("in range");
+            col[dof] = f64::from_bits(col[dof].to_bits() ^ (1 << bit));
+            for parallel in [false, true] {
+                let bad = pool.install(|| q.corrupt_columns(parallel));
+                assert_eq!(bad, [idx], "column {idx}, parallel {parallel}");
+            }
+            assert!(q.repair_column(idx), "column {idx}");
+            assert_eq!(bits(&q), clean, "column {idx} repaired bitwise");
+            assert!(q.corrupt_columns(false).is_empty());
+        }
+    }
+
+    #[test]
+    fn history_checks_and_repairs_itself_through_ring_wrap_around() {
+        let (n, s_max) = (40, 4);
+        let mut p = DataDrivenPredictor::new(n, 12, s_max);
+        for k in 0..3 * (s_max + 1) {
+            assert!(p.record(&column(n, k)));
+            if k >= 2 {
+                assert_flips_are_found_and_repaired(&p);
+            }
+        }
+        assert_eq!(p.history_cols().count(), s_max + 1);
+        // the stored columns are the newest ones, in order
+        let want: Vec<Vec<f64>> = (2 * (s_max + 1)..3 * (s_max + 1))
+            .map(|k| column(n, k))
+            .collect();
+        assert_eq!(p.history(), want);
+    }
+
+    #[test]
+    fn history_checks_survive_restore_clear_and_nan_reset() {
+        let (n, s_max) = (40, 4);
+        let mut p = DataDrivenPredictor::new(n, 12, s_max);
+        for k in 0..7 {
+            p.record(&column(n, k));
+        }
+        // a restore rebuilds the checks (and keeps the newest s_max + 1)
+        let mut q = DataDrivenPredictor::new(n, 12, s_max);
+        q.restore_history((0..8).map(|k| column(n, k)).collect());
+        assert_eq!(q.history_cols().count(), s_max + 1);
+        assert_flips_are_found_and_repaired(&q);
+        q.record(&column(n, 8));
+        assert_flips_are_found_and_repaired(&q);
+        // a clear, and the reset of a non-finite record, start over clean
+        for reset in [
+            |p: &mut DataDrivenPredictor| p.clear(),
+            |p: &mut DataDrivenPredictor| {
+                let mut bad = column(p.n_dofs, 99);
+                bad[5] = f64::NAN;
+                assert!(!p.record(&bad));
+            },
+        ] {
+            let mut q = p.clone();
+            reset(&mut q);
+            assert!(q.corrupt_columns(false).is_empty());
+            assert!(!q.repair_column(0), "nothing to repair");
+            for k in 20..24 {
+                q.record(&column(n, k));
+            }
+            assert_flips_are_found_and_repaired(&q);
+        }
+        // two bad columns: each repair fails its CRC and changes nothing
+        let mut q = p.clone();
+        q.column_mut(0).expect("in range")[1] += 1.0;
+        q.column_mut(2).expect("in range")[1] += 1.0;
+        let before = bits(&q);
+        assert_eq!(q.corrupt_columns(false), [0, 2]);
+        assert!(!q.repair_column(0) && !q.repair_column(2));
+        assert_eq!(bits(&q), before);
     }
 
     #[test]

@@ -388,6 +388,7 @@ impl<'b> EnsembleServer<'b> {
                 let key = lc
                     .key
                     .ok_or_else(|| CkptError::Corrupt("occupied lane without a key".into()))?;
+                st.check(backend.n_dofs())?;
                 server.batcher.restore_slot(lane, slot, *id, CompatKey(key));
                 server.slots[lane][slot] = Some(CaseSlot::from_state(backend, &server.cfg.run, st));
             }

@@ -810,7 +810,7 @@ impl<'b> EnsembleServer<'b> {
         };
 
         // predictors and RHS (CPU lane), guarded; faults keyed by request
-        let slots = self.slots[lane].iter_mut().map(Option::as_mut);
+        let slots = &mut self.slots[lane][..];
         let (backend, run) = (self.backend, &self.cfg.run);
         let prepared = self
             .set_step
@@ -822,7 +822,7 @@ impl<'b> EnsembleServer<'b> {
 
         // fused masked solve (GPU lane) through the one recovery ladder: a
         // column that exhausts it keeps its failure, companions survive
-        let slots = self.slots[lane].iter_mut().map(Option::as_mut);
+        let slots = &mut self.slots[lane][..];
         let out = self.set_step.solve(backend, &backend.ebe_a(r), slots);
         let solver_t = self
             .clock

@@ -7,7 +7,10 @@
 //! results continue exactly where the saved run left off.
 
 use hetsolve::ckpt::{CheckpointStore, CkptError, SectionWriter, MAGIC};
-use hetsolve::core::{run, run_ensemble_durable, CheckpointPolicy, DurableOutcome, RunError};
+use hetsolve::core::{
+    run, run_ensemble_durable, CheckpointPolicy, ConfigFingerprint, DurableOutcome, RunCheckpoint,
+    RunError, SlotState,
+};
 use hetsolve::fault::FaultLane;
 use hetsolve::fem::FemProblem;
 use hetsolve::machine::ManualClock;
@@ -308,6 +311,85 @@ fn serve_cfg(r: usize) -> ServeConfig {
         active_window: 0.2,
     };
     cfg
+}
+
+/// A latest checkpoint whose section CRCs are valid but whose slot does
+/// not fit the mesh is skipped typed, like a torn one: the run resumes
+/// from the previous good snapshot, bitwise.
+#[test]
+fn durable_resume_skips_a_slot_of_the_wrong_length() {
+    let b = backend();
+    let cfg = config(6);
+    let plain = run(&b, &cfg).expect("baseline");
+    let policy = CheckpointPolicy { every: 2, keep: 3 };
+    let fp = ConfigFingerprint::of(&b, &cfg);
+    for (what, cut) in SHORT_SLOT_COLUMNS {
+        let store = tmp_store(&format!("short-{}", what.replace(' ', "-")));
+        let mut plan = FaultPlan::new(3).crash_at(5);
+        let err = durable_run(&b, &cfg, &mut plan, &store, policy).unwrap_err();
+        assert_eq!(err, RunError::Crashed { step: 5 });
+        let bytes = std::fs::read(store.path_for(4)).unwrap();
+        let mut snap = RunCheckpoint::from_bytes(&bytes, fp).expect("seq-4 snapshot");
+        cut(&mut snap.slots[0]);
+        std::fs::write(store.path_for(4), snap.to_bytes()).unwrap();
+
+        let (res, out) = durable_run(&b, &cfg, &mut plan, &store, policy).expect("resume");
+        assert_eq!(out.resumed_from, Some(2), "{what}");
+        assert_eq!(out.restore.skipped.len(), 1, "{what}");
+        assert_eq!(out.restore.skipped[0].seq, 4);
+        assert!(
+            matches!(&out.restore.skipped[0].error, CkptError::Corrupt(m) if m.contains(what)),
+            "{what}: {}",
+            out.restore
+        );
+        assert_bitwise_eq(&res.final_u, &plain.final_u, what);
+        std::fs::remove_dir_all(store.dir()).unwrap();
+    }
+}
+
+/// Cut one column of a slot to a length that does not fit the mesh.
+type Cut = fn(&mut SlotState);
+
+/// The ways a CRC-valid image can carry a slot that does not fit the
+/// mesh: a short or long state vector, or a short column in either
+/// history.
+const SHORT_SLOT_COLUMNS: [(&str, Cut); 4] = [
+    ("u", |s| s.u.truncate(s.u.len() - 1)),
+    ("a", |s| s.a.push(0.0)),
+    ("Adams history", |s| s.adams_hist[0].truncate(3)),
+    ("predictor history", |s| s.dd_hist[1].truncate(5)),
+];
+
+/// A server image whose slot columns do not fit the mesh, with every
+/// section CRC valid, is refused typed — not a panic in the predictor or
+/// the kernels.
+#[test]
+fn server_slot_of_the_wrong_length_is_refused_typed() {
+    let backend = backend();
+    let cfg = serve_cfg(2);
+    let mut server = EnsembleServer::new(&backend, cfg.clone());
+    for c in 0..2 {
+        server.admit(SolveRequest::new(300 + c, 6)).expect("admit");
+    }
+    for _ in 0..3 {
+        server.tick();
+    }
+    let clean = server.checkpoint();
+    for (what, cut) in SHORT_SLOT_COLUMNS {
+        let mut ck = clean.clone();
+        let (_, st) = (ck.lanes.iter_mut())
+            .flat_map(|l| l.slots.iter_mut().flatten())
+            .next()
+            .expect("a request in flight");
+        cut(st);
+        let bytes = ck.to_bytes();
+        ServerCheckpoint::from_bytes(&bytes, ck.fingerprint).expect("section CRCs are valid");
+        match EnsembleServer::restore(&backend, cfg.clone(), &bytes) {
+            Err(CkptError::Corrupt(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
+            Err(e) => panic!("{what}: {e}"),
+            Ok(_) => panic!("{what}: restored a slot that does not fit the mesh"),
+        }
+    }
 }
 
 /// Serve-layer round trip: checkpoint a mid-flight server, restore it,

@@ -215,7 +215,7 @@ fn a_parent_checkpoint_restores_and_resumes_bitwise() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// `run_realtime` drives `CaseSlot::prepare_step` / `advance` like every
+/// `run_realtime` drives `CaseSlot::prepare_guess` / `advance` like every
 /// other driver; its results are the ones the parent's hand-rolled
 /// `SetState` (own RHS build, own predictor call, own Newmark advance)
 /// produced.
