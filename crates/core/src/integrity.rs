@@ -48,6 +48,7 @@ use std::fmt;
 use hetsolve_ckpt::Crc32;
 use hetsolve_fault::{BitFlip, FaultKind, FaultPlan, FaultSite, StateField};
 use hetsolve_fem::CompactElements;
+use hetsolve_sparse::vecops::insert_case;
 use hetsolve_sparse::Bcrs3;
 
 use crate::backend::{Backend, RhsScratch};
@@ -506,16 +507,21 @@ pub(crate) fn boundary_guard(
     }
 }
 
-/// RHS checksum between assembly and the solve: an injected flip of the
-/// assembled right-hand side is detected and the column recomputed one
-/// column wide — bitwise, because the load is immutable, the guarded
-/// `u`/`v`/`a` inputs are still intact, and lane `k` of the set's fused
-/// build equals the width-1 build of column `k`.
+/// RHS checksum between assembly and the solve, on lane `k` of the set's
+/// packed RHS `f` (`r` lanes): an injected flip of the assembled
+/// right-hand side is detected and the column recomputed one column wide
+/// into `col` (`n` long, overwritten), through `scratch` (made on first
+/// use: only a recompute needs it), and put back into its lane —
+/// bitwise, because the load is immutable, the guarded `u`/`v`/`a` inputs
+/// are still intact, and lane `k` of the set's fused build equals the
+/// width-1 build of column `k`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rhs_guard(
     backend: &Backend,
-    slot: &mut CaseSlot,
-    scratch: &mut RhsScratch,
+    slot: &CaseSlot,
+    (f, r, k): (&mut [f64], usize, usize),
+    col: &mut [f64],
+    scratch: &mut Option<RhsScratch>,
     faults: &mut FaultPlan,
     step: usize,
     case: usize,
@@ -523,17 +529,22 @@ pub(crate) fn rhs_guard(
     reports: &mut Vec<CorruptionReport>,
 ) {
     let crc = if detect {
-        Some(crc_f64s(&slot.rhs))
+        Some(crc_lane(f, r, k))
     } else {
         None
     };
     if let Some(FaultKind::RhsFlip { flip, .. }) = faults.inject(FaultSite::RhsFlip { step, case })
     {
-        flip.apply(&mut slot.rhs);
+        if let Some((i, bit)) = flip.target(f.len() / r) {
+            let v = &mut f[i * r + k];
+            *v = f64::from_bits(v.to_bits() ^ (1u64 << bit));
+        }
     }
     if let Some(crc) = crc {
-        if crc_f64s(&slot.rhs) != crc {
-            slot.build_rhs(backend, scratch);
+        if crc_lane(f, r, k) != crc {
+            let scratch = scratch.get_or_insert_with(|| RhsScratch::new(col.len()));
+            slot.build_rhs(backend, col, scratch);
+            insert_case(f, r, k, col);
             reports.push(CorruptionReport {
                 step,
                 case: Some(case),
@@ -542,6 +553,21 @@ pub(crate) fn rhs_guard(
             });
         }
     }
+}
+
+/// CRC32 of lane `k` of an interleaved multi-vector of `r` lanes: the CRC
+/// of the lane's values in order, gathered a stack buffer at a time.
+fn crc_lane(v: &[f64], r: usize, k: usize) -> u32 {
+    const ROWS: usize = 256;
+    let (mut c, mut buf) = (Crc32::new(), [0.0; ROWS]);
+    for rows in v.chunks(ROWS * r) {
+        let m = rows.len() / r;
+        for (b, row) in buf.iter_mut().zip(rows.chunks_exact(r)) {
+            *b = row[k];
+        }
+        c.update_f64s(&buf[..m]);
+    }
+    c.finish()
 }
 
 /// Per-step ABFT audit of the operator payload. An injected flip corrupts
@@ -648,17 +674,13 @@ mod tests {
         let mut slot = CaseSlot::with_seed(backend, cfg, 7, cfg.n_steps.max(steps), 0);
         let mut scratch = RhsScratch::new(n);
         let (mut ab, mut work) = (Vec::new(), vec![0.0; n]);
+        let (mut rhs, mut guess) = (vec![0.0; n], vec![0.0; n]);
         for _ in 0..steps {
-            slot.build_rhs(backend, &mut scratch);
-            slot.prepare_guess(backend, cfg.s_max, &mut ab, &mut work);
+            slot.build_rhs(backend, &mut rhs, &mut scratch);
+            slot.prepare_guess(backend, cfg.s_max, &mut guess, &mut ab, &mut work);
             // cheap fake solve: the guard logic only needs state that
             // evolves, so that no two columns hold the same bits
-            let mut x: Vec<f64> = slot
-                .guess
-                .iter()
-                .zip(&slot.rhs)
-                .map(|(g, f)| g + 1e-3 * f)
-                .collect();
+            let mut x: Vec<f64> = guess.iter().zip(&rhs).map(|(g, f)| g + 1e-3 * f).collect();
             slot.advance(backend, &mut x, &ab, &mut work, None);
         }
         slot
@@ -935,53 +957,59 @@ mod tests {
         assert_eq!(s.state(), reference);
     }
 
+    /// The guard works on one lane of a packed RHS: a flip there is
+    /// recomputed bitwise, and the other lane is never touched.
     #[test]
     fn rhs_guard_recomputes_bitwise() {
         let (backend, cfg) = small();
-        let mut slot = warmed_slot(&backend, &cfg, 4);
-        let mut scratch = RhsScratch::new(backend.n_dofs());
+        let slot = warmed_slot(&backend, &cfg, 4);
+        let n = backend.n_dofs();
+        let mut scratch = RhsScratch::new(n);
         let step = slot.step_index();
-        slot.build_rhs(&backend, &mut scratch);
-        let clean_rhs = slot.rhs.clone();
+        let mut clean_rhs = vec![0.0; n];
+        slot.build_rhs(&backend, &mut clean_rhs, &mut scratch);
+        let (r, k, other) = (2, 1, 0.25);
+        let packed = || {
+            let mut f = vec![other; n * r];
+            insert_case(&mut f, r, k, &clean_rhs);
+            f
+        };
+        let lane = |f: &[f64]| -> Vec<f64> { f.iter().skip(k).step_by(r).copied().collect() };
+        let (mut col, mut scratch) = (vec![0.0; n], None);
 
-        let mut plan = FaultPlan::new(5).flip_rhs(step, 0);
-        let mut reports = Vec::new();
-        rhs_guard(
-            &backend,
-            &mut slot,
-            &mut scratch,
-            &mut plan,
-            step,
-            0,
-            true,
-            &mut reports,
-        );
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].target, CorruptTarget::Rhs);
-        assert_eq!(reports[0].action, CorruptionAction::RecomputedRhs);
-        for (a, b) in slot.rhs.iter().zip(&clean_rhs) {
-            assert_eq!(a.to_bits(), b.to_bits(), "recompute must be bitwise");
+        for detect in [true, false] {
+            let mut f = packed();
+            let mut plan = FaultPlan::new(5).flip_rhs(step, 0);
+            let mut reports = Vec::new();
+            rhs_guard(
+                &backend,
+                &slot,
+                (&mut f, r, k),
+                &mut col,
+                &mut scratch,
+                &mut plan,
+                step,
+                0,
+                detect,
+                &mut reports,
+            );
+            assert!(plan.all_fired());
+            assert!(f.iter().step_by(r).all(|&v| v == other), "other lane");
+            let same = lane(&f)
+                .iter()
+                .zip(&clean_rhs)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            if detect {
+                assert_eq!(reports.len(), 1);
+                assert_eq!(reports[0].target, CorruptTarget::Rhs);
+                assert_eq!(reports[0].action, CorruptionAction::RecomputedRhs);
+                assert!(same, "recompute must be bitwise");
+            } else {
+                // detection off: the flipped RHS survives
+                assert!(reports.is_empty());
+                assert!(!same);
+            }
         }
-
-        // detection off: the flipped RHS survives
-        let mut plan = FaultPlan::new(5).flip_rhs(step, 0);
-        let mut reports = Vec::new();
-        rhs_guard(
-            &backend,
-            &mut slot,
-            &mut scratch,
-            &mut plan,
-            step,
-            0,
-            false,
-            &mut reports,
-        );
-        assert!(reports.is_empty());
-        assert!(slot
-            .rhs
-            .iter()
-            .zip(&clean_rhs)
-            .any(|(a, b)| a.to_bits() != b.to_bits()));
     }
 
     #[test]

@@ -502,6 +502,8 @@ pub(crate) struct RunCtx<'a> {
     op_crc: u32,
     rhs_counts: KernelCounts,
     obs: Vec<usize>,
+    /// Per set, the case id of each of its columns.
+    set_ids: Vec<Vec<Option<usize>>>,
 }
 
 impl<'a> RunCtx<'a> {
@@ -539,6 +541,13 @@ impl<'a> RunCtx<'a> {
             op_crc: operator_crc(payload),
             rhs_counts,
             obs: backend.problem.surface_dofs_z(),
+            set_ids: (0..layout.sets)
+                .map(|set| {
+                    (set * layout.lanes..(set + 1) * layout.lanes)
+                        .map(Some)
+                        .collect()
+                })
+                .collect(),
         })
     }
 
@@ -664,11 +673,10 @@ impl RunState {
 
         for set in 0..sets {
             let set_cases = set * lanes..(set + 1) * lanes;
-            let ids: Vec<Option<usize>> = set_cases.clone().map(Some).collect();
             let spec = SetSpec {
                 step,
                 set,
-                ids: &ids,
+                ids: &ctx.set_ids[set],
                 fused: matrix_free,
                 window: s_shared,
                 tol: cfg.tol,

@@ -18,7 +18,7 @@ use hetsolve_fem::{
 use hetsolve_machine::ModuleClock;
 use hetsolve_obs::Json;
 use hetsolve_predictor::AdamsState;
-use hetsolve_sparse::{BlockJacobi, SolveError};
+use hetsolve_sparse::{BlockJacobi, McgWorkspace, SolveError};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -109,6 +109,7 @@ pub fn run_nonlinear(
         .map(|m| m.nnz_blocks())
         .unwrap_or(27 * mesh.n_nodes());
 
+    let mut workspace = McgWorkspace::default();
     for step in 0..cfg.n_steps {
         load.force_into(step, &mut f);
         backend.problem.mask.project(&mut f);
@@ -139,6 +140,7 @@ pub fn run_nonlinear(
             // iteration cap (a hard modulus update can leave the guess far
             // outside the new operator's convergence basin).
             let (stats, attempts) = solve_set_resumable(
+                &mut workspace,
                 &op,
                 &precond,
                 &rhs,

@@ -17,10 +17,13 @@
 //! [`SolveError`](hetsolve_sparse::SolveError) instead of panicking, so an
 //! ensemble drops one case instead of aborting thousands of healthy steps.
 
+use std::borrow::Cow;
 use std::fmt;
 
-use hetsolve_obs::Termination;
-use hetsolve_sparse::{mcg_masked, CgConfig, McgStats, MultiOperator, Preconditioner, SolveError};
+use hetsolve_obs::{NoopObserver, Termination};
+use hetsolve_sparse::{
+    CgConfig, McgStats, McgWorkspace, MultiOperator, Preconditioner, SolveError,
+};
 
 /// Factor by which the zero-guess rung raises the iteration cap.
 const ZERO_GUESS_ITER_FACTOR: usize = 4;
@@ -193,8 +196,9 @@ impl From<SolveError> for RunError {
     }
 }
 
-/// The recovery ladder around [`mcg_masked`], resumable per lane. There is
-/// one ladder: a single-RHS driver runs it on a lane of width 1.
+/// The recovery ladder around the one MCG solve, resumable per lane, in
+/// the caller's workspace `ws`. There is one ladder: a single-RHS driver
+/// runs it on a lane of width 1.
 ///
 /// Only the failing lanes are restarted: their slots in `x` are
 /// overwritten with the downgraded guess and the whole set is re-solved —
@@ -206,11 +210,13 @@ impl From<SolveError> for RunError {
 /// differs from the first attempt; `occupied[k] == false` marks a vacant
 /// lane, skipped entirely; `lane_cases[k]` names lane `k` in the recovery
 /// log. Returns the stats of all attempts merged — initial residuals stay
-/// the first attempt's — and the attempts made. It never errors: a lane
-/// that exhausts the ladder keeps its failure in `case_termination`, and
-/// the caller decides what that means.
+/// the first attempt's; borrowed from `ws` when the first attempt
+/// converged — and the attempts made. It never errors: a lane that
+/// exhausts the ladder keeps its failure in `case_termination`, and the
+/// caller decides what that means.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_set_resumable<A: MultiOperator + ?Sized, P: Preconditioner>(
+pub(crate) fn solve_set_resumable<'w, A: MultiOperator + ?Sized, P: Preconditioner>(
+    ws: &'w mut McgWorkspace,
     a: &A,
     prec: &P,
     f: &[f64],
@@ -224,12 +230,15 @@ pub(crate) fn solve_set_resumable<A: MultiOperator + ?Sized, P: Preconditioner>(
     set: usize,
     retry_ab: bool,
     recoveries: &mut Vec<RecoveryEvent>,
-) -> (McgStats, usize) {
+) -> (Cow<'w, McgStats>, usize) {
     let r = a.r();
-    let mut stats = mcg_masked(a, prec, f, x, first_cfg, occupied);
-    if stats.converged {
-        return (stats, 1);
+    if ws
+        .solve(a, prec, f, x, first_cfg, occupied, &mut NoopObserver)
+        .converged
+    {
+        return (Cow::Borrowed(ws.stats()), 1);
     }
+    let mut stats = ws.stats().clone();
     let failing = |st: &McgStats, k: usize| occupied[k] && st.case_termination[k].is_failure();
     let first_failed: Vec<Termination> = stats.case_termination.clone();
     let initial_rel_res = stats.initial_rel_res.clone();
@@ -251,7 +260,7 @@ pub(crate) fn solve_set_resumable<A: MultiOperator + ?Sized, P: Preconditioner>(
             };
             hetsolve_sparse::vecops::insert_case(x, r, k, guess);
         }
-        let retry = mcg_masked(a, prec, f, x, rung_cfg, occupied);
+        let retry = ws.solve(a, prec, f, x, rung_cfg, occupied, &mut NoopObserver);
         attempts += 1;
         for k in 0..r {
             if failing(&stats, k) && retry.case_termination[k] == Termination::Converged {
@@ -265,13 +274,13 @@ pub(crate) fn solve_set_resumable<A: MultiOperator + ?Sized, P: Preconditioner>(
                 });
             }
         }
-        stats = merge_mcg(stats, retry);
+        stats = merge_mcg(stats, retry.clone());
         if stats.converged {
             break;
         }
     }
     stats.initial_rel_res = initial_rel_res;
-    (stats, attempts)
+    (Cow::Owned(stats), attempts)
 }
 
 /// Fold an MCG retry into the running stats: fused iterations and work

@@ -19,7 +19,7 @@
 
 use hetsolve_fault::{FaultKind, FaultPlan, FaultSite, StateField, VectorFault};
 use hetsolve_sparse::vecops::{extract_case, insert_case};
-use hetsolve_sparse::{CgConfig, KernelCounts, MultiOperator, SolveError};
+use hetsolve_sparse::{CgConfig, KernelCounts, McgWorkspace, MultiOperator, SolveError};
 
 use crate::backend::{Backend, RhsScratch};
 use crate::integrity::{
@@ -133,22 +133,31 @@ impl SetOutcome {
     }
 }
 
-/// A set step's working storage — RHS scratch, boundary guard, packed
-/// `f`/`x`, Adams-Bashforth guesses, unpack and work vectors — and what
-/// `prepare` resolved for `solve`. Its owner reuses it; every step
-/// rewrites it before reading, so it is never checkpointed.
+/// A set step's working storage — boundary guard, packed `f`/`x`,
+/// Adams-Bashforth guesses, one column vector, a work vector, the MCG
+/// workspace and, once a corrupted RHS needs it, the recompute's scratch —
+/// and what `prepare` resolved for `solve`. It is the
+/// one owner of a step's working memory: a column's RHS and guess live
+/// only in their lanes of `f` and `x`, and the solve runs in the workspace
+/// this lends it. Its owner reuses it; every step rewrites it before
+/// reading, so it is never checkpointed.
 pub struct SetStep {
-    scratch: RhsScratch,
+    /// The RHS guard's one-column recompute, made when first needed.
+    scratch: Option<RhsScratch>,
     guard: StateGuard,
     f: Vec<f64>,
     x: Vec<f64>,
     ab: Vec<Vec<f64>>,
-    /// `solve`'s unpack vector; it becomes a column's displacement by a
-    /// swap and comes back holding the previous one.
+    /// One column: the force and the guess in `prepare`, the RHS guard's
+    /// recompute; `solve`'s unpack vector, which becomes a column's
+    /// displacement by a swap and comes back holding the previous one.
     u: Vec<f64>,
     /// The data-driven correction in `prepare`, the correction snapshot in
     /// `solve`.
     work: Vec<f64>,
+    /// The solve's multi-vectors and per-case scalars; between solves, the
+    /// output of the fused RHS's `C` apply.
+    ws: McgWorkspace,
     /// Per column: occupied, id as events name it, snapshot fault.
     occupied: Vec<bool>,
     named: Vec<Option<usize>>,
@@ -165,13 +174,14 @@ impl SetStep {
     /// Storage for lanes of `r` columns of `n` DOFs.
     pub fn new(n: usize, r: usize) -> Self {
         SetStep {
-            scratch: RhsScratch::new(n),
+            scratch: None,
             guard: StateGuard::default(),
             f: vec![0.0; n * r],
             x: vec![0.0; n * r],
             ab: vec![Vec::new(); r],
             u: vec![0.0; n],
             work: vec![0.0; n],
+            ws: McgWorkspace::default(),
             occupied: vec![false; r],
             named: vec![None; r],
             snapshot: vec![None; r],
@@ -236,13 +246,21 @@ impl SetStep {
                 reports.extend(basis_sentinel(case, step, id, integ.basis_defect_tol));
             }
         }
-        fused_rhs(backend, ids, lane, &mut self.x, &mut self.f);
+        let c_out = self.ws.buffer(self.f.len());
+        fused_rhs(
+            backend,
+            ids,
+            lane,
+            &mut self.x,
+            &mut self.f,
+            &mut self.u,
+            c_out,
+        );
         for (k, &id) in ids.iter().enumerate() {
             let (Some(id), Some(case)) = (id, lane.column(k)) else {
                 // a vacant column enters the solve as zeros and is skipped
-                for buf in [&mut self.f, &mut self.x] {
-                    buf.iter_mut().skip(k).step_by(r).for_each(|v| *v = 0.0);
-                }
+                // (its `f` lane is zero already)
+                self.x.iter_mut().skip(k).step_by(r).for_each(|v| *v = 0.0);
                 (self.occupied[k], self.named[k], self.snapshot[k]) = (false, None, None);
                 out.columns.push(None);
                 continue;
@@ -250,6 +268,8 @@ impl SetStep {
             rhs_guard(
                 backend,
                 case,
+                (&mut self.f, r, k),
+                &mut self.u,
                 &mut self.scratch,
                 faults,
                 step,
@@ -258,16 +278,16 @@ impl SetStep {
                 reports,
             );
             let s = window.unwrap_or_else(|| cfg.s_max.max(1).min(case.available_s()));
-            let s_used = case.prepare_guess(backend, s, &mut self.ab[k], &mut self.work);
+            let guess = &mut self.u;
+            let s_used = case.prepare_guess(backend, s, guess, &mut self.ab[k], &mut self.work);
             if let Some(FaultKind::Guess { fault, .. }) =
                 faults.inject(FaultSite::Guess { step, case: id })
             {
-                fault.apply(&mut case.guess);
+                fault.apply(guess);
                 self.retry_ab = true;
             }
             self.retry_ab |= s_used > 0;
-            insert_case(&mut self.f, r, k, &case.rhs);
-            insert_case(&mut self.x, r, k, &case.guess);
+            insert_case(&mut self.x, r, k, guess);
             self.snapshot[k] = match faults.inject(FaultSite::Snapshot { step, case: id }) {
                 Some(FaultKind::Snapshot { fault, .. }) => Some(fault),
                 _ => None,
@@ -301,6 +321,7 @@ impl SetStep {
     ) -> &SetOutcome {
         let (r, out) = (self.ab.len(), &mut self.out);
         let (stats, attempts) = solve_set_resumable(
+            &mut self.ws,
             op,
             &backend.precond,
             &self.f,
@@ -349,18 +370,27 @@ impl SetStep {
     }
 }
 
-/// The Newmark RHS of every occupied column of `lane` into its `rhs`, as
-/// two operator applies at the set's width `r = ids.len()` through the
-/// packed `x`/`f`: lane `k` of a width-`r` apply is bitwise the width-1
-/// apply of column `k`, and each column sums `(force + M·m_aux) + C·c_aux`
-/// in [`Backend::newmark_rhs`]'s order, so a column's RHS has the bits of
-/// [`CaseSlot::build_rhs`]. The pack that follows overwrites `x` and `f`.
+/// The Newmark RHS of every occupied column of `lane` into its lane of
+/// `f` (zero in a vacant column), as two operator applies at the set's
+/// width `r = ids.len()`: `M` on the packed `m_aux` lanes of `x` into `f`,
+/// then `C` on the packed `c_aux` lanes of `x` into `c_out`. Lane `k` of a
+/// width-`r` apply is bitwise the width-1 apply of column `k`, and each
+/// lane sums `(force + M·m_aux) + C·c_aux` in [`Backend::newmark_rhs`]'s
+/// order, so it holds the bits of [`CaseSlot::build_rhs`]. `force` (`n`
+/// long) takes each column's load in turn; `x` is left holding the
+/// `c_aux` lanes, which the guesses overwrite.
+#[allow(
+    clippy::assign_op_pattern,
+    reason = "`force + M·m_aux` keeps the width-1 build's operand order"
+)]
 fn fused_rhs<L: SetSlots + ?Sized>(
     backend: &Backend,
     ids: &[Option<usize>],
     lane: &mut L,
     x: &mut [f64],
     f: &mut [f64],
+    force: &mut [f64],
+    c_out: &mut [f64],
 ) {
     let r = ids.len();
     let nm = backend.problem.newmark;
@@ -379,27 +409,25 @@ fn fused_rhs<L: SetSlots + ?Sized>(
     }
     op_m.apply_multi(x, f);
     for (k, id) in ids.iter().enumerate() {
+        let rows = x.chunks_exact_mut(r).zip(f.chunks_exact_mut(r));
         let Some(case) = lane.column(k).filter(|_| id.is_some()) else {
+            rows.for_each(|(_, fr)| fr[k] = 0.0);
             continue;
         };
-        case.force_into_rhs(backend);
+        case.force_into(backend, force);
         let t = &case.time;
-        let rows = x.chunks_exact_mut(r).zip(f.chunks_exact(r));
-        for ((rhs, (xr, fr)), (u, v)) in case.rhs.iter_mut().zip(rows).zip(t.u.iter().zip(&t.v)) {
-            *rhs += fr[k];
+        for (((xr, fr), fv), (u, v)) in rows.zip(&*force).zip(t.u.iter().zip(&t.v)) {
+            fr[k] = fv + fr[k];
             xr[k] = nm.c_aux(*u, *v);
         }
     }
-    op_c.apply_multi(x, f);
-    for (k, id) in ids.iter().enumerate() {
-        let Some(case) = lane.column(k).filter(|_| id.is_some()) else {
-            continue;
-        };
-        for (rhs, fr) in case.rhs.iter_mut().zip(f.chunks_exact(r)) {
-            *rhs += fr[k];
-        }
-        backend.problem.mask.project(&mut case.rhs);
+    op_c.apply_multi(x, c_out);
+    // every lane in one pass: a vacant lane's `C` input is zero, so it
+    // stays +0
+    for (fv, cv) in f.iter_mut().zip(&*c_out) {
+        *fv += cv;
     }
+    backend.problem.mask.project_multi(f, r);
 }
 
 #[cfg(test)]
@@ -412,8 +440,8 @@ mod tests {
     use crate::methods::MethodKind;
 
     /// The RHS `prepare` builds for a set, two applies at its width, is
-    /// column by column and bit for bit what [`Backend::newmark_rhs`]
-    /// gives one column at a time: at `r` of 1, 2 and 4, with a vacant
+    /// lane by lane of the packed `f` and bit for bit what
+    /// [`Backend::newmark_rhs`] gives one column at a time: at `r` of 1, 2 and 4, with a vacant
     /// column (the serve shape) whenever `r > 1`, `parallel` on and off,
     /// over steps whose state is not zero.
     #[test]
@@ -454,11 +482,9 @@ mod tests {
                         slot.load.force_into(t.step, &mut force);
                         backend.problem.mask.project(&mut force);
                         backend.newmark_rhs(&force, &t.u, &t.v, &t.a, &mut want, &mut scratch);
+                        let lane_k = set.f.iter().skip(k).step_by(r);
                         assert!(
-                            slot.rhs
-                                .iter()
-                                .zip(&want)
-                                .all(|(a, b)| a.to_bits() == b.to_bits()),
+                            lane_k.zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
                             "parallel={parallel} r={r} column {k} step {step}"
                         );
                     }

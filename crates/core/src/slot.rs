@@ -14,11 +14,12 @@
 //! `advance` outside the convergence study, which is what makes a served
 //! case's trajectory bitwise-identical to its solo ensemble solve.
 //!
-//! A slot holds no force vector and no per-step buffers of its own. The
-//! set step builds the RHS of all its columns at once (`force_into_rhs`
-//! starts each one) and lends `prepare_guess` and `advance` its work
-//! vectors; [`CaseSlot::build_rhs`] is the same RHS one column at a time,
-//! for the RHS guard's recompute and the convergence study.
+//! A slot holds no RHS, no guess and no per-step buffers of its own: it is
+//! state only. The set step builds the RHS of all its columns at once,
+//! straight into the lanes of its packed `f`, and lends `prepare_guess`
+//! and `advance` its vectors; [`CaseSlot::build_rhs`] is the same RHS one
+//! column at a time into a caller's vector, for the RHS guard's recompute
+//! and the convergence study.
 
 use hetsolve_fault::VectorFault;
 use hetsolve_fem::{RandomLoad, TimeState};
@@ -41,9 +42,6 @@ pub struct CaseSlot {
     seed: u64,
     /// Steps this case runs for (load generation depends on it).
     n_steps: usize,
-    /// Scratch: rhs, solution guess.
-    pub(crate) rhs: Vec<f64>,
-    pub(crate) guess: Vec<f64>,
     pub(crate) waveform: Vec<Vec<f64>>,
 }
 
@@ -76,54 +74,54 @@ impl CaseSlot {
             dd: DataDrivenPredictor::new(n, cfg.region_dofs.max(3), cfg.s_max.max(1)),
             seed,
             n_steps,
-            rhs: vec![0.0; n],
-            guess: vec![0.0; n],
-            waveform: vec![Vec::new(); n_obs],
+            waveform: (0..n_obs).map(|_| Vec::with_capacity(n_steps)).collect(),
         }
     }
 
-    /// Start this step's RHS: its load, masked, into `rhs`. The set step
-    /// adds the `M` and `C` terms of all its columns at once.
-    pub(crate) fn force_into_rhs(&mut self, backend: &Backend) {
-        self.load.force_into(self.time.step, &mut self.rhs);
-        backend.problem.mask.project(&mut self.rhs);
+    /// This step's load, masked, into `force` (`n` long, overwritten) —
+    /// the first term of its RHS.
+    pub(crate) fn force_into(&self, backend: &Backend, force: &mut [f64]) {
+        self.load.force_into(self.time.step, force);
+        backend.problem.mask.project(force);
     }
 
-    /// This step's whole Newmark RHS into `rhs`, one column at a time —
-    /// the bits the set step's fused build gives this column.
-    pub(crate) fn build_rhs(&mut self, backend: &Backend, scratch: &mut RhsScratch) {
-        self.force_into_rhs(backend);
+    /// This step's whole Newmark RHS into `rhs` (`n` long, overwritten),
+    /// one column at a time — the bits the set step's fused build gives
+    /// this column.
+    pub(crate) fn build_rhs(&self, backend: &Backend, rhs: &mut [f64], scratch: &mut RhsScratch) {
+        self.force_into(backend, rhs);
         let t = &self.time;
-        backend.newmark_rhs_onto(&backend.compact, &t.u, &t.v, &t.a, &mut self.rhs, scratch);
+        backend.newmark_rhs_onto(&backend.compact, &t.u, &t.v, &t.a, rhs, scratch);
     }
 
-    /// Build this step's initial guess into `guess`: the Adams-Bashforth
-    /// extrapolation plus the data-driven correction at window `s`, which
-    /// is computed into `corr` (`n` long, overwritten). Writes the plain
-    /// Adams-Bashforth guess (the recovery ladder's retry rung and the
-    /// correction-snapshot reference) into `ab_guess` and returns the
-    /// window actually used.
+    /// Build this step's initial guess into `guess` (`n` long,
+    /// overwritten): the Adams-Bashforth extrapolation plus the data-driven
+    /// correction at window `s`, which is computed into `corr` (`n` long,
+    /// overwritten). Writes the plain Adams-Bashforth guess (the recovery
+    /// ladder's retry rung and the correction-snapshot reference) into
+    /// `ab_guess` and returns the window actually used.
     pub(crate) fn prepare_guess(
-        &mut self,
+        &self,
         backend: &Backend,
         s: usize,
+        guess: &mut [f64],
         ab_guess: &mut Vec<f64>,
         corr: &mut [f64],
     ) -> usize {
         let mask = &backend.problem.mask;
         let dt = backend.problem.newmark.dt;
-        self.adams.predict(&self.time.u, dt, &mut self.guess);
-        mask.project(&mut self.guess);
+        self.adams.predict(&self.time.u, dt, guess);
+        mask.project(guess);
         ab_guess.clear();
-        ab_guess.extend_from_slice(&self.guess);
+        ab_guess.extend_from_slice(guess);
         // the data-driven correction, once the history holds a window
         if s == 0 || !self.dd.predict(s, corr) {
             return 0;
         }
-        for (g, c) in self.guess.iter_mut().zip(&*corr) {
+        for (g, c) in guess.iter_mut().zip(&*corr) {
             *g += c;
         }
-        mask.project(&mut self.guess);
+        mask.project(guess);
         s.min(self.dd.available_s())
     }
 
@@ -186,9 +184,9 @@ impl CaseSlot {
 
     /// Capture everything a checkpoint needs to rebuild this slot bitwise:
     /// seed + step count (the load regenerates from them), Newmark vectors,
-    /// both predictor histories, and the recorded waveform. The `rhs`/
-    /// `guess` scratch is deliberately excluded — the next step fully
-    /// recomputes it before any read.
+    /// both predictor histories, and the recorded waveform. A slot holds
+    /// no per-step scratch, so nothing is left out: the RHS and guess live
+    /// in the set step's packed lanes, rebuilt every step before any read.
     pub fn state(&self) -> SlotState {
         SlotState {
             seed: self.seed,

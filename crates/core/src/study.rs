@@ -78,6 +78,7 @@ pub fn convergence_study(backend: &Backend, cfg: &StudyConfig) -> ConvergenceStu
     let mut slot = CaseSlot::with_seed(backend, &run_cfg, cfg.seed, cfg.warmup_steps + 1, 0);
     let mut scratch = RhsScratch::new(n);
     let (mut ab, mut work) = (Vec::new(), vec![0.0; n]);
+    let (mut rhs, mut guess) = (vec![0.0; n], vec![0.0; n]);
     let op = backend.ebe_a(1);
     let solve_cfg = CgConfig {
         tol: cfg.tol,
@@ -88,11 +89,11 @@ pub fn convergence_study(backend: &Backend, cfg: &StudyConfig) -> ConvergenceStu
     // warm up with the standard data-driven-accelerated loop so the
     // snapshot history reflects a realistic mid-simulation state
     for step in 0..cfg.warmup_steps {
-        slot.build_rhs(backend, &mut scratch);
+        slot.build_rhs(backend, &mut rhs, &mut scratch);
         let s = slot.available_s().min(s_max);
-        slot.prepare_guess(backend, s, &mut ab, &mut work);
-        let mut x = slot.guess.clone();
-        let stats = pcg(&op, &backend.precond, &slot.rhs, &mut x, &solve_cfg);
+        slot.prepare_guess(backend, s, &mut guess, &mut ab, &mut work);
+        let mut x = guess.clone();
+        let stats = pcg(&op, &backend.precond, &rhs, &mut x, &solve_cfg);
         assert!(stats.converged, "warmup CG failed at step {step}");
         slot.advance(backend, &mut x, &ab, &mut work, None);
     }
@@ -112,13 +113,13 @@ pub fn convergence_study(backend: &Backend, cfg: &StudyConfig) -> ConvergenceStu
     );
     let results = guesses
         .map(|(label, s)| {
-            slot.build_rhs(backend, &mut scratch);
-            slot.prepare_guess(backend, s.unwrap_or(0), &mut ab, &mut work);
+            slot.build_rhs(backend, &mut rhs, &mut scratch);
+            slot.prepare_guess(backend, s.unwrap_or(0), &mut guess, &mut ab, &mut work);
             let mut x = match s {
-                Some(_) => slot.guess.clone(),
+                Some(_) => guess.clone(),
                 None => vec![0.0; n],
             };
-            let stats = pcg(&op, &backend.precond, &slot.rhs, &mut x, &solve_cfg);
+            let stats = pcg(&op, &backend.precond, &rhs, &mut x, &solve_cfg);
             GuessResult {
                 label,
                 initial_rel_res: stats.initial_rel_res,

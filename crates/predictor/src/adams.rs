@@ -101,8 +101,11 @@ impl AdamsState {
             out.copy_from_slice(u_prev);
             return false;
         }
-        let refs: Vec<&[f64]> = self.hist.iter().map(|v| v.as_slice()).collect();
-        adams_bashforth(u_prev, &refs, dt, out);
+        let mut refs: [&[f64]; 4] = [&[]; 4];
+        for (r, v) in refs.iter_mut().zip(&self.hist) {
+            *r = v;
+        }
+        adams_bashforth(u_prev, &refs[..self.hist.len()], dt, out);
         true
     }
 }

@@ -23,11 +23,14 @@
 //! guards of `hetsolve-core` never copy the history, and a column is
 //! covered from the moment it is recorded.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};
 
 use hetsolve_crc::Crc32;
 use hetsolve_sparse::KernelCounts;
+
+use crate::mgs::MgsQr;
 
 /// Snapshot store + per-region prediction.
 #[derive(Debug, Clone)]
@@ -58,6 +61,53 @@ fn xor_into(parity: &mut [u64], col: &[f64]) {
     for (p, v) in parity.iter_mut().zip(col) {
         *p ^= v.to_bits();
     }
+}
+
+/// One pool thread's working storage for a region's prediction: the MGS
+/// factor, its running residual, and the projection and weight vectors.
+/// Grown once to the largest region and window a thread has seen, then
+/// reused by every region it runs.
+#[derive(Default)]
+struct Scratch {
+    qr: MgsQr,
+    work: Vec<f64>,
+    c: Vec<f64>,
+    w: Vec<f64>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Run `f` on this thread's [`Scratch`], sized for regions of up to `m`
+/// rows and windows of up to `s` columns.
+fn with_scratch<T>(m: usize, s: usize, f: impl FnOnce(&mut Scratch) -> T) -> T {
+    SCRATCH.with(|cell| {
+        // a prediction never re-enters another on its thread
+        let sc = &mut *cell.borrow_mut();
+        if sc.work.len() < m {
+            sc.work.resize(m, 0.0);
+        }
+        grow(&mut sc.qr.q, m * s);
+        grow(&mut sc.qr.r, s * s);
+        grow(&mut sc.qr.kept, s);
+        grow(&mut sc.c, s);
+        grow(&mut sc.w, s);
+        f(sc)
+    })
+}
+
+/// Make room for `cap` entries in `v`, exactly, if it has less.
+fn grow<T>(v: &mut Vec<T>, cap: usize) {
+    if v.capacity() < cap {
+        v.reserve_exact(cap - v.len());
+    }
+}
+
+/// `v` as `len` zeros, in its own storage.
+fn refill(v: &mut Vec<f64>, len: usize) {
+    v.clear();
+    v.resize(len, 0.0);
 }
 
 impl DataDrivenPredictor {
@@ -212,11 +262,14 @@ impl DataDrivenPredictor {
         self.n_dofs.div_ceil(self.region_dofs)
     }
 
-    /// Bytes held by the snapshot history — the CPU-memory footprint that
-    /// limits `s` (the paper stores 32 steps in 480 GB but only 11 in
+    /// Bytes held by the snapshot history and its checks — the columns,
+    /// the parity column and the per-column CRCs: the CPU-memory footprint
+    /// that limits `s` (the paper stores 32 steps in 480 GB but only 11 in
     /// 128 GB).
     pub fn memory_bytes(&self) -> usize {
         self.history.len() * self.n_dofs * std::mem::size_of::<f64>()
+            + self.parity.len() * std::mem::size_of::<u64>()
+            + self.crcs.len() * std::mem::size_of::<u32>()
     }
 
     /// Memory needed for window `s` at `n_dofs` unknowns (static helper for
@@ -236,38 +289,33 @@ impl DataDrivenPredictor {
         }
         let h = &self.history;
         let len = h.len();
-        // columns: X_i = h[len-1-s+i], Y_i = h[len-s+i], input = h[len-1]
-        let rdofs = self.region_dofs;
+        // columns: X_i = h[len-1-s+i], Y_i = h[len-s+i], input = h[len-1],
+        // each read in place
+        let (rdofs, s_max, tol) = (self.region_dofs, self.s_max, self.tol);
         // one region per pool chunk: regions share nothing but the history
         hetsolve_pool::for_each_mut([(out, rdofs)], |reg, [out_r]| {
             let lo = reg * rdofs;
             let m = out_r.len();
-            // local snapshot matrices, column-major
-            let mut x = vec![0.0; m * s];
-            let mut y = vec![0.0; m * s];
-            for i in 0..s {
-                x[i * m..(i + 1) * m].copy_from_slice(&h[len - 1 - s + i][lo..lo + m]);
-                y[i * m..(i + 1) * m].copy_from_slice(&h[len - s + i][lo..lo + m]);
-            }
-            let qr = crate::mgs::mgs_qr(&x, m, s, self.tol);
-            if qr.rank() == 0 {
+            let window = |col: usize| &h[col][lo..lo + m];
+            with_scratch(rdofs, s_max, |Scratch { qr, work, c, w }| {
+                qr.factor(|i| window(len - 1 - s + i), m, s, tol, &mut work[..m]);
+                if qr.rank() == 0 {
+                    out_r.fill(0.0);
+                    return;
+                }
+                refill(c, qr.rank());
+                qr.project(window(len - 1), c);
+                refill(w, s);
+                qr.back_substitute(c, w);
                 out_r.fill(0.0);
-                return;
-            }
-            let input = &h[len - 1][lo..lo + m];
-            let mut c = vec![0.0; qr.rank()];
-            qr.project(input, &mut c);
-            let mut w = vec![0.0; s];
-            qr.back_substitute(&c, &mut w);
-            out_r.fill(0.0);
-            for i in 0..s {
-                if w[i] != 0.0 {
-                    let ycol = &y[i * m..(i + 1) * m];
-                    for (o, yv) in out_r.iter_mut().zip(ycol) {
-                        *o += w[i] * yv;
+                for i in 0..s {
+                    if w[i] != 0.0 {
+                        for (o, yv) in out_r.iter_mut().zip(window(len - s + i)) {
+                            *o += w[i] * yv;
+                        }
                     }
                 }
-            }
+            });
         });
         true
     }
@@ -322,19 +370,18 @@ impl DataDrivenPredictor {
         }
         let rdofs = self.region_dofs;
         let mut worst = 0.0f64;
-        for reg in 0..self.n_regions() {
-            let lo = reg * rdofs;
-            let m = rdofs.min(self.n_dofs - lo);
-            let mut x = vec![0.0; m * s];
-            for i in 0..s {
-                x[i * m..(i + 1) * m].copy_from_slice(&h[len - 1 - s + i][lo..lo + m]);
+        with_scratch(rdofs, self.s_max, |Scratch { qr, work, .. }| {
+            for reg in 0..self.n_regions() {
+                let lo = reg * rdofs;
+                let m = rdofs.min(self.n_dofs - lo);
+                let window = |i: usize| &h[len - 1 - s + i][lo..lo + m];
+                qr.factor(window, m, s, self.tol, &mut work[..m]);
+                worst = worst.max(qr.orthogonality_defect());
+                if !worst.is_finite() {
+                    break;
+                }
             }
-            let qr = crate::mgs::mgs_qr(&x, m, s, self.tol);
-            worst = worst.max(qr.orthogonality_defect());
-            if !worst.is_finite() {
-                break;
-            }
-        }
+        });
         Some(worst)
     }
 }
@@ -441,7 +488,8 @@ mod tests {
             p.record(&vec![k as f64; n]);
         }
         assert_eq!(p.available_s(), 4);
-        assert_eq!(p.memory_bytes(), 5 * n * 8);
+        // five columns, the parity column and five CRCs
+        assert_eq!(p.memory_bytes(), 5 * n * 8 + n * 8 + 5 * 4);
         assert_eq!(DataDrivenPredictor::bytes_for(n, 4), 5 * n * 8);
     }
 
@@ -643,6 +691,106 @@ mod tests {
         assert_eq!(q.corrupt_columns(false), [0, 2]);
         assert!(!q.repair_column(0) && !q.repair_column(2));
         assert_eq!(bits(&q), before);
+    }
+
+    /// The oracle of the copy-free `predict`: per region, `X` and `Y`
+    /// copied out contiguously and factored by `mgs_qr` in fresh storage.
+    fn predict_from_copies(p: &DataDrivenPredictor, s: usize, out: &mut [f64]) {
+        let h: Vec<&[f64]> = p.history_cols().collect();
+        let (len, rdofs) = (h.len(), p.region_dofs);
+        for (reg, out_r) in out.chunks_mut(rdofs).enumerate() {
+            let (lo, m) = (reg * rdofs, out_r.len());
+            let (mut x, mut y) = (vec![0.0; m * s], vec![0.0; m * s]);
+            for i in 0..s {
+                x[i * m..(i + 1) * m].copy_from_slice(&h[len - 1 - s + i][lo..lo + m]);
+                y[i * m..(i + 1) * m].copy_from_slice(&h[len - s + i][lo..lo + m]);
+            }
+            let qr = crate::mgs::mgs_qr(&x, m, s, p.tol);
+            out_r.fill(0.0);
+            if qr.rank() == 0 {
+                continue;
+            }
+            let mut c = vec![0.0; qr.rank()];
+            qr.project(&h[len - 1][lo..lo + m], &mut c);
+            let mut w = vec![0.0; s];
+            qr.back_substitute(&c, &mut w);
+            for i in 0..s {
+                if w[i] != 0.0 {
+                    for (o, yv) in out_r.iter_mut().zip(&y[i * m..(i + 1) * m]) {
+                        *o += w[i] * yv;
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`DataDrivenPredictor::basis_defect`] from contiguous copies.
+    fn basis_defect_from_copies(p: &DataDrivenPredictor, s: usize) -> f64 {
+        let h: Vec<&[f64]> = p.history_cols().collect();
+        let (len, rdofs) = (h.len(), p.region_dofs);
+        let mut worst = 0.0f64;
+        for lo in (0..p.n_dofs).step_by(rdofs) {
+            let m = rdofs.min(p.n_dofs - lo);
+            let x: Vec<f64> = (0..s)
+                .flat_map(|i| h[len - 1 - s + i][lo..lo + m].iter().copied())
+                .collect();
+            worst = worst.max(crate::mgs::mgs_qr(&x, m, s, p.tol).orthogonality_defect());
+        }
+        worst
+    }
+
+    /// The copy-free prediction is bitwise the prediction from contiguous
+    /// copies: across ring wrap-around, at `s = 1` and `s = s_max`, with a
+    /// rank-deficient window and a short last region, called again and
+    /// again on pools of one and two threads, whose per-thread scratch
+    /// carries over from call to call and from predictor to predictor.
+    #[test]
+    fn copy_free_predict_is_bitwise_the_copied_one() {
+        let (n, s_max) = (100, 6);
+        let seq = modal_sequence(n, 4 * (s_max + 1), 3);
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let check = |p: &DataDrivenPredictor, what: &str| {
+            for s in [1, s_max / 2, s_max]
+                .into_iter()
+                .filter(|&s| s <= p.available_s())
+            {
+                let mut want = vec![0.0; n];
+                predict_from_copies(p, s, &mut want);
+                for threads in [1, 2] {
+                    let pool = hetsolve_pool::Pool::with_threads(threads);
+                    for call in 0..3 {
+                        let mut got = vec![f64::NAN; n];
+                        assert!(pool.install(|| p.predict(s, &mut got)));
+                        let at = format!("{what}, s {s}, {threads} threads, call {call}");
+                        assert_eq!(bits(&got), bits(&want), "{at}");
+                        let defect = pool.install(|| p.basis_defect(s)).expect("history");
+                        assert_eq!(defect.to_bits(), basis_defect_from_copies(p, s).to_bits());
+                    }
+                }
+            }
+        };
+        // regions of 24: the last one holds 4 DOFs
+        let mut p = DataDrivenPredictor::new(n, 24, s_max);
+        for (k, d) in seq.iter().enumerate() {
+            p.record(d);
+            if k >= 1 {
+                check(&p, &format!("record {k}"));
+            }
+        }
+        // a rank-deficient window: the same column over and over, then a
+        // repeat of two columns
+        let mut q = DataDrivenPredictor::new(n, 24, s_max);
+        for d in std::iter::repeat_n(&seq[3], 4).chain([&seq[5], &seq[3], &seq[5]]) {
+            q.record(d);
+        }
+        check(&q, "rank-deficient");
+        // a wider region than the last predictor's grows the scratch again
+        let mut wide = DataDrivenPredictor::new(n, 60, s_max);
+        for d in &seq[..s_max + 1] {
+            wide.record(d);
+        }
+        check(&wide, "regions of 60");
+        check(&p, "regions of 24 after 60");
     }
 
     #[test]

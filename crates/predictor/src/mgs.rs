@@ -8,7 +8,7 @@
 
 /// QR factorization of `s` column vectors by modified Gram-Schmidt with
 /// rank monitoring.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MgsQr {
     /// Orthonormal columns, flat column-major (`q[col * m + row]`), one per
     /// *accepted* column.
@@ -29,48 +29,72 @@ pub struct MgsQr {
 /// nearly linearly dependent snapshots.
 pub fn mgs_qr(x: &[f64], m: usize, s: usize, tol: f64) -> MgsQr {
     assert_eq!(x.len(), m * s, "expected {s} columns of length {m}");
-    let mut q: Vec<f64> = Vec::with_capacity(m * s);
-    let mut r = vec![0.0; s * s];
-    let mut kept = Vec::with_capacity(s);
-    let mut work = vec![0.0; m];
-
-    for j in 0..s {
-        work.copy_from_slice(&x[j * m..(j + 1) * m]);
-        let orig_norm = work.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if !orig_norm.is_finite() {
-            // poisoned snapshot (NaN/Inf entries): reject before the
-            // projection loop so no NaN coefficient is ever written into R.
-            continue;
-        }
-        // project out previously accepted directions (modified GS: use the
-        // running residual, not the original column)
-        for (qi, &kcol) in kept.iter().enumerate() {
-            let qcol = &q[qi * m..(qi + 1) * m];
-            let proj: f64 = qcol.iter().zip(&work).map(|(a, b)| a * b).sum();
-            r[kcol * s + j] = proj;
-            for (w, qv) in work.iter_mut().zip(qcol) {
-                *w -= proj * qv;
-            }
-        }
-        let norm = work.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if !norm.is_finite() {
-            // NaN residual norm would pass both comparisons below (NaN
-            // comparisons are false) and admit a garbage direction into Q.
-            continue;
-        }
-        if norm <= tol * orig_norm.max(f64::MIN_POSITIVE) || norm == 0.0 {
-            // dependent column: drop (its R row stays zero on the diagonal)
-            continue;
-        }
-        r[j * s + j] = norm;
-        let inv = 1.0 / norm;
-        q.extend(work.iter().map(|v| v * inv));
-        kept.push(j);
-    }
-    MgsQr { q, r, m, s, kept }
+    let mut qr = MgsQr::default();
+    qr.factor(|j| &x[j * m..(j + 1) * m], m, s, tol, &mut vec![0.0; m]);
+    qr
 }
 
 impl MgsQr {
+    /// [`mgs_qr`] of the columns `col(0) … col(s − 1)` (each `m` long),
+    /// wherever they live, into this factor's storage; `work` (`m` long)
+    /// holds the running residual. The same operations in the same order
+    /// as [`mgs_qr`] on a contiguous copy, so the same bits; no allocation
+    /// once the storage has held an `m × s` factor.
+    pub(crate) fn factor<'a>(
+        &mut self,
+        col: impl Fn(usize) -> &'a [f64],
+        m: usize,
+        s: usize,
+        tol: f64,
+        work: &mut [f64],
+    ) {
+        let MgsQr { q, r, kept, .. } = self;
+        (self.m, self.s) = (m, s);
+        q.clear();
+        q.reserve(m * s);
+        r.clear();
+        r.resize(s * s, 0.0);
+        kept.clear();
+        kept.reserve(s);
+
+        for j in 0..s {
+            work.copy_from_slice(col(j));
+            let orig_norm = work.iter().map(|v| v * v).sum::<f64>().sqrt();
+            if !orig_norm.is_finite() {
+                // poisoned snapshot (NaN/Inf entries): reject before the
+                // projection loop so no NaN coefficient is ever written
+                // into R.
+                continue;
+            }
+            // project out previously accepted directions (modified GS: use
+            // the running residual, not the original column)
+            for (qi, &kcol) in kept.iter().enumerate() {
+                let qcol = &q[qi * m..(qi + 1) * m];
+                let proj: f64 = qcol.iter().zip(&*work).map(|(a, b)| a * b).sum();
+                r[kcol * s + j] = proj;
+                for (w, qv) in work.iter_mut().zip(qcol) {
+                    *w -= proj * qv;
+                }
+            }
+            let norm = work.iter().map(|v| v * v).sum::<f64>().sqrt();
+            if !norm.is_finite() {
+                // NaN residual norm would pass both comparisons below (NaN
+                // comparisons are false) and admit a garbage direction
+                // into Q.
+                continue;
+            }
+            if norm <= tol * orig_norm.max(f64::MIN_POSITIVE) || norm == 0.0 {
+                // dependent column: drop (its R row stays zero on the
+                // diagonal)
+                continue;
+            }
+            r[j * s + j] = norm;
+            let inv = 1.0 / norm;
+            q.extend(work.iter().map(|v| v * inv));
+            kept.push(j);
+        }
+    }
+
     /// Effective rank.
     pub fn rank(&self) -> usize {
         self.kept.len()

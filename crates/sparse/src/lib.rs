@@ -41,6 +41,6 @@ pub use cg::{pcg, pcg_observed, CgConfig, CgStats};
 pub use dirichlet::FixedMask;
 pub use error::SolveError;
 pub use hetsolve_obs::{NoopObserver, ResidualLog, SolveObserver, Termination};
-pub use mcg::{mcg, mcg_masked, mcg_masked_observed, mcg_observed, McgStats};
+pub use mcg::{mcg, mcg_masked_observed, mcg_observed, McgStats, McgWorkspace};
 pub use op::{KernelCounts, LinearOperator, MultiOperator, Preconditioner, Width1};
 pub use parcheck::ColorScatter;

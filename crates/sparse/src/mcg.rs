@@ -73,29 +73,19 @@ pub fn mcg_observed<A: MultiOperator, P: Preconditioner, O: SolveObserver>(
     mcg_masked_observed(a, prec, f, x, cfg, &vec![true; a.r()], obs)
 }
 
-/// [`mcg`] over a partially-occupied fused lane. `occupied[c] == false`
-/// marks a vacant column: it never enters the active set, performs zero
-/// iterations, reports [`Termination::Converged`], and its column of `x`
-/// is left untouched. Occupied columns run the exact same arithmetic as
-/// [`mcg`] (an all-`true` mask is bitwise-identical), because every
-/// per-case quantity — dot products, alpha/beta, freeze decisions — is
-/// already computed per column.
+/// [`mcg`] over a partially-occupied fused lane, with per-iteration
+/// observation (see [`mcg_observed`]), in a workspace of its own.
+/// `occupied[c] == false` marks a vacant column: it never enters the
+/// active set, performs zero iterations, reports
+/// [`Termination::Converged`], and its column of `x` is left untouched.
+/// Occupied columns run the exact same arithmetic as [`mcg`] (an
+/// all-`true` mask is bitwise-identical), because every per-case quantity
+/// — dot products, alpha/beta, freeze decisions — is already computed per
+/// column.
 ///
 /// Callers should keep vacant columns of `f` and `x` finite (the serving
 /// layer zeroes a column when its slot is freed); non-finite garbage in a
 /// vacant column stays in that column but wastes no logic.
-pub fn mcg_masked<A: MultiOperator + ?Sized, P: Preconditioner>(
-    a: &A,
-    prec: &P,
-    f: &[f64],
-    x: &mut [f64],
-    cfg: &CgConfig,
-    occupied: &[bool],
-) -> McgStats {
-    mcg_masked_observed(a, prec, f, x, cfg, occupied, &mut NoopObserver)
-}
-
-/// [`mcg_masked`] with per-iteration observation (see [`mcg_observed`]).
 pub fn mcg_masked_observed<A: MultiOperator + ?Sized, P: Preconditioner, O: SolveObserver>(
     a: &A,
     prec: &P,
@@ -105,269 +95,368 @@ pub fn mcg_masked_observed<A: MultiOperator + ?Sized, P: Preconditioner, O: Solv
     occupied: &[bool],
     obs: &mut O,
 ) -> McgStats {
-    let n = a.n();
-    let r = a.r();
-    assert_eq!(f.len(), n * r);
-    assert_eq!(x.len(), n * r);
-    assert_eq!(occupied.len(), r);
+    let mut ws = McgWorkspace::default();
+    ws.solve(a, prec, f, x, cfg, occupied, obs);
+    ws.stats
+}
 
-    let mut counts = KernelCounts::default();
-    let vec_counts = KernelCounts {
-        flops: 10.0 * (n * r) as f64,
-        bytes_stream: 5.0 * 16.0 * (n * r) as f64,
-        bytes_rand: 0.0,
-        rand_transactions: 0.0,
-        rhs_fused: r,
-    };
-
-    let mut f_norm = vec![0.0; r];
-    dot_multi(f, f, r, &mut f_norm);
-    for v in f_norm.iter_mut() {
-        *v = v.sqrt();
-    }
-
-    // r_vec = f - A x
-    let mut r_vec = vec![0.0; n * r];
-    a.apply_multi(x, &mut r_vec);
-    counts = counts.merged(a.counts());
-    residual_multi(f, &mut r_vec);
-
-    let mut rel = vec![0.0; r];
-    let mut rr = vec![0.0; r];
-    dot_multi(&r_vec, &r_vec, r, &mut rr);
-    let mut active = vec![true; r];
-    // Per-case abnormal cause; stays None for cases that converge (or are
-    // simply capped). All guards only read values the healthy path computes
-    // anyway, so a fully-converging solve is bitwise-identical.
-    let mut abnormal: Vec<Option<Termination>> = vec![None; r];
-    for c in 0..r {
-        if !occupied[c] {
-            // vacant lane slot: never iterates, `x` column left untouched
-            rel[c] = 0.0;
-            active[c] = false;
-        } else if f_norm[c] == 0.0 {
-            // zero RHS: A is SPD, so x = 0 is the exact solution
-            for i in 0..n {
-                x[i * r + c] = 0.0;
-            }
-            rel[c] = 0.0;
-            active[c] = false;
-        } else {
-            rel[c] = rr[c].sqrt() / f_norm[c];
-            if !rel[c].is_finite() {
-                // poisoned guess or RHS for this lane: freeze it before the
-                // first fused iteration so NaN never reaches shared kernels.
-                abnormal[c] = Some(Termination::NanResidual);
-                active[c] = false;
-            } else if cfg.guess_divergence > 0.0 && rel[c] > cfg.guess_divergence {
-                // this lane's guess is beyond f64 rescue (see
-                // `CgConfig::guess_divergence`): freeze it typed instead of
-                // letting the recursive residual fake a convergence
-                abnormal[c] = Some(Termination::DivergentGuess);
-                active[c] = false;
-            } else {
-                active[c] = rel[c] >= cfg.tol;
-            }
+impl Default for McgStats {
+    fn default() -> Self {
+        McgStats {
+            fused_iterations: 0,
+            case_iterations: Vec::new(),
+            initial_rel_res: Vec::new(),
+            final_rel_res: Vec::new(),
+            converged: true,
+            termination: Termination::Converged,
+            case_termination: Vec::new(),
+            counts: KernelCounts::default(),
         }
     }
-    let initial_rel_res = rel.clone();
-    let mut case_iterations = vec![0usize; r];
-    obs.solve_begin(n, r, &rel);
+}
 
-    let mut z = vec![0.0; n * r];
-    let mut p = vec![0.0; n * r];
-    let mut q = vec![0.0; n * r];
-    let mut rho_prev = vec![0.0; r];
-    let mut rho = vec![0.0; r];
-    let mut pq = vec![0.0; r];
-    let mut alpha = vec![0.0; r];
-    let mut beta = vec![0.0; r];
-    let mut fused_iterations = 0usize;
-    // Stagnation tracking: per-case strict best-so-far with a deadline.
-    let mut best_rel = rel.clone();
-    let mut since_improve = vec![0usize; r];
-    // Invariant-sentinel scratch, allocated lazily so the sentinel-off path
-    // performs zero extra work. `norm_ref[c] == 0.0` means the reference
-    // norm for case `c` has not been captured yet.
-    let mut true_r: Vec<f64> = Vec::new();
-    let mut rel_true = vec![0.0; if cfg.sentinel_every > 0 { r } else { 0 }];
-    let mut norm_ref: Vec<f64> = vec![0.0; if cfg.norm_bound > 0.0 { r } else { 0 }];
-    let sentinel_drift = if cfg.sentinel_drift > 0.0 {
-        cfg.sentinel_drift
-    } else {
-        DEFAULT_SENTINEL_DRIFT
-    };
-    // Recompute per-case true residuals `‖f_c − A x_c‖ / ‖f_c‖` into
-    // solver-private scratch for the cases selected by `check`. Read-only
-    // on all iteration state; the applies are deliberately NOT merged into
-    // `counts` so the modeled timeline is unchanged by detection.
-    let audit = |x: &[f64], check: &[bool], true_r: &mut Vec<f64>, rel_true: &mut [f64]| {
-        if true_r.is_empty() {
-            *true_r = vec![0.0; n * r];
-        }
-        a.apply_multi(x, true_r);
-        let mut sq = vec![0.0; r];
-        for i in 0..n {
-            for c in 0..r {
-                if check[c] {
-                    let d = f[i * r + c] - true_r[i * r + c];
-                    sq[c] += d * d;
-                }
-            }
-        }
-        for c in 0..r {
-            if check[c] {
-                rel_true[c] = sq[c].sqrt() / f_norm[c];
-            }
-        }
-    };
+/// The working storage of an MCG solve: three `n·r` multi-vectors, the
+/// per-case scalars and the stats of the last solve. An owner that solves
+/// again and again (the set step) keeps one and lends it to every solve,
+/// so a warm solve allocates nothing; a solve in a reused workspace has
+/// the bits of one in a fresh workspace, because every value is written
+/// before it is read.
+///
+/// The residual `r` and the direction `p` live through the whole solve.
+/// The preconditioned residual `z` and the operator output `q` share one
+/// buffer: `z` is dead once `xpby` has read it, before the apply writes
+/// `q`, and `q` is dead after `cg_update`, so the sentinel's audits write
+/// `A·x` into the same buffer.
+#[derive(Debug, Default)]
+pub struct McgWorkspace {
+    r: Vec<f64>,
+    p: Vec<f64>,
+    zq: Vec<f64>,
+    f_norm: Vec<f64>,
+    rel: Vec<f64>,
+    rr: Vec<f64>,
+    active: Vec<bool>,
+    /// Per-case abnormal cause; stays `None` for cases that converge (or
+    /// are simply capped).
+    abnormal: Vec<Option<Termination>>,
+    rho_prev: Vec<f64>,
+    rho: Vec<f64>,
+    pq: Vec<f64>,
+    alpha: Vec<f64>,
+    beta: Vec<f64>,
+    /// Stagnation tracking: per-case strict best-so-far with a deadline.
+    best_rel: Vec<f64>,
+    since_improve: Vec<usize>,
+    /// The sentinel's true residuals, squared sums and audited cases.
+    rel_true: Vec<f64>,
+    sq: Vec<f64>,
+    check: Vec<bool>,
+    /// `norm_ref[c] == 0.0`: case `c`'s reference norm is not captured yet.
+    norm_ref: Vec<f64>,
+    stats: McgStats,
+}
 
-    while active.iter().any(|&a| a) && fused_iterations < cfg.max_iter {
-        prec.apply_multi_dot(&r_vec, &mut z, r, &mut rho);
-        counts = counts.merged(prec.counts().scaled(r as f64));
-        for c in 0..r {
-            if !active[c] {
-                continue;
-            }
-            if !rho[c].is_finite() {
-                // NaN/Inf entered this lane mid-flight: freeze it so the
-                // poison cannot reach alpha/beta of the shared iteration.
-                abnormal[c] = Some(Termination::NanResidual);
-                active[c] = false;
-            } else if rho[c] <= 0.0 {
-                // zᵀr lost positivity: the preconditioner is not SPD for
-                // this lane's residual.
-                abnormal[c] = Some(Termination::RhoBreakdown);
-                active[c] = false;
-            }
+/// `v` as `len` copies of `value`, in its own storage.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
+}
+
+impl McgWorkspace {
+    /// The stats of the last solve run in this workspace.
+    pub fn stats(&self) -> &McgStats {
+        &self.stats
+    }
+
+    /// An idle multi-vector of `len` entries for the owner to use between
+    /// solves (its contents are unspecified; the next solve overwrites it).
+    pub fn buffer(&mut self, len: usize) -> &mut [f64] {
+        self.zq.resize(len, 0.0);
+        &mut self.zq
+    }
+
+    /// [`mcg_masked_observed`] in this workspace: the same arithmetic, the
+    /// same bits, no allocation once the workspace has held a solve of
+    /// this `n·r`. Returns the solve's stats.
+    #[allow(clippy::too_many_arguments)]
+    pub fn solve<A: MultiOperator + ?Sized, P: Preconditioner, O: SolveObserver>(
+        &mut self,
+        a: &A,
+        prec: &P,
+        f: &[f64],
+        x: &mut [f64],
+        cfg: &CgConfig,
+        occupied: &[bool],
+        obs: &mut O,
+    ) -> &McgStats {
+        let n = a.n();
+        let r = a.r();
+        assert_eq!(f.len(), n * r);
+        assert_eq!(x.len(), n * r);
+        assert_eq!(occupied.len(), r);
+        let McgWorkspace {
+            r: r_vec,
+            p,
+            zq,
+            f_norm,
+            rel,
+            rr,
+            active,
+            abnormal,
+            rho_prev,
+            rho,
+            pq,
+            alpha,
+            beta,
+            best_rel,
+            since_improve,
+            rel_true,
+            sq,
+            check,
+            norm_ref,
+            stats,
+        } = self;
+        // every multi-vector entry is written before it is read
+        for v in [&mut *r_vec, &mut *p, &mut *zq] {
+            v.resize(n * r, 0.0);
         }
-        if fused_iterations == 0 {
-            p.copy_from_slice(&z);
-        } else {
-            for c in 0..r {
-                beta[c] = if active[c] && rho_prev[c] != 0.0 {
-                    rho[c] / rho_prev[c]
-                } else {
-                    0.0
-                };
-            }
-            xpby_multi(&z, &beta, &mut p, r, &active);
+        for v in [
+            &mut *f_norm,
+            &mut *rel,
+            &mut *rr,
+            &mut *rho_prev,
+            &mut *rho,
+            &mut *pq,
+            &mut *alpha,
+            &mut *beta,
+        ] {
+            refill(v, r, 0.0);
         }
-        a.apply_multi(&p, &mut q);
-        counts = counts.merged(a.counts()).merged(vec_counts);
-        dot_multi(&p, &q, r, &mut pq);
+        refill(rel_true, r, 0.0);
+        refill(norm_ref, r, 0.0);
+        refill(sq, r, 0.0);
+        refill(active, r, true);
+        refill(abnormal, r, None);
+        refill(since_improve, r, 0);
+
+        let mut counts = KernelCounts::default();
+        let vec_counts = KernelCounts {
+            flops: 10.0 * (n * r) as f64,
+            bytes_stream: 5.0 * 16.0 * (n * r) as f64,
+            bytes_rand: 0.0,
+            rand_transactions: 0.0,
+            rhs_fused: r,
+        };
+
+        dot_multi(f, f, r, f_norm);
+        for v in f_norm.iter_mut() {
+            *v = v.sqrt();
+        }
+
+        // r_vec = f - A x
+        a.apply_multi(x, r_vec);
+        counts = counts.merged(a.counts());
+        residual_multi(f, r_vec);
+
+        dot_multi(r_vec, r_vec, r, rr);
+        // All guards only read values the healthy path computes anyway, so
+        // a fully-converging solve is bitwise-identical.
         for c in 0..r {
-            if active[c] {
-                if !pq[c].is_finite() {
-                    // NaN direction: freeze before alpha poisons the lane
-                    abnormal[c] = Some(Termination::NanResidual);
-                    active[c] = false;
-                    alpha[c] = 0.0;
-                } else if pq[c] <= 0.0 {
-                    // numerical breakdown for this case: freeze it
-                    abnormal[c] = Some(Termination::Breakdown);
-                    active[c] = false;
-                    alpha[c] = 0.0;
-                } else {
-                    alpha[c] = rho[c] / pq[c];
+            if !occupied[c] {
+                // vacant lane slot: never iterates, `x` column left untouched
+                rel[c] = 0.0;
+                active[c] = false;
+            } else if f_norm[c] == 0.0 {
+                // zero RHS: A is SPD, so x = 0 is the exact solution
+                for i in 0..n {
+                    x[i * r + c] = 0.0;
                 }
+                rel[c] = 0.0;
+                active[c] = false;
             } else {
-                alpha[c] = 0.0;
-            }
-        }
-        cg_update_multi(&alpha, &p, &q, x, &mut r_vec, r, &active, &mut rr);
-        rho_prev.copy_from_slice(&rho);
-        fused_iterations += 1;
-
-        for c in 0..r {
-            if active[c] {
-                case_iterations[c] = fused_iterations;
                 rel[c] = rr[c].sqrt() / f_norm[c];
-                if rel[c] < cfg.tol {
-                    active[c] = false;
-                } else if !rel[c].is_finite() {
+                if !rel[c].is_finite() {
+                    // poisoned guess or RHS for this lane: freeze it before
+                    // the first fused iteration so NaN never reaches shared
+                    // kernels.
                     abnormal[c] = Some(Termination::NanResidual);
                     active[c] = false;
-                } else if cfg.stagnation_window > 0 {
-                    if rel[c] < best_rel[c] {
-                        best_rel[c] = rel[c];
-                        since_improve[c] = 0;
+                } else if cfg.guess_divergence > 0.0 && rel[c] > cfg.guess_divergence {
+                    // this lane's guess is beyond f64 rescue (see
+                    // `CgConfig::guess_divergence`): freeze it typed instead
+                    // of letting the recursive residual fake a convergence
+                    abnormal[c] = Some(Termination::DivergentGuess);
+                    active[c] = false;
+                } else {
+                    active[c] = rel[c] >= cfg.tol;
+                }
+            }
+        }
+        stats.initial_rel_res.clone_from(rel);
+        let case_iterations = &mut stats.case_iterations;
+        refill(case_iterations, r, 0);
+        obs.solve_begin(n, r, rel);
+
+        let mut fused_iterations = 0usize;
+        best_rel.clone_from(rel);
+        let sentinel_drift = if cfg.sentinel_drift > 0.0 {
+            cfg.sentinel_drift
+        } else {
+            DEFAULT_SENTINEL_DRIFT
+        };
+
+        while active.iter().any(|&a| a) && fused_iterations < cfg.max_iter {
+            let z = &mut *zq;
+            prec.apply_multi_dot(r_vec, z, r, rho);
+            counts = counts.merged(prec.counts().scaled(r as f64));
+            for c in 0..r {
+                if !active[c] {
+                    continue;
+                }
+                if !rho[c].is_finite() {
+                    // NaN/Inf entered this lane mid-flight: freeze it so the
+                    // poison cannot reach alpha/beta of the shared iteration.
+                    abnormal[c] = Some(Termination::NanResidual);
+                    active[c] = false;
+                } else if rho[c] <= 0.0 {
+                    // zᵀr lost positivity: the preconditioner is not SPD for
+                    // this lane's residual.
+                    abnormal[c] = Some(Termination::RhoBreakdown);
+                    active[c] = false;
+                }
+            }
+            if fused_iterations == 0 {
+                p.copy_from_slice(z);
+            } else {
+                for c in 0..r {
+                    beta[c] = if active[c] && rho_prev[c] != 0.0 {
+                        rho[c] / rho_prev[c]
                     } else {
-                        since_improve[c] += 1;
-                        if since_improve[c] >= cfg.stagnation_window {
-                            abnormal[c] = Some(Termination::Stagnation);
+                        0.0
+                    };
+                }
+                xpby_multi(z, beta, p, r, active);
+            }
+            // z is dead: its buffer takes q
+            let q = &mut *zq;
+            a.apply_multi(p, q);
+            counts = counts.merged(a.counts()).merged(vec_counts);
+            dot_multi(p, q, r, pq);
+            for c in 0..r {
+                if active[c] {
+                    if !pq[c].is_finite() {
+                        // NaN direction: freeze before alpha poisons the lane
+                        abnormal[c] = Some(Termination::NanResidual);
+                        active[c] = false;
+                        alpha[c] = 0.0;
+                    } else if pq[c] <= 0.0 {
+                        // numerical breakdown for this case: freeze it
+                        abnormal[c] = Some(Termination::Breakdown);
+                        active[c] = false;
+                        alpha[c] = 0.0;
+                    } else {
+                        alpha[c] = rho[c] / pq[c];
+                    }
+                } else {
+                    alpha[c] = 0.0;
+                }
+            }
+            cg_update_multi(alpha, p, q, x, r_vec, r, active, rr);
+            rho_prev.copy_from_slice(rho);
+            fused_iterations += 1;
+
+            for c in 0..r {
+                if active[c] {
+                    case_iterations[c] = fused_iterations;
+                    rel[c] = rr[c].sqrt() / f_norm[c];
+                    if rel[c] < cfg.tol {
+                        active[c] = false;
+                    } else if !rel[c].is_finite() {
+                        abnormal[c] = Some(Termination::NanResidual);
+                        active[c] = false;
+                    } else if cfg.stagnation_window > 0 {
+                        if rel[c] < best_rel[c] {
+                            best_rel[c] = rel[c];
+                            since_improve[c] = 0;
+                        } else {
+                            since_improve[c] += 1;
+                            if since_improve[c] >= cfg.stagnation_window {
+                                abnormal[c] = Some(Termination::Stagnation);
+                                active[c] = false;
+                            }
+                        }
+                    }
+                }
+            }
+            if cfg.sentinel_every > 0
+                && fused_iterations.is_multiple_of(cfg.sentinel_every)
+                && active.iter().any(|&a| a)
+            {
+                // ABFT invariant sentinel (`CgConfig::sentinel_every`):
+                // per-case true-residual drift and bounded-norm guards over
+                // the still-active lanes. A lane that stagnation just froze
+                // is no longer audited: stagnation is judged before the
+                // tick. q is dead: its buffer takes A·x.
+                audit(a, f, x, f_norm, active, zq, sq, rel_true);
+                for c in 0..r {
+                    if !active[c] {
+                        continue;
+                    }
+                    if !rel_true[c].is_finite()
+                        || rel_true[c] > sentinel_drift * rel[c].max(cfg.tol)
+                    {
+                        abnormal[c] = Some(Termination::ResidualDrift);
+                        active[c] = false;
+                    } else if cfg.norm_bound > 0.0 {
+                        let mut sq = 0.0;
+                        for i in 0..n {
+                            sq += x[i * r + c] * x[i * r + c];
+                        }
+                        let nx = sq.sqrt();
+                        if norm_ref[c] == 0.0 {
+                            norm_ref[c] = nx.max(1.0);
+                        }
+                        if !nx.is_finite() || nx > cfg.norm_bound * norm_ref[c] {
+                            abnormal[c] = Some(Termination::NormExploded);
                             active[c] = false;
                         }
                     }
                 }
             }
+            obs.iteration(fused_iterations, rel);
         }
-        if cfg.sentinel_every > 0
-            && fused_iterations.is_multiple_of(cfg.sentinel_every)
-            && active.iter().any(|&a| a)
-        {
-            // ABFT invariant sentinel (`CgConfig::sentinel_every`): per-case
-            // true-residual drift and bounded-norm guards over the
-            // still-active lanes. A lane that stagnation just froze is no
-            // longer audited: stagnation is judged before the tick.
-            audit(x, &active, &mut true_r, &mut rel_true);
-            for c in 0..r {
-                if !active[c] {
-                    continue;
-                }
-                if !rel_true[c].is_finite() || rel_true[c] > sentinel_drift * rel[c].max(cfg.tol) {
-                    abnormal[c] = Some(Termination::ResidualDrift);
-                    active[c] = false;
-                } else if cfg.norm_bound > 0.0 {
-                    let mut sq = 0.0;
-                    for i in 0..n {
-                        sq += x[i * r + c] * x[i * r + c];
-                    }
-                    let nx = sq.sqrt();
-                    if norm_ref[c] == 0.0 {
-                        norm_ref[c] = nx.max(1.0);
-                    }
-                    if !nx.is_finite() || nx > cfg.norm_bound * norm_ref[c] {
-                        abnormal[c] = Some(Termination::NormExploded);
-                        active[c] = false;
-                    }
-                }
-            }
-        }
-        obs.iteration(fused_iterations, &rel);
-    }
 
-    if cfg.sentinel_every > 0 && fused_iterations > 0 {
-        // Exit audit: never report Converged on a corrupted iterate. A flip
-        // that shrinks the recursive residual below tol is the one
-        // corruption the periodic tick can miss, so lanes that claim
-        // convergence are verified once against the true residual
-        // (read-only, uncounted, like the tick).
-        let check: Vec<bool> = (0..r)
-            .map(|c| {
+        if cfg.sentinel_every > 0 && fused_iterations > 0 {
+            // Exit audit: never report Converged on a corrupted iterate. A
+            // flip that shrinks the recursive residual below tol is the one
+            // corruption the periodic tick can miss, so lanes that claim
+            // convergence are verified once against the true residual
+            // (read-only, uncounted, like the tick).
+            check.clear();
+            check.extend((0..r).map(|c| {
                 occupied[c]
                     && f_norm[c] != 0.0
                     && abnormal[c].is_none()
                     && rel[c] < cfg.tol
                     && case_iterations[c] > 0
-            })
-            .collect();
-        if check.iter().any(|&c| c) {
-            audit(x, &check, &mut true_r, &mut rel_true);
-            for c in 0..r {
-                if check[c] && (!rel_true[c].is_finite() || rel_true[c] > sentinel_drift * cfg.tol)
-                {
-                    abnormal[c] = Some(Termination::ResidualDrift);
+            }));
+            if check.iter().any(|&c| c) {
+                audit(a, f, x, f_norm, check, zq, sq, rel_true);
+                for c in 0..r {
+                    if check[c]
+                        && (!rel_true[c].is_finite() || rel_true[c] > sentinel_drift * cfg.tol)
+                    {
+                        abnormal[c] = Some(Termination::ResidualDrift);
+                    }
                 }
             }
         }
-    }
 
-    // Per-case classification: the recorded abnormal cause wins (the exit
-    // audit can veto a lane whose recursive residual claims convergence),
-    // then convergence, then the iteration cap.
-    let case_termination: Vec<Termination> = (0..r)
-        .map(|c| {
+        // Per-case classification: the recorded abnormal cause wins (the
+        // exit audit can veto a lane whose recursive residual claims
+        // convergence), then convergence, then the iteration cap.
+        stats.case_termination.clear();
+        stats.case_termination.extend((0..r).map(|c| {
             if !occupied[c] || f_norm[c] == 0.0 {
                 Termination::Converged
             } else if let Some(t) = abnormal[c] {
@@ -377,41 +466,73 @@ pub fn mcg_masked_observed<A: MultiOperator + ?Sized, P: Preconditioner, O: Solv
             } else {
                 Termination::MaxIter
             }
-        })
-        .collect();
-    let converged = case_termination
-        .iter()
-        .all(|t| *t == Termination::Converged);
-    // Most severe failure across lanes decides the fused cause.
-    let severity = |t: &Termination| match t {
-        // corruption signals outrank everything: they mean the numbers in
-        // hand cannot be trusted, not merely that convergence is slow
-        Termination::ResidualDrift => 8,
-        Termination::NormExploded => 7,
-        Termination::NanResidual => 6,
-        Termination::RhoBreakdown => 5,
-        Termination::Breakdown => 4,
-        Termination::DivergentGuess => 3,
-        Termination::Stagnation => 2,
-        Termination::MaxIter => 1,
-        Termination::Converged => 0,
-    };
-    let termination = case_termination
-        .iter()
-        .copied()
-        .max_by_key(severity)
-        .unwrap_or(Termination::Converged);
-    obs.solve_end(fused_iterations, termination);
+        }));
+        let converged = stats
+            .case_termination
+            .iter()
+            .all(|t| *t == Termination::Converged);
+        // Most severe failure across lanes decides the fused cause.
+        let severity = |t: &Termination| match t {
+            // corruption signals outrank everything: they mean the numbers
+            // in hand cannot be trusted, not merely that convergence is slow
+            Termination::ResidualDrift => 8,
+            Termination::NormExploded => 7,
+            Termination::NanResidual => 6,
+            Termination::RhoBreakdown => 5,
+            Termination::Breakdown => 4,
+            Termination::DivergentGuess => 3,
+            Termination::Stagnation => 2,
+            Termination::MaxIter => 1,
+            Termination::Converged => 0,
+        };
+        let termination = stats
+            .case_termination
+            .iter()
+            .copied()
+            .max_by_key(severity)
+            .unwrap_or(Termination::Converged);
+        obs.solve_end(fused_iterations, termination);
 
-    McgStats {
-        fused_iterations,
-        case_iterations,
-        initial_rel_res,
-        final_rel_res: rel.clone(),
-        converged,
-        termination,
-        case_termination,
-        counts,
+        stats.fused_iterations = fused_iterations;
+        stats.final_rel_res.clone_from(rel);
+        stats.converged = converged;
+        stats.termination = termination;
+        stats.counts = counts;
+        stats
+    }
+}
+
+/// Recompute per-case true residuals `‖f_c − A x_c‖ / ‖f_c‖` of the cases
+/// `check` selects into `rel_true`, through `ax` (receives `A·x`) and `sq`
+/// (per-case sums). Read-only on all iteration state; the apply is
+/// deliberately NOT merged into the solve's counts so the modeled timeline
+/// is unchanged by detection.
+#[allow(clippy::too_many_arguments)]
+fn audit<A: MultiOperator + ?Sized>(
+    a: &A,
+    f: &[f64],
+    x: &[f64],
+    f_norm: &[f64],
+    check: &[bool],
+    ax: &mut [f64],
+    sq: &mut [f64],
+    rel_true: &mut [f64],
+) {
+    let (n, r) = (a.n(), a.r());
+    a.apply_multi(x, ax);
+    sq.fill(0.0);
+    for i in 0..n {
+        for c in 0..r {
+            if check[c] {
+                let d = f[i * r + c] - ax[i * r + c];
+                sq[c] += d * d;
+            }
+        }
+    }
+    for c in 0..r {
+        if check[c] {
+            rel_true[c] = sq[c].sqrt() / f_norm[c];
+        }
     }
 }
 
@@ -671,7 +792,15 @@ mod tests {
         let mut x_plain = vec![0.0; n * r];
         let s_plain = mcg(&multi, &prec, &f, &mut x_plain, &cfg);
         let mut x_masked = vec![0.0; n * r];
-        let s_masked = mcg_masked(&multi, &prec, &f, &mut x_masked, &cfg, &[true; 4]);
+        let s_masked = mcg_masked_observed(
+            &multi,
+            &prec,
+            &f,
+            &mut x_masked,
+            &cfg,
+            &[true; 4],
+            &mut NoopObserver,
+        );
         assert_eq!(s_plain.fused_iterations, s_masked.fused_iterations);
         assert_eq!(s_plain.case_iterations, s_masked.case_iterations);
         for i in 0..n * r {
@@ -706,7 +835,15 @@ mod tests {
                 }
             }
         }
-        let stats = mcg_masked(&multi, &prec, &f, &mut x, &cfg, &occupied);
+        let stats = mcg_masked_observed(
+            &multi,
+            &prec,
+            &f,
+            &mut x,
+            &cfg,
+            &occupied,
+            &mut NoopObserver,
+        );
         assert!(stats.converged);
         for c in 0..r {
             if occupied[c] {
@@ -760,7 +897,15 @@ mod tests {
 
         let mut x_ref = vec![0.0; n * r];
         let occupied = [true, false, true, true];
-        let s_ref = mcg_masked(&multi, &prec, &f, &mut x_ref, &cfg, &occupied);
+        let s_ref = mcg_masked_observed(
+            &multi,
+            &prec,
+            &f,
+            &mut x_ref,
+            &cfg,
+            &occupied,
+            &mut NoopObserver,
+        );
         assert!(s_ref.converged);
         assert_eq!(stats.fused_iterations, s_ref.fused_iterations);
         for i in 0..n {
@@ -845,6 +990,83 @@ mod tests {
                 Termination::Converged,
                 "case {c}"
             );
+        }
+    }
+
+    /// The per-case numbers of a solve as bits, and its counts and fates.
+    fn stats_bits(s: &McgStats) -> (Vec<u64>, String) {
+        let rel = s.initial_rel_res.iter().chain(&s.final_rel_res);
+        let counts = [s.counts.flops, s.counts.bytes_stream];
+        let bits = rel.chain(&counts).map(|v| v.to_bits()).collect();
+        let fates = format!(
+            "{} {:?} {:?} {:?} {}",
+            s.fused_iterations, s.case_iterations, s.case_termination, s.termination, s.converged
+        );
+        (bits, fates)
+    }
+
+    /// One workspace lent to solve after solve — widths 1 and 4, a vacant
+    /// lane, a NaN-frozen lane, sentinel-tripped solves in between — gives
+    /// every solve the bits of a fresh workspace: nothing a solve leaves
+    /// behind is read by the next.
+    #[test]
+    fn reused_workspace_is_bitwise_a_fresh_one() {
+        let m = spd_matrix(25);
+        let n = m.n();
+        let prec = BlockJacobi::from_blocks(&m.diagonal_blocks(), false);
+        let sentinel = CgConfig {
+            sentinel_every: 2,
+            norm_bound: 1e9,
+            ..CgConfig::default()
+        };
+        let plain = CgConfig::default();
+        let poison = f64::from_bits(0x7ff8_0000_0000_0bad);
+        let all = [true; 4];
+        let vacant = [true, false, true, true];
+        // (width, occupied, NaN lane, glitched apply, config)
+        type Solve<'a> = (usize, &'a [bool], Option<usize>, usize, CgConfig);
+        let solves: [Solve; 7] = [
+            (4, &all, None, 0, plain),
+            (4, &vacant, None, 0, sentinel),
+            (1, &[true], None, 0, sentinel),
+            (4, &all, Some(2), 0, plain),
+            (4, &all, None, 5, sentinel),
+            (1, &[true], None, 5, sentinel),
+            (4, &vacant, Some(3), 0, sentinel),
+        ];
+        let solve = |ws: &mut McgWorkspace, k: usize| {
+            let (r, occupied, nan, glitch_at, cfg) = solves[k];
+            let multi = LoopMulti { a: &m, r };
+            let op = GlitchMulti {
+                a: &multi,
+                applies: std::sync::atomic::AtomicUsize::new(0),
+                glitch_at,
+                case: r / 2,
+            };
+            let mut f = vec![0.0; n * r];
+            for c in (0..r).filter(|&c| occupied[c]) {
+                for i in 0..n {
+                    f[i * r + c] = ((i * (c + 1)) as f64 * 0.29).sin();
+                }
+            }
+            let mut x = vec![0.0; n * r];
+            for i in nan.map_or(0..0, |_| 0..n) {
+                x[i * r + nan.unwrap_or(0)] = poison;
+            }
+            let stats = ws.solve(&op, &prec, &f, &mut x, &cfg, occupied, &mut NoopObserver);
+            let x_bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+            (x_bits, stats_bits(stats), stats.case_termination.clone())
+        };
+        let mut reused = McgWorkspace::default();
+        for round in 0..2 {
+            for k in 0..solves.len() {
+                let fresh = solve(&mut McgWorkspace::default(), k);
+                if solves[k].3 > 0 {
+                    let tripped = fresh.2.contains(&Termination::ResidualDrift);
+                    assert!(tripped, "solve {k} trips the sentinel");
+                }
+                assert!(solve(&mut reused, k) == fresh, "round {round} solve {k}");
+            }
         }
     }
 
