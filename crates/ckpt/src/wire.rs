@@ -225,7 +225,7 @@ macro_rules! wire_tuple {
         impl<$($name: Wire),+> Wire for ($($name,)+) {
             const MIN_WIRE_BYTES: usize = 0 $(+ $name::MIN_WIRE_BYTES)+;
 
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "the bindings reuse the type parameters' names")]
             fn put(&self, enc: &mut Enc) {
                 let ($($name,)+) = self;
                 $($name.put(enc);)+

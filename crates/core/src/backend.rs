@@ -195,7 +195,7 @@ impl Backend {
     /// identity: fixed rows are projected to zero afterwards) and
     /// `C = α M + β K + C_b` over element data `data` — the backend's own,
     /// or the copy whose secant moduli a nonlinear run updates.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the Newmark state and output")]
     pub(crate) fn newmark_rhs_with(
         &self,
         data: &CompactElements,

@@ -25,7 +25,9 @@ use hetsolve_fem::RandomLoadSpec;
 use hetsolve_machine::{ClockState, DeviceSpec, LinkSpec, ModuleSpec, NodeSpec};
 
 use crate::backend::Backend;
-use crate::integrity::{CorruptionReport, IntegrityConfig};
+use crate::integrity::{
+    CorruptionReport, IntegrityConfig, DEFAULT_BASIS_CHECK_EVERY, DEFAULT_BASIS_DEFECT_TOL,
+};
 use crate::methods::{RunConfig, RunState, StepRecord, WindowPolicy};
 use crate::recovery::RecoveryEvent;
 use crate::slot::CaseSlot;
@@ -98,14 +100,17 @@ impl ConfigFingerprint {
         h = mix64(h, active_window.to_bits());
         h = mix64(h, *record_surface as u64);
         h = mix_node(h, node);
-        let IntegrityConfig {
-            detect,
-            basis_check_every,
-            basis_defect_tol,
-        } = integrity;
+        let IntegrityConfig { detect } = integrity;
         h = mix64(h, *detect as u64);
-        h = mix64(h, *basis_check_every as u64);
-        h = mix64(h, basis_defect_tol.to_bits());
+        // The basis audit's period and bound, as configured by `detect`:
+        // recorded checkpoints and fingerprints were hashed with both.
+        let basis_check_every = if *detect {
+            DEFAULT_BASIS_CHECK_EVERY
+        } else {
+            0
+        };
+        h = mix64(h, basis_check_every as u64);
+        h = mix64(h, DEFAULT_BASIS_DEFECT_TOL.to_bits());
         ConfigFingerprint(h)
     }
 }

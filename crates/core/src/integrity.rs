@@ -54,10 +54,11 @@ use hetsolve_sparse::Bcrs3;
 use crate::backend::{Backend, RhsScratch};
 use crate::slot::CaseSlot;
 
-/// Default period (in steps) of the predictor-basis orthogonality audit.
+/// Period (in steps) of the predictor-basis orthogonality audit, which
+/// runs whenever detection is on.
 pub const DEFAULT_BASIS_CHECK_EVERY: usize = 32;
 
-/// Default bound on the MGS orthogonality defect of the predictor basis.
+/// Bound on the MGS orthogonality defect of the predictor basis.
 /// A healthy re-orthonormalized basis sits at rounding level (~1e-14);
 /// past this bound the history is reset rather than trusted.
 pub const DEFAULT_BASIS_DEFECT_TOL: f64 = 1e-6;
@@ -66,23 +67,15 @@ pub const DEFAULT_BASIS_DEFECT_TOL: f64 = 1e-6;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntegrityConfig {
     /// Master switch: capture/verify state guards, RHS and operator
-    /// checksums, non-finite scrubbing. Detection is read-only on clean
-    /// data, so enabling it leaves clean results bitwise-unchanged.
+    /// checksums, non-finite scrubbing, and the predictor-basis audit
+    /// every [`DEFAULT_BASIS_CHECK_EVERY`] steps. Detection is read-only on
+    /// clean data, so enabling it leaves clean results bitwise-unchanged.
     pub detect: bool,
-    /// Audit the predictor basis (MGS orthogonality defect) every this
-    /// many steps; `0` disables the audit.
-    pub basis_check_every: usize,
-    /// Defect bound for the basis audit.
-    pub basis_defect_tol: f64,
 }
 
 impl Default for IntegrityConfig {
     fn default() -> Self {
-        IntegrityConfig {
-            detect: true,
-            basis_check_every: DEFAULT_BASIS_CHECK_EVERY,
-            basis_defect_tol: DEFAULT_BASIS_DEFECT_TOL,
-        }
+        IntegrityConfig { detect: true }
     }
 }
 
@@ -90,11 +83,7 @@ impl IntegrityConfig {
     /// Detection fully off — the baseline configuration the overhead
     /// benchmark compares against.
     pub fn disabled() -> Self {
-        IntegrityConfig {
-            detect: false,
-            basis_check_every: 0,
-            basis_defect_tol: DEFAULT_BASIS_DEFECT_TOL,
-        }
+        IntegrityConfig { detect: false }
     }
 }
 
@@ -515,7 +504,7 @@ pub(crate) fn boundary_guard(
 /// bitwise, because the load is immutable, the guarded `u`/`v`/`a` inputs
 /// are still intact, and lane `k` of the set's fused build equals the
 /// width-1 build of column `k`.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one lane and its fault context")]
 pub(crate) fn rhs_guard(
     backend: &Backend,
     slot: &CaseSlot,
@@ -1079,9 +1068,7 @@ mod tests {
     fn integrity_config_defaults() {
         let on = IntegrityConfig::default();
         assert!(on.detect);
-        assert_eq!(on.basis_check_every, DEFAULT_BASIS_CHECK_EVERY);
         let off = IntegrityConfig::disabled();
         assert!(!off.detect);
-        assert_eq!(off.basis_check_every, 0);
     }
 }

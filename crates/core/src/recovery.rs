@@ -214,7 +214,7 @@ impl From<SolveError> for RunError {
 /// converged — and the attempts made. It never errors: a lane that
 /// exhausts the ladder keeps its failure in `case_termination`, and the
 /// caller decides what that means.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "solve buffers and ladder state")]
 pub(crate) fn solve_set_resumable<'w, A: MultiOperator + ?Sized, P: Preconditioner>(
     ws: &'w mut McgWorkspace,
     a: &A,

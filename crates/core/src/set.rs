@@ -24,7 +24,7 @@ use hetsolve_sparse::{CgConfig, KernelCounts, McgWorkspace, MultiOperator, Solve
 use crate::backend::{Backend, RhsScratch};
 use crate::integrity::{
     basis_sentinel, boundary_guard, rhs_guard, scrub_state, CorruptTarget, CorruptionReport,
-    StateGuard,
+    StateGuard, DEFAULT_BASIS_CHECK_EVERY, DEFAULT_BASIS_DEFECT_TOL,
 };
 use crate::methods::{driver_cg_config, RunConfig};
 use crate::recovery::{solve_set_resumable, RecoveryEvent, RunError};
@@ -217,10 +217,8 @@ impl SetStep {
         let r = self.ab.len();
         assert_eq!(ids.len(), r);
         let integ = &cfg.integrity;
-        let check_basis = integ.detect
-            && integ.basis_check_every > 0
-            && step > 0
-            && step.is_multiple_of(integ.basis_check_every);
+        let check_basis =
+            integ.detect && step > 0 && step.is_multiple_of(DEFAULT_BASIS_CHECK_EVERY);
         let out = &mut self.out;
         out.columns.clear();
         out.corruptions.clear();
@@ -243,7 +241,7 @@ impl SetStep {
                 reports,
             );
             if check_basis {
-                reports.extend(basis_sentinel(case, step, id, integ.basis_defect_tol));
+                reports.extend(basis_sentinel(case, step, id, DEFAULT_BASIS_DEFECT_TOL));
             }
         }
         let c_out = self.ws.buffer(self.f.len());

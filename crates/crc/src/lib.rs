@@ -94,6 +94,7 @@ fn fold_words<T: Copy>(state: u32, v: &[T], word: impl Fn(T) -> u64) -> u32 {
     {
         // SAFETY: the CPU was just seen to support both features the
         // kernel is compiled for.
+        #[allow(unsafe_code, reason = "PCLMULQDQ kernel after run-time detection")]
         let (state, done) = unsafe { clmul::fold_words(state, v, &word) };
         return table::fold_words(state, &v[done..], word);
     }

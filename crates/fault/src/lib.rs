@@ -972,7 +972,7 @@ mod tests {
     /// Every builder, with the coordinates of its site: `at(c)` is the
     /// site at coordinates `c`, so `c` with one coordinate moved by one is
     /// the neighbouring step, target, node or sequence number.
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::type_complexity, reason = "a table row: plan, coordinates, site constructor")]
     #[rustfmt::skip]
     fn every_builder() -> Vec<(FaultPlan, [usize; 3], fn([usize; 3]) -> FaultSite)> {
         use FaultSite::*;

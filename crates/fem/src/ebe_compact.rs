@@ -254,7 +254,7 @@ impl<'a> CompactEbe<'a> {
     /// Build the operator, planning and validating the sweep on the spot.
     /// Owners that build many operators over one mesh validate once and
     /// use [`Self::with_plan`].
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "mesh buffers and settings")]
     pub fn new(
         n_nodes: usize,
         elems: &'a [[u32; 10]],
@@ -272,7 +272,7 @@ impl<'a> CompactEbe<'a> {
 
     /// [`Self::new`] without re-validating: `plan` is the proof that these
     /// very buffers were validated (anything else panics).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "mesh buffers and settings")]
     pub fn with_plan(
         n_nodes: usize,
         elems: &'a [[u32; 10]],
@@ -299,7 +299,7 @@ impl<'a> CompactEbe<'a> {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "mesh buffers and settings")]
     fn build(
         elems: &'a [[u32; 10]],
         data: &'a CompactElements,
@@ -354,9 +354,8 @@ impl<'a> CompactEbe<'a> {
         } else {
             y.fill(0.0);
         }
-        let mut scatter = ColorScatter::new(y);
-        block_sweep_widest::<R>(self, x, &mut scatter);
-        drop(scatter);
+        // The scatter is a temporary: its borrow of `y` ends with the sweep.
+        block_sweep_widest::<R>(self, x, &mut ColorScatter::new(y));
         // Dirichlet: identity on fixed DOFs
         if self.identity_on_fixed {
             FixedMask::new(self.fixed).fix_output_multi(x, y, R);
@@ -661,7 +660,10 @@ fn element_chunk<const R: usize>(
                 // `3·n_nodes·R` slots: this DOF's `R` slots are in bounds,
                 // no other block of this phase writes them, and this
                 // block runs on this thread alone (`block_sweep`).
-                unsafe { scatter.add_lanes(block, 3 * n as usize + a, &y[3 * k + a]) };
+                #[allow(unsafe_code, reason = "the phased scatter of an element's lanes")]
+                unsafe {
+                    scatter.add_lanes(block, 3 * n as usize + a, &y[3 * k + a])
+                };
             }
         }
     }
@@ -687,7 +689,10 @@ fn face_chunk<const R: usize>(
             for a in 0..3 {
                 // SAFETY: as for the elements — the face runs passed the
                 // same validation over `faces`.
-                unsafe { scatter.add_lanes(block, 3 * n as usize + a, &y[3 * k + a]) };
+                #[allow(unsafe_code, reason = "the phased scatter of a face's lanes")]
+                unsafe {
+                    scatter.add_lanes(block, 3 * n as usize + a, &y[3 * k + a])
+                };
             }
         }
     }
@@ -742,6 +747,7 @@ fn block_sweep_widest<const R: usize>(
     if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
         // SAFETY: the CPU was just seen to support both features the
         // instance is compiled for.
+        #[allow(unsafe_code, reason = "AVX2+FMA kernel after run-time detection")]
         return unsafe { block_sweep_avx2_fma::<R>(op, x, scatter) };
     }
     block_sweep_portable::<R>(op, x, scatter)
@@ -1286,9 +1292,7 @@ mod tests {
             let mut y = vec![0.0; n * R];
             op.apply_multi(&x, &mut y);
             let mut y_portable = vec![0.0; n * R];
-            let mut scatter = ColorScatter::new(&mut y_portable);
-            block_sweep_portable::<R>(&op, &x, &mut scatter);
-            drop(scatter);
+            block_sweep_portable::<R>(&op, &x, &mut ColorScatter::new(&mut y_portable));
             assert!(y.iter().any(|&v| v != 0.0));
             for i in 0..n * R {
                 assert_eq!(y[i].to_bits(), y_portable[i].to_bits(), "R={R} slot {i}");

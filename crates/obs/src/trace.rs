@@ -77,7 +77,7 @@ impl TraceBuilder {
     }
 
     /// Record a complete span. Times are in microseconds.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the fields of one trace event")]
     pub fn span(
         &mut self,
         pid: usize,
@@ -124,7 +124,7 @@ impl TraceBuilder {
         });
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the fields of one flow event")]
     fn flow(
         &mut self,
         ph: char,

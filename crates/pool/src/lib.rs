@@ -145,6 +145,7 @@ impl Shared {
         // outlives this borrow. The pointer is that fork-join's, stored
         // before `unclaimed` was published (see `claim`), and the next
         // fork-join cannot overwrite it before this one's join.
+        #[allow(unsafe_code, reason = "a worker borrows the caller's job by pointer")]
         let job = unsafe { &*self.job.load(Ordering::Acquire) };
         // Relaxed: a hint to skip work; the payload travels in the mutex.
         if !self.panicked.load(Ordering::Relaxed) {
@@ -383,8 +384,8 @@ struct Pieces<'a, T> {
 // SAFETY: the pointer targets an exclusively borrowed `&mut [T]` (no safe
 // code sees the slice while the `Pieces` lives), `&Pieces` exposes only
 // `piece`, whose contract keeps the pieces handed out disjoint, and a piece
-// may be used on another thread because `T: Send`. This is the one marker
-// impl outside `hetsolve_sparse::parcheck` that `cargo xtask lint` allows.
+// may be used on another thread because `T: Send`.
+#[allow(unsafe_code, reason = "threads take disjoint pieces of one slice")]
 unsafe impl<T: Send> Sync for Pieces<'_, T> {}
 
 impl<'a, T> Pieces<'a, T> {
@@ -407,7 +408,8 @@ impl<'a, T> Pieces<'a, T> {
     /// # Safety
     ///
     /// No two results for one `i` may be live at once.
-    #[allow(clippy::mut_from_ref)]
+    #[allow(clippy::mut_from_ref, reason = "`# Safety` keeps pieces unique")]
+    #[allow(unsafe_code, reason = "hands out a `&mut` piece through `&self`")]
     unsafe fn piece(&self, i: usize) -> &mut [T] {
         let lo = i * self.len;
         assert!(lo < self.total, "piece {i} of {}", self.count());
@@ -415,7 +417,10 @@ impl<'a, T> Pieces<'a, T> {
         // SAFETY: `lo + n <= total` was just checked, so the range lies in
         // the borrowed slice; pieces of distinct indices do not overlap and
         // the caller hands out each index once at a time.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(lo), n) }
+        #[allow(unsafe_code, reason = "builds the piece from raw parts")]
+        unsafe {
+            std::slice::from_raw_parts_mut(self.ptr.add(lo), n)
+        }
     }
 }
 
@@ -438,6 +443,7 @@ pub fn for_each_mut<T: Send, const N: usize>(
         // SAFETY: `run` calls each index exactly once per fork-join and
         // returns only when every call has finished (the join outlives the
         // pieces' borrows), so no two pieces of one index are ever live.
+        #[allow(unsafe_code, reason = "each chunk takes its own pieces, once")]
         body(i, std::array::from_fn(|k| unsafe { pieces[k].piece(i) }))
     });
 }

@@ -39,7 +39,7 @@ pub fn add_packed_element(builder: &mut BcrsBuilder, nodes: &[u32], packed: &[f6
 ///   (stride 171),
 /// * `fixed` — per-DOF Dirichlet mask (length `3 * n_nodes`), or empty for
 ///   no constraints.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "mesh arrays and coefficients")]
 pub fn assemble_global(
     n_nodes: usize,
     elems: &[[u32; 10]],

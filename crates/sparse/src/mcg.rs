@@ -178,7 +178,7 @@ impl McgWorkspace {
     /// [`mcg_masked_observed`] in this workspace: the same arithmetic, the
     /// same bits, no allocation once the workspace has held a solve of
     /// this `n·r`. Returns the solve's stats.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "`mcg_masked_observed`'s inputs")]
     pub fn solve<A: MultiOperator + ?Sized, P: Preconditioner, O: SolveObserver>(
         &mut self,
         a: &A,
@@ -507,7 +507,7 @@ impl McgWorkspace {
 /// (per-case sums). Read-only on all iteration state; the apply is
 /// deliberately NOT merged into the solve's counts so the modeled timeline
 /// is unchanged by detection.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "read-only state, three outputs")]
 fn audit<A: MultiOperator + ?Sized>(
     a: &A,
     f: &[f64],

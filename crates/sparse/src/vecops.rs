@@ -305,7 +305,7 @@ fn xpby_any(x: &[f64], beta: &[f64], y: &mut [f64], r: usize, active: &[bool]) {
 /// `rr[c] = rv_c · rv_c` of the updated residual for every case. Bitwise
 /// the sequence `axpy_multi(α, p, x)`, `axpy_multi(−α, q, rv)`,
 /// `dot_multi(rv, rv, rr)`.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "four multi-vectors, one pass")]
 pub fn cg_update_multi(
     alpha: &[f64],
     p: &[f64],

@@ -244,6 +244,36 @@ fn realtime_on_case_slots_reproduces_the_parents_set_state() {
     }
 }
 
+/// On a clean run `run_realtime` is `run_with` under
+/// `WindowPolicy::FullWindow` bit for bit, `parallel` on and off: both
+/// predict every case with the window its history allows, up to `s_max`.
+/// The drivers differ in one place, so faults stay out of this test: after
+/// an injected `nan_snapshot` resets one case's history, the realtime
+/// driver clamps its whole set to case 0's window, while `FullWindow`
+/// keeps each case's own.
+#[test]
+fn clean_realtime_is_the_full_window_driver_bitwise() {
+    let spec = GroundModelSpec::paper_like(4, 3, 2, InterfaceShape::Stratified);
+    for parallel in [false, true] {
+        let b = Backend::new(FemProblem::paper_like(&spec), false, parallel);
+        for (r, s_max) in [(1, 6), (2, 4), (4, 16)] {
+            let mut cfg = config(MethodKind::EbeMcgCpuGpu, WindowPolicy::FullWindow);
+            cfg.n_steps = 24;
+            cfg.r = r;
+            cfg.s_max = s_max;
+            let (realtime, _) = run_realtime(&b, &cfg, Hooks::default()).expect("realtime");
+            let full = run(&b, &cfg).expect("full window");
+            assert_eq!(realtime.len(), full.final_u.len());
+            for (c, (ua, ub)) in realtime.iter().zip(&full.final_u).enumerate() {
+                assert!(
+                    ua.iter().zip(ub).all(|(p, q)| p.to_bits() == q.to_bits()),
+                    "parallel={parallel} r={r} s_max={s_max}: case {c} differs"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 #[ignore = "rewrites tests/data/driver_unification_parent.txt from the code under test"]
 fn record_pins() {

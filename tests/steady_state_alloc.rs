@@ -29,27 +29,40 @@ struct Counting;
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
 // `GlobalAlloc` contract the caller already upholds; the counters are
 // atomics touched before the call and never influence the returned memory.
+#[allow(unsafe_code, reason = "the counting allocator wraps `System`")]
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: the trait's contract, forwarded unchanged to `System`.
+    #[allow(unsafe_code, reason = "a `GlobalAlloc` method")]
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: same layout, same contract as the caller's.
-        unsafe { System.alloc(layout) }
+        #[allow(unsafe_code, reason = "forwards to `System`")]
+        unsafe {
+            System.alloc(layout)
+        }
     }
 
     // SAFETY: the trait's contract, forwarded unchanged to `System`.
+    #[allow(unsafe_code, reason = "a `GlobalAlloc` method")]
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: `ptr` came from `System` through this wrapper with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
+        #[allow(unsafe_code, reason = "forwards to `System`")]
+        unsafe {
+            System.dealloc(ptr, layout)
+        }
     }
 
     // SAFETY: the trait's contract, forwarded unchanged to `System`.
+    #[allow(unsafe_code, reason = "a `GlobalAlloc` method")]
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` through this wrapper with `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        #[allow(unsafe_code, reason = "forwards to `System`")]
+        unsafe {
+            System.realloc(ptr, layout, new_size)
+        }
     }
 }
 

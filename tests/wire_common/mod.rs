@@ -1,6 +1,6 @@
 //! Shared by `wire_golden.rs` and `decoder_proptest.rs`: the golden files
 //! and a way to rebuild a sectioned image under fresh CRCs.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each test binary uses a different part")]
 
 use hetsolve::ckpt::{SectionReader, SectionWriter};
 
