@@ -13,7 +13,7 @@
 
 use hetsolve_bench::{bench_backend, should_run};
 use hetsolve_core::{convergence_study, StudyConfig};
-use hetsolve_fem::compact_ebe_counts;
+use hetsolve_fem::{compact_ebe_counts, ElementMatrices};
 use hetsolve_machine::{h100, kernel_time, ExecCtx};
 use hetsolve_mesh::{edge_cut, partition_greedy, partition_rcb};
 use hetsolve_sparse::LinearOperator;
@@ -46,9 +46,10 @@ fn main() {
 fn ablate_storage() {
     println!("\n===== ablation: EBE storage (element matrices vs compact geometry) =====\n");
     let backend = bench_backend(8, 8, 5);
+    let p = &backend.problem;
     println!(
         "memory: packed element matrices {:.1} MB vs compact geometry {:.1} MB",
-        backend.problem.elements().bytes() as f64 / 1e6,
+        ElementMatrices::compute(&p.model.mesh, &p.materials).bytes() as f64 / 1e6,
         backend.compact.bytes() as f64 / 1e6,
     );
 }

@@ -10,7 +10,7 @@
 //! timeline. This realizes the paper's "accuracy is guaranteed" property
 //! and is verified by the cross-method equivalence tests.
 
-use hetsolve_fem::{CompactEbe, CompactElements, FemProblem, ScatterPlan};
+use hetsolve_fem::{CompactEbe, CompactElements, ElementMatrices, FemProblem, ScatterPlan};
 use hetsolve_sparse::{assemble_global, Bcrs3, BlockJacobi, KernelCounts, LinearOperator};
 
 /// Owned problem + every precomputed structure the methods share.
@@ -25,8 +25,6 @@ pub struct Backend {
     pub fixed: Vec<bool>,
     /// Assembled system matrix `A` (built on demand by CRS methods).
     pub crs_a: Option<Bcrs3>,
-    /// Assembled mass matrix `M` (RHS cost accounting for CRS methods).
-    pub crs_m: Option<Bcrs3>,
     /// Block-Jacobi preconditioner of `A`.
     pub precond: BlockJacobi,
     /// The switch for host threads: `true` hands the operators this
@@ -38,23 +36,17 @@ pub struct Backend {
 }
 
 impl Backend {
-    /// Build the backend; `with_crs` assembles the global matrices (the
-    /// CRS-CG baselines need them; EBE-MCG does not).
+    /// Build the backend; `with_crs` assembles the global system matrix
+    /// `A` (the CRS-CG baselines need it; EBE-MCG does not).
     pub fn new(problem: FemProblem, with_crs: bool, parallel: bool) -> Self {
-        // Element matrices first, and only for assembly: the order keeps
-        // the allocation sequence of a CRS build what it was when the
-        // problem computed them itself (`setup_s` follows which freed
-        // pages glibc hands back, DESIGN.md §17).
-        if with_crs {
-            problem.elements();
-        }
         let compact = CompactElements::compute(&problem.model.mesh, &problem.materials);
         let fixed: Vec<bool> = problem.mask.as_slice().to_vec();
         let a = problem.a_coeffs();
-        let (crs_a, crs_m) = if with_crs {
+        // the element matrices live only as long as the assembly reads them
+        let crs_a = with_crs.then(|| {
             let mesh = &problem.model.mesh;
-            let elements = problem.elements();
-            let crs_a = assemble_global(
+            let elements = ElementMatrices::compute(mesh, &problem.materials);
+            assemble_global(
                 mesh.n_nodes(),
                 &mesh.elems,
                 &elements.me,
@@ -66,24 +58,8 @@ impl Backend {
                 a.c_b,
                 &fixed,
                 parallel,
-            );
-            let crs_m = assemble_global(
-                mesh.n_nodes(),
-                &mesh.elems,
-                &elements.me,
-                &elements.ke,
-                1.0,
-                0.0,
-                &[],
-                &[],
-                0.0,
-                &[],
-                parallel,
-            );
-            (Some(crs_a), Some(crs_m))
-        } else {
-            (None, None)
-        };
+            )
+        });
         let plan = ScatterPlan::validate(
             problem.n_nodes(),
             &problem.model.mesh.elems,
@@ -107,7 +83,6 @@ impl Backend {
             compact,
             fixed,
             crs_a,
-            crs_m,
             precond,
             parallel,
         }
@@ -141,7 +116,7 @@ impl Backend {
         self.compact_op(&self.compact, (a.c_m, a.c_k, a.c_b), &self.fixed, r)
     }
 
-    /// Were the assembled (CRS) matrices built? The run drivers check
+    /// Was the assembled (CRS) matrix built? The run drivers check
     /// this at entry and return [`crate::recovery::RunError::Config`]
     /// for CRS methods on a matrix-free backend.
     pub fn has_crs(&self) -> bool {
@@ -235,15 +210,11 @@ impl Backend {
 
     /// Modeled cost of the RHS evaluation when performed with assembled
     /// matrices (charged to CRS methods): A·x-shaped + M·x-shaped SpMVs.
+    /// `M` is never assembled: its block pattern is `A`'s (every face node
+    /// is an element node), and an SpMV's counts read only the pattern.
     pub fn rhs_counts_crs(&self) -> KernelCounts {
         let a = self.crs_a().counts();
-        #[allow(
-            clippy::expect_used,
-            reason = "`crs_a` and `crs_m` are built together (`with_crs`), \
-                      and the line above already enforced the crs_a half"
-        )]
-        let m = self.crs_m.as_ref().expect("CRS backend").counts();
-        a.merged(m)
+        a.merged(a)
     }
 
     /// Modeled cost of the RHS evaluation with matrix-free operators
@@ -382,6 +353,106 @@ mod tests {
         let ebe = b.rhs_counts_ebe(4);
         assert!(crs.flops > 0.0 && ebe.flops > 0.0);
         assert!(crs.bytes_stream > ebe.bytes_stream);
+    }
+
+    /// `M` assembled on its own (elements only, no mask) and `A` differ in
+    /// values but not in pattern, so the RHS counts charged without `M`
+    /// are the ones charged with it.
+    #[test]
+    fn rhs_counts_crs_are_a_and_m() {
+        let b = backend();
+        let (p, mesh) = (&b.problem, &b.problem.model.mesh);
+        let elements = ElementMatrices::compute(mesh, &p.materials);
+        let m = assemble_global(
+            mesh.n_nodes(),
+            &mesh.elems,
+            &elements.me,
+            &elements.ke,
+            1.0,
+            0.0,
+            &[],
+            &[],
+            0.0,
+            &[],
+            false,
+        );
+        assert_eq!(m.row_ptr, b.crs_a().row_ptr);
+        assert_eq!(m.cols, b.crs_a().cols);
+        assert_eq!(b.rhs_counts_crs(), b.crs_a().counts().merged(m.counts()));
+    }
+
+    /// The row-streamed `assemble_global` is the global element loop into a
+    /// `BcrsBuilder` bit for bit, at 9,537 DOF: `A` with its faces and the
+    /// Dirichlet mask, and `M` with neither. `A` is also the matrix
+    /// `Backend::new` keeps.
+    #[test]
+    fn assembly_is_the_builder_bitwise() {
+        use hetsolve_sparse::assembly::add_packed_element;
+        use hetsolve_sparse::{apply_dirichlet, BcrsBuilder};
+
+        let spec = GroundModelSpec::paper_like(8, 8, 5, InterfaceShape::Basin);
+        let b = Backend::new(FemProblem::paper_like(&spec), true, false);
+        let (p, mesh) = (&b.problem, &b.problem.model.mesh);
+        assert_eq!(p.n_dofs(), 9537);
+        let el = ElementMatrices::compute(mesh, &p.materials);
+        let (a, n) = (p.a_coeffs(), mesh.n_nodes());
+        let (faces, cb) = (&p.dashpots.faces, &p.dashpots.cb);
+        let builder = |c_m: f64, c_k: f64, c_b: f64, fixed: &[bool]| {
+            let mut bl = BcrsBuilder::new(n);
+            for (e, nodes) in mesh.elems.iter().enumerate() {
+                add_packed_element(&mut bl, nodes, el.me_of(e), c_m);
+                add_packed_element(&mut bl, nodes, el.ke_of(e), c_k);
+            }
+            for (f, nodes) in faces.iter().enumerate() {
+                add_packed_element(&mut bl, nodes, &cb[f * 171..(f + 1) * 171], c_b);
+            }
+            let mut m = bl.finish(false);
+            if !fixed.is_empty() {
+                apply_dirichlet(&mut m, fixed);
+            }
+            m
+        };
+        let same = |x: &Bcrs3, y: &Bcrs3, what: &str| {
+            assert_eq!(x.row_ptr, y.row_ptr, "{what}: row_ptr");
+            assert_eq!(x.cols, y.cols, "{what}: cols");
+            for (k, (bx, by)) in x.blocks.iter().zip(&y.blocks).enumerate() {
+                assert_eq!(
+                    bx.map(f64::to_bits),
+                    by.map(f64::to_bits),
+                    "{what}: block {k}"
+                );
+            }
+        };
+        let streamed_a = assemble_global(
+            n,
+            &mesh.elems,
+            &el.me,
+            &el.ke,
+            a.c_m,
+            a.c_k,
+            faces,
+            cb,
+            a.c_b,
+            &b.fixed,
+            false,
+        );
+        let built_a = builder(a.c_m, a.c_k, a.c_b, &b.fixed);
+        same(&streamed_a, &built_a, "A");
+        same(b.crs_a(), &built_a, "Backend::crs_a");
+        let streamed_m = assemble_global(
+            n,
+            &mesh.elems,
+            &el.me,
+            &el.ke,
+            1.0,
+            0.0,
+            &[],
+            &[],
+            0.0,
+            &[],
+            false,
+        );
+        same(&streamed_m, &builder(1.0, 0.0, 0.0, &[]), "M");
     }
 
     #[test]

@@ -845,6 +845,7 @@ impl MultiOperator for CompactEbe<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::ElementMatrices;
     use crate::model::FemProblem;
     use hetsolve_mesh::{box_tet10, BoxGrid, GroundModelSpec, InterfaceShape};
     use hetsolve_sparse::{assemble_global, Bcrs3};
@@ -914,11 +915,12 @@ mod tests {
         /// with the rows and columns of `fixed` eliminated.
         fn assembled(&self, fixed: &[bool]) -> Bcrs3 {
             let (p, a) = (&self.p, self.p.a_coeffs());
+            let elements = ElementMatrices::compute(&p.model.mesh, &p.materials);
             assemble_global(
                 p.n_nodes(),
                 &p.model.mesh.elems,
-                &p.elements().me,
-                &p.elements().ke,
+                &elements.me,
+                &elements.ke,
                 a.c_m,
                 a.c_k,
                 &p.dashpots.faces,
@@ -1403,9 +1405,9 @@ mod tests {
         /// validates and covers every element exactly once, and its sweep
         /// on a two-thread pool returns the serial walk's bits, twice over.
         /// With a run moved into a phase where it shares a node,
-        /// `with_runs` panics, and a sweep under that plan (smuggled past
-        /// the validator) panics at the offending write with both block ids
-        /// — the claim table is on in this build.
+        /// `with_runs` panics; where the claim table is on (debug builds,
+        /// `--features racecheck`), a sweep under that plan (smuggled past
+        /// the validator) panics at the offending write with both block ids.
         #[test]
         fn run_plans_validate_and_corrupted_ones_are_caught(
             nx in 1usize..=4,
@@ -1458,16 +1460,17 @@ mod tests {
             let refused = catch(|| ScatterPlan::with_runs(n, elems, &[], bad.clone(), no_faces()));
             prop_assert!(refused.unwrap_err().contains("would race"));
 
-            prop_assert!(ColorScatter::racecheck_enabled());
-            let smuggled = ScatterPlan(Arc::new(Sweep { elem_runs: bad, ..(*plan.0).clone() }));
-            let op = CompactEbe::with_plan(
-                n, elems, &data, &[], &[], (1.0, 1.0, 0.0), &[], &smuggled, true, 1,
-            );
-            let x = multi_wave(3 * n, 1);
-            let mut y = vec![0.0; 3 * n];
-            let raced = catch(|| op.apply(&x, &mut y)).unwrap_err();
-            prop_assert!(raced.contains("parcheck: race on output slot"), "{}", raced);
-            prop_assert!(raced.contains("blocks "), "{}", raced);
+            if ColorScatter::racecheck_enabled() {
+                let smuggled = ScatterPlan(Arc::new(Sweep { elem_runs: bad, ..(*plan.0).clone() }));
+                let op = CompactEbe::with_plan(
+                    n, elems, &data, &[], &[], (1.0, 1.0, 0.0), &[], &smuggled, true, 1,
+                );
+                let x = multi_wave(3 * n, 1);
+                let mut y = vec![0.0; 3 * n];
+                let raced = catch(|| op.apply(&x, &mut y)).unwrap_err();
+                prop_assert!(raced.contains("parcheck: race on output slot"), "{}", raced);
+                prop_assert!(raced.contains("blocks "), "{}", raced);
+            }
         }
     }
 
@@ -1475,7 +1478,8 @@ mod tests {
     fn compact_memory_is_much_smaller() {
         let p = problem();
         let compact = CompactElements::compute(&p.model.mesh, &p.materials);
-        assert!(compact.bytes() * 20 < p.elements().bytes());
+        let elements = ElementMatrices::compute(&p.model.mesh, &p.materials);
+        assert!(compact.bytes() * 20 < elements.bytes());
     }
 
     /// The paper's CRS-vs-EBE trade on one problem: the compact apply does

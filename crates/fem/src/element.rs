@@ -19,15 +19,17 @@ pub const NDOF: usize = 30;
 /// Packed length of a 30×30 symmetric matrix.
 pub const PACKED: usize = packed_len(NDOF); // 465
 
-/// Consistent element mass matrix (packed symmetric, 465 entries).
+/// Consistent element mass matrix, written into `m` (packed symmetric,
+/// 465 entries; overwritten).
 ///
 /// `M_e[(3i+a),(3j+b)] = δ_ab ρ ∫ N_i N_j dV`, integrated with the
 /// degree-5 rule (exact: the integrand is degree 4).
-pub fn mass_matrix(x: &[Vec3; 10], rho: f64, rule: &[TetQp]) -> Vec<f64> {
+pub fn mass_matrix(x: &[Vec3; 10], rho: f64, rule: &[TetQp], m: &mut [f64]) {
     let verts = [x[0], x[1], x[2], x[3]];
     let (_, vol) = tet_bary_gradients(&verts);
     assert!(vol > 0.0, "element has non-positive volume {vol}");
-    let mut m = vec![0.0; PACKED];
+    debug_assert_eq!(m.len(), PACKED);
+    m.fill(0.0);
     for qp in rule {
         let n = tet10_shape(qp.l);
         let w = qp.w * vol * rho;
@@ -40,21 +42,21 @@ pub fn mass_matrix(x: &[Vec3; 10], rho: f64, rule: &[TetQp]) -> Vec<f64> {
             }
         }
     }
-    m
 }
 
-/// Element stiffness matrix (packed symmetric, 465 entries) for an isotropic
-/// material:
+/// Element stiffness matrix for an isotropic material, written into `k`
+/// (packed symmetric, 465 entries; overwritten):
 ///
 /// `K_e[(3i+a),(3j+b)] = ∫ λ ∂_a N_i ∂_b N_j + μ (∂_b N_i ∂_a N_j +
 /// δ_ab ∇N_i·∇N_j) dV`, integrated with the degree-2 rule (exact on
 /// straight-sided elements, where ∇N is linear).
-pub fn stiffness_matrix(x: &[Vec3; 10], mat: &Material, rule: &[TetQp]) -> Vec<f64> {
+pub fn stiffness_matrix(x: &[Vec3; 10], mat: &Material, rule: &[TetQp], k: &mut [f64]) {
     let verts = [x[0], x[1], x[2], x[3]];
     let (dl, vol) = tet_bary_gradients(&verts);
     assert!(vol > 0.0, "element has non-positive volume {vol}");
     let (lambda, mu) = (mat.lambda(), mat.mu());
-    let mut k = vec![0.0; PACKED];
+    debug_assert_eq!(k.len(), PACKED);
+    k.fill(0.0);
     for qp in rule {
         let g = tet10_grad(qp.l, &dl);
         let w = qp.w * vol;
@@ -75,7 +77,6 @@ pub fn stiffness_matrix(x: &[Vec3; 10], mat: &Material, rule: &[TetQp]) -> Vec<f
             }
         }
     }
-    k
 }
 
 /// Per-element matrices for an entire mesh, stored flat
@@ -96,10 +97,7 @@ impl ElementMatrices {
         let ne = mesh.n_elems();
         let mut me = vec![0.0; ne * PACKED];
         let mut ke = vec![0.0; ne * PACKED];
-        // Serial on purpose (DESIGN.md §19): threading this loop halves it,
-        // but `mass_matrix`/`stiffness_matrix` return `Vec`s, and temporaries
-        // allocated on a worker make the main heap's layout — and with it
-        // whether glibc trims ~60 MB after every set-up — vary run to run.
+        // Serial (DESIGN.md §19): set-up stays off the pool.
         for (e, (me_e, ke_e)) in me
             .chunks_exact_mut(PACKED)
             .zip(ke.chunks_exact_mut(PACKED))
@@ -107,8 +105,8 @@ impl ElementMatrices {
         {
             let x = mesh.elem_coords(e);
             let mat = &mats[mesh.material[e] as usize];
-            me_e.copy_from_slice(&mass_matrix(&x, mat.rho, &rule_m));
-            ke_e.copy_from_slice(&stiffness_matrix(&x, mat, &rule_k));
+            mass_matrix(&x, mat.rho, &rule_m, me_e);
+            stiffness_matrix(&x, mat, &rule_k, ke_e);
         }
         ElementMatrices {
             me,
@@ -175,11 +173,25 @@ mod tests {
         Material::new(1800.0, 200.0, 700.0)
     }
 
+    /// `mass_matrix` into a buffer that starts dirty: every entry is written.
+    fn mass_of(x: &[Vec3; 10], rho: f64) -> Vec<f64> {
+        let mut m = vec![f64::NAN; PACKED];
+        mass_matrix(x, rho, &tet_rule_deg5(), &mut m);
+        m
+    }
+
+    /// `stiffness_matrix` into a buffer that starts dirty.
+    fn stiffness_of(x: &[Vec3; 10], mat: &Material) -> Vec<f64> {
+        let mut k = vec![f64::NAN; PACKED];
+        stiffness_matrix(x, mat, &tet_rule_deg2(), &mut k);
+        k
+    }
+
     #[test]
     fn mass_total_equals_rho_v() {
         let x = skewed_tet10_coords();
         let rho = 1800.0;
-        let m = mass_matrix(&x, rho, &tet_rule_deg5());
+        let m = mass_of(&x, rho);
         let verts = [x[0], x[1], x[2], x[3]];
         let (_, vol) = tet_bary_gradients(&verts);
         // sum over all (i,j) of the x-component blocks = rho * V
@@ -196,7 +208,7 @@ mod tests {
     #[test]
     fn mass_is_positive_definite() {
         let x = skewed_tet10_coords();
-        let m = mass_matrix(&x, 1000.0, &tet_rule_deg5());
+        let m = mass_of(&x, 1000.0);
         // x^T M x > 0 for a few deterministic non-zero vectors
         for seed in 1..8u64 {
             let v: Vec<f64> = (0..NDOF)
@@ -212,7 +224,7 @@ mod tests {
     #[test]
     fn stiffness_annihilates_rigid_translations() {
         let x = skewed_tet10_coords();
-        let k = stiffness_matrix(&x, &mat(), &tet_rule_deg2());
+        let k = stiffness_of(&x, &mat());
         for a in 0..3 {
             let v: Vec<f64> = (0..NDOF)
                 .map(|d| if d % 3 == a { 1.0 } else { 0.0 })
@@ -227,7 +239,7 @@ mod tests {
     #[test]
     fn stiffness_annihilates_rigid_rotations() {
         let x = skewed_tet10_coords();
-        let k = stiffness_matrix(&x, &mat(), &tet_rule_deg2());
+        let k = stiffness_of(&x, &mat());
         // rotation about axis w: u(p) = w × p (linear field => representable)
         for w in [
             Vec3::new(1.0, 0.0, 0.0),
@@ -252,7 +264,7 @@ mod tests {
     #[test]
     fn stiffness_is_positive_semidefinite() {
         let x = unit_tet10_coords();
-        let k = stiffness_matrix(&x, &mat(), &tet_rule_deg2());
+        let k = stiffness_of(&x, &mat());
         for seed in 1..8u64 {
             let v: Vec<f64> = (0..NDOF)
                 .map(|i| (((i as u64 + 3) * seed * 1099511628211) % 997) as f64 / 499.0 - 1.0)
@@ -270,7 +282,7 @@ mod tests {
         // 1/2 (lambda + 2 mu) eps^2 V.
         let x = skewed_tet10_coords();
         let m = mat();
-        let k = stiffness_matrix(&x, &m, &tet_rule_deg2());
+        let k = stiffness_of(&x, &m);
         let verts = [x[0], x[1], x[2], x[3]];
         let (_, vol) = tet_bary_gradients(&verts);
         let eps = 1e-3;
@@ -299,8 +311,7 @@ mod tests {
         // element 0's stored mass equals a direct computation
         let x = gm.mesh.elem_coords(0);
         let rho = mats[gm.mesh.material[0] as usize].rho;
-        let m0 = mass_matrix(&x, rho, &tet_rule_deg5());
-        assert_eq!(em.me_of(0), &m0[..]);
+        assert_eq!(em.me_of(0), &mass_of(&x, rho)[..]);
         assert!(em.bytes() > 0);
     }
 }

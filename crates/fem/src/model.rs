@@ -5,16 +5,14 @@
 //! [`FemProblem`] bundles everything a solver backend (CRS or EBE, built in
 //! `hetsolve-sparse`/`hetsolve-core`) needs: face dashpots, constraint
 //! mask, the coefficient sets that express the system/mass/damping
-//! operators as linear combinations `c_M M + c_K K + c_B C_b`, and — for
-//! whoever assembles or caches them — the element matrices, computed on
-//! first use.
-
-use std::sync::OnceLock;
+//! operators as linear combinations `c_M M + c_K K + c_B C_b`. It stores
+//! no element matrices: the matrix-free operator recomputes them, and CRS
+//! assembly computes them ([`crate::ElementMatrices::compute`]) for as long
+//! as it runs.
 
 use hetsolve_mesh::{extract_boundary, BoundarySet, GroundModel, GroundModelSpec, Material};
 
 use crate::constraint::DofMask;
-use crate::element::ElementMatrices;
 use crate::faces::FaceDashpots;
 use crate::material::Rayleigh;
 use crate::newmark::Newmark;
@@ -35,9 +33,6 @@ pub struct FemProblem {
     pub materials: Vec<Material>,
     pub rayleigh: Rayleigh,
     pub newmark: Newmark,
-    /// Computed by the first [`Self::elements`] call: the matrix-free
-    /// method never asks, and at 55k DOF these are 91 MB.
-    elements: OnceLock<ElementMatrices>,
     pub dashpots: FaceDashpots,
     pub boundary: BoundarySet,
     pub mask: DofMask,
@@ -69,7 +64,6 @@ impl FemProblem {
             materials,
             rayleigh,
             newmark,
-            elements: OnceLock::new(),
             dashpots,
             boundary,
             mask,
@@ -81,14 +75,6 @@ impl FemProblem {
     /// 0.2–5 Hz (the paper resolves up to 5 Hz), `dt = 0.005 s` (paper).
     pub fn paper_like(spec: &GroundModelSpec) -> Self {
         Self::build(spec, 0.025, 0.2, 5.0, 0.005)
-    }
-
-    /// Packed element mass and stiffness matrices — what CRS assembly
-    /// reads, and nothing else (the EBE operator recomputes them). Computed
-    /// on the first call and kept.
-    pub fn elements(&self) -> &ElementMatrices {
-        self.elements
-            .get_or_init(|| ElementMatrices::compute(&self.model.mesh, &self.materials))
     }
 
     #[inline]
@@ -155,7 +141,8 @@ mod tests {
     fn builds_consistently() {
         let p = problem();
         assert_eq!(p.n_dofs(), 3 * p.n_nodes());
-        assert_eq!(p.elements().n_elems, p.model.mesh.n_elems());
+        let elements = crate::ElementMatrices::compute(&p.model.mesh, &p.materials);
+        assert_eq!(elements.n_elems, p.model.mesh.n_elems());
         assert!(p.dashpots.n_faces() > 0);
         assert!(p.mask.n_fixed() > 0);
         assert!(!p.surface_nodes.is_empty());

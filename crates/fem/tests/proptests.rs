@@ -6,7 +6,7 @@ use hetsolve_fem::newmark::Newmark;
 use hetsolve_fem::quad::{tet_rule_deg2, tet_rule_deg5};
 use hetsolve_fem::shape::tet_bary_gradients;
 use hetsolve_fem::sym::sym_matvec_add;
-use hetsolve_fem::{element, NDOF};
+use hetsolve_fem::{element, NDOF, PACKED};
 use hetsolve_mesh::mesh::TET_EDGES;
 use hetsolve_mesh::{Material, Vec3};
 use proptest::prelude::*;
@@ -48,7 +48,8 @@ proptest! {
     fn rigid_modes_in_null_space(off in offset_strategy()) {
         let Some(x) = tet10_from_offsets(off) else { return Ok(()); };
         let mat = Material::new(1800.0, 200.0, 700.0);
-        let k = element::stiffness_matrix(&x, &mat, &tet_rule_deg2());
+        let mut k = vec![0.0; PACKED];
+        element::stiffness_matrix(&x, &mat, &tet_rule_deg2(), &mut k);
         let scale: f64 = k.iter().map(|v| v * v).sum::<f64>().sqrt();
         // translations
         for a in 0..3 {
@@ -78,7 +79,8 @@ proptest! {
     #[test]
     fn mass_conservation(off in offset_strategy(), rho in 500.0f64..5000.0) {
         let Some(x) = tet10_from_offsets(off) else { return Ok(()); };
-        let m = element::mass_matrix(&x, rho, &tet_rule_deg5());
+        let mut m = vec![0.0; PACKED];
+        element::mass_matrix(&x, rho, &tet_rule_deg5(), &mut m);
         let verts = [x[0], x[1], x[2], x[3]];
         let (_, vol) = tet_bary_gradients(&verts);
         for a in 0..3 {
@@ -96,7 +98,8 @@ proptest! {
     fn stiffness_psd(off in offset_strategy(), seed in any::<u64>()) {
         let Some(x) = tet10_from_offsets(off) else { return Ok(()); };
         let mat = Material::new(2000.0, 400.0, 1000.0);
-        let k = element::stiffness_matrix(&x, &mat, &tet_rule_deg2());
+        let mut k = vec![0.0; PACKED];
+        element::stiffness_matrix(&x, &mat, &tet_rule_deg2(), &mut k);
         let mut s = seed | 1;
         let mut next = move || {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);

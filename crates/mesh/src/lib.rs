@@ -35,7 +35,7 @@ pub use coloring::{color_runs, validate_runs, ColoringConflict, RunColoring};
 pub use generate::{box_tet10, box_tet4, promote_tet10, BoxGrid, TetMesh4};
 pub use ground::{GroundModel, GroundModelSpec, InterfaceShape, Material};
 pub use io::{write_vtk, write_vtk_file, Field};
-pub use mesh::{TetMesh10, TET_EDGES, TET_FACES};
+pub use mesh::{Incidence, TetMesh10, TET_EDGES, TET_FACES};
 pub use partition::{
     build_partition, edge_cut, halo_sum, partition_greedy, partition_rcb, Partition, SubMesh,
 };

@@ -19,6 +19,46 @@ pub const TET_EDGES: [(usize, usize); 6] = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 
 /// so that their normal points out of the element (for positive-volume tets).
 pub const TET_FACES: [[usize; 3]; 4] = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]];
 
+/// Node → cell incidence in compressed rows: the cells that reference
+/// node `n` are `elems[ptr[n]..ptr[n + 1]]`, in ascending cell order (a
+/// cell lists each of its nodes once, [`TetMesh10::validate`]).
+#[derive(Debug, Clone)]
+pub struct Incidence {
+    /// Row pointers, `n_nodes + 1` entries.
+    pub ptr: Vec<usize>,
+    /// Cell ids, row by row.
+    pub elems: Vec<u32>,
+}
+
+impl Incidence {
+    /// The incidence of `cells` (each a list of `K` node ids below
+    /// `n_nodes`): one counting pass sizes the rows, a second fills them.
+    pub fn of<const K: usize>(n_nodes: usize, cells: &[[u32; K]]) -> Self {
+        let mut ptr = vec![0usize; n_nodes + 1];
+        for &n in cells.as_flattened() {
+            ptr[n as usize + 1] += 1;
+        }
+        for i in 0..n_nodes {
+            ptr[i + 1] += ptr[i];
+        }
+        let mut next = ptr[..n_nodes].to_vec();
+        let mut elems = vec![0u32; ptr[n_nodes]];
+        for (c, cell) in cells.iter().enumerate() {
+            for &n in cell {
+                elems[next[n as usize]] = c as u32;
+                next[n as usize] += 1;
+            }
+        }
+        Incidence { ptr, elems }
+    }
+
+    /// The cells of node `n`, ascending.
+    #[inline]
+    pub fn of_node(&self, n: usize) -> &[u32] {
+        &self.elems[self.ptr[n]..self.ptr[n + 1]]
+    }
+}
+
 /// A second-order tetrahedral mesh.
 ///
 /// Coordinates are stored per node; elements store the 10 node ids in the
@@ -112,16 +152,10 @@ impl TetMesh10 {
         (lo, hi)
     }
 
-    /// Node-to-element incidence: for each node, the list of elements that
-    /// reference it (through any of their 10 nodes).
-    pub fn node_to_elems(&self) -> Vec<Vec<u32>> {
-        let mut inc = vec![Vec::new(); self.n_nodes()];
-        for (e, el) in self.elems.iter().enumerate() {
-            for &n in el {
-                inc[n as usize].push(e as u32);
-            }
-        }
-        inc
+    /// Node-to-element incidence: for each node, the elements that
+    /// reference it (through any of their 10 nodes), ascending.
+    pub fn node_to_elems(&self) -> Incidence {
+        Incidence::of(self.n_nodes(), &self.elems)
     }
 
     /// Validate structural invariants; returns a description of the first
@@ -237,8 +271,8 @@ mod tests {
     fn node_to_elems_incidence() {
         let m = unit_tet10();
         let inc = m.node_to_elems();
-        assert_eq!(inc.len(), 10);
-        assert!(inc.iter().all(|l| l == &vec![0u32]));
+        assert_eq!(inc.ptr.len(), 11);
+        assert!((0..10).all(|n| inc.of_node(n) == [0u32]));
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub fn element_adjacency(mesh: &TetMesh10) -> Vec<Vec<u32>> {
     for (e, el) in mesh.elems.iter().enumerate() {
         let mut nbrs: Vec<u32> = el
             .iter()
-            .flat_map(|&n| n2e[n as usize].iter().copied())
+            .flat_map(|&n| n2e.of_node(n as usize).iter().copied())
             .filter(|&o| o != e as u32)
             .collect();
         nbrs.sort_unstable();

@@ -2,8 +2,29 @@
 //! matrices — the "store the matrix in memory" path of the baseline
 //! CRS-CG methods.
 
-use crate::bcrs::{Bcrs3, BcrsBuilder};
+use hetsolve_mesh::Incidence;
+
+use crate::bcrs::{merge_row, Bcrs3, BcrsBuilder};
 use crate::sym::packed_idx as pidx;
+
+/// The blocks `(nodes[b], coeff · E[a, b])`, `b` ascending, that row `a` of
+/// the packed symmetric element matrix `E` adds to block row `nodes[a]`.
+fn row_blocks<'a>(
+    nodes: &'a [u32],
+    packed: &'a [f64],
+    coeff: f64,
+    a: usize,
+) -> impl Iterator<Item = (u32, [f64; 9])> + 'a {
+    nodes.iter().enumerate().map(move |(b, &nb)| {
+        let mut blk = [0.0f64; 9];
+        for da in 0..3 {
+            for db in 0..3 {
+                blk[3 * da + db] = coeff * packed[pidx(3 * a + da, 3 * b + db)];
+            }
+        }
+        (nb, blk)
+    })
+}
 
 /// Accumulate `coeff * E` into the builder, where `E` is the packed
 /// symmetric matrix of an element with node list `nodes` (node-major DOFs:
@@ -15,13 +36,7 @@ pub fn add_packed_element(builder: &mut BcrsBuilder, nodes: &[u32], packed: &[f6
         return;
     }
     for (a, &na) in nodes.iter().enumerate() {
-        for (b, &nb) in nodes.iter().enumerate() {
-            let mut blk = [0.0f64; 9];
-            for da in 0..3 {
-                for db in 0..3 {
-                    blk[3 * da + db] = coeff * packed[pidx(3 * a + da, 3 * b + db)];
-                }
-            }
+        for (nb, blk) in row_blocks(nodes, packed, coeff, a) {
             builder.add_block(na, nb, &blk);
         }
     }
@@ -39,6 +54,16 @@ pub fn add_packed_element(builder: &mut BcrsBuilder, nodes: &[u32], packed: &[f6
 ///   (stride 171),
 /// * `fixed` — per-DOF Dirichlet mask (length `3 * n_nodes`), or empty for
 ///   no constraints.
+///
+/// Count first, then fill, one block row at a time: a symbolic pass over
+/// the node → element and node → face incidences fixes `row_ptr`, so
+/// `cols` and `blocks` are allocated once at their final size. Row `i` is
+/// then the sequence a [`BcrsBuilder`] fed by [`add_packed_element`] in a
+/// global loop (every element's `c_M M_e`, then its `c_K K_e`, elements
+/// ascending, then every face's `c_B C_f`) pushes to row `i`: its incident
+/// elements ascending, each with its `M_e` blocks and then its `K_e`
+/// blocks, then its incident faces ascending. [`merge_row`] sorts and sums
+/// that sequence, so the matrix is the builder's bit for bit.
 #[allow(clippy::too_many_arguments, reason = "mesh arrays and coefficients")]
 pub fn assemble_global(
     n_nodes: usize,
@@ -56,15 +81,63 @@ pub fn assemble_global(
     const TP: usize = 465;
     const FP: usize = 171;
     debug_assert!(fixed.is_empty() || fixed.len() == 3 * n_nodes);
-    let mut b = BcrsBuilder::new(n_nodes);
-    for (e, el) in elems.iter().enumerate() {
-        add_packed_element(&mut b, el, &me[e * TP..(e + 1) * TP], c_m);
-        add_packed_element(&mut b, el, &ke[e * TP..(e + 1) * TP], c_k);
+    // a zero coefficient adds no blocks, as in `add_packed_element`
+    let elems_on = if c_m != 0.0 || c_k != 0.0 { elems } else { &[] };
+    let faces_on = if c_b != 0.0 { faces } else { &[] };
+    let n2e = Incidence::of(n_nodes, elems_on);
+    let n2f = Incidence::of(n_nodes, faces_on);
+
+    // symbolic pass: the distinct block columns of every row
+    let mut seen = vec![u32::MAX; n_nodes];
+    let mut row_ptr = Vec::with_capacity(n_nodes + 1);
+    row_ptr.push(0);
+    let mut nnz = 0;
+    for i in 0..n_nodes {
+        let elem_nodes = n2e.of_node(i).iter().map(|&e| &elems[e as usize][..]);
+        let face_nodes = n2f.of_node(i).iter().map(|&f| &faces[f as usize][..]);
+        for &j in elem_nodes.chain(face_nodes).flatten() {
+            if seen[j as usize] != i as u32 {
+                seen[j as usize] = i as u32;
+                nnz += 1;
+            }
+        }
+        row_ptr.push(nnz);
     }
-    for (f, fc) in faces.iter().enumerate() {
-        add_packed_element(&mut b, fc, &cb[f * FP..(f + 1) * FP], c_b);
+
+    // numeric pass: the builder's row sequence, merged by the builder's rule
+    let mut cols = Vec::with_capacity(nnz);
+    let mut blocks = Vec::with_capacity(nnz);
+    let mut row = Vec::new();
+    for i in 0..n_nodes {
+        row.clear();
+        let at = |nodes: &[u32]| {
+            let a = nodes.iter().position(|&n| n as usize == i);
+            a.expect("the incidence of node i lists only cells of node i")
+        };
+        for &e in n2e.of_node(i) {
+            let (e, el) = (e as usize, &elems[e as usize]);
+            let a = at(el);
+            if c_m != 0.0 {
+                row.extend(row_blocks(el, &me[e * TP..(e + 1) * TP], c_m, a));
+            }
+            if c_k != 0.0 {
+                row.extend(row_blocks(el, &ke[e * TP..(e + 1) * TP], c_k, a));
+            }
+        }
+        for &f in n2f.of_node(i) {
+            let (f, fc) = (f as usize, &faces[f as usize]);
+            row.extend(row_blocks(fc, &cb[f * FP..(f + 1) * FP], c_b, at(fc)));
+        }
+        merge_row(&mut row, &mut cols, &mut blocks);
+        debug_assert_eq!(cols.len(), row_ptr[i + 1]);
     }
-    let mut m = b.finish(parallel);
+    let mut m = Bcrs3 {
+        n_brows: n_nodes,
+        row_ptr,
+        cols,
+        blocks,
+        parallel,
+    };
     if !fixed.is_empty() {
         apply_dirichlet(&mut m, fixed);
     }

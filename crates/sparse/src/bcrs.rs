@@ -141,23 +141,7 @@ impl BcrsBuilder {
         let mut blocks: Vec<[f64; 9]> = Vec::new();
         row_ptr.push(0);
         for mut row in self.rows {
-            row.sort_unstable_by_key(|&(c, _)| c);
-            let mut it = row.into_iter();
-            if let Some((c0, b0)) = it.next() {
-                cols.push(c0);
-                blocks.push(b0);
-                for (c, b) in it {
-                    if *cols.last().unwrap() == c {
-                        let last = blocks.last_mut().unwrap();
-                        for k in 0..9 {
-                            last[k] += b[k];
-                        }
-                    } else {
-                        cols.push(c);
-                        blocks.push(b);
-                    }
-                }
-            }
+            merge_row(&mut row, &mut cols, &mut blocks);
             row_ptr.push(cols.len());
         }
         Bcrs3 {
@@ -168,6 +152,41 @@ impl BcrsBuilder {
             parallel,
         }
     }
+}
+
+/// Sort one block row's `(column, block)` contributions by column and
+/// append each distinct column once to `cols`/`blocks`, summing equal
+/// columns in the order the sort leaves them.
+///
+/// This is where the summation order of every assembled matrix is defined:
+/// [`BcrsBuilder::finish`] and [`crate::assemble_global`] both call it, and
+/// agree bit for bit because they hand it the same sequence. An unstable
+/// sort permutes equal keys as a function of the whole input, so changing
+/// the sort, the element type or the order in which a row's contributions
+/// are pushed changes which duplicate is added first — and moves bits.
+pub(crate) fn merge_row(
+    row: &mut [(u32, [f64; 9])],
+    cols: &mut Vec<u32>,
+    blocks: &mut Vec<[f64; 9]>,
+) {
+    row.sort_unstable_by_key(|&(c, _)| c);
+    let mut it = row.iter();
+    let Some(&(mut col, mut sum)) = it.next() else {
+        return;
+    };
+    for &(c, b) in it {
+        if c == col {
+            for k in 0..9 {
+                sum[k] += b[k];
+            }
+        } else {
+            cols.push(col);
+            blocks.push(sum);
+            (col, sum) = (c, b);
+        }
+    }
+    cols.push(col);
+    blocks.push(sum);
 }
 
 #[cfg(test)]

@@ -6,14 +6,21 @@
 //! The steps between two step boundaries are measured as the difference
 //! of two runs that crash there (`FaultPlan::crash_at`): both runs build
 //! the same backend-side state and the same load, so what remains is the
-//! steps in between. This is the only test of its binary: the counters
-//! are process-wide, and a neighbouring test allocating on another thread
-//! would be counted too. Debug builds allocate the parcheck claim table
-//! (one word per DOF) in every colored scatter, so the test runs in
-//! release builds only.
+//! steps in between.
+//!
+//! A CRS backend's set-up allocates a few dozen blocks, not one per
+//! element or per matrix block: assembly is count-first and keeps no
+//! element matrices (DESIGN.md §17).
+//!
+//! The counters are process-wide, so the tests of this binary take
+//! [`EXCLUSIVE`] before they count: a neighbouring test allocating on
+//! another thread would be counted too. Debug builds allocate the parcheck
+//! claim table (one word per DOF) in every colored scatter, so the tests
+//! run in release builds only.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use hetsolve::core::WindowPolicy;
 use hetsolve::fem::FemProblem;
@@ -69,20 +76,30 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations and bytes of a run of `cfg` that crashes at step `at`.
-fn until_crash(backend: &Backend, cfg: &RunConfig, at: usize) -> (u64, u64) {
-    let mut plan = FaultPlan::new(0).crash_at(at);
+/// Held by each test while it counts.
+static EXCLUSIVE: Mutex<()> = Mutex::new(());
+
+/// Allocations and bytes of `f`.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     let (a0, b0) = (
         ALLOCS.load(Ordering::Relaxed),
         BYTES.load(Ordering::Relaxed),
     );
-    let out = run_with(backend, cfg, Hooks::default().faults(&mut plan));
-    let counts = (
-        ALLOCS.load(Ordering::Relaxed) - a0,
-        BYTES.load(Ordering::Relaxed) - b0,
+    let out = f();
+    let (a1, b1) = (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
     );
+    (out, a1 - a0, b1 - b0)
+}
+
+/// Allocations and bytes of a run of `cfg` that crashes at step `at`.
+fn until_crash(backend: &Backend, cfg: &RunConfig, at: usize) -> (u64, u64) {
+    let mut plan = FaultPlan::new(0).crash_at(at);
+    let (out, allocs, bytes) =
+        counted(|| run_with(backend, cfg, Hooks::default().faults(&mut plan)));
     assert!(matches!(out, Err(RunError::Crashed { step }) if step == at));
-    counts
+    (allocs, bytes)
 }
 
 /// Allocations and bytes per step over steps `from..to` of `cfg`.
@@ -102,6 +119,7 @@ fn per_step(backend: &Backend, cfg: &RunConfig, from: usize, to: usize) -> (f64,
 #[test]
 #[cfg_attr(debug_assertions, ignore = "parcheck claim table")]
 fn warm_steps_allocate_nothing_that_grows_with_the_problem() {
+    let _only = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
     // start the process-wide pool's workers outside any count
     hetsolve::pool::run(hetsolve::pool::threads().max(2), |_| ());
     let spec = GroundModelSpec::paper_like(3, 3, 2, InterfaceShape::Stratified);
@@ -124,4 +142,24 @@ fn warm_steps_allocate_nothing_that_grows_with_the_problem() {
             method.label()
         );
     }
+}
+
+/// `Backend::new` with the assembled matrix at 9,537 DOF: the compact
+/// element data, the sweep plan, the block-Jacobi blocks and one
+/// count-first assembly, in a bounded number of allocations (38,749
+/// before assembly was count-first).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "parcheck claim table")]
+fn crs_backend_setup_allocates_a_bounded_number_of_blocks() {
+    let _only = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
+    let spec = GroundModelSpec::paper_like(8, 8, 5, InterfaceShape::Basin);
+    let problem = FemProblem::paper_like(&spec);
+    assert_eq!(problem.n_dofs(), 9537);
+    let (backend, allocs, bytes) = counted(|| Backend::new(problem, true, false));
+    assert!(backend.has_crs());
+    println!("Backend::new(.., true, false) at 9,537 DOF: {allocs} allocations, {bytes} bytes");
+    assert!(
+        allocs <= 200,
+        "{allocs} allocations ({bytes} bytes) in set-up"
+    );
 }
