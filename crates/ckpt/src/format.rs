@@ -33,7 +33,7 @@ pub const MAGIC: [u8; 8] = *b"HSCKPT\r\n";
 /// operator (and under fingerprints that left out the node model and the
 /// integrity configuration): they parse, but a run resumed from one would
 /// not continue bitwise, so they are refused like a newer version.
-pub const VERSION: u32 = 2;
+pub(crate) const VERSION: u32 = 2;
 
 const END_TAG: [u8; 4] = *b"END\0";
 
@@ -160,7 +160,7 @@ impl<'a> Dec<'a> {
     }
 
     #[inline]
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -251,7 +251,6 @@ impl Default for SectionWriter {
 /// every section CRC, and the `END` completeness marker.
 #[derive(Debug, PartialEq, Eq)]
 pub struct SectionReader<'a> {
-    version: u32,
     sections: Vec<([u8; 4], &'a [u8])>,
 }
 
@@ -281,14 +280,10 @@ impl<'a> SectionReader<'a> {
                 if d.remaining() != 0 {
                     return Err(CkptError::Corrupt("bytes after END section".into()));
                 }
-                return Ok(SectionReader { version, sections });
+                return Ok(SectionReader { sections });
             }
             sections.push((tag, payload));
         }
-    }
-
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     pub fn section(&self, tag: [u8; 4]) -> Result<&'a [u8], CkptError> {
@@ -315,7 +310,7 @@ impl<'a> SectionReader<'a> {
 /// Write `bytes` to `path` atomically: temp file in the same directory,
 /// fsync, rename. A crash at any point leaves either the old file or the
 /// new one — never a mix (the rename is the commit point).
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
@@ -451,7 +446,6 @@ mod tests {
         w.section(*b"BBBB", &[]);
         let bytes = w.finish();
         let r = SectionReader::parse(&bytes).unwrap();
-        assert_eq!(r.version(), VERSION);
         assert_eq!(r.section(*b"AAAA").unwrap(), b"hello");
         assert_eq!(r.section(*b"BBBB").unwrap(), b"");
         assert_eq!(

@@ -13,7 +13,7 @@
 //!
 //! Durability comes from two mechanisms working together:
 //!
-//! * **atomic writes** — [`write_atomic`] writes a temp file, fsyncs, and
+//! * **atomic writes** — `write_atomic` writes a temp file, fsyncs, and
 //!   renames into place, so a crash mid-write never replaces a good
 //!   checkpoint with a half-written one;
 //! * **validated restore with fallback** — [`CheckpointStore::load_latest_valid`]
@@ -34,9 +34,7 @@ mod replica;
 mod store;
 mod wire;
 
-pub use format::{
-    fnv1a, mix64, write_atomic, CkptError, Dec, Enc, SectionReader, SectionWriter, MAGIC, VERSION,
-};
+pub use format::{fnv1a, mix64, CkptError, Dec, Enc, SectionReader, SectionWriter, MAGIC};
 pub use hetsolve_crc::{crc32, Crc32};
 pub use replica::ReplicaStore;
 pub use store::{tear, CheckpointStore, RestoreReport, SkippedCheckpoint};

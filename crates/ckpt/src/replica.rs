@@ -18,10 +18,6 @@
 //!   skips invalid ones with a typed [`RestoreReport`] entry;
 //! * [`ReplicaStore::tear`] is the chaos hook the `corrupt_replica` fault
 //!   injection drives.
-//!
-//! Staleness is first-class: [`ReplicaStore::staleness`] reports how many
-//! mirror sequences the replica lags the primary, so a supervisor can
-//! bound the replay window a failover implies.
 
 use std::path::PathBuf;
 
@@ -47,10 +43,6 @@ impl ReplicaStore {
         }
     }
 
-    pub fn keep(&self) -> usize {
-        self.keep
-    }
-
     /// Number of replicas currently held.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -63,19 +55,6 @@ impl ReplicaStore {
     /// Sequence numbers held, ascending.
     pub fn seqs(&self) -> Vec<u64> {
         self.entries.iter().map(|&(s, _)| s).collect()
-    }
-
-    /// Newest mirrored sequence number, if any.
-    pub fn latest_seq(&self) -> Option<u64> {
-        self.entries.last().map(|&(s, _)| s)
-    }
-
-    /// How many sequences the mirror lags the primary's `current_seq`
-    /// (0 = fully fresh). `None` when nothing was ever mirrored — the
-    /// caller must treat that as "no failover possible", not "fresh".
-    pub fn staleness(&self, current_seq: u64) -> Option<u64> {
-        self.latest_seq()
-            .map(|latest| current_seq.saturating_sub(latest))
     }
 
     /// Mirror checkpoint `seq`: replace any existing image at the same
@@ -177,10 +156,7 @@ mod tests {
             rep.mirror(seq, &payload(seq as u8));
         }
         assert_eq!(rep.seqs(), vec![3, 4], "pruned to the newest keep=2");
-        assert_eq!(rep.latest_seq(), Some(4));
-        assert_eq!(rep.staleness(4), Some(0));
-        assert_eq!(rep.staleness(7), Some(3));
-        assert_eq!(ReplicaStore::new(2).staleness(5), None, "never mirrored");
+        assert!(ReplicaStore::new(2).seqs().is_empty(), "never mirrored");
     }
 
     #[test]

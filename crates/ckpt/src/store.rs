@@ -69,10 +69,6 @@ impl CheckpointStore {
         &self.dir
     }
 
-    pub fn keep(&self) -> usize {
-        self.keep
-    }
-
     /// Path a checkpoint with sequence number `seq` lives at.
     pub fn path_for(&self, seq: u64) -> PathBuf {
         self.dir.join(format!("ckpt_{seq:010}.bin"))

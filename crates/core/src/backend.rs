@@ -92,7 +92,7 @@ impl Backend {
     /// mesh with element data `data` (the backend's own, or a copy whose
     /// moduli a nonlinear run updates), under the plan validated in
     /// [`Self::new`].
-    pub fn compact_op<'a>(
+    pub(crate) fn compact_op<'a>(
         &'a self,
         data: &'a CompactElements,
         coeffs: (f64, f64, f64),
@@ -212,7 +212,7 @@ impl Backend {
     /// matrices (charged to CRS methods): A·x-shaped + M·x-shaped SpMVs.
     /// `M` is never assembled: its block pattern is `A`'s (every face node
     /// is an element node), and an SpMV's counts read only the pattern.
-    pub fn rhs_counts_crs(&self) -> KernelCounts {
+    pub(crate) fn rhs_counts_crs(&self) -> KernelCounts {
         let a = self.crs_a().counts();
         a.merged(a)
     }
@@ -387,8 +387,7 @@ mod tests {
     /// `Backend::new` keeps.
     #[test]
     fn assembly_is_the_builder_bitwise() {
-        use hetsolve_sparse::assembly::add_packed_element;
-        use hetsolve_sparse::{apply_dirichlet, BcrsBuilder};
+        use hetsolve_sparse::{add_packed_element, apply_dirichlet, BcrsBuilder};
 
         let spec = GroundModelSpec::paper_like(8, 8, 5, InterfaceShape::Basin);
         let b = Backend::new(FemProblem::paper_like(&spec), true, false);

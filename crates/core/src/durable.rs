@@ -90,14 +90,7 @@ impl<'s> Durable<'s> {
         let restore_s = wall.now() - t0;
         let st = found.map(|(_, st)| st);
         let resumed_from = st.as_ref().map(|st| st.step);
-        if let (Some(step), Some(st)) = (resumed_from, &st) {
-            let skipped = restore.skipped.len();
-            tracer.flight_event(
-                st.clock.elapsed(),
-                "ckpt_restore",
-                Some(step as u64),
-                format!("resumed from step {step}, {skipped} invalid checkpoint(s) skipped"),
-            );
+        if resumed_from.is_some() {
             if let Some(reg) = tracer.registry_mut() {
                 reg.inc(names::CORE_CKPT_RESTORES_TOTAL, 1.0);
             }
@@ -145,12 +138,6 @@ impl<'s> Durable<'s> {
         self.outcome.write_s += wall.now() - tw;
         self.outcome.checkpoints_written += 1;
         self.outcome.checkpoint_bytes = bytes.len();
-        tracer.flight_event(
-            st.clock.elapsed(),
-            "ckpt_write",
-            Some(seq),
-            format!("{} bytes", bytes.len()),
-        );
         if let Some(reg) = tracer.registry_mut() {
             reg.inc(names::CORE_CKPT_WRITES_TOTAL, 1.0);
         }

@@ -4,7 +4,7 @@
 //! each surface point obtained by frequency-domain decomposition.
 
 use hetsolve_machine::NodeSpec;
-use hetsolve_signal::{dominant_frequency_psd, fdd, welch_psd, FddResult, WelchConfig};
+use hetsolve_signal::{fdd, welch_psd, FddResult, WelchConfig};
 
 use std::path::Path;
 
@@ -109,7 +109,7 @@ impl EnsembleResult {
     }
 
     /// Ensemble-averaged PSD of one surface point.
-    pub fn mean_psd(&self, point: usize, cfg: &WelchConfig) -> Vec<f64> {
+    pub(crate) fn mean_psd(&self, point: usize, cfg: &WelchConfig) -> Vec<f64> {
         let mut acc = vec![0.0; cfg.n_bins()];
         for case in &self.waveforms {
             let psd = welch_psd(&case[point], cfg);
@@ -136,17 +136,6 @@ impl EnsembleResult {
                 cfg.frequency(hetsolve_signal::peak_bin(&psd, max_bin))
             })
             .collect()
-    }
-
-    /// Dominant frequency of a single point in a single case (cheap check).
-    pub fn dominant_frequency_point(
-        &self,
-        case: usize,
-        point: usize,
-        cfg: &WelchConfig,
-        f_max: f64,
-    ) -> f64 {
-        dominant_frequency_psd(&self.waveforms[case][point], cfg, f_max)
     }
 
     /// Multi-channel FDD over a subset of points in one case (mode shapes).

@@ -48,7 +48,7 @@ use std::fmt;
 use hetsolve_ckpt::Crc32;
 use hetsolve_fault::{BitFlip, FaultKind, FaultPlan, FaultSite, StateField};
 use hetsolve_fem::CompactElements;
-use hetsolve_sparse::vecops::insert_case;
+use hetsolve_sparse::insert_case;
 use hetsolve_sparse::Bcrs3;
 
 use crate::backend::{Backend, RhsScratch};
@@ -56,19 +56,19 @@ use crate::slot::CaseSlot;
 
 /// Period (in steps) of the predictor-basis orthogonality audit, which
 /// runs whenever detection is on.
-pub const DEFAULT_BASIS_CHECK_EVERY: usize = 32;
+pub(crate) const DEFAULT_BASIS_CHECK_EVERY: usize = 32;
 
 /// Bound on the MGS orthogonality defect of the predictor basis.
 /// A healthy re-orthonormalized basis sits at rounding level (~1e-14);
 /// past this bound the history is reset rather than trusted.
-pub const DEFAULT_BASIS_DEFECT_TOL: f64 = 1e-6;
+pub(crate) const DEFAULT_BASIS_DEFECT_TOL: f64 = 1e-6;
 
 /// Integrity-layer configuration carried by `RunConfig`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntegrityConfig {
     /// Master switch: capture/verify state guards, RHS and operator
     /// checksums, non-finite scrubbing, and the predictor-basis audit
-    /// every [`DEFAULT_BASIS_CHECK_EVERY`] steps. Detection is read-only on
+    /// every `DEFAULT_BASIS_CHECK_EVERY` steps. Detection is read-only on
     /// clean data, so enabling it leaves clean results bitwise-unchanged.
     pub detect: bool,
 }
@@ -117,7 +117,7 @@ impl CorruptTarget {
     }
 
     /// Stable wire code for checkpoint encoding (append-only).
-    pub fn code(&self) -> u8 {
+    pub(crate) fn code(&self) -> u8 {
         match self {
             CorruptTarget::State(StateField::U) => 0,
             CorruptTarget::State(StateField::V) => 1,
@@ -130,7 +130,7 @@ impl CorruptTarget {
     }
 
     /// Inverse of [`CorruptTarget::code`]; `None` for unknown codes.
-    pub fn from_code(code: u8) -> Option<Self> {
+    pub(crate) fn from_code(code: u8) -> Option<Self> {
         Some(match code {
             0 => CorruptTarget::State(StateField::U),
             1 => CorruptTarget::State(StateField::V),
@@ -179,7 +179,7 @@ impl CorruptionAction {
     }
 
     /// Stable wire code for checkpoint encoding (append-only).
-    pub fn code(&self) -> u8 {
+    pub(crate) fn code(&self) -> u8 {
         match self {
             CorruptionAction::RestoredState => 0,
             CorruptionAction::RecomputedRhs => 1,
@@ -191,7 +191,7 @@ impl CorruptionAction {
     }
 
     /// Inverse of [`CorruptionAction::code`]; `None` for unknown codes.
-    pub fn from_code(code: u8) -> Option<Self> {
+    pub(crate) fn from_code(code: u8) -> Option<Self> {
         Some(match code {
             0 => CorruptionAction::RestoredState,
             1 => CorruptionAction::RecomputedRhs,
@@ -363,7 +363,7 @@ impl StateGuard {
 
     /// Checksum and snapshot `slot`'s boundary state, replacing whatever
     /// this guard held.
-    pub fn capture(&mut self, slot: &CaseSlot) {
+    pub(crate) fn capture(&mut self, slot: &CaseSlot) {
         self.snapshot.clear();
         self.ends.clear();
         self.step = slot.time.step;
@@ -376,7 +376,7 @@ impl StateGuard {
     /// Re-checksum the slot; `Some(target)` names the first component
     /// whose bits changed since capture — or, for the predictor history,
     /// since the column was recorded.
-    pub fn verify(&self, slot: &CaseSlot) -> Option<CorruptTarget> {
+    pub(crate) fn verify(&self, slot: &CaseSlot) -> Option<CorruptTarget> {
         if crc_f64s(&slot.time.u) != self.crc_u {
             return Some(CorruptTarget::State(StateField::U));
         }
@@ -410,7 +410,7 @@ impl StateGuard {
     /// correctness dependency) and the action says so. The load, waveform
     /// and scratch are untouched — the first is immutable, the latter two
     /// are not step inputs.
-    pub fn restore_into(&self, slot: &mut CaseSlot) -> CorruptionAction {
+    pub(crate) fn restore_into(&self, slot: &mut CaseSlot) -> CorruptionAction {
         let mut cols = self.columns();
         #[allow(
             clippy::expect_used,

@@ -137,11 +137,6 @@ impl MethodKind {
             MethodKind::EbeMcgCpuGpu => 2 * r,
         }
     }
-
-    /// Does this method use the data-driven predictor?
-    pub fn data_driven(&self) -> bool {
-        matches!(self, MethodKind::CrsCgCpuGpu | MethodKind::EbeMcgCpuGpu)
-    }
 }
 
 /// How the data-driven snapshot window `s` is chosen each step.
@@ -335,7 +330,7 @@ impl<'h> Hooks<'h> {
     }
 
     /// Restore from `store`'s newest valid checkpoint, then snapshot per
-    /// `policy` ([`crate::durable`]).
+    /// `policy`.
     pub fn durable(mut self, store: &'h CheckpointStore, policy: CheckpointPolicy) -> Self {
         self.store = Some((store, policy));
         self
@@ -345,7 +340,7 @@ impl<'h> Hooks<'h> {
 /// Run a time-history simulation with the configured method.
 ///
 /// Returns a typed [`RunError`] instead of panicking when a step's solve
-/// exhausts the recovery ladder (see [`crate::recovery`]).
+/// exhausts the recovery ladder.
 pub fn run(backend: &Backend, cfg: &RunConfig) -> Result<RunResult, RunError> {
     run_with(backend, cfg, Hooks::default())
 }
@@ -380,45 +375,19 @@ pub fn run_with(
     tracer.attach_clock(&mut st.clock);
     loop {
         if faults.inject(FaultSite::Crash { step: st.step }).is_some() {
-            // black-box behavior: the last thing the recorder sees is the
-            // crash itself, then the ring hits disk (best-effort — a dump
-            // failure must not mask the crash error)
-            tracer.flight_event(
-                st.clock.elapsed(),
-                "crash",
-                Some(st.step as u64),
-                "injected crash_fault at step boundary",
-            );
-            let _ = tracer.dump_flight("crash");
             return Err(RunError::Crashed { step: st.step });
         }
         if st.step >= cfg.n_steps {
             break;
         }
         let corruptions_before = st.corruptions.len();
-        if let Err(e) = st.step_once(backend, cfg, tracer, faults, &ctx) {
-            tracer.flight_event(
-                st.clock.elapsed(),
-                "run_error",
-                Some(st.step as u64),
-                format!("{e}"),
-            );
-            let _ = tracer.dump_flight("run_error");
-            return Err(e);
-        }
+        st.step_once(backend, cfg, tracer, faults, &ctx)?;
         // every report appended by step_once is a detection that was also
         // recovered in place (unrecoverable corruption returns Err above)
-        for rep in &st.corruptions[corruptions_before..] {
-            tracer.flight_event(
-                st.clock.elapsed(),
-                "sdc_recovered",
-                Some(rep.step as u64),
-                format!("{rep}"),
-            );
-            if let Some(reg) = tracer.registry_mut() {
-                reg.inc(names::CORE_SDC_DETECTED_TOTAL, 1.0);
-                reg.inc(names::CORE_SDC_RECOVERED_TOTAL, 1.0);
-            }
+        let recovered = st.corruptions.len() - corruptions_before;
+        if let Some(reg) = tracer.registry_mut().filter(|_| recovered > 0) {
+            reg.inc(names::CORE_SDC_DETECTED_TOTAL, recovered as f64);
+            reg.inc(names::CORE_SDC_RECOVERED_TOTAL, recovered as f64);
         }
         if let Some(d) = durable.as_mut() {
             d.after_step(&st, cfg, faults, wall, tracer)?;
@@ -506,10 +475,24 @@ pub(crate) struct RunCtx<'a> {
     set_ids: Vec<Vec<Option<usize>>>,
 }
 
+/// Typed [`RunError::Config`] unless the EBE operator has a fused kernel
+/// for `r` right-hand sides per set; every driver that applies it checks.
+pub(crate) fn check_fused_width(r: usize) -> Result<(), RunError> {
+    if matches!(r, 1 | 2 | 4 | 8) {
+        return Ok(());
+    }
+    Err(RunError::Config {
+        message: format!("EBE-MCG fuses 1, 2, 4 or 8 cases per set, not r = {r}"),
+    })
+}
+
 impl<'a> RunCtx<'a> {
     /// Typed [`RunError::Config`] when the method needs assembled matrices
-    /// the backend was built without.
+    /// the backend was built without, or a fused width EBE-MCG lacks.
     pub(crate) fn new(backend: &'a Backend, cfg: &RunConfig) -> Result<Self, RunError> {
+        if cfg.method == MethodKind::EbeMcgCpuGpu {
+            check_fused_width(cfg.r)?;
+        }
         let layout = Layout::of(cfg);
         let (op, payload, rhs_counts): (Box<dyn MultiOperator>, _, _) =
             if cfg.method == MethodKind::EbeMcgCpuGpu {
@@ -892,6 +875,25 @@ mod tests {
         };
         c.region_dofs = 300;
         c
+    }
+
+    /// A fused width the EBE operator has no kernel for is a typed config
+    /// error from every driver, not a panic in the operator's set-up.
+    #[test]
+    fn unsupported_fused_width_is_a_typed_error() {
+        let b = small_backend();
+        let is_config = |e: RunError| matches!(e, RunError::Config { .. });
+        for r in [0, 3] {
+            let mut c = cfg(MethodKind::EbeMcgCpuGpu, 2);
+            c.r = r;
+            assert!(is_config(run(&b, &c).unwrap_err()), "run, r = {r}");
+            let realtime = crate::run_realtime(&b, &c, Hooks::default());
+            assert!(is_config(realtime.unwrap_err()), "run_realtime, r = {r}");
+            let mut e = crate::EnsembleConfig::new(single_gh200(), 4, 2).unwrap();
+            e.run.r = r;
+            let ensemble = crate::run_ensemble(&b, &e);
+            assert!(is_config(ensemble.unwrap_err()), "run_ensemble, r = {r}");
+        }
     }
 
     #[test]

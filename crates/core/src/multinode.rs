@@ -170,7 +170,7 @@ impl PartitionedProblem {
 
     /// Worst-partition halo bytes exchanged per operator application for
     /// `r` fused cases — the input of the weak-scaling model (Fig. 5).
-    pub fn max_halo_bytes(&self, r: usize) -> f64 {
+    pub(crate) fn max_halo_bytes(&self, r: usize) -> f64 {
         self.parts
             .iter()
             .map(|p| (p.sub.halo_size() * 3 * 8 * r) as f64)

@@ -1,5 +1,5 @@
 //! Nonlinear time-history driver — the paper's motivated extension of the
-//! matrix-free method (§2.2: EBE "enabl[es] the use of the proposed method
+//! matrix-free method (§2.2: EBE "enabl\[es\] the use of the proposed method
 //! for solving nonlinear problems", §3: "the proposed method can be applied
 //! to nonlinear problems (which is another advantage of the matrix-free
 //! EBE-MCG@CPU-GPU over the CRS-based method)").
@@ -12,8 +12,8 @@
 //! modeled cost gap is reported alongside the results.
 
 use hetsolve_fem::{
-    nonlinear::{refresh_counts_crs, refresh_counts_ebe},
-    CompactElements, HyperbolicModel, NonlinearState, RandomLoad, TimeState,
+    refresh_counts_crs, refresh_counts_ebe, CompactElements, HyperbolicModel, NonlinearState,
+    RandomLoad, TimeState,
 };
 use hetsolve_machine::ModuleClock;
 use hetsolve_obs::Json;

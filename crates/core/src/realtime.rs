@@ -25,13 +25,13 @@
 //! It takes the same [`Hooks`] as [`crate::methods::run_with`] — tracer,
 //! fault plan, wall clock — but not a checkpoint store: its two sets live
 //! on two threads mid-step, so there is no boundary state to snapshot
-//! (ROADMAP item 1 merges it into the step driver).
+//! (ROADMAP item 2 merges it into the step driver).
 
 use hetsolve_fault::FaultPlan;
 use hetsolve_machine::SystemClock;
 
 use crate::backend::Backend;
-use crate::methods::{Hooks, RunConfig};
+use crate::methods::{check_fused_width, Hooks, RunConfig};
 use crate::recovery::{RecoveryEvent, RunError};
 use crate::set::{SetSpec, SetStep};
 use crate::slot::CaseSlot;
@@ -69,7 +69,7 @@ type WallSpan = (usize, usize, &'static str, f64, f64);
 /// displacements and the wall-clock report, or a typed [`RunError`] if a
 /// solve fails beyond recovery, a corruption escapes the guards or a
 /// device thread panics — or [`RunError::Config`] if `hooks` carry a
-/// checkpoint store.
+/// checkpoint store or `cfg.r` is a width the fused operator lacks.
 ///
 /// With a tracer, each solver/predictor phase of each device thread
 /// becomes a `cat:"wall"` span in its timeline (pid = process set, tid =
@@ -91,13 +91,13 @@ pub fn run_realtime(
                 .into(),
         });
     }
+    check_fused_width(cfg.r)?;
     let (mut no_tracer, mut no_faults) = Default::default();
     let system = SystemClock::new();
     let tracer = hooks.tracer.unwrap_or(&mut no_tracer);
     let faults = hooks.faults.unwrap_or(&mut no_faults);
     let wall = hooks.wall.unwrap_or(&system);
     let r = cfg.r;
-    assert!(r >= 1);
     tracer.begin_run("EBE-MCG@CPU-GPU (realtime)", cfg, 2);
     let ids: [Vec<Option<usize>>; 2] =
         [0, 1].map(|set| (set * r..(set + 1) * r).map(Some).collect());

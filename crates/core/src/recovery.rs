@@ -14,7 +14,7 @@
 //!
 //! Every rung that fires is recorded as a [`RecoveryEvent`] in the run
 //! report; a ladder that runs dry returns a typed
-//! [`SolveError`](hetsolve_sparse::SolveError) instead of panicking, so an
+//! [`SolveError`] instead of panicking, so an
 //! ensemble drops one case instead of aborting thousands of healthy steps.
 
 use std::borrow::Cow;
@@ -49,7 +49,7 @@ impl GuessSource {
     }
 
     /// Stable wire code for checkpoint encoding (append-only).
-    pub fn code(&self) -> u8 {
+    pub(crate) fn code(&self) -> u8 {
         match self {
             GuessSource::DataDriven => 0,
             GuessSource::AdamsBashforth => 1,
@@ -58,7 +58,7 @@ impl GuessSource {
     }
 
     /// Inverse of [`GuessSource::code`]; `None` for unknown codes.
-    pub fn from_code(code: u8) -> Option<Self> {
+    pub(crate) fn from_code(code: u8) -> Option<Self> {
         Some(match code {
             0 => GuessSource::DataDriven,
             1 => GuessSource::AdamsBashforth,
@@ -258,7 +258,7 @@ pub(crate) fn solve_set_resumable<'w, A: MultiOperator + ?Sized, P: Precondition
                 GuessSource::AdamsBashforth => &ab_guesses[k],
                 _ => &zero,
             };
-            hetsolve_sparse::vecops::insert_case(x, r, k, guess);
+            hetsolve_sparse::insert_case(x, r, k, guess);
         }
         let retry = ws.solve(a, prec, f, x, rung_cfg, occupied, &mut NoopObserver);
         attempts += 1;

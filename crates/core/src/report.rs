@@ -75,18 +75,6 @@ pub fn format_application_table(rows: &[MethodSummary]) -> String {
     s
 }
 
-/// Simple aligned CSV writer for figure series.
-pub fn format_series(headers: &[&str], rows: &[Vec<f64>]) -> String {
-    let mut s = headers.join(",");
-    s.push('\n');
-    for row in rows {
-        let line: Vec<String> = row.iter().map(|v| format!("{v:.6e}")).collect();
-        s.push_str(&line.join(","));
-        s.push('\n');
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,12 +118,5 @@ mod tests {
         assert!(t.contains("CRS-CG@CPU"));
         assert!(t.contains("CRS-CG@GPU"));
         assert!(t.contains("56.9 GB"));
-    }
-
-    #[test]
-    fn series_csv() {
-        let s = format_series(&["step", "time"], &[vec![1.0, 0.5], vec![2.0, 0.25]]);
-        assert!(s.starts_with("step,time\n"));
-        assert_eq!(s.lines().count(), 3);
     }
 }

@@ -18,7 +18,7 @@
 //! failed or corrupt column means stay with the caller.
 
 use hetsolve_fault::{FaultKind, FaultPlan, FaultSite, StateField, VectorFault};
-use hetsolve_sparse::vecops::{extract_case, insert_case};
+use hetsolve_sparse::{extract_case, insert_case};
 use hetsolve_sparse::{CgConfig, KernelCounts, McgWorkspace, MultiOperator, SolveError};
 
 use crate::backend::{Backend, RhsScratch};

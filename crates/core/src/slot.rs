@@ -163,7 +163,7 @@ impl CaseSlot {
     }
 
     /// Steps completed so far (the next step runs this index).
-    pub fn step_index(&self) -> usize {
+    pub(crate) fn step_index(&self) -> usize {
         self.time.step
     }
 
@@ -178,7 +178,7 @@ impl CaseSlot {
     }
 
     /// Largest data-driven window this slot's history supports right now.
-    pub fn available_s(&self) -> usize {
+    pub(crate) fn available_s(&self) -> usize {
         self.dd.available_s()
     }
 

@@ -3,10 +3,10 @@
 //!
 //! [`StepTracer`] sits between the drivers in [`crate::methods`] and the
 //! [`ModuleClock`]: every kernel charge goes through it, so it can label
-//! the clock's [`LaneSpan`]s with *what* ran (solver, predictor, RHS,
-//! transfer) and in which process set, and export the result as
-//! Chrome-trace-event JSON — a faithful, inspectable reproduction of the
-//! paper's Fig. 4 CPU/GPU overlap diagram. It also aggregates
+//! the clock's [`LaneSpan`](hetsolve_machine::LaneSpan)s with *what* ran
+//! (solver, predictor, RHS, transfer) and in which process set, and export
+//! the result as Chrome-trace-event JSON — a faithful, inspectable
+//! reproduction of the paper's Fig. 4 CPU/GPU overlap diagram. It also aggregates
 //! [`AdaptiveWindow`](hetsolve_predictor::AdaptiveWindow) decisions, kernel
 //! work counters and per-method summaries into a [`MetricsSink`] snapshot.
 //!
@@ -18,22 +18,13 @@
 //! *thread* per device lane (`tid` 0 = CPU, 1 = GPU, 2 = C2C link).
 //! Timestamps are modeled seconds scaled to microseconds.
 
-use std::path::{Path, PathBuf};
-
 use hetsolve_machine::{LaneKind, ModuleClock};
-use hetsolve_obs::{
-    names, FlightRecorder, Json, MethodMetrics, MetricsRegistry, MetricsSink, TraceBuilder,
-};
+use hetsolve_obs::{names, Json, MethodMetrics, MetricsRegistry, MetricsSink, TraceBuilder};
 use hetsolve_predictor::WindowDecision;
 use hetsolve_sparse::KernelCounts;
 
 use crate::methods::{RunConfig, RunResult};
 use crate::recovery::RecoveryEvent;
-
-/// Environment variable naming the Chrome-trace output file.
-pub const TRACE_ENV: &str = "HETSOLVE_TRACE";
-/// Environment variable naming the metrics-document (`MetricsSink` JSON) output.
-pub const METRICS_ENV: &str = "HETSOLVE_METRICS";
 
 /// Thread ids of the device lanes in the exported trace.
 pub const TID_CPU: usize = 0;
@@ -51,20 +42,12 @@ pub struct StepTracer {
     /// `disabled()` tracer (no span labeling, no per-event allocation).
     /// `None` (the default) costs one branch per charge.
     registry: Option<MetricsRegistry>,
-    /// Crash-time flight recorder: always on (a ring push per event —
-    /// the drivers only feed it step/checkpoint/recovery boundaries, not
-    /// per-kernel), dumped by the durable driver on typed errors and
-    /// injected crashes.
-    pub flight: FlightRecorder,
     /// Total kernel work charged through this tracer.
     total_counts: KernelCounts,
     /// Adaptive-window decision log rows for the metrics export.
     window_log: Vec<Json>,
     /// Recovery-ladder event rows for the metrics export.
     recovery_log: Vec<Json>,
-    trace_path: Option<PathBuf>,
-    metrics_path: Option<PathBuf>,
-    flight_path: Option<PathBuf>,
 }
 
 impl StepTracer {
@@ -81,46 +64,6 @@ impl StepTracer {
         StepTracer::default()
     }
 
-    /// Build from the environment: enabled iff `HETSOLVE_TRACE` and/or
-    /// `HETSOLVE_METRICS` name output files; [`StepTracer::write_outputs`]
-    /// writes them.
-    pub fn from_env() -> Self {
-        let trace_path = std::env::var_os(TRACE_ENV).map(PathBuf::from);
-        let metrics_path = std::env::var_os(METRICS_ENV).map(PathBuf::from);
-        StepTracer {
-            enabled: trace_path.is_some() || metrics_path.is_some(),
-            trace_path,
-            metrics_path,
-            ..Default::default()
-        }
-    }
-
-    /// Enabled tracer that writes the trace to `path` on
-    /// [`StepTracer::write_outputs`] — the builder-API twin of
-    /// `HETSOLVE_TRACE=path`.
-    pub fn with_trace_path(path: impl AsRef<Path>) -> Self {
-        StepTracer {
-            enabled: true,
-            trace_path: Some(path.as_ref().to_path_buf()),
-            ..Default::default()
-        }
-    }
-
-    /// Also write the metrics snapshot to `path` (builder-API twin of
-    /// `HETSOLVE_METRICS=path`).
-    pub fn metrics_path(mut self, path: impl AsRef<Path>) -> Self {
-        self.metrics_path = Some(path.as_ref().to_path_buf());
-        self
-    }
-
-    /// Dump the flight-recorder ring to `path` when the durable driver
-    /// hits a typed error or an injected crash (convention: somewhere
-    /// under `target/artifacts/`).
-    pub fn flight_dump_path(mut self, path: impl AsRef<Path>) -> Self {
-        self.flight_path = Some(path.as_ref().to_path_buf());
-        self
-    }
-
     /// Attach a metrics registry. Works on disabled tracers too — the
     /// registry seam is separate from span tracing, so its overhead can
     /// be measured (and its bitwise neutrality proven) in isolation.
@@ -132,7 +75,7 @@ impl StepTracer {
         self.registry.as_ref()
     }
 
-    pub fn registry_mut(&mut self) -> Option<&mut MetricsRegistry> {
+    pub(crate) fn registry_mut(&mut self) -> Option<&mut MetricsRegistry> {
         self.registry.as_mut()
     }
 
@@ -142,33 +85,8 @@ impl StepTracer {
         self.registry.take()
     }
 
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Record a structured event into the always-on flight ring. `ts_s`
-    /// is modeled seconds; `step` the driver's step counter.
-    pub fn flight_event(
-        &mut self,
-        ts_s: f64,
-        kind: &str,
-        step: Option<u64>,
-        detail: impl Into<String>,
-    ) {
-        self.flight.record(ts_s, kind, None, None, step, detail);
-    }
-
-    /// Dump the flight ring to the configured path (no-op without one).
-    /// Returns the path written. Callers treat failures as best-effort:
-    /// a dump that cannot be written must not mask the original error.
-    pub fn dump_flight(&self, trigger: &str) -> std::io::Result<Option<PathBuf>> {
-        match &self.flight_path {
-            Some(p) => {
-                self.flight.dump_to(p, trigger)?;
-                Ok(Some(p.clone()))
-            }
-            None => Ok(None),
-        }
     }
 
     /// Registry-side accounting for a charged phase: the phase histogram
@@ -192,14 +110,9 @@ impl StepTracer {
         }
     }
 
-    /// Total kernel work charged through this tracer so far.
-    pub fn total_counts(&self) -> KernelCounts {
-        self.total_counts
-    }
-
     /// Announce a run: names the process-set rows and lane threads and
     /// stores run metadata. Call once per traced run.
-    pub fn begin_run(&mut self, label: &str, cfg: &RunConfig, n_sets: usize) {
+    pub(crate) fn begin_run(&mut self, label: &str, cfg: &RunConfig, n_sets: usize) {
         if !self.enabled {
             return;
         }
@@ -222,14 +135,14 @@ impl StepTracer {
     }
 
     /// Enable the clock's span log when tracing (no-op otherwise).
-    pub fn attach_clock(&self, clock: &mut ModuleClock) {
+    pub(crate) fn attach_clock(&self, clock: &mut ModuleClock) {
         if self.enabled {
             clock.enable_span_log();
         }
     }
 
     /// Charge a CPU kernel and label its span.
-    pub fn charge_cpu(
+    pub(crate) fn charge_cpu(
         &mut self,
         clock: &mut ModuleClock,
         set: usize,
@@ -244,7 +157,7 @@ impl StepTracer {
     }
 
     /// Charge a GPU kernel and label its span.
-    pub fn charge_gpu(
+    pub(crate) fn charge_gpu(
         &mut self,
         clock: &mut ModuleClock,
         set: usize,
@@ -259,7 +172,7 @@ impl StepTracer {
     }
 
     /// Charge a CPU↔GPU transfer and label its span.
-    pub fn charge_transfer(
+    pub(crate) fn charge_transfer(
         &mut self,
         clock: &mut ModuleClock,
         set: usize,
@@ -313,7 +226,7 @@ impl StepTracer {
     /// Record an [`AdaptiveWindow`](hetsolve_predictor::AdaptiveWindow)
     /// decision: a counter track in the trace plus a row in the metrics
     /// `window_log` section. `ts_s` is the modeled time of the decision.
-    pub fn window_decision(&mut self, step: usize, ts_s: f64, d: &WindowDecision) {
+    pub(crate) fn window_decision(&mut self, step: usize, ts_s: f64, d: &WindowDecision) {
         if let Some(reg) = self.registry.as_mut() {
             reg.gauge_set(names::CORE_WINDOW_S, d.s_next as f64);
         }
@@ -341,18 +254,10 @@ impl StepTracer {
     /// Record a recovery-ladder event: an instant marker in the trace plus
     /// a row in the metrics `recovery_log` section. `ts_s` is the modeled
     /// time the recovery completed.
-    pub fn recovery_event(&mut self, ts_s: f64, ev: &RecoveryEvent) {
+    pub(crate) fn recovery_event(&mut self, ts_s: f64, ev: &RecoveryEvent) {
         if let Some(reg) = self.registry.as_mut() {
             reg.inc(names::CORE_RECOVERIES_TOTAL, 1.0);
         }
-        self.flight.record(
-            ts_s,
-            "recovery",
-            ev.case.map(|c| c as u64),
-            None,
-            Some(ev.step as u64),
-            format!("{} -> {}", ev.failed.label(), ev.recovered_with.label()),
-        );
         if !self.enabled {
             return;
         }
@@ -392,7 +297,7 @@ impl StepTracer {
 
     /// Charge a modeled fault stall on one lane (injected via
     /// `hetsolve-fault`) and label its span. Returns the stall seconds.
-    pub fn charge_stall(
+    pub(crate) fn charge_stall(
         &mut self,
         clock: &mut ModuleClock,
         set: usize,
@@ -417,14 +322,14 @@ impl StepTracer {
     /// A driver finished one time step at modeled time `ts_s`: bump the
     /// step counter on an attached registry. Called by `step_once` at the
     /// step boundary — one branch when nothing is attached.
-    pub fn step_completed(&mut self, _ts_s: f64) {
+    pub(crate) fn step_completed(&mut self, _ts_s: f64) {
         if let Some(reg) = self.registry.as_mut() {
             reg.inc(names::CORE_STEPS_TOTAL, 1.0);
         }
     }
 
     /// Record a mean-iterations counter sample (one per step).
-    pub fn iterations_counter(&mut self, ts_s: f64, iterations: f64) {
+    pub(crate) fn iterations_counter(&mut self, ts_s: f64, iterations: f64) {
         if !self.enabled {
             return;
         }
@@ -434,7 +339,7 @@ impl StepTracer {
 
     /// Fold a finished run into the metrics sink as a method row (and
     /// flush the window log into a section).
-    pub fn finish_run(&mut self, result: &RunResult, from: usize) {
+    pub(crate) fn finish_run(&mut self, result: &RunResult, from: usize) {
         if let Some(reg) = &self.registry {
             self.sink.set_section("registry", reg.to_json());
         }
@@ -474,21 +379,6 @@ impl StepTracer {
                 .set_section("recovery_log", Json::Arr(self.recovery_log.clone()));
         }
     }
-
-    /// Write the configured outputs (trace and/or metrics files). Returns
-    /// the paths written.
-    pub fn write_outputs(&self) -> std::io::Result<Vec<PathBuf>> {
-        let mut written = Vec::new();
-        if let Some(p) = &self.trace_path {
-            self.trace.write_to(p)?;
-            written.push(p.clone());
-        }
-        if let Some(p) = &self.metrics_path {
-            self.sink.write_to(p)?;
-            written.push(p.clone());
-        }
-        Ok(written)
-    }
 }
 
 #[cfg(test)]
@@ -511,7 +401,7 @@ mod tests {
         assert!(!clock.span_log_enabled());
         tracer.charge_gpu(&mut clock, 0, "solver", &counts(1e12), &[]);
         assert!(tracer.trace.is_empty());
-        assert_eq!(tracer.total_counts().flops, 0.0);
+        assert_eq!(tracer.total_counts.flops, 0.0);
     }
 
     #[test]
@@ -531,7 +421,7 @@ mod tests {
         assert!((events[0].dur_us.unwrap() - t * 1e6).abs() < 1e-9);
         assert_eq!(events[1].tid, TID_CPU);
         assert_eq!(events[2].tid, TID_LINK);
-        assert!(tracer.total_counts().flops > 0.0);
+        assert!(tracer.total_counts.flops > 0.0);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!
 //! Adding a fault is one [`FaultKind`] variant (what it does), one
 //! [`FaultSite`] variant if no existing site fits, and one arm of
-//! [`FaultRecord::site`] (where it fires); [`FaultKind::one_shot`] says
+//! `FaultRecord::site` (where it fires); `FaultKind::one_shot` says
 //! whether it fires once.
 //!
 //! Determinism: every random choice comes from an internal splitmix64
@@ -273,7 +273,7 @@ impl FaultKind {
     /// forced scale-downs are one-shot, so a resumed run or a failed-over
     /// shard replaying the same boundary proceeds; every other fault fires
     /// whenever its site is queried.
-    pub fn one_shot(&self) -> bool {
+    pub(crate) fn one_shot(&self) -> bool {
         matches!(
             self,
             FaultKind::Crash
@@ -361,7 +361,7 @@ impl FaultSite {
 impl FaultRecord {
     /// The one site this planned fault fires at — the matcher every query
     /// goes through.
-    pub fn site(&self) -> FaultSite {
+    pub(crate) fn site(&self) -> FaultSite {
         let (step, seq, tick) = (self.step, self.step as u64, self.step);
         match self.kind {
             FaultKind::Guess { case, .. } => FaultSite::Guess { step, case },
@@ -596,7 +596,7 @@ impl FaultPlan {
 
     /// The one fault query: does a planned fault fire at `site`? The first
     /// matching entry that is not a spent one-shot fires — it is logged to
-    /// [`FaultPlan::injected`], consumed if [`FaultKind::one_shot`], and
+    /// [`FaultPlan::injected`], consumed if `FaultKind::one_shot`, and
     /// its kind returned for the driver to apply. Drivers query each site
     /// at most once per step; an empty plan answers `None` everywhere.
     pub fn inject(&mut self, site: FaultSite) -> Option<FaultKind> {

@@ -15,16 +15,8 @@ pub struct DofMask {
 }
 
 impl DofMask {
-    /// All DOFs free.
-    pub fn all_free(n_dofs: usize) -> Self {
-        DofMask {
-            fixed: vec![false; n_dofs],
-            n_fixed: 0,
-        }
-    }
-
     /// Fix all 3 components of the given nodes.
-    pub fn from_fixed_nodes(n_nodes: usize, nodes: &[u32]) -> Self {
+    pub(crate) fn from_fixed_nodes(n_nodes: usize, nodes: &[u32]) -> Self {
         let mut fixed = vec![false; 3 * n_nodes];
         for &n in nodes {
             for d in 0..3 {
@@ -46,18 +38,8 @@ impl DofMask {
     }
 
     #[inline]
-    pub fn n_free(&self) -> usize {
-        self.fixed.len() - self.n_fixed
-    }
-
-    #[inline]
     pub fn is_fixed(&self, dof: usize) -> bool {
         self.fixed[dof]
-    }
-
-    /// `true` when every component of node `n` is fixed.
-    pub fn node_fully_fixed(&self, n: usize) -> bool {
-        self.fixed[3 * n] && self.fixed[3 * n + 1] && self.fixed[3 * n + 2]
     }
 
     /// Zero the fixed entries of `x` in place (projection onto the free
@@ -109,11 +91,8 @@ mod tests {
         let m = DofMask::from_fixed_nodes(4, &[1, 3]);
         assert_eq!(m.n_dofs(), 12);
         assert_eq!(m.n_fixed(), 6);
-        assert_eq!(m.n_free(), 6);
         assert!(m.is_fixed(3) && m.is_fixed(4) && m.is_fixed(5));
         assert!(!m.is_fixed(0));
-        assert!(m.node_fully_fixed(1));
-        assert!(!m.node_fully_fixed(0));
     }
 
     #[test]
@@ -137,7 +116,7 @@ mod tests {
 
     #[test]
     fn all_free_mask() {
-        let m = DofMask::all_free(9);
+        let m = DofMask::from_fixed_nodes(3, &[]);
         assert_eq!(m.n_fixed(), 0);
         let mut x = vec![2.0; 9];
         m.project(&mut x);

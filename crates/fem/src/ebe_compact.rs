@@ -23,19 +23,18 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use hetsolve_mesh::mesh::TET_EDGES;
+use hetsolve_mesh::TET_EDGES;
 use hetsolve_mesh::{color_runs, validate_runs, Material, RunColoring, TetMesh10};
 use hetsolve_pool as pool;
-use hetsolve_sparse::dirichlet::FixedMask;
-use hetsolve_sparse::op::{KernelCounts, LinearOperator, MultiOperator};
-use hetsolve_sparse::parcheck::ColorScatter;
-use hetsolve_sparse::sym::{packed_idx, packed_len};
+use hetsolve_sparse::{
+    packed_idx, packed_len, ColorScatter, FixedMask, KernelCounts, LinearOperator, MultiOperator,
+};
 
 use crate::quad::{tet_rule_deg2, tet_rule_deg5, TetQp};
 use crate::shape::{tet10_shape, tet_bary_gradients};
 
 /// f64 slots per element in the geometry table: 12 (∇L) + 1 (V) + 3 (ρ,λ,μ).
-pub const GEO_STRIDE: usize = 16;
+pub(crate) const GEO_STRIDE: usize = 16;
 
 /// Packed entries of one 18×18 symmetric face dashpot matrix.
 const FACE_PACKED: usize = packed_len(18);
@@ -47,7 +46,7 @@ pub struct RefTables {
     pub mhat: [f64; 100],
     /// Stiffness rule (degree 2). `dN_i/dL_a` at a point is universal:
     /// `4L_a − 1` for vertex `a`, `4L_b` / `4L_a` for the mid-node of edge
-    /// `(a, b)`, zero otherwise (see [`dn_dl`]).
+    /// `(a, b)`, zero otherwise (see `dn_dl`).
     pub stiff_rule: Vec<TetQp>,
 }
 
@@ -65,7 +64,7 @@ fn dn_dl(l: [f64; 4]) -> [f64; 40] {
 }
 
 impl RefTables {
-    pub fn build() -> Self {
+    pub(crate) fn build() -> Self {
         let mut mhat = [0.0; 100];
         for qp in tet_rule_deg5() {
             let n = tet10_shape(qp.l);
@@ -147,7 +146,7 @@ const ZERO_PIECE: usize = 1 << 13;
 /// that operators over it need not re-derive it: the stored element order
 /// and the dashpot faces were each cut into runs, the runs coloured into
 /// phases, and both colourings passed [`validate_runs`]. Only
-/// [`ScatterPlan::validate`] and [`ScatterPlan::with_runs`] build one (the
+/// [`ScatterPlan::validate`] and `ScatterPlan::with_runs` build one (the
 /// fields are private), and an operator accepts it only for the very
 /// buffers it was validated against ([`CompactEbe::with_plan`]) — owners
 /// that build many operators over one mesh (`Backend`) validate once.
@@ -165,7 +164,7 @@ struct Sweep {
 }
 
 impl ScatterPlan {
-    /// Cut `elems` and `faces` into runs of [`RUN_LEN`], colour the runs
+    /// Cut `elems` and `faces` into runs of `RUN_LEN`, colour the runs
     /// and validate both colourings.
     pub fn validate(n_nodes: usize, elems: &[[u32; 10]], faces: &[[u32; 6]]) -> Self {
         Self::with_runs(
@@ -179,7 +178,7 @@ impl ScatterPlan {
 
     /// Validate the given run colourings. Panics with the offending pair of
     /// runs on one that would race (see `hetsolve_sparse::parcheck`).
-    pub fn with_runs(
+    pub(crate) fn with_runs(
         n_nodes: usize,
         elems: &[[u32; 10]],
         faces: &[[u32; 6]],

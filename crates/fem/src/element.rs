@@ -12,7 +12,7 @@ use hetsolve_mesh::{Material, TetMesh10, Vec3};
 
 use crate::quad::{tet_rule_deg2, tet_rule_deg5, TetQp};
 use crate::shape::{tet10_grad, tet10_shape, tet_bary_gradients};
-use hetsolve_sparse::sym::{packed_idx, packed_len};
+use hetsolve_sparse::{packed_idx, packed_len};
 
 /// Number of DOFs of a Tet10 solid element.
 pub const NDOF: usize = 30;
@@ -136,8 +136,8 @@ impl ElementMatrices {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsolve_mesh::mesh::TET_EDGES;
-    use hetsolve_sparse::sym::sym_matvec_add;
+    use hetsolve_mesh::TET_EDGES;
+    use hetsolve_sparse::sym_matvec_add;
 
     fn unit_tet10_coords() -> [Vec3; 10] {
         let v = [

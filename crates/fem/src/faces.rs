@@ -17,15 +17,15 @@ use hetsolve_mesh::{BoundaryFace, BoundaryKind, BoundarySet, Material, TetMesh10
 
 use crate::quad::tri_rule_deg4;
 use crate::shape::tri6_shape;
-use hetsolve_sparse::sym::{packed_idx, packed_len};
+use hetsolve_sparse::{packed_idx, packed_len};
 
 /// DOFs of a Tri6 face element.
-pub const FACE_NDOF: usize = 18;
+pub(crate) const FACE_NDOF: usize = 18;
 /// Packed length of an 18×18 symmetric matrix.
-pub const FACE_PACKED: usize = packed_len(FACE_NDOF); // 171
+pub(crate) const FACE_PACKED: usize = packed_len(FACE_NDOF); // 171
 
 /// Dashpot matrix of one boundary face (packed symmetric, 171 entries).
-pub fn dashpot_matrix(face: &BoundaryFace, mat: &Material) -> Vec<f64> {
+pub(crate) fn dashpot_matrix(face: &BoundaryFace, mat: &Material) -> Vec<f64> {
     let n = Vec3::from_array(face.normal).to_array();
     let rule = tri_rule_deg4();
     let mut c = vec![0.0; FACE_PACKED];
@@ -64,7 +64,7 @@ pub struct FaceDashpots {
 impl FaceDashpots {
     /// Build dashpots for every `Side` boundary face, using the material of
     /// the face's owning element.
-    pub fn compute(mesh: &TetMesh10, boundary: &BoundarySet, mats: &[Material]) -> Self {
+    pub(crate) fn compute(mesh: &TetMesh10, boundary: &BoundarySet, mats: &[Material]) -> Self {
         let mut faces = Vec::new();
         let mut cb = Vec::new();
         for f in boundary.faces_of_kind(BoundaryKind::Side) {
@@ -95,7 +95,7 @@ impl FaceDashpots {
 mod tests {
     use super::*;
     use hetsolve_mesh::{box_tet10, extract_boundary, BoxGrid};
-    use hetsolve_sparse::sym::sym_matvec_add;
+    use hetsolve_sparse::sym_matvec_add;
 
     fn setup() -> (TetMesh10, BoundarySet, Material) {
         let m = box_tet10(&BoxGrid::new(2, 2, 2, 1.0, 1.0, 1.0));

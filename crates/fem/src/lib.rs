@@ -6,40 +6,40 @@
 //! linear dynamic elasticity, exactly the discretization of the paper's
 //! §3.1 target problem.
 //!
-//! * [`quad`] — positive-weight quadrature rules (tet degree 2/5, tri degree 4),
-//! * [`shape`] — Tet10 / Tri6 shape functions and physical gradients,
-//! * [`sym`] — packed symmetric element matrices and the fused
-//!   (multi-RHS) `c_M M_e + c_K K_e` kernels used by EBE,
-//! * [`material`] — isotropic elasticity and Rayleigh damping fits,
-//! * [`element`] — consistent mass / stiffness element matrices,
-//! * [`faces`] — Lysmer absorbing-boundary dashpot face matrices,
-//! * [`constraint`] — Dirichlet DOF masking,
-//! * [`newmark`] — Newmark-β (trapezoidal) time integration,
-//! * [`loads`] — random surface impulse generation (uniform-spectrum inputs),
-//! * [`model`] — the bundled [`model::FemProblem`].
+//! * `quad` — positive-weight quadrature rules (tet degree 2/5, tri degree 4),
+//! * `shape` — Tet10 / Tri6 shape functions and physical gradients,
+//! * `ebe_compact` — the compact matrix-free EBE operator (element
+//!   matrices in packed symmetric storage, from `hetsolve-sparse`),
+//! * `material` — Rayleigh damping fits,
+//! * `element` — consistent mass / stiffness element matrices,
+//! * `faces` — Lysmer absorbing-boundary dashpot face matrices,
+//! * `constraint` — Dirichlet DOF masking,
+//! * `newmark` — Newmark-β (trapezoidal) time integration,
+//! * `loads` — random surface impulse generation (uniform-spectrum inputs),
+//! * `model` — the bundled [`FemProblem`].
 
-pub mod constraint;
-pub mod ebe_compact;
-pub mod element;
-pub mod faces;
-pub mod loads;
-pub mod material;
-pub mod model;
-pub mod newmark;
-pub mod nonlinear;
-pub mod quad;
-pub mod shape;
+mod constraint;
+mod ebe_compact;
+mod element;
+mod faces;
+mod loads;
+mod material;
+mod model;
+mod newmark;
+mod nonlinear;
+mod quad;
+mod shape;
 
-/// Re-export of the packed-symmetric kernels (they live in `hetsolve-sparse`
-/// where the EBE operator consumes them).
-pub use hetsolve_sparse::sym;
+pub use ebe_compact::{compact_ebe_counts, CompactEbe, CompactElements, RefTables, ScatterPlan};
+pub use element::{mass_matrix, stiffness_matrix, ElementMatrices, NDOF, PACKED};
+
+pub use loads::{ImpulseSource, RandomLoad, RandomLoadSpec};
 
 pub use constraint::DofMask;
-pub use ebe_compact::{compact_ebe_counts, CompactEbe, CompactElements, ScatterPlan};
-pub use element::{ElementMatrices, NDOF, PACKED};
-pub use faces::{FaceDashpots, FACE_NDOF, FACE_PACKED};
-pub use loads::{RandomLoad, RandomLoadSpec};
-pub use material::{elasticity_matrix, Rayleigh};
+pub use faces::FaceDashpots;
+pub use material::Rayleigh;
 pub use model::{FemProblem, OpCoeffs};
 pub use newmark::{Newmark, TimeState};
-pub use nonlinear::{octahedral_strain, HyperbolicModel, NonlinearState};
+pub use nonlinear::{refresh_counts_crs, refresh_counts_ebe, HyperbolicModel, NonlinearState};
+pub use quad::{tet_rule_deg2, tet_rule_deg5, TetQp};
+pub use shape::tet_bary_gradients;

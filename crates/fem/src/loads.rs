@@ -134,11 +134,6 @@ impl RandomLoad {
             f[base + 2] += v[2];
         }
     }
-
-    /// Total number of impulses over all sources.
-    pub fn n_impulses(&self) -> usize {
-        self.sources.iter().map(|s| s.impulses.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -210,7 +205,10 @@ mod tests {
         }
         assert!(total > 0.0);
         // impulse count is preserved
-        assert_eq!(l.n_impulses(), 5 * 4);
+        assert_eq!(
+            l.sources.iter().map(|s| s.impulses.len()).sum::<usize>(),
+            5 * 4
+        );
     }
 
     #[test]

@@ -1,29 +1,5 @@
-//! Constitutive relations: isotropic elasticity in Voigt notation and
-//! Rayleigh damping coefficients.
-
-use hetsolve_mesh::Material;
-
-/// Voigt ordering used throughout: (xx, yy, zz, xy, yz, zx) with
-/// engineering shear strains (γ = 2ε).
-pub const VOIGT: usize = 6;
-
-/// 6×6 isotropic elasticity matrix `D` (row-major) built from Lamé
-/// parameters of a [`Material`].
-pub fn elasticity_matrix(mat: &Material) -> [f64; 36] {
-    let l = mat.lambda();
-    let m = mat.mu();
-    let d = l + 2.0 * m;
-    #[rustfmt::skip]
-    let out = [
-        d,   l,   l,   0.0, 0.0, 0.0,
-        l,   d,   l,   0.0, 0.0, 0.0,
-        l,   l,   d,   0.0, 0.0, 0.0,
-        0.0, 0.0, 0.0, m,   0.0, 0.0,
-        0.0, 0.0, 0.0, 0.0, m,   0.0,
-        0.0, 0.0, 0.0, 0.0, 0.0, m,
-    ];
-    out
-}
+//! Rayleigh damping: the mass- and stiffness-proportional coefficients
+//! of the damping matrix.
 
 /// Rayleigh damping `C = α M + β K` fitted so the modal damping ratio
 /// equals `zeta` at the two angular frequencies `2π f1` and `2π f2`
@@ -36,7 +12,7 @@ pub struct Rayleigh {
 
 impl Rayleigh {
     /// Fit to damping ratio `zeta` at frequencies `f1 < f2` (Hz).
-    pub fn fit(zeta: f64, f1: f64, f2: f64) -> Self {
+    pub(crate) fn fit(zeta: f64, f1: f64, f2: f64) -> Self {
         assert!(
             zeta >= 0.0 && f1 > 0.0 && f2 > f1,
             "need 0 <= zeta, 0 < f1 < f2"
@@ -56,61 +32,17 @@ impl Rayleigh {
         alpha: 0.0,
         beta: 0.0,
     };
-
-    /// Modal damping ratio produced at angular frequency `w`.
-    pub fn zeta_at(&self, w: f64) -> f64 {
-        0.5 * (self.alpha / w + self.beta * w)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn d_matrix_is_spd_for_valid_material() {
-        let mat = Material::new(1800.0, 200.0, 700.0);
-        let d = elasticity_matrix(&mat);
-        // symmetric
-        for i in 0..6 {
-            for j in 0..6 {
-                assert_eq!(d[i * 6 + j], d[j * 6 + i]);
-            }
+    impl Rayleigh {
+        /// Modal damping ratio produced at angular frequency `w`.
+        fn zeta_at(&self, w: f64) -> f64 {
+            0.5 * (self.alpha / w + self.beta * w)
         }
-        // positive definite: check via Gershgorin + leading minors of the
-        // 3x3 normal block and positive shear moduli.
-        let m = mat.mu();
-        assert!(m > 0.0);
-        let l = mat.lambda();
-        // eigenvalues of the normal block are (3l+2m, 2m, 2m); bulk modulus
-        // positive iff 3l+2m > 0.
-        assert!(3.0 * l + 2.0 * m > 0.0);
-    }
-
-    #[test]
-    fn uniaxial_strain_stress() {
-        let mat = Material::new(2000.0, 500.0, 1200.0);
-        let d = elasticity_matrix(&mat);
-        // strain (1,0,0,0,0,0): sigma_xx = lambda + 2mu, sigma_yy = lambda
-        let exx = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0];
-        let sigma: Vec<f64> = (0..6)
-            .map(|i| (0..6).map(|j| d[i * 6 + j] * exx[j]).sum())
-            .collect();
-        assert!((sigma[0] - (mat.lambda() + 2.0 * mat.mu())).abs() < 1e-6);
-        assert!((sigma[1] - mat.lambda()).abs() < 1e-6);
-        assert!(sigma[3].abs() < 1e-12);
-    }
-
-    #[test]
-    fn pure_shear() {
-        let mat = Material::new(2000.0, 500.0, 1200.0);
-        let d = elasticity_matrix(&mat);
-        let gxy = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0];
-        let sigma: Vec<f64> = (0..6)
-            .map(|i| (0..6).map(|j| d[i * 6 + j] * gxy[j]).sum())
-            .collect();
-        assert!((sigma[3] - mat.mu()).abs() < 1e-9);
-        assert!(sigma[0].abs() < 1e-12);
     }
 
     #[test]

@@ -100,15 +100,6 @@ impl FemProblem {
         }
     }
 
-    /// Coefficients of the mass operator `M`.
-    pub fn m_coeffs(&self) -> OpCoeffs {
-        OpCoeffs {
-            c_m: 1.0,
-            c_k: 0.0,
-            c_b: 0.0,
-        }
-    }
-
     /// Coefficients of the damping operator `C = α M + β K + C_b`.
     pub fn c_coeffs(&self) -> OpCoeffs {
         OpCoeffs {
@@ -179,7 +170,7 @@ mod tests {
     fn fixed_nodes_are_at_bottom() {
         let p = problem();
         for n in p.boundary.nodes_of_kind(BoundaryKind::Bottom) {
-            assert!(p.mask.node_fully_fixed(n as usize));
+            assert!((0..3).all(|d| p.mask.is_fixed(3 * n as usize + d)));
         }
     }
 }

@@ -39,7 +39,7 @@ impl HyperbolicModel {
 
     /// Secant modulus ratio at octahedral shear strain `gamma`.
     #[inline]
-    pub fn ratio(&self, gamma: f64) -> f64 {
+    pub(crate) fn ratio(&self, gamma: f64) -> f64 {
         (1.0 / (1.0 + gamma.abs() / self.gamma_ref)).max(self.min_ratio)
     }
 }
@@ -48,7 +48,7 @@ impl HyperbolicModel {
 /// displacements `u`, evaluated from the linear part of the displacement
 /// gradient at the element (vertex gradients — exact for the mean strain
 /// of straight Tet10 elements).
-pub fn octahedral_strain(mesh: &TetMesh10, e: usize, u: &[f64]) -> f64 {
+pub(crate) fn octahedral_strain(mesh: &TetMesh10, e: usize, u: &[f64]) -> f64 {
     let verts = mesh.vertices(e);
     let (dl, _) = tet_bary_gradients(&verts);
     // mean displacement gradient: H = sum over vertices of u_v ⊗ dl_v

@@ -68,14 +68,14 @@ pub fn tet_rule_deg5() -> Vec<TetQp> {
 /// A quadrature point on the reference triangle: 3 barycentric coordinates
 /// plus a relative weight.
 #[derive(Debug, Clone, Copy)]
-pub struct TriQp {
+pub(crate) struct TriQp {
     pub l: [f64; 3],
     pub w: f64,
 }
 
 /// 6-point rule, exact for polynomials of total degree ≤ 4, all weights
 /// positive. Used for quadratic-triangle dashpot matrices (N·N degree 4).
-pub fn tri_rule_deg4() -> Vec<TriQp> {
+pub(crate) fn tri_rule_deg4() -> Vec<TriQp> {
     let mut qps = Vec::with_capacity(6);
     let a1 = 0.445_948_490_915_965;
     let w1 = 0.223_381_589_678_011;

@@ -7,11 +7,11 @@
 //!   5=(1,2), 6=(0,2), 7=(0,3), 8=(1,3), 9=(2,3).
 //! * Tri6: vertices 0–2 ↔ L0–L2; mid-edge nodes 3=(0,1), 4=(1,2), 5=(2,0).
 
-use hetsolve_mesh::mesh::TET_EDGES;
 use hetsolve_mesh::Vec3;
+use hetsolve_mesh::TET_EDGES;
 
 /// Tet10 shape function values at barycentric point `l`.
-pub fn tet10_shape(l: [f64; 4]) -> [f64; 10] {
+pub(crate) fn tet10_shape(l: [f64; 4]) -> [f64; 10] {
     let mut n = [0.0; 10];
     for i in 0..4 {
         n[i] = l[i] * (2.0 * l[i] - 1.0);
@@ -26,7 +26,7 @@ pub fn tet10_shape(l: [f64; 4]) -> [f64; 10] {
 /// coordinates, contracted with given gradients `dl[i]` of the barycentric
 /// coordinates themselves (i.e. returns ∇Nᵢ in physical space when `dl` are
 /// the physical barycentric gradients).
-pub fn tet10_grad(l: [f64; 4], dl: &[Vec3; 4]) -> [Vec3; 10] {
+pub(crate) fn tet10_grad(l: [f64; 4], dl: &[Vec3; 4]) -> [Vec3; 10] {
     let mut g = [Vec3::ZERO; 10];
     for i in 0..4 {
         g[i] = dl[i] * (4.0 * l[i] - 1.0);
@@ -54,7 +54,7 @@ pub fn tet_bary_gradients(x: &[Vec3; 4]) -> ([Vec3; 4], f64) {
 }
 
 /// Tri6 shape function values at barycentric point `l`.
-pub fn tri6_shape(l: [f64; 3]) -> [f64; 6] {
+pub(crate) fn tri6_shape(l: [f64; 3]) -> [f64; 6] {
     [
         l[0] * (2.0 * l[0] - 1.0),
         l[1] * (2.0 * l[1] - 1.0),

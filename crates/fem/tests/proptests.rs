@@ -2,13 +2,12 @@
 //! random tetrahedron shapes and Newmark recurrence identities for random
 //! parameters.
 
-use hetsolve_fem::newmark::Newmark;
-use hetsolve_fem::quad::{tet_rule_deg2, tet_rule_deg5};
-use hetsolve_fem::shape::tet_bary_gradients;
-use hetsolve_fem::sym::sym_matvec_add;
-use hetsolve_fem::{element, NDOF, PACKED};
-use hetsolve_mesh::mesh::TET_EDGES;
-use hetsolve_mesh::{Material, Vec3};
+use hetsolve_fem::{
+    mass_matrix, stiffness_matrix, tet_bary_gradients, tet_rule_deg2, tet_rule_deg5, Newmark, NDOF,
+    PACKED,
+};
+use hetsolve_mesh::{Material, Vec3, TET_EDGES};
+use hetsolve_sparse::sym_matvec_add;
 use proptest::prelude::*;
 
 /// A reasonably-shaped random tetrahedron: unit tet perturbed by bounded
@@ -49,7 +48,7 @@ proptest! {
         let Some(x) = tet10_from_offsets(off) else { return Ok(()); };
         let mat = Material::new(1800.0, 200.0, 700.0);
         let mut k = vec![0.0; PACKED];
-        element::stiffness_matrix(&x, &mat, &tet_rule_deg2(), &mut k);
+        stiffness_matrix(&x, &mat, &tet_rule_deg2(), &mut k);
         let scale: f64 = k.iter().map(|v| v * v).sum::<f64>().sqrt();
         // translations
         for a in 0..3 {
@@ -80,7 +79,7 @@ proptest! {
     fn mass_conservation(off in offset_strategy(), rho in 500.0f64..5000.0) {
         let Some(x) = tet10_from_offsets(off) else { return Ok(()); };
         let mut m = vec![0.0; PACKED];
-        element::mass_matrix(&x, rho, &tet_rule_deg5(), &mut m);
+        mass_matrix(&x, rho, &tet_rule_deg5(), &mut m);
         let verts = [x[0], x[1], x[2], x[3]];
         let (_, vol) = tet_bary_gradients(&verts);
         for a in 0..3 {
@@ -99,7 +98,7 @@ proptest! {
         let Some(x) = tet10_from_offsets(off) else { return Ok(()); };
         let mat = Material::new(2000.0, 400.0, 1000.0);
         let mut k = vec![0.0; PACKED];
-        element::stiffness_matrix(&x, &mat, &tet_rule_deg2(), &mut k);
+        stiffness_matrix(&x, &mat, &tet_rule_deg2(), &mut k);
         let mut s = seed | 1;
         let mut next = move || {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);

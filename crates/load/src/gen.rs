@@ -45,7 +45,7 @@ impl Stream {
 }
 
 /// One load scenario: how many requests, at what rate curve, with what
-/// tenant mix and request shape. Serializable (see [`crate::checkpoint`])
+/// tenant mix and request shape. Serializable (see `crate::checkpoint`)
 /// so a soak's input travels with its report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadConfig {

@@ -8,19 +8,19 @@
 //! hours-of-modeled-time soak completes in seconds of real time. This
 //! crate supplies the traffic:
 //!
-//! * [`shape`] — [`TrafficShape`]: open-loop arrival-rate curves
+//! * `shape` — [`TrafficShape`]: open-loop arrival-rate curves
 //!   (constant, diurnal sinusoid, flash-crowd burst),
-//! * [`gen`] — [`LoadConfig`] + [`ArrivalLog`]: a seeded thinning
+//! * `gen` — [`LoadConfig`] + [`ArrivalLog`]: a seeded thinning
 //!   sampler producing a replayable arrival stream with tenant-skewed
 //!   (Zipf) request mixes, jittered step counts, priorities and
 //!   deadlines — bitwise-identical for the same seed,
-//! * [`soak`] — drivers that pour an [`ArrivalLog`] into an
+//! * `soak` — drivers that pour an [`ArrivalLog`] into an
 //!   [`EnsembleServer`](hetsolve_serve::EnsembleServer) or
 //!   [`ClusterServer`](hetsolve_serve::ClusterServer) open-loop (arrivals
 //!   never wait for the server) and distill the run into a
 //!   [`SoakReport`]: admitted/shed/evicted counts, per-tenant tail
 //!   latencies, deadline-miss rate, peak queue depth, autoscale events,
-//! * [`checkpoint`] — canonical byte images of the above (their `Wire`
+//! * `checkpoint` — canonical byte images of the above (their `Wire`
 //!   layouts are declared next to the types), so arrival streams and
 //!   reports can be persisted and byte-compared across runs.
 //!
@@ -32,10 +32,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod checkpoint;
-pub mod gen;
-pub mod shape;
-pub mod soak;
+mod checkpoint;
+mod gen;
+mod shape;
+mod soak;
 
 pub use gen::{Arrival, ArrivalLog, LoadConfig};
 pub use shape::TrafficShape;

@@ -34,7 +34,7 @@ pub enum TrafficShape {
 
 impl TrafficShape {
     /// Instantaneous arrival rate at modeled time `t` (≥ 0).
-    pub fn rate_at(&self, t: f64) -> f64 {
+    pub(crate) fn rate_at(&self, t: f64) -> f64 {
         match *self {
             TrafficShape::Constant { rps } => rps.max(0.0),
             TrafficShape::Diurnal {
@@ -60,7 +60,7 @@ impl TrafficShape {
     /// Upper bound of [`rate_at`](Self::rate_at) over all `t` — the
     /// thinning envelope. Always ≥ any instantaneous rate and > 0 for a
     /// usable shape.
-    pub fn peak_rate(&self) -> f64 {
+    pub(crate) fn peak_rate(&self) -> f64 {
         match *self {
             TrafficShape::Constant { rps } => rps.max(0.0),
             TrafficShape::Diurnal {
@@ -77,7 +77,7 @@ impl TrafficShape {
     }
 
     /// Stable tag for fingerprints and codecs.
-    pub fn code(&self) -> u8 {
+    pub(crate) fn code(&self) -> u8 {
         match self {
             TrafficShape::Constant { .. } => 0,
             TrafficShape::Diurnal { .. } => 1,
@@ -87,7 +87,7 @@ impl TrafficShape {
 }
 
 /// Hand-written because it is a tagged union, which `wire_struct!` cannot
-/// express: the [`code`](TrafficShape::code) byte, then the variant's
+/// express: the `code` byte, then the variant's
 /// fields in declaration order.
 impl Wire for TrafficShape {
     const MIN_WIRE_BYTES: usize = 1 + 8;

@@ -354,10 +354,6 @@ impl ManualClock {
         self.bits
             .store(seconds.to_bits(), std::sync::atomic::Ordering::SeqCst);
     }
-
-    pub fn advance(&self, seconds: f64) {
-        self.set(self.now() + seconds);
-    }
 }
 
 impl WallClock for ManualClock {

@@ -30,7 +30,7 @@ impl HaloPattern {
 /// Messages to different neighbours are serialized on the module's NIC
 /// (bandwidth shared), each paying the interconnect latency; an extra
 /// synchronization latency models the collective nature of the exchange.
-pub fn halo_exchange_time(node: &NodeSpec, pattern: &HaloPattern) -> f64 {
+pub(crate) fn halo_exchange_time(node: &NodeSpec, pattern: &HaloPattern) -> f64 {
     if pattern.neighbor_bytes.is_empty() || !node.interconnect_bw.is_finite() {
         return 0.0;
     }
@@ -44,7 +44,7 @@ pub fn halo_exchange_time(node: &NodeSpec, pattern: &HaloPattern) -> f64 {
 /// The paper's Algorithm 3 synchronizes point-to-point around each
 /// exchange (GPUDirect, but no boundary/interior overlap is described), so
 /// the default model keeps exchanges fully visible.
-pub const COMM_OVERLAP: f64 = 0.0;
+pub(crate) const COMM_OVERLAP: f64 = 0.0;
 
 /// Weak-scaling model: per-step time on `p` modules given the single-module
 /// compute time per step, the iteration count, and the (worst-partition)
@@ -79,7 +79,7 @@ pub fn weak_scaling_efficiency(t1: f64, tp: f64) -> f64 {
 /// cost the sharded serving layer charges for cross-node work stealing
 /// (a request descriptor) and checkpoint replica mirroring (the full
 /// serialized shard image).
-pub fn link_transfer_time(node: &NodeSpec, bytes: f64) -> f64 {
+pub(crate) fn link_transfer_time(node: &NodeSpec, bytes: f64) -> f64 {
     if !node.interconnect_bw.is_finite() || bytes <= 0.0 {
         return 2.0 * node.interconnect_latency;
     }

@@ -9,33 +9,32 @@
 //! wall-clock and energy are produced by this crate's calibrated,
 //! first-order hardware model:
 //!
-//! * [`spec`] — Table-1 device/link/node profiles plus calibrated kernel
+//! * `spec` — Table-1 device/link/node profiles plus calibrated kernel
 //!   efficiencies (provenance: the paper's Table 2 microbenchmarks),
-//! * [`roofline`] — kernel time = roofline max(compute, memory) + a
+//! * `roofline` — kernel time = roofline max(compute, memory) + a
 //!   gather-transaction issue term; validated against every Table 2 row,
-//! * [`clock`] — overlapped CPU/GPU virtual timelines with energy
+//! * `clock` — overlapped CPU/GPU virtual timelines with energy
 //!   integration and the Alps module power-cap GPU throttle,
-//! * [`cluster`] — inter-GPU halo-exchange and weak-scaling model (Fig. 5),
-//! * [`memory`] — method memory footprints at paper scale (Tables 3/4).
+//! * `cluster` — inter-GPU halo-exchange and weak-scaling model (Fig. 5),
+//! * `memory` — method memory footprints at paper scale (Tables 3/4).
 
 #![forbid(unsafe_code)]
 
-pub mod clock;
-pub mod cluster;
-pub mod memory;
-pub mod roofline;
-pub mod spec;
+mod clock;
+mod cluster;
+mod memory;
+mod roofline;
+mod spec;
 
 pub use clock::{
     ClockState, EnergyReport, LaneKind, LaneSpan, ManualClock, ModuleClock, SystemClock, WallClock,
 };
 pub use cluster::{
-    box_halo_pattern, halo_exchange_time, link_transfer_time, weak_scaling_efficiency,
-    weak_scaling_step_time, HaloPattern, LinkTraffic,
+    box_halo_pattern, weak_scaling_efficiency, weak_scaling_step_time, HaloPattern, LinkTraffic,
 };
 pub use memory::{crs_cg_cpu, crs_cg_cpu_gpu, crs_cg_gpu, ebe_mcg_cpu_gpu, MemUsage, ProblemDims};
 pub use roofline::{achieved_bw, achieved_flops, kernel_time, transfer_time, ExecCtx};
 pub use spec::{
-    alps_node, format_table1, grace_480, grace_alps, h100, nvlink_c2c, single_gh200, DeviceSpec,
-    LinkSpec, ModuleSpec, NodeSpec,
+    alps_node, format_table1, grace_480, h100, single_gh200, DeviceSpec, LinkSpec, ModuleSpec,
+    NodeSpec,
 };

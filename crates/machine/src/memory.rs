@@ -14,7 +14,7 @@ pub struct ProblemDims {
 }
 
 impl ProblemDims {
-    pub fn n_dofs(&self) -> u64 {
+    pub(crate) fn n_dofs(&self) -> u64 {
         3 * self.n_nodes
     }
 

@@ -82,7 +82,7 @@ pub fn grace_480() -> DeviceSpec {
 }
 
 /// Grace CPU of an Alps GH200-NVL4 module: 72 cores, 128 GB at 512 GB/s.
-pub fn grace_alps() -> DeviceSpec {
+pub(crate) fn grace_alps() -> DeviceSpec {
     DeviceSpec {
         mem_bw: 512e9,
         mem_capacity: 128_000_000_000,
@@ -111,7 +111,7 @@ pub fn h100() -> DeviceSpec {
 }
 
 /// NVLink-C2C: 900 GB/s bidirectional => 450 GB/s per direction.
-pub fn nvlink_c2c() -> LinkSpec {
+pub(crate) fn nvlink_c2c() -> LinkSpec {
     LinkSpec {
         bw: 450e9,
         latency: 5e-6,
@@ -157,7 +157,7 @@ pub fn alps_node() -> NodeSpec {
 impl DeviceSpec {
     /// Fraction of peak flop/issue throughput available with `threads`
     /// active threads (CPUs; GPUs always return 1).
-    pub fn thread_frac(&self, threads: usize) -> f64 {
+    pub(crate) fn thread_frac(&self, threads: usize) -> f64 {
         if self.n_cores == 0 {
             1.0
         } else {
@@ -168,7 +168,7 @@ impl DeviceSpec {
     /// Fraction of peak bandwidth with `threads` active threads: CPU memory
     /// bandwidth saturates well below full core count (t/(t+12), normalized
     /// to 1 at all cores).
-    pub fn bw_frac(&self, threads: usize) -> f64 {
+    pub(crate) fn bw_frac(&self, threads: usize) -> f64 {
         if self.n_cores == 0 {
             return 1.0;
         }
@@ -177,14 +177,14 @@ impl DeviceSpec {
         (t / (t + 12.0)) / (full / (full + 12.0))
     }
 
-    /// Power drawn at utilization `u` in [0,1]: idle + u * active.
+    /// Power drawn at utilization `u` in `[0, 1]`: idle + u * active.
     pub fn power(&self, u: f64) -> f64 {
         self.idle_power + u.clamp(0.0, 1.0) * self.active_power
     }
 
     /// Power drawn with a subset of cores busy (CPU thread sweep of
     /// Table 4).
-    pub fn power_threads(&self, threads: usize) -> f64 {
+    pub(crate) fn power_threads(&self, threads: usize) -> f64 {
         if self.n_cores == 0 {
             self.power(1.0)
         } else {
@@ -198,7 +198,7 @@ impl ModuleSpec {
     /// `cpu_power` W: the GPU gets whatever headroom remains (Alps behavior;
     /// §3.4 "power cap of 634 W per module, leading to lower GPU clocks at
     /// high CPU loads").
-    pub fn gpu_throttle(&self, cpu_power: f64) -> f64 {
+    pub(crate) fn gpu_throttle(&self, cpu_power: f64) -> f64 {
         if !self.power_cap.is_finite() {
             return 1.0;
         }

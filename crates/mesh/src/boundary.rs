@@ -22,7 +22,7 @@ pub enum BoundaryKind {
 
 /// Local mid-edge node index (4..=9) for the edge between vertex-local
 /// indices `a` and `b` of a Tet10 element.
-pub fn mid_edge_local(a: usize, b: usize) -> usize {
+pub(crate) fn mid_edge_local(a: usize, b: usize) -> usize {
     for (k, &(i, j)) in TET_EDGES.iter().enumerate() {
         if (i == a && j == b) || (i == b && j == a) {
             return 4 + k;

@@ -3,7 +3,7 @@
 //! The EBE (element-by-element) matrix-free SpMV scatters 30 values per
 //! element into the global result vector. Elements handled at the same time
 //! on different threads must not share a node, or their scatters race.
-//! GPU EBE kernels (the paper's reference [4]) colour single elements; on a
+//! GPU EBE kernels (the paper's reference \[4\]) colour single elements; on a
 //! CPU a thread is better off with a *run* of neighbouring elements.
 //! [`color_runs`] cuts the stored order into contiguous runs and colours
 //! the runs into phases whose runs touch disjoint node sets, so a phase can
@@ -51,7 +51,7 @@ pub struct RunColoring {
 }
 
 impl RunColoring {
-    pub fn n_runs(&self) -> usize {
+    pub(crate) fn n_runs(&self) -> usize {
         self.n_entities.div_ceil(self.run_len)
     }
 

@@ -41,12 +41,12 @@ impl BoxGrid {
     }
 
     /// Number of cells.
-    pub fn n_cells(&self) -> usize {
+    pub(crate) fn n_cells(&self) -> usize {
         self.nx * self.ny * self.nz
     }
 
     /// Number of corner (first-order) nodes.
-    pub fn n_corner_nodes(&self) -> usize {
+    pub(crate) fn n_corner_nodes(&self) -> usize {
         (self.nx + 1) * (self.ny + 1) * (self.nz + 1)
     }
 
@@ -83,13 +83,13 @@ const KUHN_TETS: [[usize; 4]; 6] = [
 
 /// First-order tetrahedral mesh produced as an intermediate step.
 #[derive(Debug, Clone, Default)]
-pub struct TetMesh4 {
+pub(crate) struct TetMesh4 {
     pub coords: Vec<[f64; 3]>,
     pub elems: Vec<[u32; 4]>,
 }
 
 /// Generate the first-order (Tet4) Kuhn mesh of a box grid.
-pub fn box_tet4(grid: &BoxGrid) -> TetMesh4 {
+pub(crate) fn box_tet4(grid: &BoxGrid) -> TetMesh4 {
     let mut coords = Vec::with_capacity(grid.n_corner_nodes());
     for k in 0..=grid.nz {
         for j in 0..=grid.ny {
@@ -135,7 +135,7 @@ pub fn box_tet4(grid: &BoxGrid) -> TetMesh4 {
 
 /// Promote a Tet4 mesh to Tet10 by inserting one shared node at the midpoint
 /// of every unique edge. Mid-edge nodes are appended after all corner nodes.
-pub fn promote_tet10(t4: &TetMesh4) -> TetMesh10 {
+pub(crate) fn promote_tet10(t4: &TetMesh4) -> TetMesh10 {
     let mut coords = t4.coords.clone();
     let mut edge_nodes: HashMap<(u32, u32), u32> = HashMap::with_capacity(t4.elems.len() * 3);
     let mut elems = Vec::with_capacity(t4.elems.len());

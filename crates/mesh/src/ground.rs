@@ -44,18 +44,6 @@ impl Material {
     pub fn lambda(&self) -> f64 {
         self.rho * (self.vp * self.vp - 2.0 * self.vs * self.vs)
     }
-
-    /// Young's modulus (Pa).
-    pub fn youngs(&self) -> f64 {
-        let (l, m) = (self.lambda(), self.mu());
-        m * (3.0 * l + 2.0 * m) / (l + m)
-    }
-
-    /// Poisson's ratio.
-    pub fn poisson(&self) -> f64 {
-        let (l, m) = (self.lambda(), self.mu());
-        l / (2.0 * (l + m))
-    }
 }
 
 /// The three interface shapes of the paper's Fig. 1.
@@ -85,8 +73,8 @@ pub struct GroundModelSpec {
 }
 
 /// Material ids used by generated ground meshes.
-pub const MAT_SEDIMENT: u16 = 0;
-pub const MAT_BEDROCK: u16 = 1;
+pub(crate) const MAT_SEDIMENT: u16 = 0;
+pub(crate) const MAT_BEDROCK: u16 = 1;
 
 impl GroundModelSpec {
     /// The paper-inspired default: soft sediment over stiff bedrock, scaled
@@ -109,7 +97,7 @@ impl GroundModelSpec {
     }
 
     /// Depth (m, below surface) of the sediment/bedrock interface at (x, y).
-    pub fn interface_depth_at(&self, x: f64, y: f64) -> f64 {
+    pub(crate) fn interface_depth_at(&self, x: f64, y: f64) -> f64 {
         let d0 = self.interface_depth;
         match self.shape {
             InterfaceShape::Stratified => d0,
@@ -129,7 +117,7 @@ impl GroundModelSpec {
     }
 
     /// Material id at a physical point.
-    pub fn material_at(&self, p: Vec3) -> u16 {
+    pub(crate) fn material_at(&self, p: Vec3) -> u16 {
         let depth = self.grid.lz - p.z;
         if depth <= self.interface_depth_at(p.x, p.y) {
             MAT_SEDIMENT
@@ -183,9 +171,13 @@ mod tests {
         let m = Material::new(1800.0, 200.0, 700.0);
         assert!((m.mu() - 1800.0 * 200.0 * 200.0).abs() < 1e-6);
         assert!(m.lambda() > 0.0);
-        let nu = m.poisson();
-        assert!(nu > 0.0 && nu < 0.5, "nu = {nu}");
-        assert!(m.youngs() > 0.0);
+        let (l, mu) = (m.lambda(), m.mu());
+        let nu = l / (2.0 * (l + mu));
+        assert!(nu > 0.0 && nu < 0.5, "Poisson's ratio {nu}");
+        assert!(
+            mu * (3.0 * l + 2.0 * mu) / (l + mu) > 0.0,
+            "Young's modulus"
+        );
     }
 
     #[test]

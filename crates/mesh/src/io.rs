@@ -17,7 +17,7 @@ pub struct Field<'a> {
 }
 
 /// Write a mesh with optional point/cell scalar fields as legacy VTK.
-pub fn write_vtk<W: Write>(
+pub(crate) fn write_vtk<W: Write>(
     w: &mut W,
     mesh: &TetMesh10,
     point_fields: &[Field<'_>],

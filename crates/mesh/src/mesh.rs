@@ -17,7 +17,7 @@ pub const TET_EDGES: [(usize, usize); 6] = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 
 
 /// The four faces of a tetrahedron as vertex-local index triples, oriented
 /// so that their normal points out of the element (for positive-volume tets).
-pub const TET_FACES: [[usize; 3]; 4] = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]];
+pub(crate) const TET_FACES: [[usize; 3]; 4] = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]];
 
 /// Node → cell incidence in compressed rows: the cells that reference
 /// node `n` are `elems[ptr[n]..ptr[n + 1]]`, in ascending cell order (a
@@ -94,7 +94,7 @@ impl TetMesh10 {
 
     /// Coordinate of node `n` as a [`Vec3`].
     #[inline]
-    pub fn node(&self, n: u32) -> Vec3 {
+    pub(crate) fn node(&self, n: u32) -> Vec3 {
         Vec3::from_array(self.coords[n as usize])
     }
 
@@ -121,13 +121,13 @@ impl TetMesh10 {
 
     /// Signed volume of element `e` computed from its vertices (exact for
     /// straight-edged Tet10 elements, which is all this crate generates).
-    pub fn elem_volume(&self, e: usize) -> f64 {
+    pub(crate) fn elem_volume(&self, e: usize) -> f64 {
         let [a, b, c, d] = self.vertices(e);
         tet_volume(a, b, c, d)
     }
 
     /// Centroid of element `e` (vertex average).
-    pub fn elem_centroid(&self, e: usize) -> Vec3 {
+    pub(crate) fn elem_centroid(&self, e: usize) -> Vec3 {
         let [a, b, c, d] = self.vertices(e);
         (a + b + c + d) / 4.0
     }
@@ -137,24 +137,9 @@ impl TetMesh10 {
         (0..self.n_elems()).map(|e| self.elem_volume(e)).sum()
     }
 
-    /// Axis-aligned bounding box `(min, max)` over all nodes.
-    pub fn bounding_box(&self) -> (Vec3, Vec3) {
-        let mut lo = Vec3::new(f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        let mut hi = Vec3::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for c in &self.coords {
-            lo.x = lo.x.min(c[0]);
-            lo.y = lo.y.min(c[1]);
-            lo.z = lo.z.min(c[2]);
-            hi.x = hi.x.max(c[0]);
-            hi.y = hi.y.max(c[1]);
-            hi.z = hi.z.max(c[2]);
-        }
-        (lo, hi)
-    }
-
     /// Node-to-element incidence: for each node, the elements that
     /// reference it (through any of their 10 nodes), ascending.
-    pub fn node_to_elems(&self) -> Incidence {
+    pub(crate) fn node_to_elems(&self) -> Incidence {
         Incidence::of(self.n_nodes(), &self.elems)
     }
 
@@ -203,7 +188,7 @@ mod tests {
     use super::*;
 
     /// Single reference Tet10 element on the unit tetrahedron.
-    pub fn unit_tet10() -> TetMesh10 {
+    pub(super) fn unit_tet10() -> TetMesh10 {
         let v = [
             [0.0, 0.0, 0.0],
             [1.0, 0.0, 0.0],
@@ -273,14 +258,6 @@ mod tests {
         let inc = m.node_to_elems();
         assert_eq!(inc.ptr.len(), 11);
         assert!((0..10).all(|n| inc.of_node(n) == [0u32]));
-    }
-
-    #[test]
-    fn bounding_box() {
-        let m = unit_tet10();
-        let (lo, hi) = m.bounding_box();
-        assert_eq!(lo, Vec3::ZERO);
-        assert_eq!(hi, Vec3::new(1.0, 1.0, 1.0));
     }
 
     #[test]

@@ -79,7 +79,7 @@ fn rcb_recurse(
 }
 
 /// Element adjacency graph (elements sharing at least one node are adjacent).
-pub fn element_adjacency(mesh: &TetMesh10) -> Vec<Vec<u32>> {
+pub(crate) fn element_adjacency(mesh: &TetMesh10) -> Vec<Vec<u32>> {
     let n2e = mesh.node_to_elems();
     let mut adj = vec![Vec::new(); mesh.n_elems()];
     for (e, el) in mesh.elems.iter().enumerate() {

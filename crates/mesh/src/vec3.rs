@@ -56,21 +56,6 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    #[inline]
-    pub fn norm2(self) -> f64 {
-        self.dot(self)
-    }
-
-    /// Unit vector in the same direction. Returns `None` for (near-)zero vectors.
-    pub fn normalized(self) -> Option<Vec3> {
-        let n = self.norm();
-        if n <= f64::EPSILON {
-            None
-        } else {
-            Some(self / n)
-        }
-    }
-
     /// Component-wise midpoint of two points.
     #[inline]
     pub fn midpoint(self, o: Vec3) -> Vec3 {
@@ -83,7 +68,7 @@ impl Vec3 {
 
     /// Euclidean distance between two points.
     #[inline]
-    pub fn distance(self, o: Vec3) -> f64 {
+    pub(crate) fn distance(self, o: Vec3) -> f64 {
         (self - o).norm()
     }
 }
@@ -148,7 +133,7 @@ impl Div<f64> for Vec3 {
 /// Signed volume of the tetrahedron (a, b, c, d).
 ///
 /// Positive when (b-a, c-a, d-a) form a right-handed frame.
-pub fn tet_volume(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> f64 {
+pub(crate) fn tet_volume(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> f64 {
     (b - a).cross(c - a).dot(d - a) / 6.0
 }
 
@@ -182,9 +167,8 @@ mod tests {
     fn norm_and_normalize() {
         let v = Vec3::new(3.0, 4.0, 0.0);
         assert!((v.norm() - 5.0).abs() < 1e-15);
-        let u = v.normalized().unwrap();
-        assert!((u.norm() - 1.0).abs() < 1e-15);
-        assert!(Vec3::ZERO.normalized().is_none());
+        assert!(((v / 5.0).norm() - 1.0).abs() < 1e-15);
+        assert_eq!(Vec3::ZERO.norm(), 0.0);
     }
 
     #[test]

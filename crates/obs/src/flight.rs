@@ -61,7 +61,7 @@ hetsolve_ckpt::wire_struct!(FlightEvent {
 });
 
 impl FlightEvent {
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut m = std::collections::BTreeMap::new();
         m.insert("seq".into(), Json::from(self.seq as f64));
         m.insert("t_s".into(), Json::from(self.t_s));

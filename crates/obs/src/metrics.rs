@@ -111,10 +111,6 @@ impl MetricsSink {
         &self.methods
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.methods.is_empty() && self.sections.is_empty()
-    }
-
     /// The full snapshot document.
     pub fn to_json(&self) -> Json {
         let mut obj: Vec<(&'static str, Json)> = vec![

@@ -64,7 +64,7 @@ impl Termination {
 
     /// Stable wire code for checkpoint encoding. Codes are append-only:
     /// existing values never change meaning across format versions.
-    pub fn code(&self) -> u8 {
+    pub(crate) fn code(&self) -> u8 {
         match self {
             Termination::Converged => 0,
             Termination::MaxIter => 1,
@@ -80,7 +80,7 @@ impl Termination {
 
     /// Inverse of [`Termination::code`]; `None` for unknown codes (a
     /// corrupt or future-version checkpoint).
-    pub fn from_code(code: u8) -> Option<Self> {
+    pub(crate) fn from_code(code: u8) -> Option<Self> {
         Some(match code {
             0 => Termination::Converged,
             1 => Termination::MaxIter,
@@ -143,11 +143,6 @@ impl ResidualLog {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Residual trace of one case across all iterations.
-    pub fn case_history(&self, case: usize) -> Vec<f64> {
-        self.history.iter().map(|row| row[case]).collect()
-    }
 }
 
 impl SolveObserver for ResidualLog {
@@ -206,7 +201,8 @@ mod tests {
         log.solve_end(2, Termination::Converged);
         assert_eq!(log.n, 100);
         assert_eq!(log.history.len(), 3);
-        assert_eq!(log.case_history(1), vec![0.5, 0.05, 0.004]);
+        let case1: Vec<f64> = log.history.iter().map(|row| row[1]).collect();
+        assert_eq!(case1, vec![0.5, 0.05, 0.004]);
         assert_eq!(log.iterations, 2);
         assert_eq!(log.termination, Some(Termination::Converged));
     }

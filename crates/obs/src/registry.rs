@@ -36,7 +36,7 @@ const OCTAVES: usize = 42;
 /// Lower edge of the first regular bucket.
 const LO: f64 = 9.313_225_746_154_785e-10; // 2^-30
 /// Bucket count: underflow + OCTAVES*SUB + overflow.
-pub const HIST_BUCKETS: usize = 2 + OCTAVES * SUB;
+pub(crate) const HIST_BUCKETS: usize = 2 + OCTAVES * SUB;
 
 /// Fixed-size log-bucketed histogram. See the module docs for the layout
 /// and the ≤ 19% bucket-quantile error bound.
@@ -56,7 +56,7 @@ impl Default for LogHistogram {
 }
 
 impl LogHistogram {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LogHistogram {
             counts: vec![0; HIST_BUCKETS],
             total: 0,
@@ -94,7 +94,7 @@ impl LogHistogram {
         }
     }
 
-    pub fn observe(&mut self, v: f64) {
+    pub(crate) fn observe(&mut self, v: f64) {
         self.counts[Self::bucket_of(v)] += 1;
         self.total += 1;
         if v.is_finite() {
@@ -105,7 +105,7 @@ impl LogHistogram {
     }
 
     /// Bucket-wise aggregation of another histogram into this one.
-    pub fn merge(&mut self, other: &LogHistogram) {
+    pub(crate) fn merge(&mut self, other: &LogHistogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -141,7 +141,7 @@ impl LogHistogram {
         }
     }
 
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.total == 0 {
             0.0
         } else {
@@ -196,7 +196,7 @@ impl LogHistogram {
     }
 
     /// Compact JSON summary (bucket array elided; quantiles cover it).
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj([
             ("count", Json::from(self.total as f64)),
             ("sum", Json::from(self.sum)),
@@ -267,7 +267,7 @@ impl MetricsRegistry {
     }
 
     /// Merge an externally-built histogram into a named one.
-    pub fn merge_histogram(&mut self, name: Histogram, h: &LogHistogram) {
+    pub(crate) fn merge_histogram(&mut self, name: Histogram, h: &LogHistogram) {
         slot(&mut self.histograms, name).merge(h);
     }
 

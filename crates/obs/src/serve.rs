@@ -50,7 +50,7 @@ hetsolve_ckpt::wire_struct!(TenantStats {
 });
 
 impl TenantStats {
-    pub fn new(tenant: u32) -> Self {
+    pub(crate) fn new(tenant: u32) -> Self {
         TenantStats {
             tenant,
             ..Default::default()
@@ -59,7 +59,7 @@ impl TenantStats {
 
     /// This tenant's latency percentile (same bucket error bound as the
     /// aggregate histogram).
-    pub fn latency_percentile(&self, p: f64) -> f64 {
+    pub(crate) fn latency_percentile(&self, p: f64) -> f64 {
         self.latency.quantile(p)
     }
 
@@ -74,7 +74,7 @@ impl TenantStats {
         self.latency.merge(&other.latency);
     }
 
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj([
             ("tenant", Json::from(self.tenant as usize)),
             ("completed", Json::from(self.completed as usize)),

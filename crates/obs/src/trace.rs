@@ -27,7 +27,7 @@ pub struct TraceEvent {
     pub name: String,
     /// Category: "cpu", "gpu", "link", "wall", ...
     pub cat: String,
-    /// "X" (complete span), "C" (counter), "i" (instant), or the flow
+    /// "X" (complete span), "C" (counter), or the flow
     /// phases "s"/"t"/"f" (start/step/end).
     pub ph: char,
     /// Process id — one per process set in the pipelined methods.
@@ -96,29 +96,6 @@ impl TraceBuilder {
             tid,
             ts_us,
             dur_us: Some(dur_us),
-            id: None,
-            args,
-        });
-    }
-
-    /// Record an instant event (a labeled tick mark on a thread row).
-    pub fn instant(
-        &mut self,
-        pid: usize,
-        tid: usize,
-        cat: &str,
-        name: &str,
-        ts_us: f64,
-        args: Vec<(String, Json)>,
-    ) {
-        self.events.push(TraceEvent {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            ph: 'i',
-            pid,
-            tid,
-            ts_us,
-            dur_us: None,
             id: None,
             args,
         });
@@ -233,9 +210,6 @@ impl TraceBuilder {
             if let Some(id) = e.id {
                 // flow ids are rendered as strings: u64 survives JSON
                 obj.push(("id", Json::Str(format!("{id:#x}"))));
-            }
-            if e.ph == 'i' {
-                obj.push(("s", Json::from("t"))); // thread-scoped instant
             }
             if e.ph == 'f' {
                 obj.push(("bp", Json::from("e"))); // bind to enclosing slice
@@ -409,7 +383,6 @@ mod tests {
         t.flow_start(0, 0, "request", "admitted", 0.0, id);
         t.flow_step(1, 1, "request", "step", 5.0, id); // another lane
         t.flow_end(2, 1, "request", "done", 9.0, id); // a third lane
-        t.instant(0, 0, "request", "evicted", 9.5, vec![]);
         let text = t.to_json().to_string_pretty();
         let v = parse_json(&text).unwrap();
         let events = v.get("traceEvents").unwrap().items();
@@ -417,7 +390,7 @@ mod tests {
             .iter()
             .filter_map(|e| e.get("ph").and_then(Json::as_str))
             .collect();
-        assert_eq!(phases, ["s", "t", "f", "i"]);
+        assert_eq!(phases, ["s", "t", "f"]);
         // all three flow hops share one id even though pids differ
         let ids: Vec<&str> = events
             .iter()
@@ -426,7 +399,5 @@ mod tests {
         assert_eq!(ids, ["0x2a", "0x2a", "0x2a"]);
         let end = &events[2];
         assert_eq!(end.get("bp").and_then(Json::as_str), Some("e"));
-        let inst = &events[3];
-        assert_eq!(inst.get("s").and_then(Json::as_str), Some("t"));
     }
 }

@@ -257,7 +257,7 @@ impl Pool {
     }
 
     /// Threads that run chunks: the workers and the caller.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.0.workers.len() + 1
     }
 

@@ -120,12 +120,6 @@ impl AdaptiveWindow {
         self.unit_cost = unit_cost;
     }
 
-    /// Clamp the cap (e.g. when memory gets tighter at runtime).
-    pub fn set_cap(&mut self, cap: usize) {
-        self.s_cap = cap.max(self.s_min);
-        self.s = self.s.min(self.s_cap);
-    }
-
     /// Drop the window back to `s_min` after the snapshot history was
     /// discarded (poisoned snapshot): the predictor has to rebuild its
     /// basis, so a large window would only orthonormalize stale columns.
@@ -134,15 +128,6 @@ impl AdaptiveWindow {
     pub fn reset_window(&mut self) {
         self.s = self.s_min;
     }
-}
-
-/// The largest window `s` whose snapshot history fits in `mem_bytes` for a
-/// problem with `n_dofs` unknowns and `cases` concurrent cases — how the
-/// paper derives 32 steps on the 480 GB node and 11 on the 128 GB node.
-pub fn max_window_for_memory(mem_bytes: usize, n_dofs: usize, cases: usize) -> usize {
-    // history stores (s + 1) correction vectors per case
-    let per_step = 8 * n_dofs * cases;
-    (mem_bytes / per_step).saturating_sub(1)
 }
 
 #[cfg(test)]
@@ -225,18 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_bound_matches_paper_shape() {
-        // 46.5M dofs, 4 cases/process, 2 processes sharing ~400 GB of the
-        // single-GH200's CPU memory: s in the tens.
-        let n_dofs = 46_529_709usize;
-        let s480 = max_window_for_memory(380_000_000_000, n_dofs, 8);
-        let s128 = max_window_for_memory(35_000_000_000, n_dofs, 8); // Alps share
-        assert!(s480 > s128);
-        assert!((100..200).contains(&s480) || s480 > 30, "s480 = {s480}");
-        assert!(s128 < 15, "s128 = {s128}");
-    }
-
-    #[test]
     fn reset_window_drops_to_s_min_but_keeps_cost_estimate() {
         let mut ctl = AdaptiveWindow::new(2, 64);
         for _ in 0..20 {
@@ -249,17 +222,5 @@ mod tests {
         // the retained unit cost lets the window regrow immediately
         let s = ctl.observe(2, 1e-5 * 4.0, 1.0);
         assert!(s > 2, "regrowth should resume from the kept estimate");
-    }
-
-    #[test]
-    fn set_cap_clamps_current() {
-        let mut ctl = AdaptiveWindow::new(2, 64);
-        for _ in 0..30 {
-            let s = ctl.current();
-            ctl.observe(s, 1e-6 * (s * s) as f64, 1.0);
-        }
-        assert!(ctl.current() > 11);
-        ctl.set_cap(11);
-        assert_eq!(ctl.current(), 11);
     }
 }

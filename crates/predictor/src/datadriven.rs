@@ -1,5 +1,5 @@
 //! The data-driven initial-guess predictor of the paper (§3.2), following
-//! its reference [6] (and [7] = dynamic mode decomposition):
+//! its reference \[6\] (and \[7\] = dynamic mode decomposition):
 //!
 //! * The Adams-Bashforth extrapolation estimates the low-order modes well
 //!   but misses higher-order content; the data-driven stage predicts the
@@ -258,24 +258,8 @@ impl DataDrivenPredictor {
     }
 
     /// Number of regions.
-    pub fn n_regions(&self) -> usize {
+    pub(crate) fn n_regions(&self) -> usize {
         self.n_dofs.div_ceil(self.region_dofs)
-    }
-
-    /// Bytes held by the snapshot history and its checks — the columns,
-    /// the parity column and the per-column CRCs: the CPU-memory footprint
-    /// that limits `s` (the paper stores 32 steps in 480 GB but only 11 in
-    /// 128 GB).
-    pub fn memory_bytes(&self) -> usize {
-        self.history.len() * self.n_dofs * std::mem::size_of::<f64>()
-            + self.parity.len() * std::mem::size_of::<u64>()
-            + self.crcs.len() * std::mem::size_of::<u32>()
-    }
-
-    /// Memory needed for window `s` at `n_dofs` unknowns (static helper for
-    /// capacity planning before any data exists).
-    pub fn bytes_for(n_dofs: usize, s: usize) -> usize {
-        (s + 1) * n_dofs * 8
     }
 
     /// Predict the next correction `δ̄^it` into `out` using window `s`.
@@ -346,7 +330,7 @@ impl DataDrivenPredictor {
     /// Invariant sentinel: factor the newest window-`s` snapshot matrix of
     /// every region (exactly as [`DataDrivenPredictor::predict`] would)
     /// and return the worst per-region
-    /// [orthogonality defect](crate::mgs::MgsQr::orthogonality_defect).
+    /// orthogonality defect (`MgsQr::orthogonality_defect`).
     /// Any non-finite entry in the window (including the input column)
     /// reports as `f64::INFINITY` — `mgs_qr` would silently drop such a
     /// column and degrade rank, which is exactly the silent failure the
@@ -488,9 +472,8 @@ mod tests {
             p.record(&vec![k as f64; n]);
         }
         assert_eq!(p.available_s(), 4);
-        // five columns, the parity column and five CRCs
-        assert_eq!(p.memory_bytes(), 5 * n * 8 + n * 8 + 5 * 4);
-        assert_eq!(DataDrivenPredictor::bytes_for(n, 4), 5 * n * 8);
+        // five columns and five CRCs
+        assert_eq!((p.history.len(), p.crcs.len()), (5, 5));
     }
 
     #[test]

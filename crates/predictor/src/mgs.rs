@@ -106,7 +106,7 @@ impl MgsQr {
     /// the invariant-sentinel signature of a corrupted basis (a bit flip
     /// in Q, or state corruption upstream of the factorization). `0.0`
     /// for rank 0. Read-only: never perturbs the factorization.
-    pub fn orthogonality_defect(&self) -> f64 {
+    pub(crate) fn orthogonality_defect(&self) -> f64 {
         let mut worst = 0.0f64;
         for i in 0..self.rank() {
             let qi = &self.q[i * self.m..(i + 1) * self.m];
@@ -125,7 +125,7 @@ impl MgsQr {
     }
 
     /// `c = Qᵀ v` (projection coefficients onto the orthonormal basis).
-    pub fn project(&self, v: &[f64], c: &mut [f64]) {
+    pub(crate) fn project(&self, v: &[f64], c: &mut [f64]) {
         debug_assert_eq!(v.len(), self.m);
         debug_assert_eq!(c.len(), self.rank());
         for (qi, ci) in c.iter_mut().enumerate() {
@@ -136,7 +136,7 @@ impl MgsQr {
 
     /// Solve `R w = c` over the kept columns (back substitution). `w` has
     /// one entry per original column; dropped columns get weight 0.
-    pub fn back_substitute(&self, c: &[f64], w: &mut [f64]) {
+    pub(crate) fn back_substitute(&self, c: &[f64], w: &mut [f64]) {
         debug_assert_eq!(c.len(), self.rank());
         debug_assert_eq!(w.len(), self.s);
         w.fill(0.0);

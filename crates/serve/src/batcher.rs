@@ -33,11 +33,11 @@ pub struct CompatKey(pub u64);
 hetsolve_ckpt::wire_newtype!(CompatKey(u64));
 
 impl CompatKey {
-    pub fn from_tol(tol: f64) -> Self {
+    pub(crate) fn from_tol(tol: f64) -> Self {
         CompatKey(tol.to_bits())
     }
 
-    pub fn tol(&self) -> f64 {
+    pub(crate) fn tol(&self) -> f64 {
         f64::from_bits(self.0)
     }
 }
@@ -107,7 +107,7 @@ impl Batcher {
 
     /// Append one empty lane (autoscale scale-up at a step boundary).
     /// Returns the new lane's index.
-    pub fn add_lane(&mut self) -> usize {
+    pub(crate) fn add_lane(&mut self) -> usize {
         self.lanes.push(Lane {
             key: None,
             slots: vec![None; self.width],
@@ -117,24 +117,19 @@ impl Batcher {
 
     /// Mark the highest lane as draining (autoscale scale-down): backfill
     /// stops feeding it, in-flight columns keep running untouched.
-    pub fn drain_last(&mut self) {
+    pub(crate) fn drain_last(&mut self) {
         self.draining_from = Some(self.lanes.len().saturating_sub(1));
     }
 
     /// Cancel a pending drain (scale-up pressure returned first).
-    pub fn cancel_drain(&mut self) {
+    pub(crate) fn cancel_drain(&mut self) {
         self.draining_from = None;
-    }
-
-    /// Is lane `lane` currently draining?
-    pub fn is_draining(&self, lane: usize) -> bool {
-        self.draining_from.is_some_and(|d| lane >= d)
     }
 
     /// Remove the highest lane. Panics if it still holds work — the
     /// autoscaler only removes a drained (empty) lane, so a non-empty
     /// removal is a scheduling bug, not a runtime condition.
-    pub fn remove_last_lane(&mut self) {
+    pub(crate) fn remove_last_lane(&mut self) {
         assert!(self.lanes.len() > 1, "cannot remove the only lane");
         #[allow(clippy::expect_used, reason = "len > 1 asserted above")]
         let last = self.lanes.last().expect("non-empty lane vec");
@@ -145,10 +140,6 @@ impl Batcher {
 
     pub fn width(&self) -> usize {
         self.width
-    }
-
-    pub fn policy(&self) -> BatchPolicy {
-        self.policy
     }
 
     /// Compatibility key of lane `lane`'s occupants (`None` when empty).
@@ -184,7 +175,7 @@ impl Batcher {
     /// Place `id` directly into a vacant slot during checkpoint restore,
     /// bypassing the queue. Panics on an occupied slot or a key conflict —
     /// a checkpoint that violates the lane invariants is a bug, not data.
-    pub fn restore_slot(&mut self, lane: usize, slot: usize, id: RequestId, key: CompatKey) {
+    pub(crate) fn restore_slot(&mut self, lane: usize, slot: usize, id: RequestId, key: CompatKey) {
         let l = &mut self.lanes[lane];
         assert!(l.slots[slot].is_none(), "restore into occupied slot");
         assert!(
@@ -321,8 +312,7 @@ mod tests {
         b.backfill(&mut q);
         assert_eq!(b.occupied_count(0) + b.occupied_count(1), 4);
         b.drain_last();
-        assert!(b.is_draining(1));
-        assert!(!b.is_draining(0));
+        assert_eq!(b.draining_from, Some(1), "only lane 1 drains");
         // free lane 1's columns; backfill must not refill them
         b.free(1, 0);
         b.free(1, 1);
@@ -334,7 +324,7 @@ mod tests {
         );
         b.remove_last_lane();
         assert_eq!(b.n_lanes(), 1);
-        assert!(!b.is_draining(0), "drain mark clears on removal");
+        assert_eq!(b.draining_from, None, "drain mark clears on removal");
         // scale back up: new empty lane takes work again
         assert_eq!(b.add_lane(), 1);
         let a = b.backfill(&mut q2);

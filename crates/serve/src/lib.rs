@@ -11,34 +11,34 @@
 //! the same at any occupancy. This crate turns that batch engine into a
 //! *service*:
 //!
-//! * [`request`] — [`SolveRequest`]s (seed, steps, priority, deadline,
+//! * `request` — [`SolveRequest`]s (seed, steps, priority, deadline,
 //!   tolerance) and their `Queued → Batched → Solving → Done | Failed |
 //!   Evicted` lifecycle,
-//! * [`queue`] — bounded [`AdmissionQueue`] with typed backpressure
+//! * `queue` — bounded [`AdmissionQueue`] with typed backpressure
 //!   ([`AdmitError::Rejected`] / [`AdmitError::ShedLoad`]) and
 //!   deterministic priority/deadline/seeded-tie scheduling,
-//! * [`batcher`] — the pure lane packer: compatible requests (same
+//! * `batcher` — the pure lane packer: compatible requests (same
 //!   backend, bit-identical tolerance → same [`CompatKey`]) fill vacant
 //!   columns of 2 × `r`-wide lanes under [`BatchPolicy::Continuous`] or
 //!   the [`BatchPolicy::DrainThenRefill`] baseline, never moving an
 //!   in-flight column,
-//! * [`server`] — [`EnsembleServer`]: the tick loop driving the lanes
+//! * `server` — [`EnsembleServer`]: the tick loop driving the lanes
 //!   through the predictor@CPU / fused-MCG@GPU pipeline with per-lane
 //!   occupancy masks, the resumable recovery ladder, serving metrics
 //!   ([`hetsolve_obs::ServeStats`]) and optional Chrome-trace export,
-//! * [`qos`] — multi-tenant quality of service: per-tenant quotas
+//! * `qos` — multi-tenant quality of service: per-tenant quotas
 //!   ([`TenantQuota`]) with deficit-round-robin fair share, queue-share
 //!   and max-in-flight caps, SLO tracking, and lane autoscaling
 //!   ([`AutoscaleConfig`]) that floats the fused-lane count at step
 //!   boundaries without ever touching in-flight trajectories,
-//! * [`watchdog`] — deadline-based lane supervision with the
+//! * `watchdog` — deadline-based lane supervision with the
 //!   retry-with-backoff → restart-from-checkpoint → evict escalation
 //!   ladder ([`WatchdogConfig`], [`WatchdogEvent`]),
-//! * [`checkpoint`] — [`ServerCheckpoint`]: crash-consistent snapshots of
+//! * `checkpoint` — [`ServerCheckpoint`]: crash-consistent snapshots of
 //!   the whole server (queue, lanes, in-flight cases, records, stats) in
 //!   the sectioned `hetsolve-ckpt` format, restorable to a server that
 //!   continues bitwise-identically,
-//! * [`shard`] — [`ClusterServer`]: N node-local shards behind a
+//! * `shard` — [`ClusterServer`]: N node-local shards behind a
 //!   deterministic router, with cross-node work stealing, peer replica
 //!   mirroring, and node-crash failover via restart-on-peer (eviction as
 //!   `NodeLost` only when every replica is invalid).
@@ -64,17 +64,17 @@
     )
 )]
 
-pub mod batcher;
-pub mod checkpoint;
-pub mod qos;
-pub mod queue;
-pub mod request;
-pub mod server;
-pub mod shard;
-pub mod watchdog;
+mod batcher;
+mod checkpoint;
+mod qos;
+mod queue;
+mod request;
+mod server;
+mod shard;
+mod watchdog;
 
 pub use batcher::{Assignment, BatchPolicy, Batcher, CompatKey};
-pub use checkpoint::{ServeFingerprint, ServerCheckpoint};
+pub use checkpoint::{LaneCheckpoint, ServeFingerprint, ServerCheckpoint};
 pub use qos::{
     AutoscaleConfig, AutoscaleEvent, AutoscalerState, QosConfig, ScaleDirection, TenantQuota,
 };

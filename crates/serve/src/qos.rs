@@ -96,17 +96,12 @@ impl QosConfig {
         }
     }
 
-    pub fn with_quantum(mut self, quantum: u64) -> Self {
-        self.quantum = quantum.max(1);
-        self
-    }
-
     /// Quota for `tenant`, if configured.
-    pub fn quota(&self, tenant: TenantId) -> Option<&TenantQuota> {
+    pub(crate) fn quota(&self, tenant: TenantId) -> Option<&TenantQuota> {
         self.tenants.get(tenant.0 as usize)
     }
 
-    pub fn n_tenants(&self) -> usize {
+    pub(crate) fn n_tenants(&self) -> usize {
         self.tenants.len()
     }
 }
@@ -203,8 +198,7 @@ mod tests {
         assert_eq!(q.max_in_flight, 2);
         assert_eq!(q.queue_share, 1.0, "share clamps to [0, 1]");
         assert_eq!(q.slo_latency_s, Some(0.5));
-        let qos = QosConfig::new(vec![q]).with_quantum(0);
-        assert_eq!(qos.quantum, 1, "quantum floor is 1");
+        let qos = QosConfig::new(vec![q]);
         assert!(qos.quota(TenantId(0)).is_some());
         assert!(qos.quota(TenantId(1)).is_none());
     }

@@ -45,7 +45,7 @@ pub enum RejectReason {
 }
 
 impl RejectReason {
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             RejectReason::ZeroSteps => "zero_steps",
             RejectReason::InvalidTol => "invalid_tol",
@@ -116,7 +116,7 @@ struct QueueEntry {
     cost: u32,
 }
 
-/// One queued request as a checkpoint sees it — the full [`QueueEntry`],
+/// One queued request as a checkpoint sees it — the full `QueueEntry`,
 /// including the admission-time tie-break (so a restored queue replays
 /// the exact same schedule) and the tenant/cost pair (so a restored DRR
 /// scheduler charges the same deficits).
@@ -184,7 +184,7 @@ impl TenantPolicy {
         }
     }
 
-    pub fn n_tenants(&self) -> usize {
+    pub(crate) fn n_tenants(&self) -> usize {
         self.weights.len()
     }
 }
@@ -256,12 +256,12 @@ impl AdmissionQueue {
         self.entries.is_empty()
     }
 
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Queued entries belonging to `tenant`.
-    pub fn tenant_len(&self, tenant: TenantId) -> usize {
+    pub(crate) fn tenant_len(&self, tenant: TenantId) -> usize {
         self.entries.iter().filter(|e| e.tenant == tenant).count()
     }
 
@@ -311,7 +311,7 @@ impl AdmissionQueue {
     /// binds. The server recomputes this before backfill; each pop spends
     /// one unit, and a tenant at zero is skipped (not starved — its budget
     /// is refreshed next boundary). An empty vec means unlimited.
-    pub fn set_budgets(&mut self, budgets: Vec<usize>) {
+    pub(crate) fn set_budgets(&mut self, budgets: Vec<usize>) {
         self.budget = budgets;
     }
 
@@ -407,7 +407,7 @@ impl AdmissionQueue {
     }
 
     /// Pop the scheduling-order head among requests with key `key`.
-    pub fn pop_best_for(&mut self, key: CompatKey) -> Option<RequestId> {
+    pub(crate) fn pop_best_for(&mut self, key: CompatKey) -> Option<RequestId> {
         let i = self.drr_idx(Some(key))?;
         Some(self.pop_at(i).0)
     }
@@ -415,7 +415,7 @@ impl AdmissionQueue {
     /// Remove a specific queued request (cluster work stealing and
     /// failover reconciliation pull entries by id, not by rank); returns
     /// `false` when `id` is not queued.
-    pub fn remove(&mut self, id: RequestId) -> bool {
+    pub(crate) fn remove(&mut self, id: RequestId) -> bool {
         let before = self.entries.len();
         self.entries.retain(|e| e.id != id);
         self.entries.len() < before
@@ -424,7 +424,7 @@ impl AdmissionQueue {
     /// Capture the queue's contents for a checkpoint, in insertion order.
     /// The admission-time tie-break hashes travel with the entries, so the
     /// restored queue replays the exact same schedule.
-    pub fn snapshot(&self) -> Vec<QueueEntrySnapshot> {
+    pub(crate) fn snapshot(&self) -> Vec<QueueEntrySnapshot> {
         self.entries
             .iter()
             .map(|e| QueueEntrySnapshot {
@@ -441,7 +441,7 @@ impl AdmissionQueue {
 
     /// Replace the queue's contents with a captured snapshot (restore-side
     /// inverse of [`AdmissionQueue::snapshot`]).
-    pub fn restore(&mut self, entries: Vec<QueueEntrySnapshot>) {
+    pub(crate) fn restore(&mut self, entries: Vec<QueueEntrySnapshot>) {
         self.entries = entries
             .into_iter()
             .map(|s| QueueEntry {
@@ -457,14 +457,14 @@ impl AdmissionQueue {
     }
 
     /// Current DRR scheduler state (for checkpointing).
-    pub fn drr_state(&self) -> &DrrState {
+    pub(crate) fn drr_state(&self) -> &DrrState {
         &self.drr
     }
 
     /// Replace the DRR scheduler state (checkpoint restore). Lengths are
     /// reconciled against the configured tenant count, so a checkpoint
     /// from a differently-sized table cannot panic the scheduler.
-    pub fn restore_drr(&mut self, mut state: DrrState) {
+    pub(crate) fn restore_drr(&mut self, mut state: DrrState) {
         let n = self.policy.as_ref().map_or(0, TenantPolicy::n_tenants);
         state.deficits.resize(n, 0);
         if n > 0 {
@@ -477,7 +477,7 @@ impl AdmissionQueue {
 
     /// Remove every queued request whose deadline has passed; returns the
     /// shed ids (the caller marks them `Evicted`).
-    pub fn expire(&mut self, now: f64) -> Vec<RequestId> {
+    pub(crate) fn expire(&mut self, now: f64) -> Vec<RequestId> {
         let mut shed = Vec::new();
         self.entries.retain(|e| match e.deadline {
             Some(d) if d < now => {
@@ -496,7 +496,7 @@ impl AdmissionQueue {
     /// step-boundary re-evaluation of admission-time shedding: a request
     /// that can no longer win should stop occupying queue share now, not
     /// when `expire` catches it after the deadline has already passed.
-    pub fn shed_unmeetable(&mut self, now: f64, step_floor_s: f64) -> Vec<RequestId> {
+    pub(crate) fn shed_unmeetable(&mut self, now: f64, step_floor_s: f64) -> Vec<RequestId> {
         if step_floor_s <= 0.0 {
             return Vec::new();
         }

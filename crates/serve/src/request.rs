@@ -153,7 +153,7 @@ impl RequestState {
     }
 
     /// Stable wire code for checkpoint encoding (append-only).
-    pub fn code(&self) -> u8 {
+    pub(crate) fn code(&self) -> u8 {
         match self {
             RequestState::Queued => 0,
             RequestState::Batched => 1,
@@ -166,7 +166,7 @@ impl RequestState {
     }
 
     /// Inverse of [`RequestState::code`]; `None` for unknown codes.
-    pub fn from_code(code: u8) -> Option<Self> {
+    pub(crate) fn from_code(code: u8) -> Option<Self> {
         Some(match code {
             0 => RequestState::Queued,
             1 => RequestState::Batched,
@@ -208,7 +208,7 @@ pub enum EvictReason {
 }
 
 impl EvictReason {
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             EvictReason::DeadlineExpired => "deadline_expired",
             EvictReason::Injected => "injected",
@@ -220,7 +220,7 @@ impl EvictReason {
     }
 
     /// Stable wire code for checkpoint encoding (append-only).
-    pub fn code(&self) -> u8 {
+    pub(crate) fn code(&self) -> u8 {
         match self {
             EvictReason::DeadlineExpired => 0,
             EvictReason::Injected => 1,
@@ -232,7 +232,7 @@ impl EvictReason {
     }
 
     /// Inverse of [`EvictReason::code`]; `None` for unknown codes.
-    pub fn from_code(code: u8) -> Option<Self> {
+    pub(crate) fn from_code(code: u8) -> Option<Self> {
         Some(match code {
             0 => EvictReason::DeadlineExpired,
             1 => EvictReason::Injected,

@@ -27,11 +27,11 @@
 
 use std::path::PathBuf;
 
-use hetsolve_core::set::{Fate, SetSpec, SetStep};
 use hetsolve_core::{
     Backend, CaseSlot, CorruptionReport, MethodKind, RecoveryEvent, RunConfig, SlotState,
     WindowPolicy, TID_CPU, TID_GPU, TID_LINK,
 };
+use hetsolve_core::{Fate, SetSpec, SetStep};
 use hetsolve_fault::{AdmissionFault, FaultKind, FaultLane, FaultPlan, FaultSite};
 use hetsolve_machine::{LaneKind, ModuleClock, NodeSpec, SystemClock, WallClock};
 use hetsolve_obs::{
@@ -140,13 +140,13 @@ impl ServeConfig {
 
     /// Lane count the server starts with: the autoscaler's floor when one
     /// is configured, the paper's 2-process layout otherwise.
-    pub fn initial_lanes(&self) -> usize {
+    pub(crate) fn initial_lanes(&self) -> usize {
         self.autoscale.map_or(DEFAULT_LANES, |a| a.min_lanes)
     }
 }
 
 /// The serving subsystem: queue + batcher + lanes over one backend.
-/// Fields are `pub(crate)` for the sibling [`crate::checkpoint`] module,
+/// Fields are `pub(crate)` for the sibling `crate::checkpoint` module,
 /// which serializes and rebuilds the whole server.
 pub struct EnsembleServer<'b> {
     pub(crate) backend: &'b Backend,
@@ -1232,11 +1232,6 @@ impl<'b> EnsembleServer<'b> {
     /// Number of requests ever admitted (ids are `0..admitted()`).
     pub fn admitted(&self) -> usize {
         self.records.len()
-    }
-
-    /// Records of every admitted request, in admission order.
-    pub fn records(&self) -> &[RequestRecord] {
-        &self.records
     }
 
     /// Final displacement of a `Done` request.

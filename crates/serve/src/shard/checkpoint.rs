@@ -10,13 +10,9 @@
 //! them at the next mirror boundary, exactly as a rebooted peer would.
 //!
 //! [`ReplicaStore`]: hetsolve_ckpt::ReplicaStore
+//! [`ServerCheckpoint`]: crate::ServerCheckpoint
 
-use std::io;
-use std::path::PathBuf;
-
-use hetsolve_ckpt::{
-    mix64, wire_newtype, CheckpointStore, CkptError, RestoreReport, SectionReader, SectionWriter,
-};
+use hetsolve_ckpt::{mix64, wire_newtype, CkptError, SectionReader, SectionWriter};
 use hetsolve_core::Backend;
 use hetsolve_fault::FaultPlan;
 use hetsolve_machine::LinkTraffic;
@@ -165,7 +161,7 @@ impl ClusterCheckpoint {
 
 impl<'b> ClusterServer<'b> {
     /// Snapshot the cluster as it stands at a tick boundary.
-    pub fn checkpoint(&self) -> ClusterCheckpoint {
+    pub(crate) fn checkpoint(&self) -> ClusterCheckpoint {
         ClusterCheckpoint {
             fingerprint: ClusterFingerprint::of(self.backend, &self.cfg),
             ticks: self.ticks,
@@ -182,32 +178,17 @@ impl<'b> ClusterServer<'b> {
         }
     }
 
-    /// Serialized snapshot, ready for [`CheckpointStore::save`].
+    /// Serialized snapshot, ready for
+    /// [`CheckpointStore::save`](hetsolve_ckpt::CheckpointStore::save).
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
         self.checkpoint().to_bytes()
-    }
-
-    /// Atomically write a snapshot to `store`, sequenced by the cluster
-    /// tick count.
-    pub fn save_checkpoint(&mut self, store: &CheckpointStore) -> io::Result<PathBuf> {
-        let bytes = self.checkpoint_bytes();
-        let path = store.save(self.ticks as u64, &bytes)?;
-        self.flight.record(
-            self.elapsed(),
-            "ckpt_write",
-            None,
-            None,
-            Some(self.ticks as u64),
-            format!("cluster snapshot, {} bytes", bytes.len()),
-        );
-        Ok(path)
     }
 
     /// Rebuild a cluster from a parsed snapshot. Each shard image is
     /// validated and restored through the shard's own checkpoint path;
     /// peer replica stores start empty and refill at the next mirror
     /// boundary.
-    pub fn from_checkpoint(
+    pub(crate) fn from_checkpoint(
         backend: &'b Backend,
         cfg: ClusterConfig,
         faults: FaultPlan,
@@ -254,34 +235,5 @@ impl<'b> ClusterServer<'b> {
     ) -> Result<Self, CkptError> {
         let ck = ClusterCheckpoint::from_bytes(bytes, ClusterFingerprint::of(backend, &cfg))?;
         Self::from_checkpoint(backend, cfg, FaultPlan::default(), ck)
-    }
-
-    /// Restore from the newest valid cluster checkpoint in `store`,
-    /// falling back past torn or corrupt files. `None` when no valid
-    /// checkpoint exists.
-    pub fn restore_latest(
-        backend: &'b Backend,
-        cfg: ClusterConfig,
-        store: &CheckpointStore,
-    ) -> (Option<(u64, Self)>, RestoreReport) {
-        let fp = ClusterFingerprint::of(backend, &cfg);
-        let (found, mut report) =
-            store.load_latest_valid(|_, bytes| ClusterCheckpoint::from_bytes(bytes, fp));
-        match found {
-            Some((seq, ck)) => {
-                match Self::from_checkpoint(backend, cfg, FaultPlan::default(), ck) {
-                    Ok(cluster) => (Some((seq, cluster)), report),
-                    Err(error) => {
-                        report.skipped.push(hetsolve_ckpt::SkippedCheckpoint {
-                            seq,
-                            path: store.path_for(seq),
-                            error,
-                        });
-                        (None, report)
-                    }
-                }
-            }
-            None => (None, report),
-        }
     }
 }

@@ -31,7 +31,7 @@
 //! tie-break hashes `(placement_seed, request, shard)`. Every decision
 //! (placement, donor choice, failover reconciliation order) is a function
 //! of cluster state and seeds alone, so a replay under the same
-//! [`FaultPlan`](hetsolve_fault::FaultPlan) reproduces the run exactly.
+//! [`FaultPlan`] reproduces the run exactly.
 
 use hetsolve_ckpt::{mix64, ReplicaStore, RestoreReport};
 use hetsolve_core::Backend;
@@ -111,7 +111,7 @@ hetsolve_ckpt::wire_struct!(RouteEntry {
 
 /// The sharded serving cluster: router + N shards + peer replicas.
 ///
-/// Fields are `pub(crate)` for the sibling [`crate::shard::checkpoint`]
+/// Fields are `pub(crate)` for the sibling `crate::shard::checkpoint`
 /// module, which serializes and rebuilds the whole cluster.
 pub struct ClusterServer<'b> {
     pub(crate) backend: &'b Backend,
@@ -771,28 +771,14 @@ impl<'b> ClusterServer<'b> {
         self.shards.iter().map(|s| s.queue_depth()).sum()
     }
 
-    /// Requests occupying lane slots across all shards.
-    pub fn in_flight(&self) -> usize {
-        self.shards.iter().map(|s| s.in_flight()).sum()
-    }
-
     /// Cluster scheduling boundaries executed.
     pub fn ticks(&self) -> usize {
         self.ticks
     }
 
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The node-local shards (tests inspect per-shard placement).
     pub fn shards(&self) -> &[EnsembleServer<'b>] {
         &self.shards
-    }
-
-    /// Peer-held replica mirror of shard `node`.
-    pub fn replica(&self, node: usize) -> &ReplicaStore {
-        &self.replicas[node]
     }
 
     /// Modeled cross-node link traffic so far.
@@ -813,9 +799,5 @@ impl<'b> ClusterServer<'b> {
     /// The cluster-level flight ring.
     pub fn flight(&self) -> &FlightRecorder {
         &self.flight
-    }
-
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
     }
 }

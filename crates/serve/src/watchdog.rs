@@ -44,7 +44,7 @@ impl WatchdogConfig {
     }
 
     /// Link stall charged for consecutive breach number `breach` (1-based).
-    pub fn backoff_s(&self, breach: u32) -> f64 {
+    pub(crate) fn backoff_s(&self, breach: u32) -> f64 {
         self.backoff_base_s * self.backoff_factor.powi(breach.saturating_sub(1) as i32)
     }
 }

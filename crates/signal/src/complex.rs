@@ -26,7 +26,7 @@ impl C64 {
 
     /// `e^(i theta)`.
     #[inline]
-    pub fn cis(theta: f64) -> Self {
+    pub(crate) fn cis(theta: f64) -> Self {
         C64 {
             re: theta.cos(),
             im: theta.sin(),

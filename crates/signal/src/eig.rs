@@ -97,7 +97,7 @@ pub fn herm_eig(a: &[C64], n: usize) -> HermEig {
 
 /// Largest eigenvalue + eigenvector of a Hermitian matrix (the "first
 /// singular value" of FDD, since CSD matrices are PSD).
-pub fn herm_largest(a: &[C64], n: usize) -> (f64, Vec<C64>) {
+pub(crate) fn herm_largest(a: &[C64], n: usize) -> (f64, Vec<C64>) {
     let e = herm_eig(a, n);
     (e.values[0], e.vectors[..n].to_vec())
 }

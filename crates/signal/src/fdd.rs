@@ -1,5 +1,5 @@
 //! Frequency Domain Decomposition (FDD, Brincker et al. 2001 — the paper's
-//! ref. [9]).
+//! ref. \[9\]).
 //!
 //! FDD identifies modal frequencies of an output-only system: at each
 //! frequency bin the cross-spectral density matrix of the observed channels
@@ -11,7 +11,7 @@
 
 use crate::complex::C64;
 use crate::eig::herm_largest;
-use crate::spectra::{peak_bin, welch_csd, welch_psd, WelchConfig};
+use crate::spectra::{peak_bin, welch_csd, WelchConfig};
 
 /// FDD result over all frequency bins.
 #[derive(Debug, Clone)]
@@ -37,18 +37,6 @@ impl FddResult {
         let k = peak_bin(&self.sv1, max_bin);
         self.freqs[k]
     }
-
-    /// Mode shape (first singular vector) at the dominant frequency.
-    pub fn dominant_mode(&self, f_max: f64) -> &[C64] {
-        let max_bin = self
-            .freqs
-            .iter()
-            .position(|&f| f > f_max)
-            .unwrap_or(self.freqs.len())
-            .saturating_sub(1);
-        let k = peak_bin(&self.sv1, max_bin);
-        &self.modes[k]
-    }
 }
 
 /// Run FDD on a set of channels (equal-length waveforms).
@@ -65,18 +53,27 @@ pub fn fdd(channels: &[&[f64]], cfg: &WelchConfig) -> FddResult {
     FddResult { freqs, sv1, modes }
 }
 
-/// Per-point dominant frequency from the auto-spectrum alone (used to map
-/// every surface point when running one CSD per point would be wasteful;
-/// equivalent to single-channel FDD).
-pub fn dominant_frequency_psd(x: &[f64], cfg: &WelchConfig, f_max: f64) -> f64 {
-    let psd = welch_psd(x, cfg);
-    let max_bin = ((f_max * cfg.segment as f64 * cfg.dt).floor() as usize).min(cfg.n_bins() - 1);
-    cfg.frequency(peak_bin(&psd, max_bin))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spectra::welch_psd;
+
+    /// Dominant frequency from the auto-spectrum alone: single-channel FDD,
+    /// the peak rule the ensemble's per-point frequency map applies.
+    fn dominant_frequency_psd(x: &[f64], cfg: &WelchConfig, f_max: f64) -> f64 {
+        let psd = welch_psd(x, cfg);
+        let max_bin =
+            ((f_max * cfg.segment as f64 * cfg.dt).floor() as usize).min(cfg.n_bins() - 1);
+        cfg.frequency(peak_bin(&psd, max_bin))
+    }
+
+    impl FddResult {
+        /// Mode shape (first singular vector) at the dominant frequency.
+        fn dominant_mode(&self, f_max: f64) -> &[C64] {
+            let f = self.dominant_frequency(f_max);
+            &self.modes[self.freqs.iter().position(|&fk| fk == f).unwrap()]
+        }
+    }
 
     /// Two-mode synthetic "structure": channels respond as a mix of two
     /// damped oscillations with distinct spatial shapes, driven by

@@ -4,7 +4,7 @@
 use crate::complex::C64;
 
 /// `true` if `n` is a power of two (and nonzero).
-pub fn is_pow2(n: usize) -> bool {
+pub(crate) fn is_pow2(n: usize) -> bool {
     n != 0 && n & (n - 1) == 0
 }
 
@@ -31,7 +31,7 @@ fn bit_reverse_permute(a: &mut [C64]) {
 
 /// In-place FFT. `inverse = true` computes the unnormalized inverse
 /// transform; divide by `n` afterwards (done by [`ifft`]).
-pub fn fft_inplace(a: &mut [C64], inverse: bool) {
+pub(crate) fn fft_inplace(a: &mut [C64], inverse: bool) {
     let n = a.len();
     assert!(is_pow2(n), "FFT length must be a power of two (got {n})");
     bit_reverse_permute(a);
@@ -74,12 +74,6 @@ pub fn ifft(spectrum: &[C64]) -> Vec<C64> {
         *v = v.scale(inv);
     }
     a
-}
-
-/// Frequency (Hz) of spectrum bin `k` for sample interval `dt` and length
-/// `n`.
-pub fn bin_frequency(k: usize, n: usize, dt: f64) -> f64 {
-    k as f64 / (n as f64 * dt)
 }
 
 #[cfg(test)]
@@ -177,7 +171,7 @@ mod tests {
     #[test]
     fn bin_frequency_formula() {
         // 1024 samples at dt=0.005 -> df = 1/(1024*0.005) ≈ 0.195 Hz
-        let f = bin_frequency(10, 1024, 0.005);
+        let f = crate::WelchConfig::new(1024, 0, 0.005).frequency(10);
         assert!((f - 10.0 / 5.12).abs() < 1e-12);
     }
 

@@ -5,23 +5,24 @@
 //! environment"* (Ichimura et al.): the post-processing pipeline that turns
 //! ensemble surface waveforms into the dominant-frequency maps of Fig. 1.
 //!
-//! * [`complex`] — minimal complex arithmetic,
-//! * [`fft`] — iterative radix-2 FFT,
-//! * [`spectra`] — Hann window, Welch PSD/CSD estimation,
-//! * [`eig`] — Hermitian Jacobi eigensolver (per-bin CSD decomposition),
-//! * [`fdd`] — Frequency Domain Decomposition and dominant-frequency
-//!   picking (paper ref. [9]).
+//! * `complex` — minimal complex arithmetic,
+//! * `fft` — iterative radix-2 FFT,
+//! * `spectra` — Hann window, Welch PSD/CSD estimation,
+//! * `eig` — Hermitian Jacobi eigensolver (per-bin CSD decomposition),
+//! * `fdd` — Frequency Domain Decomposition and dominant-frequency
+//!   picking (paper ref. \[9\]).
 
 #![forbid(unsafe_code)]
 
-pub mod complex;
-pub mod eig;
-pub mod fdd;
-pub mod fft;
-pub mod spectra;
+mod complex;
+mod eig;
+mod fdd;
+mod fft;
+mod spectra;
 
 pub use complex::C64;
-pub use eig::{herm_eig, herm_largest, HermEig};
-pub use fdd::{dominant_frequency_psd, fdd, FddResult};
-pub use fft::{bin_frequency, fft_inplace, ifft, is_pow2, next_pow2, rfft};
-pub use spectra::{hann, peak_bin, welch_csd, welch_psd, WelchConfig};
+pub use eig::{herm_eig, HermEig};
+pub use fdd::{fdd, FddResult};
+
+pub use fft::{ifft, next_pow2, rfft};
+pub use spectra::{peak_bin, welch_psd, WelchConfig};

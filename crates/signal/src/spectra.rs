@@ -4,7 +4,7 @@ use crate::complex::C64;
 use crate::fft::{fft_inplace, is_pow2};
 
 /// Hann window of length `n`.
-pub fn hann(n: usize) -> Vec<f64> {
+pub(crate) fn hann(n: usize) -> Vec<f64> {
     (0..n)
         .map(|i| {
             let x = std::f64::consts::PI * i as f64 / n as f64;
@@ -34,15 +34,6 @@ impl WelchConfig {
             segment,
             overlap,
             dt,
-        }
-    }
-
-    /// Number of segments available in a signal of length `n`.
-    pub fn n_segments(&self, n: usize) -> usize {
-        if n < self.segment {
-            0
-        } else {
-            1 + (n - self.segment) / (self.segment - self.overlap)
         }
     }
 
@@ -96,7 +87,7 @@ pub fn welch_psd(x: &[f64], cfg: &WelchConfig) -> Vec<f64> {
 
 /// Welch cross-spectral density matrices of a set of channels:
 /// `csd[k][i * nc + j] = E[ X_i(f_k) conj(X_j(f_k)) ]` (Hermitian per bin).
-pub fn welch_csd(channels: &[&[f64]], cfg: &WelchConfig) -> Vec<Vec<C64>> {
+pub(crate) fn welch_csd(channels: &[&[f64]], cfg: &WelchConfig) -> Vec<Vec<C64>> {
     let nc = channels.len();
     assert!(nc > 0);
     let window = hann(cfg.segment);
@@ -226,9 +217,11 @@ mod tests {
     #[test]
     fn segment_count() {
         let cfg = WelchConfig::new(256, 128, 0.01);
-        assert_eq!(cfg.n_segments(256), 1);
-        assert_eq!(cfg.n_segments(384), 2);
-        assert_eq!(cfg.n_segments(255), 0);
+        let window = hann(cfg.segment);
+        let n_segments = |n: usize| segment_spectra(&vec![0.0; n], &cfg, &window).len();
+        assert_eq!(n_segments(256), 1);
+        assert_eq!(n_segments(384), 2);
+        assert_eq!(n_segments(255), 0);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub fn add_packed_element(builder: &mut BcrsBuilder, nodes: &[u32], packed: &[f6
 /// global loop (every element's `c_M M_e`, then its `c_K K_e`, elements
 /// ascending, then every face's `c_B C_f`) pushes to row `i`: its incident
 /// elements ascending, each with its `M_e` blocks and then its `K_e`
-/// blocks, then its incident faces ascending. [`merge_row`] sorts and sums
+/// blocks, then its incident faces ascending. `merge_row` sorts and sums
 /// that sequence, so the matrix is the builder's bit for bit.
 #[allow(clippy::too_many_arguments, reason = "mesh arrays and coefficients")]
 pub fn assemble_global(

@@ -23,7 +23,7 @@ pub struct Bcrs3 {
     pub cols: Vec<u32>,
     /// 3×3 blocks, row-major.
     pub blocks: Vec<[f64; 9]>,
-    /// Run the SpMV on the host pool, [`ROWS_PER_CHUNK`] block rows to a
+    /// Run the SpMV on the host pool, `ROWS_PER_CHUNK` block rows to a
     /// chunk (a row is computed whole by one thread: same bits).
     pub parallel: bool,
 }
@@ -35,7 +35,7 @@ impl Bcrs3 {
     }
 
     /// Number of scalar rows/cols.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         3 * self.n_brows
     }
 

@@ -1,5 +1,5 @@
 //! Preconditioned conjugate gradient — the paper's Algorithm 1 — as the
-//! fused-width-1 instance of the one CG iteration in [`crate::mcg`], plus
+//! fused-width-1 instance of the one CG iteration in [`mcg()`](crate::mcg()), plus
 //! the solver configuration both entry points share.
 //!
 //! Convergence criterion: `‖r‖₂ / ‖f‖₂ < ε` (relative to the right-hand
@@ -45,7 +45,7 @@ pub struct CgConfig {
     pub sentinel_every: usize,
     /// Drift bound for the sentinel: trip when
     /// `rel_true > sentinel_drift × max(rel_recursive, tol)`. `<= 0.0`
-    /// falls back to [`DEFAULT_SENTINEL_DRIFT`] when the sentinel is armed.
+    /// falls back to `DEFAULT_SENTINEL_DRIFT` when the sentinel is armed.
     pub sentinel_drift: f64,
     /// Bounded-norm guard, checked at sentinel ticks: trip with
     /// [`Termination::NormExploded`] when `‖x‖` exceeds this factor times
@@ -61,7 +61,7 @@ pub struct CgConfig {
 /// attainable-accuracy floor; three orders of magnitude of slack keeps the
 /// false-positive rate at zero while still catching single bit flips,
 /// which perturb the invariant by many orders.
-pub const DEFAULT_SENTINEL_DRIFT: f64 = 1e3;
+pub(crate) const DEFAULT_SENTINEL_DRIFT: f64 = 1e3;
 
 impl Default for CgConfig {
     fn default() -> Self {
@@ -116,7 +116,7 @@ pub fn pcg<A: LinearOperator, P: Preconditioner>(
 /// are identical to the unobserved call.
 ///
 /// Algorithm 1 is the MCG iteration at fused width 1, so this *is*
-/// [`mcg_masked_observed`] on the [`Width1`] view of `a` — one loop, one set
+/// `mcg_masked_observed` on the [`Width1`] view of `a` — one loop, one set
 /// of breakdown guards, one sentinel. `tests/solver_unification.rs` pins
 /// the bits a single-RHS solve must reproduce.
 pub fn pcg_observed<A: LinearOperator, P: Preconditioner, O: SolveObserver>(
@@ -176,7 +176,7 @@ mod tests {
     use super::*;
     use crate::bcrs::BcrsBuilder;
     use crate::blockjacobi::BlockJacobi;
-    use crate::dense::solve_spd;
+    use crate::dense::tests::solve_spd;
 
     /// Identity preconditioner for baseline tests.
     struct NoPrec(usize);

@@ -1,12 +1,10 @@
-//! Small dense linear algebra: Cholesky factorization and 3×3 inverses.
-//!
-//! Used by the block-Jacobi preconditioner (3×3 inverses) and as a reference
-//! direct solver in tests (CG results are validated against Cholesky on
-//! small systems).
+//! Small dense linear algebra: the 3×3 inverses of the block-Jacobi
+//! preconditioner. The test module holds a Cholesky solver, the reference
+//! the CG tests validate against on small systems.
 
 /// Invert a symmetric positive definite 3×3 matrix given row-major.
 /// Returns `None` when the determinant is not strictly positive.
-pub fn inv3(a: &[f64; 9]) -> Option<[f64; 9]> {
+pub(crate) fn inv3(a: &[f64; 9]) -> Option<[f64; 9]> {
     let det = a[0] * (a[4] * a[8] - a[5] * a[7]) - a[1] * (a[3] * a[8] - a[5] * a[6])
         + a[2] * (a[3] * a[7] - a[4] * a[6]);
     if !(det.is_finite() && det.abs() > f64::MIN_POSITIVE) {
@@ -28,7 +26,7 @@ pub fn inv3(a: &[f64; 9]) -> Option<[f64; 9]> {
 
 /// `y = A x` for a row-major 3×3 block.
 #[inline]
-pub fn mat3_vec(a: &[f64; 9], x: &[f64; 3]) -> [f64; 3] {
+pub(crate) fn mat3_vec(a: &[f64; 9], x: &[f64; 3]) -> [f64; 3] {
     [
         a[0] * x[0] + a[1] * x[1] + a[2] * x[2],
         a[3] * x[0] + a[4] * x[1] + a[5] * x[2],
@@ -36,68 +34,68 @@ pub fn mat3_vec(a: &[f64; 9], x: &[f64; 3]) -> [f64; 3] {
     ]
 }
 
-/// In-place Cholesky factorization `A = L Lᵀ` of a dense row-major SPD
-/// matrix. Returns `Err` with the failing pivot index if not positive
-/// definite.
-pub fn cholesky_factor(a: &mut [f64], n: usize) -> Result<(), usize> {
-    debug_assert_eq!(a.len(), n * n);
-    for j in 0..n {
-        let mut d = a[j * n + j];
-        for k in 0..j {
-            d -= a[j * n + k] * a[j * n + k];
-        }
-        if d <= 0.0 || !d.is_finite() {
-            return Err(j);
-        }
-        let d = d.sqrt();
-        a[j * n + j] = d;
-        for i in (j + 1)..n {
-            let mut s = a[i * n + j];
-            for k in 0..j {
-                s -= a[i * n + k] * a[j * n + k];
-            }
-            a[i * n + j] = s / d;
-        }
-    }
-    Ok(())
-}
-
-/// Solve `A x = b` given the Cholesky factor produced by
-/// [`cholesky_factor`] (forward then backward substitution); `b` is
-/// overwritten with the solution.
-pub fn cholesky_solve(l: &[f64], n: usize, b: &mut [f64]) {
-    debug_assert_eq!(l.len(), n * n);
-    debug_assert_eq!(b.len(), n);
-    // forward: L y = b
-    for i in 0..n {
-        let mut s = b[i];
-        for k in 0..i {
-            s -= l[i * n + k] * b[k];
-        }
-        b[i] = s / l[i * n + i];
-    }
-    // backward: L^T x = y
-    for i in (0..n).rev() {
-        let mut s = b[i];
-        for k in (i + 1)..n {
-            s -= l[k * n + i] * b[k];
-        }
-        b[i] = s / l[i * n + i];
-    }
-}
-
-/// Convenience: solve a dense SPD system, consuming copies.
-pub fn solve_spd(a: &[f64], n: usize, b: &[f64]) -> Result<Vec<f64>, usize> {
-    let mut l = a.to_vec();
-    cholesky_factor(&mut l, n)?;
-    let mut x = b.to_vec();
-    cholesky_solve(&l, n, &mut x);
-    Ok(x)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// In-place Cholesky factorization `A = L Lᵀ` of a dense row-major SPD
+    /// matrix. Returns `Err` with the failing pivot index if not positive
+    /// definite.
+    pub(crate) fn cholesky_factor(a: &mut [f64], n: usize) -> Result<(), usize> {
+        debug_assert_eq!(a.len(), n * n);
+        for j in 0..n {
+            let mut d = a[j * n + j];
+            for k in 0..j {
+                d -= a[j * n + k] * a[j * n + k];
+            }
+            if d <= 0.0 || !d.is_finite() {
+                return Err(j);
+            }
+            let d = d.sqrt();
+            a[j * n + j] = d;
+            for i in (j + 1)..n {
+                let mut s = a[i * n + j];
+                for k in 0..j {
+                    s -= a[i * n + k] * a[j * n + k];
+                }
+                a[i * n + j] = s / d;
+            }
+        }
+        Ok(())
+    }
+
+    /// Solve `A x = b` given the Cholesky factor produced by
+    /// [`cholesky_factor`] (forward then backward substitution); `b` is
+    /// overwritten with the solution.
+    pub(crate) fn cholesky_solve(l: &[f64], n: usize, b: &mut [f64]) {
+        debug_assert_eq!(l.len(), n * n);
+        debug_assert_eq!(b.len(), n);
+        // forward: L y = b
+        for i in 0..n {
+            let mut s = b[i];
+            for k in 0..i {
+                s -= l[i * n + k] * b[k];
+            }
+            b[i] = s / l[i * n + i];
+        }
+        // backward: L^T x = y
+        for i in (0..n).rev() {
+            let mut s = b[i];
+            for k in (i + 1)..n {
+                s -= l[k * n + i] * b[k];
+            }
+            b[i] = s / l[i * n + i];
+        }
+    }
+
+    /// Convenience: solve a dense SPD system, consuming copies.
+    pub(crate) fn solve_spd(a: &[f64], n: usize, b: &[f64]) -> Result<Vec<f64>, usize> {
+        let mut l = a.to_vec();
+        cholesky_factor(&mut l, n)?;
+        let mut x = b.to_vec();
+        cholesky_solve(&l, n, &mut x);
+        Ok(x)
+    }
 
     #[test]
     fn inv3_roundtrip() {

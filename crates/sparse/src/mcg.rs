@@ -86,7 +86,11 @@ pub fn mcg_observed<A: MultiOperator, P: Preconditioner, O: SolveObserver>(
 /// Callers should keep vacant columns of `f` and `x` finite (the serving
 /// layer zeroes a column when its slot is freed); non-finite garbage in a
 /// vacant column stays in that column but wastes no logic.
-pub fn mcg_masked_observed<A: MultiOperator + ?Sized, P: Preconditioner, O: SolveObserver>(
+pub(crate) fn mcg_masked_observed<
+    A: MultiOperator + ?Sized,
+    P: Preconditioner,
+    O: SolveObserver,
+>(
     a: &A,
     prec: &P,
     f: &[f64],
@@ -175,7 +179,7 @@ impl McgWorkspace {
         &mut self.zq
     }
 
-    /// [`mcg_masked_observed`] in this workspace: the same arithmetic, the
+    /// `mcg_masked_observed` in this workspace: the same arithmetic, the
     /// same bits, no allocation once the workspace has held a solve of
     /// this `n·r`. Returns the solve's stats.
     #[allow(clippy::too_many_arguments, reason = "`mcg_masked_observed`'s inputs")]

@@ -90,7 +90,7 @@ pub trait MultiOperator: Sync {
 /// A single-RHS operator seen as a multi-RHS operator of fused width 1: an
 /// interleaved multi-vector of one case is the vector itself, so `apply`
 /// already is `apply_multi`. This is how the one CG iteration
-/// ([`crate::mcg`]) serves operators that have no fused kernel (the
+/// ([`mcg()`](crate::mcg())) serves operators that have no fused kernel (the
 /// assembled [`crate::bcrs::Bcrs3`]).
 pub struct Width1<'a, A>(pub &'a A);
 

@@ -99,15 +99,6 @@ impl<'a> ColorScatter<'a> {
         }
     }
 
-    /// Slots in the wrapped output.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Whether writes are being recorded in the claim table (debug builds
     /// or the `racecheck` feature).
     pub fn racecheck_enabled() -> bool {

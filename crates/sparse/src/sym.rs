@@ -45,42 +45,43 @@ pub fn sym_matvec_add(a: &[f64], x: &[f64], y: &mut [f64], n: usize) {
     }
 }
 
-/// Unpack into a dense row-major `n×n` matrix (testing / dense fallbacks).
-pub fn unpack_dense(a: &[f64], n: usize) -> Vec<f64> {
-    let mut d = vec![0.0; n * n];
-    for i in 0..n {
-        for j in 0..n {
-            d[i * n + j] = a[packed_idx(i, j)];
-        }
-    }
-    d
-}
-
-/// Pack the lower triangle of a dense row-major `n×n` matrix, asserting the
-/// input is symmetric to tolerance `tol` (relative to its largest entry).
-pub fn pack_symmetric(dense: &[f64], n: usize, tol: f64) -> Vec<f64> {
-    let amax = dense
-        .iter()
-        .fold(0.0f64, |m, &v| m.max(v.abs()))
-        .max(1e-300);
-    let mut a = vec![0.0; packed_len(n)];
-    for i in 0..n {
-        for j in 0..=i {
-            let lo = dense[i * n + j];
-            let hi = dense[j * n + i];
-            assert!(
-                (lo - hi).abs() <= tol * amax,
-                "matrix not symmetric at ({i},{j}): {lo} vs {hi}"
-            );
-            a[packed_idx(i, j)] = 0.5 * (lo + hi);
-        }
-    }
-    a
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Unpack into a dense row-major `n×n` matrix: the reference the
+    /// packed kernel is checked against.
+    fn unpack_dense(a: &[f64], n: usize) -> Vec<f64> {
+        let mut d = vec![0.0; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                d[i * n + j] = a[packed_idx(i, j)];
+            }
+        }
+        d
+    }
+
+    /// Pack the lower triangle of a dense row-major `n×n` matrix, asserting the
+    /// input is symmetric to tolerance `tol` (relative to its largest entry).
+    fn pack_symmetric(dense: &[f64], n: usize, tol: f64) -> Vec<f64> {
+        let amax = dense
+            .iter()
+            .fold(0.0f64, |m, &v| m.max(v.abs()))
+            .max(1e-300);
+        let mut a = vec![0.0; packed_len(n)];
+        for i in 0..n {
+            for j in 0..=i {
+                let lo = dense[i * n + j];
+                let hi = dense[j * n + i];
+                assert!(
+                    (lo - hi).abs() <= tol * amax,
+                    "matrix not symmetric at ({i},{j}): {lo} vs {hi}"
+                );
+                a[packed_idx(i, j)] = 0.5 * (lo + hi);
+            }
+        }
+        a
+    }
 
     fn sample(n: usize) -> Vec<f64> {
         // deterministic symmetric test matrix in packed form

@@ -1,5 +1,5 @@
 //! Vector primitives of the CG iteration on interleaved multi-RHS vectors
-//! (a single right-hand side is the width-1 case), plus a plain [`dot`].
+//! (a single right-hand side is the width-1 case).
 //!
 //! Every pass over a multi-vector of at least [`PAR_THRESHOLD`] values is
 //! cut into chunks of [`PARTIAL_ROWS`] rows that run on the host pool
@@ -73,12 +73,6 @@ pub(crate) use with_lanes;
 /// The per-case values of a fused solve as a lane array.
 pub(crate) fn lane_array<T, const R: usize>(per_case: &[T]) -> &[T; R] {
     per_case.try_into().expect("one value per fused case")
-}
-
-/// Dot product `x·y`, summed as [`dot_multi`] sums one case.
-pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    dot_lanes::<1>(x, y)[0]
 }
 
 /// The one summation order of every multi-RHS reduction in this crate,
@@ -168,7 +162,7 @@ impl<'s, const R: usize> LaneDot<'s, R> {
 
 /// Per-case dot products of interleaved multi-vectors:
 /// `out[c] = Σ_i x[i*r+c] * y[i*r+c]`, summed in [`ChunkSums`]'s order.
-pub fn dot_multi(x: &[f64], y: &[f64], r: usize, out: &mut [f64]) {
+pub(crate) fn dot_multi(x: &[f64], y: &[f64], r: usize, out: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     debug_assert_eq!(x.len() % r, 0);
     debug_assert_eq!(out.len(), r);
@@ -231,7 +225,7 @@ fn dot_any(x: &[f64], y: &[f64], r: usize, out: &mut [f64]) {
 /// Per-case `y[.,c] += alpha[c] * x[.,c]` on interleaved multi-vectors.
 /// Cases with `active[c] == false` are left untouched (used to freeze
 /// converged cases in the multi-RHS CG).
-pub fn axpy_multi(alpha: &[f64], x: &[f64], y: &mut [f64], r: usize, active: &[bool]) {
+pub(crate) fn axpy_multi(alpha: &[f64], x: &[f64], y: &mut [f64], r: usize, active: &[bool]) {
     debug_assert_eq!(x.len(), y.len());
     debug_assert_eq!(alpha.len(), r);
     debug_assert_eq!(active.len(), r);
@@ -249,7 +243,7 @@ pub fn axpy_multi(alpha: &[f64], x: &[f64], y: &mut [f64], r: usize, active: &[b
 
 /// Per-case `y[.,c] = x[.,c] + beta[c] * y[.,c]` on interleaved
 /// multi-vectors, skipping inactive cases.
-pub fn xpby_multi(x: &[f64], beta: &[f64], y: &mut [f64], r: usize, active: &[bool]) {
+pub(crate) fn xpby_multi(x: &[f64], beta: &[f64], y: &mut [f64], r: usize, active: &[bool]) {
     debug_assert_eq!(x.len(), y.len());
     with_lanes!(
         r,
@@ -306,7 +300,7 @@ fn xpby_any(x: &[f64], beta: &[f64], y: &mut [f64], r: usize, active: &[bool]) {
 /// the sequence `axpy_multi(α, p, x)`, `axpy_multi(−α, q, rv)`,
 /// `dot_multi(rv, rv, rr)`.
 #[allow(clippy::too_many_arguments, reason = "four multi-vectors, one pass")]
-pub fn cg_update_multi(
+pub(crate) fn cg_update_multi(
     alpha: &[f64],
     p: &[f64],
     q: &[f64],
@@ -384,7 +378,7 @@ fn cg_update_rows<const R: usize>(
 }
 
 /// `rv = f − rv` in place: the initial residual of a solve from `rv = A x`.
-pub fn residual_multi(f: &[f64], rv: &mut [f64]) {
+pub(crate) fn residual_multi(f: &[f64], rv: &mut [f64]) {
     debug_assert_eq!(f.len(), rv.len());
     let chunk = chunk_values(f.len(), 1);
     pool::for_each_mut([(rv, chunk)], |i, [rc]| {
@@ -413,6 +407,11 @@ pub fn insert_case(x: &mut [f64], r: usize, c: usize, v: &[f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Dot product `x·y`, summed as [`dot_multi`] sums one case.
+    fn dot(x: &[f64], y: &[f64]) -> f64 {
+        dot_lanes::<1>(x, y)[0]
+    }
 
     #[test]
     fn dot_small_and_large() {

@@ -2,9 +2,9 @@
 //! CG on random SPD systems, and the packed-symmetric kernel against its
 //! dense reference.
 
-use hetsolve_sparse::sym::{packed_len, sym_matvec_add};
 use hetsolve_sparse::{
-    pcg, BcrsBuilder, BlockJacobi, CgConfig, KernelCounts, LinearOperator, Preconditioner,
+    packed_idx, packed_len, pcg, sym_matvec_add, BcrsBuilder, BlockJacobi, CgConfig, KernelCounts,
+    LinearOperator, Preconditioner,
 };
 use proptest::prelude::*;
 
@@ -121,7 +121,7 @@ proptest! {
         let mut yd = vec![0.0; n];
         for i in 0..n {
             for j in 0..n {
-                yd[i] += a[hetsolve_sparse::sym::packed_idx(i, j)] * x[j];
+                yd[i] += a[packed_idx(i, j)] * x[j];
             }
         }
         for i in 0..n {
