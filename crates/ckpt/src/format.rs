@@ -31,9 +31,11 @@ pub const MAGIC: [u8; 8] = *b"HSCKPT\r\n";
 /// Current format version, and the only one readers accept. Version 1
 /// images were written under another summation order of the matrix-free
 /// operator (and under fingerprints that left out the node model and the
-/// integrity configuration): they parse, but a run resumed from one would
-/// not continue bitwise, so they are refused like a newer version.
-pub(crate) const VERSION: u32 = 2;
+/// integrity configuration); version 2 images store the predictor history
+/// as `f64` and keep one under the serial schedule. Either parses, but a
+/// run resumed from one would not continue bitwise, so both are refused
+/// like a newer version.
+pub(crate) const VERSION: u32 = 3;
 
 const END_TAG: [u8; 4] = *b"END\0";
 

@@ -15,6 +15,7 @@
 //! | `u8` / `u32` / `u64`         | 1 / 4 / 8                               |
 //! | `usize`                      | as `u64`                                |
 //! | `f64`                        | IEEE-754 bit pattern as `u64`           |
+//! | `f32`                        | IEEE-754 bit pattern as `u32`           |
 //! | `bool`                       | one byte, `0` or `1` (else `Corrupt`)   |
 //! | `Option<T>`                  | `bool` tag, then `T` if `Some`          |
 //! | `Vec<T>` / `VecDeque<T>`     | `u64` length, then the items            |
@@ -128,6 +129,21 @@ impl Wire for f64 {
     #[inline]
     fn get(dec: &mut Dec<'_>) -> Result<Self, CkptError> {
         Ok(f64::from_bits(u64::get(dec)?))
+    }
+}
+
+/// `f32` as its IEEE-754 bit pattern — the predictor history's snapshots.
+impl Wire for f32 {
+    const MIN_WIRE_BYTES: usize = 4;
+
+    #[inline]
+    fn put(&self, enc: &mut Enc) {
+        self.to_bits().put(enc);
+    }
+
+    #[inline]
+    fn get(dec: &mut Dec<'_>) -> Result<Self, CkptError> {
+        Ok(f32::from_bits(u32::get(dec)?))
     }
 }
 
@@ -485,6 +501,35 @@ mod tests {
         assert_eq!(decode::<Vec<f64>>(&two), Ok(vec![0.0; 3]));
     }
 
+    /// An `f32` is its 4-byte bit pattern: `-0.0`, infinities, subnormals
+    /// and quiet and signalling NaN payloads come back bit for bit, alone
+    /// and as a history of columns; a cut pattern is `Truncated`.
+    #[test]
+    fn f32_round_trips_its_bit_pattern() {
+        let values = [
+            0.0f32,
+            -0.0,
+            1.5,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            f32::from_bits(0x7FC0_0001),
+            f32::from_bits(0xFF80_0003),
+        ];
+        for v in values {
+            let bytes = bytes_of(&v);
+            assert_eq!(bytes, v.to_bits().to_le_bytes());
+            assert_eq!(decode::<f32>(&bytes).map(f32::to_bits), Ok(v.to_bits()));
+            assert_eq!(decode::<f32>(&bytes[..3]), Err(CkptError::Truncated));
+        }
+        let history = vec![values.to_vec(), vec![], values[..3].to_vec()];
+        let bytes = bytes_of(&history);
+        assert_eq!(bytes.len(), 3 * 8 + 4 * (8 + 3) + 8);
+        let back: Vec<Vec<f32>> = decode(&bytes).unwrap();
+        assert_eq!(bytes_of(&back), bytes, "bitwise, NaN payloads included");
+        assert_eq!(f32::MIN_WIRE_BYTES, 4);
+    }
+
     /// Decode `bytes` as every kind of impl; the property is only that each
     /// returns (`Ok` or a typed error) instead of panicking or aborting.
     fn feed_every_decoder(bytes: &[u8]) {
@@ -494,6 +539,7 @@ mod tests {
         let _ = decode::<String>(bytes);
         let _ = decode::<Option<Vec<f64>>>(bytes);
         let _ = decode::<Vec<Vec<f64>>>(bytes);
+        let _ = decode::<Vec<Vec<f32>>>(bytes);
         let _ = decode::<Vec<String>>(bytes);
         let _ = decode::<VecDeque<(usize, u32)>>(bytes);
         let _ = decode::<Vec<Option<(Id, Sample)>>>(bytes);

@@ -28,7 +28,7 @@ use crate::backend::Backend;
 use crate::integrity::{
     CorruptionReport, IntegrityConfig, DEFAULT_BASIS_CHECK_EVERY, DEFAULT_BASIS_DEFECT_TOL,
 };
-use crate::methods::{RunConfig, RunState, StepRecord, WindowPolicy};
+use crate::methods::{keeps_history, RunConfig, RunState, StepRecord, WindowPolicy};
 use crate::recovery::RecoveryEvent;
 use crate::slot::CaseSlot;
 
@@ -183,7 +183,9 @@ pub struct SlotState {
     pub v: Vec<f64>,
     pub a: Vec<f64>,
     pub adams_hist: Vec<Vec<f64>>,
-    pub dd_hist: Vec<Vec<f64>>,
+    /// The data-driven correction history as stored, `f32`; empty for a
+    /// method that keeps none.
+    pub dd_hist: Vec<Vec<f32>>,
     pub waveform: Vec<Vec<f64>>,
 }
 
@@ -206,12 +208,12 @@ impl SlotState {
     /// or the kernels, so it is [`CkptError::Corrupt`] instead.
     pub fn check(&self, n_dofs: usize) -> Result<(), CkptError> {
         let vectors = [("u", &self.u), ("v", &self.v), ("a", &self.a)].into_iter();
-        let history = (self.adams_hist.iter().map(|c| ("Adams history", c)))
-            .chain(self.dd_hist.iter().map(|c| ("predictor history", c)));
-        match vectors.chain(history).find(|(_, c)| c.len() != n_dofs) {
-            Some((what, col)) => Err(CkptError::Corrupt(format!(
-                "slot {what} column of {} values on a {n_dofs}-DOF mesh",
-                col.len()
+        let mut lens = (vectors.chain(self.adams_hist.iter().map(|c| ("Adams history", c))))
+            .map(|(what, c)| (what, c.len()))
+            .chain(self.dd_hist.iter().map(|c| ("predictor history", c.len())));
+        match lens.find(|&(_, len)| len != n_dofs) {
+            Some((what, len)) => Err(CkptError::Corrupt(format!(
+                "slot {what} column of {len} values on a {n_dofs}-DOF mesh"
             ))),
             None => Ok(()),
         }
@@ -303,7 +305,8 @@ impl RunCheckpoint {
 
     /// Rebuild the run state this snapshot was captured from. The returned
     /// state continues bitwise-identically to the uninterrupted run; a slot
-    /// that does not fit `backend`'s mesh is [`CkptError::Corrupt`].
+    /// that does not fit `backend`'s mesh, or that carries a predictor
+    /// history where `cfg`'s method keeps none, is [`CkptError::Corrupt`].
     pub(crate) fn into_state(
         self,
         backend: &Backend,
@@ -311,6 +314,12 @@ impl RunCheckpoint {
     ) -> Result<RunState, CkptError> {
         for s in &self.slots {
             s.check(backend.n_dofs())?;
+            if !s.dd_hist.is_empty() && !keeps_history(cfg) {
+                return Err(CkptError::Corrupt(format!(
+                    "slot predictor history under {}, which keeps none",
+                    cfg.method.label()
+                )));
+            }
         }
         let mut st = RunState::new(backend, cfg);
         st.cases = self
@@ -372,18 +381,24 @@ mod tests {
         assert_ne!(fp, ConfigFingerprint::of(&backend, &other));
     }
 
+    /// Run `cfg` for `steps` step boundaries.
+    fn stepped(backend: &Backend, cfg: &RunConfig, steps: usize) -> RunState {
+        let mut st = RunState::new(backend, cfg);
+        let ctx = crate::methods::RunCtx::new(backend, cfg).unwrap();
+        let mut tracer = crate::trace::StepTracer::disabled();
+        let mut faults = hetsolve_fault::FaultPlan::default();
+        for _ in 0..steps {
+            st.step_once(backend, cfg, &mut tracer, &mut faults, &ctx)
+                .unwrap();
+        }
+        st
+    }
+
     #[test]
     fn snapshot_round_trips_bitwise() {
         let (backend, cfg) = small();
         let fp = ConfigFingerprint::of(&backend, &cfg);
-        let mut st = RunState::new(&backend, &cfg);
-        let ctx = crate::methods::RunCtx::new(&backend, &cfg).unwrap();
-        let mut tracer = crate::trace::StepTracer::disabled();
-        let mut faults = hetsolve_fault::FaultPlan::default();
-        st.step_once(&backend, &cfg, &mut tracer, &mut faults, &ctx)
-            .unwrap();
-        st.step_once(&backend, &cfg, &mut tracer, &mut faults, &ctx)
-            .unwrap();
+        let st = stepped(&backend, &cfg, 2);
 
         let snap = RunCheckpoint::capture(&st, fp);
         let bytes = snap.to_bytes();
@@ -402,14 +417,7 @@ mod tests {
     fn slot_of_the_wrong_length_is_typed_corruption() {
         let (backend, cfg) = small();
         let fp = ConfigFingerprint::of(&backend, &cfg);
-        let mut st = RunState::new(&backend, &cfg);
-        let ctx = crate::methods::RunCtx::new(&backend, &cfg).unwrap();
-        let mut tracer = crate::trace::StepTracer::disabled();
-        let mut faults = hetsolve_fault::FaultPlan::default();
-        for _ in 0..3 {
-            st.step_once(&backend, &cfg, &mut tracer, &mut faults, &ctx)
-                .unwrap();
-        }
+        let st = stepped(&backend, &cfg, 3);
         let clean = RunCheckpoint::capture(&st, fp);
         let cuts: [fn(&mut SlotState); 4] = [
             |s| s.v.truncate(s.v.len() - 1),
@@ -428,6 +436,61 @@ mod tests {
             );
         }
         assert!(clean.into_state(&backend, &cfg).is_ok());
+    }
+
+    /// A slot rebuilt from its checkpoint image, where the predictor
+    /// history travels as `f32` bit patterns, builds bitwise the guess
+    /// the original builds, at every window its history holds.
+    #[test]
+    fn slot_restored_from_its_f32_image_predicts_bitwise() {
+        let (backend, cfg) = small();
+        let fp = ConfigFingerprint::of(&backend, &cfg);
+        let st = stepped(&backend, &cfg, 4);
+        let bytes = RunCheckpoint::capture(&st, fp).to_bytes();
+        let restored = RunCheckpoint::from_bytes(&bytes, fp)
+            .unwrap()
+            .into_state(&backend, &cfg)
+            .unwrap();
+        let n = backend.n_dofs();
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        for (a, b) in st.cases.iter().zip(&restored.cases) {
+            assert_eq!(a.available_s(), 3);
+            assert_eq!(b.available_s(), a.available_s());
+            for s in 1..=a.available_s() {
+                let mut got = [(); 2].map(|_| (vec![0.0; n], Vec::new(), vec![0.0; n]));
+                for (slot, (guess, ab, corr)) in [a, b].into_iter().zip(&mut got) {
+                    assert_eq!(slot.prepare_guess(&backend, s, guess, ab, corr), s);
+                }
+                let [(ga, aa, ca), (gb, ab, cb)] = &got;
+                assert_eq!(bits(gb), bits(ga), "guess at s = {s}");
+                assert_eq!((bits(ab), bits(cb)), (bits(aa), bits(ca)), "s = {s}");
+            }
+        }
+    }
+
+    /// The serial schedule keeps no predictor history: its slots build and
+    /// store none, its image carries none, and an image that does carry
+    /// one is typed corruption on restore.
+    #[test]
+    fn a_serial_method_keeps_no_history() {
+        let (backend, mut cfg) = small();
+        for method in [MethodKind::CrsCgCpu, MethodKind::CrsCgGpu] {
+            cfg.method = method;
+            let fp = ConfigFingerprint::of(&backend, &cfg);
+            let st = stepped(&backend, &cfg, 3);
+            assert!(st
+                .cases
+                .iter()
+                .all(|c| c.dd.is_none() && c.available_s() == 0));
+            let clean = RunCheckpoint::capture(&st, fp);
+            assert!(clean.slots.iter().all(|s| s.dd_hist.is_empty()));
+            let mut forged = clean.clone();
+            forged.slots[0].dd_hist = vec![vec![0.0; backend.n_dofs()]];
+            let back = RunCheckpoint::from_bytes(&forged.to_bytes(), fp).expect("CRC-valid");
+            let err = back.into_state(&backend, &cfg).err();
+            assert!(matches!(err, Some(CkptError::Corrupt(_))), "{err:?}");
+            assert!(clean.into_state(&backend, &cfg).is_ok());
+        }
     }
 
     #[test]

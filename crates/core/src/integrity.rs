@@ -389,7 +389,8 @@ impl StateGuard {
         if crc_cols(slot.adams.history_cols()) != self.crc_adams {
             return Some(CorruptTarget::AdamsHistory);
         }
-        if !slot.dd.corrupt_columns(self.parallel).is_empty() {
+        let dd = slot.dd.as_ref();
+        if dd.is_some_and(|dd| !dd.corrupt_columns(self.parallel).is_empty()) {
             return Some(CorruptTarget::BasisHistory);
         }
         None
@@ -424,11 +425,14 @@ impl StateGuard {
         slot.time.a.copy_from_slice(vector());
         slot.adams
             .restore_history(cols.map(<[f64]>::to_vec).collect());
-        match slot.dd.corrupt_columns(self.parallel)[..] {
+        let Some(dd) = &mut slot.dd else {
+            return CorruptionAction::RestoredState;
+        };
+        match dd.corrupt_columns(self.parallel)[..] {
             [] => CorruptionAction::RestoredState,
-            [idx] if slot.dd.repair_column(idx) => CorruptionAction::RestoredState,
+            [idx] if dd.repair_column(idx) => CorruptionAction::RestoredState,
             _ => {
-                slot.dd.clear();
+                dd.clear();
                 CorruptionAction::ResetPredictor
             }
         }
@@ -446,12 +450,16 @@ pub(crate) fn inject_state_flip(slot: &mut CaseSlot, field: StateField, flip: Bi
     flip.apply(v);
 }
 
-/// Apply an injected single-bit flip to the newest column of `slot`'s
-/// predictor history; a no-op while the history is empty.
+/// Apply an injected single-bit flip to one `f32` entry of the newest
+/// column of `slot`'s predictor history; a no-op while the history is
+/// empty, or where the slot keeps none.
 pub(crate) fn inject_basis_flip(slot: &mut CaseSlot, flip: BitFlip) -> bool {
-    let newest = slot.dd.available_s();
-    match slot.dd.column_mut(newest) {
-        Some(col) => flip.apply(col).is_some(),
+    let Some(dd) = &mut slot.dd else {
+        return false;
+    };
+    let newest = dd.available_s();
+    match dd.column_mut(newest) {
+        Some(col) => flip.apply_f32(col).is_some(),
         None => false,
     }
 }
@@ -624,12 +632,12 @@ pub(crate) fn basis_sentinel(
     case: usize,
     tol: f64,
 ) -> Option<CorruptionReport> {
-    let s = slot.dd.available_s();
-    let defect = slot.dd.basis_defect(s)?;
+    let dd = slot.dd.as_mut()?;
+    let defect = dd.basis_defect(dd.available_s())?;
     if defect.is_finite() && defect <= tol {
         return None;
     }
-    slot.dd.restore_history(Vec::new());
+    dd.restore_history(Vec::new());
     Some(CorruptionReport {
         step,
         case: Some(case),
@@ -645,6 +653,7 @@ mod tests {
     use hetsolve_machine::single_gh200;
     use hetsolve_mesh::{GroundModelSpec, InterfaceShape};
 
+    use crate::checkpoint::SlotState;
     use crate::methods::{MethodKind, RunConfig};
     use crate::set::{SetSpec, SetStep};
 
@@ -658,21 +667,35 @@ mod tests {
         (backend, cfg)
     }
 
+    /// A slot of `cfg` after `steps` real steps of the one set step, so
+    /// that its state evolves and no two history columns hold the same
+    /// bits.
     fn warmed_slot(backend: &Backend, cfg: &RunConfig, steps: usize) -> CaseSlot {
-        let n = backend.n_dofs();
-        let mut slot = CaseSlot::with_seed(backend, cfg, 7, cfg.n_steps.max(steps), 0);
-        let mut scratch = RhsScratch::new(n);
-        let (mut ab, mut work) = (Vec::new(), vec![0.0; n]);
-        let (mut rhs, mut guess) = (vec![0.0; n], vec![0.0; n]);
-        for _ in 0..steps {
-            slot.build_rhs(backend, &mut rhs, &mut scratch);
-            slot.prepare_guess(backend, cfg.s_max, &mut guess, &mut ab, &mut work);
-            // cheap fake solve: the guard logic only needs state that
-            // evolves, so that no two columns hold the same bits
-            let mut x: Vec<f64> = guess.iter().zip(&rhs).map(|(g, f)| g + 1e-3 * f).collect();
-            slot.advance(backend, &mut x, &ab, &mut work, None);
+        let slot = CaseSlot::with_seed(backend, cfg, 7, cfg.n_steps.max(steps), 0);
+        let mut lane = [slot];
+        let (mut set, op) = (SetStep::new(backend.n_dofs(), 1), backend.ebe_a(1));
+        let mut faults = FaultPlan::default();
+        for step in 0..steps {
+            let spec = SetSpec {
+                step,
+                set: 0,
+                ids: &[Some(0)],
+                fused: false,
+                window: None,
+                tol: cfg.tol,
+            };
+            set.prepare(backend, cfg, spec, &mut lane[..], &mut faults);
+            set.solve(backend, &op, &mut lane[..])
+                .error()
+                .expect("a clean step solves");
         }
+        let [slot] = lane;
         slot
+    }
+
+    /// The predictor of a slot whose method keeps one.
+    fn dd(slot: &mut CaseSlot) -> &mut hetsolve_predictor::DataDrivenPredictor {
+        slot.dd.as_mut().expect("a predicting method")
     }
 
     #[test]
@@ -777,7 +800,7 @@ mod tests {
         let mut s = CaseSlot::from_state(&backend, &cfg, &reference);
         guard.capture(&s);
         BitFlip { seed: 17 }
-            .apply(s.dd.column_mut(0).expect("oldest column"))
+            .apply_f32(dd(&mut s).column_mut(0).expect("oldest column"))
             .expect("column is not empty");
         assert_eq!(guard.verify(&s), Some(CorruptTarget::BasisHistory));
         guard.restore_into(&mut s);
@@ -811,7 +834,7 @@ mod tests {
         let (backend, mut cfg) = small();
         cfg.s_max = 16;
         let long = warmed_slot(&backend, &cfg, 20);
-        assert_eq!(long.dd.history_cols().count(), 17);
+        assert_eq!(long.available_s(), 16);
         let mut guard = StateGuard::default();
         // after a 17-column capture: a 2-column history, then a fresh slot
         for steps in [2, 0] {
@@ -833,6 +856,40 @@ mod tests {
         }
     }
 
+    /// The fault layer's basis flip lands on one `f32` entry of the newest
+    /// history column, at any of its 32 bits: the column check names that
+    /// column alone and the parity rebuilds it bit for bit.
+    #[test]
+    fn f32_basis_flips_are_found_and_repaired_bitwise() {
+        let (backend, cfg) = small();
+        let reference = warmed_slot(&backend, &cfg, 6).state();
+        let newest = reference.dd_hist.len() - 1;
+        let bits = |st: &SlotState| -> Vec<Vec<u32>> {
+            let cols = st.dd_hist.iter();
+            cols.map(|c| c.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let mut hit = 0u64;
+        for k in 0..64u64 {
+            let flip = BitFlip {
+                seed: k | (k * 7919) << 6,
+            };
+            let mut s = CaseSlot::from_state(&backend, &cfg, &reference);
+            let mut col = reference.dd_hist[newest].clone();
+            let (_, bit) = flip.apply_f32(&mut col).expect("column is not empty");
+            hit |= 1 << bit;
+            assert!(inject_basis_flip(&mut s, flip));
+            assert_eq!(s.state().dd_hist[newest], col, "seed {}", flip.seed);
+            for parallel in [false, true] {
+                assert_eq!(dd(&mut s).corrupt_columns(parallel), [newest]);
+            }
+            assert!(dd(&mut s).repair_column(newest), "seed {}", flip.seed);
+            assert_eq!(bits(&s.state()), bits(&reference), "seed {}", flip.seed);
+            assert!(dd(&mut s).corrupt_columns(false).is_empty());
+        }
+        assert_eq!(hit, u64::from(u32::MAX), "every bit of an f32 entry");
+    }
+
     /// Two bad predictor-history columns are more than one parity column
     /// can rebuild: the boundary resets the history and reports it typed,
     /// leaves the rest of the state as it was, and the case steps on.
@@ -843,11 +900,11 @@ mod tests {
         let reference = warmed_slot(&backend, &cfg, 6).state();
         let mut lane = [CaseSlot::from_state(&backend, &cfg, &reference)];
         for idx in [0, 2] {
-            let col = lane[0].dd.column_mut(idx).expect("in range");
+            let col = dd(&mut lane[0]).column_mut(idx).expect("in range");
             BitFlip {
                 seed: 60 + idx as u64,
             }
-            .apply(col)
+            .apply_f32(col)
             .expect("column is not empty");
         }
         let step = lane[0].step_index();
@@ -1055,8 +1112,8 @@ mod tests {
         );
         // poison the history with a NaN column: the defect turns
         // non-finite and the sentinel resets the predictor
-        let newest = slot.dd.available_s();
-        slot.dd.column_mut(newest).unwrap()[0] = f64::NAN;
+        let newest = slot.available_s();
+        dd(&mut slot).column_mut(newest).unwrap()[0] = f32::NAN;
         let rep = basis_sentinel(&mut slot, 7, 0, DEFAULT_BASIS_DEFECT_TOL)
             .expect("poisoned basis must reset");
         assert_eq!(rep.target, CorruptTarget::BasisHistory);

@@ -454,6 +454,13 @@ impl Layout {
     }
 }
 
+/// Whether the cases of `cfg`'s method keep a data-driven predictor
+/// history, a property of its [`Layout`]: the serial schedule (Algorithm
+/// 2) runs every step at window 0, so its cases keep none at all.
+pub(crate) fn keeps_history(cfg: &RunConfig) -> bool {
+    Layout::of(cfg).schedule != Schedule::Serial
+}
+
 /// Immutable per-run context of the step driver: the method's layout, the
 /// operator view and kernel costs borrowed from the backend, the CG
 /// settings, and the observation DOFs. Rebuilt identically from

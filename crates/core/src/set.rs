@@ -294,7 +294,7 @@ impl SetStep {
             out.columns.push(Some(Column {
                 id,
                 s_used,
-                predictor: case.dd.cost(s_used.max(1)),
+                predictor: case.predictor_cost(s_used.max(1)),
                 fate: Fate::Pending,
             }));
         }

@@ -14,6 +14,13 @@
 //! `advance` outside the convergence study, which is what makes a served
 //! case's trajectory bitwise-identical to its solo ensemble solve.
 //!
+//! A case keeps a data-driven history only where its method predicts from
+//! one: the serial schedule of the CRS-CG@CPU and CRS-CG@GPU baselines
+//! runs every step at window 0, so their slots have no predictor, build no
+//! correction snapshot and checkpoint no history. The pipelined methods
+//! keep `s_max + 1` snapshots, stored as `f32` (the guess CG refines need
+//! not be exact; see `hetsolve-predictor`).
+//!
 //! A slot holds no RHS, no guess and no per-step buffers of its own: it is
 //! state only. The set step builds the RHS of all its columns at once,
 //! straight into the lanes of its packed `f`, and lends `prepare_guess`
@@ -24,19 +31,22 @@
 use hetsolve_fault::VectorFault;
 use hetsolve_fem::{RandomLoad, TimeState};
 use hetsolve_predictor::{AdamsState, DataDrivenPredictor};
+use hetsolve_sparse::KernelCounts;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::backend::{Backend, RhsScratch};
 use crate::checkpoint::SlotState;
-use crate::methods::RunConfig;
+use crate::methods::{keeps_history, RunConfig};
 
 /// Per-case simulation state (one column of a fused multi-RHS lane).
 pub struct CaseSlot {
     pub(crate) time: TimeState,
     pub(crate) load: RandomLoad,
     pub(crate) adams: AdamsState,
-    pub(crate) dd: DataDrivenPredictor,
+    /// The data-driven correction history; `None` under a method that
+    /// never predicts from it.
+    pub(crate) dd: Option<DataDrivenPredictor>,
     /// Absolute RNG seed the load was generated from — with `n_steps`, all
     /// a checkpoint needs to regenerate the load bitwise on restore.
     seed: u64,
@@ -71,7 +81,8 @@ impl CaseSlot {
             time: TimeState::zeros(n),
             load,
             adams: AdamsState::new(),
-            dd: DataDrivenPredictor::new(n, cfg.region_dofs.max(3), cfg.s_max.max(1)),
+            dd: keeps_history(cfg)
+                .then(|| DataDrivenPredictor::new(n, cfg.region_dofs.max(3), cfg.s_max.max(1))),
             seed,
             n_steps,
             waveform: (0..n_obs).map(|_| Vec::with_capacity(n_steps)).collect(),
@@ -115,23 +126,35 @@ impl CaseSlot {
         ab_guess.clear();
         ab_guess.extend_from_slice(guess);
         // the data-driven correction, once the history holds a window
-        if s == 0 || !self.dd.predict(s, corr) {
+        let Some(dd) = self.dd.as_ref().filter(|_| s > 0) else {
+            return 0;
+        };
+        if !dd.predict(s, corr) {
             return 0;
         }
         for (g, c) in guess.iter_mut().zip(&*corr) {
             *g += c;
         }
         mask.project(guess);
-        s.min(self.dd.available_s())
+        s.min(dd.available_s())
+    }
+
+    /// Modeled cost of this slot's data-driven prediction at window `s`;
+    /// nothing for a slot without a predictor.
+    pub(crate) fn predictor_cost(&self, s: usize) -> KernelCounts {
+        self.dd
+            .as_ref()
+            .map_or_else(KernelCounts::default, |dd| dd.cost(s))
     }
 
     /// After solving into `u_new`: record predictor data and advance the
     /// Newmark state. The correction snapshot is built in `delta` (`n`
     /// long, overwritten); `snapshot_fault` (injected) corrupts it before
-    /// it enters the predictor history. `u_new` becomes the displacement
-    /// by a swap, so it comes back holding the previous one. Returns
-    /// `false` when the history was poisoned and rebuilt (the caller
-    /// should drop the adaptive window back to its minimum).
+    /// it enters the predictor history. A slot without a predictor builds
+    /// no snapshot, and the fault has nothing to land on. `u_new` becomes
+    /// the displacement by a swap, so it comes back holding the previous
+    /// one. Returns `false` when the history was poisoned and rebuilt (the
+    /// caller should drop the adaptive window back to its minimum).
     pub(crate) fn advance(
         &mut self,
         backend: &Backend,
@@ -140,14 +163,19 @@ impl CaseSlot {
         delta: &mut [f64],
         snapshot_fault: Option<VectorFault>,
     ) -> bool {
-        // correction snapshot: delta = u_true - u_adams
-        for ((d, u), g) in delta.iter_mut().zip(&*u_new).zip(ab_guess) {
-            *d = u - g;
-        }
-        if let Some(f) = snapshot_fault {
-            f.apply(delta);
-        }
-        let history_ok = self.dd.record(delta);
+        let history_ok = match &mut self.dd {
+            Some(dd) => {
+                // correction snapshot: delta = u_true - u_adams
+                for ((d, u), g) in delta.iter_mut().zip(&*u_new).zip(ab_guess) {
+                    *d = u - g;
+                }
+                if let Some(f) = snapshot_fault {
+                    f.apply(delta);
+                }
+                dd.record(delta)
+            }
+            None => true,
+        };
         std::mem::swap(&mut self.time.u, u_new);
         let nm = &backend.problem.newmark;
         nm.advance(&self.time.u, u_new, &mut self.time.v, &mut self.time.a);
@@ -179,12 +207,13 @@ impl CaseSlot {
 
     /// Largest data-driven window this slot's history supports right now.
     pub(crate) fn available_s(&self) -> usize {
-        self.dd.available_s()
+        self.dd.as_ref().map_or(0, DataDrivenPredictor::available_s)
     }
 
     /// Capture everything a checkpoint needs to rebuild this slot bitwise:
     /// seed + step count (the load regenerates from them), Newmark vectors,
-    /// both predictor histories, and the recorded waveform. A slot holds
+    /// both predictor histories (the data-driven one as its `f32` columns,
+    /// none without a predictor), and the recorded waveform. A slot holds
     /// no per-step scratch, so nothing is left out: the RHS and guess live
     /// in the set step's packed lanes, rebuilt every step before any read.
     pub fn state(&self) -> SlotState {
@@ -196,7 +225,10 @@ impl CaseSlot {
             v: self.time.v.clone(),
             a: self.time.a.clone(),
             adams_hist: self.adams.history(),
-            dd_hist: self.dd.history(),
+            dd_hist: self
+                .dd
+                .as_ref()
+                .map_or_else(Vec::new, DataDrivenPredictor::history),
             waveform: self.waveform.clone(),
         }
     }
@@ -204,8 +236,9 @@ impl CaseSlot {
     /// Rebuild a slot from a captured [`SlotState`] — the restore-side
     /// inverse of [`CaseSlot::state`]. The load is regenerated from the
     /// stored seed, so the resumed trajectory is bitwise-identical to the
-    /// uninterrupted one. `st` must fit `backend`'s mesh: a state decoded
-    /// from outside the process goes through [`SlotState::check`] first.
+    /// uninterrupted one. `st` must fit `backend`'s mesh and `cfg`'s
+    /// method: a state decoded from outside the process goes through
+    /// [`SlotState::check`] first.
     pub fn from_state(backend: &Backend, cfg: &RunConfig, st: &SlotState) -> Self {
         let mut slot = Self::with_seed(backend, cfg, st.seed, st.n_steps, st.waveform.len());
         slot.time.step = st.step;
@@ -213,7 +246,9 @@ impl CaseSlot {
         slot.time.v = st.v.clone();
         slot.time.a = st.a.clone();
         slot.adams.restore_history(st.adams_hist.clone());
-        slot.dd.restore_history(st.dd_hist.clone());
+        if let Some(dd) = &mut slot.dd {
+            dd.restore_history(st.dd_hist.clone());
+        }
         slot.waveform = st.waveform.clone();
         slot
     }

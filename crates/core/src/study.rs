@@ -174,8 +174,10 @@ mod tests {
     }
 
     /// Every probe — label, iterations, initial residual bits, residual
-    /// history CRC — as the study's hand-written warm-up loop computed it
-    /// before the study stepped a `CaseSlot`.
+    /// history CRC — pinned. The iteration counts are those the study's
+    /// hand-written warm-up loop computed before the study stepped a
+    /// `CaseSlot`; the bits are re-recorded since the predictor history is
+    /// stored as `f32` (the warm-up's guesses, so its trajectory, moved).
     #[test]
     fn study_results_are_the_hand_written_loops() {
         let spec = GroundModelSpec::paper_like(4, 4, 3, InterfaceShape::Stratified);
@@ -203,11 +205,11 @@ mod tests {
         assert_eq!(
             got,
             [
-                ("zero", 35, 0x3ff0000000000000, 0x1e556675),
-                ("Adams-Bashforth", 20, 0x3f3bb7d4d28a2561, 0x7a07c3b9),
-                ("data-driven s=4", 16, 0x3f0cd6ab37f029a9, 0xfdbd84d2),
-                ("data-driven s=8", 13, 0x3ef2aad53380c1b7, 0x4e11b67a),
-                ("data-driven s=16", 12, 0x3edbab70db94bee4, 0x54e01d14),
+                ("zero", 35, 0x3ff0_0000_0000_0000, 0x9765_6fdf),
+                ("Adams-Bashforth", 20, 0x3f3b_b7d4_d2dc_cc3f, 0x8ed2_c539),
+                ("data-driven s=4", 16, 0x3f0c_d6ab_155d_2f0d, 0xee0c_e79c),
+                ("data-driven s=8", 13, 0x3ef2_aad3_bade_8346, 0x7282_975d),
+                ("data-driven s=16", 12, 0x3edb_ab44_3461_9ca3, 0x0b57_c121),
             ]
         );
     }

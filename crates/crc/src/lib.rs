@@ -65,6 +65,21 @@ impl Crc32 {
         self.update_words(v, f64::to_bits)
     }
 
+    /// Fold an `f32` slice by IEEE-754 bit pattern, 4 bytes per entry:
+    /// the digest of the slice's little-endian memory image, with no entry
+    /// widened. Pairs of entries go through the word kernels; an odd last
+    /// entry is folded as its 4 bytes.
+    pub fn update_f32s(&mut self, v: &[f32]) -> &mut Self {
+        let (pairs, tail) = v.as_chunks::<2>();
+        self.state = fold_words(self.state, pairs, |[lo, hi]| {
+            u64::from(lo.to_bits()) | (u64::from(hi.to_bits()) << 32)
+        });
+        if let [last] = tail {
+            self.state = table::fold_bytes(self.state, &last.to_bits().to_le_bytes());
+        }
+        self
+    }
+
     /// Fold a slice whose element `x` stands for the little-endian `u64`
     /// `word(x)` — index arrays (`usize`, `u32`) are covered as the words
     /// [`Self::update_u64`] would be fed one at a time, in one long run.
@@ -212,6 +227,37 @@ mod tests {
             c.update_words(&w[split..], |x| x);
             assert_eq!(c.state, want, "word split at {split}");
         }
+    }
+
+    /// `update_f32s` is the CRC of the slice's 4-byte little-endian image
+    /// at every length (odd ones end in a half word), split point and
+    /// carried-in state, with `-0.0` and NaN payloads distinguished.
+    #[test]
+    fn f32_slices_are_covered_as_their_four_byte_image() {
+        let data = bytes(4 * 300, 5);
+        let f: Vec<f32> = data
+            .as_chunks::<4>()
+            .0
+            .iter()
+            .map(|c| f32::from_le_bytes(*c))
+            .collect();
+        for start in [Crc32::new(), carried()] {
+            for len in 0..=f.len() {
+                let want = table_bytes(start.state, &data[..4 * len]);
+                let mut c = start;
+                assert_eq!(c.update_f32s(&f[..len]).state, want, "{len} f32");
+            }
+            let want = table_bytes(start.state, &data);
+            for split in 0..=f.len() {
+                let mut c = start;
+                c.update_f32s(&f[..split]).update_f32s(&f[split..]);
+                assert_eq!(c.state, want, "f32 split at {split}");
+            }
+        }
+        let digest = |v: &[f32]| Crc32::new().update_f32s(v).finish();
+        let nan = f32::from_bits(0x7FC0_0001);
+        assert_ne!(digest(&[0.0, 1.0]), digest(&[-0.0, 1.0]));
+        assert_ne!(digest(&[f32::NAN, 1.0]), digest(&[nan, 1.0]));
     }
 
     #[test]

@@ -124,6 +124,15 @@ impl BitFlip {
         v[idx] = f64::from_bits(v[idx].to_bits() ^ (1u64 << bit));
         Some((idx, bit))
     }
+
+    /// [`Self::apply`] on an `f32` buffer: the same word, a bit drawn from
+    /// 0–31 (0–22 mantissa, 23–30 exponent, 31 sign).
+    pub fn apply_f32(&self, v: &mut [f32]) -> Option<(usize, u32)> {
+        let (idx, bit) = self.target(v.len())?;
+        let bit = bit & 31;
+        v[idx] = f32::from_bits(v[idx].to_bits() ^ (1u32 << bit));
+        Some((idx, bit))
+    }
 }
 
 /// Failure mode of one modeled halo exchange.
@@ -252,7 +261,8 @@ pub enum FaultKind {
         flip: BitFlip,
     },
     /// Flip one bit of `case`'s data-driven predictor history (the MGS
-    /// basis source) at the `step` boundary.
+    /// basis source, stored as `f32`: [`BitFlip::apply_f32`]) at the `step`
+    /// boundary.
     BasisFlip {
         case: usize,
         flip: BitFlip,
@@ -907,6 +917,36 @@ mod tests {
         }
         // empty buffers are a no-op, not a panic
         assert!(flip.apply(&mut []).is_none());
+    }
+
+    /// The `f32` flip hits the word `apply` would, at a bit in 0–31, and
+    /// every one of the 32 bits is reachable as seeds vary.
+    #[test]
+    fn f32_bit_flip_hits_one_of_32_bits_and_is_self_inverse() {
+        let clean = vec![1.0f32, -2.5, 3.25, 0.0, 5.5];
+        let mut seen = 0u64;
+        for seed in 0..256u64 {
+            let flip = BitFlip { seed };
+            let mut v = clean.clone();
+            let (idx, bit) = flip.apply_f32(&mut v).expect("non-empty");
+            assert_eq!(
+                flip.target(v.len()).map(|(i, b)| (i, b & 31)),
+                Some((idx, bit))
+            );
+            seen |= 1 << bit;
+            let changed: Vec<usize> = (0..v.len())
+                .filter(|&i| v[i].to_bits() != clean[i].to_bits())
+                .collect();
+            assert_eq!(changed, [idx]);
+            assert_eq!((v[idx].to_bits() ^ clean[idx].to_bits()).count_ones(), 1);
+            flip.apply_f32(&mut v);
+            assert!(v
+                .iter()
+                .zip(&clean)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+        assert_eq!(seen, u64::from(u32::MAX), "all 32 bits");
+        assert!(BitFlip { seed: 1 }.apply_f32(&mut []).is_none());
     }
 
     #[test]

@@ -63,14 +63,6 @@ impl AdamsState {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.hist.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.hist.is_empty()
-    }
-
     /// Snapshot the velocity history (oldest first) for a checkpoint.
     pub fn history(&self) -> Vec<Vec<f64>> {
         self.hist.iter().cloned().collect()
@@ -170,11 +162,11 @@ mod tests {
     #[test]
     fn state_grows_to_four_then_rolls() {
         let mut st = AdamsState::new();
-        assert!(st.is_empty());
+        assert!(st.history().is_empty());
         for k in 0..6 {
             st.push(&[k as f64]);
         }
-        assert_eq!(st.len(), 4);
+        assert_eq!(st.history().len(), 4);
         // oldest remaining should be k=2
         let mut out = [0.0];
         // AB4 with velocities [2,3,4,5], u_prev = 0, dt = 24:

@@ -14,17 +14,29 @@
 //! * No communication between regions is needed, which is what makes the
 //!   predictor embarrassingly parallel across CPU cores and compute nodes.
 //!
+//! The snapshots are stored as `f32`. The predicted correction only has to
+//! be a good initial guess, not an exact one: CG refines it to its
+//! tolerance, so halving what a retained step costs in CPU memory moves
+//! iteration counts, not accuracy. Each column is rounded once, as it is
+//! recorded, and widened exactly to `f64` wherever it is read: the MGS
+//! factor, the projection and the back-substitution run in `f64` as
+//! before. MGS takes the window's columns newest first and drops those
+//! that the newer ones express up to that rounding (`DROP_TOL`), so the
+//! basis stays orthonormal and the columns it loses are the oldest.
+//!
 //! The history checks and repairs itself. [`DataDrivenPredictor::record`]
-//! takes the CRC32 of each column as it stores it and keeps one XOR parity
-//! column over the bit patterns of all stored columns. A step boundary
-//! asks [`DataDrivenPredictor::corrupt_columns`] which columns no longer
-//! match their CRC, and [`DataDrivenPredictor::repair_column`] rebuilds
-//! one of them bitwise from the parity and the others. So the integrity
-//! guards of `hetsolve-core` never copy the history, and a column is
-//! covered from the moment it is recorded.
+//! takes the CRC32 of each column's `f32` bit patterns as it stores it and
+//! keeps one XOR parity column over the bit patterns of all stored columns.
+//! A step boundary asks [`DataDrivenPredictor::corrupt_columns`] which
+//! columns no longer match their CRC, and
+//! [`DataDrivenPredictor::repair_column`] rebuilds one of them bitwise from
+//! the parity and the others. So the integrity guards of `hetsolve-core`
+//! never copy the history, and a column is covered from the moment it is
+//! recorded.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use hetsolve_crc::Crc32;
@@ -40,31 +52,39 @@ pub struct DataDrivenPredictor {
     region_dofs: usize,
     /// Maximum snapshots retained (`s_max + 1` corrections).
     s_max: usize,
-    /// Correction history, oldest front, newest back.
-    history: VecDeque<Vec<f64>>,
+    /// Correction history rounded to `f32`, oldest front, newest back.
+    history: VecDeque<Vec<f32>>,
     /// CRC32 of each stored column, taken when it was stored.
     crcs: VecDeque<u32>,
-    /// XOR of the `f64` bit patterns of every stored column; empty until
+    /// XOR of the `f32` bit patterns of every stored column; empty until
     /// the first column is stored.
-    parity: Vec<u64>,
-    /// MGS drop tolerance.
-    tol: f64,
+    parity: Vec<u32>,
 }
 
-/// CRC32 of a column's `f64` bit patterns.
-fn crc_col(col: &[f64]) -> u32 {
-    Crc32::new().update_f64s(col).finish()
+/// MGS drop tolerance, relative to a column's norm. A column that the
+/// newer ones express exactly still keeps, once the store has rounded it
+/// and them to `f32`, a residual of their rounding errors weighted by the
+/// coefficients that express it: up to about 24 `f32::EPSILON` of its
+/// norm on the smooth sequences of the unit tests. A basis that keeps such
+/// a direction is orthogonal only to 1e-9 … 1e-8, so those columns are
+/// dropped, with a margin of more than two.
+const DROP_TOL: f64 = 64.0 * f32::EPSILON as f64;
+
+/// CRC32 of a column's `f32` bit patterns.
+fn crc_col(col: &[f32]) -> u32 {
+    Crc32::new().update_f32s(col).finish()
 }
 
 /// XOR the bit patterns of `col` into `parity`.
-fn xor_into(parity: &mut [u64], col: &[f64]) {
+fn xor_into(parity: &mut [u32], col: &[f32]) {
     for (p, v) in parity.iter_mut().zip(col) {
         *p ^= v.to_bits();
     }
 }
 
 /// One pool thread's working storage for a region's prediction: the MGS
-/// factor, its running residual, and the projection and weight vectors.
+/// factor, its running residual (then the widened input column), and the
+/// projection and weight vectors.
 /// Grown once to the largest region and window a thread has seen, then
 /// reused by every region it runs.
 #[derive(Default)]
@@ -122,23 +142,23 @@ impl DataDrivenPredictor {
             history: VecDeque::with_capacity(s_max + 1),
             crcs: VecDeque::with_capacity(s_max + 1),
             parity: Vec::new(),
-            tol: 1e-10,
         }
     }
 
     /// Record the correction of the step just solved
-    /// (`δ = u_true − ū_adams`).
+    /// (`δ = u_true − ū_adams`), rounded to `f32`.
     ///
-    /// A non-finite correction (poisoned snapshot) is rejected and the whole
-    /// history is dropped: every stored column would otherwise keep pairing
-    /// with the poisoned one in future X/Y windows, so the basis is rebuilt
-    /// from scratch. Returns `false` when that reset happened.
+    /// A correction that is non-finite once rounded (a poisoned snapshot,
+    /// or a value past `f32::MAX`) is rejected and the whole history is
+    /// dropped: every stored column would otherwise keep pairing with the
+    /// poisoned one in future X/Y windows, so the basis is rebuilt from
+    /// scratch. Returns `false` when that reset happened.
     ///
     /// The column's CRC is taken and the parity updated (the evicted column
     /// XORed out, the new one in) while the column is written.
     pub fn record(&mut self, delta: &[f64]) -> bool {
         assert_eq!(delta.len(), self.n_dofs);
-        if delta.iter().any(|v| !v.is_finite()) {
+        if delta.iter().any(|&v| !(v as f32).is_finite()) {
             self.clear();
             return false;
         }
@@ -148,14 +168,16 @@ impl DataDrivenPredictor {
         let col = if self.history.len() == self.s_max + 1 {
             let mut old = self.history.pop_front().expect("len checked");
             self.crcs.pop_front();
-            for ((p, o), d) in self.parity.iter_mut().zip(old.iter_mut()).zip(delta) {
+            for ((p, o), &d) in self.parity.iter_mut().zip(old.iter_mut()).zip(delta) {
+                let d = d as f32;
                 *p ^= o.to_bits() ^ d.to_bits();
-                *o = *d;
+                *o = d;
             }
             old
         } else {
-            xor_into(&mut self.parity, delta);
-            delta.to_vec()
+            let col: Vec<f32> = delta.iter().map(|&d| d as f32).collect();
+            xor_into(&mut self.parity, &col);
+            col
         };
         self.crcs.push_back(crc_col(&col));
         self.history.push_back(col);
@@ -209,7 +231,7 @@ impl DataDrivenPredictor {
                 xor_into(&mut bits, col);
             }
         }
-        let col: Vec<f64> = bits.into_iter().map(f64::from_bits).collect();
+        let col: Vec<f32> = bits.into_iter().map(f32::from_bits).collect();
         if crc_col(&col) != self.crcs[idx] {
             return false;
         }
@@ -218,28 +240,22 @@ impl DataDrivenPredictor {
     }
 
     /// Snapshot the correction history (oldest first) for a checkpoint.
-    pub fn history(&self) -> Vec<Vec<f64>> {
+    pub fn history(&self) -> Vec<Vec<f32>> {
         self.history.iter().cloned().collect()
-    }
-
-    /// Borrowing view of the stored correction columns (oldest first) —
-    /// checksum and scrub passes walk these without cloning.
-    pub fn history_cols(&self) -> impl Iterator<Item = &[f64]> {
-        self.history.iter().map(|v| v.as_slice())
     }
 
     /// Mutable access to stored column `idx` (oldest first) — the fault
     /// layer's basis-corruption hook. Returns `None` when out of range.
     /// Deliberately updates neither the column's CRC nor the parity, so a
     /// write through it is what [`Self::corrupt_columns`] reports.
-    pub fn column_mut(&mut self, idx: usize) -> Option<&mut [f64]> {
+    pub fn column_mut(&mut self, idx: usize) -> Option<&mut [f32]> {
         self.history.get_mut(idx).map(|v| v.as_mut_slice())
     }
 
     /// Restore a history snapshot taken by
     /// [`DataDrivenPredictor::history`] (oldest first). Columns must be
     /// `n_dofs` long; only the newest `s_max + 1` are kept.
-    pub fn restore_history(&mut self, hist: Vec<Vec<f64>>) {
+    pub fn restore_history(&mut self, hist: Vec<Vec<f32>>) {
         self.history.clear();
         for v in hist {
             assert_eq!(v.len(), self.n_dofs, "restored column has wrong length");
@@ -273,29 +289,38 @@ impl DataDrivenPredictor {
         }
         let h = &self.history;
         let len = h.len();
-        // columns: X_i = h[len-1-s+i], Y_i = h[len-s+i], input = h[len-1],
-        // each read in place
-        let (rdofs, s_max, tol) = (self.region_dofs, self.s_max, self.tol);
+        // columns newest first: X_i = h[len-2-i], Y_i = h[len-1-i], input
+        // = h[len-1], each read in place and widened to f64 as it is read.
+        // MGS keeps a column only where it adds a direction to the ones
+        // before it, so a dependent window loses its oldest columns, the
+        // furthest from the input.
+        let (rdofs, s_max) = (self.region_dofs, self.s_max);
         // one region per pool chunk: regions share nothing but the history
         hetsolve_pool::for_each_mut([(out, rdofs)], |reg, [out_r]| {
             let lo = reg * rdofs;
             let m = out_r.len();
             let window = |col: usize| &h[col][lo..lo + m];
             with_scratch(rdofs, s_max, |Scratch { qr, work, c, w }| {
-                qr.factor(|i| window(len - 1 - s + i), m, s, tol, &mut work[..m]);
+                let work = &mut work[..m];
+                qr.factor(|i| window(len - 2 - i), m, s, DROP_TOL, work);
                 if qr.rank() == 0 {
                     out_r.fill(0.0);
                     return;
                 }
+                // the factor is done with its residual: the input column,
+                // widened once, takes its place
+                for (x, &v) in work.iter_mut().zip(window(len - 1)) {
+                    *x = f64::from(v);
+                }
                 refill(c, qr.rank());
-                qr.project(window(len - 1), c);
+                qr.project(work, c);
                 refill(w, s);
                 qr.back_substitute(c, w);
                 out_r.fill(0.0);
                 for i in 0..s {
                     if w[i] != 0.0 {
-                        for (o, yv) in out_r.iter_mut().zip(window(len - s + i)) {
-                            *o += w[i] * yv;
+                        for (o, &yv) in out_r.iter_mut().zip(window(len - 1 - i)) {
+                            *o += w[i] * f64::from(yv);
                         }
                     }
                 }
@@ -306,7 +331,9 @@ impl DataDrivenPredictor {
 
     /// Hardware-independent cost of `predict(s)`: MGS (`≈ 2 m s²` per
     /// region) + projection/synthesis (`≈ 4 m s`), summed over regions, all
-    /// streaming access.
+    /// streaming access. The bytes are those of the paper's `f64`
+    /// snapshots, not of this store's `f32` ones: the modeled clock speaks
+    /// about the paper's implementation.
     pub fn cost(&self, s: usize) -> KernelCounts {
         let n = self.n_dofs as f64;
         let sf = s as f64;
@@ -338,7 +365,8 @@ impl DataDrivenPredictor {
     /// finite are the state-guard checksum's to catch: MGS re-orthonorms
     /// whatever it is given, so the defect cannot see them. `None` when
     /// the history is too short for window `s`. Read-only — the predictor
-    /// state and any later prediction are untouched.
+    /// state and any later prediction are untouched. Runs one region per
+    /// pool chunk, as `predict` does.
     pub fn basis_defect(&self, s: usize) -> Option<f64> {
         let s = s.min(self.s_max);
         if s < 1 || self.history.len() < s + 1 {
@@ -352,21 +380,24 @@ impl DataDrivenPredictor {
                 return Some(f64::INFINITY);
             }
         }
-        let rdofs = self.region_dofs;
-        let mut worst = 0.0f64;
-        with_scratch(rdofs, self.s_max, |Scratch { qr, work, .. }| {
-            for reg in 0..self.n_regions() {
-                let lo = reg * rdofs;
-                let m = rdofs.min(self.n_dofs - lo);
-                let window = |i: usize| &h[len - 1 - s + i][lo..lo + m];
-                qr.factor(window, m, s, self.tol, &mut work[..m]);
-                worst = worst.max(qr.orthogonality_defect());
-                if !worst.is_finite() {
-                    break;
-                }
-            }
+        let (rdofs, s_max, n) = (self.region_dofs, self.s_max, self.n_dofs);
+        // A defect is +0.0, positive or +inf, never NaN or -0.0, so the
+        // order of the bit patterns is the order of the values and a
+        // `fetch_max` over them is the region-order `max`, whichever
+        // thread finishes first. `Relaxed`: the value publishes no other
+        // data, and the pool's join orders every update before the read.
+        let worst = AtomicU64::new(0.0f64.to_bits());
+        hetsolve_pool::run(self.n_regions(), |reg| {
+            let lo = reg * rdofs;
+            let m = rdofs.min(n - lo);
+            let window = |i: usize| &h[len - 2 - i][lo..lo + m];
+            let defect = with_scratch(rdofs, s_max, |Scratch { qr, work, .. }| {
+                qr.factor(window, m, s, DROP_TOL, &mut work[..m]);
+                qr.orthogonality_defect()
+            });
+            worst.fetch_max(defect.to_bits(), Ordering::Relaxed);
         });
-        Some(worst)
+        Some(f64::from_bits(worst.into_inner()))
     }
 }
 
@@ -472,13 +503,21 @@ mod tests {
             p.record(&vec![k as f64; n]);
         }
         assert_eq!(p.available_s(), 4);
-        // five columns and five CRCs
+        // five f32 columns of n, an n-long u32 parity and five CRCs: the
+        // retained storage of s_max + 1 steps
         assert_eq!((p.history.len(), p.crcs.len()), (5, 5));
+        assert!(p.history.iter().all(|c| c.len() == n));
+        assert_eq!(p.parity.len(), n);
+        let bytes: usize = p.history.iter().map(|c| size_of_val(&c[..])).sum();
+        assert_eq!(bytes, 5 * n * 4);
+        assert_eq!(size_of_val(&p.parity[..]), n * 4);
     }
 
+    /// `δ^k = c` for every `k`: the prediction is the constant the store
+    /// holds, which is `c` rounded to `f32`, so that rounded constant is
+    /// the oracle, and `c` itself is met to within the `f32` rounding.
     #[test]
     fn constant_sequence_is_fixed_point() {
-        // δ^k = const: prediction must return the same constant.
         let n = 24;
         let c: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos() + 2.0).collect();
         let mut p = DataDrivenPredictor::new(n, 9, 8);
@@ -488,9 +527,12 @@ mod tests {
         let mut out = vec![0.0; n];
         assert!(p.predict(5, &mut out));
         // rank-deficient (all columns equal): MGS keeps one column and the
-        // map reproduces the constant.
-        let e = rel_err(&out, &c);
+        // map reproduces the constant as stored
+        let stored: Vec<f64> = c.iter().map(|&v| f64::from(v as f32)).collect();
+        let e = rel_err(&out, &stored);
         assert!(e < 1e-9, "error {e}");
+        let e = rel_err(&out, &c);
+        assert!(e < f64::from(f32::EPSILON), "error against c: {e}");
     }
 
     #[test]
@@ -568,7 +610,7 @@ mod tests {
         // (mgs_qr alone would silently drop the column and degrade rank)
         let newest = p.available_s(); // history holds available_s()+1 columns
         let col = p.column_mut(newest).expect("in range");
-        col[7] = f64::NAN;
+        col[7] = f32::NAN;
         let bad = p.basis_defect(8).expect("enough history");
         assert!(bad.is_infinite(), "corrupt defect {bad}");
         assert!(p.column_mut(99).is_none());
@@ -584,9 +626,15 @@ mod tests {
             .collect()
     }
 
+    /// `v` rounded to the store's `f32`.
+    fn rounded(v: &[f64]) -> Vec<f32> {
+        v.iter().map(|&x| x as f32).collect()
+    }
+
     /// The history's bits, oldest first.
-    fn bits(p: &DataDrivenPredictor) -> Vec<Vec<u64>> {
-        p.history_cols()
+    fn bits(p: &DataDrivenPredictor) -> Vec<Vec<u32>> {
+        p.history
+            .iter()
             .map(|c| c.iter().map(|v| v.to_bits()).collect())
             .collect()
     }
@@ -595,17 +643,17 @@ mod tests {
     /// the check names exactly that column (serial and on the pool), and
     /// the repair restores it bitwise.
     fn assert_flips_are_found_and_repaired(p: &DataDrivenPredictor) {
-        let len = p.history_cols().count();
+        let len = p.history.len();
         assert!(len >= 3, "history of {len}");
         let clean = bits(p);
         let pool = hetsolve_pool::Pool::with_threads(2);
         for parallel in [false, true] {
             assert!(pool.install(|| p.corrupt_columns(parallel)).is_empty());
         }
-        for (idx, dof, bit) in [(0, 3, 52), (len / 2, 11, 0), (len - 1, 29, 63)] {
+        for (idx, dof, bit) in [(0, 3, 23), (len / 2, 11, 0), (len - 1, 29, 31)] {
             let mut q = p.clone();
             let col = q.column_mut(idx).expect("in range");
-            col[dof] = f64::from_bits(col[dof].to_bits() ^ (1 << bit));
+            col[dof] = f32::from_bits(col[dof].to_bits() ^ (1 << bit));
             for parallel in [false, true] {
                 let bad = pool.install(|| q.corrupt_columns(parallel));
                 assert_eq!(bad, [idx], "column {idx}, parallel {parallel}");
@@ -626,10 +674,10 @@ mod tests {
                 assert_flips_are_found_and_repaired(&p);
             }
         }
-        assert_eq!(p.history_cols().count(), s_max + 1);
-        // the stored columns are the newest ones, in order
-        let want: Vec<Vec<f64>> = (2 * (s_max + 1)..3 * (s_max + 1))
-            .map(|k| column(n, k))
+        assert_eq!(p.history.len(), s_max + 1);
+        // the stored columns are the newest ones, in order, rounded
+        let want: Vec<Vec<f32>> = (2 * (s_max + 1)..3 * (s_max + 1))
+            .map(|k| rounded(&column(n, k)))
             .collect();
         assert_eq!(p.history(), want);
     }
@@ -643,8 +691,8 @@ mod tests {
         }
         // a restore rebuilds the checks (and keeps the newest s_max + 1)
         let mut q = DataDrivenPredictor::new(n, 12, s_max);
-        q.restore_history((0..8).map(|k| column(n, k)).collect());
-        assert_eq!(q.history_cols().count(), s_max + 1);
+        q.restore_history((0..8).map(|k| rounded(&column(n, k))).collect());
+        assert_eq!(q.history.len(), s_max + 1);
         assert_flips_are_found_and_repaired(&q);
         q.record(&column(n, 8));
         assert_flips_are_found_and_repaired(&q);
@@ -676,19 +724,28 @@ mod tests {
         assert_eq!(bits(&q), before);
     }
 
-    /// The oracle of the copy-free `predict`: per region, `X` and `Y`
-    /// copied out contiguously and factored by `mgs_qr` in fresh storage.
+    /// The history widened to `f64` columns, oldest first.
+    fn widened(p: &DataDrivenPredictor) -> Vec<Vec<f64>> {
+        p.history
+            .iter()
+            .map(|c| c.iter().map(|&v| f64::from(v)).collect())
+            .collect()
+    }
+
+    /// The oracle of the copy-free `predict`: the history widened to
+    /// `f64`, then per region `X` and `Y` copied out contiguously and
+    /// factored by `mgs_qr` in fresh storage.
     fn predict_from_copies(p: &DataDrivenPredictor, s: usize, out: &mut [f64]) {
-        let h: Vec<&[f64]> = p.history_cols().collect();
+        let h = widened(p);
         let (len, rdofs) = (h.len(), p.region_dofs);
         for (reg, out_r) in out.chunks_mut(rdofs).enumerate() {
             let (lo, m) = (reg * rdofs, out_r.len());
             let (mut x, mut y) = (vec![0.0; m * s], vec![0.0; m * s]);
             for i in 0..s {
-                x[i * m..(i + 1) * m].copy_from_slice(&h[len - 1 - s + i][lo..lo + m]);
-                y[i * m..(i + 1) * m].copy_from_slice(&h[len - s + i][lo..lo + m]);
+                x[i * m..(i + 1) * m].copy_from_slice(&h[len - 2 - i][lo..lo + m]);
+                y[i * m..(i + 1) * m].copy_from_slice(&h[len - 1 - i][lo..lo + m]);
             }
-            let qr = crate::mgs::mgs_qr(&x, m, s, p.tol);
+            let qr = crate::mgs::mgs_qr(&x, m, s, DROP_TOL);
             out_r.fill(0.0);
             if qr.rank() == 0 {
                 continue;
@@ -709,24 +766,25 @@ mod tests {
 
     /// [`DataDrivenPredictor::basis_defect`] from contiguous copies.
     fn basis_defect_from_copies(p: &DataDrivenPredictor, s: usize) -> f64 {
-        let h: Vec<&[f64]> = p.history_cols().collect();
+        let h = widened(p);
         let (len, rdofs) = (h.len(), p.region_dofs);
         let mut worst = 0.0f64;
         for lo in (0..p.n_dofs).step_by(rdofs) {
             let m = rdofs.min(p.n_dofs - lo);
             let x: Vec<f64> = (0..s)
-                .flat_map(|i| h[len - 1 - s + i][lo..lo + m].iter().copied())
+                .flat_map(|i| h[len - 2 - i][lo..lo + m].iter().copied())
                 .collect();
-            worst = worst.max(crate::mgs::mgs_qr(&x, m, s, p.tol).orthogonality_defect());
+            worst = worst.max(crate::mgs::mgs_qr(&x, m, s, DROP_TOL).orthogonality_defect());
         }
         worst
     }
 
-    /// The copy-free prediction is bitwise the prediction from contiguous
-    /// copies: across ring wrap-around, at `s = 1` and `s = s_max`, with a
-    /// rank-deficient window and a short last region, called again and
-    /// again on pools of one and two threads, whose per-thread scratch
-    /// carries over from call to call and from predictor to predictor.
+    /// The copy-free prediction, and the pooled basis defect, are bitwise
+    /// those from widened contiguous copies: across ring wrap-around, at
+    /// `s = 1` and `s = s_max`, with a rank-deficient window and a short
+    /// last region, called again and again on pools of one and two
+    /// threads, whose per-thread scratch carries over from call to call
+    /// and from predictor to predictor.
     #[test]
     fn copy_free_predict_is_bitwise_the_copied_one() {
         let (n, s_max) = (100, 6);
@@ -747,7 +805,8 @@ mod tests {
                         let at = format!("{what}, s {s}, {threads} threads, call {call}");
                         assert_eq!(bits(&got), bits(&want), "{at}");
                         let defect = pool.install(|| p.basis_defect(s)).expect("history");
-                        assert_eq!(defect.to_bits(), basis_defect_from_copies(p, s).to_bits());
+                        let want = basis_defect_from_copies(p, s);
+                        assert_eq!(defect.to_bits(), want.to_bits(), "{at}");
                     }
                 }
             }
@@ -793,5 +852,10 @@ mod tests {
         let mut out = vec![0.0; n];
         assert!(p.predict(1, &mut out));
         assert!(out.iter().all(|v| v.is_finite()));
+        // a finite f64 past f32::MAX is non-finite once stored: rejected
+        // the same way
+        bad[7] = 1e39;
+        assert!(!p.record(&bad), "overflowing snapshot must be rejected");
+        assert_eq!(p.available_s(), 0);
     }
 }

@@ -36,13 +36,15 @@ pub fn mgs_qr(x: &[f64], m: usize, s: usize, tol: f64) -> MgsQr {
 
 impl MgsQr {
     /// [`mgs_qr`] of the columns `col(0) … col(s − 1)` (each `m` long),
-    /// wherever they live, into this factor's storage; `work` (`m` long)
-    /// holds the running residual. The same operations in the same order
-    /// as [`mgs_qr`] on a contiguous copy, so the same bits; no allocation
-    /// once the storage has held an `m × s` factor.
-    pub(crate) fn factor<'a>(
+    /// wherever they live and whether stored as `f64` or `f32`, into this
+    /// factor's storage; `work` (`m` long) holds the running residual, into
+    /// which each column is widened exactly as it is copied. The same
+    /// operations in the same order as [`mgs_qr`] on a contiguous `f64`
+    /// copy, so the same bits; no allocation once the storage has held an
+    /// `m × s` factor.
+    pub(crate) fn factor<'a, T: Copy + Into<f64> + 'a>(
         &mut self,
-        col: impl Fn(usize) -> &'a [f64],
+        col: impl Fn(usize) -> &'a [T],
         m: usize,
         s: usize,
         tol: f64,
@@ -58,7 +60,11 @@ impl MgsQr {
         kept.reserve(s);
 
         for j in 0..s {
-            work.copy_from_slice(col(j));
+            let src = col(j);
+            assert_eq!(src.len(), work.len(), "column {j} is not {m} long");
+            for (w, &v) in work.iter_mut().zip(src) {
+                *w = v.into();
+            }
             let orig_norm = work.iter().map(|v| v * v).sum::<f64>().sqrt();
             if !orig_norm.is_finite() {
                 // poisoned snapshot (NaN/Inf entries): reject before the

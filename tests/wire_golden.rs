@@ -12,9 +12,13 @@
 //! PR 23, by the field lists that had reproduced them byte for byte since:
 //! that PR moved the bits of every stored displacement (the block sweep's
 //! summation order), the format version (1 → 2) and the fingerprints (node
-//! model and integrity configuration mixed in), and no layout.
-//! `v1_ebe_step2.hsckpt` is the version-1 run image, kept to show that it
-//! is refused.
+//! model and integrity configuration mixed in), and no layout. They were
+//! re-recorded again when the predictor history became `f32` and the
+//! serial schedule stopped keeping one: the slot layout's history columns,
+//! the stored displacements and the format version (2 → 3) moved, the
+//! fingerprints did not. `v1_ebe_step2.hsckpt` and `v2_ebe_step2.hsckpt`
+//! are the version-1 and version-2 run images of that run, kept to show
+//! that they are refused.
 //!
 //! The scenario builders at the bottom are how the files are produced
 //! (`record_goldens`, ignored). Re-run it only when bits or a layout move
@@ -224,19 +228,18 @@ fn soak_report_golden_reencodes_byte_for_byte() {
 /// An image written before the bits moved is refused with a typed error,
 /// by the decoder and by the store scan of a durable run (which then starts
 /// from step 0 instead of resuming non-bitwise).
-#[test]
-fn a_version_1_image_is_refused_typed() {
+fn assert_refused_typed(version: u32) {
     let b = backend();
-    let v1 = golden("v1_ebe_step2.hsckpt");
+    let old = golden(&format!("v{version}_ebe_step2.hsckpt"));
     assert_eq!(
-        RunCheckpoint::from_bytes(&v1, ConfigFingerprint::of(&b, &run_cfg())).unwrap_err(),
-        CkptError::UnsupportedVersion(1)
+        RunCheckpoint::from_bytes(&old, ConfigFingerprint::of(&b, &run_cfg())).unwrap_err(),
+        CkptError::UnsupportedVersion(version)
     );
 
-    let dir = std::env::temp_dir().join("hs-wire-golden-v1-image");
+    let dir = std::env::temp_dir().join(format!("hs-wire-golden-v{version}-image"));
     let _ = std::fs::remove_dir_all(&dir);
     let store = CheckpointStore::new(&dir, 3).unwrap();
-    std::fs::write(store.path_for(2), &v1).unwrap();
+    std::fs::write(store.path_for(2), &old).unwrap();
     let policy = CheckpointPolicy { every: 0, keep: 3 };
     let out = run_with(&b, &run_cfg(), Hooks::default().durable(&store, policy))
         .expect("a fresh run")
@@ -246,9 +249,20 @@ fn a_version_1_image_is_refused_typed() {
     assert_eq!(out.restore.skipped.len(), 1, "{}", out.restore);
     assert_eq!(
         out.restore.skipped[0].error,
-        CkptError::UnsupportedVersion(1)
+        CkptError::UnsupportedVersion(version)
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_version_1_image_is_refused_typed() {
+    assert_refused_typed(1);
+}
+
+/// The image of the same run with the history stored as `f64`.
+#[test]
+fn a_version_2_image_is_refused_typed() {
+    assert_refused_typed(2);
 }
 
 // ---------------------------------------------------------------------------
