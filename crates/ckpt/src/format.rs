@@ -32,10 +32,12 @@ pub const MAGIC: [u8; 8] = *b"HSCKPT\r\n";
 /// images were written under another summation order of the matrix-free
 /// operator (and under fingerprints that left out the node model and the
 /// integrity configuration); version 2 images store the predictor history
-/// as `f64` and keep one under the serial schedule. Either parses, but a
-/// run resumed from one would not continue bitwise, so both are refused
-/// like a newer version.
-pub(crate) const VERSION: u32 = 3;
+/// as `f64` and keep one under the serial schedule; version 3 images store
+/// the serving stats as one field per counter and a sample per tick and
+/// per lane step. A run resumed from a version 1 or 2 image would not
+/// continue bitwise, and a version 3 serving image does not decode, so all
+/// three are refused like a newer version.
+pub(crate) const VERSION: u32 = 4;
 
 const END_TAG: [u8; 4] = *b"END\0";
 

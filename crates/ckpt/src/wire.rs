@@ -2,7 +2,7 @@
 //!
 //! A type that crosses a checkpoint boundary says *once* how it is laid out
 //! — a [`wire_struct!`](crate::wire_struct) field list in wire order, a
-//! [`wire_code!`](crate::wire_code) for a `code()`/`from_code()` enum, a
+//! [`wire_code!`](crate::wire_code) variant ↔ code list for an enum, a
 //! [`wire_newtype!`](crate::wire_newtype) for an id wrapper — and gets both
 //! directions from that one list. The expansion destructures the struct
 //! exhaustively on the way out and builds it with a `..`-free literal on the
@@ -19,6 +19,7 @@
 //! | `bool`                       | one byte, `0` or `1` (else `Corrupt`)   |
 //! | `Option<T>`                  | `bool` tag, then `T` if `Some`          |
 //! | `Vec<T>` / `VecDeque<T>`     | `u64` length, then the items            |
+//! | `[T; N]`                     | the `N` items, no length                |
 //! | `String`                     | `u64` length, then UTF-8 bytes          |
 //! | `(A, B, ..)`, `wire_struct!` | the parts in order, no framing          |
 //!
@@ -236,6 +237,25 @@ impl Wire for String {
     }
 }
 
+/// The items in order, no length prefix: `N` is part of the type. (An
+/// empty array writes nothing; its minimum stays 1 so that it never
+/// divides a length bound by zero.)
+impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+    const MIN_WIRE_BYTES: usize = if N == 0 { 1 } else { N * T::MIN_WIRE_BYTES };
+
+    fn put(&self, enc: &mut Enc) {
+        T::put_items(self, enc);
+    }
+
+    fn get(dec: &mut Dec<'_>) -> Result<Self, CkptError> {
+        let mut out = [T::default(); N];
+        for v in &mut out {
+            *v = T::get(dec)?;
+        }
+        Ok(out)
+    }
+}
+
 macro_rules! wire_tuple {
     ($($name:ident)+) => {
         impl<$($name: Wire),+> Wire for ($($name,)+) {
@@ -317,12 +337,50 @@ macro_rules! wire_struct {
     };
 }
 
-/// [`Wire`] for an enum with stable `code() -> u8` / `from_code(u8) ->
-/// Option<Self>` methods: one byte; an unknown code is
+/// [`Wire`] for an enum from its variant ↔ code list: one byte per value.
+///
+/// ```
+/// # use hetsolve_ckpt::{wire_code, Wire, Enc, Dec};
+/// #[derive(Debug, Clone, Copy, PartialEq)]
+/// enum Side { Left, Pair(bool) }
+/// wire_code!(Side, "side" { Left = 0, Pair(false) = 1, Pair(true) = 2 });
+///
+/// let mut enc = Enc::new();
+/// Side::Pair(true).put(&mut enc);
+/// let bytes = enc.into_bytes();
+/// assert_eq!(bytes, [2]);
+/// assert_eq!(Side::get(&mut Dec::new(&bytes)).unwrap(), Side::Pair(true));
+/// assert!(Side::get(&mut Dec::new(&[3])).is_err());
+/// ```
+///
+/// The list generates the private `code()` / `from_code()` pair the
+/// impl uses; `code` matches exhaustively, so a variant left out of the
+/// list does not compile. Codes are append-only: a value never changes
+/// meaning across format versions. An unknown code is
 /// [`CkptError::Corrupt`] naming `$what`.
 #[macro_export]
 macro_rules! wire_code {
-    ($ty:ty, $what:literal) => {
+    ($ty:ty, $what:literal {
+        $($variant:ident $(($($arg:tt)+))? = $code:literal),+ $(,)?
+    }) => {
+        impl $ty {
+            /// Stable wire code (append-only).
+            fn code(&self) -> u8 {
+                match self {
+                    $(Self::$variant $(($($arg)+))? => $code,)+
+                }
+            }
+
+            /// Inverse of `code`; `None` for an unknown code (a corrupt or
+            /// future-version image).
+            fn from_code(code: u8) -> Option<Self> {
+                match code {
+                    $($code => Some(Self::$variant $(($($arg)+))?),)+
+                    _ => None,
+                }
+            }
+        }
+
         impl $crate::Wire for $ty {
             const MIN_WIRE_BYTES: usize = 1;
 
@@ -395,15 +453,7 @@ mod tests {
         Cold,
         Warm,
     }
-    impl Kind {
-        fn code(&self) -> u8 {
-            *self as u8
-        }
-        fn from_code(code: u8) -> Option<Self> {
-            [Kind::Cold, Kind::Warm].get(code as usize).copied()
-        }
-    }
-    wire_code!(Kind, "kind");
+    wire_code!(Kind, "kind" { Cold = 0, Warm = 1 });
 
     /// A ring that must never hold more than `cap` items: decoded through
     /// its checking constructor.
@@ -461,6 +511,11 @@ mod tests {
         let back: Sample = decode(&got).unwrap();
         assert_eq!(bytes_of(&back), got, "bitwise, NaN payload included");
         assert_eq!(Sample::MIN_WIRE_BYTES, 8 + 8 + 1 + 8 + 1 + 8 + 8);
+        // an array is its items with no length, like a struct's fields
+        let counts = [3usize, 0, 7];
+        assert_eq!(bytes_of(&counts), bytes_of(&(3usize, 0usize, 7usize)));
+        assert_eq!(decode::<[usize; 3]>(&bytes_of(&counts)), Ok(counts));
+        assert_eq!(<[usize; 3]>::MIN_WIRE_BYTES, 24);
     }
 
     #[test]
@@ -540,6 +595,7 @@ mod tests {
         let _ = decode::<Option<Vec<f64>>>(bytes);
         let _ = decode::<Vec<Vec<f64>>>(bytes);
         let _ = decode::<Vec<Vec<f32>>>(bytes);
+        let _ = decode::<Vec<[usize; 3]>>(bytes);
         let _ = decode::<Vec<String>>(bytes);
         let _ = decode::<VecDeque<(usize, u32)>>(bytes);
         let _ = decode::<Vec<Option<(Id, Sample)>>>(bytes);

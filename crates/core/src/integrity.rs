@@ -115,36 +115,17 @@ impl CorruptTarget {
             CorruptTarget::Operator => "operator",
         }
     }
-
-    /// Stable wire code for checkpoint encoding (append-only).
-    pub(crate) fn code(&self) -> u8 {
-        match self {
-            CorruptTarget::State(StateField::U) => 0,
-            CorruptTarget::State(StateField::V) => 1,
-            CorruptTarget::State(StateField::A) => 2,
-            CorruptTarget::AdamsHistory => 3,
-            CorruptTarget::BasisHistory => 4,
-            CorruptTarget::Rhs => 5,
-            CorruptTarget::Operator => 6,
-        }
-    }
-
-    /// Inverse of [`CorruptTarget::code`]; `None` for unknown codes.
-    pub(crate) fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => CorruptTarget::State(StateField::U),
-            1 => CorruptTarget::State(StateField::V),
-            2 => CorruptTarget::State(StateField::A),
-            3 => CorruptTarget::AdamsHistory,
-            4 => CorruptTarget::BasisHistory,
-            5 => CorruptTarget::Rhs,
-            6 => CorruptTarget::Operator,
-            _ => return None,
-        })
-    }
 }
 
-hetsolve_ckpt::wire_code!(CorruptTarget, "corruption-target");
+hetsolve_ckpt::wire_code!(CorruptTarget, "corruption-target" {
+    State(StateField::U) = 0,
+    State(StateField::V) = 1,
+    State(StateField::A) = 2,
+    AdamsHistory = 3,
+    BasisHistory = 4,
+    Rhs = 5,
+    Operator = 6,
+});
 
 /// Which ladder rung repaired a detected corruption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,34 +158,16 @@ impl CorruptionAction {
             CorruptionAction::Evicted => "evicted",
         }
     }
-
-    /// Stable wire code for checkpoint encoding (append-only).
-    pub(crate) fn code(&self) -> u8 {
-        match self {
-            CorruptionAction::RestoredState => 0,
-            CorruptionAction::RecomputedRhs => 1,
-            CorruptionAction::RebuiltOperator => 2,
-            CorruptionAction::ResetPredictor => 3,
-            CorruptionAction::RestartedLane => 4,
-            CorruptionAction::Evicted => 5,
-        }
-    }
-
-    /// Inverse of [`CorruptionAction::code`]; `None` for unknown codes.
-    pub(crate) fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => CorruptionAction::RestoredState,
-            1 => CorruptionAction::RecomputedRhs,
-            2 => CorruptionAction::RebuiltOperator,
-            3 => CorruptionAction::ResetPredictor,
-            4 => CorruptionAction::RestartedLane,
-            5 => CorruptionAction::Evicted,
-            _ => return None,
-        })
-    }
 }
 
-hetsolve_ckpt::wire_code!(CorruptionAction, "corruption-action");
+hetsolve_ckpt::wire_code!(CorruptionAction, "corruption-action" {
+    RestoredState = 0,
+    RecomputedRhs = 1,
+    RebuiltOperator = 2,
+    ResetPredictor = 3,
+    RestartedLane = 4,
+    Evicted = 5,
+});
 
 /// One corruption the integrity layer detected and repaired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -69,8 +69,8 @@ pub use ensemble::{
 };
 pub use integrity::{crc_f64s, CorruptTarget, CorruptionAction, CorruptionReport, IntegrityConfig};
 pub use methods::{
-    driver_cg_config, run, run_with, Hooks, MethodKind, RunConfig, RunResult, StepRecord,
-    WindowPolicy,
+    check_fused_width, driver_cg_config, run, run_with, Hooks, MethodKind, RunConfig, RunResult,
+    StepRecord, WindowPolicy,
 };
 pub use multinode::{LocalPart, PartitionMetrics, PartitionedProblem};
 pub use nonlinear_run::{run_nonlinear, NonlinearResult, NonlinearStepRecord};

@@ -483,8 +483,9 @@ pub(crate) struct RunCtx<'a> {
 }
 
 /// Typed [`RunError::Config`] unless the EBE operator has a fused kernel
-/// for `r` right-hand sides per set; every driver that applies it checks.
-pub(crate) fn check_fused_width(r: usize) -> Result<(), RunError> {
+/// for `r` right-hand sides per set; every driver that applies it checks,
+/// and the serving layer refuses requests it could not solve.
+pub fn check_fused_width(r: usize) -> Result<(), RunError> {
     if matches!(r, 1 | 2 | 4 | 8) {
         return Ok(());
     }

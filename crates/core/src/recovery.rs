@@ -47,28 +47,13 @@ impl GuessSource {
             GuessSource::Zero => "zero",
         }
     }
-
-    /// Stable wire code for checkpoint encoding (append-only).
-    pub(crate) fn code(&self) -> u8 {
-        match self {
-            GuessSource::DataDriven => 0,
-            GuessSource::AdamsBashforth => 1,
-            GuessSource::Zero => 2,
-        }
-    }
-
-    /// Inverse of [`GuessSource::code`]; `None` for unknown codes.
-    pub(crate) fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => GuessSource::DataDriven,
-            1 => GuessSource::AdamsBashforth,
-            2 => GuessSource::Zero,
-            _ => return None,
-        })
-    }
 }
 
-hetsolve_ckpt::wire_code!(GuessSource, "guess-source");
+hetsolve_ckpt::wire_code!(GuessSource, "guess-source" {
+    DataDriven = 0,
+    AdamsBashforth = 1,
+    Zero = 2,
+});
 
 /// One recovery performed by the ladder: the step survived, on a downgraded
 /// guess.

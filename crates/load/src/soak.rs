@@ -8,7 +8,7 @@
 //! shed and deadline misses, exactly what the QoS layer is supposed to
 //! produce, never as generator back-pressure.
 
-use hetsolve_obs::{Json, ServeStats};
+use hetsolve_obs::{Json, ServeCounter, ServeStats};
 use hetsolve_serve::{AdmitError, ClusterServer, EnsembleServer};
 
 use crate::gen::ArrivalLog;
@@ -99,7 +99,7 @@ impl SoakReport {
             .iter()
             .map(|t| TenantLatency {
                 tenant: t.tenant,
-                completed: t.completed,
+                completed: t.count(ServeCounter::Completed) as u64,
                 served_steps: t.served_steps,
                 p50_s: t.latency.quantile(0.50),
                 p99_s: t.latency.quantile(0.99),
@@ -112,13 +112,13 @@ impl SoakReport {
             admitted,
             rejected,
             shed,
-            completed: stats.completed(),
-            evicted: stats.evicted(),
-            shed_early: stats.shed_early(),
-            deadline_miss: stats.deadline_miss(),
+            completed: stats.count(ServeCounter::Completed),
+            evicted: stats.count(ServeCounter::Evicted),
+            shed_early: stats.count(ServeCounter::ShedEarly),
+            deadline_miss: stats.count(ServeCounter::DeadlineMiss),
             deadline_miss_rate: stats.deadline_miss_rate(),
-            slo_miss: stats.slo_miss(),
-            autoscale_events: stats.autoscale_events(),
+            slo_miss: stats.count(ServeCounter::SloMiss),
+            autoscale_events: stats.count(ServeCounter::AutoscaleEvents),
             peak_queue_depth,
             ticks,
             modeled_elapsed_s: stats.elapsed_s(),

@@ -49,7 +49,7 @@ pub use json::{parse_json, Json};
 pub use metrics::{MethodMetrics, MetricsSink, BENCH_SCHEMA};
 pub use observer::{NoopObserver, ResidualLog, SolveObserver, Termination};
 pub use registry::{LogHistogram, MetricsRegistry};
-pub use serve::{ServeStats, TenantStats};
+pub use serve::{ServeCounter, ServeStats, TenantStats};
 pub use trace::{
     flow_id_for_request, validate_lane_serialization, TraceBuilder, TraceEvent, TRACE_SCHEMA,
 };

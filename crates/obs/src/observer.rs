@@ -61,42 +61,19 @@ impl Termination {
     pub fn is_failure(&self) -> bool {
         !matches!(self, Termination::Converged)
     }
-
-    /// Stable wire code for checkpoint encoding. Codes are append-only:
-    /// existing values never change meaning across format versions.
-    pub(crate) fn code(&self) -> u8 {
-        match self {
-            Termination::Converged => 0,
-            Termination::MaxIter => 1,
-            Termination::Breakdown => 2,
-            Termination::NanResidual => 3,
-            Termination::Stagnation => 4,
-            Termination::RhoBreakdown => 5,
-            Termination::DivergentGuess => 6,
-            Termination::ResidualDrift => 7,
-            Termination::NormExploded => 8,
-        }
-    }
-
-    /// Inverse of [`Termination::code`]; `None` for unknown codes (a
-    /// corrupt or future-version checkpoint).
-    pub(crate) fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => Termination::Converged,
-            1 => Termination::MaxIter,
-            2 => Termination::Breakdown,
-            3 => Termination::NanResidual,
-            4 => Termination::Stagnation,
-            5 => Termination::RhoBreakdown,
-            6 => Termination::DivergentGuess,
-            7 => Termination::ResidualDrift,
-            8 => Termination::NormExploded,
-            _ => return None,
-        })
-    }
 }
 
-hetsolve_ckpt::wire_code!(Termination, "termination");
+hetsolve_ckpt::wire_code!(Termination, "termination" {
+    Converged = 0,
+    MaxIter = 1,
+    Breakdown = 2,
+    NanResidual = 3,
+    Stagnation = 4,
+    RhoBreakdown = 5,
+    DivergentGuess = 6,
+    ResidualDrift = 7,
+    NormExploded = 8,
+});
 
 /// Observer hooks called by the CG solvers. `rel_res` carries one relative
 /// residual per fused case (length 1 for single-RHS `pcg`); the slice is

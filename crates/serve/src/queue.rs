@@ -42,6 +42,10 @@ pub enum RejectReason {
     /// false against everything, so the request would neither expire nor
     /// be shed as unmeetable. Rejected typed at the door instead.
     NonFiniteInput,
+    /// The server's fused width `r` has no EBE-MCG kernel (only 1, 2, 4
+    /// and 8 do): every request would fail at its first step, so none is
+    /// admitted.
+    UnsupportedWidth,
 }
 
 impl RejectReason {
@@ -53,6 +57,7 @@ impl RejectReason {
             RejectReason::UnknownTenant => "unknown_tenant",
             RejectReason::ZeroQuota => "zero_quota",
             RejectReason::NonFiniteInput => "non_finite_input",
+            RejectReason::UnsupportedWidth => "unsupported_width",
         }
     }
 }

@@ -151,36 +151,17 @@ impl RequestState {
                 | RequestState::Migrated
         )
     }
-
-    /// Stable wire code for checkpoint encoding (append-only).
-    pub(crate) fn code(&self) -> u8 {
-        match self {
-            RequestState::Queued => 0,
-            RequestState::Batched => 1,
-            RequestState::Solving => 2,
-            RequestState::Done => 3,
-            RequestState::Failed => 4,
-            RequestState::Evicted => 5,
-            RequestState::Migrated => 6,
-        }
-    }
-
-    /// Inverse of [`RequestState::code`]; `None` for unknown codes.
-    pub(crate) fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => RequestState::Queued,
-            1 => RequestState::Batched,
-            2 => RequestState::Solving,
-            3 => RequestState::Done,
-            4 => RequestState::Failed,
-            5 => RequestState::Evicted,
-            6 => RequestState::Migrated,
-            _ => return None,
-        })
-    }
 }
 
-wire_code!(RequestState, "request-state");
+wire_code!(RequestState, "request-state" {
+    Queued = 0,
+    Batched = 1,
+    Solving = 2,
+    Done = 3,
+    Failed = 4,
+    Evicted = 5,
+    Migrated = 6,
+});
 
 /// Why an `Evicted` request was removed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,34 +199,16 @@ impl EvictReason {
             EvictReason::Corruption => "corruption",
         }
     }
-
-    /// Stable wire code for checkpoint encoding (append-only).
-    pub(crate) fn code(&self) -> u8 {
-        match self {
-            EvictReason::DeadlineExpired => 0,
-            EvictReason::Injected => 1,
-            EvictReason::Watchdog => 2,
-            EvictReason::NodeLost => 3,
-            EvictReason::DeadlineUnmeetable => 4,
-            EvictReason::Corruption => 5,
-        }
-    }
-
-    /// Inverse of [`EvictReason::code`]; `None` for unknown codes.
-    pub(crate) fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => EvictReason::DeadlineExpired,
-            1 => EvictReason::Injected,
-            2 => EvictReason::Watchdog,
-            3 => EvictReason::NodeLost,
-            4 => EvictReason::DeadlineUnmeetable,
-            5 => EvictReason::Corruption,
-            _ => return None,
-        })
-    }
 }
 
-wire_code!(EvictReason, "evict-reason");
+wire_code!(EvictReason, "evict-reason" {
+    DeadlineExpired = 0,
+    Injected = 1,
+    Watchdog = 2,
+    NodeLost = 3,
+    DeadlineUnmeetable = 4,
+    Corruption = 5,
+});
 
 /// Everything the server remembers about one admitted request.
 #[derive(Debug, Clone)]

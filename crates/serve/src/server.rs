@@ -28,15 +28,15 @@
 use std::path::PathBuf;
 
 use hetsolve_core::{
-    Backend, CaseSlot, CorruptionReport, MethodKind, RecoveryEvent, RunConfig, SlotState,
-    WindowPolicy, TID_CPU, TID_GPU, TID_LINK,
+    check_fused_width, Backend, CaseSlot, CorruptionReport, MethodKind, RecoveryEvent, RunConfig,
+    SlotState, WindowPolicy, TID_CPU, TID_GPU, TID_LINK,
 };
 use hetsolve_core::{Fate, SetSpec, SetStep};
 use hetsolve_fault::{AdmissionFault, FaultKind, FaultLane, FaultPlan, FaultSite};
 use hetsolve_machine::{LaneKind, ModuleClock, NodeSpec, SystemClock, WallClock};
 use hetsolve_obs::{
-    flow_id_for_request, names, FlightRecorder, Json, MetricsRegistry, ServeStats, TraceBuilder,
-    DEFAULT_FLIGHT_CAPACITY,
+    flow_id_for_request, names, FlightRecorder, Json, MetricsRegistry, ServeCounter, ServeStats,
+    TraceBuilder, DEFAULT_FLIGHT_CAPACITY,
 };
 
 use crate::batcher::{BatchPolicy, Batcher, CompatKey};
@@ -58,6 +58,47 @@ const SDC_RESTART_AFTER: u32 = 3;
 /// SDC ladder rung 3: corruption recurring even after the lane restart —
 /// evict the lane's columns rather than serve a possibly-wrong answer.
 const SDC_EVICT_AFTER: u32 = 4;
+
+/// The refusal an injected admission fault at admission `index` turns
+/// into, if one fires; `queued` is `(depth, capacity)` for the shed error.
+pub(crate) fn admission_fault(
+    faults: &mut FaultPlan,
+    index: usize,
+    (queued, capacity): (usize, usize),
+) -> Option<AdmitError> {
+    match faults.inject(FaultSite::Admission { index }) {
+        Some(FaultKind::Admission {
+            fault: AdmissionFault::Reject,
+            ..
+        }) => Some(AdmitError::Rejected(RejectReason::FaultInjected)),
+        Some(FaultKind::Admission {
+            fault: AdmissionFault::Shed,
+            ..
+        }) => Some(AdmitError::ShedLoad { queued, capacity }),
+        _ => None,
+    }
+}
+
+/// Count one refused admission — once, in the aggregate and `tenant`'s
+/// row — and leave it in the flight ring; returns the error for the
+/// caller.
+pub(crate) fn refuse(
+    stats: &mut ServeStats,
+    flight: &mut FlightRecorder,
+    now: f64,
+    tenant: TenantId,
+    err: AdmitError,
+) -> AdmitError {
+    let (counter, kind) = match err {
+        AdmitError::Rejected(_) => (ServeCounter::Rejected, "admit_rejected"),
+        AdmitError::ShedLoad { .. } | AdmitError::TenantShed { .. } => {
+            (ServeCounter::Shed, "admit_shed")
+        }
+    };
+    stats.record_for(counter, tenant.0);
+    flight.record(now, kind, None, None, None, err.to_string());
+    err
+}
 
 /// Serving-layer configuration.
 #[derive(Debug, Clone)]
@@ -301,104 +342,60 @@ impl<'b> EnsembleServer<'b> {
 
     /// Submit a request. Validation failures are typed
     /// ([`AdmitError::Rejected`]); a full queue sheds load
-    /// ([`AdmitError::ShedLoad`]). Admitted requests start `Queued`.
+    /// ([`AdmitError::ShedLoad`]). Admitted requests start `Queued`. A
+    /// refusal is counted once, in the aggregate and the tenant's row.
     pub fn admit(&mut self, request: SolveRequest) -> Result<RequestId, AdmitError> {
         let index = self.admissions;
         self.admissions += 1;
+        let queued = (self.queue.len(), self.queue.capacity());
+        let outcome = match admission_fault(&mut self.faults, index, queued) {
+            Some(e) => Err(e),
+            None => self.place(request),
+        };
+        let now = self.clock.elapsed();
+        outcome.map_err(|e| refuse(&mut self.stats, &mut self.flight, now, request.tenant, e))
+    }
+
+    /// Validate `request` and queue it, counting nothing on refusal: the
+    /// caller owns the outcome ([`Self::admit`], or the cluster router
+    /// placing and moving requests between shards).
+    pub(crate) fn place(&mut self, request: SolveRequest) -> Result<RequestId, AdmitError> {
         let now = self.clock.elapsed();
         let tenant = request.tenant;
-        match self.faults.inject(FaultSite::Admission { index }) {
-            Some(FaultKind::Admission {
-                fault: AdmissionFault::Reject,
-                ..
-            }) => {
-                self.stats.record_rejection();
-                self.stats.tenant_rejection(tenant.0);
-                self.flight
-                    .record(now, "admit_rejected", None, None, None, "fault injected");
-                return Err(AdmitError::Rejected(RejectReason::FaultInjected));
-            }
-            Some(FaultKind::Admission {
-                fault: AdmissionFault::Shed,
-                ..
-            }) => {
-                self.stats.record_shed();
-                self.stats.tenant_shed(tenant.0);
-                self.flight
-                    .record(now, "admit_shed", None, None, None, "fault injected");
-                return Err(AdmitError::ShedLoad {
-                    queued: self.queue.len(),
-                    capacity: self.queue.capacity(),
-                });
-            }
-            _ => {}
+        let reject = |reason| Err(AdmitError::Rejected(reason));
+        if check_fused_width(self.cfg.run.r).is_err() {
+            return reject(RejectReason::UnsupportedWidth);
         }
         if request.n_steps == 0 {
-            self.stats.record_rejection();
-            self.stats.tenant_rejection(tenant.0);
-            self.flight
-                .record(now, "admit_rejected", None, None, None, "zero steps");
-            return Err(AdmitError::Rejected(RejectReason::ZeroSteps));
+            return reject(RejectReason::ZeroSteps);
         }
         if request.deadline.is_some_and(|d| !d.is_finite()) {
             // a NaN/inf deadline would compare false against every clock
             // reading — never expiring, never shed as unmeetable
-            self.stats.record_rejection();
-            self.stats.tenant_rejection(tenant.0);
-            self.flight.record(
-                now,
-                "admit_rejected",
-                None,
-                None,
-                None,
-                "non-finite deadline",
-            );
-            return Err(AdmitError::Rejected(RejectReason::NonFiniteInput));
+            return reject(RejectReason::NonFiniteInput);
         }
         let tol = request.tol.unwrap_or(self.cfg.run.tol);
         if !tol.is_finite() || tol <= 0.0 {
-            self.stats.record_rejection();
-            self.stats.tenant_rejection(tenant.0);
-            self.flight
-                .record(now, "admit_rejected", None, None, None, "invalid tol");
-            return Err(AdmitError::Rejected(RejectReason::InvalidTol));
+            return reject(RejectReason::InvalidTol);
         }
         if let Some(qos) = &self.cfg.qos {
             match qos.quota(tenant) {
-                None => {
-                    self.stats.record_rejection();
-                    self.stats.tenant_rejection(tenant.0);
-                    self.flight
-                        .record(now, "admit_rejected", None, None, None, "unknown tenant");
-                    return Err(AdmitError::Rejected(RejectReason::UnknownTenant));
-                }
-                Some(q) if q.weight == 0 => {
-                    // a zero-weight tenant can never win a DRR round —
-                    // reject typed instead of admitting into starvation
-                    self.stats.record_rejection();
-                    self.stats.tenant_rejection(tenant.0);
-                    self.flight
-                        .record(now, "admit_rejected", None, None, None, "zero quota");
-                    return Err(AdmitError::Rejected(RejectReason::ZeroQuota));
-                }
+                None => return reject(RejectReason::UnknownTenant),
+                // a zero-weight tenant can never win a DRR round —
+                // reject typed instead of admitting into starvation
+                Some(q) if q.weight == 0 => return reject(RejectReason::ZeroQuota),
                 Some(_) => {}
             }
         }
         let id = RequestId(self.records.len() as u64);
-        if let Err(e) = self.queue.push(
+        self.queue.push(
             id,
             CompatKey::from_tol(tol),
             request.priority,
             request.deadline,
             tenant,
             request.n_steps.min(u32::MAX as usize) as u32,
-        ) {
-            self.stats.record_shed();
-            self.stats.tenant_shed(tenant.0);
-            self.flight
-                .record(now, "admit_shed", Some(id.0), None, None, "queue full");
-            return Err(e);
-        }
+        )?;
         self.records.push(RequestRecord {
             id,
             request,
@@ -469,7 +466,7 @@ impl<'b> EnsembleServer<'b> {
         for id in self.queue.expire(now) {
             self.evict(id, EvictReason::DeadlineExpired, now, None);
             let t = self.records[id.0 as usize].request.tenant.0;
-            self.stats.tenant_deadline_miss(t);
+            self.stats.record_for(ServeCounter::DeadlineMiss, t);
             dump_eviction = true;
         }
         // ShedLoad re-evaluation: a queued request whose remaining steps
@@ -478,9 +475,9 @@ impl<'b> EnsembleServer<'b> {
         // can still win
         for id in self.queue.shed_unmeetable(now, self.step_floor) {
             self.evict(id, EvictReason::DeadlineUnmeetable, now, None);
-            self.stats.record_shed_early();
+            self.stats.record(ServeCounter::ShedEarly);
             let t = self.records[id.0 as usize].request.tenant.0;
-            self.stats.tenant_deadline_miss(t);
+            self.stats.record_for(ServeCounter::DeadlineMiss, t);
             dump_eviction = true;
         }
         for lane in 0..self.batcher.n_lanes() {
@@ -628,13 +625,12 @@ impl<'b> EnsembleServer<'b> {
         }
         let depth = self.queue.len();
         if depth > a.scale_up_queue_per_lane * lanes && lanes < a.max_lanes {
-            let li = self.batcher.add_lane();
+            self.batcher.add_lane();
             let r = self.batcher.width();
             self.slots.push((0..r).map(|_| None).collect());
             self.watchdog_breach.push(0);
             self.sdc_breach.push(0);
             self.lane_ckpt.push((0..r).map(|_| None).collect());
-            let _ = li;
             self.record_scale_event(ScaleDirection::Up, now);
             return;
         }
@@ -667,7 +663,7 @@ impl<'b> EnsembleServer<'b> {
         };
         self.autoscaler.cooldown = a.cooldown_ticks;
         self.autoscaler.events += 1;
-        self.stats.record_autoscale();
+        self.stats.record(ServeCounter::AutoscaleEvents);
         self.scale_events.push(AutoscaleEvent {
             tick: self.ticks as u64,
             direction,
@@ -844,7 +840,7 @@ impl<'b> EnsembleServer<'b> {
                 Fate::Failed(_) => {
                     let failed_at = self.clock.elapsed();
                     self.release(lane, k, id, RequestState::Failed, failed_at);
-                    self.stats.record_failure();
+                    self.stats.record(ServeCounter::Failed);
                     self.flight.record(
                         failed_at,
                         "failed",
@@ -862,7 +858,7 @@ impl<'b> EnsembleServer<'b> {
                     // wrong answers)
                     let at = self.clock.elapsed();
                     self.evict(id, EvictReason::Corruption, at, Some((lane, k)));
-                    self.stats.record_sdc_eviction();
+                    self.stats.record(ServeCounter::SdcEvictions);
                     continue;
                 }
                 Fate::Pending | Fate::Advanced { .. } => {}
@@ -885,11 +881,11 @@ impl<'b> EnsembleServer<'b> {
                 let req = self.records[id.0 as usize].request;
                 let latency = done_at - self.records[id.0 as usize].admitted_at;
                 self.records[id.0 as usize].result = result;
-                self.stats.record_completion(latency);
                 self.stats
-                    .tenant_completion(req.tenant.0, latency, req.n_steps as u64);
+                    .record_completion(req.tenant.0, latency, req.n_steps as u64);
                 if req.deadline.is_some_and(|d| done_at > d) {
-                    self.stats.tenant_deadline_miss(req.tenant.0);
+                    self.stats
+                        .record_for(ServeCounter::DeadlineMiss, req.tenant.0);
                 }
                 if let Some(slo) = self
                     .cfg
@@ -899,7 +895,7 @@ impl<'b> EnsembleServer<'b> {
                     .and_then(|q| q.slo_latency_s)
                 {
                     if latency > slo {
-                        self.stats.tenant_slo_miss(req.tenant.0);
+                        self.stats.record_for(ServeCounter::SloMiss, req.tenant.0);
                     }
                 }
                 self.flight.record(
@@ -988,7 +984,7 @@ impl<'b> EnsembleServer<'b> {
             let breach = self.sdc_breach[lane];
             let now = self.clock.elapsed();
             for rep in &lane_corruptions {
-                self.stats.record_sdc_detection();
+                self.stats.record(ServeCounter::SdcDetected);
                 self.flight.record(
                     now,
                     "sdc_recovered",
@@ -1000,7 +996,7 @@ impl<'b> EnsembleServer<'b> {
             }
             if breach == SDC_RESTART_AFTER {
                 let restored = self.restart_lane(lane);
-                self.stats.record_sdc_restart();
+                self.stats.record(ServeCounter::SdcRestarts);
                 self.flight.record(
                     now,
                     "sdc_restart",
@@ -1010,9 +1006,9 @@ impl<'b> EnsembleServer<'b> {
                     format!("breach {breach}: {restored} column(s) rolled back"),
                 );
             } else if breach >= SDC_EVICT_AFTER {
-                let evicted = self.evict_lane_with(lane, EvictReason::Corruption);
+                let evicted = self.evict_lane(lane, EvictReason::Corruption);
                 for _ in 0..evicted {
-                    self.stats.record_sdc_eviction();
+                    self.stats.record(ServeCounter::SdcEvictions);
                 }
                 self.sdc_breach[lane] = 0;
                 self.flight.record(
@@ -1053,7 +1049,7 @@ impl<'b> EnsembleServer<'b> {
         }
         self.watchdog_breach[lane] += 1;
         let breach = self.watchdog_breach[lane];
-        self.stats.record_watchdog_breach();
+        self.stats.record(ServeCounter::WatchdogBreaches);
         self.flight.record(
             self.clock.elapsed(),
             "watchdog_breach",
@@ -1072,11 +1068,11 @@ impl<'b> EnsembleServer<'b> {
             // rung 2: roll the lane back to its last checkpoint; the
             // breach counter persists so a still-stalled lane escalates
             let restored = self.restart_lane(lane);
-            self.stats.record_watchdog_restart();
+            self.stats.record(ServeCounter::WatchdogRestarts);
             WatchdogAction::RestartLane { restored }
         } else {
             // rung 3: give up on the lane entirely
-            let evicted = self.evict_lane(lane);
+            let evicted = self.evict_lane(lane, EvictReason::Watchdog);
             self.watchdog_breach[lane] = 0;
             WatchdogAction::EvictLane { evicted }
         };
@@ -1144,15 +1140,10 @@ impl<'b> EnsembleServer<'b> {
         restored
     }
 
-    /// Free every column of lane `lane`, marking its requests
-    /// `Evicted`/`Watchdog`; returns how many were evicted.
-    fn evict_lane(&mut self, lane: usize) -> usize {
-        self.evict_lane_with(lane, EvictReason::Watchdog)
-    }
-
-    /// [`Self::evict_lane`] with an explicit reason — the SDC ladder's
-    /// last rung evicts with [`EvictReason::Corruption`].
-    fn evict_lane_with(&mut self, lane: usize, reason: EvictReason) -> usize {
+    /// Free every column of lane `lane`, evicting its requests for
+    /// `reason` (the watchdog's or the SDC ladder's last rung); returns
+    /// how many were evicted.
+    fn evict_lane(&mut self, lane: usize, reason: EvictReason) -> usize {
         let now = self.clock.elapsed();
         let mut evicted = 0;
         for slot in 0..self.batcher.width() {
@@ -1193,9 +1184,8 @@ impl<'b> EnsembleServer<'b> {
             None => self.finish(id, RequestState::Evicted, at),
         }
         self.records[id.0 as usize].evict_reason = Some(reason);
-        self.stats.record_eviction();
         let tenant = self.records[id.0 as usize].request.tenant.0;
-        self.stats.tenant_eviction(tenant);
+        self.stats.record_for(ServeCounter::Evicted, tenant);
         let lane = column.map(|(lane, _)| lane);
         self.flight.record(
             at,

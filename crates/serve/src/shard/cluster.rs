@@ -35,15 +35,15 @@
 
 use hetsolve_ckpt::{mix64, ReplicaStore, RestoreReport};
 use hetsolve_core::Backend;
-use hetsolve_fault::{AdmissionFault, FaultKind, FaultPlan, FaultSite};
+use hetsolve_fault::{FaultKind, FaultPlan, FaultSite};
 use hetsolve_machine::{LaneKind, LinkTraffic};
-use hetsolve_obs::{names, FlightRecorder, MetricsRegistry, ServeStats};
+use hetsolve_obs::{names, FlightRecorder, MetricsRegistry, ServeCounter, ServeStats};
 
 use crate::batcher::CompatKey;
 use crate::checkpoint::{ServeFingerprint, ServerCheckpoint};
 use crate::queue::AdmitError;
 use crate::request::{EvictReason, RequestId, RequestRecord, RequestState, SolveRequest};
-use crate::server::{EnsembleServer, ServeConfig};
+use crate::server::{admission_fault, refuse, EnsembleServer, ServeConfig};
 
 /// Cluster-serving configuration: a per-shard [`ServeConfig`] template
 /// plus the distribution knobs.
@@ -127,8 +127,9 @@ pub struct ClusterServer<'b> {
     /// Tombstones for requests lost with an unrecoverable node, indexed
     /// like `routes` (`None` = the routed shard holds the live record).
     pub(crate) lost: Vec<Option<RequestRecord>>,
-    /// Cluster-level counters only (crashes, failovers, steals, and
-    /// router-side sheds); [`ClusterServer::stats`] merges shard stats in.
+    /// Cluster-level counters only (crashes, failovers, steals, every
+    /// admission refusal, node-lost evictions); [`ClusterServer::stats`]
+    /// merges shard stats in.
     pub(crate) cluster_stats: ServeStats,
     /// Modeled cross-node link traffic (steals + replica mirroring).
     pub(crate) traffic: LinkTraffic,
@@ -206,42 +207,42 @@ impl<'b> ClusterServer<'b> {
     /// the router walks its placement order, skipping shards that shed
     /// load, and returns the cluster-wide [`RequestId`]. A typed rejection
     /// (bad steps / tolerance) is final — it would fail identically on
-    /// every shard.
+    /// every shard. The outcome is counted once, here: a refusal in the
+    /// cluster's stats and the tenant's row, however many shards were
+    /// tried.
     pub fn admit(&mut self, request: SolveRequest) -> Result<RequestId, AdmitError> {
         let index = self.admissions;
         self.admissions += 1;
         let now = self.elapsed();
-        match self.faults.inject(FaultSite::Admission { index }) {
-            Some(FaultKind::Admission {
-                fault: AdmissionFault::Reject,
-                ..
-            }) => {
-                self.cluster_stats.record_rejection();
-                self.flight
-                    .record(now, "admit_rejected", None, None, None, "fault injected");
-                return Err(AdmitError::Rejected(
-                    crate::queue::RejectReason::FaultInjected,
-                ));
-            }
-            Some(FaultKind::Admission {
-                fault: AdmissionFault::Shed,
-                ..
-            }) => {
-                self.cluster_stats.record_shed();
-                self.flight
-                    .record(now, "admit_shed", None, None, None, "fault injected");
-                return Err(AdmitError::ShedLoad {
-                    queued: self.queue_depth(),
-                    capacity: self.cfg.serve.queue_capacity * self.shards.len(),
-                });
-            }
-            _ => {}
-        }
+        let queued = (self.queue_depth(), self.capacity());
+        let outcome = match admission_fault(&mut self.faults, index, queued) {
+            Some(e) => Err(e),
+            None => self.place(request, now),
+        };
+        outcome.map_err(|e| {
+            refuse(
+                &mut self.cluster_stats,
+                &mut self.flight,
+                now,
+                request.tenant,
+                e,
+            )
+        })
+    }
+
+    /// Queue capacity summed over the shards.
+    fn capacity(&self) -> usize {
+        self.cfg.serve.queue_capacity * self.shards.len()
+    }
+
+    /// Place `request` on the first shard in its placement order that
+    /// takes it.
+    fn place(&mut self, request: SolveRequest, now: f64) -> Result<RequestId, AdmitError> {
         let gid = self.routes.len() as u64;
         let key = CompatKey::from_tol(request.tol.unwrap_or(self.cfg.serve.run.tol));
         let mut last_shed = None;
         for &i in &self.placement_order(gid, key) {
-            match self.shards[i].admit(request) {
+            match self.shards[i].place(request) {
                 Ok(local) => {
                     self.routes.push(RouteEntry {
                         shard: i,
@@ -267,17 +268,9 @@ impl<'b> ClusterServer<'b> {
                 }
             }
         }
-        self.flight.record(
-            now,
-            "admit_shed",
-            Some(gid),
-            None,
-            Some(self.ticks as u64),
-            "every shard at capacity",
-        );
         Err(last_shed.unwrap_or(AdmitError::ShedLoad {
             queued: self.queue_depth(),
-            capacity: self.cfg.serve.queue_capacity * self.shards.len(),
+            capacity: self.capacity(),
         }))
     }
 
@@ -405,7 +398,7 @@ impl<'b> ClusterServer<'b> {
                 continue;
             };
             let request = self.shards[donor].records[donor_local.0 as usize].request;
-            match self.shards[thief].admit(request) {
+            match self.shards[thief].place(request) {
                 Ok(new_local) => {
                     let gid = self.gid_for(donor, donor_local.0);
                     let at = self.shards[donor].elapsed();
@@ -416,7 +409,7 @@ impl<'b> ClusterServer<'b> {
                         self.routes[gid].shard = thief;
                         self.routes[gid].local = new_local.0;
                     }
-                    self.cluster_stats.record_steal();
+                    self.cluster_stats.record(ServeCounter::Stolen);
                     let t = self
                         .traffic
                         .charge_steal(&self.cfg.serve.run.node, self.cfg.steal_bytes);
@@ -516,7 +509,7 @@ impl<'b> ClusterServer<'b> {
     fn failover(&mut self, node: usize) {
         let cfg = self.shards[node].config().clone();
         let dead_elapsed = self.shards[node].elapsed();
-        self.cluster_stats.record_node_crash();
+        self.cluster_stats.record(ServeCounter::NodeCrashes);
         self.flight.record(
             dead_elapsed,
             "node_crash",
@@ -555,7 +548,7 @@ impl<'b> ClusterServer<'b> {
                 shard.clock.stall(LaneKind::Link, t);
                 let recovery = (dead_elapsed - snap_elapsed).max(0.0) + t;
                 self.recovery_s.push(recovery);
-                self.cluster_stats.record_failover();
+                self.cluster_stats.record(ServeCounter::Failovers);
                 self.shards[node] = shard;
                 self.reconcile(node);
                 self.flight.record(
@@ -591,7 +584,7 @@ impl<'b> ClusterServer<'b> {
             if shard != node || local < snap_admitted {
                 continue;
             }
-            match self.shards[node].admit(request) {
+            match self.shards[node].place(request) {
                 Ok(new_local) => {
                     self.routes[gid].local = new_local.0;
                     self.flight.record(
@@ -664,7 +657,8 @@ impl<'b> ClusterServer<'b> {
             evict_reason: Some(EvictReason::NodeLost),
             result: None,
         });
-        self.cluster_stats.record_eviction();
+        let tenant = self.routes[gid].request.tenant.0;
+        self.cluster_stats.record_for(ServeCounter::Evicted, tenant);
         self.flight.record(
             now,
             "evicted",
@@ -676,7 +670,7 @@ impl<'b> ClusterServer<'b> {
     }
 
     /// Merged serving metrics: cluster-level counters (crashes,
-    /// failovers, steals, router sheds, node-lost evictions) plus every
+    /// failovers, steals, refusals, node-lost evictions) plus every
     /// shard's stats, with elapsed = the slowest shard (shards run
     /// concurrently). Built fresh on each call — [`ServeStats::merge`]
     /// sums counters, so merging is only valid into a fresh accumulator.

@@ -31,7 +31,7 @@ use hetsolve::ckpt::CheckpointStore;
 use hetsolve::fem::{FemProblem, RandomLoadSpec};
 use hetsolve::machine::{alps_node, single_gh200};
 use hetsolve::mesh::{GroundModelSpec, InterfaceShape};
-use hetsolve::obs::{names, Json, MetricsSink};
+use hetsolve::obs::{names, Json, MetricsSink, ServeCounter};
 use hetsolve::prelude::*;
 use hetsolve::serve::{ClusterConfig, ClusterServer, RequestId};
 
@@ -276,13 +276,13 @@ fn cluster_demo(shards: usize, kill_node: Option<usize>, kill_at: usize) {
     println!(
         "\n{:.2} cases/s, {} stolen, {} replica write(s), link time {:.3e} s",
         stats.cases_per_sec(),
-        stats.stolen(),
+        stats.count(ServeCounter::Stolen),
         cluster
             .metrics_registry()
             .counter(names::SERVE_REPLICA_WRITES_TOTAL),
         cluster.traffic().link_time_s,
     );
-    if stats.node_crashes() > 0 {
+    if stats.count(ServeCounter::NodeCrashes) > 0 {
         for (node, report) in cluster.failover_reports() {
             println!("node {node} crashed: restore scan {report}");
         }
@@ -290,12 +290,12 @@ fn cluster_demo(shards: usize, kill_node: Option<usize>, kill_at: usize) {
             Some(r) => println!(
                 "failover: restored on peer, recovery latency {r:.3e} modeled s, \
                  {} completed / {} evicted",
-                stats.completed(),
-                stats.evicted()
+                stats.count(ServeCounter::Completed),
+                stats.count(ServeCounter::Evicted)
             ),
             None => println!(
                 "failover impossible (no valid replica): {} request(s) evicted as node_lost",
-                stats.evicted()
+                stats.count(ServeCounter::Evicted)
             ),
         }
     }

@@ -14,6 +14,7 @@ use hetsolve::core::{
 use hetsolve::fault::FaultLane;
 use hetsolve::fem::FemProblem;
 use hetsolve::machine::ManualClock;
+use hetsolve::obs::ServeCounter;
 use hetsolve::prelude::*;
 use hetsolve::serve::{
     AutoscaleConfig, ClusterConfig, ClusterServer, EnsembleServer, EvictReason, QosConfig,
@@ -438,11 +439,18 @@ fn server_checkpoint_restores_counters_and_results_bitwise() {
     );
     // counters resume where the saved run left off — they must not reset
     assert_eq!(
-        restored.stats().queue_depth_samples(),
-        server.stats().queue_depth_samples()
+        restored.stats().to_json(),
+        server.stats().to_json(),
+        "every counter, running sum and histogram restores"
     );
-    assert_eq!(restored.stats().completed(), server.stats().completed());
-    assert_eq!(restored.stats().evicted(), server.stats().evicted());
+    assert_eq!(
+        restored.stats().count(ServeCounter::Completed),
+        server.stats().count(ServeCounter::Completed)
+    );
+    assert_eq!(
+        restored.stats().count(ServeCounter::Evicted),
+        server.stats().count(ServeCounter::Evicted)
+    );
     assert_eq!(restored.recoveries(), server.recoveries());
 
     server.run_until_idle();
@@ -457,8 +465,8 @@ fn server_checkpoint_restores_counters_and_results_bitwise() {
         assert_bitwise_eq(&[a.to_vec()], &[b.to_vec()], &format!("request {}", id.0));
     }
     assert_eq!(
-        restored.stats().completed(),
-        server.stats().completed(),
+        restored.stats().count(ServeCounter::Completed),
+        server.stats().count(ServeCounter::Completed),
         "completion counter continued from the snapshot"
     );
 }
@@ -694,9 +702,9 @@ fn watchdog_ladder_escalates_retry_restart_evict() {
     let rec = server.record(victim);
     assert_eq!(rec.state, RequestState::Evicted);
     assert_eq!(rec.evict_reason, Some(EvictReason::Watchdog));
-    assert_eq!(server.stats().watchdog_breaches(), 4);
-    assert_eq!(server.stats().watchdog_restarts(), 1);
-    assert_eq!(server.stats().evicted(), 1);
+    assert_eq!(server.stats().count(ServeCounter::WatchdogBreaches), 4);
+    assert_eq!(server.stats().count(ServeCounter::WatchdogRestarts), 1);
+    assert_eq!(server.stats().count(ServeCounter::Evicted), 1);
     assert_eq!(
         server.watchdog_events().len(),
         4,
@@ -724,7 +732,7 @@ fn healthy_run_under_watchdog_is_bitwise_unchanged() {
     plain.run_until_idle();
     supervised.run_until_idle();
     assert!(supervised.watchdog_events().is_empty());
-    assert_eq!(supervised.stats().watchdog_breaches(), 0);
+    assert_eq!(supervised.stats().count(ServeCounter::WatchdogBreaches), 0);
     assert_eq!(
         supervised.elapsed().to_bits(),
         plain.elapsed().to_bits(),
@@ -812,15 +820,23 @@ fn cluster_kill_any_node_at_any_boundary_recovers_bitwise() {
                 assert!(cluster.is_idle(), "{ctx}: cluster never drained");
 
                 let stats = cluster.stats();
-                assert_eq!(stats.node_crashes(), 1, "{ctx}: crash must fire");
                 assert_eq!(
-                    stats.failovers(),
+                    stats.count(ServeCounter::NodeCrashes),
+                    1,
+                    "{ctx}: crash must fire"
+                );
+                assert_eq!(
+                    stats.count(ServeCounter::Failovers),
                     1,
                     "{ctx}: restart-on-peer must succeed, not evict"
                 );
-                assert_eq!(stats.evicted(), 0, "{ctx}: eviction is last resort only");
                 assert_eq!(
-                    stats.completed(),
+                    stats.count(ServeCounter::Evicted),
+                    0,
+                    "{ctx}: eviction is last resort only"
+                );
+                assert_eq!(
+                    stats.count(ServeCounter::Completed),
                     requests.len(),
                     "{ctx}: every case completes exactly once"
                 );
@@ -875,9 +891,13 @@ fn cluster_torn_replica_falls_back_to_older_copy() {
     cluster.run_until_idle();
 
     let stats = cluster.stats();
-    assert_eq!(stats.node_crashes(), 1);
-    assert_eq!(stats.failovers(), 1, "fallback must restore, not evict");
-    assert_eq!(stats.evicted(), 0);
+    assert_eq!(stats.count(ServeCounter::NodeCrashes), 1);
+    assert_eq!(
+        stats.count(ServeCounter::Failovers),
+        1,
+        "fallback must restore, not evict"
+    );
+    assert_eq!(stats.count(ServeCounter::Evicted), 0);
 
     let reports = cluster.failover_reports();
     assert_eq!(reports.len(), 1);
@@ -930,13 +950,16 @@ fn cluster_all_replicas_torn_evicts_node_lost() {
     cluster.run_until_idle();
 
     let stats = cluster.stats();
-    assert_eq!(stats.node_crashes(), 1);
+    assert_eq!(stats.count(ServeCounter::NodeCrashes), 1);
     assert_eq!(
-        stats.failovers(),
+        stats.count(ServeCounter::Failovers),
         0,
         "no valid replica: restore must not fake success"
     );
-    assert!(stats.evicted() > 0, "the lost node's requests are evicted");
+    assert!(
+        stats.count(ServeCounter::Evicted) > 0,
+        "the lost node's requests are evicted"
+    );
     assert!(cluster.recovery_latencies().is_empty());
 
     let (_, report) = &cluster.failover_reports()[0];
@@ -965,7 +988,7 @@ fn cluster_all_replicas_torn_evicts_node_lost() {
             other => panic!("request {k} left in non-terminal state {other:?}"),
         }
     }
-    assert_eq!(done + stats.evicted(), requests.len());
+    assert_eq!(done + stats.count(ServeCounter::Evicted), requests.len());
     assert!(done > 0, "the surviving node's work must still complete");
     assert!(
         cluster.flight().events().any(|e| e.kind == "node_evicted"),
@@ -1009,21 +1032,28 @@ fn tenant_burst_sheds_typed_without_starving_other_tenants() {
     let stats = server.stats();
     let t1 = stats.tenant(1).expect("bursting tenant accounted");
     assert!(
-        t1.shed >= 56,
+        t1.count(ServeCounter::Shed) >= 56,
         "the flood past the queue share must shed typed (shed {})",
-        t1.shed
+        t1.count(ServeCounter::Shed)
     );
     assert!(
-        t1.completed > 0,
+        t1.count(ServeCounter::Completed) > 0,
         "burst requests inside the share still complete"
     );
     let t0 = stats.tenant(0).expect("victim tenant accounted");
-    assert_eq!(t0.completed, 6);
-    assert_eq!(t0.shed + t0.evicted, 0, "the victim tenant pays nothing");
+    assert_eq!(t0.count(ServeCounter::Completed), 6);
+    assert_eq!(
+        t0.count(ServeCounter::Shed) + t0.count(ServeCounter::Evicted),
+        0,
+        "the victim tenant pays nothing"
+    );
     // nothing vanishes untyped: 6 steady + 64 burst arrivals all land in
     // exactly one terminal counter
     assert_eq!(
-        stats.completed() + stats.shed() + stats.rejected() + stats.evicted(),
+        stats.count(ServeCounter::Completed)
+            + stats.count(ServeCounter::Shed)
+            + stats.count(ServeCounter::Rejected)
+            + stats.count(ServeCounter::Evicted),
         6 + 64
     );
 }

@@ -9,11 +9,11 @@
 
 use hetsolve::ckpt::mix64;
 use hetsolve::fem::FemProblem;
-use hetsolve::obs::names;
+use hetsolve::obs::{names, ServeCounter};
 use hetsolve::prelude::*;
 use hetsolve::serve::{
     ClusterConfig, ClusterServer, EnsembleServer, RequestId, RequestState, ServeConfig,
-    SolveRequest,
+    SolveRequest, TenantId,
 };
 
 fn backend() -> Backend {
@@ -200,10 +200,17 @@ fn stealing_rebalances_queued_work_without_touching_numerics() {
     cluster.run_until_idle();
 
     let stats = cluster.stats();
-    assert!(stats.stolen() > 0, "the idle node must steal");
-    assert_eq!(stats.completed(), ids.len(), "each case completes once");
+    assert!(
+        stats.count(ServeCounter::Stolen) > 0,
+        "the idle node must steal"
+    );
+    assert_eq!(
+        stats.count(ServeCounter::Completed),
+        ids.len(),
+        "each case completes once"
+    );
     let traffic = cluster.traffic();
-    assert_eq!(traffic.steal_msgs, stats.stolen() as u64);
+    assert_eq!(traffic.steal_msgs, stats.count(ServeCounter::Stolen) as u64);
     assert!(traffic.steal_bytes > 0.0);
     assert!(
         traffic.link_time_s > 0.0,
@@ -214,7 +221,7 @@ fn stealing_rebalances_queued_work_without_touching_numerics() {
         .events()
         .filter(|e| e.kind == "steal")
         .count();
-    assert_eq!(steal_events, stats.stolen());
+    assert_eq!(steal_events, stats.count(ServeCounter::Stolen));
     assert!(
         ids.iter().any(|&(_, cid)| cluster.route(cid).0 != keyed),
         "a stolen request's route must follow it to the thief"
@@ -254,7 +261,11 @@ fn partitioned_link_defers_replication_and_heals() {
             .events()
             .filter(|e| e.kind == "replica_skipped")
             .count();
-        (results, cluster.stats().completed(), skipped)
+        (
+            results,
+            cluster.stats().count(ServeCounter::Completed),
+            skipped,
+        )
     };
 
     let (plain, done_plain, skipped_plain) = run(FaultPlan::new(43));
@@ -303,8 +314,8 @@ fn cluster_checkpoint_round_trip_resumes_bitwise() {
     original.run_until_idle();
     restored.run_until_idle();
     assert_eq!(
-        original.stats().completed(),
-        restored.stats().completed(),
+        original.stats().count(ServeCounter::Completed),
+        restored.stats().count(ServeCounter::Completed),
         "completion counters must resume, not reset"
     );
     assert_eq!(
@@ -347,9 +358,13 @@ fn merged_cluster_stats_do_not_double_count() {
     cluster.run_until_idle();
 
     let merged = cluster.stats();
-    assert_eq!(merged.completed(), requests.len());
-    let shard_completed: usize = cluster.shards().iter().map(|s| s.stats().completed()).sum();
-    assert_eq!(merged.completed(), shard_completed);
+    assert_eq!(merged.count(ServeCounter::Completed), requests.len());
+    let shard_completed: usize = cluster
+        .shards()
+        .iter()
+        .map(|s| s.stats().count(ServeCounter::Completed))
+        .sum();
+    assert_eq!(merged.count(ServeCounter::Completed), shard_completed);
     let shard_latency_total: u64 = cluster
         .shards()
         .iter()
@@ -358,10 +373,17 @@ fn merged_cluster_stats_do_not_double_count() {
     assert_eq!(merged.latency().total(), shard_latency_total);
     assert_eq!(merged.latency().total(), requests.len() as u64);
     // steals are cluster-level events: counted once, never by a shard
-    let shard_stolen: usize = cluster.shards().iter().map(|s| s.stats().stolen()).sum();
+    let shard_stolen: usize = cluster
+        .shards()
+        .iter()
+        .map(|s| s.stats().count(ServeCounter::Stolen))
+        .sum();
     assert_eq!(shard_stolen, 0);
     // calling stats() again merges fresh — no accumulation drift
-    assert_eq!(cluster.stats().completed(), merged.completed());
+    assert_eq!(
+        cluster.stats().count(ServeCounter::Completed),
+        merged.count(ServeCounter::Completed)
+    );
     assert_eq!(
         merged.elapsed_s(),
         cluster.elapsed(),
@@ -395,4 +417,43 @@ fn metrics_registry_exports_cluster_series() {
         .expect("recovery histogram");
     assert_eq!(rec.total(), 1);
     assert!(rec.min() >= 0.0);
+}
+
+/// A refused admission is one outcome, counted once: the router tries
+/// every shard before it sheds, but the request is refused once — in the
+/// merged counters, the tenant's row and the exported registry alike. An
+/// injected refusal at the router reaches the tenant's row too.
+#[test]
+fn a_refused_admit_counts_once_however_many_shards_tried() {
+    let backend = backend();
+    let mut cfg = cluster_cfg(2);
+    cfg.serve.queue_capacity = 2;
+    let mut cluster = ClusterServer::new(&backend, cfg);
+    let refused = (0..6u64)
+        .filter(|&c| cluster.admit(SolveRequest::new(860 + c, 3)).is_err())
+        .count();
+    assert_eq!(refused, 2, "two shards of two queue slots take four");
+    let stats = cluster.stats();
+    assert_eq!(stats.count(ServeCounter::Shed), refused);
+    let tenant = stats.tenant(0).expect("tenant 0 accounted");
+    assert_eq!(tenant.count(ServeCounter::Shed), refused);
+    let reg = cluster.metrics_registry();
+    assert_eq!(
+        reg.counter(names::SERVE_REQUESTS_SHED_TOTAL),
+        refused as f64
+    );
+    assert_eq!(reg.counter(names::SERVE_REQUESTS_ADMITTED_TOTAL), 4.0);
+
+    let plan = FaultPlan::new(53).reject_admission(0).shed_admission(1);
+    let mut cluster = ClusterServer::with_faults(&backend, cluster_cfg(2), plan);
+    for c in 0..2u64 {
+        let request = SolveRequest::new(870 + c, 3).with_tenant(TenantId(1));
+        assert!(cluster.admit(request).is_err(), "admission {c} is injected");
+    }
+    let stats = cluster.stats();
+    let tenant = stats.tenant(1).expect("tenant 1 accounted");
+    assert_eq!(tenant.count(ServeCounter::Rejected), 1);
+    assert_eq!(tenant.count(ServeCounter::Shed), 1);
+    assert_eq!(stats.count(ServeCounter::Rejected), 1);
+    assert_eq!(stats.count(ServeCounter::Shed), 1);
 }

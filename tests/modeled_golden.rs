@@ -21,6 +21,7 @@ use hetsolve::fault::StateField;
 use hetsolve::load::{soak_server, ArrivalLog, LoadConfig, TrafficShape};
 use hetsolve::obs::{
     names, parse_json, FlightRecorder, Json, MethodMetrics, MetricsRegistry, MetricsSink,
+    ServeCounter,
 };
 use hetsolve::prelude::*;
 use hetsolve::serve::{AutoscaleConfig, ClusterConfig, ClusterServer, QosConfig, TenantQuota};
@@ -169,10 +170,10 @@ fn cluster(backend: &Backend) -> Json {
         let stats = cluster.stats();
         scaling.push(Json::obj([
             ("shards", Json::from(shards)),
-            ("cases", Json::from(stats.completed())),
+            ("cases", Json::from(stats.count(ServeCounter::Completed))),
             ("cases_per_sec", Json::from(stats.cases_per_sec())),
             ("elapsed_s", Json::from(stats.elapsed_s())),
-            ("stolen", Json::from(stats.stolen())),
+            ("stolen", Json::from(stats.count(ServeCounter::Stolen))),
             (
                 "replica_writes",
                 cluster
@@ -192,8 +193,16 @@ fn cluster(backend: &Backend) -> Json {
     }
     cluster.run_until_idle();
     let stats = cluster.stats();
-    assert_eq!(stats.failovers(), 1, "failover must restore on a peer");
-    assert_eq!(stats.completed(), 16, "failover must lose no case");
+    assert_eq!(
+        stats.count(ServeCounter::Failovers),
+        1,
+        "failover must restore on a peer"
+    );
+    assert_eq!(
+        stats.count(ServeCounter::Completed),
+        16,
+        "failover must lose no case"
+    );
     Json::obj([
         ("weak_scaling", Json::Arr(scaling)),
         (
@@ -201,9 +210,15 @@ fn cluster(backend: &Backend) -> Json {
             Json::obj([
                 ("shards", Json::from(2usize)),
                 ("recovery_s", Json::from(cluster.recovery_latencies()[0])),
-                ("node_crashes", Json::from(stats.node_crashes())),
-                ("failovers", Json::from(stats.failovers())),
-                ("evicted", Json::from(stats.evicted())),
+                (
+                    "node_crashes",
+                    Json::from(stats.count(ServeCounter::NodeCrashes)),
+                ),
+                (
+                    "failovers",
+                    Json::from(stats.count(ServeCounter::Failovers)),
+                ),
+                ("evicted", Json::from(stats.count(ServeCounter::Evicted))),
             ]),
         ),
     ])
@@ -358,13 +373,23 @@ fn sdc(backend: &Backend) -> Json {
     }
     server.run_until_idle();
     let stats = server.stats();
-    assert!(stats.sdc_detected() >= 2, "a serve flip went undetected");
-    assert_eq!(stats.completed(), 4, "no request may be lost");
+    assert!(
+        stats.count(ServeCounter::SdcDetected) >= 2,
+        "a serve flip went undetected"
+    );
+    assert_eq!(
+        stats.count(ServeCounter::Completed),
+        4,
+        "no request may be lost"
+    );
     Json::obj([
         ("flips_injected", Json::from(injected)),
         ("flips_detected", Json::from(detected)),
         ("flips_recovered_bitwise", Json::from(recovered)),
-        ("serve_sdc_detected", Json::from(stats.sdc_detected())),
+        (
+            "serve_sdc_detected",
+            Json::from(stats.count(ServeCounter::SdcDetected)),
+        ),
         (
             "serve_sdc_recovery_p50_s",
             Json::from(stats.sdc_recovery().quantile(0.50)),

@@ -24,6 +24,7 @@ use hetsolve::fem::{FemProblem, RandomLoadSpec};
 use hetsolve::load::{soak_cluster, soak_server, ArrivalLog, LoadConfig, SoakReport};
 use hetsolve::machine::single_gh200;
 use hetsolve::mesh::{GroundModelSpec, InterfaceShape};
+use hetsolve::obs::ServeCounter;
 use hetsolve::serve::{
     AdmitError, AutoscaleConfig, ClusterConfig, ClusterServer, EnsembleServer, QosConfig,
     RejectReason, RequestState, ServeConfig, SolveRequest, TenantId, TenantQuota,
@@ -229,7 +230,7 @@ fn zero_quota_tenant_is_rejected_typed_never_starved() {
         .expect("live tenant admits");
     server.run_until_idle();
     assert_eq!(server.record(id).state, RequestState::Done);
-    assert_eq!(server.stats().completed(), 1);
+    assert_eq!(server.stats().count(ServeCounter::Completed), 1);
 }
 
 /// QoS and autoscaling are scheduling-only: a case served among another
@@ -404,13 +405,13 @@ fn checkpoint_mid_scale_restores_the_exact_schedule() {
         "modeled clock must agree bitwise after the restore"
     );
     assert_eq!(
-        restored.stats().completed(),
-        server.stats().completed(),
+        restored.stats().count(ServeCounter::Completed),
+        server.stats().count(ServeCounter::Completed),
         "every burst case completes on both timelines"
     );
     assert_eq!(
-        restored.stats().autoscale_events(),
-        server.stats().autoscale_events(),
+        restored.stats().count(ServeCounter::AutoscaleEvents),
+        server.stats().count(ServeCounter::AutoscaleEvents),
         "the restored run finishes the same scaling story"
     );
     assert_eq!(restored.lanes(), 1, "both runs shrink back to the floor");

@@ -10,7 +10,7 @@
 use hetsolve::core::{run_realtime, IntegrityConfig};
 use hetsolve::fault::StateField;
 use hetsolve::fem::FemProblem;
-use hetsolve::obs::names;
+use hetsolve::obs::{names, ServeCounter};
 use hetsolve::prelude::*;
 use hetsolve::serve::{
     AdmitError, ClusterConfig, ClusterServer, EnsembleServer, EvictReason, RejectReason,
@@ -243,8 +243,11 @@ fn served_flip_is_repaired_in_place() {
         .collect();
     server.run_until_idle();
 
-    assert!(server.stats().sdc_detected() >= 2, "both flips detected");
-    assert_eq!(server.stats().sdc_evictions(), 0);
+    assert!(
+        server.stats().count(ServeCounter::SdcDetected) >= 2,
+        "both flips detected"
+    );
+    assert_eq!(server.stats().count(ServeCounter::SdcEvictions), 0);
     assert!(!server.corruptions().is_empty());
     assert!(server.stats().sdc_recovery().total() >= 1);
     for &id in &ids {
@@ -278,9 +281,19 @@ fn persistent_corruption_escalates_to_restart_then_eviction() {
     server.run_until_idle();
 
     let stats = server.stats();
-    assert!(stats.sdc_detected() >= 4, "per-tick detections");
-    assert_eq!(stats.sdc_restarts(), 1, "rung 2 fires exactly once");
-    assert!(stats.sdc_evictions() >= 1, "rung 3 evicts the lane");
+    assert!(
+        stats.count(ServeCounter::SdcDetected) >= 4,
+        "per-tick detections"
+    );
+    assert_eq!(
+        stats.count(ServeCounter::SdcRestarts),
+        1,
+        "rung 2 fires exactly once"
+    );
+    assert!(
+        stats.count(ServeCounter::SdcEvictions) >= 1,
+        "rung 3 evicts the lane"
+    );
     let rec = server.record(victim);
     assert_eq!(rec.state, RequestState::Evicted);
     assert_eq!(rec.evict_reason, Some(EvictReason::Corruption));
@@ -299,7 +312,7 @@ fn server_checkpoint_roundtrips_sdc_state() {
         server.admit(SolveRequest::new(900 + i, 6)).expect("admit");
     }
     server.run_until_idle();
-    let detected = server.stats().sdc_detected();
+    let detected = server.stats().count(ServeCounter::SdcDetected);
     assert!(detected >= 1);
     let reports = server.corruptions().to_vec();
     assert!(!reports.is_empty());
@@ -315,7 +328,7 @@ fn server_checkpoint_roundtrips_sdc_state() {
         EnsembleServer::from_checkpoint(&b, server.config().clone(), FaultPlan::default(), ck)
             .expect("restore");
     assert_eq!(restored.corruptions(), &reports[..]);
-    assert_eq!(restored.stats().sdc_detected(), detected);
+    assert_eq!(restored.stats().count(ServeCounter::SdcDetected), detected);
 }
 
 /// A breach table that does not have one counter per lane is refused like
@@ -396,8 +409,12 @@ fn failover_skips_a_bit_flipped_replica() {
     cluster.run_until_idle();
 
     let stats = cluster.stats();
-    assert_eq!(stats.node_crashes(), 1);
-    assert_eq!(stats.failovers(), 1, "must restore despite the bad image");
+    assert_eq!(stats.count(ServeCounter::NodeCrashes), 1);
+    assert_eq!(
+        stats.count(ServeCounter::Failovers),
+        1,
+        "must restore despite the bad image"
+    );
     let (node, report) = &cluster.failover_reports()[0];
     assert_eq!(*node, 0);
     assert!(

@@ -12,15 +12,20 @@
 //! * **Admission control** — typed `Rejected`/`ShedLoad` outcomes, with
 //!   and without injected admission faults,
 //! * **Eviction** — injected and deadline evictions free lane slots that
-//!   are then backfilled.
+//!   are then backfilled,
+//! * **Bounded telemetry** — the stats stay one size however long a
+//!   server runs.
 
+use hetsolve::ckpt::{Enc, Wire};
 use hetsolve::core::{run_ensemble, Backend, EnsembleConfig, WindowPolicy};
 use hetsolve::fault::FaultPlan;
 use hetsolve::fem::{FemProblem, RandomLoadSpec};
 use hetsolve::machine::single_gh200;
 use hetsolve::mesh::{GroundModelSpec, InterfaceShape};
+use hetsolve::obs::ServeCounter;
 use hetsolve::serve::{
-    AdmitError, BatchPolicy, EnsembleServer, RejectReason, RequestState, ServeConfig, SolveRequest,
+    AdmitError, BatchPolicy, ClusterConfig, ClusterServer, EnsembleServer, RejectReason,
+    RequestState, ServeConfig, SolveRequest,
 };
 
 fn small_backend() -> Backend {
@@ -210,7 +215,10 @@ fn continuous_batching_beats_drain_then_refill() {
             server.admit(*req).expect("admit");
         }
         server.run_until_idle();
-        assert_eq!(server.stats().completed(), requests.len());
+        assert_eq!(
+            server.stats().count(ServeCounter::Completed),
+            requests.len()
+        );
         server.stats().cases_per_sec()
     };
 
@@ -306,7 +314,7 @@ fn admission_control_rejects_and_sheds_typed() {
         Err(AdmitError::ShedLoad { .. })
     ));
     server.run_until_idle();
-    assert_eq!(server.stats().completed(), 1);
+    assert_eq!(server.stats().count(ServeCounter::Completed), 1);
 }
 
 /// Evicted columns (injected kills and queue-side deadline misses) free
@@ -328,7 +336,7 @@ fn eviction_frees_and_backfills_slots() {
     server.run_until_idle();
     assert_eq!(server.record(victim).state, RequestState::Evicted);
     assert!(server.result(victim).is_none());
-    assert_eq!(server.stats().evicted(), 1);
+    assert_eq!(server.stats().count(ServeCounter::Evicted), 1);
     for &id in &others {
         assert_eq!(server.record(id).state, RequestState::Done, "{id}");
     }
@@ -347,5 +355,52 @@ fn eviction_frees_and_backfills_slots() {
     server.run_until_idle();
     assert_eq!(server.record(late).state, RequestState::Evicted);
     assert!(server.record(late).latency().is_some());
-    assert_eq!(server.stats().completed(), 4);
+    assert_eq!(server.stats().count(ServeCounter::Completed), 4);
+}
+
+/// EBE-MCG fuses 1, 2, 4 or 8 cases per lane. A server configured with
+/// another width refuses every request typed at the door — on one server
+/// and through the cluster router alike — instead of admitting it and
+/// failing at the first tick.
+#[test]
+fn an_unsupported_fused_width_is_refused_typed() {
+    let backend = small_backend();
+    let refused = Err(AdmitError::Rejected(RejectReason::UnsupportedWidth));
+    for r in [3, 5] {
+        let mut server = EnsembleServer::new(&backend, serve_cfg(r));
+        assert_eq!(server.admit(SolveRequest::new(60, 2)), refused, "r = {r}");
+        assert_eq!(server.run_until_idle(), 0, "r = {r}: nothing to serve");
+        assert_eq!(server.stats().count(ServeCounter::Rejected), 1);
+        assert_eq!(server.admitted(), 0);
+
+        let mut cluster = ClusterServer::new(&backend, ClusterConfig::new(serve_cfg(r), 2));
+        assert_eq!(cluster.admit(SolveRequest::new(61, 2)), refused, "r = {r}");
+        assert_eq!(cluster.run_until_idle(), 0, "r = {r}: nothing to serve");
+        assert_eq!(cluster.stats().count(ServeCounter::Rejected), 1);
+        assert_eq!(cluster.admitted(), 0);
+    }
+}
+
+/// The stats keep running sums, not a sample per tick or per lane step:
+/// a one-request server encodes stats of one size at tick 100 and tick 399.
+#[test]
+fn serving_stats_do_not_grow_with_ticks() {
+    let backend = small_backend();
+    let mut server = EnsembleServer::new(&backend, serve_cfg(2));
+    server.admit(SolveRequest::new(62, 400)).expect("admit");
+    let encoded_len = |server: &EnsembleServer| {
+        let mut enc = Enc::new();
+        server.stats().put(&mut enc);
+        enc.into_bytes().len()
+    };
+    while server.ticks() < 100 {
+        server.tick();
+    }
+    let at_100 = encoded_len(&server);
+    while server.ticks() < 399 {
+        server.tick();
+    }
+    assert_eq!(server.in_flight(), 1, "the request is still solving");
+    assert!(server.stats().mean_occupancy() > 0.0);
+    assert_eq!(encoded_len(&server), at_100);
 }

@@ -16,9 +16,14 @@
 //! re-recorded again when the predictor history became `f32` and the
 //! serial schedule stopped keeping one: the slot layout's history columns,
 //! the stored displacements and the format version (2 → 3) moved, the
-//! fingerprints did not. `v1_ebe_step2.hsckpt` and `v2_ebe_step2.hsckpt`
-//! are the version-1 and version-2 run images of that run, kept to show
-//! that they are refused.
+//! fingerprints did not. They were re-recorded a third time when the
+//! serving stats became one counter table with running sums: the stats
+//! layout inside the server and cluster images and the format version
+//! (3 → 4) moved; no displacement bit and no fingerprint did, and the run
+//! image differs from its version-3 twin in the version bytes alone.
+//! `v1_ebe_step2.hsckpt`, `v2_ebe_step2.hsckpt` and `v3_ebe_step2.hsckpt`
+//! are the earlier run images of that run, kept to show that they are
+//! refused.
 //!
 //! The scenario builders at the bottom are how the files are produced
 //! (`record_goldens`, ignored). Re-run it only when bits or a layout move
@@ -31,7 +36,7 @@ use hetsolve::core::{
 };
 use hetsolve::fault::StateField;
 use hetsolve::load::{soak_server, ArrivalLog, LoadConfig, SoakReport, TrafficShape};
-use hetsolve::obs::Termination;
+use hetsolve::obs::{ServeCounter, Termination};
 use hetsolve::prelude::*;
 use hetsolve::serve::{
     AutoscaleConfig, ClusterCheckpoint, ClusterConfig, ClusterFingerprint, ClusterServer,
@@ -180,7 +185,7 @@ fn server_checkpoint_golden_reencodes_byte_for_byte() {
         .iter()
         .any(|r| r.state == RequestState::Done && r.result.is_some()));
     assert!(ck.records.iter().any(|r| r.evict_reason.is_some()));
-    assert!(ck.stats.tenants().len() == 2 && ck.stats.sdc_detected() > 0);
+    assert!(ck.stats.tenants().len() == 2 && ck.stats.count(ServeCounter::SdcDetected) > 0);
     assert!(ck.to_bytes() == bytes, "ServerCheckpoint re-encode differs");
 }
 
@@ -263,6 +268,11 @@ fn a_version_1_image_is_refused_typed() {
 #[test]
 fn a_version_2_image_is_refused_typed() {
     assert_refused_typed(2);
+}
+
+#[test]
+fn a_version_3_image_is_refused_typed() {
+    assert_refused_typed(3);
 }
 
 // ---------------------------------------------------------------------------
