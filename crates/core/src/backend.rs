@@ -77,6 +77,11 @@ impl Backend {
             1,
         );
         let precond = BlockJacobi::from_blocks(&op.diagonal_blocks(), parallel);
+        if parallel {
+            // start the host pool's workers in set-up: started by a run's
+            // first fork-join, they would be that run's allocations only
+            hetsolve_pool::threads();
+        }
         Backend {
             problem,
             plan,

@@ -344,6 +344,7 @@ mod tests {
     use hetsolve_fem::FemProblem;
     use hetsolve_machine::single_gh200;
     use hetsolve_mesh::{GroundModelSpec, InterfaceShape};
+    use hetsolve_predictor::PredictorScratch;
 
     use crate::methods::MethodKind;
 
@@ -456,12 +457,14 @@ mod tests {
         for (a, b) in st.cases.iter().zip(&restored.cases) {
             assert_eq!(a.available_s(), 3);
             assert_eq!(b.available_s(), a.available_s());
+            let scratch = &mut PredictorScratch::default();
             for s in 1..=a.available_s() {
-                let mut got = [(); 2].map(|_| (vec![0.0; n], Vec::new(), vec![0.0; n]));
-                for (slot, (guess, ab, corr)) in [a, b].into_iter().zip(&mut got) {
-                    assert_eq!(slot.prepare_guess(&backend, s, guess, ab, corr), s);
+                let mut got = [(); 2].map(|_| [vec![0.0; n], vec![0.0; n], vec![0.0; n]]);
+                for (slot, [guess, ab, corr]) in [a, b].into_iter().zip(&mut got) {
+                    assert_eq!(slot.prepare_guess(&backend, s, guess, corr, scratch), s);
+                    slot.ab_guess(&backend, ab);
                 }
-                let [(ga, aa, ca), (gb, ab, cb)] = &got;
+                let [[ga, aa, ca], [gb, ab, cb]] = &got;
                 assert_eq!(bits(gb), bits(ga), "guess at s = {s}");
                 assert_eq!((bits(ab), bits(cb)), (bits(aa), bits(ca)), "s = {s}");
             }

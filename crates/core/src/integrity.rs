@@ -48,6 +48,7 @@ use std::fmt;
 use hetsolve_ckpt::Crc32;
 use hetsolve_fault::{BitFlip, FaultKind, FaultPlan, FaultSite, StateField};
 use hetsolve_fem::CompactElements;
+use hetsolve_predictor::PredictorScratch;
 use hetsolve_sparse::insert_case;
 use hetsolve_sparse::Bcrs3;
 
@@ -594,9 +595,10 @@ pub(crate) fn basis_sentinel(
     step: usize,
     case: usize,
     tol: f64,
+    scratch: &mut PredictorScratch,
 ) -> Option<CorruptionReport> {
     let dd = slot.dd.as_mut()?;
-    let defect = dd.basis_defect(dd.available_s())?;
+    let defect = dd.basis_defect(dd.available_s(), scratch)?;
     if defect.is_finite() && defect <= tol {
         return None;
     }
@@ -1069,15 +1071,16 @@ mod tests {
         let (backend, cfg) = small();
         let mut slot = warmed_slot(&backend, &cfg, 6);
         assert!(slot.available_s() >= 1, "history must be warm");
+        let scratch = &mut PredictorScratch::default();
         assert!(
-            basis_sentinel(&mut slot, 6, 0, DEFAULT_BASIS_DEFECT_TOL).is_none(),
+            basis_sentinel(&mut slot, 6, 0, DEFAULT_BASIS_DEFECT_TOL, scratch).is_none(),
             "healthy basis must not reset"
         );
         // poison the history with a NaN column: the defect turns
         // non-finite and the sentinel resets the predictor
         let newest = slot.available_s();
         dd(&mut slot).column_mut(newest).unwrap()[0] = f32::NAN;
-        let rep = basis_sentinel(&mut slot, 7, 0, DEFAULT_BASIS_DEFECT_TOL)
+        let rep = basis_sentinel(&mut slot, 7, 0, DEFAULT_BASIS_DEFECT_TOL, scratch)
             .expect("poisoned basis must reset");
         assert_eq!(rep.target, CorruptTarget::BasisHistory);
         assert_eq!(rep.action, CorruptionAction::ResetPredictor);

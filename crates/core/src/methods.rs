@@ -761,6 +761,10 @@ impl RunState {
                 self.adaptive
                     .observe_logged(s_used.max(1), pred_t / 2.0, solver_t / 2.0);
             tracer.window_decision(step, self.clock.elapsed(), &decision);
+            // the next step reads at most `s + 1 <= reach + 1` snapshots,
+            // and the one after `reach + 1` of the then `reach + 2`
+            let keep = self.adaptive.reach() + 1;
+            self.cases.iter_mut().for_each(|c| c.retain_history(keep));
         }
         tracer.iterations_counter(self.clock.elapsed(), iter_sum / n_cases);
         let (solver, pred) = (solver_t + stall_solver, pred_t + stall_pred);

@@ -145,7 +145,7 @@ pub fn run_nonlinear(
                 &precond,
                 &rhs,
                 &mut x,
-                std::slice::from_ref(&guess),
+                |_, x: &mut [f64]| x.copy_from_slice(&guess),
                 &[true],
                 &[None],
                 &cg_cfg,

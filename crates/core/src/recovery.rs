@@ -186,13 +186,16 @@ impl From<SolveError> for RunError {
 /// runs it on a lane of width 1.
 ///
 /// Only the failing lanes are restarted: their slots in `x` are
-/// overwritten with the downgraded guess and the whole set is re-solved —
+/// overwritten with the downgraded guess — `refill_ab(k, x)` writes lane
+/// `k`'s Adams-Bashforth guess into its lane of `x`, the zero rung writes
+/// zeros in place, so a retry allocates no vector of the problem's size —
+/// and the whole set is re-solved —
 /// already-converged lanes re-enter with a sub-tolerance residual, are
 /// inactive from iteration zero, and keep their solution bitwise (the MCG
 /// freeze contract). `first_cfg` configures the first attempt only (it may
 /// carry an injected iteration cap); retries use the clean `cfg`.
-/// `retry_ab` says whether the Adams-Bashforth rung (`ab_guesses[k]`)
-/// differs from the first attempt; `occupied[k] == false` marks a vacant
+/// `retry_ab` says whether the Adams-Bashforth rung differs from the
+/// first attempt; `occupied[k] == false` marks a vacant
 /// lane, skipped entirely; `lane_cases[k]` names lane `k` in the recovery
 /// log. Returns the stats of all attempts merged — initial residuals stay
 /// the first attempt's; borrowed from `ws` when the first attempt
@@ -206,7 +209,7 @@ pub(crate) fn solve_set_resumable<'w, A: MultiOperator + ?Sized, P: Precondition
     prec: &P,
     f: &[f64],
     x: &mut [f64],
-    ab_guesses: &[Vec<f64>],
+    mut refill_ab: impl FnMut(usize, &mut [f64]),
     occupied: &[bool],
     lane_cases: &[Option<usize>],
     cfg: &CgConfig,
@@ -228,7 +231,6 @@ pub(crate) fn solve_set_resumable<'w, A: MultiOperator + ?Sized, P: Precondition
     let first_failed: Vec<Termination> = stats.case_termination.clone();
     let initial_rel_res = stats.initial_rel_res.clone();
     let mut attempts = 1;
-    let zero = vec![0.0; a.n()];
     let cold_cfg = CgConfig {
         max_iter: cfg.max_iter.saturating_mul(ZERO_GUESS_ITER_FACTOR),
         ..*cfg
@@ -239,11 +241,10 @@ pub(crate) fn solve_set_resumable<'w, A: MultiOperator + ?Sized, P: Precondition
     ];
     for (source, rung_cfg) in rungs.into_iter().skip(usize::from(!retry_ab)) {
         for k in (0..r).filter(|&k| failing(&stats, k)) {
-            let guess = match source {
-                GuessSource::AdamsBashforth => &ab_guesses[k],
-                _ => &zero,
-            };
-            hetsolve_sparse::insert_case(x, r, k, guess);
+            match source {
+                GuessSource::AdamsBashforth => refill_ab(k, x),
+                _ => x.iter_mut().skip(k).step_by(r).for_each(|v| *v = 0.0),
+            }
         }
         let retry = ws.solve(a, prec, f, x, rung_cfg, occupied, &mut NoopObserver);
         attempts += 1;

@@ -18,6 +18,7 @@
 //! failed or corrupt column means stay with the caller.
 
 use hetsolve_fault::{FaultKind, FaultPlan, FaultSite, StateField, VectorFault};
+use hetsolve_predictor::PredictorScratch;
 use hetsolve_sparse::{extract_case, insert_case};
 use hetsolve_sparse::{CgConfig, KernelCounts, McgWorkspace, MultiOperator, SolveError};
 
@@ -133,28 +134,32 @@ impl SetOutcome {
     }
 }
 
-/// A set step's working storage — boundary guard, packed `f`/`x`,
-/// Adams-Bashforth guesses, one column vector, a work vector, the MCG
-/// workspace and, once a corrupted RHS needs it, the recompute's scratch —
-/// and what `prepare` resolved for `solve`. It is the
+/// A set step's working storage — boundary guard, packed `f`/`x`, one
+/// column vector, a work vector, the predictor's per-thread scratch, the
+/// MCG workspace and, once a corrupted RHS needs it, the recompute's
+/// scratch — and what `prepare` resolved for `solve`. It is the
 /// one owner of a step's working memory: a column's RHS and guess live
 /// only in their lanes of `f` and `x`, and the solve runs in the workspace
-/// this lends it. Its owner reuses it; every step rewrites it before
-/// reading, so it is never checkpointed.
+/// this lends it. No column's Adams-Bashforth guess is kept: `advance` and
+/// the ladder's retry rung recompute it from the slot. Its owner reuses
+/// it; every step rewrites it before reading, so it is never
+/// checkpointed.
 pub struct SetStep {
     /// The RHS guard's one-column recompute, made when first needed.
     scratch: Option<RhsScratch>,
     guard: StateGuard,
     f: Vec<f64>,
     x: Vec<f64>,
-    ab: Vec<Vec<f64>>,
     /// One column: the force and the guess in `prepare`, the RHS guard's
-    /// recompute; `solve`'s unpack vector, which becomes a column's
-    /// displacement by a swap and comes back holding the previous one.
+    /// recompute; in `solve`, the retry rung's Adams-Bashforth guess, then
+    /// the unpack vector, which becomes a column's displacement by a swap
+    /// and comes back holding the previous one.
     u: Vec<f64>,
     /// The data-driven correction in `prepare`, the correction snapshot in
     /// `solve`.
     work: Vec<f64>,
+    /// The predictions' and the basis sentinel's per-thread storage.
+    predictor: PredictorScratch,
     /// The solve's multi-vectors and per-case scalars; between solves, the
     /// output of the fused RHS's `C` apply.
     ws: McgWorkspace,
@@ -178,9 +183,9 @@ impl SetStep {
             guard: StateGuard::default(),
             f: vec![0.0; n * r],
             x: vec![0.0; n * r],
-            ab: vec![Vec::new(); r],
             u: vec![0.0; n],
             work: vec![0.0; n],
+            predictor: PredictorScratch::default(),
             ws: McgWorkspace::default(),
             occupied: vec![false; r],
             named: vec![None; r],
@@ -214,7 +219,7 @@ impl SetStep {
             tol,
         } = spec;
         let cg = driver_cg_config(tol);
-        let r = self.ab.len();
+        let r = self.occupied.len();
         assert_eq!(ids.len(), r);
         let integ = &cfg.integrity;
         let check_basis =
@@ -241,7 +246,9 @@ impl SetStep {
                 reports,
             );
             if check_basis {
-                reports.extend(basis_sentinel(case, step, id, DEFAULT_BASIS_DEFECT_TOL));
+                let tol = DEFAULT_BASIS_DEFECT_TOL;
+                let scratch = &mut self.predictor;
+                reports.extend(basis_sentinel(case, step, id, tol, scratch));
             }
         }
         let c_out = self.ws.buffer(self.f.len());
@@ -277,7 +284,7 @@ impl SetStep {
             );
             let s = window.unwrap_or_else(|| cfg.s_max.max(1).min(case.available_s()));
             let guess = &mut self.u;
-            let s_used = case.prepare_guess(backend, s, guess, &mut self.ab[k], &mut self.work);
+            let s_used = case.prepare_guess(backend, s, guess, &mut self.work, &mut self.predictor);
             if let Some(FaultKind::Guess { fault, .. }) =
                 faults.inject(FaultSite::Guess { step, case: id })
             {
@@ -317,14 +324,21 @@ impl SetStep {
         op: &A,
         lane: &mut L,
     ) -> &SetOutcome {
-        let (r, out) = (self.ab.len(), &mut self.out);
+        let (r, out) = (self.occupied.len(), &mut self.out);
+        let u = &mut self.u;
+        let refill_ab = |k: usize, x: &mut [f64]| {
+            if let Some(case) = lane.column(k) {
+                case.ab_guess(backend, u);
+                insert_case(x, r, k, u);
+            }
+        };
         let (stats, attempts) = solve_set_resumable(
             &mut self.ws,
             op,
             &backend.precond,
             &self.f,
             &mut self.x,
-            &self.ab,
+            refill_ab,
             &self.occupied,
             &self.named,
             &self.cg,
@@ -350,8 +364,8 @@ impl SetStep {
                 })
             } else {
                 extract_case(&self.x, r, k, &mut self.u);
-                let (ab, snapshot) = (&self.ab[k], self.snapshot[k]);
-                let history_ok = case.advance(backend, &mut self.u, ab, &mut self.work, snapshot);
+                let snapshot = self.snapshot[k];
+                let history_ok = case.advance(backend, &mut self.u, &mut self.work, snapshot);
                 match self.detect.then(|| scrub_state(case)).flatten() {
                     Some(field) => Fate::Corrupt(field),
                     None => Fate::Advanced {

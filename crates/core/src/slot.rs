@@ -18,19 +18,23 @@
 //! one: the serial schedule of the CRS-CG@CPU and CRS-CG@GPU baselines
 //! runs every step at window 0, so their slots have no predictor, build no
 //! correction snapshot and checkpoint no history. The pipelined methods
-//! keep `s_max + 1` snapshots, stored as `f32` (the guess CG refines need
-//! not be exact; see `hetsolve-predictor`).
+//! keep up to `s_max + 1` snapshots, stored as `f32` (the guess CG refines
+//! need not be exact; see `hetsolve-predictor`); under the adaptive window
+//! the step driver trims each history to what the window can reach
+//! ([`CaseSlot::retain_history`]).
 //!
 //! A slot holds no RHS, no guess and no per-step buffers of its own: it is
 //! state only. The set step builds the RHS of all its columns at once,
 //! straight into the lanes of its packed `f`, and lends `prepare_guess`
 //! and `advance` its vectors; [`CaseSlot::build_rhs`] is the same RHS one
 //! column at a time into a caller's vector, for the RHS guard's recompute
-//! and the convergence study.
+//! and the convergence study. The Adams-Bashforth guess is not kept
+//! either: [`CaseSlot::ab_guess`] recomputes it from the state wherever it
+//! is read, which gives the same bits until `advance` moves the state.
 
 use hetsolve_fault::VectorFault;
 use hetsolve_fem::{RandomLoad, TimeState};
-use hetsolve_predictor::{AdamsState, DataDrivenPredictor};
+use hetsolve_predictor::{AdamsState, DataDrivenPredictor, PredictorScratch};
 use hetsolve_sparse::KernelCounts;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -105,37 +109,41 @@ impl CaseSlot {
         backend.newmark_rhs_onto(&backend.compact, &t.u, &t.v, &t.a, rhs, scratch);
     }
 
+    /// This step's plain Adams-Bashforth guess into `out` (`n` long,
+    /// overwritten): the first term of [`Self::prepare_guess`], the
+    /// recovery ladder's retry rung and the reference of the correction
+    /// snapshot. A pure function of the state, so every caller between two
+    /// `advance`s gets the same bits.
+    pub(crate) fn ab_guess(&self, backend: &Backend, out: &mut [f64]) {
+        self.adams
+            .predict(&self.time.u, backend.problem.newmark.dt, out);
+        backend.problem.mask.project(out);
+    }
+
     /// Build this step's initial guess into `guess` (`n` long,
     /// overwritten): the Adams-Bashforth extrapolation plus the data-driven
     /// correction at window `s`, which is computed into `corr` (`n` long,
-    /// overwritten). Writes the plain Adams-Bashforth guess (the recovery
-    /// ladder's retry rung and the correction-snapshot reference) into
-    /// `ab_guess` and returns the window actually used.
+    /// overwritten) in `scratch`. Returns the window actually used.
     pub(crate) fn prepare_guess(
         &self,
         backend: &Backend,
         s: usize,
         guess: &mut [f64],
-        ab_guess: &mut Vec<f64>,
         corr: &mut [f64],
+        scratch: &mut PredictorScratch,
     ) -> usize {
-        let mask = &backend.problem.mask;
-        let dt = backend.problem.newmark.dt;
-        self.adams.predict(&self.time.u, dt, guess);
-        mask.project(guess);
-        ab_guess.clear();
-        ab_guess.extend_from_slice(guess);
+        self.ab_guess(backend, guess);
         // the data-driven correction, once the history holds a window
         let Some(dd) = self.dd.as_ref().filter(|_| s > 0) else {
             return 0;
         };
-        if !dd.predict(s, corr) {
+        if !dd.predict_with(s, corr, scratch) {
             return 0;
         }
         for (g, c) in guess.iter_mut().zip(&*corr) {
             *g += c;
         }
-        mask.project(guess);
+        backend.problem.mask.project(guess);
         s.min(dd.available_s())
     }
 
@@ -159,23 +167,21 @@ impl CaseSlot {
         &mut self,
         backend: &Backend,
         u_new: &mut Vec<f64>,
-        ab_guess: &[f64],
         delta: &mut [f64],
         snapshot_fault: Option<VectorFault>,
     ) -> bool {
-        let history_ok = match &mut self.dd {
-            Some(dd) => {
-                // correction snapshot: delta = u_true - u_adams
-                for ((d, u), g) in delta.iter_mut().zip(&*u_new).zip(ab_guess) {
-                    *d = u - g;
-                }
-                if let Some(f) = snapshot_fault {
-                    f.apply(delta);
-                }
-                dd.record(delta)
+        if self.dd.is_some() {
+            // correction snapshot: delta = u_true - u_adams, the
+            // Adams-Bashforth guess recomputed before the state moves
+            self.ab_guess(backend, delta);
+            for (d, u) in delta.iter_mut().zip(&*u_new) {
+                *d = u - *d;
             }
-            None => true,
-        };
+            if let Some(f) = snapshot_fault {
+                f.apply(delta);
+            }
+        }
+        let history_ok = self.dd.as_mut().is_none_or(|dd| dd.record(delta));
         std::mem::swap(&mut self.time.u, u_new);
         let nm = &backend.problem.newmark;
         nm.advance(&self.time.u, u_new, &mut self.time.v, &mut self.time.a);
@@ -208,6 +214,14 @@ impl CaseSlot {
     /// Largest data-driven window this slot's history supports right now.
     pub(crate) fn available_s(&self) -> usize {
         self.dd.as_ref().map_or(0, DataDrivenPredictor::available_s)
+    }
+
+    /// Keep only the newest `keep` snapshots of the data-driven history
+    /// ([`DataDrivenPredictor::retain_newest`]); nothing without one.
+    pub(crate) fn retain_history(&mut self, keep: usize) {
+        if let Some(dd) = &mut self.dd {
+            dd.retain_newest(keep);
+        }
     }
 
     /// Capture everything a checkpoint needs to rebuild this slot bitwise:

@@ -6,6 +6,7 @@
 
 use hetsolve_fem::RandomLoadSpec;
 use hetsolve_machine::single_gh200;
+use hetsolve_predictor::PredictorScratch;
 use hetsolve_sparse::{pcg, CgConfig};
 
 use crate::backend::{Backend, RhsScratch};
@@ -77,7 +78,7 @@ pub fn convergence_study(backend: &Backend, cfg: &StudyConfig) -> ConvergenceStu
     (run_cfg.load, run_cfg.region_dofs, run_cfg.s_max) = (cfg.load, cfg.region_dofs, s_max);
     let mut slot = CaseSlot::with_seed(backend, &run_cfg, cfg.seed, cfg.warmup_steps + 1, 0);
     let mut scratch = RhsScratch::new(n);
-    let (mut ab, mut work) = (Vec::new(), vec![0.0; n]);
+    let (mut work, mut predictor) = (vec![0.0; n], PredictorScratch::default());
     let (mut rhs, mut guess) = (vec![0.0; n], vec![0.0; n]);
     let op = backend.ebe_a(1);
     let solve_cfg = CgConfig {
@@ -91,11 +92,11 @@ pub fn convergence_study(backend: &Backend, cfg: &StudyConfig) -> ConvergenceStu
     for step in 0..cfg.warmup_steps {
         slot.build_rhs(backend, &mut rhs, &mut scratch);
         let s = slot.available_s().min(s_max);
-        slot.prepare_guess(backend, s, &mut guess, &mut ab, &mut work);
+        slot.prepare_guess(backend, s, &mut guess, &mut work, &mut predictor);
         let mut x = guess.clone();
         let stats = pcg(&op, &backend.precond, &rhs, &mut x, &solve_cfg);
         assert!(stats.converged, "warmup CG failed at step {step}");
-        slot.advance(backend, &mut x, &ab, &mut work, None);
+        slot.advance(backend, &mut x, &mut work, None);
     }
 
     // probe step: solve its system from each guess — zero, then the
@@ -114,7 +115,8 @@ pub fn convergence_study(backend: &Backend, cfg: &StudyConfig) -> ConvergenceStu
     let results = guesses
         .map(|(label, s)| {
             slot.build_rhs(backend, &mut rhs, &mut scratch);
-            slot.prepare_guess(backend, s.unwrap_or(0), &mut guess, &mut ab, &mut work);
+            let window = s.unwrap_or(0);
+            slot.prepare_guess(backend, window, &mut guess, &mut work, &mut predictor);
             let mut x = match s {
                 Some(_) => guess.clone(),
                 None => vec![0.0; n],

@@ -15,7 +15,9 @@
 //!   has started, so a worker that is descheduled, still parked, or never
 //!   wakes at all costs serial speed, not a stall.
 //! * **Persistent workers.** `available_parallelism() − 1` threads are
-//!   started once (first use) and live for the process. An idle worker
+//!   started once (first use) and live for the process; creation returns
+//!   once every worker's thread runs, so a thread's start-up allocations
+//!   belong to the pool's creation. An idle worker
 //!   counts spins, then parks; the caller unparks only a parked worker.
 //!   No wall clock is read anywhere and a fork-join allocates nothing.
 //! * **One fork-join at a time.** A call made while the pool is busy —
@@ -99,6 +101,8 @@ struct Shared {
     shutdown: AtomicBool,
     /// Per worker: it is parked (or about to park) and needs an `unpark`.
     parked: Box<[AtomicBool]>,
+    /// Workers whose thread has started running.
+    started: AtomicUsize,
 }
 
 impl Shared {
@@ -228,7 +232,9 @@ impl Pool {
     }
 
     /// [`Self::with_threads`], each worker calling `on_start` before it
-    /// first looks for work.
+    /// first looks for work. Returns once every worker's thread runs, so
+    /// what a thread's start-up allocates is the pool's creation's and
+    /// never a later fork-join's.
     fn start(threads: usize, on_start: Arc<dyn Fn() + Send + Sync>) -> Pool {
         let n_workers = threads.max(1) - 1;
         let shared = Arc::new(Shared {
@@ -240,6 +246,7 @@ impl Pool {
             payload: Mutex::new(None),
             shutdown: AtomicBool::new(false),
             parked: (0..n_workers).map(|_| AtomicBool::new(false)).collect(),
+            started: AtomicUsize::new(0),
         });
         let workers = (0..n_workers)
             .map(|me| {
@@ -247,12 +254,18 @@ impl Pool {
                 thread::Builder::new()
                     .name(format!("hetsolve-pool-{me}"))
                     .spawn(move || {
+                        // Release: the thread's start-up happens before
+                        // the creator's Acquire load sees it
+                        shared.started.fetch_add(1, Ordering::Release);
                         on_start();
                         worker_loop(&shared, me)
                     })
                     .expect("spawn a pool worker thread")
             })
             .collect();
+        while shared.started.load(Ordering::Acquire) < n_workers {
+            thread::yield_now();
+        }
         Pool(Arc::new(Inner { shared, workers }))
     }
 

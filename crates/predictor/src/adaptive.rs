@@ -65,6 +65,13 @@ impl AdaptiveWindow {
         self.s
     }
 
+    /// The largest window the next decision can pick: growth is limited to
+    /// +50 % (at least +1) per step, within `s_cap`. A predictor history
+    /// of `reach() + 1` snapshots serves the next step and the one after.
+    pub fn reach(&self) -> usize {
+        (self.s + (self.s / 2).max(1)).min(self.s_cap)
+    }
+
     /// Report the measured (or modeled) times of the step just finished:
     /// `predictor_time` with the window actually used, and `solver_time`
     /// to hide it behind. Returns the window chosen for the next step.
@@ -91,9 +98,9 @@ impl AdaptiveWindow {
         if let Some(u) = self.unit_cost {
             if u > 0.0 && solver_time > 0.0 {
                 let fit = (self.margin * solver_time / u).sqrt().floor() as usize;
-                // limit growth to +50% per step to avoid oscillation on
-                // noisy timings; shrink immediately when over budget.
-                let grown = (self.s + (self.s / 2).max(1)).min(fit);
+                // limit growth to `reach()` to avoid oscillation on noisy
+                // timings; shrink immediately when over budget.
+                let grown = self.reach().min(fit);
                 self.s = if fit < self.s { fit } else { grown }.clamp(self.s_min, self.s_cap);
             }
         }
@@ -183,6 +190,27 @@ mod tests {
         // is limited to +50%
         let s1 = ctl.observe(2, 4e-8, 1.0);
         assert!(s1 <= 3);
+    }
+
+    /// No decision leaves the reach of the window it starts from, and
+    /// growing decisions meet it: `reach()` is the growth rule itself.
+    #[test]
+    fn every_decision_stays_within_reach() {
+        let mut ctl = AdaptiveWindow::new(1, 32);
+        let mut s = ctl.current();
+        let mut reached = Vec::new();
+        for k in 0..40 {
+            let reach = ctl.reach();
+            let solver_time = if k < 20 { 1.0 } else { 1e-3 };
+            s = ctl.observe(s, 1e-5 * (s * s) as f64, solver_time);
+            assert!(s <= reach, "step {k}: s = {s} past reach {reach}");
+            reached.push((s, reach));
+        }
+        let growth: Vec<_> = reached.iter().take(8).map(|&(s, _)| s).collect();
+        assert_eq!(growth, [2, 3, 4, 6, 9, 13, 19, 28]);
+        assert!(reached[..8].iter().all(|&(s, reach)| s == reach));
+        assert_eq!(reached[8], (32, 32), "reach stops at s_cap");
+        assert!(s < 32, "the window shrank again: {s}");
     }
 
     #[test]

@@ -33,8 +33,17 @@
 //! the parity and the others. So the integrity guards of `hetsolve-core`
 //! never copy the history, and a column is covered from the moment it is
 //! recorded.
+//!
+//! The store holds at most `s_max + 1` columns, and fewer where the caller
+//! knows a smaller window is all it will ask for:
+//! [`DataDrivenPredictor::retain_newest`] drops the oldest columns beyond
+//! a count (the adaptive driver keeps what its window can reach) and keeps
+//! the storage of one of them for the next record.
+//!
+//! A prediction's working storage is a [`PredictorScratch`] that its
+//! caller owns (a run's set step), so one run allocates what the next
+//! identical one does, whatever ran before it.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -59,6 +68,9 @@ pub struct DataDrivenPredictor {
     /// XOR of the `f32` bit patterns of every stored column; empty until
     /// the first column is stored.
     parity: Vec<u32>,
+    /// Storage of a column [`Self::retain_newest`] dropped, which the next
+    /// [`Self::record`] writes into instead of allocating. Not history.
+    spare: Option<Vec<f32>>,
 }
 
 /// MGS drop tolerance, relative to a column's norm. A column that the
@@ -82,12 +94,10 @@ fn xor_into(parity: &mut [u32], col: &[f32]) {
     }
 }
 
-/// One pool thread's working storage for a region's prediction: the MGS
+/// One thread's working storage for a region's prediction: the MGS
 /// factor, its running residual (then the widened input column), and the
 /// projection and weight vectors.
-/// Grown once to the largest region and window a thread has seen, then
-/// reused by every region it runs.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Scratch {
     qr: MgsQr,
     work: Vec<f64>,
@@ -95,26 +105,59 @@ struct Scratch {
     w: Vec<f64>,
 }
 
-thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+impl Scratch {
+    /// Room for regions of up to `m` rows and windows of up to `s` columns.
+    fn grow(&mut self, m: usize, s: usize) {
+        if self.work.len() < m {
+            self.work.resize(m, 0.0);
+        }
+        grow(&mut self.qr.q, m * s);
+        grow(&mut self.qr.r, s * s);
+        grow(&mut self.qr.kept, s);
+        grow(&mut self.c, s);
+        grow(&mut self.w, s);
+    }
 }
 
-/// Run `f` on this thread's [`Scratch`], sized for regions of up to `m`
-/// rows and windows of up to `s` columns.
-fn with_scratch<T>(m: usize, s: usize, f: impl FnOnce(&mut Scratch) -> T) -> T {
-    SCRATCH.with(|cell| {
-        // a prediction never re-enters another on its thread
-        let sc = &mut *cell.borrow_mut();
-        if sc.work.len() < m {
-            sc.work.resize(m, 0.0);
+/// The working storage of [`DataDrivenPredictor::predict_with`] and
+/// [`DataDrivenPredictor::basis_defect`]: one MGS factor and its vectors
+/// per thread of the current pool, each sized for the largest region and
+/// window it has been asked for, all at once, then reused by every
+/// region, step and predictor. Its owner decides how long it lives, so
+/// what it allocates belongs to that owner (a run's set step) and not to
+/// whichever run first used a thread. Empty, and free, until a prediction
+/// sizes it.
+#[derive(Debug, Default)]
+pub struct PredictorScratch {
+    slots: Vec<Mutex<Scratch>>,
+}
+
+impl PredictorScratch {
+    /// One slot per thread of the current pool, each with room for
+    /// regions of up to `m` rows and windows of up to `s` columns.
+    fn fit(&mut self, m: usize, s: usize) {
+        let threads = hetsolve_pool::threads();
+        if self.slots.len() < threads {
+            self.slots.resize_with(threads, Mutex::default);
         }
-        grow(&mut sc.qr.q, m * s);
-        grow(&mut sc.qr.r, s * s);
-        grow(&mut sc.qr.kept, s);
-        grow(&mut sc.c, s);
-        grow(&mut sc.w, s);
-        f(sc)
-    })
+        for slot in &mut self.slots {
+            slot.get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .grow(m, s);
+        }
+    }
+
+    /// Run `f` on a slot no other thread holds. A pool's threads never
+    /// outnumber the slots [`Self::fit`] made, so one is always free; the
+    /// wait on the first is only a fallback.
+    fn with_slot<T>(&self, f: impl FnOnce(&mut Scratch) -> T) -> T {
+        let mut slot = self
+            .slots
+            .iter()
+            .find_map(|slot| slot.try_lock().ok())
+            .unwrap_or_else(|| self.slots[0].lock().unwrap_or_else(PoisonError::into_inner));
+        f(&mut slot)
+    }
 }
 
 /// Make room for `cap` entries in `v`, exactly, if it has less.
@@ -142,6 +185,7 @@ impl DataDrivenPredictor {
             history: VecDeque::with_capacity(s_max + 1),
             crcs: VecDeque::with_capacity(s_max + 1),
             parity: Vec::new(),
+            spare: None,
         }
     }
 
@@ -175,13 +219,30 @@ impl DataDrivenPredictor {
             }
             old
         } else {
-            let col: Vec<f32> = delta.iter().map(|&d| d as f32).collect();
+            let mut col = self.spare.take().unwrap_or_default();
+            col.clear();
+            col.extend(delta.iter().map(|&d| d as f32));
             xor_into(&mut self.parity, &col);
             col
         };
         self.crcs.push_back(crc_col(&col));
         self.history.push_back(col);
         true
+    }
+
+    /// Drop the oldest stored columns beyond the newest `keep`: each is
+    /// XORed out of the parity and its CRC dropped, so the checks cover
+    /// exactly what is left. The storage of one of them is kept for the
+    /// next [`Self::record`]; the rest is freed. A later prediction reads
+    /// the newest `s + 1` columns, so one at a window `s < keep` is
+    /// unchanged; one at a wider window finds the history too short.
+    pub fn retain_newest(&mut self, keep: usize) {
+        let dropped = self.history.len().saturating_sub(keep);
+        self.crcs.drain(..dropped);
+        for col in self.history.drain(..dropped) {
+            xor_into(&mut self.parity, &col);
+            self.spare.get_or_insert(col);
+        }
     }
 
     /// Rebuild the CRCs and the parity from the stored columns.
@@ -278,9 +339,16 @@ impl DataDrivenPredictor {
         self.n_dofs.div_ceil(self.region_dofs)
     }
 
-    /// Predict the next correction `δ̄^it` into `out` using window `s`.
-    /// Returns `false` (and zeroes `out`) when the history is too short.
+    /// [`Self::predict_with`] in working storage of its own, made for this
+    /// one call.
     pub fn predict(&self, s: usize, out: &mut [f64]) -> bool {
+        self.predict_with(s, out, &mut PredictorScratch::default())
+    }
+
+    /// Predict the next correction `δ̄^it` into `out` using window `s`,
+    /// working in `scratch`. Returns `false` (and zeroes `out`) when the
+    /// history is too short.
+    pub fn predict_with(&self, s: usize, out: &mut [f64], scratch: &mut PredictorScratch) -> bool {
         assert_eq!(out.len(), self.n_dofs);
         let s = s.min(self.s_max);
         if s < 1 || self.history.len() < s + 1 {
@@ -294,13 +362,15 @@ impl DataDrivenPredictor {
         // MGS keeps a column only where it adds a direction to the ones
         // before it, so a dependent window loses its oldest columns, the
         // furthest from the input.
-        let (rdofs, s_max) = (self.region_dofs, self.s_max);
+        let rdofs = self.region_dofs;
+        scratch.fit(rdofs, self.s_max);
+        let scratch = &*scratch;
         // one region per pool chunk: regions share nothing but the history
         hetsolve_pool::for_each_mut([(out, rdofs)], |reg, [out_r]| {
             let lo = reg * rdofs;
             let m = out_r.len();
             let window = |col: usize| &h[col][lo..lo + m];
-            with_scratch(rdofs, s_max, |Scratch { qr, work, c, w }| {
+            scratch.with_slot(|Scratch { qr, work, c, w }| {
                 let work = &mut work[..m];
                 qr.factor(|i| window(len - 2 - i), m, s, DROP_TOL, work);
                 if qr.rank() == 0 {
@@ -366,8 +436,8 @@ impl DataDrivenPredictor {
     /// whatever it is given, so the defect cannot see them. `None` when
     /// the history is too short for window `s`. Read-only — the predictor
     /// state and any later prediction are untouched. Runs one region per
-    /// pool chunk, as `predict` does.
-    pub fn basis_defect(&self, s: usize) -> Option<f64> {
+    /// pool chunk in `scratch`, as `predict_with` does.
+    pub fn basis_defect(&self, s: usize, scratch: &mut PredictorScratch) -> Option<f64> {
         let s = s.min(self.s_max);
         if s < 1 || self.history.len() < s + 1 {
             return None;
@@ -380,7 +450,9 @@ impl DataDrivenPredictor {
                 return Some(f64::INFINITY);
             }
         }
-        let (rdofs, s_max, n) = (self.region_dofs, self.s_max, self.n_dofs);
+        let (rdofs, n) = (self.region_dofs, self.n_dofs);
+        scratch.fit(rdofs, self.s_max);
+        let scratch = &*scratch;
         // A defect is +0.0, positive or +inf, never NaN or -0.0, so the
         // order of the bit patterns is the order of the values and a
         // `fetch_max` over them is the region-order `max`, whichever
@@ -391,7 +463,7 @@ impl DataDrivenPredictor {
             let lo = reg * rdofs;
             let m = rdofs.min(n - lo);
             let window = |i: usize| &h[len - 2 - i][lo..lo + m];
-            let defect = with_scratch(rdofs, s_max, |Scratch { qr, work, .. }| {
+            let defect = scratch.with_slot(|Scratch { qr, work, .. }| {
                 qr.factor(window, m, s, DROP_TOL, &mut work[..m]);
                 qr.orthogonality_defect()
             });
@@ -594,13 +666,17 @@ mod tests {
         for d in &seq[..19] {
             p.record(d);
         }
-        assert!(p.basis_defect(64).is_some(), "window clamps to s_max");
-        let clean = p.basis_defect(8).expect("enough history");
+        let scratch = &mut PredictorScratch::default();
+        assert!(
+            p.basis_defect(64, scratch).is_some(),
+            "window clamps to s_max"
+        );
+        let clean = p.basis_defect(8, scratch).expect("enough history");
         assert!(clean < 1e-10, "clean defect {clean}");
         // sentinel is read-only: prediction after the check is unchanged
         let mut before = vec![0.0; n];
         assert!(p.predict(8, &mut before));
-        p.basis_defect(8);
+        p.basis_defect(8, scratch);
         let mut after = vec![0.0; n];
         assert!(p.predict(8, &mut after));
         for (a, b) in after.iter().zip(&before) {
@@ -611,12 +687,12 @@ mod tests {
         let newest = p.available_s(); // history holds available_s()+1 columns
         let col = p.column_mut(newest).expect("in range");
         col[7] = f32::NAN;
-        let bad = p.basis_defect(8).expect("enough history");
+        let bad = p.basis_defect(8, scratch).expect("enough history");
         assert!(bad.is_infinite(), "corrupt defect {bad}");
         assert!(p.column_mut(99).is_none());
         // too little history -> None, not a bogus 0
         let q = DataDrivenPredictor::new(12, 12, 4);
-        assert!(q.basis_defect(2).is_none());
+        assert!(q.basis_defect(2, scratch).is_none());
     }
 
     /// Distinct deterministic columns, `k` the record index.
@@ -680,6 +756,60 @@ mod tests {
             .map(|k| rounded(&column(n, k)))
             .collect();
         assert_eq!(p.history(), want);
+    }
+
+    /// A trim of several columns leaves checks that cover exactly the
+    /// columns kept: none reads corrupt, and a flip in any of them is
+    /// found and repaired bitwise from the parity. Predictions at windows
+    /// the kept columns serve are bitwise those of the untrimmed history;
+    /// a wider one declines. The next records write into the storage the
+    /// trim kept and the history stays checked through them.
+    #[test]
+    fn a_trimmed_history_checks_repairs_and_predicts_as_before() {
+        let (n, s_max) = (40, 8);
+        let mut full = DataDrivenPredictor::new(n, 12, s_max);
+        for k in 0..s_max + 1 {
+            full.record(&column(n, k));
+        }
+        let mut p = full.clone();
+        p.retain_newest(4);
+        assert_eq!((p.history.len(), p.crcs.len(), p.available_s()), (4, 4, 3));
+        assert_eq!(bits(&p)[..], bits(&full)[s_max + 1 - 4..]);
+        assert!(p.corrupt_columns(false).is_empty());
+        assert_flips_are_found_and_repaired(&p);
+        let bits_of = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let scratch = &mut PredictorScratch::default();
+        for s in 1..=3 {
+            let (mut want, mut got) = (vec![0.0; n], vec![0.0; n]);
+            assert!(full.predict_with(s, &mut want, scratch));
+            assert!(p.predict_with(s, &mut got, scratch));
+            assert_eq!(bits_of(&got), bits_of(&want), "s = {s}");
+            assert_eq!(p.basis_defect(s, scratch), full.basis_defect(s, scratch));
+        }
+        let mut out = vec![1.0; n];
+        assert!(
+            !p.predict_with(4, &mut out, scratch),
+            "four columns serve s <= 3"
+        );
+        assert!(out.iter().all(|&v| v == 0.0));
+        // a trim to more than is held changes nothing
+        let before = bits(&p);
+        p.retain_newest(s_max + 1);
+        assert_eq!(bits(&p), before);
+        // the next record takes the kept storage; the history grows again
+        let spare = p.spare.as_ref().map(|c| c.as_ptr());
+        assert!(spare.is_some(), "the trim keeps one column's storage");
+        assert!(p.record(&column(n, 50)));
+        assert_eq!(p.history.back().map(|c| c.as_ptr()), spare);
+        assert!(p.spare.is_none());
+        assert!(p.record(&column(n, 51)));
+        assert_eq!(p.history.len(), 6);
+        let want: Vec<Vec<f32>> = (s_max + 1 - 4..s_max + 1)
+            .chain([50, 51])
+            .map(|k| rounded(&column(n, k)))
+            .collect();
+        assert_eq!(p.history(), want);
+        assert_flips_are_found_and_repaired(&p);
     }
 
     #[test]
@@ -783,14 +913,15 @@ mod tests {
     /// those from widened contiguous copies: across ring wrap-around, at
     /// `s = 1` and `s = s_max`, with a rank-deficient window and a short
     /// last region, called again and again on pools of one and two
-    /// threads, whose per-thread scratch carries over from call to call
-    /// and from predictor to predictor.
+    /// threads, in one scratch that carries over from call to call, from
+    /// pool to pool and from predictor to predictor.
     #[test]
     fn copy_free_predict_is_bitwise_the_copied_one() {
         let (n, s_max) = (100, 6);
         let seq = modal_sequence(n, 4 * (s_max + 1), 3);
         let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
-        let check = |p: &DataDrivenPredictor, what: &str| {
+        let mut scratch = PredictorScratch::default();
+        let mut check = |p: &DataDrivenPredictor, what: &str| {
             for s in [1, s_max / 2, s_max]
                 .into_iter()
                 .filter(|&s| s <= p.available_s())
@@ -801,10 +932,11 @@ mod tests {
                     let pool = hetsolve_pool::Pool::with_threads(threads);
                     for call in 0..3 {
                         let mut got = vec![f64::NAN; n];
-                        assert!(pool.install(|| p.predict(s, &mut got)));
+                        assert!(pool.install(|| p.predict_with(s, &mut got, &mut scratch)));
                         let at = format!("{what}, s {s}, {threads} threads, call {call}");
                         assert_eq!(bits(&got), bits(&want), "{at}");
-                        let defect = pool.install(|| p.basis_defect(s)).expect("history");
+                        let defect = pool.install(|| p.basis_defect(s, &mut scratch));
+                        let defect = defect.expect("history");
                         let want = basis_defect_from_copies(p, s);
                         assert_eq!(defect.to_bits(), want.to_bits(), "{at}");
                     }

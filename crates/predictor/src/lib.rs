@@ -21,5 +21,5 @@ mod mgs;
 
 pub use adams::{adams_bashforth, AdamsState};
 pub use adaptive::{AdaptiveWindow, WindowDecision};
-pub use datadriven::DataDrivenPredictor;
+pub use datadriven::{DataDrivenPredictor, PredictorScratch};
 pub use mgs::{mgs_qr, MgsQr};

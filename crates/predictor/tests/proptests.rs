@@ -113,8 +113,9 @@ proptest! {
         prop_assert!((out[0] - (u[0] + slope * dt)).abs() < 1e-9 * (1.0 + u[0].abs()));
     }
 
-    /// The adaptive controller always stays within its bounds, whatever
-    /// the observed timings.
+    /// The adaptive controller always stays within its bounds, and within
+    /// the reach of the window it decides from, whatever the observed
+    /// timings.
     #[test]
     fn adaptive_window_respects_bounds(
         observations in proptest::collection::vec((1e-6f64..1.0, 1e-6f64..1.0), 1..60),
@@ -123,8 +124,10 @@ proptest! {
         let mut ctl = AdaptiveWindow::new(1, cap);
         let mut s = ctl.current();
         for (pred_t, solver_t) in observations {
+            let reach = ctl.reach();
             s = ctl.observe(s, pred_t, solver_t);
             prop_assert!((1..=cap).contains(&s), "s = {s} outside [1, {cap}]");
+            prop_assert!(s <= reach, "s = {s} past the reach {reach}");
         }
     }
 }
