@@ -10,7 +10,7 @@
 //! timeline. This realizes the paper's "accuracy is guaranteed" property
 //! and is verified by the cross-method equivalence tests.
 
-use hetsolve_fem::{CompactEbe, CompactElements, ElementMatrices, FemProblem, ScatterPlan};
+use hetsolve_fem::{CompactEbe, CompactElements, ElementKernel, FemProblem, ScatterPlan};
 use hetsolve_sparse::{assemble_global, Bcrs3, BlockJacobi, KernelCounts, LinearOperator};
 
 /// Owned problem + every precomputed structure the methods share.
@@ -42,15 +42,15 @@ impl Backend {
         let compact = CompactElements::compute(&problem.model.mesh, &problem.materials);
         let fixed: Vec<bool> = problem.mask.as_slice().to_vec();
         let a = problem.a_coeffs();
-        // the element matrices live only as long as the assembly reads them
+        // assembly streams the element kernel: an element's matrices live
+        // only until the last row that reads them is merged
         let crs_a = with_crs.then(|| {
             let mesh = &problem.model.mesh;
-            let elements = ElementMatrices::compute(mesh, &problem.materials);
+            let kernel = ElementKernel::new(mesh, &problem.materials);
             assemble_global(
                 mesh.n_nodes(),
                 &mesh.elems,
-                &elements.me,
-                &elements.ke,
+                |e, m, k| kernel.compute(e, m, k),
                 a.c_m,
                 a.c_k,
                 &problem.dashpots.faces,
@@ -281,6 +281,7 @@ impl RhsScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetsolve_fem::ElementMatrices;
     use hetsolve_mesh::{GroundModelSpec, InterfaceShape};
     use hetsolve_sparse::{pcg, CgConfig};
 
@@ -367,12 +368,11 @@ mod tests {
     fn rhs_counts_crs_are_a_and_m() {
         let b = backend();
         let (p, mesh) = (&b.problem, &b.problem.model.mesh);
-        let elements = ElementMatrices::compute(mesh, &p.materials);
+        let kernel = ElementKernel::new(mesh, &p.materials);
         let m = assemble_global(
             mesh.n_nodes(),
             &mesh.elems,
-            &elements.me,
-            &elements.ke,
+            |e, m, k| kernel.compute(e, m, k),
             1.0,
             0.0,
             &[],
@@ -430,8 +430,10 @@ mod tests {
         let streamed_a = assemble_global(
             n,
             &mesh.elems,
-            &el.me,
-            &el.ke,
+            |e, m, k| {
+                m.copy_from_slice(el.me_of(e));
+                k.copy_from_slice(el.ke_of(e));
+            },
             a.c_m,
             a.c_k,
             faces,
@@ -446,8 +448,10 @@ mod tests {
         let streamed_m = assemble_global(
             n,
             &mesh.elems,
-            &el.me,
-            &el.ke,
+            |e, m, k| {
+                m.copy_from_slice(el.me_of(e));
+                k.copy_from_slice(el.ke_of(e));
+            },
             1.0,
             0.0,
             &[],

@@ -844,7 +844,7 @@ impl MultiOperator for CompactEbe<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::ElementMatrices;
+    use crate::element::{ElementKernel, ElementMatrices};
     use crate::model::FemProblem;
     use hetsolve_mesh::{box_tet10, BoxGrid, GroundModelSpec, InterfaceShape};
     use hetsolve_sparse::{assemble_global, Bcrs3};
@@ -914,12 +914,11 @@ mod tests {
         /// with the rows and columns of `fixed` eliminated.
         fn assembled(&self, fixed: &[bool]) -> Bcrs3 {
             let (p, a) = (&self.p, self.p.a_coeffs());
-            let elements = ElementMatrices::compute(&p.model.mesh, &p.materials);
+            let kernel = ElementKernel::new(&p.model.mesh, &p.materials);
             assemble_global(
                 p.n_nodes(),
                 &p.model.mesh.elems,
-                &elements.me,
-                &elements.ke,
+                |e, m, k| kernel.compute(e, m, k),
                 a.c_m,
                 a.c_k,
                 &p.dashpots.faces,

@@ -79,9 +79,45 @@ pub fn stiffness_matrix(x: &[Vec3; 10], mat: &Material, rule: &[TetQp], k: &mut 
     }
 }
 
+/// The element kernel of one mesh: the packed `M_e` and `K_e` of any of
+/// its elements, with the material table applied by the element's
+/// material id. [`ElementMatrices::compute`] runs it over every element;
+/// CRS assembly (`hetsolve_sparse::assemble_global`) calls it once per
+/// element as it streams the mesh.
+#[derive(Debug)]
+pub struct ElementKernel<'a> {
+    mesh: &'a TetMesh10,
+    mats: &'a [Material],
+    rule_m: Vec<TetQp>,
+    rule_k: Vec<TetQp>,
+}
+
+impl<'a> ElementKernel<'a> {
+    /// The kernel of `mesh` under the material table `mats`.
+    pub fn new(mesh: &'a TetMesh10, mats: &'a [Material]) -> Self {
+        ElementKernel {
+            mesh,
+            mats,
+            rule_m: tet_rule_deg5(),
+            rule_k: tet_rule_deg2(),
+        }
+    }
+
+    /// Write element `e`'s packed `M_e` into `m` and `K_e` into `k`.
+    pub fn compute(&self, e: usize, m: &mut [f64; PACKED], k: &mut [f64; PACKED]) {
+        let x = self.mesh.elem_coords(e);
+        let mat = &self.mats[self.mesh.material[e] as usize];
+        mass_matrix(&x, mat.rho, &self.rule_m, m);
+        stiffness_matrix(&x, mat, &self.rule_k, k);
+    }
+}
+
 /// Per-element matrices for an entire mesh, stored flat
-/// (`me[e*PACKED..][..PACKED]`), with the material table applied by each
-/// element's material id. This is the data the EBE operator gathers from.
+/// (`me[e*PACKED..][..PACKED]`): the element kernel's output for every
+/// element at once. No operator keeps them — the EBE operator reads
+/// [`crate::CompactElements`] and CRS assembly streams the kernel — so
+/// this array is what the storage ablation weighs and what the assembly
+/// tests' builder oracle reads.
 #[derive(Debug, Clone)]
 pub struct ElementMatrices {
     pub me: Vec<f64>,
@@ -92,21 +128,19 @@ pub struct ElementMatrices {
 impl ElementMatrices {
     /// Compute all element matrices of `mesh` with materials `mats`.
     pub fn compute(mesh: &TetMesh10, mats: &[Material]) -> Self {
-        let rule_m = tet_rule_deg5();
-        let rule_k = tet_rule_deg2();
+        let kernel = ElementKernel::new(mesh, mats);
         let ne = mesh.n_elems();
         let mut me = vec![0.0; ne * PACKED];
         let mut ke = vec![0.0; ne * PACKED];
         // Serial (DESIGN.md §19): set-up stays off the pool.
         for (e, (me_e, ke_e)) in me
-            .chunks_exact_mut(PACKED)
-            .zip(ke.chunks_exact_mut(PACKED))
+            .as_chunks_mut::<PACKED>()
+            .0
+            .iter_mut()
+            .zip(ke.as_chunks_mut::<PACKED>().0)
             .enumerate()
         {
-            let x = mesh.elem_coords(e);
-            let mat = &mats[mesh.material[e] as usize];
-            mass_matrix(&x, mat.rho, &rule_m, me_e);
-            stiffness_matrix(&x, mat, &rule_k, ke_e);
+            kernel.compute(e, me_e, ke_e);
         }
         ElementMatrices {
             me,

@@ -84,11 +84,6 @@ impl FaceDashpots {
     pub fn cb_of(&self, f: usize) -> &[f64] {
         &self.cb[f * FACE_PACKED..(f + 1) * FACE_PACKED]
     }
-
-    /// Bytes stored.
-    pub fn bytes(&self) -> usize {
-        self.cb.len() * 8 + self.faces.len() * 24
-    }
 }
 
 #[cfg(test)]
@@ -187,6 +182,5 @@ mod tests {
         let fd = FaceDashpots::compute(&m, &b, &mats);
         assert_eq!(fd.n_faces(), b.faces_of_kind(BoundaryKind::Side).count());
         assert_eq!(fd.cb.len(), fd.n_faces() * FACE_PACKED);
-        assert!(fd.bytes() > 0);
     }
 }

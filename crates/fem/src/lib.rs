@@ -11,7 +11,8 @@
 //! * `ebe_compact` — the compact matrix-free EBE operator (element
 //!   matrices in packed symmetric storage, from `hetsolve-sparse`),
 //! * `material` — Rayleigh damping fits,
-//! * `element` — consistent mass / stiffness element matrices,
+//! * `element` — consistent mass / stiffness element matrices (the element
+//!   kernel CRS assembly streams),
 //! * `faces` — Lysmer absorbing-boundary dashpot face matrices,
 //! * `constraint` — Dirichlet DOF masking,
 //! * `newmark` — Newmark-β (trapezoidal) time integration,
@@ -31,7 +32,7 @@ mod quad;
 mod shape;
 
 pub use ebe_compact::{compact_ebe_counts, CompactEbe, CompactElements, RefTables, ScatterPlan};
-pub use element::{mass_matrix, stiffness_matrix, ElementMatrices, NDOF, PACKED};
+pub use element::{mass_matrix, stiffness_matrix, ElementKernel, ElementMatrices, NDOF, PACKED};
 
 pub use loads::{ImpulseSource, RandomLoad, RandomLoadSpec};
 

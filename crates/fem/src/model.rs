@@ -7,8 +7,8 @@
 //! mask, the coefficient sets that express the system/mass/damping
 //! operators as linear combinations `c_M M + c_K K + c_B C_b`. It stores
 //! no element matrices: the matrix-free operator recomputes them, and CRS
-//! assembly computes them ([`crate::ElementMatrices::compute`]) for as long
-//! as it runs.
+//! assembly streams them from the element kernel ([`crate::ElementKernel`]),
+//! keeping each only until the last row that reads it is merged.
 
 use hetsolve_mesh::{extract_boundary, BoundarySet, GroundModel, GroundModelSpec, Material};
 

@@ -37,11 +37,6 @@ impl BlockJacobi {
         BlockJacobi { inv, parallel }
     }
 
-    /// Bytes of stored inverse blocks.
-    pub fn bytes(&self) -> usize {
-        self.inv.len() * 72
-    }
-
     /// `z = B⁻¹ r` on `[f64; R]` lane arrays over the `z.len() / (3 R)`
     /// nodes `z` covers (each inverse block applied to all `R` cases of
     /// its node at once, in `mat3_vec`'s operation order), handing every
@@ -321,7 +316,8 @@ mod tests {
     #[test]
     fn counts_and_bytes() {
         let bj = BlockJacobi::from_blocks(&blocks(), false);
-        assert_eq!(bj.bytes(), 144);
         assert_eq!(bj.counts().flops, 30.0);
+        // per node: its inverse block, one `r` and one `z` row
+        assert_eq!(bj.counts().bytes_stream, 2.0 * (72.0 + 24.0 + 24.0));
     }
 }

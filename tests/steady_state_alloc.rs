@@ -9,14 +9,16 @@
 //! steps in between.
 //!
 //! A CRS backend's set-up allocates a few dozen blocks, not one per
-//! element or per matrix block: assembly is count-first and keeps no
-//! element matrices (DESIGN.md §17).
+//! element or per matrix block, and at its peak holds little more than
+//! the backend it returns: assembly is count-first and streams the element
+//! kernel, so only the element matrices that rows still to be merged read
+//! are live at once, never every element's (DESIGN.md §17).
 //!
 //! The counters are process-wide, so the tests of this binary take
 //! [`EXCLUSIVE`] before they count: a neighbouring test allocating on
 //! another thread would be counted too. Debug builds allocate the parcheck
 //! claim table (one word per DOF) in every colored scatter, so the tests
-//! run in release builds only.
+//! that count allocations run in release builds only.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,8 +31,20 @@ use hetsolve::prelude::*;
 // Relaxed: pure statistics, they publish no other data.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK_LIVE: AtomicU64 = AtomicU64::new(0);
 
-/// `System`, plus a count of allocations and of bytes requested.
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK_LIVE.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
+
+/// `System`, plus a count of allocations and of bytes requested, and the
+/// bytes live now and at their peak.
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
@@ -43,6 +57,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        grow(layout.size());
         // SAFETY: same layout, same contract as the caller's.
         #[allow(unsafe_code, reason = "forwards to `System`")]
         unsafe {
@@ -53,6 +68,7 @@ unsafe impl GlobalAlloc for Counting {
     // SAFETY: the trait's contract, forwarded unchanged to `System`.
     #[allow(unsafe_code, reason = "a `GlobalAlloc` method")]
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         // SAFETY: `ptr` came from `System` through this wrapper with `layout`.
         #[allow(unsafe_code, reason = "forwards to `System`")]
         unsafe {
@@ -65,6 +81,10 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        match new_size.checked_sub(layout.size()) {
+            Some(more) => grow(more),
+            None => shrink(layout.size() - new_size),
+        }
         // SAFETY: `ptr` came from `System` through this wrapper with `layout`.
         #[allow(unsafe_code, reason = "forwards to `System`")]
         unsafe {
@@ -91,6 +111,19 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
         BYTES.load(Ordering::Relaxed),
     );
     (out, a1 - a0, b1 - b0)
+}
+
+/// Live bytes of `f` above the level at its start: at their peak, and
+/// still held when it returns.
+fn live_rise<T>(f: impl FnOnce() -> T) -> (T, i64, i64) {
+    let live0 = LIVE.load(Ordering::Relaxed);
+    PEAK_LIVE.store(live0, Ordering::Relaxed);
+    let out = f();
+    let (peak, live1) = (
+        PEAK_LIVE.load(Ordering::Relaxed),
+        LIVE.load(Ordering::Relaxed),
+    );
+    (out, peak as i64 - live0 as i64, live1 as i64 - live0 as i64)
 }
 
 /// Allocations and bytes of a run of `cfg` that crashes at step `at`.
@@ -161,5 +194,26 @@ fn crs_backend_setup_allocates_a_bounded_number_of_blocks() {
     assert!(
         allocs <= 200,
         "{allocs} allocations ({bytes} bytes) in set-up"
+    );
+}
+
+/// `Backend::new` with the assembled matrix at 9,537 DOF rises above its
+/// starting live bytes by at most what the finished backend holds plus
+/// 4 MiB: the slab of element matrices streamed assembly keeps live
+/// (444 of 1,920 elements, 3.2 MiB) and the incidences and diagonal
+/// blocks of set-up. Every element's matrices at once are 13.6 MiB.
+#[test]
+fn crs_backend_setup_peaks_near_what_it_keeps() {
+    let _only = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
+    let spec = GroundModelSpec::paper_like(8, 8, 5, InterfaceShape::Basin);
+    let problem = FemProblem::paper_like(&spec);
+    assert_eq!(problem.n_dofs(), 9537);
+    let (backend, peak, held) = live_rise(|| Backend::new(problem, true, false));
+    assert!(backend.has_crs());
+    println!("Backend::new(.., true, false) at 9,537 DOF: holds {held} B, peaks {peak} B above its start");
+    let working = peak - held;
+    assert!(
+        working <= 4 << 20,
+        "set-up peaks {working} B above the {held} B the backend holds"
     );
 }
