@@ -205,18 +205,31 @@ impl SlotState {
     /// Does this state fit a mesh of `n_dofs` unknowns? A CRC-valid image
     /// of another mesh, or a hostile one, can carry vectors or history
     /// columns of any length; restoring one would panic in the predictor
-    /// or the kernels, so it is [`CkptError::Corrupt`] instead.
+    /// or the kernels, so it is [`CkptError::Corrupt`] instead. So is a
+    /// newest Adams column that is not bitwise `v`: a slot keeps only the
+    /// columns before it and restores `v` in its place
+    /// ([`CaseSlot::from_state`]), so the image would not round-trip.
     pub fn check(&self, n_dofs: usize) -> Result<(), CkptError> {
         let vectors = [("u", &self.u), ("v", &self.v), ("a", &self.a)].into_iter();
         let mut lens = (vectors.chain(self.adams_hist.iter().map(|c| ("Adams history", c))))
             .map(|(what, c)| (what, c.len()))
             .chain(self.dd_hist.iter().map(|c| ("predictor history", c.len())));
-        match lens.find(|&(_, len)| len != n_dofs) {
-            Some((what, len)) => Err(CkptError::Corrupt(format!(
+        if let Some((what, len)) = lens.find(|&(_, len)| len != n_dofs) {
+            return Err(CkptError::Corrupt(format!(
                 "slot {what} column of {len} values on a {n_dofs}-DOF mesh"
-            ))),
-            None => Ok(()),
+            )));
         }
+        let differs = |c: &Vec<f64>| {
+            c.iter()
+                .zip(&self.v)
+                .any(|(x, v)| x.to_bits() != v.to_bits())
+        };
+        if self.adams_hist.last().is_some_and(differs) {
+            return Err(CkptError::Corrupt(
+                "slot newest Adams history column is not its velocity".into(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -469,6 +482,39 @@ mod tests {
                 assert_eq!((bits(ab), bits(cb)), (bits(aa), bits(ca)), "s = {s}");
             }
         }
+    }
+
+    /// The newest Adams column of an image is the slot's velocity, which
+    /// a restore takes from `v`: one that differs by a bit, CRC-valid
+    /// image or not, is typed corruption rather than dropped unseen.
+    #[test]
+    fn newest_adams_column_that_is_not_v_is_typed_corruption() {
+        let (backend, cfg) = small();
+        let fp = ConfigFingerprint::of(&backend, &cfg);
+        let clean = RunCheckpoint::capture(&stepped(&backend, &cfg, 3), fp);
+        for s in &clean.slots {
+            assert_eq!(s.adams_hist.len(), 3);
+            assert_eq!(s.adams_hist.last(), Some(&s.v));
+        }
+        let flips: [fn(&mut SlotState); 2] = [
+            |s| s.adams_hist[2][7] = f64::from_bits(s.adams_hist[2][7].to_bits() ^ 1),
+            |s| s.v[0] = f64::from_bits(s.v[0].to_bits() ^ (1 << 63)),
+        ];
+        for (i, flip) in flips.into_iter().enumerate() {
+            let mut snap = clean.clone();
+            flip(&mut snap.slots[0]);
+            let back = RunCheckpoint::from_bytes(&snap.to_bytes(), fp).expect("CRC-valid");
+            let err = back.into_state(&backend, &cfg).err();
+            assert!(
+                matches!(&err, Some(CkptError::Corrupt(m)) if m.contains("Adams")),
+                "flip {i}: {err:?}"
+            );
+        }
+        // before its first step a slot carries no Adams column at all
+        let fresh = RunCheckpoint::capture(&stepped(&backend, &cfg, 0), fp);
+        assert!(fresh.slots.iter().all(|s| s.adams_hist.is_empty()));
+        assert!(fresh.into_state(&backend, &cfg).is_ok());
+        assert!(clean.into_state(&backend, &cfg).is_ok());
     }
 
     /// The serial schedule keeps no predictor history: its slots build and

@@ -278,7 +278,8 @@ pub(crate) fn operator_crc(payload: OperatorPayload<'_>) -> u32 {
 }
 
 /// Step-boundary guard of one case: per-component checksums plus the
-/// rollback snapshot of `u`/`v`/`a` and the Adams history. Captured before
+/// rollback snapshot of `u`/`v`/`a` and the past Adams columns (the
+/// newest velocity the history reads is `v` itself). Captured before
 /// faults can land at a boundary and verified right after; any mismatch
 /// pinpoints the component and [`StateGuard::restore_into`] rolls the slot
 /// back bitwise. The predictor history is not copied: its columns carry
@@ -297,8 +298,8 @@ pub(crate) struct StateGuard {
     /// sets this from `Backend::parallel`.
     pub(crate) parallel: bool,
     step: usize,
-    /// The captured columns back to back: `u`, `v`, `a`, then the Adams
-    /// history, oldest first.
+    /// The captured columns back to back: `u`, `v`, `a`, then the past
+    /// Adams columns, oldest first.
     snapshot: Vec<f64>,
     /// End of each captured column in `snapshot`.
     ends: Vec<usize>,
@@ -334,7 +335,7 @@ impl StateGuard {
         self.crc_u = self.push_vector(&slot.time.u);
         self.crc_v = self.push_vector(&slot.time.v);
         self.crc_a = self.push_vector(&slot.time.a);
-        self.crc_adams = crc_cols_via(slot.adams.history_cols(), |col, c| self.push_col(col, c));
+        self.crc_adams = crc_cols_via(slot.adams.past_cols(), |col, c| self.push_col(col, c));
     }
 
     /// Re-checksum the slot; `Some(target)` names the first component
@@ -350,7 +351,7 @@ impl StateGuard {
         if crc_f64s(&slot.time.a) != self.crc_a {
             return Some(CorruptTarget::State(StateField::A));
         }
-        if crc_cols(slot.adams.history_cols()) != self.crc_adams {
+        if crc_cols(slot.adams.past_cols()) != self.crc_adams {
             return Some(CorruptTarget::AdamsHistory);
         }
         let dd = slot.dd.as_ref();
@@ -387,8 +388,7 @@ impl StateGuard {
         slot.time.u.copy_from_slice(vector());
         slot.time.v.copy_from_slice(vector());
         slot.time.a.copy_from_slice(vector());
-        slot.adams
-            .restore_history(cols.map(<[f64]>::to_vec).collect());
+        slot.adams.restore_past(cols);
         let Some(dd) = &mut slot.dd else {
             return CorruptionAction::RestoredState;
         };
@@ -772,11 +772,11 @@ mod tests {
         assert_eq!(guard.verify(&s), None);
         assert_eq!(s.state(), reference);
 
-        // every Adams column in turn
-        for k in 0..4 {
+        // every past Adams column in turn
+        for k in 0..3 {
             let mut s = CaseSlot::from_state(&backend, &cfg, &reference);
             guard.capture(&s);
-            let mut hist = s.adams.history();
+            let mut hist = s.adams.history(&s.time.v);
             BitFlip {
                 seed: 40 + k as u64,
             }
@@ -809,7 +809,7 @@ mod tests {
             let reference = slot.state();
             assert_eq!(reference.dd_hist.len(), steps);
             guard.capture(&slot);
-            assert_eq!(guard.columns().count(), 3 + steps);
+            assert_eq!(guard.columns().count(), 3 + steps.saturating_sub(1));
             assert_eq!(guard.verify(&slot), None);
             assert!(guard.verify(&long).is_some(), "the long capture is gone");
             // a rollback hands the slot this capture's columns only

@@ -113,7 +113,7 @@ pub fn run_nonlinear(
     for step in 0..cfg.n_steps {
         load.force_into(step, &mut f);
         backend.problem.mask.project(&mut f);
-        adams.predict(&time.u, backend.problem.newmark.dt, &mut guess);
+        adams.predict(&time.u, &time.v, backend.problem.newmark.dt, &mut guess);
         backend.problem.mask.project(&mut guess);
 
         // NOTE: the RHS uses the *current* secant moduli (consistent with
@@ -199,11 +199,11 @@ pub fn run_nonlinear(
         }
 
         let u_old = std::mem::replace(&mut time.u, x.clone());
+        adams.record_past(&time.v);
         backend
             .problem
             .newmark
             .advance(&time.u, &u_old, &mut time.v, &mut time.a);
-        adams.push(&time.v);
         time.step += 1;
 
         let peak_u = time.u.iter().map(|v| v.abs()).fold(0.0f64, f64::max);

@@ -31,6 +31,9 @@
 //! and the convergence study. The Adams-Bashforth guess is not kept
 //! either: [`CaseSlot::ab_guess`] recomputes it from the state wherever it
 //! is read, which gives the same bits until `advance` moves the state.
+//! Nor does its velocity history copy the state's `v`: it keeps the up to
+//! 3 velocities before it, and `advance` hands it the old `v` just before
+//! Newmark overwrites it.
 
 use hetsolve_fault::VectorFault;
 use hetsolve_fem::{RandomLoad, TimeState};
@@ -47,6 +50,8 @@ use crate::methods::{keeps_history, RunConfig};
 pub struct CaseSlot {
     pub(crate) time: TimeState,
     pub(crate) load: RandomLoad,
+    /// The velocities before `time.v`, which every Adams-Bashforth guess
+    /// reads after them.
     pub(crate) adams: AdamsState,
     /// The data-driven correction history; `None` under a method that
     /// never predicts from it.
@@ -115,8 +120,8 @@ impl CaseSlot {
     /// snapshot. A pure function of the state, so every caller between two
     /// `advance`s gets the same bits.
     pub(crate) fn ab_guess(&self, backend: &Backend, out: &mut [f64]) {
-        self.adams
-            .predict(&self.time.u, backend.problem.newmark.dt, out);
+        let dt = backend.problem.newmark.dt;
+        self.adams.predict(&self.time.u, &self.time.v, dt, out);
         backend.problem.mask.project(out);
     }
 
@@ -183,9 +188,9 @@ impl CaseSlot {
         }
         let history_ok = self.dd.as_mut().is_none_or(|dd| dd.record(delta));
         std::mem::swap(&mut self.time.u, u_new);
+        self.adams.record_past(&self.time.v);
         let nm = &backend.problem.newmark;
         nm.advance(&self.time.u, u_new, &mut self.time.v, &mut self.time.a);
-        self.adams.push(&self.time.v);
         self.time.step += 1;
         history_ok
     }
@@ -226,10 +231,12 @@ impl CaseSlot {
 
     /// Capture everything a checkpoint needs to rebuild this slot bitwise:
     /// seed + step count (the load regenerates from them), Newmark vectors,
-    /// both predictor histories (the data-driven one as its `f32` columns,
-    /// none without a predictor), and the recorded waveform. A slot holds
-    /// no per-step scratch, so nothing is left out: the RHS and guess live
-    /// in the set step's packed lanes, rebuilt every step before any read.
+    /// both predictor histories (the Adams one as its past columns followed
+    /// by a copy of `v` once the case has stepped; the data-driven one as
+    /// its `f32` columns, none without a predictor), and the recorded
+    /// waveform. A slot holds no per-step scratch, so nothing is left out:
+    /// the RHS and guess live in the set step's packed lanes, rebuilt
+    /// every step before any read.
     pub fn state(&self) -> SlotState {
         SlotState {
             seed: self.seed,
@@ -238,7 +245,7 @@ impl CaseSlot {
             u: self.time.u.clone(),
             v: self.time.v.clone(),
             a: self.time.a.clone(),
-            adams_hist: self.adams.history(),
+            adams_hist: self.adams.history(&self.time.v),
             dd_hist: self
                 .dd
                 .as_ref()
@@ -250,8 +257,9 @@ impl CaseSlot {
     /// Rebuild a slot from a captured [`SlotState`] — the restore-side
     /// inverse of [`CaseSlot::state`]. The load is regenerated from the
     /// stored seed, so the resumed trajectory is bitwise-identical to the
-    /// uninterrupted one. `st` must fit `backend`'s mesh and `cfg`'s
-    /// method: a state decoded from outside the process goes through
+    /// uninterrupted one; the newest Adams column, the copy of `v`, is
+    /// dropped again. `st` must fit `backend`'s mesh and `cfg`'s method: a
+    /// state decoded from outside the process goes through
     /// [`SlotState::check`] first.
     pub fn from_state(backend: &Backend, cfg: &RunConfig, st: &SlotState) -> Self {
         let mut slot = Self::with_seed(backend, cfg, st.seed, st.n_steps, st.waveform.len());
@@ -265,5 +273,70 @@ impl CaseSlot {
         }
         slot.waveform = st.waveform.clone();
         slot
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use hetsolve_fault::FaultPlan;
+    use hetsolve_fem::FemProblem;
+    use hetsolve_machine::single_gh200;
+    use hetsolve_mesh::{GroundModelSpec, InterfaceShape};
+
+    use super::*;
+    use crate::methods::MethodKind;
+    use crate::set::{SetSpec, SetStep};
+
+    /// After `k` advances a slot holds `min(k − 1, 3)` past velocities
+    /// (none before its first step), and its image carries `min(k, 4)`
+    /// Adams columns, the newest bitwise `v`. The slot rebuilt from that
+    /// image builds the same next guess, bit for bit.
+    #[test]
+    fn adams_history_keeps_the_past_and_its_image_adds_v() {
+        let spec = GroundModelSpec::paper_like(3, 3, 2, InterfaceShape::Stratified);
+        let backend = Backend::new(FemProblem::paper_like(&spec), true, false);
+        let mut cfg = RunConfig::new(MethodKind::EbeMcgCpuGpu, single_gh200(), 7);
+        cfg.s_max = 4;
+        cfg.region_dofs = 64;
+        let n = backend.n_dofs();
+        let mut lane = [CaseSlot::new(&backend, &cfg, 0, 0)];
+        let (mut set, op) = (SetStep::new(n, 1), backend.ebe_a(1));
+        let (mut faults, scratch) = (FaultPlan::default(), &mut PredictorScratch::default());
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let mut got = [(); 2].map(|_| [vec![0.0; n], vec![0.0; n]]);
+        for k in 0..=cfg.n_steps {
+            let slot = &lane[0];
+            assert_eq!(slot.step_index(), k);
+            let past = k.saturating_sub(1).min(3);
+            assert_eq!(slot.adams.past_cols().count(), past, "k = {k}");
+            let st = slot.state();
+            assert_eq!(st.adams_hist.len(), k.min(4), "k = {k}");
+            if let Some(newest) = st.adams_hist.last() {
+                assert_eq!(bits(newest), bits(&st.v), "k = {k}");
+            }
+            let back = CaseSlot::from_state(&backend, &cfg, &st);
+            assert_eq!(back.adams.past_cols().count(), past, "k = {k}");
+            let s = slot.available_s();
+            for (case, [guess, corr]) in [slot, &back].into_iter().zip(&mut got) {
+                case.prepare_guess(&backend, s, guess, corr, scratch);
+            }
+            let [[ours, _], [theirs, _]] = &got;
+            assert_eq!(bits(theirs), bits(ours), "k = {k}");
+            if k == cfg.n_steps {
+                break;
+            }
+            let spec = SetSpec {
+                step: k,
+                set: 0,
+                ids: &[Some(0)],
+                fused: false,
+                window: None,
+                tol: cfg.tol,
+            };
+            set.prepare(&backend, &cfg, spec, &mut lane[..], &mut faults);
+            set.solve(&backend, &op, &mut lane[..])
+                .error()
+                .expect("a clean step solves");
+        }
     }
 }

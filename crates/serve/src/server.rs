@@ -1151,7 +1151,6 @@ impl<'b> EnsembleServer<'b> {
                 continue;
             };
             self.evict(id, reason, now, Some((lane, slot)));
-            self.lane_ckpt[lane][slot] = None;
             evicted += 1;
         }
         evicted
@@ -1163,10 +1162,12 @@ impl<'b> EnsembleServer<'b> {
     }
 
     /// Free lane `lane`'s column `slot` and move its request `id` to the
-    /// terminal `state`.
+    /// terminal `state`. The column's lane capture goes with it: a restart
+    /// skips a capture of another occupant, so nothing would read it again.
     fn release(&mut self, lane: usize, slot: usize, id: RequestId, state: RequestState, at: f64) {
         self.batcher.free(lane, slot);
         self.slots[lane][slot] = None;
+        self.lane_ckpt[lane][slot] = None;
         self.finish(id, state, at);
     }
 
@@ -1304,5 +1305,48 @@ impl<'b> EnsembleServer<'b> {
 
     pub fn config(&self) -> &ServeConfig {
         &self.cfg
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use hetsolve_fem::{FemProblem, RandomLoadSpec};
+    use hetsolve_machine::single_gh200;
+    use hetsolve_mesh::{GroundModelSpec, InterfaceShape};
+
+    use super::*;
+
+    /// The lane capture of a request that ends is dropped with its
+    /// column, before the next capture tick; its companion's stays.
+    #[test]
+    fn a_finished_request_leaves_no_lane_capture() {
+        let spec = GroundModelSpec::paper_like(3, 3, 2, InterfaceShape::Stratified);
+        let backend = Backend::new(FemProblem::paper_like(&spec), false, false);
+        let mut cfg = ServeConfig::new(single_gh200());
+        cfg.run.r = 2;
+        cfg.run.s_max = 6;
+        cfg.run.region_dofs = 300;
+        cfg.run.load = RandomLoadSpec {
+            n_sources: 4,
+            impulses_per_source: 2.0,
+            amplitude: 1e6,
+            active_window: 0.2,
+        };
+        cfg.checkpoint_every = 8;
+        let mut server = EnsembleServer::new(&backend, cfg);
+        let short = server.admit(SolveRequest::new(11, 2)).expect("admit");
+        let long = server.admit(SolveRequest::new(12, 6)).expect("admit");
+        let captured = |server: &EnsembleServer<'_>| -> Vec<RequestId> {
+            let cols = server.lane_ckpt.iter().flatten();
+            let mut ids: Vec<_> = cols.filter_map(|c| c.as_ref().map(|(id, _)| *id)).collect();
+            ids.sort_by_key(|id| id.0);
+            ids
+        };
+        server.tick();
+        assert_eq!(captured(&server), [short, long], "both captured at tick 0");
+        server.tick();
+        assert_eq!(server.record(short).state, RequestState::Done);
+        assert!(server.ticks < 8, "no capture tick since");
+        assert_eq!(captured(&server), [long]);
     }
 }
