@@ -392,13 +392,24 @@ mod tests {
     /// `Backend::new` keeps.
     #[test]
     fn assembly_is_the_builder_bitwise() {
-        use hetsolve_sparse::{add_packed_element, apply_dirichlet, BcrsBuilder};
+        use hetsolve_fem::MASS_PAIRS;
+        use hetsolve_sparse::{add_packed_element, apply_dirichlet, packed_idx, BcrsBuilder};
 
         let spec = GroundModelSpec::paper_like(8, 8, 5, InterfaceShape::Basin);
         let b = Backend::new(FemProblem::paper_like(&spec), true, false);
         let (p, mesh) = (&b.problem, &b.problem.model.mesh);
         assert_eq!(p.n_dofs(), 9537);
         let el = ElementMatrices::compute(mesh, &p.materials);
+        // the node-pair table of a packed `M_e = m ⊗ I₃`
+        let pairs_of = |me: &[f64]| -> [f64; MASS_PAIRS] {
+            let mut m = [0.0; MASS_PAIRS];
+            for i in 0..10 {
+                for j in 0..=i {
+                    m[packed_idx(i, j)] = me[packed_idx(3 * i, 3 * j)];
+                }
+            }
+            m
+        };
         let (a, n) = (p.a_coeffs(), mesh.n_nodes());
         let (faces, cb) = (&p.dashpots.faces, &p.dashpots.cb);
         let builder = |c_m: f64, c_k: f64, c_b: f64, fixed: &[bool]| {
@@ -431,7 +442,7 @@ mod tests {
             n,
             &mesh.elems,
             |e, m, k| {
-                m.copy_from_slice(el.me_of(e));
+                m.copy_from_slice(&pairs_of(el.me_of(e)));
                 k.copy_from_slice(el.ke_of(e));
             },
             a.c_m,
@@ -449,7 +460,7 @@ mod tests {
             n,
             &mesh.elems,
             |e, m, k| {
-                m.copy_from_slice(el.me_of(e));
+                m.copy_from_slice(&pairs_of(el.me_of(e)));
                 k.copy_from_slice(el.ke_of(e));
             },
             1.0,

@@ -48,7 +48,7 @@ use std::fmt;
 use hetsolve_ckpt::Crc32;
 use hetsolve_fault::{BitFlip, FaultKind, FaultPlan, FaultSite, StateField};
 use hetsolve_fem::CompactElements;
-use hetsolve_predictor::PredictorScratch;
+use hetsolve_predictor::{AdamsState, PredictorScratch};
 use hetsolve_sparse::insert_case;
 use hetsolve_sparse::Bcrs3;
 
@@ -331,6 +331,12 @@ impl StateGuard {
     pub(crate) fn capture(&mut self, slot: &CaseSlot) {
         self.snapshot.clear();
         self.ends.clear();
+        // room for exactly one case's columns at its full Adams history,
+        // taken at the first capture: growing by doubling would hold room
+        // for 8 columns where 6 are used, and growing to each capture's
+        // size would leave a trail of freed smaller buffers behind
+        let full = (3 + AdamsState::PAST) * slot.time.u.len();
+        self.snapshot.reserve_exact(full);
         self.step = slot.time.step;
         self.crc_u = self.push_vector(&slot.time.u);
         self.crc_v = self.push_vector(&slot.time.v);
@@ -792,6 +798,22 @@ mod tests {
             assert_eq!(guard.verify(&s), None);
             assert_eq!(s.state(), reference, "Adams column {k}");
         }
+    }
+
+    /// A guard's snapshot is sized once, at its first capture, for
+    /// exactly one case's columns at its full history: `u`, `v`, `a` and
+    /// 3 past Adams columns.
+    #[test]
+    fn a_capture_is_sized_exactly() {
+        let (backend, cfg) = small();
+        let full = 6 * backend.n_dofs();
+        let mut guard = StateGuard::default();
+        for steps in [0, 6] {
+            let slot = warmed_slot(&backend, &cfg, steps);
+            guard.capture(&slot);
+            assert_eq!(guard.snapshot.capacity(), full, "after {steps} steps");
+        }
+        assert_eq!(guard.snapshot.len(), full, "3 past Adams columns");
     }
 
     #[test]

@@ -216,6 +216,12 @@ impl CaseSlot {
         &self.time.u
     }
 
+    /// The current displacement vector, moved out of a slot that is done
+    /// with.
+    pub fn into_displacement(self) -> Vec<f64> {
+        self.time.u
+    }
+
     /// Largest data-driven window this slot's history supports right now.
     pub(crate) fn available_s(&self) -> usize {
         self.dd.as_ref().map_or(0, DataDrivenPredictor::available_s)

@@ -19,29 +19,53 @@ pub const NDOF: usize = 30;
 /// Packed length of a 30×30 symmetric matrix.
 pub const PACKED: usize = packed_len(NDOF); // 465
 
-/// Consistent element mass matrix, written into `m` (packed symmetric,
-/// 465 entries; overwritten).
-///
-/// `M_e[(3i+a),(3j+b)] = δ_ab ρ ∫ N_i N_j dV`, integrated with the
-/// degree-5 rule (exact: the integrand is degree 4).
-pub fn mass_matrix(x: &[Vec3; 10], rho: f64, rule: &[TetQp], m: &mut [f64]) {
+/// Packed length of the node-pair table of a Tet10 mass matrix (10 × 10
+/// symmetric).
+pub const MASS_PAIRS: usize = packed_len(10); // 55
+
+/// The node-pair table of the consistent element mass matrix, written
+/// into `m` (packed symmetric over the 10 nodes; overwritten):
+/// `m[i, j] = ρ ∫ N_i N_j dV`, integrated with the degree-5 rule (exact:
+/// the integrand is degree 4). The mass matrix is `M_e = m ⊗ I₃`.
+pub(crate) fn mass_pairs(x: &[Vec3; 10], rho: f64, rule: &[TetQp], m: &mut [f64; MASS_PAIRS]) {
     let verts = [x[0], x[1], x[2], x[3]];
     let (_, vol) = tet_bary_gradients(&verts);
     assert!(vol > 0.0, "element has non-positive volume {vol}");
-    debug_assert_eq!(m.len(), PACKED);
     m.fill(0.0);
     for qp in rule {
         let n = tet10_shape(qp.l);
         let w = qp.w * vol * rho;
         for i in 0..10 {
             for j in 0..=i {
-                let v = w * n[i] * n[j];
-                for a in 0..3 {
-                    m[packed_idx(3 * i + a, 3 * j + a)] += v;
-                }
+                m[packed_idx(i, j)] += w * n[i] * n[j];
             }
         }
     }
+}
+
+/// `m ⊗ I₃` of a node-pair table `m`, written into `full` (packed
+/// symmetric, 465 entries; overwritten): the pair's value on each
+/// component's diagonal, exact zeros between components.
+fn expand_mass(m: &[f64; MASS_PAIRS], full: &mut [f64]) {
+    debug_assert_eq!(full.len(), PACKED);
+    full.fill(0.0);
+    for i in 0..10 {
+        for j in 0..=i {
+            for a in 0..3 {
+                full[packed_idx(3 * i + a, 3 * j + a)] = m[packed_idx(i, j)];
+            }
+        }
+    }
+}
+
+/// Consistent element mass matrix, written into `m` (packed symmetric,
+/// 465 entries; overwritten): the node-pair table expanded,
+/// `M_e[(3i+a),(3j+b)] = δ_ab ρ ∫ N_i N_j dV`, integrated with the
+/// degree-5 rule (exact: the integrand is degree 4).
+pub fn mass_matrix(x: &[Vec3; 10], rho: f64, rule: &[TetQp], m: &mut [f64]) {
+    let mut pairs = [0.0; MASS_PAIRS];
+    mass_pairs(x, rho, rule, &mut pairs);
+    expand_mass(&pairs, m);
 }
 
 /// Element stiffness matrix for an isotropic material, written into `k`
@@ -79,11 +103,11 @@ pub fn stiffness_matrix(x: &[Vec3; 10], mat: &Material, rule: &[TetQp], k: &mut 
     }
 }
 
-/// The element kernel of one mesh: the packed `M_e` and `K_e` of any of
-/// its elements, with the material table applied by the element's
-/// material id. [`ElementMatrices::compute`] runs it over every element;
-/// CRS assembly (`hetsolve_sparse::assemble_global`) calls it once per
-/// element as it streams the mesh.
+/// The element kernel of one mesh: the mass's node-pair table and the
+/// packed `K_e` of any of its elements, with the material table applied
+/// by the element's material id. [`ElementMatrices::compute`] runs it
+/// over every element; CRS assembly (`hetsolve_sparse::assemble_global`)
+/// calls it once per element as it streams the mesh.
 #[derive(Debug)]
 pub struct ElementKernel<'a> {
     mesh: &'a TetMesh10,
@@ -103,11 +127,13 @@ impl<'a> ElementKernel<'a> {
         }
     }
 
-    /// Write element `e`'s packed `M_e` into `m` and `K_e` into `k`.
-    pub fn compute(&self, e: usize, m: &mut [f64; PACKED], k: &mut [f64; PACKED]) {
+    /// Write the node-pair table `m` of element `e`'s mass `M_e = m ⊗ I₃`
+    /// (packed 10 × 10 symmetric, [`MASS_PAIRS`] entries) and its packed
+    /// `K_e` into `k`.
+    pub fn compute(&self, e: usize, m: &mut [f64; MASS_PAIRS], k: &mut [f64; PACKED]) {
         let x = self.mesh.elem_coords(e);
         let mat = &self.mats[self.mesh.material[e] as usize];
-        mass_matrix(&x, mat.rho, &self.rule_m, m);
+        mass_pairs(&x, mat.rho, &self.rule_m, m);
         stiffness_matrix(&x, mat, &self.rule_k, k);
     }
 }
@@ -132,6 +158,7 @@ impl ElementMatrices {
         let ne = mesh.n_elems();
         let mut me = vec![0.0; ne * PACKED];
         let mut ke = vec![0.0; ne * PACKED];
+        let mut pairs = [0.0; MASS_PAIRS];
         // Serial (DESIGN.md §19): set-up stays off the pool.
         for (e, (me_e, ke_e)) in me
             .as_chunks_mut::<PACKED>()
@@ -140,7 +167,8 @@ impl ElementMatrices {
             .zip(ke.as_chunks_mut::<PACKED>().0)
             .enumerate()
         {
-            kernel.compute(e, me_e, ke_e);
+            kernel.compute(e, &mut pairs, ke_e);
+            expand_mass(&pairs, me_e);
         }
         ElementMatrices {
             me,

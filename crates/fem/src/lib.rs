@@ -32,7 +32,9 @@ mod quad;
 mod shape;
 
 pub use ebe_compact::{compact_ebe_counts, CompactEbe, CompactElements, RefTables, ScatterPlan};
-pub use element::{mass_matrix, stiffness_matrix, ElementKernel, ElementMatrices, NDOF, PACKED};
+pub use element::{
+    mass_matrix, stiffness_matrix, ElementKernel, ElementMatrices, MASS_PAIRS, NDOF, PACKED,
+};
 
 pub use loads::{ImpulseSource, RandomLoad, RandomLoadSpec};
 

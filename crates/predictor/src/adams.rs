@@ -40,9 +40,6 @@ pub fn adams_bashforth(u_prev: &[f64], vel_hist: &[&[f64]], dt: f64, out: &mut [
     }
 }
 
-/// Past velocities an Adams-Bashforth guess reads besides the current one.
-const PAST: usize = 3;
-
 /// The bounded velocity history of one case: the velocities of the steps
 /// *before* the current one, at most 3, oldest first, plus whether
 /// a step has been taken. The current velocity is the caller's (its time
@@ -55,6 +52,10 @@ pub struct AdamsState {
 }
 
 impl AdamsState {
+    /// Past velocities an Adams-Bashforth guess reads besides the current
+    /// one: the most the history holds.
+    pub const PAST: usize = 3;
+
     pub fn new() -> Self {
         Self::default()
     }
@@ -65,7 +66,7 @@ impl AdamsState {
     pub fn record_past(&mut self, v: &[f64]) {
         if !self.stepped {
             self.stepped = true;
-        } else if self.past.len() == PAST {
+        } else if self.past.len() == Self::PAST {
             // reuse the evicted buffer to avoid reallocation
             let mut old = self.past.pop_front().expect("len checked");
             old.copy_from_slice(v);
@@ -105,7 +106,7 @@ impl AdamsState {
     /// are kept.
     pub fn restore_history(&mut self, mut hist: Vec<Vec<f64>>) {
         self.stepped = hist.pop().is_some();
-        let skip = hist.len().saturating_sub(PAST);
+        let skip = hist.len().saturating_sub(Self::PAST);
         self.past = hist.into_iter().skip(skip).collect();
     }
 
@@ -117,7 +118,7 @@ impl AdamsState {
             out.copy_from_slice(u_prev);
             return false;
         }
-        let mut refs: [&[f64]; PAST + 1] = [&[]; PAST + 1];
+        let mut refs: [&[f64]; Self::PAST + 1] = [&[]; Self::PAST + 1];
         let cols = self.past_cols().chain(std::iter::once(v_now));
         for (r, v) in refs.iter_mut().zip(cols) {
             *r = v;

@@ -411,10 +411,15 @@ impl<'b> EnsembleServer<'b> {
             "server rebuilt from checkpoint",
         );
         // the in-memory lane checkpoints do not survive a crash; re-seed
-        // them from the restored state so the watchdog's restart rung has
-        // a rollback point from the first supervised tick on
+        // them from the restored state where a restart rung can read them:
+        // every lane under a watchdog, a lane whose SDC ladder is under
+        // way otherwise
+        let supervised = server.cfg.watchdog.is_some();
         for lane in 0..server.batcher.n_lanes() {
-            server.capture_lane(lane);
+            let read = supervised || server.sdc_breach[lane] > 0;
+            if read && server.cfg.checkpoint_every > 0 {
+                server.capture_lane(lane);
+            }
         }
         Ok(server)
     }

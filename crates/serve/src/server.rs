@@ -119,8 +119,12 @@ pub struct ServeConfig {
     /// Lane supervision (deadline watchdog with the retry → restart →
     /// evict ladder); `None` disables it.
     pub watchdog: Option<WatchdogConfig>,
-    /// Capture an in-memory per-lane checkpoint every this many ticks
-    /// (the watchdog's restart rung rolls back to it). 0 disables.
+    /// In-memory per-lane checkpoints for the restart rungs. With a
+    /// watchdog, every lane is captured every this many ticks (the
+    /// watchdog's restart rung, and the SDC ladder's, roll back to it).
+    /// Under integrity detection alone, any non-zero value captures a
+    /// lane once, when its SDC ladder starts, and a clean run captures
+    /// nothing. 0 disables every capture.
     pub checkpoint_every: usize,
     /// Flight-recorder ring capacity (recent structured events kept for
     /// the crash-time dump). Telemetry only — not part of the checkpoint
@@ -228,8 +232,9 @@ pub struct EnsembleServer<'b> {
     /// Supervision decisions, in order.
     watchdog_events: Vec<WatchdogEvent>,
     /// Last in-memory lane checkpoint, `[lane][slot]`: the occupant and
-    /// its captured state at the boundary. The watchdog's restart rung
-    /// rolls back to this.
+    /// its captured state. The restart rungs roll back to this; it is
+    /// taken only where one of them can read it (see
+    /// [`ServeConfig::checkpoint_every`]).
     pub(crate) lane_ckpt: Vec<Vec<Option<(RequestId, SlotState)>>>,
     /// Always-on ring of recent structured events (admissions, steps,
     /// watchdog rungs, checkpoints); dumped to `cfg.flight_dump` on
@@ -534,10 +539,11 @@ impl<'b> EnsembleServer<'b> {
             t.counter(0, "queue", now * 1e6, &[("depth", self.queue.len() as f64)]);
         }
         let supervised = self.cfg.watchdog;
-        // the SDC ladder's restart rung rolls back to the same lane
-        // checkpoint the watchdog uses, so detection alone keeps captures
-        // alive (they are read-only and charge no modeled time)
-        let capture = (supervised.is_some() || self.cfg.run.integrity.detect)
+        // the watchdog's restart rung may fire on any tick, so a supervised
+        // server captures at cadence; under detection alone the SDC
+        // ladder's rung 2 is the only reader, and `advance_lane` captures
+        // when that ladder starts instead
+        let capture = supervised.is_some()
             && self.cfg.checkpoint_every > 0
             && self.ticks.is_multiple_of(self.cfg.checkpoint_every);
         for lane in 0..self.batcher.n_lanes() {
@@ -871,11 +877,12 @@ impl<'b> EnsembleServer<'b> {
                 .as_ref()
                 .expect("occupied slot has a case");
             if case.is_done() {
-                let result = if self.cfg.keep_results {
-                    Some(case.displacement().to_vec())
-                } else {
-                    None
-                };
+                // the finished case's displacement moves into its record;
+                // `release` below frees the rest of the slot
+                let case = self.slots[lane][k].take();
+                let result = case
+                    .filter(|_| self.cfg.keep_results)
+                    .map(CaseSlot::into_displacement);
                 let done_at = self.clock.elapsed();
                 self.release(lane, k, id, RequestState::Done, done_at);
                 let req = self.records[id.0 as usize].request;
@@ -982,6 +989,11 @@ impl<'b> EnsembleServer<'b> {
         } else {
             self.sdc_breach[lane] += 1;
             let breach = self.sdc_breach[lane];
+            if breach == 1 && self.cfg.watchdog.is_none() && self.cfg.checkpoint_every > 0 {
+                // the ladder starts: this tick's guards repaired the state
+                // bitwise before the step, so rung 2 rolls back to here
+                self.capture_lane(lane);
+            }
             let now = self.clock.elapsed();
             for rep in &lane_corruptions {
                 self.stats.record(ServeCounter::SdcDetected);
@@ -1027,7 +1039,7 @@ impl<'b> EnsembleServer<'b> {
     }
 
     /// Capture lane `lane`'s occupants into the in-memory lane checkpoint
-    /// (the watchdog's restart rung rolls back to this).
+    /// (the restart rungs roll back to this).
     pub(crate) fn capture_lane(&mut self, lane: usize) {
         for slot in 0..self.batcher.width() {
             self.lane_ckpt[lane][slot] = match (
@@ -1310,18 +1322,20 @@ impl<'b> EnsembleServer<'b> {
 
 #[cfg(test)]
 mod tests {
+    use hetsolve_fault::StateField;
     use hetsolve_fem::{FemProblem, RandomLoadSpec};
     use hetsolve_machine::single_gh200;
     use hetsolve_mesh::{GroundModelSpec, InterfaceShape};
 
     use super::*;
 
-    /// The lane capture of a request that ends is dropped with its
-    /// column, before the next capture tick; its companion's stays.
-    #[test]
-    fn a_finished_request_leaves_no_lane_capture() {
+    fn small_backend() -> Backend {
         let spec = GroundModelSpec::paper_like(3, 3, 2, InterfaceShape::Stratified);
-        let backend = Backend::new(FemProblem::paper_like(&spec), false, false);
+        Backend::new(FemProblem::paper_like(&spec), false, false)
+    }
+
+    /// Two lanes of width 2, integrity detection on, no watchdog.
+    fn small_cfg() -> ServeConfig {
         let mut cfg = ServeConfig::new(single_gh200());
         cfg.run.r = 2;
         cfg.run.s_max = 6;
@@ -1332,21 +1346,122 @@ mod tests {
             amplitude: 1e6,
             active_window: 0.2,
         };
+        assert!(cfg.run.integrity.detect && cfg.watchdog.is_none());
+        cfg
+    }
+
+    /// The requests whose state the lane captures hold, ascending.
+    fn captured(server: &EnsembleServer<'_>) -> Vec<RequestId> {
+        let cols = server.lane_ckpt.iter().flatten();
+        let mut ids: Vec<_> = cols.filter_map(|c| c.as_ref().map(|(id, _)| *id)).collect();
+        ids.sort_by_key(|id| id.0);
+        ids
+    }
+
+    /// The lane capture of a request that ends is dropped with its
+    /// column, before the next capture tick; its companion's stays.
+    #[test]
+    fn a_finished_request_leaves_no_lane_capture() {
+        let backend = small_backend();
+        let mut cfg = small_cfg();
         cfg.checkpoint_every = 8;
+        // a deadline no step reaches: captures at cadence, no breach
+        cfg.watchdog = Some(WatchdogConfig::new(1e3));
         let mut server = EnsembleServer::new(&backend, cfg);
         let short = server.admit(SolveRequest::new(11, 2)).expect("admit");
         let long = server.admit(SolveRequest::new(12, 6)).expect("admit");
-        let captured = |server: &EnsembleServer<'_>| -> Vec<RequestId> {
-            let cols = server.lane_ckpt.iter().flatten();
-            let mut ids: Vec<_> = cols.filter_map(|c| c.as_ref().map(|(id, _)| *id)).collect();
-            ids.sort_by_key(|id| id.0);
-            ids
-        };
         server.tick();
         assert_eq!(captured(&server), [short, long], "both captured at tick 0");
         server.tick();
         assert_eq!(server.record(short).state, RequestState::Done);
         assert!(server.ticks < 8, "no capture tick since");
         assert_eq!(captured(&server), [long]);
+    }
+
+    /// Under detection alone no restart rung reads a capture until a
+    /// lane's SDC ladder starts, so a clean run takes none.
+    #[test]
+    fn a_clean_detect_only_server_captures_nothing() {
+        let backend = small_backend();
+        let mut server = EnsembleServer::new(&backend, small_cfg());
+        for seed in 0..6 {
+            server.admit(SolveRequest::new(seed, 5)).expect("admit");
+        }
+        while !server.is_idle() {
+            server.tick();
+            assert_eq!(captured(&server), [], "tick {}", server.ticks);
+        }
+        assert_eq!(server.stats().count(ServeCounter::Completed), 6);
+    }
+
+    /// A restore re-seeds lane captures by the same rule: every occupied
+    /// column under a watchdog; without one only the lanes whose SDC
+    /// ladder is under way, so none in a clean server; none at all with
+    /// `checkpoint_every = 0`.
+    #[test]
+    fn a_restore_captures_only_where_a_restart_rung_reads() {
+        let backend = small_backend();
+        let snapshot = |cfg: &ServeConfig, faults: FaultPlan| {
+            let mut server = EnsembleServer::with_faults(&backend, cfg.clone(), faults);
+            for seed in [800, 801] {
+                server.admit(SolveRequest::new(seed, 6)).expect("admit");
+            }
+            server.tick();
+            server.tick();
+            let bytes = server.checkpoint_bytes();
+            let restored = EnsembleServer::restore(&backend, cfg.clone(), &bytes);
+            captured(&restored.expect("a fresh image restores"))
+        };
+        let clean = small_cfg();
+        assert_eq!(snapshot(&clean, FaultPlan::default()), []);
+        let flip = FaultPlan::new(47).flip_state(1, 0, StateField::U);
+        assert_eq!(snapshot(&clean, flip), [RequestId(0), RequestId(1)]);
+        let mut supervised = small_cfg();
+        supervised.watchdog = Some(WatchdogConfig::new(1e3));
+        supervised.checkpoint_every = 8;
+        let all = [RequestId(0), RequestId(1)];
+        assert_eq!(snapshot(&supervised, FaultPlan::default()), all);
+        supervised.checkpoint_every = 0;
+        assert_eq!(
+            snapshot(&supervised, FaultPlan::default()),
+            [],
+            "0 disables"
+        );
+    }
+
+    /// Under detection alone a lane is captured at the end of the tick its
+    /// SDC ladder starts, and rung 2 rolls the lane back to that capture.
+    #[test]
+    fn detection_alone_restarts_from_the_capture_taken_when_the_ladder_starts() {
+        let backend = small_backend();
+        let mut plan = FaultPlan::new(47);
+        for tick in 1..=SDC_RESTART_AFTER as usize {
+            plan = plan.flip_state(tick, 0, StateField::U);
+        }
+        let mut server = EnsembleServer::with_faults(&backend, small_cfg(), plan);
+        let victim = server.admit(SolveRequest::new(800, 8)).expect("admit");
+        server.tick();
+        assert_eq!(captured(&server), [], "a clean tick captures nothing");
+        server.tick();
+        assert_eq!(server.sdc_breach[0], 1);
+        assert_eq!(captured(&server), [victim], "the ladder starts");
+        let Some((_, at_start)) = server.lane_ckpt[0][0].clone() else {
+            panic!("the victim holds lane 0, column 0");
+        };
+        assert_eq!(at_start.step, 2, "captured after tick 1's step");
+        server.tick();
+        server.tick();
+        assert_eq!(server.stats().count(ServeCounter::SdcRestarts), 1);
+        let restored: Vec<_> = server
+            .flight()
+            .events()
+            .filter(|e| e.kind == "lane_restored")
+            .map(|e| (e.request, e.step))
+            .collect();
+        assert_eq!(restored, [(Some(victim.0), Some(3))]);
+        let live = server.slots[0][0].as_ref().expect("the victim is live");
+        assert_eq!(live.state(), at_start, "rolled back to the capture");
+        server.run_until_idle();
+        assert_eq!(server.record(victim).state, RequestState::Done);
     }
 }

@@ -9,6 +9,8 @@ use crate::sym::{packed_idx as pidx, packed_len};
 
 /// Packed length of a Tet10 element matrix (30 × 30 symmetric).
 const TP: usize = packed_len(30);
+/// Packed length of a Tet10 mass's node-pair table (10 × 10 symmetric).
+const MP: usize = packed_len(10);
 /// Packed length of a Tri6 dashpot face matrix (18 × 18 symmetric).
 const FP: usize = packed_len(18);
 
@@ -28,6 +30,21 @@ fn row_blocks<'a>(
             }
         }
         (nb, blk)
+    })
+}
+
+/// [`row_blocks`] of the mass `M_e = m ⊗ I₃` of the element with node
+/// list `nodes`, read off its node-pair table `m`: the same blocks bit for
+/// bit (the expanded matrix holds exact zeros between components).
+fn mass_row_blocks<'a>(
+    nodes: &'a [u32],
+    m: &'a [f64; MP],
+    coeff: f64,
+    a: usize,
+) -> impl Iterator<Item = (u32, [f64; 9])> + 'a {
+    nodes.iter().enumerate().map(move |(b, &nb)| {
+        let (d, z) = (coeff * m[pidx(a, b)], coeff * 0.0);
+        (nb, [d, z, z, z, d, z, z, z, d])
     })
 }
 
@@ -54,9 +71,10 @@ pub fn add_packed_element(builder: &mut BcrsBuilder, nodes: &[u32], packed: &[f6
 ///
 /// * `n_nodes` — global node count,
 /// * `elems` — Tet10 connectivity,
-/// * `element` — the element source: `element(e, m, k)` writes element
-///   `e`'s packed `M_e` into `m` and `K_e` into `k`; it is called once per
-///   element, `e` ascending, and never when `c_M = c_K = 0`,
+/// * `element` — the element source: `element(e, m, k)` writes the
+///   node-pair table `m` of element `e`'s mass `M_e = m ⊗ I₃` (packed
+///   10 × 10 symmetric) and its packed `K_e` into `k`; it is called once
+///   per element, `e` ascending, and never when `c_M = c_K = 0`,
 /// * `faces`/`cb` — Tri6 dashpot connectivity and flat packed matrices
 ///   (stride 171),
 /// * `fixed` — per-DOF Dirichlet mask (length `3 * n_nodes`), or empty for
@@ -76,12 +94,14 @@ pub fn add_packed_element(builder: &mut BcrsBuilder, nodes: &[u32], packed: &[f6
 /// soon as its highest incident element is computed, and an element's
 /// slot is reused once the last row that reads it is merged. The symbolic
 /// pass sizes that window, which grows with a layer of a layered mesh
-/// rather than with its volume (444 of 1,920 elements at 9,537 DOF).
+/// rather than with its volume (444 of 1,920 elements at 9,537 DOF). A
+/// slot holds the mass as its 55 node-pair scalars, not its 465 packed
+/// entries.
 #[allow(clippy::too_many_arguments, reason = "mesh arrays and coefficients")]
 pub fn assemble_global(
     n_nodes: usize,
     elems: &[[u32; 10]],
-    element: impl FnMut(usize, &mut [f64; TP], &mut [f64; TP]),
+    element: impl FnMut(usize, &mut [f64; MP], &mut [f64; TP]),
     c_m: f64,
     c_k: f64,
     faces: &[[u32; 6]],
@@ -96,11 +116,11 @@ pub fn assemble_global(
     m
 }
 
-/// The element matrices a streamed assembly holds: one `[M_e, K_e]` pair
-/// per slot, allocated once at the capacity the symbolic pass computed,
-/// and the slot of each live element.
+/// The element matrices a streamed assembly holds: one mass node-pair
+/// table and one `K_e` per slot, allocated once at the capacity the
+/// symbolic pass computed, and the slot of each live element.
 struct Slab {
-    pairs: Vec<[[f64; TP]; 2]>,
+    pairs: Vec<([f64; MP], [f64; TP])>,
     free: Vec<u32>,
     slot: Vec<u32>,
     /// Most slots in use at once.
@@ -110,7 +130,7 @@ struct Slab {
 impl Slab {
     fn new(capacity: usize, n_elems: usize) -> Self {
         Slab {
-            pairs: vec![[[0.0; TP]; 2]; capacity],
+            pairs: vec![([0.0; MP], [0.0; TP]); capacity],
             free: (0..capacity as u32).rev().collect(),
             slot: vec![u32::MAX; n_elems],
             peak: 0,
@@ -126,7 +146,7 @@ impl Slab {
     }
 
     /// A free slot for element `e`, to compute its matrices into.
-    fn take(&mut self, e: usize) -> &mut [[f64; TP]; 2] {
+    fn take(&mut self, e: usize) -> &mut ([f64; MP], [f64; TP]) {
         let s = self
             .free
             .pop()
@@ -137,7 +157,7 @@ impl Slab {
     }
 
     /// The matrices of live element `e`.
-    fn of(&self, e: usize) -> &[[f64; TP]; 2] {
+    fn of(&self, e: usize) -> &([f64; MP], [f64; TP]) {
         &self.pairs[self.slot[e] as usize]
     }
 
@@ -152,7 +172,7 @@ impl Slab {
 fn assemble(
     n_nodes: usize,
     elems: &[[u32; 10]],
-    mut element: impl FnMut(usize, &mut [f64; TP], &mut [f64; TP]),
+    mut element: impl FnMut(usize, &mut [f64; MP], &mut [f64; TP]),
     c_m: f64,
     c_k: f64,
     faces: &[[u32; 6]],
@@ -221,10 +241,10 @@ fn assemble(
             a.expect("the incidence of node i lists only cells of node i")
         };
         for &e in n2e.of_node(i) {
-            let (el, [me, ke]) = (&elems_on[e as usize], slab.of(e as usize));
+            let (el, (me, ke)) = (&elems_on[e as usize], slab.of(e as usize));
             let a = at(el);
             if c_m != 0.0 {
-                row.extend(row_blocks(el, me, c_m, a));
+                row.extend(mass_row_blocks(el, me, c_m, a));
             }
             if c_k != 0.0 {
                 row.extend(row_blocks(el, ke, c_k, a));
@@ -244,7 +264,7 @@ fn assemble(
     };
     let mut slab = Slab::new(capacity, elems_on.len());
     for (t, el) in elems_on.iter().enumerate() {
-        let [me, ke] = slab.take(t);
+        let (me, ke) = slab.take(t);
         element(t, me, ke);
         for &i in el {
             if last(i) == t as u32 {
@@ -377,7 +397,23 @@ mod tests {
         let boundary = extract_boundary(&gm.mesh, g.lx, g.ly, g.lz, 1e-6 * g.lz.max(g.lx));
         let n = gm.mesh.n_nodes();
         let elems: Vec<[u32; 10]> = order.iter().map(|&e| gm.mesh.elems[e]).collect();
-        let me: Vec<Vec<f64>> = order.iter().map(|&e| packed_noise(1, e, TP)).collect();
+        // each mass is `m ⊗ I₃` of a node-pair table `m`, with exact zeros
+        // between components, as the element kernel's
+        let mp: Vec<Vec<f64>> = order.iter().map(|&e| packed_noise(1, e, MP)).collect();
+        let me: Vec<Vec<f64>> = mp
+            .iter()
+            .map(|m| {
+                let mut full = vec![0.0; TP];
+                for i in 0..10 {
+                    for j in 0..=i {
+                        for d in 0..3 {
+                            full[pidx(3 * i + d, 3 * j + d)] = m[pidx(i, j)];
+                        }
+                    }
+                }
+                full
+            })
+            .collect();
         let ke: Vec<Vec<f64>> = order.iter().map(|&e| packed_noise(2, e, TP)).collect();
         let faces: Vec<[u32; 6]> = boundary.faces.iter().map(|f| f.nodes).collect();
         let cb: Vec<f64> = (0..faces.len())
@@ -408,7 +444,7 @@ mod tests {
             &elems,
             |e, m, k| {
                 calls.push(e);
-                m.copy_from_slice(&me[e]);
+                m.copy_from_slice(&mp[e]);
                 k.copy_from_slice(&ke[e]);
             },
             c_m,
