@@ -43,20 +43,6 @@ impl ReplicaStore {
         }
     }
 
-    /// Number of replicas currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Sequence numbers held, ascending.
-    pub fn seqs(&self) -> Vec<u64> {
-        self.entries.iter().map(|&(s, _)| s).collect()
-    }
-
     /// Mirror checkpoint `seq`: replace any existing image at the same
     /// sequence, keep entries sorted, prune to the newest `keep`.
     pub fn mirror(&mut self, seq: u64, bytes: &[u8]) {
@@ -126,11 +112,6 @@ impl ReplicaStore {
         }
         (None, report)
     }
-
-    /// Drop every replica (the peer holding them died too).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 #[cfg(test)]
@@ -149,14 +130,19 @@ mod tests {
         Ok(r.section(*b"DATA")?[0])
     }
 
+    /// Sequence numbers held, ascending.
+    fn seqs(rep: &ReplicaStore) -> Vec<u64> {
+        rep.entries.iter().map(|&(s, _)| s).collect()
+    }
+
     #[test]
     fn mirror_prunes_to_keep_and_tracks_staleness() {
         let mut rep = ReplicaStore::new(2);
         for seq in [1u64, 2, 3, 4] {
             rep.mirror(seq, &payload(seq as u8));
         }
-        assert_eq!(rep.seqs(), vec![3, 4], "pruned to the newest keep=2");
-        assert!(ReplicaStore::new(2).seqs().is_empty(), "never mirrored");
+        assert_eq!(seqs(&rep), [3, 4], "pruned to the newest keep=2");
+        assert!(seqs(&ReplicaStore::new(2)).is_empty(), "never mirrored");
     }
 
     #[test]
@@ -234,10 +220,8 @@ mod tests {
         let mut rep = ReplicaStore::new(3);
         rep.mirror(4, &payload(1));
         rep.mirror(4, &payload(9));
-        assert_eq!(rep.len(), 1);
+        assert_eq!(seqs(&rep), [4]);
         let (found, _) = rep.load_latest_valid(|_, b| parse_payload(b));
         assert_eq!(found, Some((4, 9)));
-        rep.clear();
-        assert!(rep.is_empty());
     }
 }

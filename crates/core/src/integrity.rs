@@ -618,7 +618,7 @@ pub(crate) fn basis_sentinel(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hetsolve_fem::FemProblem;
     use hetsolve_machine::single_gh200;
@@ -940,19 +940,23 @@ mod tests {
         assert!(lane[0].is_done() && lane[0].available_s() >= 2);
     }
 
+    /// Both operator payloads' checksums as `operator_crc/<payload>` lines
+    /// of the pin ledger.
+    pub(crate) fn pin_lines() -> Vec<(String, String)> {
+        let (backend, _cfg) = small();
+        [
+            ("ebe", operator_crc(OperatorPayload::Ebe(&backend.compact))),
+            ("crs", operator_crc(OperatorPayload::Crs(backend.crs_a()))),
+        ]
+        .map(|(payload, crc)| (payload.to_string(), format!("{crc:08x}")))
+        .to_vec()
+    }
+
     #[test]
     fn operator_crc_is_the_parent_commits() {
         // recorded from the tree before the carry-less-multiply kernel and
         // the long-run hashing: same byte stream, same digest
-        let (backend, _cfg) = small();
-        assert_eq!(
-            operator_crc(OperatorPayload::Ebe(&backend.compact)),
-            0x6cb5_633c
-        );
-        assert_eq!(
-            operator_crc(OperatorPayload::Crs(backend.crs_a())),
-            0x4404_0d68
-        );
+        crate::pins::check("operator_crc", &pin_lines());
     }
 
     #[test]

@@ -81,3 +81,20 @@ pub use set::{Column, Fate, SetOutcome, SetSlots, SetSpec, SetStep};
 pub use slot::CaseSlot;
 pub use study::{convergence_study, ConvergenceStudy, GuessResult, StudyConfig};
 pub use trace::{StepTracer, TID_CPU, TID_GPU, TID_LINK};
+
+/// The workspace's pin ledger (`tests/data/pins.txt`), which the unit tests
+/// of `study` and `integrity` check their digests against.
+#[cfg(test)]
+#[path = "../../../tests/pins/mod.rs"]
+mod pins;
+
+#[cfg(test)]
+mod tests {
+    /// Re-records this crate's suites of the pin ledger.
+    #[test]
+    #[ignore = "rewrites the study and operator_crc lines of tests/data/pins.txt"]
+    fn record_pins() {
+        crate::pins::record("study", &crate::study::tests::pin_lines());
+        crate::pins::record("operator_crc", &crate::integrity::tests::pin_lines());
+    }
+}

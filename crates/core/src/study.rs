@@ -138,13 +138,14 @@ pub fn convergence_study(backend: &Backend, cfg: &StudyConfig) -> ConvergenceStu
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hetsolve_fem::FemProblem;
     use hetsolve_mesh::{GroundModelSpec, InterfaceShape};
 
-    #[test]
-    fn study_reproduces_fig3_ordering() {
+    /// The study both tests read: windows 4, 8 and 16 after 24 warm-up
+    /// steps on the 4×4×3 stratified mesh.
+    fn study() -> ConvergenceStudy {
         let spec = GroundModelSpec::paper_like(4, 4, 3, InterfaceShape::Stratified);
         let backend = Backend::new(FemProblem::paper_like(&spec), false, true);
         let cfg = StudyConfig {
@@ -152,7 +153,12 @@ mod tests {
             windows: vec![4, 8, 16],
             ..Default::default()
         };
-        let study = convergence_study(&backend, &cfg);
+        convergence_study(&backend, &cfg)
+    }
+
+    #[test]
+    fn study_reproduces_fig3_ordering() {
+        let study = study();
         assert_eq!(study.results.len(), 5);
         let by_label: Vec<(&str, usize, f64)> = study
             .results
@@ -175,44 +181,31 @@ mod tests {
         }
     }
 
-    /// Every probe — label, iterations, initial residual bits, residual
-    /// history CRC — pinned. The iteration counts are those the study's
+    /// Every probe in order — label, iterations, initial residual bits,
+    /// residual history CRC — as `study/<index>/<label>` lines of the pin
+    /// ledger.
+    pub(crate) fn pin_lines() -> Vec<(String, String)> {
+        let study = study();
+        assert_eq!(study.probe_step, 24);
+        (study.results.iter().enumerate())
+            .map(|(i, r)| {
+                let value = format!(
+                    "{} {:016x} {:08x}",
+                    r.iterations,
+                    r.initial_rel_res.to_bits(),
+                    crate::integrity::crc_f64s(&r.history)
+                );
+                (format!("{i}/{}", r.label.replace(' ', "_")), value)
+            })
+            .collect()
+    }
+
+    /// Every probe pinned. The iteration counts are those the study's
     /// hand-written warm-up loop computed before the study stepped a
     /// `CaseSlot`; the bits are re-recorded since the predictor history is
     /// stored as `f32` (the warm-up's guesses, so its trajectory, moved).
     #[test]
     fn study_results_are_the_hand_written_loops() {
-        let spec = GroundModelSpec::paper_like(4, 4, 3, InterfaceShape::Stratified);
-        let backend = Backend::new(FemProblem::paper_like(&spec), false, true);
-        let cfg = StudyConfig {
-            warmup_steps: 24,
-            windows: vec![4, 8, 16],
-            ..Default::default()
-        };
-        let study = convergence_study(&backend, &cfg);
-        let got: Vec<(&str, usize, u64, u32)> = study
-            .results
-            .iter()
-            .map(|r| {
-                let crc = crate::integrity::crc_f64s(&r.history);
-                (
-                    r.label.as_str(),
-                    r.iterations,
-                    r.initial_rel_res.to_bits(),
-                    crc,
-                )
-            })
-            .collect();
-        assert_eq!(study.probe_step, 24);
-        assert_eq!(
-            got,
-            [
-                ("zero", 35, 0x3ff0_0000_0000_0000, 0x9765_6fdf),
-                ("Adams-Bashforth", 20, 0x3f3b_b7d4_d2dc_cc3f, 0x8ed2_c539),
-                ("data-driven s=4", 16, 0x3f0c_d6ab_155d_2f0d, 0xee0c_e79c),
-                ("data-driven s=8", 13, 0x3ef2_aad3_bade_8346, 0x7282_975d),
-                ("data-driven s=16", 12, 0x3edb_ab44_3461_9ca3, 0x0b57_c121),
-            ]
-        );
+        crate::pins::check("study", &pin_lines());
     }
 }

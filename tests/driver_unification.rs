@@ -17,17 +17,19 @@
 //!   displacements of the parent's private `SetState` copy of the case
 //!   state, clean and under a fault plan.
 //!
-//! `tests/data/driver_unification_parent.txt` holds the recorded lines; the
-//! test renders the same lines from this commit's one driver and compares.
+//! The recorded values are the `driver_unification/…` and `realtime/…`
+//! lines of the pin ledger (`tests/data/pins.txt`, see `pins/mod.rs`): the
+//! tests render the same lines from this commit's one driver and check
+//! them. A faulted scenario's lines also name every fault its plan landed.
 //!
 //! PR 23 moved the bits of every `CompactEbe` apply (block sweep: another
-//! summation order), so the lines, the checkpoint and the CRCs below were
-//! re-recorded from that tree (`record_pins`, ignored; the checkpoint by
-//! `wire_golden.rs::record_goldens`). Against the lines recorded from the
-//! hand-written loops, only floating-point bit patterns differ: every
-//! iteration count, window, recovery event and corruption report is the
-//! same line (`tests/thread_invariance.rs` holds the new tree to 1e-12 of
-//! the old one's displacements).
+//! summation order), so the lines and the checkpoint were re-recorded from
+//! that tree (`cargo test --release -- --ignored record` re-records both).
+//! Against the lines recorded from the hand-written loops, only
+//! floating-point bit patterns differ: every iteration count, window,
+//! recovery event and corruption report is the same line
+//! (`tests/thread_invariance.rs` holds the new tree to 1e-12 of the old
+//! one's displacements).
 //!
 //! The `f32` predictor history moved the floating-point bits of the two
 //! predicting methods (CRS-CG@CPU-GPU, EBE-MCG@CPU-GPU) once more, and the
@@ -39,6 +41,11 @@
 use hetsolve::core::{crc_f64s, run_realtime, CheckpointPolicy, WindowPolicy};
 use hetsolve::fault::{FaultLane, StateField};
 use hetsolve::prelude::*;
+
+mod pins;
+#[path = "pins/run.rs"]
+mod run_pins;
+use run_pins::run_lines;
 
 const METHODS: [MethodKind; 4] = [
     MethodKind::CrsCgCpu,
@@ -97,89 +104,38 @@ fn scenarios() -> [(&'static str, WindowPolicy, FaultPlan); 4] {
     ]
 }
 
-/// Everything one run leaves behind, one line per item, by bit pattern.
-fn render_run(out: &mut String, name: &str, res: &RunResult) {
-    use std::fmt::Write;
-    writeln!(
-        out,
-        "## {} {name} n_cases={}",
-        res.method.label(),
-        res.n_cases
-    )
-    .unwrap();
-    for (c, u) in res.final_u.iter().enumerate() {
-        writeln!(out, "final_u {c} {:08x}", crc_f64s(u)).unwrap();
-    }
-    for r in &res.records {
-        writeln!(
-            out,
-            "step {} {:016x} {:016x} {:016x} {:016x} {:016x} {} {:016x}",
-            r.step,
-            r.step_time_per_case.to_bits(),
-            r.solver_time_per_case.to_bits(),
-            r.predictor_time_per_case.to_bits(),
-            r.transfer_time.to_bits(),
-            r.iterations.to_bits(),
-            r.s_used,
-            r.initial_rel_res.to_bits(),
-        )
-        .unwrap();
-    }
-    writeln!(
-        out,
-        "energy {:016x} {:016x}",
-        res.energy.energy.to_bits(),
-        res.energy.elapsed.to_bits()
-    )
-    .unwrap();
-    for ev in &res.recoveries {
-        writeln!(
-            out,
-            "recovery {} {} {:?} {} {} {}",
-            ev.step,
-            ev.set,
-            ev.case,
-            ev.failed.label(),
-            ev.recovered_with.label(),
-            ev.attempts
-        )
-        .unwrap();
-    }
-    for rep in &res.corruptions {
-        writeln!(
-            out,
-            "corruption {} {:?} {} {}",
-            rep.step,
-            rep.case,
-            rep.target.label(),
-            rep.action.label()
-        )
-        .unwrap();
-    }
-}
-
-fn render_all() -> String {
+/// Every run of every method under every scenario, rendered by
+/// [`run_lines`] under `<method>/<scenario>/`, with one `injected/<i>` line
+/// per fault the scenario's plan landed: a planned fault that stops firing
+/// shows as a missing line, not as a quietly clean run.
+fn driver_lines() -> Vec<(String, String)> {
     let b = backend();
-    let mut out = String::new();
+    let mut lines = Vec::new();
     for method in METHODS {
         for (name, window, mut plan) in scenarios() {
             let cfg = config(method, window);
             let res = run_with(&b, &cfg, Hooks::default().faults(&mut plan))
                 .unwrap_or_else(|e| panic!("{method:?} {name}: {e}"));
-            render_run(&mut out, name, &res);
+            let mut run = run_lines(&res);
+            for (i, fault) in plan.injected().iter().enumerate() {
+                run.push((
+                    format!("injected/{i}"),
+                    format!("{} {:?}", fault.step, fault.kind),
+                ));
+            }
+            let at = format!("{}/{name}", method.label());
+            lines.extend(
+                run.into_iter()
+                    .map(|(item, value)| (format!("{at}/{item}"), value)),
+            );
         }
     }
-    out
+    lines
 }
 
 #[test]
 fn the_one_driver_reproduces_the_parents_hand_written_loops_bit_for_bit() {
-    let expected = include_str!("data/driver_unification_parent.txt");
-    let got = render_all();
-    for (i, (g, e)) in got.lines().zip(expected.lines()).enumerate() {
-        assert_eq!(g, e, "line {}: driver diverged from the parent", i + 1);
-    }
-    assert_eq!(got.lines().count(), expected.lines().count());
+    pins::check("driver_unification", &driver_lines());
 }
 
 /// `HSCKPT` bytes written by an earlier commit's durable driver at step 2 of
@@ -212,10 +168,7 @@ fn a_parent_checkpoint_restores_and_resumes_bitwise() {
     assert_eq!(out.resumed_from, Some(2));
 
     let plain = run(&b, &cfg).expect("uninterrupted");
-    let (mut resumed, mut whole) = (String::new(), String::new());
-    render_run(&mut resumed, "resumed", &res);
-    render_run(&mut whole, "resumed", &plain);
-    assert_eq!(resumed, whole);
+    assert_eq!(run_lines(&res), run_lines(&plain));
     for (ua, ub) in res.final_u.iter().zip(&plain.final_u) {
         assert!(ua.iter().zip(ub).all(|(p, q)| p.to_bits() == q.to_bits()));
     }
@@ -225,9 +178,9 @@ fn a_parent_checkpoint_restores_and_resumes_bitwise() {
 /// `run_realtime` drives `CaseSlot::prepare_guess` / `advance` like every
 /// other driver; its results are the ones the parent's hand-rolled
 /// `SetState` (own RHS build, own predictor call, own Newmark advance)
-/// produced.
-#[test]
-fn realtime_on_case_slots_reproduces_the_parents_set_state() {
+/// produced: the CRC of every `final_u` and the recovery count, clean and
+/// under a fault plan.
+fn realtime_lines() -> Vec<(String, String)> {
     let b = backend();
     let cfg = config(MethodKind::EbeMcgCpuGpu, WindowPolicy::Adaptive);
     let faulty = FaultPlan::new(5)
@@ -235,20 +188,24 @@ fn realtime_on_case_slots_reproduces_the_parents_set_state() {
         .cap_solver(6, 1, 2)
         .nan_snapshot(8, 2, 0.3)
         .scale_guess(9, 3, 1e3);
-    for (mut plan, crcs, recoveries) in [
-        (
-            FaultPlan::new(5),
-            [0xd7580d01, 0x4e2b0b3c, 0x73cd26a4, 0xd5421efc],
-            0,
-        ),
-        (faulty, [0xd7580d01, 0x5e6b3620, 0xa9fed481, 0xae71f0f2], 3),
-    ] {
+    let mut lines = Vec::new();
+    for (name, mut plan) in [("clean", FaultPlan::new(5)), ("faulty", faulty)] {
         let (final_u, report) =
             run_realtime(&b, &cfg, Hooks::default().faults(&mut plan)).expect("realtime");
-        let got: Vec<u32> = final_u.iter().map(|u| crc_f64s(u)).collect();
-        assert_eq!(got, crcs);
-        assert_eq!(report.recoveries, recoveries);
+        for (c, u) in final_u.iter().enumerate() {
+            lines.push((
+                format!("{name}/final_u/{c}"),
+                format!("{:08x}", crc_f64s(u)),
+            ));
+        }
+        lines.push((format!("{name}/recoveries"), report.recoveries.to_string()));
     }
+    lines
+}
+
+#[test]
+fn realtime_on_case_slots_reproduces_the_parents_set_state() {
+    pins::check("realtime", &realtime_lines());
 }
 
 /// On a clean run `run_realtime` is `run_with` under
@@ -281,10 +238,24 @@ fn clean_realtime_is_the_full_window_driver_bitwise() {
     }
 }
 
+/// A ledger that holds a key twice fails.
 #[test]
-#[ignore = "rewrites tests/data/driver_unification_parent.txt from the code under test"]
+#[should_panic(expected = "pins.txt:2: key s/a/x is repeated")]
+fn a_repeated_ledger_key_fails() {
+    let _ = pins::diffs("s/a/x 1\ns/a/x 1\n", "s", &[]);
+}
+
+/// A key its suite no longer computes fails; other suites' keys are theirs.
+#[test]
+fn a_stale_ledger_line_fails() {
+    let lines = [("a/x".to_string(), "1".to_string())];
+    let diffs = pins::diffs("s/a/x 1\ns/a/y 2\nt/a/y 3\n", "s", &lines);
+    assert_eq!(diffs, ["s/a/y: ledger 2, computed nothing"]);
+}
+
+#[test]
+#[ignore = "rewrites the driver_unification and realtime lines of tests/data/pins.txt"]
 fn record_pins() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/data/driver_unification_parent.txt");
-    std::fs::write(path, render_all()).unwrap();
+    pins::record("driver_unification", &driver_lines());
+    pins::record("realtime", &realtime_lines());
 }

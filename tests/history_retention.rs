@@ -3,15 +3,17 @@
 //! driver drops every column beyond `reach() + 1`. The next step reads at
 //! most `s + 1` of them, so on a run whose window never regrows faster
 //! than that the trim moves no bit. Pinned here on a run where it engages:
-//! the digests are those of the untrimmed store, every boundary image
-//! holds at most `reach() + 1` columns per case, and a run killed after
-//! the first trim and resumed from its image is bitwise the uninterrupted
-//! one.
+//! the digests (the `history_retention/…` lines of `tests/data/pins.txt`)
+//! are those of the untrimmed store, every boundary image holds at most
+//! `reach() + 1` columns per case, and a run killed after the first trim
+//! and resumed from its image is bitwise the uninterrupted one.
 
 use hetsolve::core::{crc_f64s, ConfigFingerprint, RunCheckpoint, WindowPolicy};
 use hetsolve::fem::FemProblem;
 use hetsolve::predictor::AdaptiveWindow;
 use hetsolve::prelude::*;
+
+mod pins;
 
 const STEPS: usize = 40;
 const S_MAX: usize = 32;
@@ -36,12 +38,29 @@ fn store(name: &str) -> CheckpointStore {
     CheckpointStore::new(dir, STEPS).expect("temp store")
 }
 
-/// What the untrimmed store gives this run: the CRC of each case's
-/// `final_u`, and of the per-step mean initial residuals.
-fn digests(res: &RunResult) -> (Vec<u32>, u32) {
-    let final_u = res.final_u.iter().map(|u| crc_f64s(u)).collect();
+/// An image of every step boundary.
+const POLICY: CheckpointPolicy = CheckpointPolicy {
+    every: 1,
+    keep: STEPS,
+};
+
+/// The clean run, its images in `st`.
+fn clean_run(st: &CheckpointStore) -> RunResult {
+    let hooks = Hooks::default().durable(st, POLICY);
+    let mut res = run_with(&backend(), &config(), hooks).expect("clean run");
+    res.durable = None;
+    res
+}
+
+/// What the untrimmed store gives this run, as pin-ledger lines: the CRC
+/// of each case's `final_u`, and of the per-step mean initial residuals.
+fn digests(res: &RunResult) -> Vec<(String, String)> {
+    let mut lines: Vec<(String, String)> = (res.final_u.iter().enumerate())
+        .map(|(c, u)| (format!("final_u/{c}"), format!("{:08x}", crc_f64s(u))))
+        .collect();
     let res0: Vec<f64> = res.records.iter().map(|r| r.initial_rel_res).collect();
-    (final_u, crc_f64s(&res0))
+    lines.push(("initial_rel_res".into(), format!("{:08x}", crc_f64s(&res0))));
+    lines
 }
 
 fn assert_bitwise_eq(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
@@ -58,19 +77,10 @@ fn assert_bitwise_eq(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
 fn the_trimmed_history_moves_no_bit_and_resumes_bitwise() {
     let (b, cfg) = (backend(), config());
     let fp = ConfigFingerprint::of(&b, &cfg);
-    let policy = CheckpointPolicy {
-        every: 1,
-        keep: STEPS,
-    };
     let st = store("every");
-    let mut res = run_with(&b, &cfg, Hooks::default().durable(&st, policy)).expect("clean run");
-    res.durable = None;
+    let res = clean_run(&st);
     // the untrimmed store's digests, recorded before the trim existed
-    let untrimmed = (
-        vec![0x13cd4faa, 0x060bfbab, 0x21ec9b19, 0xb78280cc],
-        0xe661d8c8,
-    );
-    assert_eq!(digests(&res), untrimmed, "the untrimmed store's bits");
+    pins::check("history_retention", &digests(&res));
 
     // every boundary image: each case within the reach of the window the
     // image resumes with, and the first trim below the untrimmed store
@@ -97,16 +107,24 @@ fn the_trimmed_history_moves_no_bit_and_resumes_bitwise() {
     let kill = first_trim + 2;
     let st = store("kill");
     let mut plan = FaultPlan::new(0).crash_at(kill);
-    let hooks = Hooks::default().faults(&mut plan).durable(&st, policy);
+    let hooks = Hooks::default().faults(&mut plan).durable(&st, POLICY);
     assert_eq!(
         run_with(&b, &cfg, hooks).unwrap_err(),
         RunError::Crashed { step: kill }
     );
     let mut resumed =
-        run_with(&b, &cfg, Hooks::default().durable(&st, policy)).expect("resumed run");
+        run_with(&b, &cfg, Hooks::default().durable(&st, POLICY)).expect("resumed run");
     let out = resumed.durable.take().expect("a durable run");
     assert_eq!(out.resumed_from, Some(kill));
     assert_bitwise_eq(&resumed.final_u, &res.final_u, "resumed");
     assert_eq!(digests(&resumed), digests(&res));
+    std::fs::remove_dir_all(st.dir()).expect("temp store");
+}
+
+#[test]
+#[ignore = "rewrites the history_retention lines of tests/data/pins.txt"]
+fn record_pins() {
+    let st = store("record");
+    pins::record("history_retention", &digests(&clean_run(&st)));
     std::fs::remove_dir_all(st.dir()).expect("temp store");
 }

@@ -11,8 +11,8 @@
 //! after a text round trip; a failure names the first differing path and
 //! both values. Only modeled leaves are pinned: wall-clock costs are
 //! `hetbench`'s. A deliberate model change re-records the file with
-//! `cargo test --release --test modeled_golden -- --ignored
-//! record_modeled_golden`.
+//! `record_modeled_golden` (ignored), which `cargo test --release --
+//! --ignored record` runs with every other recorder of `tests/data`.
 
 use std::collections::BTreeSet;
 

@@ -8,7 +8,9 @@
 //!   threshold of the vector reductions, from a zero and a warm guess (the
 //!   assembled-operator pins are still those; the matrix-free ones were
 //!   re-recorded at PR 23, whose block sweep sums each row of `A x` in
-//!   another order — same iteration counts, residuals equal to 13 digits);
+//!   another order — same iteration counts, residuals equal to 13 digits),
+//!   kept as the `pcg_9537_dof/…` and `pcg_24375_dof/…` lines of
+//!   `tests/data/pins.txt`;
 //! * the single-RHS drivers go through the one (multi-RHS) recovery ladder
 //!   with a laneless case id: a CRS run whose guess is poisoned recovers,
 //!   and its recovery events carry `case: None`.
@@ -18,33 +20,28 @@ use hetsolve::obs::Termination;
 use hetsolve::prelude::*;
 use hetsolve::sparse::{pcg, LinearOperator};
 
-/// What one `pcg` call leaves behind, by bit pattern.
-#[derive(Debug, PartialEq, Eq)]
-struct Pin {
-    x_crc: u32,
-    iterations: usize,
-    initial_rel_res: u64,
-    final_rel_res: u64,
-    flops: u64,
-    bytes_stream: u64,
-}
+mod pins;
 
-fn solve<A: LinearOperator>(b: &Backend, a: &A, f: &[f64], x: &mut [f64]) -> Pin {
+/// What one `pcg` call leaves behind, by bit pattern, as a ledger value:
+/// the solution's CRC, the iteration count, the initial and final relative
+/// residuals, the modeled flops and streamed bytes.
+fn solve<A: LinearOperator>(b: &Backend, a: &A, f: &[f64], x: &mut [f64]) -> String {
     let s = pcg(a, &b.precond, f, x, &driver_cg_config(1e-8));
     assert_eq!(s.termination, Termination::Converged);
     assert_eq!(s.history.len(), s.iterations + 1);
-    Pin {
-        x_crc: crc_f64s(x),
-        iterations: s.iterations,
-        initial_rel_res: s.initial_rel_res.to_bits(),
-        final_rel_res: s.final_rel_res.to_bits(),
-        flops: s.counts.flops.to_bits(),
-        bytes_stream: s.counts.bytes_stream.to_bits(),
-    }
+    format!(
+        "{:08x} {} {:016x} {:016x} {:016x} {:016x}",
+        crc_f64s(x),
+        s.iterations,
+        s.initial_rel_res.to_bits(),
+        s.final_rel_res.to_bits(),
+        s.counts.flops.to_bits(),
+        s.counts.bytes_stream.to_bits(),
+    )
 }
 
 /// Zero-guess solve, then a solve warm-started from its perturbed solution.
-fn cold_and_warm<A: LinearOperator>(b: &Backend, a: &A) -> [Pin; 2] {
+fn cold_and_warm<A: LinearOperator>(b: &Backend, a: &A, op: &str) -> [(String, String); 2] {
     let n = b.n_dofs();
     let mut f: Vec<f64> = (0..n).map(|i| (0.37 * i as f64).sin() * 1e4).collect();
     b.problem.mask.project(&mut f);
@@ -54,119 +51,41 @@ fn cold_and_warm<A: LinearOperator>(b: &Backend, a: &A) -> [Pin; 2] {
         *v *= 1.0 + 1e-3 * (0.11 * i as f64).cos();
     }
     let warm = solve(b, a, &f, &mut x);
-    [cold, warm]
+    [(format!("{op}/cold"), cold), (format!("{op}/warm"), warm)]
 }
 
-fn pins(nx: usize, ny: usize, nz: usize) -> [[Pin; 2]; 2] {
-    let spec = GroundModelSpec::paper_like(nx, ny, nz, InterfaceShape::Basin);
-    let b = Backend::new(FemProblem::paper_like(&spec), true, false);
-    [cold_and_warm(&b, b.crs_a()), cold_and_warm(&b, &b.ebe_a(1))]
-}
-
-const fn pin(
-    x_crc: u32,
-    iterations: usize,
-    initial_rel_res: u64,
-    final_rel_res: u64,
-    flops: u64,
-    bytes_stream: u64,
-) -> Pin {
-    Pin {
-        x_crc,
-        iterations,
-        initial_rel_res,
-        final_rel_res,
-        flops,
-        bytes_stream,
-    }
-}
+/// A pinned mesh: its ledger suite and `paper_like` dimensions.
+type Mesh = (&'static str, usize, usize, usize);
 
 /// 9,537 DOF (the `crs_cg_10k` mesh): every reduction is one running sum.
-#[test]
-fn pcg_reproduces_parent_bits_below_the_partial_sum_threshold() {
-    let expected = [
-        [
-            pin(
-                3034832800,
-                37,
-                4607182418800017408,
-                4484729695813790265,
-                4723359702400892928,
-                4733450137907494912,
-            ),
-            pin(
-                7670154,
-                22,
-                4562951646709114370,
-                4486635590152666088,
-                4720158349876789248,
-                4729914649275793408,
-            ),
-        ],
-        [
-            pin(
-                1573623300,
-                37,
-                4607182418800017408,
-                4484729695813790173,
-                4733603097178275840,
-                4724572591098953728,
-            ),
-            pin(
-                12352008,
-                22,
-                4562951646709114355,
-                4486635590152665677,
-                4730113074013405184,
-                4721018922810212352,
-            ),
-        ],
-    ];
-    assert_eq!(pins(8, 8, 5), expected);
+const BELOW: Mesh = ("pcg_9537_dof", 8, 8, 5);
+/// 24,375 DOF: reductions sum 4096-row partials.
+const ABOVE: Mesh = ("pcg_24375_dof", 12, 12, 6);
+
+fn pcg_lines((_, nx, ny, nz): Mesh) -> Vec<(String, String)> {
+    let spec = GroundModelSpec::paper_like(nx, ny, nz, InterfaceShape::Basin);
+    let b = Backend::new(FemProblem::paper_like(&spec), true, false);
+    let mut lines = cold_and_warm(&b, b.crs_a(), "crs").to_vec();
+    lines.extend(cold_and_warm(&b, &b.ebe_a(1), "ebe"));
+    lines
 }
 
-/// 24,375 DOF: reductions sum 4096-row partials.
+#[test]
+fn pcg_reproduces_parent_bits_below_the_partial_sum_threshold() {
+    pins::check(BELOW.0, &pcg_lines(BELOW));
+}
+
 #[test]
 fn pcg_reproduces_parent_bits_above_the_partial_sum_threshold() {
-    let expected = [
-        [
-            pin(
-                628553772,
-                41,
-                4607182418800017408,
-                4485737319917814022,
-                4730162148678828032,
-                4740063019462033408,
-            ),
-            pin(
-                3310210993,
-                25,
-                4563432346845830144,
-                4484342022602036658,
-                4727050663547109376,
-                4737154965959606272,
-            ),
-        ],
-        [
-            pin(
-                4077608497,
-                41,
-                4607182418800017408,
-                4485737319917814062,
-                4740407857160126464,
-                4730657342939463680,
-            ),
-            pin(
-                1292734241,
-                25,
-                4563432346845830199,
-                4484342022602035868,
-                4737598265657131008,
-                4727598330060734464,
-            ),
-        ],
-    ];
-    assert_eq!(pins(12, 12, 6), expected);
+    pins::check(ABOVE.0, &pcg_lines(ABOVE));
+}
+
+#[test]
+#[ignore = "rewrites the pcg lines of tests/data/pins.txt"]
+fn record_pins() {
+    for mesh in [BELOW, ABOVE] {
+        pins::record(mesh.0, &pcg_lines(mesh));
+    }
 }
 
 /// The single-RHS drivers run the one ladder on a lane of width 1: a

@@ -7,7 +7,11 @@
 //! new bits to 1e-12 of what PR 22 computed.
 //! They were re-recorded again when the predictor history became `f32`
 //! (both pinned methods predict); the displacements stayed within that
-//! bound.
+//! bound. They are the `thread_invariance/…` lines of the pin ledger
+//! (`tests/data/pins.txt`), FNV-1a over the run's lines as
+//! `driver_unification.rs` renders them (`pins/run.rs`); that rendering
+//! replaced the file's own, so the two digests were re-derived from the
+//! same bits.
 //!
 //! The mesh is the 9,537-DOF one of the `hetbench` 10k workloads: large
 //! enough that every chunked path engages (element phases of 6–9 blocks,
@@ -26,10 +30,15 @@
 
 use std::sync::OnceLock;
 
-use hetsolve::core::{crc_f64s, CheckpointPolicy, WindowPolicy};
+use hetsolve::core::{CheckpointPolicy, WindowPolicy};
 use hetsolve::pool::Pool;
 use hetsolve::prelude::*;
 use hetsolve::serve::RequestState;
+
+mod pins;
+#[path = "pins/run.rs"]
+mod run_pins;
+use run_pins::run_lines;
 
 const METHODS: [MethodKind; 4] = [
     MethodKind::CrsCgCpu,
@@ -69,50 +78,17 @@ fn config(method: MethodKind) -> RunConfig {
     cfg
 }
 
-/// Everything one run leaves behind, one line per item, by bit pattern.
-fn render_run(res: &RunResult) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    writeln!(out, "## {} n_cases={}", res.method.label(), res.n_cases).unwrap();
-    for (c, u) in res.final_u.iter().enumerate() {
-        writeln!(out, "final_u {c} {:08x}", crc_f64s(u)).unwrap();
-    }
-    for r in &res.records {
-        writeln!(
-            out,
-            "step {} {:016x} {:016x} {:016x} {:016x} {:016x} {} {:016x}",
-            r.step,
-            r.step_time_per_case.to_bits(),
-            r.solver_time_per_case.to_bits(),
-            r.predictor_time_per_case.to_bits(),
-            r.transfer_time.to_bits(),
-            r.iterations.to_bits(),
-            r.s_used,
-            r.initial_rel_res.to_bits(),
-        )
-        .unwrap();
-    }
-    writeln!(
-        out,
-        "energy {:016x} {:016x}",
-        res.energy.energy.to_bits(),
-        res.energy.elapsed.to_bits()
-    )
-    .unwrap();
-    for ev in &res.recoveries {
-        writeln!(out, "recovery {ev:?}").unwrap();
-    }
-    for rep in &res.corruptions {
-        writeln!(out, "corruption {rep:?}").unwrap();
-    }
-    out
-}
-
-/// FNV-1a over the rendered lines: what the parent pins are recorded as.
-fn digest(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+/// FNV-1a over a run's ledger lines: what the pinned methods' runs are
+/// recorded as.
+fn digest(res: &RunResult) -> String {
+    let text: String = run_lines(res)
+        .iter()
+        .map(|(k, v)| format!("{k} {v}\n"))
+        .collect();
+    let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    });
+    format!("{hash:016x}")
 }
 
 fn assert_same_bits(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
@@ -125,37 +101,29 @@ fn assert_same_bits(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
     }
 }
 
-/// Digests of `render_run(run(backend(), config(method)))`, recorded on one
-/// thread with the `f32` predictor history (see the module docs).
-const RUN_DIGESTS: [(MethodKind, u64); 2] = [
-    (MethodKind::CrsCgCpuGpu, 0xcf6e_8f21_0de0_69ad),
-    (MethodKind::EbeMcgCpuGpu, 0xe42b_7312_aeae_58d1),
-];
+/// The methods whose one-thread runs are pinned in the ledger, as
+/// `thread_invariance/<method> <digest>` (see the module docs).
+const PINNED: [MethodKind; 2] = [MethodKind::CrsCgCpuGpu, MethodKind::EbeMcgCpuGpu];
+
+fn pinned_line(res: &RunResult) -> (String, String) {
+    (res.method.label().to_string(), digest(res))
+}
 
 #[test]
 fn run_leaves_the_same_bits_at_any_thread_count() {
     let b = backend();
+    let mut pinned = Vec::new();
     for method in METHODS {
         let cfg = config(method);
         let reference = Pool::with_threads(1).install(|| run(b, &cfg).expect("one thread"));
         assert!(reference.records.iter().any(|r| r.iterations > 0.0));
-        let rendered = render_run(&reference);
-        for (pinned, want) in RUN_DIGESTS {
-            if pinned == method {
-                assert_eq!(
-                    digest(&rendered),
-                    want,
-                    "{method:?}: bits moved against the pinned digest:\n{rendered}"
-                );
-            }
+        if PINNED.contains(&method) {
+            pinned.push(pinned_line(&reference));
         }
+        let rendered = run_lines(&reference);
         for threads in &THREADS[1..] {
             let res = Pool::with_threads(*threads).install(|| run(b, &cfg).expect("run"));
-            assert_eq!(
-                render_run(&res),
-                rendered,
-                "{method:?} at {threads} threads"
-            );
+            assert_eq!(run_lines(&res), rendered, "{method:?} at {threads} threads");
             assert_same_bits(
                 &res.final_u,
                 &reference.final_u,
@@ -163,6 +131,16 @@ fn run_leaves_the_same_bits_at_any_thread_count() {
             );
         }
     }
+    pins::check("thread_invariance", &pinned);
+}
+
+#[test]
+#[ignore = "rewrites the thread_invariance lines of tests/data/pins.txt"]
+fn record_pins() {
+    let runs = PINNED.map(|method| {
+        Pool::with_threads(1).install(|| run(backend(), &config(method)).expect("run"))
+    });
+    pins::record("thread_invariance", &runs.each_ref().map(pinned_line));
 }
 
 /// A closed loop of `CLIENTS` clients issuing `LENGTHS.len()` requests in
@@ -222,7 +200,7 @@ fn closed_serve_loop_leaves_the_same_bits_at_any_thread_count() {
 /// What the parent commit (2eb2b5f, the all-colours sweep) computed for
 /// [`differential_vectors`]: per vector `‖u‖₂`, `‖u‖∞` and every
 /// [`SAMPLE_STRIDE`]-th entry, as little-endian `f64` — written by
-/// `record_parent_final_u` run on a checkout of that commit.
+/// `write_parent_final_u` run on a checkout of that commit.
 const PARENT_FINAL_U: &[u8] = include_bytes!("data/parent_pr22_final_u.bin");
 const SAMPLE_STRIDE: usize = 16;
 
@@ -273,9 +251,11 @@ fn final_u_is_the_parents_to_rounding() {
     println!("largest deviation from the parent: {worst:e}");
 }
 
+/// Not a pin of this tree, so not a `record…` test: the parent's oracle
+/// for [`final_u_is_the_parents_to_rounding`].
 #[test]
 #[ignore = "rewrites tests/data/parent_pr22_final_u.bin; meant for a checkout of the parent commit"]
-fn record_parent_final_u() {
+fn write_parent_final_u() {
     let bytes: Vec<u8> = differential_vectors(backend())
         .iter()
         .flat_map(|u| norms_and_samples(u))
@@ -330,8 +310,8 @@ fn durable_kill_and_resume_leaves_the_same_bits_at_any_thread_count() {
     for threads in THREADS {
         let (res, files) = Pool::with_threads(threads).install(|| kill_and_resume(b, threads));
         assert_eq!(
-            render_run(&res),
-            render_run(&plain),
+            run_lines(&res),
+            run_lines(&plain),
             "resumed at {threads} threads"
         );
         assert_same_bits(

@@ -4,8 +4,8 @@
 //! recorded image. Each test parses a golden with this commit's decoder and
 //! re-encodes it with this commit's encoder; the result must be the golden
 //! file byte for byte, so every field crosses both directions of the codec
-//! against bytes an earlier commit wrote. The three fingerprints are pinned
-//! the same way.
+//! against bytes an earlier commit wrote. The fingerprints are pinned the
+//! same way, as the `fingerprint/…` lines of `tests/data/pins.txt`.
 //!
 //! The files were first written by the 28 hand-written encode/decode pairs
 //! that preceded the `wire_struct!` field lists, and re-recorded once, at
@@ -26,9 +26,10 @@
 //! refused.
 //!
 //! The scenario builders at the bottom are how the files are produced
-//! (`record_goldens`, ignored). Re-run it only when bits or a layout move
-//! on purpose — the point of the files is that they were *not* written by
-//! the code under test.
+//! (`record_goldens`, ignored, which `cargo test --release -- --ignored
+//! record` runs with every other recorder). Re-record only when bits or a
+//! layout move on purpose — the point of the files is that they were *not*
+//! written by the code under test.
 
 use hetsolve::ckpt::CkptError;
 use hetsolve::core::{
@@ -44,6 +45,7 @@ use hetsolve::serve::{
     WatchdogConfig,
 };
 
+mod pins;
 mod wire_common;
 use wire_common::{data, golden, reseal, without, RUN_TAGS, SERVER_TAGS};
 
@@ -278,28 +280,34 @@ fn a_version_3_image_is_refused_typed() {
 // ---------------------------------------------------------------------------
 // Fingerprint values, recorded with the goldens.
 
-#[test]
-fn fingerprint_values_are_the_parents() {
-    let b = backend();
-    assert_eq!(ConfigFingerprint::of(&b, &run_cfg()).0, RUN_FP[0]);
-    assert_eq!(ConfigFingerprint::of(&b, &run_cfg_b()).0, RUN_FP[1]);
-
-    assert_eq!(ServeFingerprint::of(&b, &serve_cfg()).0, SERVE_FP[0]);
-    assert_eq!(
-        ServeFingerprint::of(&b, &cluster_cfg().serve).0,
-        SERVE_FP[1]
-    );
-
-    assert_eq!(ClusterFingerprint::of(&b, &cluster_cfg()).0, CLUSTER_FP[0]);
-    assert_eq!(
-        ClusterFingerprint::of(&b, &cluster_cfg_b()).0,
-        CLUSTER_FP[1]
-    );
+/// Each config's fingerprint as a ledger line, keyed by the function that
+/// builds the config.
+fn fingerprint_lines(b: &Backend) -> Vec<(String, String)> {
+    [
+        ("run/run_cfg", ConfigFingerprint::of(b, &run_cfg()).0),
+        ("run/run_cfg_b", ConfigFingerprint::of(b, &run_cfg_b()).0),
+        ("serve/serve_cfg", ServeFingerprint::of(b, &serve_cfg()).0),
+        (
+            "serve/cluster_cfg",
+            ServeFingerprint::of(b, &cluster_cfg().serve).0,
+        ),
+        (
+            "cluster/cluster_cfg",
+            ClusterFingerprint::of(b, &cluster_cfg()).0,
+        ),
+        (
+            "cluster/cluster_cfg_b",
+            ClusterFingerprint::of(b, &cluster_cfg_b()).0,
+        ),
+    ]
+    .map(|(case, fp)| (case.to_string(), format!("{fp:016x}")))
+    .to_vec()
 }
 
-const RUN_FP: [u64; 2] = [0x5753_ca62_47d9_6891, 0x9253_a28b_edb0_9b00];
-const SERVE_FP: [u64; 2] = [0x701b_27a6_9099_f923, 0xc1d1_733e_90d3_87cb];
-const CLUSTER_FP: [u64; 2] = [0xed34_9dbe_4a85_73a3, 0x86ed_2656_90db_c8aa];
+#[test]
+fn fingerprint_values_are_the_parents() {
+    pins::check("fingerprint", &fingerprint_lines(&backend()));
+}
 
 // ---------------------------------------------------------------------------
 // Every section is mandatory: readers accept only the current version, and
@@ -430,7 +438,7 @@ fn soak_report(b: &Backend) -> SoakReport {
 }
 
 #[test]
-#[ignore = "rewrites tests/data/wire/ from the code under test"]
+#[ignore = "rewrites tests/data/wire/, the run image and the fingerprint pins from the code under test"]
 fn record_goldens() {
     let b = backend();
     std::fs::create_dir_all(data("wire")).unwrap();
@@ -441,20 +449,5 @@ fn record_goldens() {
         std::fs::write(data(name), ArrivalLog::generate(&cfg).to_bytes()).unwrap();
     }
     std::fs::write(data("wire/soak_report.bin"), soak_report(&b).to_bytes()).unwrap();
-
-    println!(
-        "const RUN_FP: [u64; 2] = [{:#018x}, {:#018x}];",
-        ConfigFingerprint::of(&b, &run_cfg()).0,
-        ConfigFingerprint::of(&b, &run_cfg_b()).0
-    );
-    println!(
-        "const SERVE_FP: [u64; 2] = [{:#018x}, {:#018x}];",
-        ServeFingerprint::of(&b, &serve_cfg()).0,
-        ServeFingerprint::of(&b, &cluster_cfg().serve).0
-    );
-    println!(
-        "const CLUSTER_FP: [u64; 2] = [{:#018x}, {:#018x}];",
-        ClusterFingerprint::of(&b, &cluster_cfg()).0,
-        ClusterFingerprint::of(&b, &cluster_cfg_b()).0
-    );
+    pins::record("fingerprint", &fingerprint_lines(&b));
 }
